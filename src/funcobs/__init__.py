@@ -18,8 +18,8 @@ from .exactlin import QMatrix, Subspace, as_fraction, image_basis, kernel_basis,
 from .geometry import extend, reachable_within, strong_star_inclusion, vstar
 from .markov import kernel_inclusion_upto, toeplitz
 from .polymat import (Poly, PolyMatrix, SmithDecomposition, build_system_matrices,
-                      determinant, normal_rank, output_decoupling_zero_polynomial,
-                      poly_gcd, poly_lcm, smith_form, zero_polynomial)
+                      determinant, output_decoupling_zero_polynomial, pencil,
+                      poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form)
 from .sim import (InputSignal, Scenario, StateSpaceRealization, Trajectory,
                   convergence_metric, realize, simulate)
 from .stability import HurwitzReport, antistable_parts_equal, is_hurwitz
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "QMatrix", "Subspace", "as_fraction", "kernel_basis", "image_basis", "preimage",
     "Poly", "PolyMatrix", "SmithDecomposition", "poly_gcd", "poly_lcm",
-    "build_system_matrices", "determinant", "normal_rank", "smith_form",
-    "zero_polynomial", "output_decoupling_zero_polynomial",
+    "pencil", "build_system_matrices", "determinant", "smith_form",
+    "rank_and_zero_polynomial", "output_decoupling_zero_polynomial",
     "HurwitzReport", "is_hurwitz", "antistable_parts_equal",
     "SystemSextuple", "extend", "vstar", "reachable_within", "strong_star_inclusion",
     "toeplitz", "kernel_inclusion_upto",

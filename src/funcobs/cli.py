@@ -245,7 +245,7 @@ def cmd_simulate(args) -> int:
         scenario = load_scenario_file(
             args.scenario,
             horizon_fallback=sim.suggested_horizon(system, omega))
-    except SystemFileError as exc:
+    except ValueError as exc:  # SystemFileError, or an observer that does not fit
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
     if not scenario.xi0 and omega.order > 0:

@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geometry, markov
+from . import geometry
 from .exactlin import QMatrix, kernel_basis
-from .polymat import (Poly, PolyMatrix, build_system_matrices, normal_rank,
-                      output_decoupling_zero_polynomial, poly_gcd,
-                      zero_polynomial)
+from .polymat import (POLY_ONE, Poly, build_system_matrices,
+                      output_decoupling_zero_polynomial, pencil, poly_gcd,
+                      rank_and_zero_polynomial)
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
 
@@ -148,8 +148,8 @@ def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix) -> KernelInclusionCertificate:
 
 def _detectability_certificate(sys: SystemSextuple) -> DetectabilityCertificate:
     P, Pe = build_system_matrices(sys)
-    rp, rpe = normal_rank(P), normal_rank(Pe)
-    zp, zpe = zero_polynomial(P), zero_polynomial(Pe)
+    rp, zp = rank_and_zero_polynomial(P)
+    rpe, zpe = rank_and_zero_polynomial(Pe)
     cmp_ = antistable_parts_equal(zp, zpe)
     return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
 
@@ -182,11 +182,8 @@ def strong_star_functional_detectable(sys: SystemSextuple) -> Verdict:
 def hautus_strong_detectable(sys: SystemSextuple) -> Verdict:
     """State-reconstruction test (target z = x): normrank P = n + rank [-B; D]
     and all invariant zeros of P strictly stable."""
-    P, _ = build_system_matrices(sys)
-    rp = normal_rank(P)
-    bd = QMatrix.vstack([-sys.B, sys.D])
-    target = sys.n + bd.rank()
-    zp = zero_polynomial(P)
+    rp, zp = rank_and_zero_polynomial(build_system_matrices(sys)[0])
+    target = sys.n + QMatrix.vstack([-sys.B, sys.D]).rank()
     rep = is_hurwitz(zp)
     cert = HautusCertificate(rp, target, rp == target, zp, rep, rep.is_hurwitz)
     return Verdict(HAUTUS_STRONG, cert.rank_condition and cert.zero_condition, cert)
@@ -211,9 +208,7 @@ def hautus_strong_star_detectable(sys: SystemSextuple) -> Verdict:
 
 
 def _left_invertibility_certificate(sys: SystemSextuple) -> LeftInvertibilityCertificate:
-    P, _ = build_system_matrices(sys)
-    rp = normal_rank(P)
-    zp = zero_polynomial(P)
+    rp, zp = rank_and_zero_polynomial(build_system_matrices(sys)[0])
     od = output_decoupling_zero_polynomial(sys)
     g = poly_gcd(zp, od)
     quotient = zp.exact_div(g).monic()
@@ -239,15 +234,6 @@ def asympt_strong_star_left_invertible(sys: SystemSextuple) -> Verdict:
     return Verdict(LEFT_INVERTIBLE_STAR, holds, cert)
 
 
-def _rank_equality_on_right_half_plane(lhs_rows, rhs_rows, cols: int) -> RankEqualityCertificate:
-    lhs = PolyMatrix.from_rows(lhs_rows, cols=cols)
-    rhs = PolyMatrix.from_rows(rhs_rows, cols=cols)
-    rl, rr = normal_rank(lhs), normal_rank(rhs)
-    zl, zr = zero_polynomial(lhs), zero_polynomial(rhs)
-    cmp_ = antistable_parts_equal(zl, zr)
-    return RankEqualityCertificate(rl, rr, zl, zr, cmp_, rl == rr and cmp_.equal)
-
-
 def darouach_fixed_order(sys: SystemSextuple) -> Verdict:
     """Existence test for a fixed-order (order = dim z) observer.
 
@@ -261,42 +247,27 @@ def darouach_fixed_order(sys: SystemSextuple) -> Verdict:
     n, m, p, q = sys.n, sys.m, sys.p, sys.q
     zq_m = QMatrix.zeros(q, m)
     zp_m = QMatrix.zeros(p, m)
+    ca, cb = sys.C @ sys.A, sys.C @ sys.B
+    ea, eb = sys.E @ sys.A, sys.E @ sys.B
     lhs = QMatrix.from_blocks([
         [sys.E, sys.F, zq_m],
         [sys.C, sys.D, zp_m],
-        [sys.C @ sys.A, sys.C @ sys.B, sys.D],
+        [ca, cb, sys.D],
     ])
-    rhs = QMatrix.hstack([sys.E @ sys.A, sys.E @ sys.B, sys.F])
-    kernel = _kernel_inclusion(lhs, rhs)
+    kernel = _kernel_inclusion(lhs, QMatrix.hstack([ea, eb, sys.F]))
 
     # rank of [E(sI-A), -EB, 0; C, D, 0; CA, CB, D] versus the constant
-    # stack above, for every s with Re s >= 0
-    sI_minus_A_rows = [[Poly([-sys.A[i, j], 1]) if i == j else Poly([-sys.A[i, j]])
-                        for j in range(n)] for i in range(n)]
-    eb = sys.E @ sys.B
-    top_rows = []
-    for i in range(q):
-        row = []
-        for j in range(n):
-            acc = Poly()
-            for k in range(n):
-                acc = acc + Poly([sys.E[i, k]]) * sI_minus_A_rows[k][j]
-            row.append(acc)
-        row += [Poly([-eb[i, j]]) for j in range(m)]
-        row += [Poly()] * m
-        top_rows.append(row)
-    mid_rows = [[Poly([sys.C[i, j]]) for j in range(n)]
-                + [Poly([sys.D[i, j]]) for j in range(m)]
-                + [Poly()] * m
-                for i in range(p)]
-    ca, cb = sys.C @ sys.A, sys.C @ sys.B
-    bot_rows = [[Poly([ca[i, j]]) for j in range(n)]
-                + [Poly([cb[i, j]]) for j in range(m)]
-                + [Poly([sys.D[i, j]]) for j in range(m)]
-                for i in range(p)]
-    rhs_rows = [[Poly([lhs[i, j]]) for j in range(n + 2 * m)] for i in range(lhs.rows)]
-    rank_eq = _rank_equality_on_right_half_plane(top_rows + mid_rows + bot_rows,
-                                                 rhs_rows, n + 2 * m)
+    # stack above, for every s with Re s >= 0; the constant side has rank
+    # lhs.rank() everywhere and no finite zeros
+    stacked = pencil(QMatrix.from_blocks([[sys.E, zq_m, zq_m],
+                                          [QMatrix.zeros(2 * p, n + 2 * m)]]),
+                     QMatrix.from_blocks([[ea, eb, zq_m],
+                                          [-sys.C, -sys.D, zp_m],
+                                          [-ca, -cb, -sys.D]]))
+    rl, zl = rank_and_zero_polynomial(stacked)
+    rr = lhs.rank()
+    cmp_ = antistable_parts_equal(zl, POLY_ONE)
+    rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)
 
     controllable = sys.is_controllable()
     note = None if controllable else (
@@ -304,10 +275,3 @@ def darouach_fixed_order(sys: SystemSextuple) -> Verdict:
         "controllability, so this verdict extrapolates outside its hypotheses")
     cert = DarouachCertificate(kernel, rank_eq, controllable, note)
     return Verdict(DAROUACH, kernel.holds and rank_eq.holds, cert)
-
-
-def toeplitz_kernel_check(sys: SystemSextuple, kmax: int | None = None) -> markov.KernelInclusionReport:
-    """Finite Toeplitz-kernel cross-check (diagnostic; default kmax = n + m)."""
-    if kmax is None:
-        kmax = sys.n + sys.m
-    return markov.kernel_inclusion_upto(sys, kmax)

@@ -129,9 +129,6 @@ class QMatrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
 

@@ -42,6 +42,11 @@ def _matrix_from_field(raw, field: str, cols: int | None = None) -> QMatrix:
         raise SystemFileError(f"field {field!r}: {exc}") from exc
 
 
+def _first_row_width(raw) -> int:
+    """Length of the first row of an array of arrays, else 0."""
+    return len(raw[0]) if isinstance(raw, list) and raw and isinstance(raw[0], list) else 0
+
+
 def parse_system_document(doc: dict) -> tuple[SystemSextuple, dict]:
     """Build the plant and return it with the residual metadata."""
     if not isinstance(doc, dict):
@@ -68,12 +73,9 @@ def parse_system_document(doc: dict) -> tuple[SystemSextuple, dict]:
     B = block("B", n, None)
     if B is not None:
         m = B.cols
-    elif "D" in doc and doc["D"] and doc["D"][0]:
-        m = len(doc["D"][0])
-    elif "F" in doc and doc["F"] and doc["F"][0]:
-        m = len(doc["F"][0])
     else:
-        m = m_declared if m_declared is not None else 0
+        # a malformed D or F infers no width here and is named when parsed below
+        m = _first_row_width(doc.get("D")) or _first_row_width(doc.get("F")) or m_declared or 0
     if m_declared is not None and m != m_declared:
         raise SystemFileError(f"declared m = {m_declared} conflicts with block widths")
     if B is None:
@@ -111,11 +113,6 @@ def load_system_text(text: str) -> tuple[SystemSextuple, dict]:
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return parse_system_document(doc)
-
-
-def load_system_file(path) -> tuple[SystemSextuple, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_system_text(fh.read())
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -156,24 +153,27 @@ def parse_scenario_document(doc: dict) -> Scenario:
     if not isinstance(sig, dict) or "kind" not in sig:
         raise SystemFileError("field 'input' must be an object with a 'kind'")
     kind = sig["kind"]
-    if kind == "zero":
-        signal = InputSignal("zero")
-    elif kind == "constant":
-        signal = InputSignal("constant", value=tuple(float(v) for v in sig.get("value", [])))
-    elif kind == "polynomial":
-        signal = InputSignal("polynomial", coefficients=tuple(
-            tuple(float(c) for c in chan) for chan in sig.get("coefficients", [])))
-    elif kind == "sinusoids":
-        signal = InputSignal("sinusoids", terms=tuple(
-            tuple((float(a), float(w), float(ph)) for a, w, ph in chan)
-            for chan in sig.get("terms", [])))
-    elif kind == "table":
-        signal = InputSignal("table",
-                             times=tuple(float(t) for t in sig.get("times", [])),
-                             values=tuple(tuple(float(v) for v in row)
-                                          for row in sig.get("values", [])))
-    else:
-        raise SystemFileError(f"unknown input kind {kind!r}")
+    try:
+        if kind == "zero":
+            signal = InputSignal("zero")
+        elif kind == "constant":
+            signal = InputSignal("constant", value=tuple(float(v) for v in sig.get("value", [])))
+        elif kind == "polynomial":
+            signal = InputSignal("polynomial", coefficients=tuple(
+                tuple(float(c) for c in chan) for chan in sig.get("coefficients", [])))
+        elif kind == "sinusoids":
+            signal = InputSignal("sinusoids", terms=tuple(
+                tuple((float(a), float(w), float(ph)) for a, w, ph in chan)
+                for chan in sig.get("terms", [])))
+        elif kind == "table":
+            signal = InputSignal("table",
+                                 times=tuple(float(t) for t in sig.get("times", [])),
+                                 values=tuple(tuple(float(v) for v in row)
+                                              for row in sig.get("values", [])))
+        else:
+            raise ValueError(f"unknown input kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise SystemFileError(f"field 'input': {exc}") from exc
     try:
         return Scenario(
             x0=tuple(float(v) for v in doc.get("x0", [])),

@@ -1,14 +1,15 @@
 """Univariate polynomials over Q, polynomial matrices, and Smith form.
 
-The polynomial matrices of interest are the system pencils
+The polynomial matrices of interest are pencils s E0 - A0, above all the
+system pencils
 
     P(s)   = [ sI - A   -B ]        P_e(s) = [ P(s) ]
              [   C       D ]                 [ E  F ]
 
-Normal rank is computed by fraction-free elimination, the Smith normal
-form by gcd-driven elementary row/column operations with both unimodular
-transformers tracked, and the invariant zeros are read off the invariant
-polynomials.
+Every pencil is built by ``pencil`` and eliminated once, by the Smith
+normal form (gcd-driven elementary row/column operations with both
+unimodular transformers tracked); its normal rank is the number of
+invariant polynomials and its invariant zeros are their roots.
 """
 
 from __future__ import annotations
@@ -42,17 +43,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     @property
     def leading(self) -> Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def constant_value(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -223,11 +218,6 @@ class PolyMatrix:
         return cls(nrows, ncols, data)
 
     @classmethod
-    def from_qmatrix(cls, M: QMatrix) -> "PolyMatrix":
-        return cls(M.rows, M.cols,
-                   tuple(tuple(Poly([x]) for x in row) for row in M.data))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
         return cls(rows, cols, tuple(tuple(POLY_ZERO for _ in range(cols)) for _ in range(rows)))
 
@@ -300,25 +290,22 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols}: [{body}])"
 
 
+def pencil(E0: QMatrix, A0: QMatrix) -> PolyMatrix:
+    """The pencil s E0 - A0 of two constant matrices of one shape."""
+    if E0.shape != A0.shape:
+        raise ValueError(f"pencil blocks differ in shape: {E0.shape} vs {A0.shape}")
+    return PolyMatrix(A0.rows, A0.cols,
+                      tuple(tuple(Poly([-a, e]) for e, a in zip(row_e, row_a))
+                            for row_e, row_a in zip(E0.data, A0.data)))
+
+
 def build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
     """The system pencil P(s) = [sI-A, -B; C, D] and its extension with [E F]."""
     n, m, p = sys.n, sys.m, sys.p
-    rows = []
-    for i in range(n):
-        row = [Poly([-sys.A[i, j], 1]) if i == j else Poly([-sys.A[i, j]]) for j in range(n)]
-        row += [Poly([-sys.B[i, j]]) for j in range(m)]
-        rows.append(row)
-    for i in range(p):
-        row = [Poly([sys.C[i, j]]) for j in range(n)]
-        row += [Poly([sys.D[i, j]]) for j in range(m)]
-        rows.append(row)
-    P = PolyMatrix.from_rows(rows, cols=n + m)
-    ef_rows = []
-    for i in range(sys.q):
-        row = [Poly([sys.E[i, j]]) for j in range(n)]
-        row += [Poly([sys.F[i, j]]) for j in range(m)]
-        ef_rows.append(row)
-    EF = PolyMatrix.from_rows(ef_rows, cols=n + m)
+    P = pencil(QMatrix.from_blocks([[QMatrix.identity(n), QMatrix.zeros(n, m)],
+                                    [QMatrix.zeros(p, n + m)]]),
+               QMatrix.from_blocks([[sys.A, sys.B], [-sys.C, -sys.D]]))
+    EF = pencil(QMatrix.zeros(sys.q, n + m), -QMatrix.hstack([sys.E, sys.F]))
     return P, PolyMatrix.vstack([P, EF])
 
 
@@ -347,46 +334,6 @@ def determinant(M: PolyMatrix) -> Poly:
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det
-
-
-def normal_rank(M: PolyMatrix) -> int:
-    """Rank over the rational-function field.
-
-    Division-controlled Gaussian elimination on the polynomial entries:
-    rows are combined by cross-multiplication and then stripped of their
-    common polynomial factor after each pivot, which keeps degrees and
-    coefficients from blowing up while preserving the rank exactly.
-    """
-    a = [[e for e in row] for row in M.data]
-    nrows, ncols = M.rows, M.cols
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if not a[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, nrows):
-            if a[i][c].is_zero():
-                continue
-            f = a[i][c]
-            row = [pivot * x - f * y for x, y in zip(a[i], a[r])]
-            g = POLY_ZERO
-            for x in row:
-                if x.is_zero():
-                    continue
-                g = x.monic() if g.is_zero() else poly_gcd(g, x)
-            if not g.is_zero() and g.degree > 0:
-                row = [x.exact_div(g) for x in row]
-            lead = next((x for x in row if not x.is_zero()), None)
-            if lead is not None:
-                inv = Fraction(1) / lead.leading
-                row = [x.scale(inv) for x in row]
-            a[i] = row
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)
@@ -522,28 +469,23 @@ def _assert_smith(P: PolyMatrix, dec: SmithDecomposition) -> None:
             raise AssertionError("invariant polynomial not monic")
 
 
-def zero_polynomial(P: PolyMatrix) -> Poly:
-    """Monic product of the invariant polynomials; its roots (with
-    multiplicity) are the invariant zeros of P."""
+def rank_and_zero_polynomial(P: PolyMatrix) -> tuple[int, Poly]:
+    """Normal rank and zero polynomial of P from one Smith form.
+
+    The rank is the number of invariant polynomials; the zero polynomial
+    is their monic product, whose roots (with multiplicity) are the
+    invariant zeros of P.
+    """
+    invariants = smith_form(P).invariant_polys
     prod = POLY_ONE
-    for a in smith_form(P).invariant_polys:
+    for a in invariants:
         if a.degree > 0:
             prod = prod * a
-    return prod.monic()
-
-
-def observability_pencil(sys: SystemSextuple) -> PolyMatrix:
-    """The stacked pencil [sI - A; C]."""
-    n = sys.n
-    rows = []
-    for i in range(n):
-        rows.append([Poly([-sys.A[i, j], 1]) if i == j else Poly([-sys.A[i, j]])
-                     for j in range(n)])
-    for i in range(sys.p):
-        rows.append([Poly([sys.C[i, j]]) for j in range(n)])
-    return PolyMatrix.from_rows(rows, cols=n)
+    return len(invariants), prod.monic()
 
 
 def output_decoupling_zero_polynomial(sys: SystemSextuple) -> Poly:
     """Zero polynomial of [sI - A; C]; roots are the unobservable modes."""
-    return zero_polynomial(observability_pencil(sys))
+    n = sys.n
+    E0 = QMatrix.vstack([QMatrix.identity(n), QMatrix.zeros(sys.p, n)])
+    return rank_and_zero_polynomial(pencil(E0, QMatrix.vstack([sys.A, -sys.C])))[1]

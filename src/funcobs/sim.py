@@ -231,6 +231,25 @@ class Trajectory:
 _BLOWUP = 1e12
 
 
+def _cascade_matrix(sys: SystemSextuple, omega: StateSpaceRealization) -> np.ndarray:
+    """State matrix [A 0; HC G] of the plant/observer cascade.
+
+    Raises ValueError naming the first observer block whose shape does not
+    fit the plant.
+    """
+    n, p, q, nu = sys.n, sys.p, sys.q, omega.order
+    for name, shape in (("R", (q, p)), ("Q", (q, nu)), ("H", (nu, p)), ("G", (nu, nu))):
+        found = getattr(omega, name).shape
+        if found != shape:
+            raise ValueError(f"observer block {name} must be {shape[0]}x{shape[1]} "
+                             f"for this plant, found {'x'.join(map(str, found))}")
+    Ac = np.zeros((n + nu, n + nu))
+    Ac[:n, :n] = to_float_array(sys.A)
+    Ac[n:, :n] = omega.H @ to_float_array(sys.C)
+    Ac[n:, n:] = omega.G
+    return Ac
+
+
 def simulate(sys: SystemSextuple, omega: StateSpaceRealization,
              sc: Scenario) -> Trajectory:
     """Fixed-step fourth-order Runge-Kutta on the plant/observer cascade.
@@ -238,27 +257,21 @@ def simulate(sys: SystemSextuple, omega: StateSpaceRealization,
     Deterministic for a fixed scenario.  A runaway state norm raises
     StepInstabilityError instead of returning silently corrupted data.
     """
-    n, m, p, q = sys.n, sys.m, sys.p, sys.q
+    n, m = sys.n, sys.m
     nu = omega.order
     if len(sc.x0) != n:
         raise ValueError(f"x0 must have length {n}")
     if len(sc.xi0) != nu:
         raise ValueError(f"xi0 must have length {nu}")
-    if omega.H.shape[1] != p or omega.R.shape != (q, p):
-        raise ValueError("observer dimensions do not match the plant outputs")
+    Ac = _cascade_matrix(sys, omega)
 
-    A = to_float_array(sys.A)
     B = to_float_array(sys.B)
     C = to_float_array(sys.C)
     D = to_float_array(sys.D)
     E = to_float_array(sys.E)
     F = to_float_array(sys.F)
-    G, H, Q, R = omega.G, omega.H, omega.Q, omega.R
+    H, Q, R = omega.H, omega.Q, omega.R
 
-    Ac = np.zeros((n + nu, n + nu))
-    Ac[:n, :n] = A
-    Ac[n:, :n] = H @ C
-    Ac[n:, n:] = G
     Bc = np.zeros((n + nu, m))
     Bc[:n, :] = B
     Bc[n:, :] = H @ D
@@ -325,38 +338,13 @@ def convergence_metric(traj: Trajectory, threshold: float = 1e-4) -> Convergence
     return ConvergenceReport(final_sup < threshold, final_sup, threshold, tail_start)
 
 
-def spectral_abscissa_estimate(M: np.ndarray, iterations: int = 200) -> float:
-    """Power-iteration estimate of max Re(eigenvalue), via a right shift
-    large enough to push the spectrum into the right half plane."""
-    n = M.shape[0]
-    if n == 0:
-        return -1.0
-    sigma = 1.0 + float(np.max(np.sum(np.abs(M), axis=1)))
-    shifted = M + sigma * np.eye(n)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iterations):
-        w = shifted @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return -sigma
-        lam = norm
-        v = w / norm
-    return lam - sigma
-
-
 def suggested_horizon(sys: SystemSextuple, omega: StateSpaceRealization,
                       fallback: float = 20.0, cap: float = 500.0) -> float:
-    """Heuristic horizon: ten time constants of the cascade's slowest
-    estimated mode; falls back when the estimate is not usefully negative."""
-    n, nu = sys.n, omega.order
-    Ac = np.zeros((n + nu, n + nu))
-    Ac[:n, :n] = to_float_array(sys.A)
-    Ac[n:, :n] = omega.H @ to_float_array(sys.C)
-    Ac[n:, n:] = omega.G
-    alpha = spectral_abscissa_estimate(Ac)
+    """Heuristic horizon: ten time constants of the cascade's slowest mode
+    (an empty cascade counts as one with abscissa -1); falls back when the
+    spectral abscissa is not usefully negative."""
+    Ac = _cascade_matrix(sys, omega)
+    alpha = float(np.linalg.eigvals(Ac).real.max()) if Ac.size else -1.0
     if alpha >= -1e-9:
         return fallback
     return min(cap, 10.0 / abs(alpha))

@@ -19,8 +19,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import decide
+from .exactlin import QMatrix
 from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix,
-                      build_system_matrices, poly_gcd, poly_lcm, smith_form)
+                      build_system_matrices, pencil, poly_gcd, poly_lcm, smith_form)
 from .stability import HurwitzReport, is_hurwitz
 from .system import SystemSextuple
 
@@ -49,10 +50,6 @@ class RationalFunction:
     @classmethod
     def from_poly(cls, p: Poly) -> "RationalFunction":
         return cls(p, POLY_ONE)
-
-    @classmethod
-    def from_scalar(cls, c) -> "RationalFunction":
-        return cls(Poly([c]), POLY_ONE)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -239,10 +236,7 @@ def solve_over_field(sys: SystemSextuple) -> WitnessReport:
     P, _ = build_system_matrices(sys)
     dec = smith_form(P)
     r = len(dec.invariant_polys)
-    ef_rows = [[Poly([sys.E[i, j]]) for j in range(sys.n)]
-               + [Poly([sys.F[i, j]]) for j in range(sys.m)]
-               for i in range(sys.q)]
-    EF = PolyMatrix.from_rows(ef_rows, cols=sys.n + sys.m)
+    EF = pencil(QMatrix.zeros(sys.q, P.cols), -QMatrix.hstack([sys.E, sys.F]))
     W = EF @ dec.V
     left_kernel_dim = P.rows - r
 

@@ -1,8 +1,9 @@
 """Shared fixtures: golden systems, random generators, independent oracles.
 
 The oracles here deliberately avoid the library's own elimination code:
-ranks come from a plain forward Gaussian elimination, determinants from
-cofactor expansion, root locations from numpy's companion-matrix solver.
+ranks come from a plain forward Gaussian elimination, normal ranks from
+ranks at enough integer points, determinants from cofactor expansion,
+root locations from numpy's companion-matrix solver.
 """
 
 from __future__ import annotations
@@ -126,6 +127,18 @@ def ref_rank(rows: list[list[Fraction]]) -> int:
 
 def ref_rank_q(M: QMatrix) -> int:
     return ref_rank(M.to_lists())
+
+
+def ref_normal_rank(M: PolyMatrix) -> int:
+    """Normal rank as the largest rank of M at min(rows, cols) * maxdeg + 1
+    integer points.
+
+    Exact: a nonzero r x r minor has degree at most r * maxdeg, so it cannot
+    vanish at all of these points, and no evaluation exceeds the normal rank.
+    """
+    maxdeg = max((e.degree for row in M.data for e in row), default=0)
+    npoints = min(M.rows, M.cols) * max(maxdeg, 0) + 1
+    return max(ref_rank_q(M.evaluate(s0)) for s0 in range(npoints))
 
 
 def cofactor_det(M: PolyMatrix) -> Poly:

@@ -96,6 +96,37 @@ class TestCmdCheck:
         assert main(["check", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"A": [[0]], "C": [[1]], "D": [5]}, "'D'"),
+        ({"A": [[0]], "C": [[1]], "D": 3}, "'D'"),
+        ({"A": [[0]], "E": [[1]], "F": [7]}, "'F'"),
+    ])
+    def test_malformed_feedthrough_block(self, tmp_path, capsys, doc, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", str(bad)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("signal", [
+        {"kind": "constant", "value": ["x"]},
+        {"kind": "table", "times": [0, 1], "values": 3},
+    ])
+    def test_malformed_scenario_input(self, tmp_path, capsys, signal):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"R": [[1, 0]]}))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"x0": [1.0, 0.0], "input": signal}))
+        assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 2
+        assert "'input'" in capsys.readouterr().err
+
+    def test_observer_of_wrong_width(self, tmp_path, capsys):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"R": [[1]]}))  # stable_pair has p = 2
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"x0": [1.0, 0.0]}))
+        assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 2
+        assert "observer block R" in capsys.readouterr().err
+
     def test_structured_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["check", "integrator_chain", "--all",

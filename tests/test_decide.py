@@ -1,3 +1,8 @@
+import random
+from fractions import Fraction
+
+import pytest
+
 from funcobs import decide
 from funcobs.exactlin import QMatrix
 from funcobs.polymat import POLY_ONE, Poly
@@ -188,3 +193,43 @@ class TestImplicationChain:
             s = decide.strongly_functional_detectable(sys).holds
             ss = decide.strong_star_functional_detectable(sys).holds
             assert f == s == ss
+
+
+class TestSympySmithOracle:
+    """Normal ranks and zero polynomials in the certificates against sympy's
+    Smith normal form over Q[s], on pencils assembled here from the blocks."""
+
+    def test_golden_and_seeded_plants(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+        s = sympy.Symbol("s")
+        Matrix = sympy.Matrix
+
+        def sym(M):
+            return Matrix(M.rows, M.cols,
+                          [sympy.Rational(x.numerator, x.denominator) for row in M.data for x in row])
+
+        def rank_and_zeros(M):
+            S = smith_normal_form(M, domain=sympy.QQ[s])
+            diag = [S[i, i] for i in range(min(S.shape)) if S[i, i] != 0]
+            prod = sympy.Poly(sympy.Mul(*diag), s).monic()
+            return len(diag), Poly([Fraction(int(c.p), int(c.q))
+                                    for c in reversed(prod.all_coeffs())])
+
+        rng = random.Random(20260810)
+        plants = [build() for build in support.GOLDEN.values()]
+        plants += [support.random_system(rng) for _ in range(20)]
+        for plant in plants:
+            A, B, C, D, E, F = (sym(getattr(plant, k)) for k in "ABCDEF")
+            n, m, p, q = plant.n, plant.m, plant.p, plant.q
+            sIA = s * sympy.eye(n) - A
+            P = Matrix.vstack(Matrix.hstack(sIA, -B), Matrix.hstack(C, D))
+            Pe = Matrix.vstack(P, Matrix.hstack(E, F))
+            stacked = Matrix.vstack(Matrix.hstack(E * sIA, -E * B, sympy.zeros(q, m)),
+                                    Matrix.hstack(C, D, sympy.zeros(p, m)),
+                                    Matrix.hstack(C * A, C * B, D))
+            strong = decide.strongly_functional_detectable(plant).certificate
+            rank_eq = decide.darouach_fixed_order(plant).certificate.rank_equality
+            assert rank_and_zeros(P) == (strong.normrank_p, strong.zero_poly_p)
+            assert rank_and_zeros(Pe) == (strong.normrank_pe, strong.zero_poly_pe)
+            assert rank_and_zeros(stacked) == (rank_eq.normrank_lhs, rank_eq.zero_poly_lhs)

@@ -236,6 +236,17 @@ class TestScenarioHelpers:
         h = suggested_horizon(sys, omega)
         assert 1.0 <= h <= 500.0
 
+    def test_suggested_horizon_oscillatory_plant(self):
+        # eigenvalues -1 +- 10i: ten time constants of Re = -1
+        sys = SystemSextuple.from_lists(A=[[-1, 10], [-10, -1]], C=[[1, 0]], m=0)
+        omega = StateSpaceRealization.static_gain(np.zeros((0, 1)))
+        assert suggested_horizon(sys, omega) == 10.0
+
+    def test_suggested_horizon_rejects_mismatched_observer(self):
+        omega = StateSpaceRealization.static_gain([[1.0]])
+        with pytest.raises(ValueError, match="observer block R"):
+            suggested_horizon(support.stable_pair(), omega)
+
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             Scenario(x0=(), xi0=(), horizon=1.0, step=0.0)
