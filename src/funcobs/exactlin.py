@@ -10,9 +10,11 @@ are first-class citizens (plants without inputs need them).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
+_ZERO = Fraction(0)
 
 
 def as_fraction(value) -> Fraction:
@@ -31,29 +33,66 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational literal: {value!r}")
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in place on a copy) with pivot columns."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators, divided by its content."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _integer_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Every row stays a nonzero integer multiple of the row that Gauss-Jordan
+    over Q would hold at the same step (pivot rows unnormalised), so zero
+    patterns, row swaps and pivot columns agree with it exactly.  Rows are
+    kept primitive (content 1) to stop coefficient growth.
+    """
+    mat = [_integer_row(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        mat[r], mat[pr] = mat[pr], mat[r]
+        prow = mat[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = mat[i][c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = [a * x - b * y for x, y in zip(mat[i], prow)]
+            g = gcd(*new)
+            mat[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return mat, pivots
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q with pivot columns.
+
+    Eliminates on integers and divides by the pivots only when the rows are
+    emitted, so the result is the canonical RREF, entry for entry.
+    """
+    mat, pivots = _integer_echelon(rows)
+    ncols = len(mat[0]) if mat else 0
+    out = []
+    for i, row in enumerate(mat):
+        if i < len(pivots):
+            p = row[pivots[i]]
+            out.append([Fraction(x, p) if x else _ZERO for x in row])
+        else:
+            out.append([_ZERO] * ncols)
+    return out, pivots
 
 
 class QMatrix:
@@ -185,8 +224,7 @@ class QMatrix:
         return all(x == 0 for row in self.data for x in row)
 
     def rank(self) -> int:
-        _, pivots = _rref(self.to_lists())
-        return len(pivots)
+        return len(_integer_echelon(self.data)[1])
 
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
         rows, pivots = _rref(self.to_lists())

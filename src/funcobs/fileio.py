@@ -9,6 +9,7 @@ are serialized back as strings so every round trip is lossless.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import is_dataclass, fields
 from fractions import Fraction
 from typing import Any
@@ -174,16 +175,32 @@ def parse_scenario_document(doc: dict) -> Scenario:
             raise ValueError(f"unknown input kind {kind!r}")
     except (TypeError, ValueError) as exc:
         raise SystemFileError(f"field 'input': {exc}") from exc
+    x0 = _scenario_field(doc, "x0", _float_tuple, [])
+    xi0 = _scenario_field(doc, "xi0", _float_tuple, [])
+    horizon = _scenario_field(doc, "horizon", _finite_float, 10.0)
+    step = _scenario_field(doc, "step", _finite_float, 1e-3)
     try:
-        return Scenario(
-            x0=tuple(float(v) for v in doc.get("x0", [])),
-            xi0=tuple(float(v) for v in doc.get("xi0", [])),
-            input_signal=signal,
-            horizon=float(doc.get("horizon", 10.0)),
-            step=float(doc.get("step", 1e-3)),
-        )
-    except (TypeError, ValueError) as exc:
+        return Scenario(x0, xi0, signal, horizon, step)
+    except ValueError as exc:
         raise SystemFileError(f"bad scenario: {exc}") from exc
+
+
+def _finite_float(raw) -> float:
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return x
+
+
+def _float_tuple(raw) -> tuple[float, ...]:
+    return tuple(_finite_float(v) for v in raw)
+
+
+def _scenario_field(doc: dict, field: str, convert, default):
+    try:
+        return convert(doc.get(field, default))
+    except (TypeError, ValueError) as exc:
+        raise SystemFileError(f"field {field!r}: {exc}") from exc
 
 
 def load_scenario_file(path, horizon_fallback: float | None = None) -> Scenario:
@@ -216,6 +233,22 @@ def dump_scenario_document(sc: Scenario) -> dict:
 
 # -- observers -----------------------------------------------------------------
 
+def _transfer_entry(cell, field: str) -> RationalFunction:
+    """One entry of N: a rational literal or {"num": [...], "den": [...]}
+    with ascending coefficients."""
+    try:
+        if isinstance(cell, dict):
+            num = Poly([as_fraction(c) for c in cell.get("num", [])])
+            den = Poly([as_fraction(c) for c in cell.get("den", [1])])
+        else:
+            num, den = Poly([as_fraction(cell)]), Poly([1])
+        return RationalFunction(num, den)
+    except ZeroDivisionError as exc:
+        raise SystemFileError(f"field {field!r}: zero denominator") from exc
+    except (TypeError, ValueError) as exc:
+        raise SystemFileError(f"field {field!r}: {exc}") from exc
+
+
 def parse_observer_document(doc: dict) -> StateSpaceRealization | RationalFunctionMatrix:
     """Either an exact transfer matrix {"N": [[{num, den}]]} to be realized,
     or explicit real matrices {"G", "H", "Q", "R"}; a bare {"R": ...} is a
@@ -223,23 +256,13 @@ def parse_observer_document(doc: dict) -> StateSpaceRealization | RationalFuncti
     if not isinstance(doc, dict):
         raise SystemFileError("observer document must be a JSON object")
     if "N" in doc:
-        rows = []
-        for i, row in enumerate(doc["N"]):
-            out = []
-            for j, cell in enumerate(row):
-                if isinstance(cell, dict):
-                    num = Poly([as_fraction(c) for c in cell.get("num", [])])
-                    den = Poly([as_fraction(c) for c in cell.get("den", [1])])
-                else:
-                    num = Poly([as_fraction(cell)])
-                    den = Poly([1])
-                try:
-                    out.append(RationalFunction(num, den))
-                except ZeroDivisionError as exc:
-                    raise SystemFileError(f"N[{i}][{j}]: zero denominator") from exc
-            rows.append(out)
-        if not rows:
-            raise SystemFileError("field 'N' must be a nonempty array")
+        raw = doc["N"]
+        if not isinstance(raw, list) or not raw or any(not isinstance(r, list) for r in raw):
+            raise SystemFileError("field 'N' must be a nonempty array of arrays")
+        rows = [[_transfer_entry(cell, f"N[{i}][{j}]") for j, cell in enumerate(row)]
+                for i, row in enumerate(raw)]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise SystemFileError("field 'N': rows differ in length")
         return RationalFunctionMatrix.from_rows(rows)
     if "G" in doc or "H" in doc or "Q" in doc:
         try:
@@ -251,7 +274,10 @@ def parse_observer_document(doc: dict) -> StateSpaceRealization | RationalFuncti
             raise SystemFileError(f"bad realization block: {exc}") from exc
         return StateSpaceRealization(G, H, Q, R)
     if "R" in doc:
-        return StateSpaceRealization.static_gain(doc["R"])
+        try:
+            return StateSpaceRealization.static_gain(doc["R"])
+        except (TypeError, ValueError) as exc:
+            raise SystemFileError(f"field 'R': {exc}") from exc
     raise SystemFileError("observer document needs 'N', 'R', or 'G'/'H'/'Q'/'R'")
 
 

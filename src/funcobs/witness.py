@@ -3,13 +3,14 @@
 Solvability over the field of rational functions needs only rank
 consistency, and the Smith decomposition of P makes the canonical solution
 explicit: with U P V = S, the solution is [M N] = [E F] V S^+ U where S^+
-inverts the nonzero diagonal entries.  The residual is re-verified by
-exact rational-function arithmetic on every solve; properness and pole
-locations of the constructed solution are classified, with the caveat that
-the canonical representative may fail properness or stability even when
-some member of the affine solution family (canonical plus left-kernel
-multiples of P) achieves them -- the existence questions themselves are
-settled by the decide module.
+inverts the nonzero diagonal entries d_1 | ... | d_r.  The solution is
+formed over the single denominator d_r with polynomial arithmetic, and the
+residual of the returned solution is re-verified exactly on every solve;
+properness and pole locations of the constructed solution are classified,
+with the caveat that the canonical representative may fail properness or
+stability even when some member of the affine solution family (canonical
+plus left-kernel multiples of P) achieves them -- the existence questions
+themselves are settled by the decide module.
 """
 
 from __future__ import annotations
@@ -47,29 +48,11 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RationalFunction":
-        return cls(p, POLY_ONE)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_proper(self) -> bool:
         return self.is_zero() or self.num.degree <= self.den.degree
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
 
     def evaluate(self, x):
         return self.num.evaluate(x) / self.den.evaluate(x)
@@ -104,10 +87,6 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-RF_ZERO = RationalFunction(POLY_ZERO)
-RF_ONE = RationalFunction(POLY_ONE)
-
-
 class RationalFunctionMatrix:
     """Immutable dense matrix of reduced rational functions."""
 
@@ -129,17 +108,6 @@ class RationalFunctionMatrix:
         ncols = len(data[0]) if nrows else (cols or 0)
         return cls(nrows, ncols, data)
 
-    @classmethod
-    def from_poly_matrix(cls, M: PolyMatrix) -> "RationalFunctionMatrix":
-        return cls(M.rows, M.cols,
-                   tuple(tuple(RationalFunction.from_poly(e) for e in row)
-                         for row in M.data))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalFunctionMatrix":
-        return cls(rows, cols, tuple(tuple(RF_ZERO for _ in range(cols))
-                                     for _ in range(rows)))
-
     def __getitem__(self, key: tuple[int, int]) -> RationalFunction:
         i, j = key
         return self.data[i][j]
@@ -148,43 +116,11 @@ class RationalFunctionMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __matmul__(self, other: "RationalFunctionMatrix") -> "RationalFunctionMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch in product: {self.shape} @ {other.shape}")
-        data = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = RF_ZERO
-                for k in range(self.cols):
-                    a, b = self.data[i][k], other.data[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            data.append(tuple(row))
-        return RationalFunctionMatrix(self.rows, other.cols, tuple(data))
-
-    def __sub__(self, other: "RationalFunctionMatrix") -> "RationalFunctionMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return RationalFunctionMatrix(
-            self.rows, self.cols,
-            tuple(tuple(a - b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.data, other.data)))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
-
     def is_proper(self) -> bool:
         return all(e.is_proper() for row in self.data for e in row)
 
     def denominator_lcm(self) -> Poly:
-        acc = POLY_ONE
-        for row in self.data:
-            for e in row:
-                acc = poly_lcm(acc, e.den)
-        return acc
+        return _denominator_lcm(e for row in self.data for e in row)
 
     def evaluate(self, x):
         return [[e.evaluate(x) for e in row] for row in self.data]
@@ -196,6 +132,16 @@ class RationalFunctionMatrix:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(e) for e in row) for row in self.data)
         return f"RationalFunctionMatrix({self.rows}x{self.cols}: [{body}])"
+
+
+def _denominator_lcm(entries) -> Poly:
+    """Monic lcm of the denominators; a denominator that already divides
+    the running lcm costs one division instead of a gcd."""
+    acc = POLY_ONE
+    for e in entries:
+        if not e.den.divides(acc):
+            acc = poly_lcm(acc, e.den)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -226,6 +172,22 @@ class WitnessReport:
     inconsistent_column: int | None
 
 
+def residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) -> bool:
+    """Whether MN @ P == EF exactly.
+
+    Row i of MN is brought onto the lcm l_i of its denominators, and its
+    numerators must satisfy nums_i @ P == l_i EF_i as polynomials.
+    """
+    if MN.shape != (EF.rows, P.rows) or EF.cols != P.cols:
+        raise ValueError(f"residual shapes differ: {MN.shape} @ {P.shape} vs {EF.shape}")
+    for row, target in zip(MN.data, EF.data):
+        ell = _denominator_lcm(row)
+        nums = PolyMatrix(1, MN.cols, (tuple(e.num * ell.exact_div(e.den) for e in row),))
+        if (nums @ P).data[0] != tuple(ell * x for x in target):
+            return False
+    return True
+
+
 def solve_over_field(sys: SystemSextuple) -> WitnessReport:
     """Construct and verify the canonical field solution of [M N] P = [E F].
 
@@ -245,18 +207,20 @@ def solve_over_field(sys: SystemSextuple) -> WitnessReport:
             return WitnessReport(False, None, None, None, None, None,
                                  left_kernel_dim, j)
 
-    # Y = W S^+ as rational functions, then MN = Y U
-    y_rows = []
-    for i in range(W.rows):
-        row = [RationalFunction(W[i, j], dec.invariant_polys[j]) for j in range(r)]
-        row += [RF_ZERO] * (P.rows - r)
-        y_rows.append(row)
-    Y = RationalFunctionMatrix.from_rows(y_rows, cols=P.rows)
-    MN = Y @ RationalFunctionMatrix.from_poly_matrix(dec.U)
-
-    residual = (MN @ RationalFunctionMatrix.from_poly_matrix(P)
-                - RationalFunctionMatrix.from_poly_matrix(EF))
-    residual_zero = residual.is_zero()
+    # Y = W S^+ over the one denominator L = d_r, which every d_j divides:
+    # MN = (W diag(L / d_j) U) / L, one polynomial product and one
+    # reduction per entry
+    L = dec.invariant_polys[-1] if r else POLY_ONE
+    scale = [L.exact_div(d) for d in dec.invariant_polys]
+    WL = PolyMatrix(W.rows, P.rows,
+                    tuple(tuple(W[i, j] * scale[j] if j < r else POLY_ZERO
+                                for j in range(P.rows))
+                          for i in range(W.rows)))
+    num = WL @ dec.U
+    MN = RationalFunctionMatrix(num.rows, num.cols,
+                                tuple(tuple(RationalFunction(e, L) for e in row)
+                                      for row in num.data))
+    residual_zero = residual_is_zero(MN, P, EF)
     cls = classify(MN)
     return WitnessReport(True, MN, residual_zero, cls.proper,
                          cls.pole_polynomial, cls.pole_report,

@@ -1,9 +1,10 @@
 """Shared fixtures: golden systems, random generators, independent oracles.
 
 The oracles here deliberately avoid the library's own elimination code:
-ranks come from a plain forward Gaussian elimination, normal ranks from
-ranks at enough integer points, determinants from cofactor expansion,
-root locations from numpy's companion-matrix solver.
+ranks come from a plain forward Gaussian elimination, the canonical RREF
+from Gauss-Jordan over Fraction, normal ranks from ranks at enough integer
+points, determinants from cofactor expansion, root locations from numpy's
+companion-matrix solver.
 """
 
 from __future__ import annotations
@@ -123,6 +124,32 @@ def ref_rank(rows: list[list[Fraction]]) -> int:
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r0])]
         r0 += 1
     return r0
+
+
+def ref_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan over Fraction: the pivot row is normalised to 1, then
+    cleared from every other row."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
 
 
 def ref_rank_q(M: QMatrix) -> int:

@@ -119,6 +119,36 @@ class TestCmdCheck:
         assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 2
         assert "'input'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("observer, field", [
+        ({"N": 3}, "'N'"),
+        ({"N": [[{"num": ["x"]}]]}, "'N[0][0]'"),
+        ({"N": [[1, {"num": [1], "den": "s"}]]}, "'N[0][1]'"),
+        ({"N": [[1, 2], [3]]}, "'N'"),
+        ({"R": [[1, "a"]]}, "'R'"),
+    ])
+    def test_malformed_observer(self, tmp_path, capsys, observer, field):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps(observer))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"x0": [0.0]}))
+        assert main(["simulate", "state_estimation_demo", str(obs), str(sc)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("update, field", [
+        ({"x0": ["a"]}, "'x0'"),
+        ({"xi0": ["b"]}, "'xi0'"),
+        ({"horizon": "z"}, "'horizon'"),
+        ({"horizon": float("inf")}, "'horizon'"),
+        ({"step": [1]}, "'step'"),
+    ])
+    def test_malformed_scenario_field(self, tmp_path, capsys, update, field):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"R": [[1, 0]]}))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"x0": [1.0, 0.0], **update}))
+        assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_observer_of_wrong_width(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps({"R": [[1]]}))  # stable_pair has p = 2

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from funcobs.exactlin import QMatrix, Subspace, as_fraction, image_basis, kernel_basis, preimage
+from funcobs.exactlin import (QMatrix, Subspace, _rref, as_fraction, image_basis,
+                              kernel_basis, preimage)
 from funcobs.geometry import extend
 from funcobs.markov import toeplitz
 
@@ -195,3 +197,58 @@ class TestCanonicity:
         V = Subspace.span(3, [[2, 4, 0], [0, 0, 5]])
         cols = V.basis.columns()
         assert cols[0][0] == 1 and cols[1][2] == 1
+
+
+F = Fraction
+
+# Entries with non-unit denominators of both signs, zero half the time.
+_entries = st.one_of(st.just(F(0)),
+                     st.builds(F, st.integers(-6, 6), st.integers(1, 5)))
+
+
+@st.composite
+def _spanning_rows(draw):
+    """(ambient dimension, rows); some rows are zero or combinations of others."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(_entries), draw(_entries)
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [ca * x + cb * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * ncols)
+    return ncols, rows
+
+
+class TestIntegerRREF:
+    """The fraction-free elimination against Gauss-Jordan over Fraction."""
+
+    @given(_spanning_rows())
+    @example((0, []))
+    @example((4, []))
+    @example((0, [[], []]))
+    @example((3, [[F(0), F(0), F(0)], [F(0), F(0), F(0)]]))
+    @example((2, [[F(-2, 3), F(4, 5)], [F(-4, 3), F(8, 5)]]))
+    @example((3, [[F(0), F(-3, 2), F(1, 7)], [F(-5), F(2), F(0)], [F(-5), F(1, 2), F(1, 7)]]))
+    def test_rows_and_pivots_match_oracle(self, case):
+        _, rows = case
+        got_rows, got_pivots = _rref(rows)
+        want_rows, want_pivots = support.ref_rref(rows)
+        assert got_pivots == want_pivots
+        assert got_rows == want_rows
+        assert all(type(x) is Fraction for row in got_rows for x in row)
+        assert QMatrix.from_rows(rows, cols=case[0]).rank() == len(want_pivots)
+
+    @given(_spanning_rows())
+    @example((3, [[F(0), F(-2), F(6)], [F(0), F(1, 3), F(-1)]]))
+    def test_span_basis_bit_identical(self, case):
+        ncols, rows = case
+        reduced, _ = support.ref_rref(rows)
+        nonzero = [r for r in reduced if any(x != 0 for x in r)]
+        want = QMatrix.from_rows(nonzero, cols=ncols).transpose()
+        got = Subspace.span(ncols, rows).basis
+        assert got.shape == want.shape
+        assert [[(x.numerator, x.denominator) for x in row] for row in got.data] == \
+            [[(x.numerator, x.denominator) for x in row] for row in want.data]

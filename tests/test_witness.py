@@ -1,9 +1,13 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from funcobs import decide
-from funcobs.polymat import POLY_ONE, Poly, build_system_matrices
+from funcobs.exactlin import QMatrix
+from funcobs.polymat import POLY_ONE, Poly, PolyMatrix, build_system_matrices, smith_form
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, classify,
-                             decision_consistency, solve_over_field)
+                             decision_consistency, residual_is_zero, solve_over_field)
 
 import support
 
@@ -18,13 +22,6 @@ class TestRationalFunction:
         b = RationalFunction(Poly([1, 1]), Poly([0, 2]))
         assert a == b
         assert a.den.leading == 1
-
-    def test_arithmetic(self):
-        one_over = rf((1,), (1, 1))
-        s = rf((0, 1))
-        assert (one_over * s) == rf((0, 1), (1, 1))
-        assert (one_over + one_over) == rf((2,), (1, 1))
-        assert (one_over - one_over).is_zero()
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -95,6 +92,77 @@ class TestSolveOverField:
         rep = solve_over_field(sys)
         P, _ = build_system_matrices(sys)
         assert rep.left_kernel_dim == P.rows - support.ref_normal_rank(P)
+
+
+def _oracle_systems():
+    rng = random.Random(20261018)
+    systems = [build() for build in support.GOLDEN.values()]
+    systems += [support.random_system(rng) for _ in range(30)]
+    systems += [support.random_system(rng, max_nm=7, max_p=3, max_q=2) for _ in range(10)]
+    return systems
+
+
+def _maxdeg(M: PolyMatrix) -> int:
+    return max((e.degree for row in M.data for e in row), default=0)
+
+
+class TestWitnessOracle:
+    """[M N] against W(s0) diag(1/d_j(s0)) U(s0) with W = [E F] V, evaluated
+    exactly at points, without rational-function arithmetic."""
+
+    def test_pointwise_agreement(self):
+        solved = 0
+        for sys in _oracle_systems():
+            rep = solve_over_field(sys)
+            if not rep.solvable_over_field:
+                continue
+            solved += 1
+            P, _ = build_system_matrices(sys)
+            dec = smith_form(P)
+            d = dec.invariant_polys
+            r = len(d)
+            L = d[-1] if d else POLY_ONE
+            EF = QMatrix.hstack([sys.E, sys.F])
+            entries = [e for row in rep.MN.data for e in row]
+            num_deg = max((e.num.degree for e in entries), default=0)
+            den_deg = max((e.den.degree for e in entries), default=0)
+            # a/b and R/L (deg R <= deg V + deg L + deg U) agree as functions
+            # once a L - b R vanishes at more points than its degree
+            bound = max(num_deg + L.degree,
+                        den_deg + _maxdeg(dec.V) + L.degree + _maxdeg(dec.U))
+            checked, s0 = 0, Fraction(0)
+            while checked <= bound:
+                s0 = -s0 + (s0 <= 0)  # 1, -1, 2, -2, ...
+                if L.evaluate(s0) == 0 or any(e.den.evaluate(s0) == 0 for e in entries):
+                    continue
+                W0 = EF @ dec.V.evaluate(s0)
+                Y0 = QMatrix.from_rows(
+                    [[W0[i, j] / d[j].evaluate(s0) if j < r else 0 for j in range(P.rows)]
+                     for i in range(sys.q)], cols=P.rows)
+                assert Y0 @ dec.U.evaluate(s0) == \
+                    QMatrix.from_rows(rep.MN.evaluate(s0), cols=P.rows)
+                checked += 1
+        assert solved >= 10
+
+    def test_residual_check_rejects_perturbed_entry(self):
+        perturbed = 0
+        for sys in _oracle_systems():
+            rep = solve_over_field(sys)
+            if not rep.solvable_over_field or sys.q == 0 or sys.n == 0:
+                continue
+            P, _ = build_system_matrices(sys)
+            EF = PolyMatrix.from_rows(QMatrix.hstack([sys.E, sys.F]).data, cols=P.cols)
+            assert residual_is_zero(rep.MN, P, EF)
+            # column 0 of [M N] multiplies the row [s - a_11, ...] of P, never zero
+            e = rep.MN[0, 0]
+            shift = Poly([7, 1])
+            for bad in (RationalFunction(e.num + e.den, e.den),
+                        RationalFunction(e.num * shift + e.den, e.den * shift)):
+                rows = [list(row) for row in rep.MN.data]
+                rows[0][0] = bad
+                assert not residual_is_zero(RationalFunctionMatrix.from_rows(rows), P, EF)
+            perturbed += 1
+        assert perturbed >= 5
 
 
 class TestDecisionConsistency:
