@@ -22,11 +22,12 @@ def as_fraction(value) -> Fraction:
 
     Strings may be integers ("7"), ratios ("7/3") or decimals ("0.25");
     decimals convert with a power-of-ten denominator, never through binary
-    floating point.  Floats are rejected to keep the exactness contract.
+    floating point.  Floats are rejected to keep the exactness contract,
+    and so are booleans, which Python counts as integers.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

@@ -39,6 +39,8 @@ def _matrix_from_field(raw, field: str, cols: int | None = None) -> QMatrix:
         raise SystemFileError(f"field {field!r} must be an array of arrays")
     try:
         return QMatrix.from_rows(raw, cols=cols)
+    except ZeroDivisionError as exc:
+        raise SystemFileError(f"field {field!r}: zero denominator") from exc
     except (TypeError, ValueError) as exc:
         raise SystemFileError(f"field {field!r}: {exc}") from exc
 
@@ -60,7 +62,8 @@ def parse_system_document(doc: dict) -> tuple[SystemSextuple, dict]:
         raise SystemFileError("field 'A' must be square")
 
     m_declared = doc.get("m")
-    if m_declared is not None and (not isinstance(m_declared, int) or m_declared < 0):
+    if m_declared is not None and (not isinstance(m_declared, int)
+                                   or isinstance(m_declared, bool) or m_declared < 0):
         raise SystemFileError("field 'm' must be a nonnegative integer")
 
     def block(fieldname: str, rows_hint: int | None, cols_hint: int | None):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .exactlin import QMatrix, as_fraction
@@ -23,91 +24,137 @@ from .system import SystemSextuple
 
 
 class Poly:
-    """Polynomial with exact rational coefficients, ascending order."""
+    """Polynomial with exact rational coefficients, ascending order.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators over one positive denominator in lowest
+    terms: gcd(numerators, den) == 1, no trailing zero numerator, and the
+    zero polynomial is ([], 1).  Equal polynomials therefore have equal
+    storage.  The numerator list is never mutated after construction.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Sequence = ()):
         cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so no gcd is needed
+        den = lcm(*(c.denominator for c in cs))
+        self._num = [c.numerator * (den // c.denominator) for c in cs]
+        self._den = den
 
     # -- basics -------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced fractions, ascending."""
+        den = self._den
+        if den == 1:
+            return tuple(Fraction(c) for c in self._num)
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _raw([-c for c in self._num], self._den)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
             return self.scale(other)
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, b = self._num, other._num
+        if not a or not b:
+            return POLY_ZERO
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            x = a[0]
+            out = [x * y for y in b]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+        return _reduced(out, self._den * other._den)
 
     def __rmul__(self, other) -> "Poly":
-        return self.__mul__(other)
+        return self.scale(other)
 
     def scale(self, c) -> "Poly":
         c = as_fraction(c)
-        return Poly([c * x for x in self.coeffs])
+        if not c:
+            return POLY_ZERO
+        p = c.numerator
+        return _reduced([p * x for x in self._num], self._den * c.denominator)
+
+    def _pseudo_divmod(self, other: "Poly") -> tuple[list[int], list[int], int]:
+        """Integer pseudo-division of the numerators, a = self._num and
+        b = other._num: returns q, r, f with f a == q b + r and
+        deg r < deg b.  Each step scales by lead(b) / gcd(top, lead(b))
+        only, so f stays 1 whenever the leading numerators divide."""
+        b = other._num
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self._num)
+        bdeg = len(b) - 1
+        shift = len(rem) - 1 - bdeg
+        if shift < 0:
+            return [], rem, 1
+        lead = b[-1]
+        low = b[:-1]
+        quo = [0] * (shift + 1)
+        f = 1
+        for k in range(shift, -1, -1):
+            c = rem.pop()
+            if not c:
+                continue
+            g = gcd(c, lead)
+            m = lead // g
+            if m != 1:
+                rem = [x * m for x in rem]
+                quo = [x * m for x in quo]
+                f *= m
+            c //= g
+            quo[k] = c
+            for i, y in enumerate(low, k):
+                rem[i] -= c * y
+        return quo, rem, f
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly(), self
-        rem = list(self.coeffs)
-        dlead = other.leading
-        ddeg = other.degree
-        qcoeffs = [Fraction(0)] * (self.degree - ddeg + 1)
-        for k in range(self.degree - ddeg, -1, -1):
-            c = rem[k + ddeg] / dlead
-            if c != 0:
-                qcoeffs[k] = c
-                for i, dc in enumerate(other.coeffs):
-                    rem[k + i] -= c * dc
-        return Poly(qcoeffs), Poly(rem)
+        # f a == q b + r on the numerators gives, over the denominators,
+        # self == (q den_b / (f den_a)) other + r / (f den_a)
+        q, r, f = self._pseudo_divmod(other)
+        den = f * self._den
+        return _reduced(_times(q, other._den), den), _reduced(r, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
+        q, _, f = self._pseudo_divmod(other)
+        return _reduced(_times(q, other._den), f * self._den)
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        _, r, f = self._pseudo_divmod(other)
+        return _reduced(r, f * self._den)
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
@@ -121,25 +168,38 @@ class Poly:
         return (other % self).is_zero()
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        num = self._num
+        if not num or num[-1] == self._den:
             return self
-        lead = self.leading
-        return self if lead == 1 else self.scale(Fraction(1) / lead)
+        return _reduced(list(num), num[-1])
 
     def evaluate(self, x):
-        """Horner evaluation; works for Fraction and complex arguments."""
+        """Horner evaluation; exact on integer numerators at rational
+        points, on the Fraction coefficients at float or complex ones."""
+        if not isinstance(x, (int, Fraction)):
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        if not self._num:
+            return 0
+        # exact: x = p/q, so q^deg self(x) is an integer combination
+        p, q = x.numerator, x.denominator
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        qpow = 1
+        for c in reversed(self._num):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, self._den * (qpow // q))
 
     # -- comparisons / display -----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (type(other) is Poly and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._den, *self._num))
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
@@ -151,8 +211,9 @@ class Poly:
         if self.is_zero():
             return "0"
         terms = []
+        cs = self.coeffs
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
+            c = cs[k]
             if c == 0:
                 continue
             if k == 0:
@@ -166,6 +227,60 @@ class Poly:
             else:
                 terms.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(terms)
+
+
+def _reduced(num: list[int], den: int) -> Poly:
+    """The Poly num / den (den != 0) in canonical form; num is consumed."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return POLY_ZERO
+    if den < 0:
+        num = [-x for x in num]
+        den = -den
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _raw(num, den)
+
+
+def _times(num: list[int], c: int) -> list[int]:
+    return [c * x for x in num] if c != 1 else num
+
+
+def _raw(num: list[int], den: int) -> Poly:
+    """A Poly from storage that is already canonical."""
+    p = object.__new__(Poly)
+    p._num = num
+    p._den = den
+    return p
+
+
+def _sum(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign * b over the lcm of the two denominators."""
+    x, y = a._num, b._num
+    if not y:
+        return a
+    if not x:
+        return b if sign == 1 else -b
+    da, db = a._den, b._den
+    if da == db:
+        ma, mb, den = 1, sign, da
+    else:
+        g = gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        den = da * ma
+    if len(x) >= len(y):
+        out = [c * ma for c in x] if ma != 1 else list(x)
+        for i, c in enumerate(y):
+            out[i] += c * mb
+    else:
+        out = [c * mb for c in y]
+        for i, c in enumerate(x):
+            out[i] += c * ma
+    return _reduced(out, den)
 
 
 POLY_ZERO = Poly()

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own elimination code:
 ranks come from a plain forward Gaussian elimination, the canonical RREF
-from Gauss-Jordan over Fraction, normal ranks from ranks at enough integer
-points, determinants from cofactor expansion, root locations from numpy's
+from Gauss-Jordan over Fraction, polynomial arithmetic from Fraction
+coefficient lists, normal ranks from ranks at enough integer points,
+determinants from cofactor expansion, root locations from numpy's
 companion-matrix solver.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from funcobs.exactlin import QMatrix
+from funcobs.exactlin import QMatrix, as_fraction
 from funcobs.polymat import Poly, PolyMatrix
 from funcobs.system import SystemSextuple
 
@@ -201,3 +202,94 @@ def pbh_unobservable(sys: SystemSextuple, lam: Fraction) -> bool:
             for i in range(n)]
     rows += [[sys.C[i, j] for j in range(n)] for i in range(sys.p)]
     return ref_rank(rows) < n
+
+
+class RefPoly:
+    """Polynomial on a tuple of Fraction coefficients, ascending: the
+    arithmetic that ``Poly`` replaces with integer numerators."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [as_fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return RefPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    def scale(self, c):
+        c = as_fraction(c)
+        return RefPoly([c * x for x in self.coeffs])
+
+    def __divmod__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.degree < other.degree:
+            return RefPoly(), self
+        rem = list(self.coeffs)
+        dlead = other.coeffs[-1]
+        ddeg = other.degree
+        qcoeffs = [Fraction(0)] * (self.degree - ddeg + 1)
+        for k in range(self.degree - ddeg, -1, -1):
+            c = rem[k + ddeg] / dlead
+            qcoeffs[k] = c
+            for i, dc in enumerate(other.coeffs):
+                rem[k + i] -= c * dc
+        return RefPoly(qcoeffs), RefPoly(rem)
+
+    def monic(self):
+        if self.is_zero():
+            return self
+        return self.scale(1 / self.coeffs[-1])
+
+    def evaluate(self, x):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+def ref_poly_gcd(a: RefPoly, b: RefPoly) -> RefPoly:
+    """Monic Euclid on Fraction coefficients."""
+    a, b = a.monic(), b.monic()
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1].monic()
+    return a.monic()
+
+
+def ref_poly_lcm(a: RefPoly, b: RefPoly) -> RefPoly:
+    if a.is_zero() or b.is_zero():
+        return RefPoly()
+    q, r = divmod(a * b, ref_poly_gcd(a, b))
+    assert r.is_zero()
+    return q.monic()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,37 @@ EXPECTED_CHECKS = {
     "left_invertible_star": decide.asympt_strong_star_left_invertible,
     "darouach": decide.darouach_fixed_order,
 }
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+GOLDEN_COMMANDS = {
+    "check": ["--all", "--specialize", "hautus", "--specialize", "leftinv",
+              "--specialize", "darouach"],
+    "witness": [],
+}
+
+
+class TestGoldenReports:
+    """``--out`` reports of the bundled systems, byte for byte, against
+    reports recorded before the integer-numerator ``Poly``; only the
+    ``timing`` key is dropped.  Any change of exact representation must
+    leave certificates and canonical bases as they are."""
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_report_matches_golden(self, tmp_path, capsys, name, command):
+        out = tmp_path / "report.json"
+        main([command, name, *GOLDEN_COMMANDS[command], "--out", str(out)])
+        capsys.readouterr()
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        del doc["timing"]
+        golden = GOLDEN_DIR / f"{name}.{command}.json"
+        assert json.dumps(doc, indent=2) + "\n" == golden.read_text(encoding="utf-8")
+
+    def test_every_golden_file_is_checked(self):
+        names = {f"{n}.{c}.json" for n in bundled_names() for c in GOLDEN_COMMANDS}
+        assert {p.name for p in GOLDEN_DIR.glob("*.json")} == names
 
 
 class TestParsing:
@@ -95,6 +127,55 @@ class TestCmdCheck:
         bad.write_text('{"A": [[1], ')
         assert main(["check", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"A": [["1/0"]]}, "'A'"),
+        ({"A": [[0]], "B": [["2/0"]]}, "'B'"),
+        ({"A": [[0]], "C": [["1/0"]]}, "'C'"),
+        ({"A": [[0]], "C": [[1]], "D": [["0/0"]]}, "'D'"),
+        ({"A": [[0]], "E": [["-3/0"]]}, "'E'"),
+        ({"A": [[0]], "B": [[1]], "E": [[1]], "F": [["1/0"]]}, "'F'"),
+    ])
+    def test_zero_denominator(self, tmp_path, capsys, doc, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("check", "witness"):
+            assert main([command, str(bad)]) == 2
+            assert f"field {field}: zero denominator" in capsys.readouterr().err
+
+    def test_batch_survives_zero_denominator(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text(json.dumps({"A": [["1/0"]]}))
+        (tmp_path / "stable_pair.json").write_text(bundled_text("stable_pair"))
+        assert main(["batch", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert "bad.json: exit 2" in out
+        assert "stable_pair.json: ok" in out
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"A": [[True]]}, "'A'"),
+        ({"A": [[0]], "B": [[False]]}, "'B'"),
+        ({"A": [[0]], "C": [[1]], "D": [[True]]}, "'D'"),
+        ({"A": [[0]], "E": [[1]], "F": [[True]], "B": [[1]]}, "'F'"),
+        ({"A": [[0]], "C": [[1]], "m": True}, "'m'"),
+    ])
+    def test_boolean_in_system(self, tmp_path, capsys, doc, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", str(bad)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("observer, field", [
+        ({"N": [[True, 0]]}, "'N[0][0]'"),
+        ({"N": [[0, {"num": [False, 1]}]]}, "'N[0][1]'"),
+        ({"N": [[{"num": [1], "den": [True]}, 0]]}, "'N[0][0]'"),
+    ])
+    def test_boolean_in_observer(self, tmp_path, capsys, observer, field):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps(observer))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"x0": [1.0, 0.0]}))
+        assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 2
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, field", [
         ({"A": [[0]], "C": [[1]], "D": [5]}, "'D'"),

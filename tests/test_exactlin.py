@@ -26,6 +26,11 @@ class TestAsFraction:
         with pytest.raises(TypeError):
             as_fraction(0.1)
 
+    def test_bool_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                as_fraction(flag)
+
 
 class TestQMatrix:
     def test_product_and_transpose(self):

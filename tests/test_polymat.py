@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from funcobs.exactlin import QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices,
@@ -50,6 +52,132 @@ class TestPoly:
         assert str(Poly([1, Fraction(3, 2), 1])) == "s^2 + 3/2*s + 1"
         assert str(Poly()) == "0"
         assert str(Poly([0, -1])) == "-s"
+
+
+F = Fraction
+
+# Coefficients with mixed denominators of both signs, zero a third of the time.
+_coeffs = st.one_of(st.just(F(0)),
+                    st.builds(F, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 4, 6, 7])))
+# Coefficient lists: empty or all-zero (the zero polynomial), constants,
+# and leading coefficients that are negative or not units.
+_coeff_lists = st.lists(_coeffs, max_size=6)
+_nonzero_lists = _coeff_lists.filter(lambda cs: any(cs))
+
+
+def _same(got: Poly, want: support.RefPoly) -> bool:
+    """Identical reduced Fraction coefficients."""
+    cs = got.coeffs
+    return (cs == want.coeffs and all(type(c) is Fraction for c in cs)
+            and [(c.numerator, c.denominator) for c in cs]
+            == [(c.numerator, c.denominator) for c in want.coeffs])
+
+
+def _canonical(p: Poly) -> bool:
+    """Integer numerators over one positive denominator in lowest terms."""
+    num, den = p._num, p._den
+    if not num:
+        return den == 1
+    return (type(num) is list and all(type(c) is int for c in num)
+            and num[-1] != 0 and den > 0 and gcd(den, *num) == 1)
+
+
+class TestPolyOracle:
+    """Integer-numerator arithmetic against Fraction coefficient lists."""
+
+    @given(_coeff_lists, _coeff_lists)
+    @example([], [])
+    @example([F(1, 2), F(-3, 4)], [F(-1, 2), F(3, 4)])
+    @example([F(0), F(0)], [F(5, 6)])
+    def test_ring_operations(self, a, b):
+        pa, pb = Poly(a), Poly(b)
+        ra, rb = support.RefPoly(a), support.RefPoly(b)
+        for got, want in ((pa + pb, ra + rb), (pa - pb, ra - rb), (-pa, -ra),
+                          (pa * pb, ra * rb), (pb * pa, rb * ra)):
+            assert _same(got, want)
+            assert _canonical(got)
+
+    @given(_coeff_lists, _coeffs)
+    @example([F(2, 3), F(-4, 9)], F(-9, 2))
+    def test_scale(self, a, c):
+        for got in (Poly(a).scale(c), Poly(a) * c, c * Poly(a)):
+            assert _same(got, support.RefPoly(a).scale(c))
+            assert _canonical(got)
+
+    @given(_coeff_lists, _nonzero_lists)
+    @example([], [F(3)])
+    @example([F(1), F(2), F(3)], [F(-2, 3)])
+    @example([F(1), F(0), F(0), F(5, 7)], [F(1), F(-3, 2)])
+    @example([F(1, 6), F(1, 4)], [F(3), F(1), F(-6)])
+    def test_division(self, a, b):
+        pa, pb = Poly(a), Poly(b)
+        ra, rb = support.RefPoly(a), support.RefPoly(b)
+        q, r = divmod(pa, pb)
+        rq, rr = divmod(ra, rb)
+        assert _same(q, rq) and _same(r, rr)
+        assert _canonical(q) and _canonical(r)
+        assert pa // pb == q and pa % pb == r
+        assert pb.divides(pa) == rr.is_zero()
+        assert _same((pa * pb).exact_div(pb), ra)
+        assert pb.divides(pa * pb)
+        if not rr.is_zero():
+            with pytest.raises(ValueError):
+                pa.exact_div(pb)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(Poly([1, 2]), Poly())
+        assert not Poly().divides(Poly([1]))
+        assert Poly().divides(Poly())
+
+    @given(_coeff_lists)
+    @example([F(3, 4), F(-1, 2)])
+    def test_monic(self, a):
+        got = Poly(a).monic()
+        assert _same(got, support.RefPoly(a).monic())
+        assert _canonical(got)
+
+    @given(_coeff_lists, _coeff_lists)
+    @example([], [F(-2, 3), F(4, 3)])
+    @example([F(1), F(2), F(1)], [F(-3), F(-3)])
+    def test_gcd_and_lcm(self, a, b):
+        pa, pb = Poly(a), Poly(b)
+        ra, rb = support.RefPoly(a), support.RefPoly(b)
+        if pa.is_zero() and pb.is_zero():
+            with pytest.raises(ValueError):
+                poly_gcd(pa, pb)
+        else:
+            assert _same(poly_gcd(pa, pb), support.ref_poly_gcd(ra, rb))
+        assert _same(poly_lcm(pa, pb), support.ref_poly_lcm(ra, rb))
+
+    @given(_coeff_lists, st.one_of(st.integers(-5, 5),
+                                   st.builds(F, st.integers(-7, 7), st.integers(1, 6))))
+    @example([], F(1, 2))
+    @example([F(-1, 3), F(0), F(5, 2)], 0)
+    def test_evaluate(self, a, x):
+        got = Poly(a).evaluate(x)
+        want = support.RefPoly(a).evaluate(x)
+        assert got == want and type(got) is type(want)
+
+    @given(_coeff_lists)
+    def test_evaluate_inexact_points(self, a):
+        # complex and float points keep the Fraction-coefficient Horner order
+        for x in (1j, 0.5 - 2j, -1.25):
+            assert Poly(a).evaluate(x) == support.RefPoly(a).evaluate(x)
+
+    @given(_coeff_lists, _nonzero_lists)
+    @example([F(1, 2)], [F(2)])
+    def test_canonical_storage(self, a, b):
+        # one value reached along different routes has one storage
+        pa, pb = Poly(a), Poly(b)
+        routes = [pa, pa + Poly(), (pa * pb).exact_div(pb), (pa - pb) + pb,
+                  pa.scale(F(-3, 7)).scale(F(-7, 3)), Poly(pa.coeffs)]
+        for p in routes:
+            assert p == pa and hash(p) == hash(pa)
+            assert (p._num, p._den) == (pa._num, pa._den)
+            assert _canonical(p)
+        assert Poly([F(0), F(0)])._num == [] and Poly([F(0)])._den == 1
+        assert (Poly([2, 4]) == Poly([1, 2])) is False
 
 
 class TestGcd:
