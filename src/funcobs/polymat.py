@@ -85,17 +85,11 @@ class Poly:
         a, b = self._num, other._num
         if not a or not b:
             return POLY_ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            x = a[0]
-            out = [x * y for y in b]
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
         return _reduced(out, self._den * other._den)
 
     def __rmul__(self, other) -> "Poly":
@@ -174,23 +168,11 @@ class Poly:
         return _reduced(list(num), num[-1])
 
     def evaluate(self, x):
-        """Horner evaluation; exact on integer numerators at rational
-        points, on the Fraction coefficients at float or complex ones."""
-        if not isinstance(x, (int, Fraction)):
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        if not self._num:
-            return 0
-        # exact: x = p/q, so q^deg self(x) is an integer combination
-        p, q = x.numerator, x.denominator
+        """Horner evaluation at x (exact for rational x)."""
         acc = 0
-        qpow = 1
-        for c in reversed(self._num):
-            acc = acc * p + c * qpow
-            qpow *= q
-        return Fraction(acc, self._den * (qpow // q))
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     # -- comparisons / display -----------------------------------------------
 
@@ -272,14 +254,11 @@ def _sum(a: Poly, b: Poly, sign: int) -> Poly:
         g = gcd(da, db)
         ma, mb = db // g, sign * (da // g)
         den = da * ma
-    if len(x) >= len(y):
-        out = [c * ma for c in x] if ma != 1 else list(x)
-        for i, c in enumerate(y):
-            out[i] += c * mb
-    else:
-        out = [c * mb for c in y]
-        for i, c in enumerate(x):
-            out[i] += c * ma
+    if len(x) < len(y):
+        x, y, ma, mb = y, x, mb, ma
+    out = [c * ma for c in x] if ma != 1 else list(x)
+    for i, c in enumerate(y):
+        out[i] += c * mb
     return _reduced(out, den)
 
 

@@ -96,8 +96,9 @@ def realize(N: RationalFunctionMatrix) -> StateSpaceRealization:
         comp = np.zeros((nu, nu))
         for k in range(nu - 1):
             comp[k, k + 1] = 1.0
+        den_coeffs = den.coeffs
         for k in range(nu):
-            comp[nu - 1, k] = -float(den.coeffs[k])
+            comp[nu - 1, k] = -float(den_coeffs[k])
         g_blocks.append(comp)
         qblock = np.zeros((q, nu))
         for i in range(q):

@@ -44,10 +44,11 @@ def is_hurwitz(p: Poly) -> HurwitzReport:
     deg = p.degree
     if deg == 0:
         return HurwitzReport(True, None, ())
-    if any(c <= 0 for c in p.coeffs):
+    coeffs = p.coeffs
+    if any(c <= 0 for c in coeffs):
         return HurwitzReport(False, NONPOSITIVE_COEFFICIENT, ())
 
-    desc = list(reversed(p.coeffs))
+    desc = list(reversed(coeffs))
     width = (deg + 2) // 2
     row0 = [desc[i] if i < len(desc) else Fraction(0) for i in range(0, deg + 1, 2)]
     row1 = [desc[i] if i < len(desc) else Fraction(0) for i in range(1, deg + 1, 2)]
