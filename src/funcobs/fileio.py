@@ -161,19 +161,17 @@ def parse_scenario_document(doc: dict) -> Scenario:
         if kind == "zero":
             signal = InputSignal("zero")
         elif kind == "constant":
-            signal = InputSignal("constant", value=tuple(float(v) for v in sig.get("value", [])))
+            signal = InputSignal("constant", value=_float_tuple(sig.get("value", [])))
         elif kind == "polynomial":
             signal = InputSignal("polynomial", coefficients=tuple(
-                tuple(float(c) for c in chan) for chan in sig.get("coefficients", [])))
+                _float_tuple(chan) for chan in sig.get("coefficients", [])))
         elif kind == "sinusoids":
             signal = InputSignal("sinusoids", terms=tuple(
-                tuple((float(a), float(w), float(ph)) for a, w, ph in chan)
+                tuple((a, w, ph) for a, w, ph in map(_float_tuple, chan))
                 for chan in sig.get("terms", [])))
         elif kind == "table":
-            signal = InputSignal("table",
-                                 times=tuple(float(t) for t in sig.get("times", [])),
-                                 values=tuple(tuple(float(v) for v in row)
-                                              for row in sig.get("values", [])))
+            signal = InputSignal("table", times=_float_tuple(sig.get("times", [])),
+                                 values=tuple(map(_float_tuple, sig.get("values", []))))
         else:
             raise ValueError(f"unknown input kind {kind!r}")
     except (TypeError, ValueError) as exc:
@@ -189,14 +187,35 @@ def parse_scenario_document(doc: dict) -> Scenario:
 
 
 def _finite_float(raw) -> float:
-    x = float(raw)
+    if isinstance(raw, bool):
+        raise TypeError(f"{raw!r} is not a number")
+    try:
+        x = float(raw)
+    except OverflowError as exc:  # an exact literal such as 1e400
+        raise ValueError("number out of the floating-point range") from exc
     if not math.isfinite(x):
         raise ValueError(f"{raw!r} is not a finite number")
     return x
 
 
 def _float_tuple(raw) -> tuple[float, ...]:
+    if not isinstance(raw, list):
+        raise TypeError(f"{raw!r} is not an array of numbers")
     return tuple(_finite_float(v) for v in raw)
+
+
+def _float_matrix(raw, field: str) -> np.ndarray:
+    """An array of equal-length arrays of finite numbers as a float matrix."""
+    if not isinstance(raw, list):
+        raise SystemFileError(f"field {field!r} must be an array of arrays")
+    try:
+        rows = [_float_tuple(row) for row in raw]
+    except (TypeError, ValueError) as exc:
+        raise SystemFileError(f"field {field!r}: {exc}") from exc
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise SystemFileError(f"field {field!r}: rows differ in length")
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def _scenario_field(doc: dict, field: str, convert, default):
@@ -267,20 +286,15 @@ def parse_observer_document(doc: dict) -> StateSpaceRealization | RationalFuncti
         if any(len(row) != len(rows[0]) for row in rows):
             raise SystemFileError("field 'N': rows differ in length")
         return RationalFunctionMatrix.from_rows(rows)
-    if "G" in doc or "H" in doc or "Q" in doc:
-        try:
-            G = np.asarray(doc["G"], dtype=float).reshape(len(doc["G"]), -1) if doc.get("G") else np.zeros((0, 0))
-            H = np.asarray(doc["H"], dtype=float) if doc.get("H") else np.zeros((G.shape[0], 0))
-            Q = np.asarray(doc["Q"], dtype=float) if doc.get("Q") else np.zeros((0, G.shape[0]))
-            R = np.asarray(doc["R"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SystemFileError(f"bad realization block: {exc}") from exc
+    if any(name in doc for name in ("G", "H", "Q", "R")):
+        if "R" not in doc:
+            raise SystemFileError("field 'R' is required")
+        # an absent G, H or Q is a zero block of the shape that fits G and R
+        R = _float_matrix(doc["R"], "R")
+        G = _float_matrix(doc["G"], "G") if "G" in doc else np.zeros((0, 0))
+        H = _float_matrix(doc["H"], "H") if "H" in doc else np.zeros((G.shape[0], R.shape[1]))
+        Q = _float_matrix(doc["Q"], "Q") if "Q" in doc else np.zeros((R.shape[0], G.shape[0]))
         return StateSpaceRealization(G, H, Q, R)
-    if "R" in doc:
-        try:
-            return StateSpaceRealization.static_gain(doc["R"])
-        except (TypeError, ValueError) as exc:
-            raise SystemFileError(f"field 'R': {exc}") from exc
     raise SystemFileError("observer document needs 'N', 'R', or 'G'/'H'/'Q'/'R'")
 
 

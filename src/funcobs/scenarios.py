@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .sim import InputSignal, Scenario
+from .sim import InputSignal, Scenario, rk4_linear
 
 _SHIFT = 1.0
 
@@ -49,22 +49,13 @@ def fading_output_scenario(horizon: float = 100.0, step: float = 1e-3,
     """
     nsamples = int(round(horizon / table_step)) + 1
     times = np.linspace(0.0, horizon, nsamples)
-    u = np.empty(nsamples)
-    u[0] = 0.0
-    val = 0.0
-    for k in range(nsamples - 1):
-        t = times[k] + _SHIFT
-        h = table_step
-
-        def f(tau: float, uu: float) -> float:
-            return _yddot(tau) - uu
-
-        k1 = f(t, val)
-        k2 = f(t + h / 2, val + h / 2 * k1)
-        k3 = f(t + h / 2, val + h / 2 * k2)
-        k4 = f(t + h, val + h * k3)
-        val = val + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        u[k + 1] = val
+    # y'' on the half-step grid, point by point into one array that is freed
+    # before the table is built: whole-array numpy would hold several
+    # grid-sized temporaries at once
+    npoints = 2 * nsamples - 1
+    u = rk4_linear(np.array([[-1.0]]), np.array([[1.0]]), table_step, (0.0,),
+                   np.fromiter((_yddot(_SHIFT + j * (table_step / 2)) for j in range(npoints)),
+                               float, count=npoints)[:, None])[:, 0]
 
     x1 = _ydot(_SHIFT) - u[0]
     x2 = _y(_SHIFT) - x1

@@ -5,11 +5,13 @@ ranks come from a plain forward Gaussian elimination, the canonical RREF
 from Gauss-Jordan over Fraction, polynomial arithmetic from Fraction
 coefficient lists, normal ranks from ranks at enough integer points,
 determinants from cofactor expansion, root locations from numpy's
-companion-matrix solver.
+companion-matrix solver, trajectories from a stage-by-stage RK4 loop fed
+by scalar input evaluation.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -293,3 +295,46 @@ def ref_poly_lcm(a: RefPoly, b: RefPoly) -> RefPoly:
     q, r = divmod(a * b, ref_poly_gcd(a, b))
     assert r.is_zero()
     return q.monic()
+
+
+def ref_input(signal, t: float, m: int) -> np.ndarray:
+    """u(t) of an InputSignal at one time, evaluated channel by channel."""
+    if signal.kind == "zero":
+        return np.zeros(m)
+    if signal.kind == "constant":
+        return np.asarray(signal.value, dtype=float)
+    if signal.kind == "polynomial":
+        out = []
+        for chan in signal.coefficients:
+            acc = 0.0
+            for a in reversed(chan):
+                acc = acc * t + a
+            out.append(acc)
+        return np.array(out)
+    if signal.kind == "sinusoids":
+        return np.array([sum(a * math.sin(w * t + ph) for a, w, ph in chan)
+                         for chan in signal.terms])
+    if signal.kind == "table":
+        vals = np.asarray(signal.values, dtype=float)
+        return np.array([np.interp(t, signal.times, vals[:, i])
+                         for i in range(vals.shape[1])])
+    raise ValueError(f"unknown input kind {signal.kind!r}")
+
+
+def ref_rk4(A: np.ndarray, B: np.ndarray, u_of, w0, h: float, nsteps: int) -> np.ndarray:
+    """States at 0, h, ..., nsteps h of w' = A w + B u(t) by classical RK4,
+    the four stages evaluated at every step."""
+    def deriv(t: float, w: np.ndarray) -> np.ndarray:
+        return A @ w + B @ u_of(t)
+
+    w = np.asarray(w0, dtype=float)
+    states = [w]
+    for k in range(nsteps):
+        t = k * h
+        k1 = deriv(t, w)
+        k2 = deriv(t + h / 2, w + (h / 2) * k1)
+        k3 = deriv(t + h / 2, w + (h / 2) * k2)
+        k4 = deriv(t + h, w + h * k3)
+        w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(w)
+    return np.array(states)

@@ -230,6 +230,41 @@ class TestCmdCheck:
         assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("observer, scenario, field", [
+        ('{"R": [[true]]}', '{"x0": [1]}', "'R'"),
+        ('{"R": [[NaN]]}', '{"x0": [1]}', "'R'"),
+        ('{"R": [[1e400]]}', '{"x0": [1]}', "'R'"),
+        ('{"G": [[false]], "H": [[1]], "Q": [[1]], "R": [[0]]}', '{"x0": [1]}', "'G'"),
+        ('{"G": [[-1]], "H": [["a"]], "Q": [[1]], "R": [[0]]}', '{"x0": [1]}', "'H'"),
+        ('{"G": [[-1]], "H": [[1]], "Q": [[Infinity]], "R": [[0]]}', '{"x0": [1]}', "'Q'"),
+        ('{"R": [[1]]}', '{"x0": [true]}', "'x0'"),
+        ('{"R": [[1]]}', '{"x0": [1], "input": {"kind": "constant", "value": [true]}}',
+         "'input'"),
+        ('{"R": [[1]]}', '{"x0": [1], "input": {"kind": "polynomial", "coefficients": [[0, NaN]]}}',
+         "'input'"),
+        ('{"R": [[1]]}', '{"x0": [1], "input": {"kind": "sinusoids", "terms": [[[1, NaN, 0]]]}}',
+         "'input'"),
+        ('{"R": [[1]]}', '{"x0": [1], "input": {"kind": "table", "times": [0, 1], '
+                         '"values": [[0], [Infinity]]}}', "'input'"),
+    ])
+    def test_boolean_or_non_finite_float_field(self, tmp_path, capsys, observer, scenario, field):
+        obs = tmp_path / "obs.json"
+        obs.write_text(observer)
+        sc = tmp_path / "sc.json"
+        sc.write_text(scenario)
+        assert main(["simulate", "state_estimation_demo", str(obs), str(sc)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_step_instability_exits_2(self, tmp_path, capsys):
+        plant = tmp_path / "stiff.json"
+        plant.write_text(json.dumps({"A": [[-10000]], "C": [[1]], "E": [[1]], "m": 0}))
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"R": [[0]]}))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"x0": [1.0], "horizon": 1.0, "step": 0.001}))
+        assert main(["simulate", str(plant), str(obs), str(sc)]) == 2
+        assert "state norm exceeded 1e+12 at t = 0.005;" in capsys.readouterr().err
+
     def test_observer_of_wrong_width(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps({"R": [[1]]}))  # stable_pair has p = 2

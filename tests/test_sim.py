@@ -7,8 +7,9 @@ import pytest
 from funcobs.polymat import Poly
 from funcobs.scenarios import fading_output_scenario, zero_input_scenario
 from funcobs.sim import (InputSignal, RealizationError, Scenario,
-                         StateSpaceRealization, convergence_metric, realize,
-                         simulate, suggested_horizon, write_csv)
+                         StateSpaceRealization, StepInstabilityError,
+                         convergence_metric, realize, simulate,
+                         suggested_horizon, write_csv)
 from funcobs.system import SystemSextuple
 from funcobs.witness import RationalFunction, RationalFunctionMatrix
 
@@ -171,6 +172,80 @@ class TestSimulate:
                        input_signal=sc.input_signal)
         m2 = convergence_metric(simulate(sys, omega, sc2), threshold=1e9)
         assert abs(m1.final_sup - m2.final_sup) <= 0.01 * max(m1.final_sup, 1e-12)
+
+    @pytest.mark.parametrize("a, x0, t", [
+        # h * a = -10: each RK4 step multiplies the state by 291, so it first
+        # exceeds 1e12 after five steps and later overflows
+        (-10000, 1.0, "0.005"),
+        (-1, math.nan, "0.001"),
+    ])
+    def test_blow_up_reports_first_bad_step(self, a, x0, t):
+        sys = SystemSextuple.from_lists(A=[[a]], C=[[1]], E=[[1]], m=0)
+        omega = StateSpaceRealization.static_gain([[0.0]])
+        sc = zero_input_scenario([x0], horizon=1.0, step=1e-3)
+        with pytest.raises(StepInstabilityError, match=rf"exceeded 1e\+12 at t = {t};"):
+            simulate(sys, omega, sc)
+
+
+TWO_CHANNEL_SIGNALS = [
+    InputSignal("zero"),
+    InputSignal("constant", value=(1.5, -0.5)),
+    InputSignal("polynomial", coefficients=((0.5, 0.2, -0.03), (1.0,))),
+    InputSignal("sinusoids", terms=(((1.0, 2.0, 0.3), (0.4, 5.0, -1.0)), ())),
+    InputSignal("table", times=(0.0, 0.7, 1.5, 3.0),
+                values=((0.0, 1.0), (1.0, -1.0), (-0.5, 0.0), (2.0, 2.0))),
+]
+
+
+class TestAgainstStagewiseRK4:
+    """The precomputed affine step against the stage-by-stage RK4 loop and
+    array sampling against scalar evaluation (support.ref_rk4, ref_input)."""
+
+    @pytest.mark.parametrize("signal", TWO_CHANNEL_SIGNALS, ids=lambda s: s.kind)
+    def test_sample_matches_scalar_evaluation(self, signal):
+        # the grid covers the table knots and runs past its last one
+        t = np.concatenate([np.linspace(0.0, 3.5, 57), [0.7, 1.5, 3.0, 10.0]])
+        got = signal.sample(t, 2)
+        want = np.array([support.ref_input(signal, ti, 2) for ti in t])
+        assert got.shape == (len(t), 2)
+        if signal.kind == "sinusoids":  # np.sin and math.sin may differ in the last bit
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("signal", TWO_CHANNEL_SIGNALS, ids=lambda s: s.kind)
+    def test_simulate_matches_stagewise_rk4(self, rng, signal):
+        n, m, p, q, nu = 3, 2, 2, 1, 2
+        nrng = np.random.default_rng(rng.randint(0, 2**32))
+
+        def ints(r, c):
+            return [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
+
+        for _ in range(3):
+            # diagonal at most -5, off-diagonal row sums at most 4: Hurwitz
+            A = [[a - 7 * (i == j) for j, a in enumerate(row)] for i, row in enumerate(ints(n, n))]
+            sys = SystemSextuple.from_lists(A=A, B=ints(n, m), C=ints(p, n), D=ints(p, m),
+                                            E=ints(q, n), F=ints(q, m))
+            omega = StateSpaceRealization(nrng.uniform(-1, 1, (nu, nu)) - 3 * np.eye(nu),
+                                          nrng.uniform(-1, 1, (nu, p)),
+                                          nrng.uniform(-1, 1, (q, nu)),
+                                          nrng.uniform(-1, 1, (q, p)))
+            x0 = tuple(nrng.uniform(-2, 2, n))
+            xi0 = tuple(nrng.uniform(-2, 2, nu))
+            sc = Scenario(x0=x0, xi0=xi0, input_signal=signal, horizon=3.0, step=1e-2)
+            traj = simulate(sys, omega, sc)
+
+            Af, Bf, Cf, Df = (np.array(M, dtype=float)
+                              for M in (A, sys.B.data, sys.C.data, sys.D.data))
+            Ac = np.block([[Af, np.zeros((n, nu))], [omega.H @ Cf, omega.G]])
+            Bc = np.vstack([Bf, omega.H @ Df])
+            ref = support.ref_rk4(Ac, Bc, lambda t: support.ref_input(signal, t, m),
+                                  x0 + xi0, sc.step, 300)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            got = np.hstack([traj.x, traj.xi])
+            assert got.shape == ref.shape
+            assert float(np.max(np.abs(got - ref))) <= 1e-9 * scale
+            assert np.allclose(traj.t, sc.step * np.arange(301), rtol=0, atol=1e-12)
 
 
 class TestSemanticsLink:
