@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry
-from .exactlin import QMatrix, kernel_basis
+from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
 from .polymat import (POLY_ONE, Poly, build_system_matrices,
                       output_decoupling_zero_polynomial, pencil, poly_gcd,
                       rank_and_zero_polynomial)
@@ -137,12 +137,7 @@ class DarouachCertificate:
 
 
 def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix) -> KernelInclusionCertificate:
-    ker = kernel_basis(lhs)
-    witness = None
-    for vec in ker.basis.columns():
-        if not (rhs @ QMatrix.column_vector(vec)).is_zero():
-            witness = vec
-            break
+    witness = first_escape(kernel_basis(lhs), rhs)
     return KernelInclusionCertificate(lhs, rhs, witness is None, witness)
 
 
@@ -269,7 +264,7 @@ def darouach_fixed_order(sys: SystemSextuple) -> Verdict:
     cmp_ = antistable_parts_equal(zl, POLY_ONE)
     rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)
 
-    controllable = sys.is_controllable()
+    controllable = geometry.reachable_within(sys.A, sys.B, Subspace.full(n))[0].dim == n
     note = None if controllable else (
         "plant is not controllable; the fixed-order existence theory assumes "
         "controllability, so this verdict extrapolates outside its hypotheses")

@@ -353,6 +353,20 @@ def kernel_basis(M: QMatrix) -> Subspace:
     return Subspace.span(M.cols, vectors)
 
 
+def first_escape(V: Subspace, M: QMatrix) -> tuple[Fraction, ...] | None:
+    """First canonical basis vector of V that M does not annihilate.
+
+    None exactly when V lies inside Ker M; the search stops at the first
+    escaping vector.
+    """
+    if M.cols != V.ambient_dim:
+        raise ValueError("first_escape: column count must match ambient dimension")
+    for vec in V.basis.columns():
+        if any(sum(a * b for a, b in zip(row, vec)) for row in M.data):
+            return vec
+    return None
+
+
 def image_basis(M: QMatrix) -> Subspace:
     """Canonical basis of the column space of M."""
     return Subspace.span(M.rows, M.columns())

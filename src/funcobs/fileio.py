@@ -34,80 +34,21 @@ def _exact_loads(text: str):
     return json.loads(text, parse_float=Fraction)
 
 
-def _matrix_from_field(raw, field: str, cols: int | None = None) -> QMatrix:
-    if not isinstance(raw, list) or any(not isinstance(r, list) for r in raw):
-        raise SystemFileError(f"field {field!r} must be an array of arrays")
-    try:
-        return QMatrix.from_rows(raw, cols=cols)
-    except ZeroDivisionError as exc:
-        raise SystemFileError(f"field {field!r}: zero denominator") from exc
-    except (TypeError, ValueError) as exc:
-        raise SystemFileError(f"field {field!r}: {exc}") from exc
-
-
-def _first_row_width(raw) -> int:
-    """Length of the first row of an array of arrays, else 0."""
-    return len(raw[0]) if isinstance(raw, list) and raw and isinstance(raw[0], list) else 0
+_PLANT_FIELDS = ("A", "B", "C", "D", "E", "F", "m")
 
 
 def parse_system_document(doc: dict) -> tuple[SystemSextuple, dict]:
-    """Build the plant and return it with the residual metadata."""
+    """Build the plant with ``SystemSextuple.from_lists`` and return it
+    with the residual metadata."""
     if not isinstance(doc, dict):
         raise SystemFileError("system document must be a JSON object")
     if "A" not in doc:
         raise SystemFileError("field 'A' is required")
-    A = _matrix_from_field(doc["A"], "A")
-    n = A.rows
-    if A.cols != n:
-        raise SystemFileError("field 'A' must be square")
-
-    m_declared = doc.get("m")
-    if m_declared is not None and (not isinstance(m_declared, int)
-                                   or isinstance(m_declared, bool) or m_declared < 0):
-        raise SystemFileError("field 'm' must be a nonnegative integer")
-
-    def block(fieldname: str, rows_hint: int | None, cols_hint: int | None):
-        if fieldname not in doc:
-            return None
-        M = _matrix_from_field(doc[fieldname], fieldname, cols=cols_hint)
-        if rows_hint is not None and M.rows != rows_hint:
-            raise SystemFileError(f"field {fieldname!r} must have {rows_hint} rows")
-        return M
-
-    B = block("B", n, None)
-    if B is not None:
-        m = B.cols
-    else:
-        # a malformed D or F infers no width here and is named when parsed below
-        m = _first_row_width(doc.get("D")) or _first_row_width(doc.get("F")) or m_declared or 0
-    if m_declared is not None and m != m_declared:
-        raise SystemFileError(f"declared m = {m_declared} conflicts with block widths")
-    if B is None:
-        B = QMatrix.zeros(n, m)
-
-    C = block("C", None, n)
-    if C is None:
-        C = QMatrix.zeros(0, n)
-    D = block("D", None, m)
-    if D is None:
-        D = QMatrix.zeros(C.rows, m)
-    if D.rows != C.rows:
-        raise SystemFileError("fields 'C' and 'D' must have the same number of rows")
-    E = block("E", None, n)
-    if E is None:
-        E = QMatrix.zeros(0, n)
-    F = block("F", None, m)
-    if F is None:
-        F = QMatrix.zeros(E.rows, m)
-    if F.rows != E.rows:
-        raise SystemFileError("fields 'E' and 'F' must have the same number of rows")
-
     try:
-        sys = SystemSextuple(A, B, C, D, E, F)
+        sys = SystemSextuple.from_lists(**{k: doc[k] for k in _PLANT_FIELDS if k in doc})
     except ValueError as exc:
         raise SystemFileError(str(exc)) from exc
-    meta = {k: doc[k] for k in doc
-            if k not in {"A", "B", "C", "D", "E", "F", "m"}}
+    meta = {k: doc[k] for k in doc if k not in _PLANT_FIELDS}
     return sys, meta
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import QMatrix, Subspace, image_basis, kernel_basis, preimage
+from .exactlin import QMatrix, Subspace, first_escape, image_basis, kernel_basis, preimage
 from .system import SystemSextuple
 
 
@@ -121,15 +121,9 @@ def strong_star_inclusion(sys: SystemSextuple) -> InclusionCertificate:
     v_cd, s_cd = vstar(ext.A_e, ext.B_e, k_cd)
     v_ef, s_ef = vstar(ext.A_e, ext.B_e, k_ef)
     reach, s_r = reachable_within(ext.A_e, ext.B_e, k_cd)
-    holds = reach.is_subspace_of(k_ef)
-    violation = None
-    if not holds:
-        for col in reach.basis.columns():
-            if not (ext.EF_e @ QMatrix.column_vector(col)).is_zero():
-                violation = col
-                break
+    violation = first_escape(reach, ext.EF_e)
     return InclusionCertificate(
-        holds=holds,
+        holds=violation is None,
         vstar_cd=v_cd,
         vstar_ef=v_ef,
         vstar_cd_in_image=v_cd.intersect(im_b),

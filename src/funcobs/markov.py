@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import QMatrix, kernel_basis
+from .exactlin import QMatrix, first_escape, kernel_basis
 from .system import SystemSextuple
 
 
@@ -87,9 +87,8 @@ def kernel_inclusion_upto(sys: SystemSextuple, kmax: int) -> KernelInclusionRepo
     for k in range(kmax + 1):
         mcd = toeplitz(sys.A, sys.B, sys.C, sys.D, k).M
         mef = toeplitz(sys.A, sys.B, sys.E, sys.F, k).M
-        ker = kernel_basis(mcd)
-        for vec in ker.basis.columns():
-            if not (mef @ QMatrix.column_vector(vec)).is_zero():
-                chain = tuple(tuple(vec[i * m:(i + 1) * m]) for i in range(k + 1))
-                return KernelInclusionReport(False, k, vec, chain)
+        vec = first_escape(kernel_basis(mcd), mef)
+        if vec is not None:
+            chain = tuple(tuple(vec[i * m:(i + 1) * m]) for i in range(k + 1))
+            return KernelInclusionReport(False, k, vec, chain)
     return KernelInclusionReport(True, None, None, None)

@@ -48,7 +48,8 @@ def fading_output_scenario(horizon: float = 100.0, step: float = 1e-3,
     x1 = y' - u and x2 = y - x1 at the shifted origin.
     """
     nsamples = int(round(horizon / table_step)) + 1
-    times = np.linspace(0.0, horizon, nsamples)
+    # the table is labelled with the grid that is integrated
+    times = np.arange(nsamples) * table_step
     # y'' on the half-step grid, point by point into one array that is freed
     # before the table is built: whole-array numpy would hold several
     # grid-sized temporaries at once

@@ -12,15 +12,14 @@ estimation error is summarised over the final stretch of the horizon.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exactlin import QMatrix
-from .polymat import Poly, poly_lcm
-from .stability import is_hurwitz
 from .system import SystemSextuple
-from .witness import RationalFunctionMatrix
+from .witness import RationalFunctionMatrix, classify, denominator_lcm
 
 
 def to_float_array(M: QMatrix) -> np.ndarray:
@@ -62,15 +61,12 @@ def realize(N: RationalFunctionMatrix) -> StateSpaceRealization:
     infinity.  Improper or non-Hurwitz input is rejected up front.
     """
     q, p = N.rows, N.cols
-    for row in N.data:
-        for entry in row:
-            if not entry.is_proper():
-                raise RealizationError(f"entry {entry} is not proper")
-            rep = is_hurwitz(entry.den)
-            if not rep.is_hurwitz:
-                raise RealizationError(
-                    f"entry {entry} has an unstable denominator "
-                    f"({rep.failure_reason})")
+    cls = classify(N)
+    if not cls.proper:
+        raise RealizationError("transfer matrix is not proper")
+    if not cls.stable:
+        raise RealizationError(f"pole polynomial {cls.pole_polynomial} is not Hurwitz "
+                               f"({cls.pole_report.failure_reason})")
 
     g_blocks: list[np.ndarray] = []
     h_cols: list[tuple[int, int]] = []  # (block offset, block size) per input
@@ -78,10 +74,7 @@ def realize(N: RationalFunctionMatrix) -> StateSpaceRealization:
     R = np.zeros((q, p))
     offset = 0
     for j in range(p):
-        den = Poly([1])
-        for i in range(q):
-            den = poly_lcm(den, N[i, j].den)
-        den = den.monic()
+        den = denominator_lcm(N[i, j] for i in range(q))
         nu = den.degree
         for i in range(q):
             R[i, j] = float(N[i, j].limit_at_infinity())
@@ -131,8 +124,9 @@ class InputSignal:
 
     Kinds: "zero"; "constant" (value per channel); "polynomial"
     (coefficients in t, ascending, per channel); "sinusoids" (list of
-    (amplitude, frequency, phase) terms per channel); "table" (sample
-    times and values, linear interpolation, ends held).
+    (amplitude, frequency, phase) terms per channel); "table" (strictly
+    increasing sample times, one equal-width row of values per time,
+    linear interpolation, ends held).
     """
     kind: str
     value: tuple[float, ...] = ()
@@ -140,6 +134,17 @@ class InputSignal:
     terms: tuple[tuple[tuple[float, float, float], ...], ...] = ()
     times: tuple[float, ...] = ()
     values: tuple[tuple[float, ...], ...] = ()
+
+    def __post_init__(self):
+        if self.kind != "table":
+            return
+        if not all(map(operator.lt, self.times, self.times[1:])):
+            raise ValueError("table times must be strictly increasing")
+        if len(self.values) != len(self.times):
+            raise ValueError(f"table has {len(self.times)} times but "
+                             f"{len(self.values)} rows of values")
+        if len(set(map(len, self.values))) > 1:
+            raise ValueError("table rows differ in length")
 
     def channels(self, m: int) -> int:
         if self.kind == "zero":

@@ -24,17 +24,21 @@ class SystemSextuple:
     def __post_init__(self):
         n, m, p, q = self.A.rows, self.B.cols, self.C.rows, self.E.rows
         if self.A.cols != n:
-            raise ValueError("A must be square")
+            raise ValueError("field 'A' must be square")
         if self.B.rows != n:
-            raise ValueError(f"B must have {n} rows")
+            raise ValueError(f"field 'B' must have {n} rows")
         if self.C.cols != n:
-            raise ValueError(f"C must have {n} columns")
-        if self.D.shape != (p, m):
-            raise ValueError(f"D must be {p}x{m}")
+            raise ValueError(f"field 'C' must have {n} columns")
+        if self.D.rows != p:
+            raise ValueError("fields 'C' and 'D' must have the same number of rows")
+        if self.D.cols != m:
+            raise ValueError(f"field 'D' must have {m} columns")
         if self.E.cols != n:
-            raise ValueError(f"E must have {n} columns")
-        if self.F.shape != (q, m):
-            raise ValueError(f"F must be {q}x{m}")
+            raise ValueError(f"field 'E' must have {n} columns")
+        if self.F.rows != q:
+            raise ValueError("fields 'E' and 'F' must have the same number of rows")
+        if self.F.cols != m:
+            raise ValueError(f"field 'F' must have {m} columns")
 
     @property
     def n(self) -> int:
@@ -54,34 +58,43 @@ class SystemSextuple:
 
     @classmethod
     def from_lists(cls, A, B=None, C=None, D=None, E=None, F=None, m: int | None = None) -> "SystemSextuple":
-        """Build from nested lists of rational literals.
+        """Build from nested lists of rational literals; system files go
+        through here too, so both share one set of rules and messages.
 
-        Missing B/D/F default to zero blocks; when all three are absent the
-        input dimension is ``m`` (default 0).  Missing C or E default to
-        zero-row blocks (no measured / no target output).
+        A block that is present is taken as given; a missing one is a zero
+        block.  The input count is the width of the first of B, D, F that
+        has a row, else the declared ``m``, else 0; a declared ``m`` must
+        agree with it.  A missing or empty C (E) takes its row count from D
+        (F), which matters for n = 0 plants where C and E carry no columns.
+        Every error is a ValueError that names the field.
         """
-        A = QMatrix.from_rows(A)
-        n = A.rows
-        if m is not None:
-            m_eff = m
-        elif B is not None and len(B) > 0:
-            m_eff = len(B[0])
-        elif D is not None and len(D) > 0:
-            m_eff = len(D[0])
-        elif F is not None and len(F) > 0:
-            m_eff = len(F[0])
-        else:
-            m_eff = 0
-        B = QMatrix.from_rows(B, cols=m_eff) if B is not None else QMatrix.zeros(n, m_eff)
-        # the output counts fall back to the feedthrough blocks, which matters
-        # for n = 0 plants where C and E carry no columns
-        p = len(C) if C else (len(D) if D else 0)
-        q = len(E) if E else (len(F) if F else 0)
-        C = QMatrix.from_rows(C, cols=n) if C else QMatrix.zeros(p, n)
-        D = QMatrix.from_rows(D, cols=m_eff) if D else QMatrix.zeros(p, m_eff)
-        E = QMatrix.from_rows(E, cols=n) if E else QMatrix.zeros(q, n)
-        F = QMatrix.from_rows(F, cols=m_eff) if F else QMatrix.zeros(q, m_eff)
-        return cls(A, B, C, D, E, F)
+        if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 0):
+            raise ValueError("field 'm' must be a nonnegative integer")
+        given = {name: _matrix(name, rows)
+                 for name, rows in zip("ABCDEF", (A, B, C, D, E, F)) if rows is not None}
+
+        def rows_of(name: str) -> int:
+            return given[name].rows if name in given else 0
+
+        width = next(((name, given[name].cols) for name in "BDF" if rows_of(name)), None)
+        if width is not None:
+            if m is not None and m != width[1]:
+                raise ValueError(f"field 'm' = {m} conflicts with the {width[1]} "
+                                 f"columns of field {width[0]!r}")
+            m = width[1]
+        elif m is None:
+            m = 0
+
+        def input_block(name: str, rows: int) -> QMatrix:
+            if rows_of(name):
+                return given[name]
+            return QMatrix.zeros(0 if name in given else rows, m)
+
+        n = given["A"].rows
+        C = given["C"] if rows_of("C") else QMatrix.zeros(rows_of("D"), n)
+        E = given["E"] if rows_of("E") else QMatrix.zeros(rows_of("F"), n)
+        return cls(given["A"], input_block("B", n), C, input_block("D", C.rows),
+                   E, input_block("F", E.rows))
 
     def with_target(self, E: QMatrix, F: QMatrix) -> "SystemSextuple":
         """Same plant with a different target output block [E F]."""
@@ -93,12 +106,14 @@ class SystemSextuple:
                               self.C, QMatrix.zeros(self.p, 0),
                               self.E, QMatrix.zeros(self.q, 0))
 
-    def is_controllable(self) -> bool:
-        blocks = []
-        power = QMatrix.identity(self.n)
-        for _ in range(max(self.n, 1)):
-            blocks.append(power @ self.B)
-            power = self.A @ power
-        if self.n == 0:
-            return True
-        return QMatrix.hstack(blocks).rank() == self.n
+
+def _matrix(name: str, rows) -> QMatrix:
+    """One given block as an exact matrix; any defect names the field."""
+    if not isinstance(rows, (list, tuple)) or any(not isinstance(r, (list, tuple)) for r in rows):
+        raise ValueError(f"field {name!r} must be an array of arrays")
+    try:
+        return QMatrix.from_rows(rows)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"field {name!r}: zero denominator") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc

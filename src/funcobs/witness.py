@@ -6,11 +6,15 @@ explicit: with U P V = S, the solution is [M N] = [E F] V S^+ U where S^+
 inverts the nonzero diagonal entries d_1 | ... | d_r.  The solution is
 formed over the single denominator d_r with polynomial arithmetic, and the
 residual of the returned solution is re-verified exactly on every solve;
-properness and pole locations of the constructed solution are classified,
-with the caveat that the canonical representative may fail properness or
-stability even when some member of the affine solution family (canonical
-plus left-kernel multiples of P) achieves them -- the existence questions
-themselves are settled by the decide module.
+properness and pole locations of the constructed solution are classified.
+Stability is never missed: every solution is ([E F] V S^+ + [0 K]) U with
+a rational K on the columns that [E F] V S^+ leaves zero (the left-kernel
+rows of U), and U is unimodular, so each solution has at least the poles
+of the canonical one (K = 0); the canonical solution is stable exactly
+when some solution is.  Properness can be missed: the canonical
+representative may be improper when another member of the family is
+proper -- the existence questions themselves are settled by the decide
+module.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ class RationalFunctionMatrix:
         return all(e.is_proper() for row in self.data for e in row)
 
     def denominator_lcm(self) -> Poly:
-        return _denominator_lcm(e for row in self.data for e in row)
+        return denominator_lcm(e for row in self.data for e in row)
 
     def evaluate(self, x):
         return [[e.evaluate(x) for e in row] for row in self.data]
@@ -134,7 +138,7 @@ class RationalFunctionMatrix:
         return f"RationalFunctionMatrix({self.rows}x{self.cols}: [{body}])"
 
 
-def _denominator_lcm(entries) -> Poly:
+def denominator_lcm(entries) -> Poly:
     """Monic lcm of the denominators; a denominator that already divides
     the running lcm costs one division instead of a gcd."""
     acc = POLY_ONE
@@ -181,7 +185,7 @@ def residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) 
     if MN.shape != (EF.rows, P.rows) or EF.cols != P.cols:
         raise ValueError(f"residual shapes differ: {MN.shape} @ {P.shape} vs {EF.shape}")
     for row, target in zip(MN.data, EF.data):
-        ell = _denominator_lcm(row)
+        ell = denominator_lcm(row)
         nums = PolyMatrix(1, MN.cols, (tuple(e.num * ell.exact_div(e.den) for e in row),))
         if (nums @ P).data[0] != tuple(ell * x for x in target):
             return False
@@ -230,20 +234,17 @@ def solve_over_field(sys: SystemSextuple) -> WitnessReport:
 def decision_consistency(sys: SystemSextuple) -> bool:
     """Contract between the existence verdicts and the constructed witness.
 
-    Strong detectability implies field solvability with a zero residual;
-    a constructed proper stable solution implies both existence verdicts.
-    The converse of the second implication is deliberately not asserted:
-    the canonical representative may miss properness or stability that
-    another member of the solution family achieves.
+    A solvable plant has a zero residual, and the plant is strongly
+    detectable exactly when it is solvable and its canonical witness is
+    stable (stability is never missed, see the module notes).  A proper
+    stable canonical witness implies strong-star detectability; the
+    converse is not asserted, because the canonical representative may miss
+    properness that another member of the solution family achieves.
     """
     report = solve_over_field(sys)
-    strong = decide.strongly_functional_detectable(sys)
-    if strong.holds and not (report.solvable_over_field and report.residual_zero):
-        return False
     if report.solvable_over_field and not report.residual_zero:
         return False
-    if report.MN is not None and report.is_proper and report.denominator_hurwitz.is_hurwitz:
-        star = decide.strong_star_functional_detectable(sys)
-        if not (strong.holds and star.holds):
-            return False
-    return True
+    stable = report.solvable_over_field and report.denominator_hurwitz.is_hurwitz
+    if decide.strongly_functional_detectable(sys).holds != stable:
+        return False
+    return not (stable and report.is_proper) or decide.strong_star_functional_detectable(sys).holds

@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's own elimination code:
 ranks come from a plain forward Gaussian elimination, the canonical RREF
 from Gauss-Jordan over Fraction, polynomial arithmetic from Fraction
 coefficient lists, normal ranks from ranks at enough integer points,
-determinants from cofactor expansion, root locations from numpy's
-companion-matrix solver, trajectories from a stage-by-stage RK4 loop fed
-by scalar input evaluation.
+determinants from cofactor expansion, controllability from the Krylov
+matrix, kernel-inclusion witnesses from a matrix product per basis
+column, root locations from numpy's companion-matrix solver,
+trajectories from a stage-by-stage RK4 loop fed by scalar input
+evaluation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from funcobs.exactlin import QMatrix, as_fraction
+from funcobs.exactlin import QMatrix, Subspace, as_fraction
 from funcobs.polymat import Poly, PolyMatrix
 from funcobs.system import SystemSextuple
 
@@ -155,8 +157,26 @@ def ref_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows, pivots
 
 
+def ref_first_escape(V: Subspace, M: QMatrix):
+    """First basis column of V whose image under M is nonzero, by a full
+    matrix product per column; None when every column is annihilated."""
+    for vec in V.basis.columns():
+        if not (M @ QMatrix.column_vector(vec)).is_zero():
+            return vec
+    return None
+
+
 def ref_rank_q(M: QMatrix) -> int:
     return ref_rank(M.to_lists())
+
+
+def ref_controllable(sys: SystemSextuple) -> bool:
+    """Rank n of the Krylov matrix [B AB ... A^(n-1) B]."""
+    blocks, power = [], QMatrix.identity(sys.n)
+    for _ in range(sys.n):
+        blocks.append(power @ sys.B)
+        power = sys.A @ power
+    return sys.n == 0 or ref_rank_q(QMatrix.hstack(blocks)) == sys.n
 
 
 def ref_normal_rank(M: PolyMatrix) -> int:

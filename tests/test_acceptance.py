@@ -238,6 +238,19 @@ def test_criterion_11_implication_chain(batch):
                    f"{strict1}/{strict2}, {elapsed:.1f}s")
 
 
+def test_strong_iff_stable_canonical_witness(batch):
+    """Strong detectability holds exactly when the canonical witness exists
+    with a zero residual and is stable; only properness can be missed."""
+    mismatches = 0
+    for sys in batch:
+        rep = solve_over_field(sys)
+        stable = (rep.solvable_over_field and rep.residual_zero
+                  and rep.denominator_hurwitz.is_hurwitz)
+        if decide.strongly_functional_detectable(sys).holds != stable:
+            mismatches += 1
+    assert mismatches == 0
+
+
 def test_criterion_12_fading_output_counterexample():
     t0 = time.perf_counter()
     sys = support.integrator_chain()

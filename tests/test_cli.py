@@ -9,6 +9,7 @@ from funcobs.corpus import bundled_names, bundled_text
 from funcobs.fileio import (SystemFileError, dump_scenario_document,
                             dump_system_document, load_system_text, to_jsonable)
 from funcobs.scenarios import zero_input_scenario
+from funcobs.system import SystemSextuple
 
 EXPECTED_CHECKS = {
     "functional": decide.functional_detectable,
@@ -91,6 +92,38 @@ class TestParsing:
             sys2, meta2 = load_system_text(json.dumps(doc))
             assert sys1 == sys2
             assert meta1.get("expected") == meta2.get("expected")
+
+
+# Edge documents where the library builder and the file reader used to part,
+# with the plant's (n, m, p, q) or the field that the error names.
+PARITY_DOCS = [
+    ({"A": [[0]], "D": [[1]]}, (1, 1, 1, 0)),
+    ({"A": [], "D": [[1]], "F": [[1]]}, (0, 1, 1, 1)),
+    ({"A": [[0]], "F": [[1]]}, (1, 1, 0, 1)),
+    ({"A": [[0]], "B": [[1]], "m": 2}, "'m'"),
+    ({"A": [[0]], "C": [[1]], "D": [[1]], "m": 0}, "'m'"),
+    ({"A": [[0]], "B": [], "m": 1}, "'B'"),
+    ({"A": [[0]], "C": [], "D": []}, (1, 0, 0, 0)),
+]
+
+
+class TestLibraryFileParity:
+    """``SystemSextuple.from_lists`` and a system file give the same plant,
+    or the same error naming the field."""
+
+    @pytest.mark.parametrize("doc, expected", PARITY_DOCS)
+    def test_same_plant_or_same_error(self, doc, expected):
+        if isinstance(expected, tuple):
+            plant = SystemSextuple.from_lists(**doc)
+            assert (plant.n, plant.m, plant.p, plant.q) == expected
+            assert load_system_text(json.dumps(doc))[0] == plant
+            return
+        with pytest.raises(ValueError) as library:
+            SystemSextuple.from_lists(**doc)
+        with pytest.raises(SystemFileError) as from_file:
+            load_system_text(json.dumps(doc))
+        assert str(from_file.value) == str(library.value)
+        assert f"field {expected}" in str(library.value)
 
 
 class TestBundledRegression:
@@ -188,9 +221,14 @@ class TestCmdCheck:
         assert main(["check", str(bad)]) == 2
         assert field in capsys.readouterr().err
 
+    # stable_pair has no input, so a table of zero-width rows fits it
     @pytest.mark.parametrize("signal", [
         {"kind": "constant", "value": ["x"]},
         {"kind": "table", "times": [0, 1], "values": 3},
+        {"kind": "table", "times": [2, 0], "values": [[], []]},
+        {"kind": "table", "times": [0, 0], "values": [[], []]},
+        {"kind": "table", "times": [0, 1], "values": [[], [0]]},
+        {"kind": "table", "times": [0, 1, 2], "values": [[], []]},
     ])
     def test_malformed_scenario_input(self, tmp_path, capsys, signal):
         obs = tmp_path / "obs.json"

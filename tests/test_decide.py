@@ -160,6 +160,12 @@ class TestDarouach:
         assert not v.certificate.controllable
         assert v.certificate.note is not None
 
+    def test_controllable_matches_krylov_rank(self, rng):
+        for _ in range(120):
+            sys = support.random_system(rng)
+            controllable = decide.darouach_fixed_order(sys).certificate.controllable
+            assert controllable == support.ref_controllable(sys)
+
     def test_implies_strong_star(self, rng):
         for _ in range(120):
             sys = support.random_system(rng)

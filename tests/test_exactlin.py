@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from funcobs.exactlin import (QMatrix, Subspace, _rref, as_fraction, image_basis,
-                              kernel_basis, preimage)
+from funcobs.exactlin import (QMatrix, Subspace, _rref, as_fraction, first_escape,
+                              image_basis, kernel_basis, preimage)
 from funcobs.geometry import extend
 from funcobs.markov import toeplitz
 
@@ -257,3 +257,26 @@ class TestIntegerRREF:
         assert got.shape == want.shape
         assert [[(x.numerator, x.denominator) for x in row] for row in got.data] == \
             [[(x.numerator, x.denominator) for x in row] for row in want.data]
+
+
+class TestFirstEscape:
+    """The escape search against a matrix product per basis column."""
+
+    @given(_spanning_rows(), _spanning_rows())
+    @example((2, [[F(1), F(0)]]), (2, [[F(0), F(1)]]))
+    @example((3, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]), (3, [[F(0), F(1), F(0)]]))
+    @example((3, []), (3, [[F(1), F(2), F(3)]]))
+    @example((2, [[F(1), F(1)]]), (2, []))
+    def test_matches_reference_and_inclusion(self, space, matrix):
+        d, vectors = space
+        _, rows = matrix
+        # the matrix rows are cut or padded to the ambient dimension of V
+        M = QMatrix.from_rows([(list(r) + [F(0)] * d)[:d] for r in rows], cols=d)
+        V = Subspace.span(d, vectors)
+        got = first_escape(V, M)
+        assert got == support.ref_first_escape(V, M)
+        assert (got is None) == V.is_subspace_of(kernel_basis(M))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            first_escape(Subspace.full(2), QMatrix.zeros(1, 3))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from funcobs.polymat import Poly
-from funcobs.scenarios import fading_output_scenario, zero_input_scenario
+from funcobs.scenarios import _yddot, fading_output_scenario, zero_input_scenario
 from funcobs.sim import (InputSignal, RealizationError, Scenario,
                          StateSpaceRealization, StepInstabilityError,
                          convergence_metric, realize, simulate,
@@ -155,6 +155,16 @@ class TestSimulate:
         traj = simulate(sys, omega, sc)  # area of the triangle is 1
         assert abs(traj.x[-1, 0] - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("times, values, message", [
+        ((2.0, 0.0), ((0.0,), (1.0,)), "strictly increasing"),
+        ((0.0, 0.0), ((0.0,), (1.0,)), "strictly increasing"),
+        ((0.0, 1.0), ((0.0,), (1.0, 2.0)), "differ in length"),
+        ((0.0, 1.0, 2.0), ((0.0,), (1.0,)), "3 times but 2 rows"),
+    ])
+    def test_malformed_table_rejected(self, times, values, message):
+        with pytest.raises(ValueError, match=message):
+            InputSignal("table", times=times, values=values)
+
     def test_dimension_checks(self):
         sys = support.stable_pair()
         omega = StateSpaceRealization.static_gain([[1, 0]])
@@ -303,6 +313,19 @@ class TestScenarioHelpers:
         y0 = math.sin(1.0)
         got = sc.x0[0] + sc.x0[1]
         assert abs(got - y0) < 1e-12
+
+    def test_fading_table_labels_its_integration_grid(self):
+        # 1.0005 is not a multiple of the table step: the labels must still
+        # be k * table_step, the times at which u was integrated
+        sc = fading_output_scenario(horizon=1.0005, step=1e-2, table_step=1e-3)
+        times = sc.input_signal.times
+        assert times == tuple(k * 1e-3 for k in range(len(times)))
+        # and the values are u' + u = y'' from u(0) = 0 at those times
+        ref = support.ref_rk4(np.array([[-1.0]]), np.array([[1.0]]),
+                              lambda t: np.array([_yddot(1.0 + t)]), (0.0,),
+                              1e-3, len(times) - 1)
+        got = np.array(sc.input_signal.values)
+        assert np.max(np.abs(got - ref)) < 1e-10
 
     def test_suggested_horizon_stable(self):
         sys = SystemSextuple.from_lists(A=[[-1]], B=[[1]], C=[[1]], D=[[0]],
