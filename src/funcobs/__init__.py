@@ -20,14 +20,24 @@ from .markov import kernel_inclusion_upto, toeplitz
 from .polymat import (Poly, PolyMatrix, SmithDecomposition, build_system_matrices,
                       determinant, output_decoupling_zero_polynomial, pencil,
                       poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form)
-from .sim import (InputSignal, Scenario, StateSpaceRealization, Trajectory,
-                  convergence_metric, realize, simulate)
 from .stability import HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
 from .witness import (RationalFunction, RationalFunctionMatrix, WitnessReport,
                       classify, decision_consistency, solve_over_field)
 
 __version__ = "0.1.0"
+
+# The float layer, and numpy with it, loads on first use of one of its names,
+# so the exact path never imports numpy.
+_SIM_NAMES = frozenset({"InputSignal", "Scenario", "StateSpaceRealization", "Trajectory",
+                        "convergence_metric", "realize", "simulate"})
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        from . import sim
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "QMatrix", "Subspace", "as_fraction", "kernel_basis", "image_basis", "preimage",

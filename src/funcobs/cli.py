@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import decide, sim, witness
+from . import decide, witness
 from .corpus import bundled_names, bundled_text
 from .fileio import (SCHEMA_VERSION, SystemFileError, load_observer_file,
                      load_scenario_file, load_system_text, to_jsonable)
@@ -74,6 +74,20 @@ _EXPECTED_KEYS = {
 }
 
 
+def _expected_block(meta: dict) -> dict[str, bool]:
+    """The verdicts a system file expects, keyed as in ``_EXPECTED_KEYS``."""
+    expected = meta.get("expected", {})
+    if not isinstance(expected, dict):
+        raise SystemFileError("field 'expected' must be an object")
+    for key, want in expected.items():
+        if key not in _EXPECTED_KEYS:
+            raise SystemFileError(f"field 'expected': unknown key {key!r} "
+                                  f"(known: {', '.join(_EXPECTED_KEYS)})")
+        if not isinstance(want, bool):
+            raise SystemFileError(f"field 'expected': {key!r} must be true or false")
+    return expected
+
+
 def _summarize_verdict(v: decide.Verdict) -> list[str]:
     lines = [f"{v.name:<40s} : {'yes' if v.holds else 'no'}"]
     cert = v.certificate
@@ -119,6 +133,7 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     try:
         system, meta = _read_system(args.system)
+        expected = _expected_block(meta)
     except SystemFileError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
@@ -154,14 +169,11 @@ def cmd_check(args) -> int:
             print(f"  {line}")
 
     regression_failures = []
-    expected = meta.get("expected", {})
-    if isinstance(expected, dict):
-        by_name = {v.name: v.holds for v in verdicts}
-        for key, want in expected.items():
-            prop = _EXPECTED_KEYS.get(key)
-            if prop in by_name and by_name[prop] != bool(want):
-                regression_failures.append(
-                    f"expected {key} = {want}, computed {by_name[prop]}")
+    by_name = {v.name: v.holds for v in verdicts}
+    for key, want in expected.items():
+        prop = _EXPECTED_KEYS[key]
+        if prop in by_name and by_name[prop] != want:
+            regression_failures.append(f"expected {key} = {want}, computed {by_name[prop]}")
     for failure in regression_failures:
         print(f"  REGRESSION: {failure}")
 
@@ -224,6 +236,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import sim  # the float layer loads numpy; only this command needs it
+
     try:
         system, meta = _read_system(args.system)
         observer = load_observer_file(args.observer)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -34,10 +35,15 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational literal: {value!r}")
 
 
+def _common_den(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of xs over the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """The row times the lcm of its denominators, divided by its content."""
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
+    ints, _ = _common_den(row)
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -210,10 +216,12 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in product: {self.shape} @ {other.shape}")
-        ocols = [other.column(j) for j in range(other.cols)]
-        data = tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
-                           for col in ocols)
-                     for row in self.data)
+        # rows and columns over one denominator each: an integer dot
+        # product and one Fraction per entry
+        rows = [_common_den(row) for row in self.data]
+        cols = [_common_den(other.column(j)) for j in range(other.cols)]
+        data = tuple(tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
+                     for a, da in rows)
         return QMatrix(self.rows, other.cols, data)
 
     def transpose(self) -> "QMatrix":

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import json
 import math
+import sys as _sys
 from dataclasses import is_dataclass, fields
 from fractions import Fraction
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .exactlin import QMatrix, Subspace, as_fraction
 from .polymat import Poly, PolyMatrix
-from .sim import InputSignal, Scenario, StateSpaceRealization
 from .system import SystemSextuple
 from .witness import RationalFunction, RationalFunctionMatrix
+
+if TYPE_CHECKING:  # the float layer loads numpy, so its parsers import it themselves
+    import numpy as np
+
+    from .sim import Scenario, StateSpaceRealization
 
 SCHEMA_VERSION = "1.0"
 
@@ -92,6 +95,8 @@ def dump_system_document(sys: SystemSextuple, meta: dict | None = None) -> dict:
 # -- scenarios ---------------------------------------------------------------
 
 def parse_scenario_document(doc: dict) -> Scenario:
+    from .sim import InputSignal, Scenario
+
     if not isinstance(doc, dict):
         raise SystemFileError("scenario document must be a JSON object")
     sig = doc.get("input", {"kind": "zero"})
@@ -147,6 +152,8 @@ def _float_tuple(raw) -> tuple[float, ...]:
 
 def _float_matrix(raw, field: str) -> np.ndarray:
     """An array of equal-length arrays of finite numbers as a float matrix."""
+    import numpy as np
+
     if not isinstance(raw, list):
         raise SystemFileError(f"field {field!r} must be an array of arrays")
     try:
@@ -228,6 +235,10 @@ def parse_observer_document(doc: dict) -> StateSpaceRealization | RationalFuncti
             raise SystemFileError("field 'N': rows differ in length")
         return RationalFunctionMatrix.from_rows(rows)
     if any(name in doc for name in ("G", "H", "Q", "R")):
+        import numpy as np
+
+        from .sim import StateSpaceRealization
+
         if "R" not in doc:
             raise SystemFileError("field 'R' is required")
         # an absent G, H or Q is a zero block of the shape that fits G and R
@@ -284,6 +295,7 @@ def to_jsonable(obj) -> Any:
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
+    np = _sys.modules.get("numpy")  # no array can exist before numpy is loaded
+    if np is not None and isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -82,14 +82,8 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if type(other) is not Poly:
             return self.scale(other)
-        a, b = self._num, other._num
-        if not a or not b:
-            return POLY_ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
+        out: list[int] = []
+        _convolve_into(out, self._num, other._num)
         return _reduced(out, self._den * other._den)
 
     def __rmul__(self, other) -> "Poly":
@@ -159,6 +153,8 @@ class Poly:
     def divides(self, other: "Poly") -> bool:
         if self.is_zero():
             return other.is_zero()
+        if len(self._num) == 1:  # a nonzero constant divides everything
+            return True
         return (other % self).is_zero()
 
     def monic(self) -> "Poly":
@@ -238,6 +234,37 @@ def _raw(num: list[int], den: int) -> Poly:
     p._num = num
     p._den = den
     return p
+
+
+def _convolve_into(out: list[int], a: list[int], b: list[int]) -> None:
+    """out += a * b on numerator lists; out grows as needed."""
+    if not a or not b:
+        return
+    need = len(a) + len(b) - 1
+    if len(out) < need:
+        out.extend([0] * (need - len(out)))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+
+
+def _add_mul(x: Poly, q: Poly, y: Poly) -> Poly:
+    """x + q * y with one reduction: over lcm(den x, den q * den y)."""
+    if not q._num or not y._num:
+        return x
+    dx, dqy = x._den, q._den * y._den
+    g = gcd(dx, dqy)
+    mx, mq = dqy // g, dx // g
+    out = [mx * c for c in x._num] if mx != 1 else list(x._num)
+    _convolve_into(out, _times(q._num, mq), y._num)
+    return _reduced(out, dx * mx)
+
+
+def _common_den(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
+    """The numerators of polys over the lcm of their denominators."""
+    den = lcm(*(p._den for p in polys))
+    return [_times(p._num, den // p._den) for p in polys], den
 
 
 def _sum(a: Poly, b: Poly, sign: int) -> Poly:
@@ -343,19 +370,20 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in product: {self.shape} @ {other.shape}")
+        # each row of self and each column of other over one denominator,
+        # then one integer convolution sum and one reduction per entry
+        rows = [_common_den(row) for row in self.data]
+        cols = [_common_den([row[j] for row in other.data]) for j in range(other.cols)]
         data = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = POLY_ZERO
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    b = other.data[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            data.append(tuple(row))
+        for a, da in rows:
+            entries = []
+            for b, db in cols:
+                out: list[int] = []
+                for x, y in zip(a, b):
+                    if x and y:
+                        _convolve_into(out, x, y)
+                entries.append(_reduced(out, da * db))
+            data.append(tuple(entries))
         return PolyMatrix(self.rows, other.cols, tuple(data))
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -440,12 +468,16 @@ class SmithDecomposition:
 
 
 def _row_op_sub(mat: list[list[Poly]], i: int, t: int, q: Poly) -> None:
-    mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
+    """Row i -= q * row t."""
+    q = -q
+    mat[i] = [_add_mul(x, q, y) for x, y in zip(mat[i], mat[t])]
 
 
 def _col_op_sub(mat: list[list[Poly]], j: int, t: int, q: Poly) -> None:
+    """Column j -= q * column t."""
+    q = -q
     for row in mat:
-        row[j] = row[j] - q * row[t]
+        row[j] = _add_mul(row[j], q, row[t])
 
 
 def _swap_cols(mat: list[list[Poly]], a: int, b: int) -> None:

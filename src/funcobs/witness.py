@@ -245,6 +245,9 @@ def decision_consistency(sys: SystemSextuple) -> bool:
     if report.solvable_over_field and not report.residual_zero:
         return False
     stable = report.solvable_over_field and report.denominator_hurwitz.is_hurwitz
-    if decide.strongly_functional_detectable(sys).holds != stable:
+    # the strong-star certificate carries the strong one: two Smith forms, not four
+    strong_star = decide.strong_star_functional_detectable(sys)
+    strong = strong_star.certificate.strong
+    if (strong.rank_condition and strong.zero_condition) != stable:
         return False
-    return not (stable and report.is_proper) or decide.strong_star_functional_detectable(sys).holds
+    return not (stable and report.is_proper) or strong_star.holds

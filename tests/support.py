@@ -6,7 +6,9 @@ from Gauss-Jordan over Fraction, polynomial arithmetic from Fraction
 coefficient lists, normal ranks from ranks at enough integer points,
 determinants from cofactor expansion, controllability from the Krylov
 matrix, kernel-inclusion witnesses from a matrix product per basis
-column, root locations from numpy's companion-matrix solver,
+column, matrix products and Smith row/column operations term by term
+(one sum of ``Fraction`` or ``Poly`` values per term), root locations
+from numpy's companion-matrix solver,
 trajectories from a stage-by-stage RK4 loop fed by scalar input
 evaluation.
 """
@@ -157,11 +159,47 @@ def ref_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows, pivots
 
 
+def ref_qmatmul(A: QMatrix, B: QMatrix) -> QMatrix:
+    """Product with a running ``Fraction`` sum per term."""
+    cols = [B.column(j) for j in range(B.cols)]
+    return QMatrix(A.rows, B.cols,
+                   tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
+                               for col in cols)
+                         for row in A.data))
+
+
+def ref_polymatmul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
+    """Product with one ``Poly`` product and one ``Poly`` sum per term."""
+    data = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = Poly()
+            for k in range(A.cols):
+                a, b = A.data[i][k], B.data[k][j]
+                if not (a.is_zero() or b.is_zero()):
+                    acc = acc + a * b
+            row.append(acc)
+        data.append(tuple(row))
+    return PolyMatrix(A.rows, B.cols, tuple(data))
+
+
+def ref_row_op_sub(mat: list[list[Poly]], i: int, t: int, q: Poly) -> None:
+    """Row i -= q * row t, building q * y and then subtracting it."""
+    mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
+
+
+def ref_col_op_sub(mat: list[list[Poly]], j: int, t: int, q: Poly) -> None:
+    """Column j -= q * column t, building q * y and then subtracting it."""
+    for row in mat:
+        row[j] = row[j] - q * row[t]
+
+
 def ref_first_escape(V: Subspace, M: QMatrix):
     """First basis column of V whose image under M is nonzero, by a full
     matrix product per column; None when every column is annihilated."""
     for vec in V.basis.columns():
-        if not (M @ QMatrix.column_vector(vec)).is_zero():
+        if not ref_qmatmul(M, QMatrix.column_vector(vec)).is_zero():
             return vec
     return None
 
@@ -174,8 +212,8 @@ def ref_controllable(sys: SystemSextuple) -> bool:
     """Rank n of the Krylov matrix [B AB ... A^(n-1) B]."""
     blocks, power = [], QMatrix.identity(sys.n)
     for _ in range(sys.n):
-        blocks.append(power @ sys.B)
-        power = sys.A @ power
+        blocks.append(ref_qmatmul(power, sys.B))
+        power = ref_qmatmul(sys.A, power)
     return sys.n == 0 or ref_rank_q(QMatrix.hstack(blocks)) == sys.n
 
 

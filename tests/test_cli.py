@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys as _sys
 from pathlib import Path
 
 import pytest
@@ -335,6 +338,20 @@ class TestCmdCheck:
         assert main(["check", str(path), "--all"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("expected, message", [
+        ({"functional": "no"}, "'functional'"),       # bool("no") is True
+        ({"functional": 0}, "'functional'"),
+        ({"functionl": True}, "'functionl'"),          # a misspelled key
+        (["functional"], "'expected'"),
+        (None, "'expected'"),
+    ])
+    def test_malformed_expected_block(self, tmp_path, capsys, expected, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"A": [[1]], "E": [[1]], "expected": expected}))
+        assert main(["check", str(path), "--functional"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "REGRESSION" not in captured.out
+
     def test_specialized_checks(self, capsys):
         assert main(["check", "state_estimation_demo", "--specialize", "hautus"]) == 0
         assert main(["check", "fixed_order_demo", "--specialize", "darouach"]) == 0
@@ -444,3 +461,32 @@ class TestSerialization:
         inc = doc["certificate"]["inclusion"]
         assert inc["holds"] is False
         assert inc["violation"] == ["0", "0", "1"]
+
+
+class TestLazyNumpy:
+    """Only the float layer imports numpy, on the first use of one of its names."""
+
+    def test_exact_path_leaves_numpy_unloaded(self, tmp_path):
+        code = "\n".join([
+            "import sys, funcobs, funcobs.cli",
+            "from funcobs.corpus import bundled_names",
+            "assert 'numpy' not in sys.modules, 'loaded by import'",
+            "for name in bundled_names():",
+            "    funcobs.cli.main(['check', name, '--all', '--out', sys.argv[1]])",
+            "assert 'numpy' not in sys.modules, 'loaded by check'",
+            "from funcobs import simulate, InputSignal",
+            "assert 'numpy' in sys.modules and callable(simulate)",
+            "assert InputSignal('zero').kind == 'zero'",
+        ])
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([_sys.executable, "-c", code, str(tmp_path / "report.json")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["verdicts"]
+
+    def test_unknown_attribute(self):
+        import funcobs
+        with pytest.raises(AttributeError):
+            funcobs.no_such_name

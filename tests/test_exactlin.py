@@ -280,3 +280,43 @@ class TestFirstEscape:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             first_escape(Subspace.full(2), QMatrix.zeros(1, 3))
+
+
+def _fraction_storage(M: QMatrix):
+    return [[(type(x), x.numerator, x.denominator) for x in row] for row in M.data]
+
+
+@st.composite
+def _qfactor_pair(draw):
+    """A (r x k, k x c) pair of rational matrices, any of r, k, c zero; now
+    and then a whole row of the left or column of the right is zero."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    A = [[draw(_entries) for _ in range(k)] for _ in range(r)]
+    B = [[draw(_entries) for _ in range(c)] for _ in range(k)]
+    if r and draw(st.booleans()):
+        A[draw(st.integers(0, r - 1))] = [F(0)] * k
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in B:
+            row[j] = F(0)
+    return QMatrix.from_rows(A, cols=k), QMatrix.from_rows(B, cols=c)
+
+
+class TestIntegerProduct:
+    """The integer dot-product ``QMatrix`` product against a running
+    ``Fraction`` sum per term, on identical storage."""
+
+    @given(_qfactor_pair())
+    @example((QMatrix.zeros(0, 3), QMatrix.zeros(3, 0)))
+    @example((QMatrix.zeros(2, 0), QMatrix.zeros(0, 3)))
+    @example((QMatrix.from_rows([[F(1, 2), F(-2, 3)], [F(0), F(5, 4)]]),
+              QMatrix.from_rows([[F(3, 5), F(0)], [F(3, 4), F(7)]])))
+    def test_matches_per_term_sum(self, pair):
+        A, B = pair
+        got, want = A @ B, support.ref_qmatmul(A, B)
+        assert got.shape == want.shape == (A.rows, B.cols)
+        assert _fraction_storage(got) == _fraction_storage(want)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            QMatrix.zeros(2, 3) @ QMatrix.zeros(2, 3)

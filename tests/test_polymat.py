@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from funcobs.exactlin import QMatrix
-from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices,
-                             determinant, output_decoupling_zero_polynomial,
-                             pencil, poly_gcd, poly_lcm, rank_and_zero_polynomial,
-                             smith_form)
+from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub,
+                             build_system_matrices, determinant,
+                             output_decoupling_zero_polynomial, pencil, poly_gcd,
+                             poly_lcm, rank_and_zero_polynomial, smith_form)
 from funcobs.system import SystemSextuple
 
 import support
@@ -178,6 +178,104 @@ class TestPolyOracle:
             assert _canonical(p)
         assert Poly([F(0), F(0)])._num == [] and Poly([F(0)])._den == 1
         assert (Poly([2, 4]) == Poly([1, 2])) is False
+
+
+_polys = _coeff_lists.map(Poly)
+_nonzero_coeffs = _coeffs.filter(bool)
+_nonconstant = st.builds(lambda low, lead: [*low, lead],
+                         st.lists(_coeffs, min_size=1, max_size=3), _nonzero_coeffs)
+
+
+def _storage(rows):
+    """The (numerators, denominator) pairs of a matrix of Poly, row by row."""
+    return [[(p._num, p._den) for p in row] for row in rows]
+
+
+@st.composite
+def _factor_pair(draw):
+    """A (r x k, k x c) pair of polynomial matrices, any of r, k, c zero;
+    now and then a whole row of the left or column of the right is zero."""
+    r, k, c = (draw(st.integers(0, 3)) for _ in range(3))
+    A = [[draw(_polys) for _ in range(k)] for _ in range(r)]
+    B = [[draw(_polys) for _ in range(c)] for _ in range(k)]
+    if r and draw(st.booleans()):
+        A[draw(st.integers(0, r - 1))] = [Poly()] * k
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in B:
+            row[j] = Poly()
+    return (PolyMatrix(r, k, tuple(map(tuple, A))),
+            PolyMatrix(k, c, tuple(map(tuple, B))))
+
+
+@st.composite
+def _op_case(draw):
+    """A matrix with at least two rows and columns, two distinct indices of
+    each, and a multiplier q that is zero, a constant or any polynomial."""
+    nrows, ncols = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    mat = [[draw(_polys) for _ in range(ncols)] for _ in range(nrows)]
+    i, t = draw(st.permutations(range(nrows)))[:2]
+    j, u = draw(st.permutations(range(ncols)))[:2]
+    q = draw(st.one_of(st.just(Poly()), _coeffs.map(lambda c: Poly([c])), _polys))
+    return mat, (i, t), (j, u), q
+
+
+_mixed = PolyMatrix.from_rows([[Poly([F(1, 3), F(1, 2)]), Poly([F(2, 7)])],
+                               [Poly(), Poly([F(-3, 4), F(0), F(5, 6)])]])
+
+
+class TestIntegerKernels:
+    """Integer-numerator products and fused Smith operations against the
+    per-term loops they replace, on identical storage."""
+
+    @given(_factor_pair())
+    @example((PolyMatrix.zeros(0, 2), PolyMatrix.zeros(2, 0)))
+    @example((PolyMatrix(2, 0, ((), ())), PolyMatrix.zeros(0, 3)))
+    @example((_mixed, _mixed))
+    @example((_mixed, PolyMatrix.from_rows([[Poly([F(-2, 3)])], [Poly([F(0), F(4, 9)])]])))
+    def test_product_matches_per_term_loop(self, pair):
+        A, B = pair
+        got, want = A @ B, support.ref_polymatmul(A, B)
+        assert got.shape == want.shape == (A.rows, B.cols)
+        assert _storage(got.data) == _storage(want.data)
+        assert all(_canonical(p) for row in got.data for p in row)
+
+    def test_product_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            PolyMatrix.zeros(2, 3) @ PolyMatrix.zeros(2, 3)
+
+    @given(_op_case())
+    @example(([[Poly([F(1, 2)]), Poly([F(1), F(1, 3)])], [Poly([F(2, 3), F(1)]), Poly()]],
+              (0, 1), (1, 0), Poly([F(-3, 2)])))
+    @example(([[Poly([F(1)]), Poly([F(5)])], [Poly([F(1, 4)]), Poly([F(7, 6), F(1)])]],
+              (1, 0), (0, 1), Poly()))
+    def test_fused_operations_match_unfused(self, case):
+        mat, (i, t), (j, u), q = case
+        for fused, unfused, a, b in ((_row_op_sub, support.ref_row_op_sub, i, t),
+                                     (_col_op_sub, support.ref_col_op_sub, j, u)):
+            got, want = [list(r) for r in mat], [list(r) for r in mat]
+            fused(got, a, b, q)
+            unfused(want, a, b, q)
+            assert _storage(got) == _storage(want)
+            assert all(_canonical(p) for row in got for p in row)
+
+    @given(_coeff_lists,
+           st.one_of(st.just([]), _nonzero_coeffs.map(lambda c: [c]), _nonconstant),
+           st.booleans())
+    @example([F(1), F(1)], [], False)
+    @example([], [], False)
+    @example([F(1, 2), F(3)], [F(-2, 7)], False)
+    @example([F(-1), F(0), F(1)], [F(1, 2), F(1, 2)], False)
+    @example([F(1), F(0), F(1)], [F(1), F(1)], False)
+    def test_divides(self, a, b, multiple):
+        # a divisor that is zero, a nonzero constant or of positive degree,
+        # and half the time a dividend that it divides by construction
+        pa, pb = Poly(a), Poly(b)
+        if multiple:
+            pa = pa * pb
+        ra, rb = support.RefPoly(pa.coeffs), support.RefPoly(b)
+        want = ra.is_zero() if rb.is_zero() else divmod(ra, rb)[1].is_zero()
+        assert pb.divides(pa) == want
 
 
 class TestGcd:
