@@ -74,6 +74,17 @@ _EXPECTED_KEYS = {
 }
 
 
+def _write_output(option: str, write) -> bool:
+    """Call write(); an OSError (a missing directory, a read-only file) is
+    reported as an error naming the option, not as a traceback."""
+    try:
+        write()
+    except OSError as exc:
+        print(f"error: option '{option}': {exc}", file=_sys.stderr)
+        return False
+    return True
+
+
 def _expected_block(meta: dict) -> dict[str, bool]:
     """The verdicts a system file expects, keyed as in ``_EXPECTED_KEYS``."""
     expected = meta.get("expected", {})
@@ -186,7 +197,9 @@ def cmd_check(args) -> int:
             "witness": None,
             "timing": timing,
         }
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(report, indent=2) + "\n"
+        if not _write_output("--out", lambda: Path(args.out).write_text(text, encoding="utf-8")):
+            return EXIT_ERROR
 
     if regression_failures:
         return EXIT_FAIL
@@ -231,7 +244,9 @@ def cmd_witness(args) -> int:
             "toeplitz": to_jsonable(toep),
             "timing": {"solve_s": solve_s},
         }
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(doc, indent=2) + "\n"
+        if not _write_output("--out", lambda: Path(args.out).write_text(text, encoding="utf-8")):
+            return EXIT_ERROR
     return EXIT_OK if report.solvable_over_field else EXIT_FAIL
 
 
@@ -274,7 +289,8 @@ def cmd_simulate(args) -> int:
         return EXIT_ERROR
     metric = sim.convergence_metric(traj, threshold=args.threshold)
     if args.csv:
-        sim.write_csv(traj, args.csv)
+        if not _write_output("--csv", lambda: sim.write_csv(traj, args.csv)):
+            return EXIT_ERROR
         print(f"trajectory written to {args.csv}")
     print(f"samples: {len(traj.t)}, horizon: {scenario.horizon}, step: {scenario.step}")
     print(f"final_sup(|e|) over t >= {metric.tail_start:g} : {metric.final_sup:.6g}")

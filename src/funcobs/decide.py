@@ -25,9 +25,10 @@ from fractions import Fraction
 
 from . import geometry
 from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
-from .polymat import (POLY_ONE, Poly, build_system_matrices,
+from .polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices,
                       output_decoupling_zero_polynomial, pencil, poly_gcd,
-                      rank_and_zero_polynomial)
+                      rank_and_zero_from_invariants, rank_and_zero_polynomial,
+                      smith_form, stacked_invariants)
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
 
@@ -143,8 +144,11 @@ def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix) -> KernelInclusionCertificate:
 
 def _detectability_certificate(sys: SystemSextuple) -> DetectabilityCertificate:
     P, Pe = build_system_matrices(sys)
-    rp, zp = rank_and_zero_polynomial(P)
-    rpe, zpe = rank_and_zero_polynomial(Pe)
+    dec = smith_form(P)
+    rp, zp = rank_and_zero_from_invariants(dec.invariant_polys)
+    # P_e = [P; E F] is not eliminated: its invariants follow from P's form
+    EF = PolyMatrix(Pe.rows - P.rows, Pe.cols, Pe.data[P.rows:])
+    rpe, zpe = rank_and_zero_from_invariants(stacked_invariants(dec, EF))
     cmp_ = antistable_parts_equal(zp, zpe)
     return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
 

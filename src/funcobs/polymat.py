@@ -9,7 +9,9 @@ system pencils
 Every pencil is built by ``pencil`` and eliminated once, by the Smith
 normal form (gcd-driven elementary row/column operations with both
 unimodular transformers tracked); its normal rank is the number of
-invariant polynomials and its invariant zeros are their roots.
+invariant polynomials and its invariant zeros are their roots.  P_e is
+never eliminated itself: ``stacked_invariants`` reads its invariants off
+the Smith form of P plus that of a small remainder block.
 """
 
 from __future__ import annotations
@@ -431,33 +433,6 @@ def build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
     return P, PolyMatrix.vstack([P, EF])
 
 
-def determinant(M: PolyMatrix) -> Poly:
-    """Exact determinant via single-step fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return POLY_ONE
-    a = [list(row) for row in M.data]
-    sign = 1
-    prev = POLY_ONE
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-        if piv is None:
-            return POLY_ZERO
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = POLY_ZERO
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ P @ V == S with U, V unimodular and S the diagonal Smith form."""
@@ -596,18 +571,45 @@ def _assert_smith(P: PolyMatrix, dec: SmithDecomposition) -> None:
 
 
 def rank_and_zero_polynomial(P: PolyMatrix) -> tuple[int, Poly]:
-    """Normal rank and zero polynomial of P from one Smith form.
+    """Normal rank and zero polynomial of P from one Smith form."""
+    return rank_and_zero_from_invariants(smith_form(P).invariant_polys)
+
+
+def rank_and_zero_from_invariants(invariants: Sequence[Poly]) -> tuple[int, Poly]:
+    """Normal rank and zero polynomial of a matrix with these invariants.
 
     The rank is the number of invariant polynomials; the zero polynomial
     is their monic product, whose roots (with multiplicity) are the
-    invariant zeros of P.
+    invariant zeros of the matrix.
     """
-    invariants = smith_form(P).invariant_polys
     prod = POLY_ONE
     for a in invariants:
         if a.degree > 0:
             prod = prod * a
     return len(invariants), prod.monic()
+
+
+def stacked_invariants(dec: SmithDecomposition, X: PolyMatrix) -> tuple[Poly, ...]:
+    """Invariant polynomials of [P; X], given the Smith form U P V = S of P.
+
+    [U 0; 0 I] [P; X] V = [S; X V].  The k unit invariants lead the chain
+    and their rows of S are unit vectors e_j, so row operations clear
+    columns 0..k-1 of X V.  What is left is I_k (+) M with
+
+        M = [ diag(d_k+1, ..., d_r)  0 ]
+            [        (X V)[:, k:]      ]
+
+    (the zero rows of S drop out), so the invariants of [P; X] are k ones
+    followed by those of M, which is small: r - k + rows(X) rows.
+    """
+    invariants = dec.invariant_polys
+    k = sum(1 for d in invariants if d.degree == 0)
+    c = dec.V.cols - k
+    W = X @ PolyMatrix(dec.V.rows, c, tuple(row[k:] for row in dec.V.data))
+    diag = tuple(tuple(d if j == i else POLY_ZERO for j in range(c))
+                 for i, d in enumerate(invariants[k:]))
+    M = PolyMatrix(len(diag) + W.rows, c, diag + W.data)
+    return invariants[:k] + smith_form(M).invariant_polys
 
 
 def output_decoupling_zero_polynomial(sys: SystemSextuple) -> Poly:

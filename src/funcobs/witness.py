@@ -24,9 +24,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import decide
-from .exactlin import QMatrix
 from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix,
-                      build_system_matrices, pencil, poly_gcd, poly_lcm, smith_form)
+                      build_system_matrices, poly_gcd, poly_lcm, smith_form)
 from .stability import HurwitzReport, is_hurwitz
 from .system import SystemSextuple
 
@@ -199,10 +198,10 @@ def solve_over_field(sys: SystemSextuple) -> WitnessReport:
     Smith column on which [E F] V fails to vanish.  When a solution exists
     the residual is recomputed exactly and must be the zero matrix.
     """
-    P, _ = build_system_matrices(sys)
+    P, Pe = build_system_matrices(sys)
     dec = smith_form(P)
     r = len(dec.invariant_polys)
-    EF = pencil(QMatrix.zeros(sys.q, P.cols), -QMatrix.hstack([sys.E, sys.F]))
+    EF = PolyMatrix(Pe.rows - P.rows, Pe.cols, Pe.data[P.rows:])
     W = EF @ dec.V
     left_kernel_dim = P.rows - r
 
@@ -245,7 +244,9 @@ def decision_consistency(sys: SystemSextuple) -> bool:
     if report.solvable_over_field and not report.residual_zero:
         return False
     stable = report.solvable_over_field and report.denominator_hurwitz.is_hurwitz
-    # the strong-star certificate carries the strong one: two Smith forms, not four
+    # the strong-star certificate carries the strong one: P is eliminated
+    # here twice (witness, certificate), P_e only as its small remainder
+    # block (polymat.stacked_invariants)
     strong_star = decide.strong_star_functional_detectable(sys)
     strong = strong_star.certificate.strong
     if (strong.rank_condition and strong.zero_condition) != stable:

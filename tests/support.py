@@ -4,8 +4,8 @@ The oracles here deliberately avoid the library's own elimination code:
 ranks come from a plain forward Gaussian elimination, the canonical RREF
 from Gauss-Jordan over Fraction, polynomial arithmetic from Fraction
 coefficient lists, normal ranks from ranks at enough integer points,
-determinants from cofactor expansion, controllability from the Krylov
-matrix, kernel-inclusion witnesses from a matrix product per basis
+determinants from cofactor expansion and from Bareiss elimination,
+controllability from the Krylov matrix, kernel-inclusion witnesses from a matrix product per basis
 column, matrix products and Smith row/column operations term by term
 (one sum of ``Fraction`` or ``Poly`` values per term), root locations
 from numpy's companion-matrix solver,
@@ -249,6 +249,33 @@ def cofactor_det(M: PolyMatrix) -> Poly:
         term = entry * cofactor_det(minor)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
+
+
+def ref_determinant(M: PolyMatrix) -> Poly:
+    """Exact determinant via single-step fraction-free (Bareiss) elimination."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = M.rows
+    if n == 0:
+        return Poly([1])
+    a = [list(row) for row in M.data]
+    sign = 1
+    prev = Poly([1])
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
+        if piv is None:
+            return Poly()
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = num.exact_div(prev)
+            a[i][k] = Poly()
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 def numeric_roots(p: Poly) -> np.ndarray:

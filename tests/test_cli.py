@@ -164,6 +164,23 @@ class TestCmdCheck:
         assert main(["check", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option", [
+        (["check", "stable_pair"], "--out"),
+        (["witness", "stable_pair"], "--out"),
+        (["simulate", "stable_pair", "OBS", "SC"], "--csv"),
+    ])
+    def test_unwritable_output_path(self, tmp_path, capsys, command, option):
+        (tmp_path / "OBS").write_text(json.dumps({"R": [[1, 0]]}))
+        (tmp_path / "SC").write_text(json.dumps(dump_scenario_document(
+            zero_input_scenario([1.0, -2.0], horizon=1.0))))
+        argv = [str(tmp_path / a) if a in ("OBS", "SC") else a for a in command]
+        target = tmp_path / "no" / "such" / "dir" / "x.out"
+        assert main([*argv, option, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: option '{option}':" in err
+        assert "Traceback" not in err
+        assert not target.exists()
+
     @pytest.mark.parametrize("doc, field", [
         ({"A": [["1/0"]]}, "'A'"),
         ({"A": [[0]], "B": [["2/0"]]}, "'B'"),

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from funcobs import decide
+from funcobs import decide, polymat
 from funcobs.exactlin import QMatrix
-from funcobs.polymat import POLY_ONE, Poly
+from funcobs.polymat import (POLY_ONE, Poly, build_system_matrices, rank_and_zero_polynomial,
+                             smith_form)
 from funcobs.system import SystemSextuple
 
 import support
@@ -205,9 +206,16 @@ class TestSympySmithOracle:
     """Normal ranks and zero polynomials in the certificates against sympy's
     Smith normal form over Q[s], on pencils assembled here from the blocks."""
 
-    def test_golden_and_seeded_plants(self):
+    @staticmethod
+    def _plants():
+        rng = random.Random(20260810)
+        plants = [build() for build in support.GOLDEN.values()]
+        return plants + [support.random_system(rng) for _ in range(20)]
+
+    @staticmethod
+    def _sympy_pencils(plant):
+        """P, P_e and the Darouach stack of a plant, built with sympy."""
         sympy = pytest.importorskip("sympy")
-        from sympy.matrices.normalforms import smith_normal_form
         s = sympy.Symbol("s")
         Matrix = sympy.Matrix
 
@@ -215,27 +223,79 @@ class TestSympySmithOracle:
             return Matrix(M.rows, M.cols,
                           [sympy.Rational(x.numerator, x.denominator) for row in M.data for x in row])
 
-        def rank_and_zeros(M):
-            S = smith_normal_form(M, domain=sympy.QQ[s])
-            diag = [S[i, i] for i in range(min(S.shape)) if S[i, i] != 0]
-            prod = sympy.Poly(sympy.Mul(*diag), s).monic()
-            return len(diag), Poly([Fraction(int(c.p), int(c.q))
-                                    for c in reversed(prod.all_coeffs())])
+        A, B, C, D, E, F = (sym(getattr(plant, k)) for k in "ABCDEF")
+        n, m, p, q = plant.n, plant.m, plant.p, plant.q
+        sIA = s * sympy.eye(n) - A
+        P = Matrix.vstack(Matrix.hstack(sIA, -B), Matrix.hstack(C, D))
+        Pe = Matrix.vstack(P, Matrix.hstack(E, F))
+        stacked = Matrix.vstack(Matrix.hstack(E * sIA, -E * B, sympy.zeros(q, m)),
+                                Matrix.hstack(C, D, sympy.zeros(p, m)),
+                                Matrix.hstack(C * A, C * B, D))
+        return P, Pe, stacked
 
-        rng = random.Random(20260810)
-        plants = [build() for build in support.GOLDEN.values()]
-        plants += [support.random_system(rng) for _ in range(20)]
-        for plant in plants:
-            A, B, C, D, E, F = (sym(getattr(plant, k)) for k in "ABCDEF")
-            n, m, p, q = plant.n, plant.m, plant.p, plant.q
-            sIA = s * sympy.eye(n) - A
-            P = Matrix.vstack(Matrix.hstack(sIA, -B), Matrix.hstack(C, D))
-            Pe = Matrix.vstack(P, Matrix.hstack(E, F))
-            stacked = Matrix.vstack(Matrix.hstack(E * sIA, -E * B, sympy.zeros(q, m)),
-                                    Matrix.hstack(C, D, sympy.zeros(p, m)),
-                                    Matrix.hstack(C * A, C * B, D))
+    @staticmethod
+    def _rank_and_zeros(M):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+        s = sympy.Symbol("s")
+        S = smith_normal_form(M, domain=sympy.QQ[s])
+        diag = [S[i, i] for i in range(min(S.shape)) if S[i, i] != 0]
+        prod = sympy.Poly(sympy.Mul(*diag), s).monic()
+        return len(diag), Poly([Fraction(int(c.p), int(c.q))
+                                for c in reversed(prod.all_coeffs())])
+
+    def test_golden_and_seeded_plants(self):
+        for plant in self._plants():
+            P, Pe, stacked = self._sympy_pencils(plant)
             strong = decide.strongly_functional_detectable(plant).certificate
             rank_eq = decide.darouach_fixed_order(plant).certificate.rank_equality
-            assert rank_and_zeros(P) == (strong.normrank_p, strong.zero_poly_p)
-            assert rank_and_zeros(Pe) == (strong.normrank_pe, strong.zero_poly_pe)
-            assert rank_and_zeros(stacked) == (rank_eq.normrank_lhs, rank_eq.zero_poly_lhs)
+            assert self._rank_and_zeros(P) == (strong.normrank_p, strong.zero_poly_p)
+            assert self._rank_and_zeros(Pe) == (strong.normrank_pe, strong.zero_poly_pe)
+            assert self._rank_and_zeros(stacked) == (rank_eq.normrank_lhs, rank_eq.zero_poly_lhs)
+
+    def test_extension_read_from_smith_form_of_p(self):
+        # P_e's rank and zero polynomial in the functional, strong and
+        # strong-star certificates, which never eliminate P_e, against a
+        # direct Smith form of P_e and against sympy
+        for plant in self._plants():
+            certs = {
+                "functional": (plant.known_input_reduction(),
+                               decide.functional_detectable(plant).certificate.reduced),
+                "strong": (plant, decide.strongly_functional_detectable(plant).certificate),
+                "strong_star": (plant,
+                                decide.strong_star_functional_detectable(plant).certificate.strong),
+            }
+            for name, (sys, cert) in certs.items():
+                Pe = build_system_matrices(sys)[1]
+                got = (cert.normrank_pe, cert.zero_poly_pe)
+                assert got == rank_and_zero_polynomial(Pe), name
+                assert got == self._rank_and_zeros(self._sympy_pencils(sys)[1]), name
+
+
+class TestWorkCount:
+    def test_strong_eliminates_p_once(self, monkeypatch):
+        """One full Smith form (of P) per detectability certificate; P_e is
+        reached only through a block of at most r - k + q rows."""
+        calls = []
+
+        def counting(M):
+            dec = smith_form(M)
+            calls.append((M, dec))
+            return dec
+
+        monkeypatch.setattr(decide, "smith_form", counting, raising=False)
+        monkeypatch.setattr(polymat, "smith_form", counting)
+        rng = random.Random(6)
+
+        def block(rows, cols):
+            return [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+
+        plant = SystemSextuple.from_lists(A=block(6, 6), B=block(6, 2), C=block(2, 6),
+                                          D=block(2, 2), E=block(2, 6), F=block(2, 2))
+        decide.strongly_functional_detectable(plant)
+        P = build_system_matrices(plant)[0]
+        assert len(calls) == 2
+        assert calls[0][0] == P
+        invariants = calls[0][1].invariant_polys
+        k = sum(1 for d in invariants if d.degree == 0)
+        assert calls[1][0].rows <= len(invariants) - k + plant.q < P.rows + plant.q

@@ -6,9 +6,10 @@ from hypothesis import example, given, strategies as st
 
 from funcobs.exactlin import QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub,
-                             build_system_matrices, determinant,
+                             build_system_matrices,
                              output_decoupling_zero_polynomial, pencil, poly_gcd,
-                             poly_lcm, rank_and_zero_polynomial, smith_form)
+                             poly_lcm, rank_and_zero_polynomial, smith_form,
+                             stacked_invariants)
 from funcobs.system import SystemSextuple
 
 import support
@@ -315,7 +316,7 @@ class TestSystemMatrices:
 
     def test_integrator_chain_determinant(self):
         P = P_of(support.integrator_chain())
-        det = determinant(P)
+        det = support.ref_determinant(P)
         assert det == Poly([1, 1])
         assert det == support.cofactor_det(P)
 
@@ -323,7 +324,7 @@ class TestSystemMatrices:
         for _ in range(40):
             n = rng.randint(0, 4)
             M = support.random_polymatrix(rng, n, n, max_degree=2)
-            assert determinant(M) == support.cofactor_det(M)
+            assert support.ref_determinant(M) == support.cofactor_det(M)
 
     def test_pencil_entries(self):
         E0 = QMatrix.from_rows([[1, 0], [2, Fraction(1, 2)]])
@@ -389,11 +390,88 @@ class TestSmith:
             M = support.random_polymatrix(rng, 3, 4, max_degree=2)
             dec = smith_form(M)  # internal assert checks U P V == S
             assert len(dec.invariant_polys) == support.ref_normal_rank(M)
-            du, dv = determinant(dec.U), determinant(dec.V)
+            du, dv = support.ref_determinant(dec.U), support.ref_determinant(dec.V)
             assert du.degree == 0 and not du.is_zero()
             assert dv.degree == 0 and not dv.is_zero()
             for a, b in zip(dec.invariant_polys, dec.invariant_polys[1:]):
                 assert a.divides(b)
+
+
+_small_polys = st.lists(_coeffs, max_size=3).map(Poly)
+
+
+@st.composite
+def _stacked_case(draw):
+    """P (r x c) and X (q x c), any of r, c, q zero; now and then a row of P
+    is a polynomial multiple of another, so P is rank deficient."""
+    r, c, q = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    P = [[draw(_small_polys) for _ in range(c)] for _ in range(r)]
+    if r >= 2 and draw(st.booleans()):
+        f = draw(_small_polys)
+        P[1] = [f * x for x in P[0]]
+    X = [[draw(_small_polys) for _ in range(c)] for _ in range(q)]
+    return (PolyMatrix(r, c, tuple(map(tuple, P))),
+            PolyMatrix(q, c, tuple(map(tuple, X))))
+
+
+def _pm(rows, cols):
+    return PolyMatrix.from_rows([[Poly(e) for e in row] for row in rows], cols=cols)
+
+
+_S = [0, 1]  # the polynomial s
+
+_STACKED_CASES = {
+    # [s 1; s^2 s] has rank 1; X lifts it to rank 2
+    "rank_deficient_p": (_pm([[_S, [1]], [[0, 0, 1], _S]], 2), _pm([[[1], []]], 2)),
+    "rank_jump_from_x": (_pm([[_S, []]], 2), _pm([[[], [1]]], 2)),
+    # unimodular P: every invariant is a unit (k = r)
+    "k_equals_r": (_pm([[[1], _S], [[], [1]]], 2), _pm([[_S, [0, 0, 1]]], 2)),
+    # full column rank with unit invariants (c = k): M has no columns
+    "c_equals_k": (_pm([[[1]], [_S]], 1), _pm([[[1, 1]]], 1)),
+    "p_without_rows": (PolyMatrix.zeros(0, 2), _pm([[_S, [1]]], 2)),
+    "p_without_columns": (PolyMatrix.zeros(2, 0), PolyMatrix.zeros(1, 0)),
+    "x_without_rows": (_pm([[_S, [1]], [[], [0, 0, 1]]], 2), PolyMatrix.zeros(0, 2)),
+    # non-unit invariants s | s(s+1), and an X row that meets both
+    "non_unit_invariants": (_pm([[_S, []], [[], [0, 1, 1]]], 2), _pm([[[1], [1]]], 2)),
+    "zero_p": (PolyMatrix.zeros(2, 2), _pm([[[-1, 1], [1]]], 2)),
+}
+
+
+class TestStackedInvariants:
+    """Invariants of [P; X] read off the Smith form of P against a Smith
+    form of the stacked matrix itself."""
+
+    @staticmethod
+    def _check(P, X):
+        got = stacked_invariants(smith_form(P), X)
+        PX = PolyMatrix.vstack([P, X])
+        assert got == smith_form(PX).invariant_polys
+        assert len(got) == support.ref_normal_rank(PX)
+
+    @given(_stacked_case())
+    def test_matches_direct_smith_form(self, case):
+        self._check(*case)
+
+    @pytest.mark.parametrize("name", sorted(_STACKED_CASES))
+    def test_edge_cases(self, name):
+        self._check(*_STACKED_CASES[name])
+
+    def test_system_pencils(self, rng):
+        # P_e = [P; E F] of seeded plants, of plants without input (m = 0)
+        # and without state (n = 0), as built for the decisions
+        plants = [support.random_system(rng) for _ in range(30)]
+        plants += [build() for build in support.GOLDEN.values()]
+        plants += [SystemSextuple.from_lists(A=[[0]], C=[[1]], E=[[1]], m=0),
+                   SystemSextuple.from_lists(A=[], D=[[1]], F=[[1]]),
+                   SystemSextuple.from_lists(A=[], F=[[1]])]
+        for sys in plants:
+            for plant in (sys, sys.known_input_reduction()):
+                P, Pe = build_system_matrices(plant)
+                self._check(P, PolyMatrix(Pe.rows - P.rows, Pe.cols, Pe.data[P.rows:]))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            stacked_invariants(smith_form(PolyMatrix.identity(2)), PolyMatrix.zeros(1, 3))
 
 
 class TestZeroPolynomial:
