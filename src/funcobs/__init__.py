@@ -18,8 +18,7 @@ from .exactlin import QMatrix, Subspace, as_fraction, image_basis, kernel_basis,
 from .geometry import extend, reachable_within, strong_star_inclusion, vstar
 from .markov import kernel_inclusion_upto, toeplitz
 from .polymat import (Poly, PolyMatrix, SmithDecomposition, build_system_matrices,
-                      output_decoupling_zero_polynomial, pencil, poly_gcd, poly_lcm,
-                      rank_and_zero_polynomial, smith_form)
+                      pencil, poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form)
 from .stability import HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
 from .witness import (RationalFunction, RationalFunctionMatrix, WitnessReport,
@@ -43,7 +42,7 @@ __all__ = [
     "QMatrix", "Subspace", "as_fraction", "kernel_basis", "image_basis", "preimage",
     "Poly", "PolyMatrix", "SmithDecomposition", "poly_gcd", "poly_lcm",
     "pencil", "build_system_matrices", "smith_form",
-    "rank_and_zero_polynomial", "output_decoupling_zero_polynomial",
+    "rank_and_zero_polynomial",
     "HurwitzReport", "is_hurwitz", "antistable_parts_equal",
     "SystemSextuple", "extend", "vstar", "reachable_within", "strong_star_inclusion",
     "toeplitz", "kernel_inclusion_upto",

@@ -299,9 +299,8 @@ def cmd_simulate(args) -> int:
 
 
 def _batch_one(path: str) -> tuple[str, int]:
-    ns = argparse.Namespace(system=path, all=True, functional=False, strong=False,
-                            strong_star=False, specialize=[], out=None)
-    return path, cmd_check(ns)
+    # "--" keeps a path that starts with a dash from reading as an option
+    return path, cmd_check(build_parser().parse_args(["check", "--all", "--", path]))
 
 
 def cmd_batch(args) -> int:

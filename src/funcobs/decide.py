@@ -25,8 +25,7 @@ from fractions import Fraction
 
 from . import geometry
 from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
-from .polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices,
-                      output_decoupling_zero_polynomial, pencil, poly_gcd,
+from .polymat import (POLY_ONE, Poly, build_system_matrices, pencil, poly_gcd,
                       rank_and_zero_from_invariants, rank_and_zero_polynomial,
                       smith_form, stacked_invariants)
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
@@ -143,11 +142,10 @@ def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix) -> KernelInclusionCertificate:
 
 
 def _detectability_certificate(sys: SystemSextuple) -> DetectabilityCertificate:
-    P, Pe = build_system_matrices(sys)
+    P, EF = build_system_matrices(sys)
     dec = smith_form(P)
     rp, zp = rank_and_zero_from_invariants(dec.invariant_polys)
     # P_e = [P; E F] is not eliminated: its invariants follow from P's form
-    EF = PolyMatrix(Pe.rows - P.rows, Pe.cols, Pe.data[P.rows:])
     rpe, zpe = rank_and_zero_from_invariants(stacked_invariants(dec, EF))
     cmp_ = antistable_parts_equal(zp, zpe)
     return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
@@ -208,7 +206,9 @@ def hautus_strong_star_detectable(sys: SystemSextuple) -> Verdict:
 
 def _left_invertibility_certificate(sys: SystemSextuple) -> LeftInvertibilityCertificate:
     rp, zp = rank_and_zero_polynomial(build_system_matrices(sys)[0])
-    od = output_decoupling_zero_polynomial(sys)
+    # the P of the input-free plant is [sI - A; C]: its zeros are the
+    # unobservable modes
+    od = rank_and_zero_polynomial(build_system_matrices(sys.known_input_reduction())[0])[1]
     g = poly_gcd(zp, od)
     quotient = zp.exact_div(g).monic()
     rep = is_hurwitz(quotient)

@@ -102,16 +102,22 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return out, pivots
 
 
-class QMatrix:
-    """Immutable dense matrix over exact rationals."""
+class DenseMatrix:
+    """Immutable dense matrix: a tuple of row tuples and its shape.
+
+    The container behind QMatrix, PolyMatrix and RationalFunctionMatrix.
+    A subclass sets its entry coercion ``_entry``, its ``_zero`` and
+    ``_one`` entries and its ``_data_error`` message.
+    """
 
     __slots__ = ("rows", "cols", "data")
+    _data_error = "inconsistent matrix data"
 
-    def __init__(self, rows: int, cols: int, data: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, rows: int, cols: int, data: tuple[tuple, ...]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("inconsistent matrix data")
+            raise ValueError(self._data_error)
         self.rows = rows
         self.cols = cols
         self.data = data
@@ -119,34 +125,28 @@ class QMatrix:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "QMatrix":
-        data = tuple(tuple(as_fraction(x) for x in row) for row in rows)
-        nrows = len(data)
-        if nrows:
-            ncols = len(data[0])
-            if cols is not None and ncols != cols:
-                raise ValueError(f"expected {cols} columns, found {ncols}")
-        elif cols is not None:
-            ncols = cols
-        else:
-            ncols = 0
-        return cls(nrows, ncols, data)
+    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None):
+        entry = cls._entry
+        data = tuple(tuple(entry(x) for x in row) for row in rows)
+        if not data:
+            return cls(0, cols or 0, data)
+        ncols = len(data[0])
+        if cols is not None and ncols != cols:
+            raise ValueError(f"expected {cols} columns, found {ncols}")
+        return cls(len(data), ncols, data)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        zero = Fraction(0)
+    def zeros(cls, rows: int, cols: int):
+        zero = cls._zero
         return cls(rows, cols, tuple(tuple(zero for _ in range(cols)) for _ in range(rows)))
 
     @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+    def identity(cls, n: int):
+        zero, one = cls._zero, cls._one
+        return cls(n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     @classmethod
-    def column_vector(cls, entries: Sequence) -> "QMatrix":
-        return cls.from_rows([[x] for x in entries], cols=1)
-
-    @classmethod
-    def hstack(cls, mats: Sequence["QMatrix"]) -> "QMatrix":
+    def hstack(cls, mats: Sequence["DenseMatrix"]):
         if not mats:
             raise ValueError("hstack needs at least one matrix")
         rows = mats[0].rows
@@ -156,7 +156,7 @@ class QMatrix:
         return cls(rows, sum(m.cols for m in mats), data)
 
     @classmethod
-    def vstack(cls, mats: Sequence["QMatrix"]) -> "QMatrix":
+    def vstack(cls, mats: Sequence["DenseMatrix"]):
         if not mats:
             raise ValueError("vstack needs at least one matrix")
         cols = mats[0].cols
@@ -166,14 +166,49 @@ class QMatrix:
         return cls(sum(m.rows for m in mats), cols, data)
 
     @classmethod
-    def from_blocks(cls, grid: Sequence[Sequence["QMatrix"]]) -> "QMatrix":
+    def from_blocks(cls, grid: Sequence[Sequence["DenseMatrix"]]):
         return cls.vstack([cls.hstack(list(row)) for row in grid])
 
     # -- access ------------------------------------------------------------
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]):
         i, j = key
         return self.data[i][j]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def transpose(self):
+        return type(self)(self.cols, self.rows,
+                          tuple(tuple(self.data[i][j] for i in range(self.rows))
+                                for j in range(self.cols)))
+
+    # -- comparisons ---------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.shape == other.shape
+                and self.data == other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.data))
+
+    def __repr__(self) -> str:
+        body = "; ".join(", ".join(str(x) for x in row) for row in self.data)
+        return f"{type(self).__name__}({self.rows}x{self.cols}: [{body}])"
+
+
+class QMatrix(DenseMatrix):
+    """Immutable dense matrix over exact rationals."""
+
+    __slots__ = ()
+    _entry = staticmethod(as_fraction)
+    _zero = Fraction(0)
+    _one = Fraction(1)
+
+    @classmethod
+    def column_vector(cls, entries: Sequence) -> "QMatrix":
+        return cls.from_rows([[x] for x in entries], cols=1)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -183,10 +218,6 @@ class QMatrix:
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(r) for r in self.data]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -224,11 +255,6 @@ class QMatrix:
                      for a, da in rows)
         return QMatrix(self.rows, other.cols, data)
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       tuple(tuple(self.data[i][j] for i in range(self.rows))
-                             for j in range(self.cols)))
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
@@ -238,19 +264,6 @@ class QMatrix:
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
         rows, pivots = _rref(self.to_lists())
         return QMatrix.from_rows(rows, cols=self.cols), tuple(pivots)
-
-    # -- comparisons ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QMatrix) and self.shape == other.shape
-                and self.data == other.data)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
-        return f"QMatrix({self.rows}x{self.cols}: [{body}])"
 
 
 class Subspace:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactlin import QMatrix, as_fraction
+from .exactlin import DenseMatrix, QMatrix, as_fraction
 from .system import SystemSextuple
 
 
@@ -73,10 +73,10 @@ class Poly:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        return _sum(self, other, 1)
+        return _add_mul(self, POLY_ONE, other)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return _sum(self, other, -1)
+        return _add_mul(self, _POLY_MINUS_ONE, other)
 
     def __neg__(self) -> "Poly":
         return _raw([-c for c in self._num], self._den)
@@ -269,30 +269,9 @@ def _common_den(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
     return [_times(p._num, den // p._den) for p in polys], den
 
 
-def _sum(a: Poly, b: Poly, sign: int) -> Poly:
-    """a + sign * b over the lcm of the two denominators."""
-    x, y = a._num, b._num
-    if not y:
-        return a
-    if not x:
-        return b if sign == 1 else -b
-    da, db = a._den, b._den
-    if da == db:
-        ma, mb, den = 1, sign, da
-    else:
-        g = gcd(da, db)
-        ma, mb = db // g, sign * (da // g)
-        den = da * ma
-    if len(x) < len(y):
-        x, y, ma, mb = y, x, mb, ma
-    out = [c * ma for c in x] if ma != 1 else list(x)
-    for i, c in enumerate(y):
-        out[i] += c * mb
-    return _reduced(out, den)
-
-
 POLY_ZERO = Poly()
 POLY_ONE = Poly([1])
+_POLY_MINUS_ONE = Poly([-1])
 POLY_S = Poly([0, 1])
 
 
@@ -319,55 +298,14 @@ def _as_poly(x) -> Poly:
     return Poly([as_fraction(x)])
 
 
-class PolyMatrix:
+class PolyMatrix(DenseMatrix):
     """Immutable dense matrix of polynomials."""
 
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data: tuple[tuple[Poly, ...], ...]):
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("inconsistent polynomial matrix data")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "PolyMatrix":
-        data = tuple(tuple(_as_poly(x) for x in row) for row in rows)
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else (cols if cols is not None else 0)
-        if nrows and cols is not None and ncols != cols:
-            raise ValueError(f"expected {cols} columns, found {ncols}")
-        return cls(nrows, ncols, data)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls(rows, cols, tuple(tuple(POLY_ZERO for _ in range(cols)) for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls(n, n, tuple(tuple(POLY_ONE if i == j else POLY_ZERO for j in range(n))
-                               for i in range(n)))
-
-    @classmethod
-    def vstack(cls, mats: Sequence["PolyMatrix"]) -> "PolyMatrix":
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValueError("vstack: column count mismatch")
-        return cls(sum(m.rows for m in mats), cols, tuple(r for m in mats for r in m.data))
-
-    def __getitem__(self, key: tuple[int, int]) -> Poly:
-        i, j = key
-        return self.data[i][j]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.cols, self.rows,
-                          tuple(tuple(self.data[i][j] for i in range(self.rows))
-                                for j in range(self.cols)))
+    __slots__ = ()
+    _data_error = "inconsistent polynomial matrix data"
+    _entry = staticmethod(_as_poly)
+    _zero = POLY_ZERO
+    _one = POLY_ONE
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -402,17 +340,6 @@ class PolyMatrix:
         return QMatrix.from_rows([[e.evaluate(as_fraction(s0)) for e in row] for row in self.data],
                                  cols=self.cols)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PolyMatrix) and self.shape == other.shape
-                and self.data == other.data)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
-
-    def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(e) for e in row) for row in self.data)
-        return f"PolyMatrix({self.rows}x{self.cols}: [{body}])"
-
 
 def pencil(E0: QMatrix, A0: QMatrix) -> PolyMatrix:
     """The pencil s E0 - A0 of two constant matrices of one shape."""
@@ -424,13 +351,14 @@ def pencil(E0: QMatrix, A0: QMatrix) -> PolyMatrix:
 
 
 def build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
-    """The system pencil P(s) = [sI-A, -B; C, D] and its extension with [E F]."""
+    """The system pencil P(s) = [sI-A, -B; C, D] and the constant rows
+    [E F] that extend it to P_e = [P; E F]."""
     n, m, p = sys.n, sys.m, sys.p
     P = pencil(QMatrix.from_blocks([[QMatrix.identity(n), QMatrix.zeros(n, m)],
                                     [QMatrix.zeros(p, n + m)]]),
                QMatrix.from_blocks([[sys.A, sys.B], [-sys.C, -sys.D]]))
     EF = pencil(QMatrix.zeros(sys.q, n + m), -QMatrix.hstack([sys.E, sys.F]))
-    return P, PolyMatrix.vstack([P, EF])
+    return P, EF
 
 
 @dataclass(frozen=True)
@@ -611,9 +539,3 @@ def stacked_invariants(dec: SmithDecomposition, X: PolyMatrix) -> tuple[Poly, ..
     M = PolyMatrix(len(diag) + W.rows, c, diag + W.data)
     return invariants[:k] + smith_form(M).invariant_polys
 
-
-def output_decoupling_zero_polynomial(sys: SystemSextuple) -> Poly:
-    """Zero polynomial of [sI - A; C]; roots are the unobservable modes."""
-    n = sys.n
-    E0 = QMatrix.vstack([QMatrix.identity(n), QMatrix.zeros(sys.p, n)])
-    return rank_and_zero_polynomial(pencil(E0, QMatrix.vstack([sys.A, -sys.C])))[1]

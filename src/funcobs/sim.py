@@ -68,53 +68,30 @@ def realize(N: RationalFunctionMatrix) -> StateSpaceRealization:
         raise RealizationError(f"pole polynomial {cls.pole_polynomial} is not Hurwitz "
                                f"({cls.pole_report.failure_reason})")
 
-    g_blocks: list[np.ndarray] = []
-    h_cols: list[tuple[int, int]] = []  # (block offset, block size) per input
-    q_cols: list[np.ndarray] = []
+    dens = [denominator_lcm(N[i, j] for i in range(q)) for j in range(p)]
+    nu_total = sum(den.degree for den in dens)
+    G = np.zeros((nu_total, nu_total))
+    H = np.zeros((nu_total, p))
+    Q = np.zeros((q, nu_total))
     R = np.zeros((q, p))
     offset = 0
-    for j in range(p):
-        den = denominator_lcm(N[i, j] for i in range(q))
+    for j, den in enumerate(dens):
         nu = den.degree
-        for i in range(q):
-            R[i, j] = float(N[i, j].limit_at_infinity())
-        if nu == 0:
-            h_cols.append((offset, 0))
-            q_cols.append(np.zeros((q, 0)))
-            continue
-        comp = np.zeros((nu, nu))
-        for k in range(nu - 1):
-            comp[k, k + 1] = 1.0
-        den_coeffs = den.coeffs
-        for k in range(nu):
-            comp[nu - 1, k] = -float(den_coeffs[k])
-        g_blocks.append(comp)
-        qblock = np.zeros((q, nu))
+        end = offset + nu
+        if nu:
+            # companion block of the monic den, driven through its last state
+            for k in range(offset, end - 1):
+                G[k, k + 1] = 1.0
+            G[end - 1, offset:end] = [-float(c) for c in den.coeffs[:nu]]
+            H[end - 1, j] = 1.0
         for i in range(q):
             entry = N[i, j]
-            scaled_num = entry.num * den.exact_div(entry.den)
-            strict = scaled_num - den.scale(entry.limit_at_infinity())
-            for k, c in enumerate(strict.coeffs):
-                qblock[i, k] = float(c)
-        q_cols.append(qblock)
-        h_cols.append((offset, nu))
-        offset += nu
-
-    nu_total = offset
-    G = np.zeros((nu_total, nu_total))
-    pos = 0
-    for blk in g_blocks:
-        size = blk.shape[0]
-        G[pos:pos + size, pos:pos + size] = blk
-        pos += size
-    H = np.zeros((nu_total, p))
-    for j, (off, size) in enumerate(h_cols):
-        if size:
-            H[off + size - 1, j] = 1.0
-    Q = np.zeros((q, nu_total))
-    for j, ((off, size), qblock) in enumerate(zip(h_cols, q_cols)):
-        if size:
-            Q[:, off:off + size] = qblock
+            limit = entry.limit_at_infinity()
+            R[i, j] = float(limit)
+            strict = entry.num * den.exact_div(entry.den) - den.scale(limit)
+            for k, c in enumerate(strict.coeffs, offset):
+                Q[i, k] = float(c)
+        offset = end
     return StateSpaceRealization(G, H, Q, R)
 
 
@@ -337,16 +314,19 @@ def convergence_metric(traj: Trajectory, threshold: float = 1e-4) -> Convergence
     return ConvergenceReport(final_sup < threshold, final_sup, threshold, tail_start)
 
 
-def suggested_horizon(sys: SystemSextuple, omega: StateSpaceRealization,
-                      fallback: float = 20.0, cap: float = 500.0) -> float:
+HORIZON_FALLBACK = 20.0  # seconds, when the cascade has no usable decay rate
+HORIZON_CAP = 500.0
+
+
+def suggested_horizon(sys: SystemSextuple, omega: StateSpaceRealization) -> float:
     """Heuristic horizon: ten time constants of the cascade's slowest mode
-    (an empty cascade counts as one with abscissa -1); falls back when the
-    spectral abscissa is not usefully negative."""
+    (an empty cascade counts as one with abscissa -1), at most HORIZON_CAP;
+    HORIZON_FALLBACK when the spectral abscissa is not usefully negative."""
     Ac = _cascade_matrix(sys, omega)
     alpha = float(np.linalg.eigvals(Ac).real.max()) if Ac.size else -1.0
     if alpha >= -1e-9:
-        return fallback
-    return min(cap, 10.0 / abs(alpha))
+        return HORIZON_FALLBACK
+    return min(HORIZON_CAP, 10.0 / abs(alpha))
 
 
 def write_csv(traj: Trajectory, path) -> None:

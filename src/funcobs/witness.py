@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import decide
+from .exactlin import DenseMatrix
 from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix,
                       build_system_matrices, poly_gcd, poly_lcm, smith_form)
 from .stability import HurwitzReport, is_hurwitz
@@ -90,34 +90,14 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-class RationalFunctionMatrix:
+class RationalFunctionMatrix(DenseMatrix):
     """Immutable dense matrix of reduced rational functions."""
 
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int,
-                 data: tuple[tuple[RationalFunction, ...], ...]):
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("inconsistent rational matrix data")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[RationalFunction]],
-                  cols: int | None = None) -> "RationalFunctionMatrix":
-        data = tuple(tuple(rows_i) for rows_i in rows)
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else (cols or 0)
-        return cls(nrows, ncols, data)
-
-    def __getitem__(self, key: tuple[int, int]) -> RationalFunction:
-        i, j = key
-        return self.data[i][j]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+    __slots__ = ()
+    _data_error = "inconsistent rational matrix data"
+    _entry = staticmethod(lambda e: e)  # entries are built as RationalFunction
+    _zero = RationalFunction(POLY_ZERO)
+    _one = RationalFunction(POLY_ONE)
 
     def is_proper(self) -> bool:
         return all(e.is_proper() for row in self.data for e in row)
@@ -127,14 +107,6 @@ class RationalFunctionMatrix:
 
     def evaluate(self, x):
         return [[e.evaluate(x) for e in row] for row in self.data]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalFunctionMatrix)
-                and self.shape == other.shape and self.data == other.data)
-
-    def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(e) for e in row) for row in self.data)
-        return f"RationalFunctionMatrix({self.rows}x{self.cols}: [{body}])"
 
 
 def denominator_lcm(entries) -> Poly:
@@ -198,10 +170,9 @@ def solve_over_field(sys: SystemSextuple) -> WitnessReport:
     Smith column on which [E F] V fails to vanish.  When a solution exists
     the residual is recomputed exactly and must be the zero matrix.
     """
-    P, Pe = build_system_matrices(sys)
+    P, EF = build_system_matrices(sys)
     dec = smith_form(P)
     r = len(dec.invariant_polys)
-    EF = PolyMatrix(Pe.rows - P.rows, Pe.cols, Pe.data[P.rows:])
     W = EF @ dec.V
     left_kernel_dim = P.rows - r
 

@@ -13,7 +13,7 @@ from funcobs import decide
 from funcobs.exactlin import QMatrix
 from funcobs.geometry import strong_star_inclusion
 from funcobs.markov import kernel_inclusion_upto
-from funcobs.polymat import (POLY_ONE, Poly, build_system_matrices,
+from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices,
                              rank_and_zero_polynomial, smith_form)
 from funcobs.scenarios import fading_output_scenario
 from funcobs.sim import (Scenario, StateSpaceRealization, convergence_metric,
@@ -53,7 +53,8 @@ def test_criterion_01_feedthrough_gap_verdicts():
 def test_criterion_02_integrator_chain_zero_polynomials():
     t0 = time.perf_counter()
     sys = support.integrator_chain()
-    P, Pe = build_system_matrices(sys)
+    P, EF = build_system_matrices(sys)
+    Pe = PolyMatrix.vstack([P, EF])
     (_, zp), (_, zpe) = rank_and_zero_polynomial(P), rank_and_zero_polynomial(Pe)
     strongly = decide.strongly_functional_detectable(sys)
     star = decide.strong_star_functional_detectable(sys)
@@ -203,7 +204,8 @@ def test_criterion_10_witness_residuals(batch):
     solvable = bad = 0
     for sys in batch:
         rep = solve_over_field(sys)
-        P, Pe = build_system_matrices(sys)
+        P, EF = build_system_matrices(sys)
+        Pe = PolyMatrix.vstack([P, EF])
         if rep.solvable_over_field != (support.ref_normal_rank(P)
                                        == support.ref_normal_rank(Pe)):
             bad += 1

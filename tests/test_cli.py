@@ -467,6 +467,14 @@ class TestCmdBatch:
     def test_empty_directory(self, tmp_path):
         assert main(["batch", str(tmp_path)]) == 2
 
+    def test_path_that_starts_with_a_dash(self, tmp_path, monkeypatch):
+        # each file is checked as `check --all` through the parser, and a
+        # path such as "-plants/x.json" must not read as an option there
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-plants").mkdir()
+        (tmp_path / "-plants" / "stable_pair.json").write_text(bundled_text("stable_pair"))
+        assert main(["batch", "--", "-plants"]) == 0
+
 
 class TestSerialization:
     def test_to_jsonable_handles_certificates(self):

@@ -5,8 +5,8 @@ import pytest
 
 from funcobs import decide, polymat
 from funcobs.exactlin import QMatrix
-from funcobs.polymat import (POLY_ONE, Poly, build_system_matrices, rank_and_zero_polynomial,
-                             smith_form)
+from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices,
+                             rank_and_zero_polynomial, smith_form)
 from funcobs.system import SystemSextuple
 
 import support
@@ -266,7 +266,7 @@ class TestSympySmithOracle:
                                 decide.strong_star_functional_detectable(plant).certificate.strong),
             }
             for name, (sys, cert) in certs.items():
-                Pe = build_system_matrices(sys)[1]
+                Pe = PolyMatrix.vstack(build_system_matrices(sys))
                 got = (cert.normrank_pe, cert.zero_poly_pe)
                 assert got == rank_and_zero_polynomial(Pe), name
                 assert got == self._rank_and_zeros(self._sympy_pencils(sys)[1]), name

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from funcobs.exactlin import (QMatrix, Subspace, _rref, as_fraction, first_escape,
-                              image_basis, kernel_basis, preimage)
+from funcobs.exactlin import (DenseMatrix, QMatrix, Subspace, _rref, as_fraction,
+                              first_escape, image_basis, kernel_basis, preimage)
 from funcobs.geometry import extend
 from funcobs.markov import toeplitz
+from funcobs.polymat import Poly, PolyMatrix
+from funcobs.witness import RationalFunction, RationalFunctionMatrix
 
 import support
 
@@ -54,6 +56,70 @@ class TestQMatrix:
         for _ in range(60):
             M = support.random_qmatrix(rng, rng.randint(0, 5), rng.randint(0, 5))
             assert M.rank() + kernel_basis(M).dim == M.cols
+
+
+# each matrix class with an entry maker and its message for ragged data
+_CONTAINERS = [
+    (QMatrix, Fraction, "inconsistent matrix data"),
+    (PolyMatrix, lambda x: Poly([x, 1]), "inconsistent polynomial matrix data"),
+    (RationalFunctionMatrix, lambda x: RationalFunction(Poly([1]), Poly([x, 1])),
+     "inconsistent rational matrix data"),
+]
+_CONTAINER_IDS = [cls.__name__ for cls, _, _ in _CONTAINERS]
+
+
+@pytest.mark.parametrize("cls, entry, message", _CONTAINERS, ids=_CONTAINER_IDS)
+class TestDenseMatrix:
+    """The container shared by the three matrix classes."""
+
+    @staticmethod
+    def _rows(entry, rows, cols, start=0):
+        return [[entry(start + cols * i + j) for j in range(cols)] for i in range(rows)]
+
+    def test_wrong_column_count_rejected(self, cls, entry, message):
+        with pytest.raises(ValueError, match="^expected 3 columns, found 2$"):
+            cls.from_rows(self._rows(entry, 2, 2), cols=3)
+        assert cls.from_rows([], cols=3).shape == (0, 3)
+
+    def test_ragged_data_rejected(self, cls, entry, message):
+        ragged = [[entry(1), entry(2)], [entry(3)]]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls.from_rows(ragged)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(2, 2, tuple(map(tuple, ragged)))
+
+    def test_operations_keep_the_subclass(self, cls, entry, message):
+        A = cls.from_rows(self._rows(entry, 2, 3))
+        B = cls.from_rows(self._rows(entry, 1, 3, start=6))
+        T = A.transpose()
+        assert type(T) is cls and T.shape == (3, 2) and T[2, 1] == A[1, 2]
+        V = cls.vstack([A, B])
+        assert type(V) is cls and V.shape == (3, 3) and V[2, 0] == B[0, 0]
+        H = cls.hstack([A, A])
+        assert type(H) is cls and H.shape == (2, 6) and H[1, 4] == A[1, 1]
+        grid = cls.from_blocks([[A, cls.zeros(2, 1)], [B, cls.identity(1)]])
+        assert type(grid) is cls and grid.shape == (3, 4)
+        assert grid[2, 3] == cls.identity(1)[0, 0] and grid[0, 3] == cls.zeros(1, 1)[0, 0]
+
+    def test_equal_data_of_another_class_is_unequal(self, cls, entry, message):
+        data = tuple(map(tuple, self._rows(entry, 2, 2)))
+        for other, _, _ in _CONTAINERS:
+            assert (cls(2, 2, data) == other(2, 2, data)) == (other is cls)
+            assert (cls.zeros(0, 2) == other.zeros(0, 2)) == (other is cls)
+        assert cls.zeros(0, 2) != cls.zeros(0, 3)
+
+    def test_equal_matrices_hash_equal(self, cls, entry, message):
+        A = cls.from_rows(self._rows(entry, 2, 2))
+        B = cls.from_rows(self._rows(entry, 2, 2))
+        assert A is not B and A == B and hash(A) == hash(B)
+        assert len({A, B, A.transpose()}) == 2
+
+    def test_container_methods_defined_once(self, cls, entry, message):
+        for name in ("__init__", "from_rows", "zeros", "identity", "hstack", "vstack",
+                     "from_blocks", "__getitem__", "shape", "transpose", "__eq__",
+                     "__hash__", "__repr__"):
+            assert name in DenseMatrix.__dict__ and name not in cls.__dict__, name
+        assert cls.__slots__ == ()
 
 
 class TestKernel:

@@ -80,7 +80,8 @@ class TestSolveOverField:
     def test_solvability_equals_rank_equality(self, rng):
         for _ in range(80):
             sys = support.random_system(rng)
-            P, Pe = build_system_matrices(sys)
+            P, EF = build_system_matrices(sys)
+            Pe = PolyMatrix.vstack([P, EF])
             rep = solve_over_field(sys)
             assert rep.solvable_over_field == (support.ref_normal_rank(P)
                                                == support.ref_normal_rank(Pe))
