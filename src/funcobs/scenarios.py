@@ -38,6 +38,23 @@ def _yddot(t: float) -> float:
             - 4.0 * t * math.sin(tt))
 
 
+def _yddot_grid(npoints: int, dt: float) -> np.ndarray:
+    """y''(_SHIFT + j dt) for j = 0, ..., npoints - 1 as one column.
+
+    Evaluated with numpy one block of ceil(sqrt(npoints)) points at a time,
+    written into the returned array: whole-grid numpy would hold several
+    grid-sized temporaries at once.  Same formula as ``_yddot``.
+    """
+    out = np.empty((npoints, 1))
+    block = math.isqrt(max(npoints - 1, 0)) + 1
+    for lo in range(0, npoints, block):
+        t = _SHIFT + np.arange(lo, min(lo + block, npoints)) * dt
+        tt = t * t
+        sin, cos = np.sin(tt), np.cos(tt)
+        out[lo:lo + block, 0] = 2.0 * sin / (tt * t) - 2.0 * cos / t - 4.0 * t * sin
+    return out
+
+
 def fading_output_scenario(horizon: float = 100.0, step: float = 1e-3,
                            table_step: float = 1e-3) -> Scenario:
     """Scenario driving the two-state chain so that y fades but z = u does not.
@@ -50,13 +67,9 @@ def fading_output_scenario(horizon: float = 100.0, step: float = 1e-3,
     nsamples = int(round(horizon / table_step)) + 1
     # the table is labelled with the grid that is integrated
     times = np.arange(nsamples) * table_step
-    # y'' on the half-step grid, point by point into one array that is freed
-    # before the table is built: whole-array numpy would hold several
-    # grid-sized temporaries at once
-    npoints = 2 * nsamples - 1
+    # y'' on the half-step grid; its array is freed before the table is built
     u = rk4_linear(np.array([[-1.0]]), np.array([[1.0]]), table_step, (0.0,),
-                   np.fromiter((_yddot(_SHIFT + j * (table_step / 2)) for j in range(npoints)),
-                               float, count=npoints)[:, None])[:, 0]
+                   _yddot_grid(2 * nsamples - 1, table_step / 2))[:, 0]
 
     x1 = _ydot(_SHIFT) - u[0]
     x2 = _y(_SHIFT) - x1

@@ -5,13 +5,15 @@ one only illustrates behaviour.  A proper stable transfer matrix N(s) is
 realized in state-space form column by column (companion blocks of each
 column's common denominator), the plant/observer cascade is integrated
 with classical fixed-step fourth-order Runge-Kutta (one precomputed affine
-step map, inputs sampled as arrays on the half-step grid), and the
+step map, inputs sampled as arrays on the half-step grid, and the N-step
+recurrence run as a blocked scan of about 3 sqrt(N) numpy calls), and the
 estimation error is summarised over the final stretch of the horizon.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -169,8 +171,10 @@ class Scenario:
     step: float = 1e-3
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be positive and finite, found {self.step!r}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, found {self.horizon!r}")
         if self.horizon < self.step:
             raise ValueError("horizon must cover at least one step")
 
@@ -212,20 +216,14 @@ def _cascade_matrix(sys: SystemSextuple, omega: StateSpaceRealization) -> np.nda
     return Ac
 
 
-def rk4_linear(A: np.ndarray, B: np.ndarray, h: float, w0: np.ndarray,
-               u_half: np.ndarray) -> np.ndarray:
-    """Classical fixed-step RK4 for w' = A w + B u(t), w(0) = w0.
+def _rk4_step_map(A: np.ndarray, B: np.ndarray, h: float):
+    """(T, S0, S_half, S1) of one RK4 step of w' = A w + B u(t):
+    w+ = T w + S0 u(t) + S_half u(t + h/2) + S1 u(t + h).
 
-    u_half holds u on the half-step grid 0, h/2, h, ..., N h (2N + 1 rows)
-    and the N + 1 states at 0, h, ..., N h are returned.  For a linear
-    field one RK4 step is the affine map
-    w+ = T w + S0 u(t) + S_half u(t + h/2) + S1 u(t + h); [T S0 S_half S1]
-    is the result of the four stages run once on the block matrix [I 0],
-    so the only per-step work left is the recurrence.  A state that is not
-    finite or exceeds the blow-up bound raises StepInstabilityError.
+    [T S0 S_half S1] is the result of the four stages run once on the
+    block matrix [I 0].
     """
     d, m = B.shape
-    nsteps = (len(u_half) - 1) // 2
     W = np.eye(d, d + 3 * m)
     U = np.eye(3 * m, d + 3 * m, d)  # selects u(t), u(t + h/2), u(t + h)
     drive = [B @ U[j * m:(j + 1) * m] for j in range(3)]
@@ -234,17 +232,66 @@ def rk4_linear(A: np.ndarray, B: np.ndarray, h: float, w0: np.ndarray,
     k3 = A @ (W + (h / 2) * k2) + drive[1]
     k4 = A @ (W + h * k3) + drive[2]
     TS = W + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    T = TS[:, :d]
     S0, S_half, S1 = (TS[:, d + j * m:d + (j + 1) * m] for j in range(3))
+    return TS[:, :d], S0, S_half, S1
 
+
+def _affine_scan(T: np.ndarray, w: np.ndarray) -> None:
+    """w[k + 1] += T w[k] for k = 0, ..., N - 1, in place, with about 3 sqrt(N)
+    numpy calls instead of N.
+
+    The N steps are cut into chunks of L = ceil(sqrt(N)) steps.  The
+    zero-start responses of all chunks advance together (L vectorized
+    steps), T^L chains the chunk start states (N / L steps), and T^i times
+    its chunk's start is added at offset i of every chunk.  The powers come
+    from repeated multiplication and L stops before the first non-finite
+    one, so a zero start never meets inf * 0.  With L = 1 this is the plain
+    recurrence, which also runs the steps left after the last full chunk.
+    """
+    nsteps, d = len(w) - 1, w.shape[1]
+    powers = [T]  # powers[i] = T^(i + 1), up to T^ceil(sqrt(N))
+    while len(powers) ** 2 < nsteps:
+        nxt = powers[-1] @ T
+        if not np.isfinite(nxt).all():
+            break
+        powers.append(nxt)
+    L = len(powers)
+    end = nsteps - nsteps % L
+    chunks = w[1:end + 1].reshape(end // L, L, d)  # a view: steps 1..end, one row per chunk
+    for i in range(1, L):
+        chunks[:, i] += chunks[:, i - 1] @ T.T
+    for k in range(L, end + 1, L):
+        w[k] += powers[-1] @ w[k - L]
+    starts = w[:end:L]
+    for i in range(L - 1):
+        chunks[:, i] += starts @ powers[i].T
+    for k in range(end, nsteps):
+        w[k + 1] += T @ w[k]
+
+
+def rk4_linear(A: np.ndarray, B: np.ndarray, h: float, w0: np.ndarray,
+               u_half: np.ndarray) -> np.ndarray:
+    """Classical fixed-step RK4 for w' = A w + B u(t), w(0) = w0.
+
+    u_half holds u on the half-step grid 0, h/2, h, ..., N h (2N + 1 rows)
+    and the N + 1 states at 0, h, ..., N h are returned.  For a linear
+    field one RK4 step is the affine map
+    w+ = T w + S0 u(t) + S_half u(t + h/2) + S1 u(t + h), precomputed once;
+    the input terms of all steps are one matrix product each, and the
+    recurrence in T runs as a blocked scan (``_affine_scan``) with no
+    per-step Python loop.  A state that is not finite or exceeds the
+    blow-up bound raises StepInstabilityError naming the first such step.
+    """
+    d = B.shape[0]
+    T, S0, S_half, S1 = _rk4_step_map(A, B, h)
+    nsteps = (len(u_half) - 1) // 2
     w = np.empty((nsteps + 1, d))
     w[0] = w0
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
         w[1:] = u_half[:-1:2] @ S0.T
         w[1:] += u_half[1::2] @ S_half.T
         w[1:] += u_half[2::2] @ S1.T
-        for k in range(nsteps):
-            w[k + 1] += T @ w[k]
+        _affine_scan(T, w)
     blown = ~(np.abs(w[1:]) <= _BLOWUP).all(axis=1)
     if blown.any():
         raise StepInstabilityError(
@@ -344,11 +391,7 @@ def write_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for k in range(len(traj.t)):
-            row = ([repr(float(traj.t[k]))]
-                   + [repr(float(v)) for v in traj.x[k]]
-                   + [repr(float(v)) for v in traj.xi[k]]
-                   + [repr(float(v)) for v in traj.z[k]]
-                   + [repr(float(v)) for v in traj.zhat[k]]
-                   + [repr(float(v)) for v in traj.e[k]])
-            writer.writerow(row)
+        # one row of Python floats at a time: a whole-table tolist() would
+        # hold every value as an object at once
+        for row in np.column_stack([traj.t, traj.x, traj.xi, traj.z, traj.zhat, traj.e]):
+            writer.writerow([repr(v) for v in row.tolist()])

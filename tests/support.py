@@ -10,11 +10,13 @@ column, matrix products and Smith row/column operations term by term
 (one sum of ``Fraction`` or ``Poly`` values per term), root locations
 from numpy's companion-matrix solver,
 trajectories from a stage-by-stage RK4 loop fed by scalar input
-evaluation.
+evaluation, the affine RK4 recurrence from one matrix-vector product per
+step, trajectory CSV rows formatted value by value.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from fractions import Fraction
@@ -423,3 +425,30 @@ def ref_rk4(A: np.ndarray, B: np.ndarray, u_of, w0, h: float, nsteps: int) -> np
         w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         states.append(w)
     return np.array(states)
+
+
+def ref_recurrence(T: np.ndarray, w: np.ndarray) -> None:
+    """w[k + 1] += T w[k] for k = 0, ..., len(w) - 2, in place: one
+    matrix-vector product per step."""
+    for k in range(len(w) - 1):
+        w[k + 1] += T @ w[k]
+
+
+def ref_write_csv(traj, path) -> None:
+    """Trajectory CSV with every row built list by list from repr of each
+    float; the header is the one ``sim.write_csv`` documents."""
+    n, nu, q = traj.x.shape[1], traj.xi.shape[1], traj.z.shape[1]
+    header = (["t"] + [f"x_{i+1}" for i in range(n)] + [f"xi_{i+1}" for i in range(nu)]
+              + [f"z_{i+1}" for i in range(q)] + [f"zhat_{i+1}" for i in range(q)]
+              + [f"e_{i+1}" for i in range(q)])
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for k in range(len(traj.t)):
+            row = ([repr(float(traj.t[k]))]
+                   + [repr(float(v)) for v in traj.x[k]]
+                   + [repr(float(v)) for v in traj.xi[k]]
+                   + [repr(float(v)) for v in traj.z[k]]
+                   + [repr(float(v)) for v in traj.zhat[k]]
+                   + [repr(float(v)) for v in traj.e[k]])
+            writer.writerow(row)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from funcobs.polymat import Poly
-from funcobs.scenarios import _yddot, fading_output_scenario, zero_input_scenario
+from funcobs.scenarios import (_yddot, _yddot_grid, fading_output_scenario,
+                               zero_input_scenario)
 from funcobs.sim import (InputSignal, RealizationError, Scenario,
                          StateSpaceRealization, StepInstabilityError,
-                         convergence_metric, realize, simulate,
-                         suggested_horizon, write_csv)
+                         _rk4_step_map, convergence_metric, realize, rk4_linear,
+                         simulate, suggested_horizon, write_csv)
 from funcobs.system import SystemSextuple
 from funcobs.witness import RationalFunction, RationalFunctionMatrix
 
@@ -258,6 +259,70 @@ class TestAgainstStagewiseRK4:
             assert np.allclose(traj.t, sc.step * np.arange(301), rtol=0, atol=1e-12)
 
 
+def loop_rk4(A, B, h, w0, u_half):
+    """rk4_linear with the recurrence run step by step (support.ref_recurrence)."""
+    T, S0, S_half, S1 = _rk4_step_map(A, B, h)
+    w = np.empty(((len(u_half) - 1) // 2 + 1, A.shape[0]))
+    w[0] = w0
+    w[1:] = u_half[:-1:2] @ S0.T + u_half[1::2] @ S_half.T + u_half[2::2] @ S1.T
+    support.ref_recurrence(T, w)
+    return w
+
+
+def assert_matches_loop(got, ref):
+    # per state, relative to the larger of 1 and its largest component
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=1))
+    assert got.shape == ref.shape
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * scale)
+
+
+class TestBlockedScan:
+    """The chunked recurrence in rk4_linear against the step-by-step loop."""
+
+    @pytest.mark.parametrize("nsteps", [0, 1, 2, 3, 15, 16, 17, 99, 100, 101, 1009])
+    @pytest.mark.parametrize("kind", ["stable", "marginal", "unstable"])
+    def test_matches_step_by_step_recurrence(self, nsteps, kind):
+        nrng = np.random.default_rng(nsteps)
+        for d in (1, 2, 6):
+            if kind == "stable":
+                A = nrng.uniform(-0.5, 0.5, (d, d)) - 2.0 * np.eye(d)
+            elif kind == "marginal":  # integrator chain
+                A = np.eye(d, k=-1)
+            else:  # trace > 0, so a mode grows; real parts <= 2 (Gershgorin): no blow-up by t = 5
+                A = nrng.uniform(-0.25, 0.25, (d, d)) + 0.5 * np.eye(d)
+            B = nrng.uniform(-1, 1, (d, 2))
+            u_half = nrng.uniform(-1, 1, (2 * nsteps + 1, 2))
+            w0 = nrng.uniform(-1, 1, d)
+            assert_matches_loop(rk4_linear(A, B, 5e-3, w0, u_half),
+                                loop_rk4(A, B, 5e-3, w0, u_half))
+
+    def test_zero_state_stays_zero_under_step_unstable_mode(self):
+        # h * a = -1000: T = 4.1e10 and T^32 = T^ceil(sqrt(1000)) overflows;
+        # an unguarded chunk start would meet inf * 0
+        T = _rk4_step_map(np.array([[-1e6]]), np.zeros((1, 0)), 1e-3)[0]
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.linalg.matrix_power(T, 32)).all()
+        sys = SystemSextuple.from_lists(A=[[-10**6]], C=[[1]], E=[[1]], m=0)
+        omega = StateSpaceRealization.static_gain([[0.0]])
+        traj = simulate(sys, omega, zero_input_scenario([0.0], horizon=1.0, step=1e-3))
+        assert len(traj.t) == 1001 and not traj.x.any()
+
+    def test_unexcited_step_unstable_mode_matches_loop(self):
+        A = np.diag([-1e6, -1.0])
+        B, u_half = np.zeros((2, 0)), np.zeros((2001, 0))
+        got = rk4_linear(A, B, 1e-3, (0.0, 1.0), u_half)
+        assert not got[:, 0].any()
+        assert_matches_loop(got, loop_rk4(A, B, 1e-3, (0.0, 1.0), u_half))
+
+    def test_blow_up_in_a_later_chunk_reports_its_step(self):
+        # e^(5t) first exceeds 1e12 at step 5527 of 10000, in chunk 55 of 100
+        sys = SystemSextuple.from_lists(A=[[5]], C=[[1]], E=[[1]], m=0)
+        omega = StateSpaceRealization.static_gain([[0.0]])
+        sc = zero_input_scenario([1.0], horizon=10.0, step=1e-3)
+        with pytest.raises(StepInstabilityError, match=r"exceeded 1e\+12 at t = 5\.527;"):
+            simulate(sys, omega, sc)
+
+
 class TestSemanticsLink:
     def test_true_observer_converges_for_random_conditions(self, rng):
         # (s+1)/(s+2) is an exact estimator for the feedthrough demo plant:
@@ -327,6 +392,15 @@ class TestScenarioHelpers:
         got = np.array(sc.input_signal.values)
         assert np.max(np.abs(got - ref)) < 1e-10
 
+    def test_blockwise_yddot_matches_scalar(self):
+        # the half-step grid of horizon 1.0005 at table step 1e-3: 2001
+        # points, not a multiple of the 45-point block
+        npoints = 2 * (int(round(1.0005 / 1e-3)) + 1) - 1
+        assert npoints % (math.isqrt(npoints - 1) + 1) != 0
+        got = _yddot_grid(npoints, 5e-4)[:, 0]
+        want = np.array([_yddot(1.0 + j * 5e-4) for j in range(npoints)])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
     def test_suggested_horizon_stable(self):
         sys = SystemSextuple.from_lists(A=[[-1]], B=[[1]], C=[[1]], D=[[0]],
                                         E=[[1]], F=[[0]])
@@ -351,6 +425,13 @@ class TestScenarioHelpers:
         with pytest.raises(ValueError):
             Scenario(x0=(), xi0=(), horizon=0.5, step=1.0)
 
+    @pytest.mark.parametrize("field, value", [("step", math.nan), ("step", math.inf),
+                                              ("horizon", math.nan), ("horizon", math.inf)])
+    def test_scenario_rejects_non_finite(self, field, value):
+        kwargs = {"horizon": 1.0, "step": 1e-3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            Scenario(x0=(), xi0=(), **kwargs)
+
 
 class TestCsvExport:
     def test_header_and_roundtrip(self, tmp_path):
@@ -372,3 +453,18 @@ class TestCsvExport:
         parsed = [float(v) for v in rows[k]]
         assert parsed[0] == pytest.approx(traj.t[k - 1])
         assert parsed[-1] == pytest.approx(traj.e[k - 1, 0])
+
+    @pytest.mark.parametrize("xi0", [(), (0.5, -0.25, 1.0)])
+    def test_bytes_match_row_by_row_formatting(self, tmp_path, xi0):
+        sys = support.stable_pair()
+        if xi0:
+            N = RationalFunctionMatrix.from_rows([[rf((1,), (1, 1)), rf((1,), (2, 3, 1))]])
+            omega = realize(N)
+        else:
+            omega = StateSpaceRealization.static_gain([[0.5, 0.25]])
+        assert omega.order == len(xi0)
+        traj = simulate(sys, omega, zero_input_scenario([1.0, -2.0], xi0=xi0,
+                                                        horizon=2.0, step=0.01))
+        write_csv(traj, tmp_path / "got.csv")
+        support.ref_write_csv(traj, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
