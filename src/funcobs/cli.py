@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +28,7 @@ from pathlib import Path
 from . import decide, witness
 from .corpus import bundled_names, bundled_text
 from .fileio import (SCHEMA_VERSION, SystemFileError, load_observer_file,
-                     load_scenario_file, load_system_text, to_jsonable)
+                     load_scenario_file, load_system_text, read_text, to_jsonable)
 from .markov import kernel_inclusion_upto
 from .system import SystemSextuple
 from .witness import RationalFunctionMatrix
@@ -40,7 +41,7 @@ EXIT_ERROR = 2
 def _read_system(path: str) -> tuple[SystemSextuple, dict]:
     p = Path(path)
     if p.exists():
-        text = p.read_text(encoding="utf-8")
+        text = read_text(p)
     else:
         stem = p.stem if p.suffix == ".json" else path
         try:
@@ -72,6 +73,18 @@ _EXPECTED_KEYS = {
     "left_invertible_star": decide.LEFT_INVERTIBLE_STAR,
     "darouach": decide.DAROUACH,
 }
+
+
+def _positive(convert):
+    """An argparse type for a finite value above zero: anything else exits 2
+    naming the option."""
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
 
 
 def _write_output(option: str, write) -> bool:
@@ -357,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("observer", help="observer file (N or G/H/Q/R)")
     p_sim.add_argument("scenario", help="scenario file")
     p_sim.add_argument("--csv", help="trajectory CSV output path")
-    p_sim.add_argument("--threshold", type=float, default=1e-4,
+    p_sim.add_argument("--threshold", type=_positive(float), default=1e-4,
                        help="decay threshold on the tail sup of |e| (default 1e-4)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_batch = sub.add_parser("batch", help="check every system file in a directory")
     p_batch.add_argument("directory")
-    p_batch.add_argument("--jobs", type=int, default=1)
+    p_batch.add_argument("--jobs", type=_positive(int), default=1)
     p_batch.set_defaults(func=cmd_batch)
     return parser
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from . import geometry
 from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
+from .markov import toeplitz
 from .polymat import (POLY_ONE, Poly, build_system_matrices, pencil, poly_gcd,
                       rank_and_zero_from_invariants, rank_and_zero_polynomial,
                       smith_form, stacked_invariants)
@@ -188,17 +189,11 @@ def hautus_strong_detectable(sys: SystemSextuple) -> Verdict:
 
 def hautus_strong_star_detectable(sys: SystemSextuple) -> Verdict:
     """State reconstruction from a fading measurement: the strong test plus
-    Ker [D 0; CB D] inside Ker [0 0; B 0]."""
+    Ker [D 0; CB D] inside Ker [0 0; B 0], the first-order Toeplitz
+    matrices of (C, D) and (I, 0)."""
     strong = hautus_strong_detectable(sys)
-    n, m, p = sys.n, sys.m, sys.p
-    lhs = QMatrix.from_blocks([
-        [sys.D, QMatrix.zeros(p, m)],
-        [sys.C @ sys.B, sys.D],
-    ])
-    rhs = QMatrix.from_blocks([
-        [QMatrix.zeros(n, m), QMatrix.zeros(n, m)],
-        [sys.B, QMatrix.zeros(n, m)],
-    ])
+    lhs = toeplitz(sys.A, sys.B, sys.C, sys.D, 1).M
+    rhs = toeplitz(sys.A, sys.B, QMatrix.identity(sys.n), QMatrix.zeros(sys.n, sys.m), 1).M
     kernel = _kernel_inclusion(lhs, rhs)
     cert = HautusStarCertificate(strong.certificate, kernel)
     return Verdict(HAUTUS_STRONG_STAR, strong.holds and kernel.holds, cert)

@@ -2,9 +2,11 @@
 
 Dense matrices over arbitrary-precision rationals (``fractions.Fraction``)
 plus canonical subspace arithmetic: kernels, images, sums, intersections,
-preimages and inclusion tests.  Everything in this module is exact; no
-floating point is used anywhere.  Matrices with zero rows or zero columns
-are first-class citizens (plants without inputs need them).
+preimages and inclusion tests.  A subspace is held as the nonzero rows of
+its reduced row echelon form, the form elimination produces, so no
+operation transposes or re-coerces its data.  Everything in this module is
+exact; no floating point is used anywhere.  Matrices with zero rows or
+zero columns are first-class citizens (plants without inputs need them).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-Rational = Fraction
 _ZERO = Fraction(0)
 
 
@@ -84,7 +85,7 @@ def _integer_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
     return mat, pivots
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q with pivot columns.
 
     Eliminates on integers and divides by the pivots only when the rows are
@@ -267,81 +268,75 @@ class QMatrix(DenseMatrix):
 
 
 class Subspace:
-    """Linear subspace of Q^d held by a canonical basis matrix.
+    """Linear subspace of Q^d held by its canonical rows.
 
-    The basis is the transpose of the reduced row echelon form of any
-    spanning set, so two equal subspaces always carry bit-identical basis
-    matrices: columns have unit pivot entries at strictly increasing row
-    indices and zeros elsewhere in the pivot rows.
+    ``rows`` are the nonzero rows of the reduced row echelon form of any
+    spanning set, so two equal subspaces always carry bit-identical rows:
+    unit pivot entries in strictly increasing columns, and zeros elsewhere
+    in the pivot columns.  ``basis`` shows them as the columns of a matrix.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim: int, basis: QMatrix):
-        if basis.rows != ambient_dim:
+    def __init__(self, ambient_dim: int, rows: tuple[tuple[Fraction, ...], ...]):
+        if any(len(r) != ambient_dim for r in rows):
             raise ValueError("basis ambient dimension mismatch")
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         rows = [[as_fraction(x) for x in v] for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("spanning vector of wrong length")
-        reduced, _ = _rref(rows)
-        reduced = [r for r in reduced if any(x != 0 for x in r)]
-        basis = QMatrix.from_rows(reduced, cols=ambient_dim).transpose()
-        return cls(ambient_dim, basis)
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("spanning vector of wrong length")
+        reduced, pivots = _rref(rows)
+        return cls(ambient_dim, tuple(tuple(r) for r in reduced[:len(pivots)]))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls.span(ambient_dim, [])
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, QMatrix.identity(ambient_dim))
+        return cls(ambient_dim, QMatrix.identity(ambient_dim).data)
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.rows)
+
+    @property
+    def basis(self) -> QMatrix:
+        return QMatrix(self.dim, self.ambient_dim, self.rows).transpose()
 
     def contains(self, vector: Sequence) -> bool:
-        v = [as_fraction(x) for x in vector]
+        v = tuple(as_fraction(x) for x in vector)
         if len(v) != self.ambient_dim:
             raise ValueError("vector of wrong length")
-        stacked = QMatrix.hstack([self.basis, QMatrix.column_vector(v)])
-        return stacked.rank() == self.dim
+        return QMatrix(self.dim + 1, self.ambient_dim, self.rows + (v,)).rank() == self.dim
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        if self.dim == 0:
-            return True
-        stacked = QMatrix.hstack([other.basis, self.basis])
-        return stacked.rank() == other.dim
+        stacked = QMatrix(other.dim + self.dim, self.ambient_dim, other.rows + self.rows)
+        return self.dim == 0 or stacked.rank() == other.dim
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(self.ambient_dim, self.basis.columns() + other.basis.columns())
+        return Subspace.span(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the Zassenhaus block trick."""
+        """Intersection via the Zassenhaus block trick: the right halves of
+        the RREF rows of [v v; w 0] that pivot there.  RREF clears every
+        pivot column, so they are the canonical rows already."""
         self._check_ambient(other)
         d = self.ambient_dim
-        rows: list[list[Fraction]] = []
-        for v in self.basis.columns():
-            rows.append(list(v) + list(v))
-        for w in other.basis.columns():
-            rows.append(list(w) + [Fraction(0)] * d)
-        reduced, _ = _rref(rows)
-        inter = [r[d:] for r in reduced
-                 if all(x == 0 for x in r[:d]) and any(x != 0 for x in r[d:])]
-        return Subspace.span(d, inter)
+        zeros = (_ZERO,) * d
+        reduced, pivots = _rref([v + v for v in self.rows] + [w + zeros for w in other.rows])
+        return Subspace(d, tuple(tuple(r[d:]) for r, p in zip(reduced, pivots) if p >= d))
 
     def annihilator_matrix(self) -> QMatrix:
         """Matrix whose rows span the functionals vanishing on this subspace."""
-        ker = kernel_basis(self.basis.transpose())
-        return ker.basis.transpose()
+        ker = kernel_basis(QMatrix(self.dim, self.ambient_dim, self.rows))
+        return QMatrix(ker.dim, self.ambient_dim, ker.rows)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -350,10 +345,10 @@ class Subspace:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -361,12 +356,12 @@ class Subspace:
 
 def kernel_basis(M: QMatrix) -> Subspace:
     """Canonical basis of {v : M v = 0}."""
-    reduced, pivots = _rref(M.to_lists())
+    reduced, pivots = _rref(M.data)
     pivot_set = set(pivots)
     free = [c for c in range(M.cols) if c not in pivot_set]
     vectors = []
     for f in free:
-        v = [Fraction(0)] * M.cols
+        v = [_ZERO] * M.cols
         v[f] = Fraction(1)
         for idx, p in enumerate(pivots):
             v[p] = -reduced[idx][f]
@@ -382,7 +377,7 @@ def first_escape(V: Subspace, M: QMatrix) -> tuple[Fraction, ...] | None:
     """
     if M.cols != V.ambient_dim:
         raise ValueError("first_escape: column count must match ambient dimension")
-    for vec in V.basis.columns():
+    for vec in V.rows:
         if any(sum(a * b for a, b in zip(row, vec)) for row in M.data):
             return vec
     return None

@@ -13,10 +13,11 @@ import math
 import sys as _sys
 from dataclasses import is_dataclass, fields
 from fractions import Fraction
+from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .exactlin import QMatrix, Subspace, as_fraction
-from .polymat import Poly, PolyMatrix
+from .exactlin import DenseMatrix, Subspace, as_fraction
+from .polymat import Poly
 from .system import SystemSextuple
 from .witness import RationalFunction, RationalFunctionMatrix
 
@@ -32,9 +33,23 @@ class SystemFileError(ValueError):
     """Malformed input document; the message names the offending field."""
 
 
-def _exact_loads(text: str):
-    # parse_float receives the raw literal, so "0.1" becomes 1/10 exactly
-    return json.loads(text, parse_float=Fraction)
+def read_text(path) -> str:
+    """The UTF-8 text of an input file.  A file that cannot be opened or
+    decoded (missing, a directory, not UTF-8) is a SystemFileError naming
+    the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemFileError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _loads(text: str, parse_float=Fraction):
+    """Parse a JSON document.  parse_float receives the raw literal, so by
+    default "0.1" becomes 1/10 exactly."""
+    try:
+        return json.loads(text, parse_float=parse_float)
+    except json.JSONDecodeError as exc:
+        raise SystemFileError(f"not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
 _PLANT_FIELDS = ("A", "B", "C", "D", "E", "F", "m")
@@ -56,15 +71,7 @@ def parse_system_document(doc: dict) -> tuple[SystemSextuple, dict]:
 
 
 def load_system_text(text: str) -> tuple[SystemSextuple, dict]:
-    try:
-        doc = _exact_loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemFileError(f"not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return parse_system_document(doc)
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
+    return parse_system_document(_loads(text))
 
 
 def dump_system_document(sys: SystemSextuple, meta: dict | None = None) -> dict:
@@ -73,19 +80,19 @@ def dump_system_document(sys: SystemSextuple, meta: dict | None = None) -> dict:
     for key in ("name", "description"):
         if key in meta:
             doc[key] = meta[key]
-    doc["A"] = [[_fraction_str(x) for x in row] for row in sys.A.data]
+    doc["A"] = [[str(x) for x in row] for row in sys.A.data]
     if sys.m:
-        doc["B"] = [[_fraction_str(x) for x in row] for row in sys.B.data]
+        doc["B"] = [[str(x) for x in row] for row in sys.B.data]
     else:
         doc["m"] = 0
     if sys.p:
-        doc["C"] = [[_fraction_str(x) for x in row] for row in sys.C.data]
+        doc["C"] = [[str(x) for x in row] for row in sys.C.data]
         if sys.m:
-            doc["D"] = [[_fraction_str(x) for x in row] for row in sys.D.data]
+            doc["D"] = [[str(x) for x in row] for row in sys.D.data]
     if sys.q:
-        doc["E"] = [[_fraction_str(x) for x in row] for row in sys.E.data]
+        doc["E"] = [[str(x) for x in row] for row in sys.E.data]
         if sys.m:
-            doc["F"] = [[_fraction_str(x) for x in row] for row in sys.F.data]
+            doc["F"] = [[str(x) for x in row] for row in sys.F.data]
     for key, value in meta.items():
         if key not in doc:
             doc[key] = value
@@ -176,11 +183,7 @@ def _scenario_field(doc: dict, field: str, convert, default):
 def load_scenario_file(path, horizon_fallback: float | None = None) -> Scenario:
     """Parse a scenario file; a missing horizon falls back to the supplied
     value (e.g. a spectral-abscissa-based suggestion) when one is given."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SystemFileError(f"not valid JSON: {exc.msg} (line {exc.lineno})") from exc
+    doc = _loads(read_text(path), float)
     if isinstance(doc, dict) and "horizon" not in doc and horizon_fallback is not None:
         doc = {**doc, "horizon": horizon_fallback}
     return parse_scenario_document(doc)
@@ -251,12 +254,7 @@ def parse_observer_document(doc: dict) -> StateSpaceRealization | RationalFuncti
 
 
 def load_observer_file(path) -> StateSpaceRealization | RationalFunctionMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = _exact_loads(fh.read())
-        except json.JSONDecodeError as exc:
-            raise SystemFileError(f"not valid JSON: {exc.msg} (line {exc.lineno})") from exc
-    return parse_observer_document(doc)
+    return parse_observer_document(_loads(read_text(path)))
 
 
 # -- report serialization ------------------------------------------------------
@@ -269,26 +267,19 @@ def to_jsonable(obj) -> Any:
     if isinstance(obj, float):
         return obj
     if isinstance(obj, Fraction):
-        return _fraction_str(obj)
+        return str(obj)
     if isinstance(obj, Poly):
-        return {"coeffs": [_fraction_str(c) for c in obj.coeffs], "text": str(obj)}
+        return {"coeffs": [str(c) for c in obj.coeffs], "text": str(obj)}
     if isinstance(obj, RationalFunction):
-        return {"num": [_fraction_str(c) for c in obj.num.coeffs],
-                "den": [_fraction_str(c) for c in obj.den.coeffs],
+        return {"num": [str(c) for c in obj.num.coeffs],
+                "den": [str(c) for c in obj.den.coeffs],
                 "text": str(obj)}
-    if isinstance(obj, QMatrix):
-        return {"rows": obj.rows, "cols": obj.cols,
-                "entries": [[_fraction_str(x) for x in row] for row in obj.data]}
-    if isinstance(obj, PolyMatrix):
-        return {"rows": obj.rows, "cols": obj.cols,
-                "entries": [[str(e) for e in row] for row in obj.data]}
-    if isinstance(obj, RationalFunctionMatrix):
+    if isinstance(obj, DenseMatrix):
         return {"rows": obj.rows, "cols": obj.cols,
                 "entries": [[to_jsonable(e) for e in row] for row in obj.data]}
     if isinstance(obj, Subspace):
         return {"ambient_dim": obj.ambient_dim, "dim": obj.dim,
-                "basis_columns": [[_fraction_str(x) for x in col]
-                                  for col in obj.basis.columns()]}
+                "basis_columns": [[str(x) for x in row] for row in obj.rows]}
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, (list, tuple)):

@@ -29,11 +29,10 @@ def toeplitz(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix, k: int) -> Toeplitz
     if k < 0:
         raise ValueError("k must be nonnegative")
     p, m = D.shape
-    markov = []
-    power = QMatrix.identity(A.rows)
-    for _ in range(k):
-        markov.append(C @ power @ B)
-        power = A @ power
+    c_powers = [C]  # C A^i for i < k
+    for _ in range(1, k):
+        c_powers.append(c_powers[-1] @ A)
+    markov = [ca @ B for ca in c_powers[:k]]
     zero = QMatrix.zeros(p, m)
     grid = []
     for i in range(k + 1):

@@ -272,7 +272,6 @@ def _common_den(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
 POLY_ZERO = Poly()
 POLY_ONE = Poly([1])
 _POLY_MINUS_ONE = Poly([-1])
-POLY_S = Poly([0, 1])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

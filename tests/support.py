@@ -161,6 +161,20 @@ def ref_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows, pivots
 
 
+def ref_kernel(d: int, rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Vectors spanning {x in Q^d : r . x = 0 for every row r}, one per free
+    column of the Gauss-Jordan oracle."""
+    reduced, pivots = ref_rref(rows)
+    vectors = []
+    for f in (c for c in range(d) if c not in pivots):
+        v = [Fraction(0)] * d
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        vectors.append(v)
+    return vectors
+
+
 def ref_qmatmul(A: QMatrix, B: QMatrix) -> QMatrix:
     """Product with a running ``Fraction`` sum per term."""
     cols = [B.column(j) for j in range(B.cols)]

@@ -476,6 +476,88 @@ class TestCmdBatch:
         assert main(["batch", "--", "-plants"]) == 0
 
 
+def _unreadable(tmp_path, kind: str) -> Path:
+    """A path that cannot be read as UTF-8 text: missing, a directory, or bytes."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+class TestUnreadableInput:
+    """A file that cannot be opened or decoded exits 2 and names its path."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        obs, sc = tmp_path / "obs.json", tmp_path / "sc.json"
+        obs.write_text(json.dumps({"R": [[1, 0]]}))
+        sc.write_text(json.dumps(dump_scenario_document(
+            zero_input_scenario([1.0, -2.0], horizon=1.0))))
+        return {"system": "stable_pair", "observer": str(obs), "scenario": str(sc)}
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    @pytest.mark.parametrize("command, role", [
+        ("check", "system"), ("witness", "system"), ("simulate", "system"),
+        ("simulate", "observer"), ("simulate", "scenario"),
+    ])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, files, command, role, kind):
+        bad = str(_unreadable(tmp_path, kind))
+        argv = {**files, role: bad}
+        roles = ["system", "observer", "scenario"] if command == "simulate" else ["system"]
+        assert main([command, *(argv[r] for r in roles)]) == 2
+        err = capsys.readouterr().err
+        # a missing system path is first looked up as a bundled name
+        assert bad in err and "Traceback" not in err
+
+    def test_batch_reports_the_bad_file(self, tmp_path, capsys):
+        _unreadable(tmp_path, "binary")
+        (tmp_path / "stable_pair.json").write_text(bundled_text("stable_pair"))
+        assert main(["batch", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "binary.json: exit 2" in captured.out
+        assert "stable_pair.json: ok" in captured.out
+        assert "binary.json" in captured.err and "Traceback" not in captured.err
+
+
+class TestOptionValues:
+    @pytest.fixture
+    def simulate_argv(self, tmp_path):
+        obs, sc = tmp_path / "obs.json", tmp_path / "sc.json"
+        obs.write_text(json.dumps({"R": [[1, 0]]}))
+        sc.write_text(json.dumps(dump_scenario_document(
+            zero_input_scenario([1.0, -2.0], horizon=1.0))))
+        return ["simulate", "stable_pair", str(obs), str(sc)]
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_threshold_must_be_positive_and_finite(self, capsys, simulate_argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*simulate_argv, "--threshold", value])
+        assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+
+    def test_threshold_default_and_valid_value(self, capsys, simulate_argv):
+        assert main(simulate_argv) == 0
+        assert "threshold 0.0001" in capsys.readouterr().out
+        assert main([*simulate_argv, "--threshold", "1e-3"]) == 0
+        assert "threshold 0.001" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, value):
+        (tmp_path / "stable_pair.json").write_text(bundled_text("stable_pair"))
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", str(tmp_path), "--jobs", value])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1", "2"])
+    def test_jobs_one_and_two_run(self, tmp_path, capsys, value):
+        (tmp_path / "stable_pair.json").write_text(bundled_text("stable_pair"))
+        assert main(["batch", str(tmp_path), "--jobs", value]) == 0
+        assert "stable_pair.json: ok" in capsys.readouterr().out
+
+
 class TestSerialization:
     def test_to_jsonable_handles_certificates(self):
         sys, _ = load_system_text(bundled_text("integrator_chain"))

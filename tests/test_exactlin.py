@@ -348,6 +348,97 @@ class TestFirstEscape:
             first_escape(Subspace.full(2), QMatrix.zeros(1, 3))
 
 
+_nonzero = st.builds(F, st.integers(1, 6) | st.integers(-6, -1), st.integers(1, 5))
+
+
+@st.composite
+def _subspace_case(draw, d=None):
+    """(d, spanning rows) with d in 0..5; the rows span the zero space, the
+    full space (a triangular basis plus extra rows) or anything between."""
+    d = draw(st.integers(0, 5)) if d is None else d
+    kind = draw(st.sampled_from(["zero", "full", "any"]))
+    if kind == "zero":
+        return d, [[F(0)] * d for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.lists(st.lists(_entries, min_size=d, max_size=d), max_size=5))
+    if kind == "full":
+        for i in range(d):
+            tail = draw(st.lists(_entries, min_size=d - i - 1, max_size=d - i - 1))
+            rows.insert(draw(st.integers(0, len(rows))), [F(0)] * i + [draw(_nonzero)] + tail)
+    return d, rows
+
+
+@st.composite
+def _subspace_pair(draw):
+    d, rows = draw(_subspace_case())
+    return d, rows, draw(_subspace_case(d))[1]
+
+
+def _ref_rows(rows):
+    """The nonzero rows of the Gauss-Jordan oracle's RREF, as tuples."""
+    return tuple(tuple(r) for r in support.ref_rref(rows)[0] if any(x != 0 for x in r))
+
+
+class TestCanonicalRows:
+    """A subspace is held as the nonzero rows of its RREF."""
+
+    @given(_subspace_case())
+    @example((0, []))
+    @example((4, []))
+    @example((3, [[F(0)] * 3]))
+    @example((3, [[F(2), F(1), F(0)], [F(0), F(-1, 3), F(0)], [F(0), F(0), F(5)]]))
+    def test_rows_are_nonzero_rref_rows(self, case):
+        d, rows = case
+        V = Subspace.span(d, rows)
+        assert V.rows == _ref_rows(rows)
+        assert all(type(x) is Fraction for row in V.rows for x in row)
+        assert V.basis.shape == (d, V.dim)
+        assert V.basis.columns() == list(V.rows)
+
+    @given(_subspace_pair())
+    @example((0, [], []))
+    @example((3, [], [[F(1), F(2), F(3)]]))
+    @example((2, [[F(1), F(0)], [F(0), F(1)]], [[F(1), F(1)]]))
+    @example((2, [[F(1), F(0)]], [[F(0), F(1)]]))
+    @example((3, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]], [[F(0), F(1), F(1)], [F(0), F(0), F(1)]]))
+    def test_intersection_is_canonical_and_matches_annihilator_kernel(self, case):
+        d, rows_v, rows_w = case
+        V, W = Subspace.span(d, rows_v), Subspace.span(d, rows_w)
+        X = V.intersect(W)
+        assert Subspace.span(d, X.rows).rows == X.rows
+        ann_v, ann_w = support.ref_kernel(d, rows_v), support.ref_kernel(d, rows_w)
+        assert X.rows == _ref_rows(support.ref_kernel(d, ann_v + ann_w))
+        assert V.annihilator_matrix().data == _ref_rows(ann_v)
+        assert V.sum(W).rows == _ref_rows(rows_v + rows_w)
+        assert X.is_subspace_of(V) and X.is_subspace_of(W)
+
+    @given(_subspace_case(), st.data())
+    @example((0, []), None)
+    @example((2, [[F(1), F(2)]]), None)
+    def test_equal_spaces_share_rows_and_hash(self, case, data):
+        d, rows = case
+        V = Subspace.span(d, rows)
+        # another spanning set of V: its rows scaled, combined, shuffled and
+        # padded with a zero row, with entries given as strings
+        mixed = [[c * x for x in r] for r, c in zip(V.rows, [F(-3), F(1, 2), F(7)] * d)]
+        for i in range(1, len(mixed)):
+            mixed[i] = [x + y for x, y in zip(mixed[i], mixed[i - 1])]
+        if data is not None:
+            mixed = data.draw(st.permutations(mixed))
+        other = Subspace.span(d, [[str(x) for x in r] for r in mixed] + [[0] * d])
+        assert other.rows == V.rows
+        assert other == V and hash(other) == hash(V)
+
+    def test_zero_and_full(self):
+        assert Subspace.zero(3).rows == ()
+        assert Subspace.full(2).rows == ((F(1), F(0)), (F(0), F(1)))
+        assert Subspace.zero(3).basis.shape == (3, 0)
+        assert Subspace.full(0).rows == () and Subspace.full(0) == Subspace.zero(0)
+
+    def test_constructor_checks_row_length(self):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            Subspace(3, ((F(1), F(0)),))
+
+
 def _fraction_storage(M: QMatrix):
     return [[(type(x), x.numerator, x.denominator) for x in row] for row in M.data]
 

@@ -20,6 +20,22 @@ class TestToeplitz:
         ])
         assert M == expected
 
+    def test_blocks_are_markov_parameters(self, rng):
+        # block (i, j) below the diagonal is C A^(i-1-j) B, with the power
+        # formed on its own
+        for _ in range(10):
+            sys = support.random_system(rng)
+            p, m, k = sys.p, sys.m, rng.randint(1, 3)
+            M = toeplitz(sys.A, sys.B, sys.C, sys.D, k).M
+            power = QMatrix.identity(sys.n)
+            for lag in range(1, k + 1):
+                want = sys.C @ power @ sys.B
+                for j in range(k + 1 - lag):
+                    i = j + lag
+                    block = [[M[i * p + r, j * m + c] for c in range(m)] for r in range(p)]
+                    assert QMatrix.from_rows(block, cols=m) == want
+                power = sys.A @ power
+
     def test_measured_input_gives_identity(self):
         sys = support.measured_input()
         for k in range(4):
