@@ -129,8 +129,6 @@ def _summarize_verdict(v: decide.Verdict) -> list[str]:
                      f"zeros {s.zero_poly_p} vs {s.zero_poly_pe}")
         inc = cert.inclusion
         lines.append(f"    chain-reachable dim {inc.reachable.dim}; "
-                     f"V*(C,D)^ImB_e dim {inc.vstar_cd_in_image.dim}, "
-                     f"V*(E,F)^ImB_e dim {inc.vstar_ef_in_image.dim}; "
                      f"inclusion {'holds' if inc.holds else 'fails'}")
         if inc.violation is not None:
             lines.append(f"    violating reachable state: ({', '.join(str(x) for x in inc.violation)})")

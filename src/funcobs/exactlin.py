@@ -1,8 +1,8 @@
 """Exact rational linear algebra.
 
 Dense matrices over arbitrary-precision rationals (``fractions.Fraction``)
-plus canonical subspace arithmetic: kernels, images, sums, intersections,
-preimages and inclusion tests.  A subspace is held as the nonzero rows of
+plus canonical subspace arithmetic: kernels, images, sums, intersections
+and inclusion tests.  A subspace is held as the nonzero rows of
 its reduced row echelon form, the form elimination produces, so no
 operation transposes or re-coerces its data.  Everything in this module is
 exact; no floating point is used anywhere.  Matrices with zero rows or
@@ -333,11 +333,6 @@ class Subspace:
         reduced, pivots = _rref([v + v for v in self.rows] + [w + zeros for w in other.rows])
         return Subspace(d, tuple(tuple(r[d:]) for r, p in zip(reduced, pivots) if p >= d))
 
-    def annihilator_matrix(self) -> QMatrix:
-        """Matrix whose rows span the functionals vanishing on this subspace."""
-        ker = kernel_basis(QMatrix(self.dim, self.ambient_dim, self.rows))
-        return QMatrix(ker.dim, self.ambient_dim, ker.rows)
-
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -387,12 +382,3 @@ def image_basis(M: QMatrix) -> Subspace:
     """Canonical basis of the column space of M."""
     return Subspace.span(M.rows, M.columns())
 
-
-def preimage(A: QMatrix, V: Subspace) -> Subspace:
-    """The subspace {x : A x in V}, computed as the kernel of N_V A."""
-    if A.rows != V.ambient_dim:
-        raise ValueError("preimage: row count must match ambient dimension")
-    N = V.annihilator_matrix()
-    if N.rows == 0:
-        return Subspace.full(A.cols)
-    return kernel_basis(N @ A)

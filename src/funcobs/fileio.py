@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # the float layer loads numpy, so its parsers import it thems
 
     from .sim import Scenario, StateSpaceRealization
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 
 
 class SystemFileError(ValueError):
@@ -53,20 +53,29 @@ def _loads(text: str, parse_float=Fraction):
 
 
 _PLANT_FIELDS = ("A", "B", "C", "D", "E", "F", "m")
+_META_FIELDS = ("name", "description", "expected")
 
 
 def parse_system_document(doc: dict) -> tuple[SystemSextuple, dict]:
     """Build the plant with ``SystemSextuple.from_lists`` and return it
-    with the residual metadata."""
+    with the metadata (name, description, expected).  Any other key is an
+    error, so a misspelled field never leaves its block at the default."""
     if not isinstance(doc, dict):
         raise SystemFileError("system document must be a JSON object")
+    for key in doc:
+        if key not in _PLANT_FIELDS + _META_FIELDS:
+            raise SystemFileError(f"unknown field {key!r} "
+                                  f"(known: {', '.join(_PLANT_FIELDS + _META_FIELDS)})")
+    for key in ("name", "description"):
+        if key in doc and not isinstance(doc[key], str):
+            raise SystemFileError(f"field {key!r} must be a string")
     if "A" not in doc:
         raise SystemFileError("field 'A' is required")
     try:
         sys = SystemSextuple.from_lists(**{k: doc[k] for k in _PLANT_FIELDS if k in doc})
     except ValueError as exc:
         raise SystemFileError(str(exc)) from exc
-    meta = {k: doc[k] for k in doc if k not in _PLANT_FIELDS}
+    meta = {k: doc[k] for k in _META_FIELDS if k in doc}
     return sys, meta
 
 

@@ -161,6 +161,11 @@ class InputSignal:
 
 ZERO_INPUT = InputSignal("zero")
 
+# The most RK4 steps a scenario may ask for.  A run stores every state, so
+# the cap bounds memory before any array is built; the bundled scenarios
+# take at most 1e5 steps.
+MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -177,6 +182,9 @@ class Scenario:
             raise ValueError(f"horizon must be finite, found {self.horizon!r}")
         if self.horizon < self.step:
             raise ValueError("horizon must cover at least one step")
+        if self.horizon / self.step > MAX_STEPS:
+            raise ValueError(f"horizon / step must be at most {MAX_STEPS} steps, found "
+                             f"horizon {self.horizon!r} and step {self.step!r}")
 
 
 @dataclass

@@ -70,16 +70,16 @@ def test_criterion_03_stable_pair_with_exact_observer():
     sys = support.stable_pair()
     strongly = decide.strongly_functional_detectable(sys)
     star = decide.strong_star_functional_detectable(sys)
-    image_part = star.certificate.inclusion.vstar_cd_in_image
+    reachable = star.certificate.inclusion.reachable
     omega = StateSpaceRealization.static_gain([[1, 0]])
     traj = simulate(sys, omega, Scenario(x0=(1.0, -2.0), xi0=(),
                                          horizon=3.0, step=1e-3))
     metric = convergence_metric(traj)
     elapsed = time.perf_counter() - t0
-    ok = (strongly.holds and star.holds and image_part.dim == 0
+    ok = (strongly.holds and star.holds and reachable.dim == 0
           and metric.final_sup == 0.0 and elapsed < 1.0)
     report(3, ok, f"strongly={strongly.holds}, strong_star={star.holds}, "
-                  f"dim(V* ^ ImB_e)={image_part.dim}, final_sup={metric.final_sup}, "
+                  f"dim(reachable)={reachable.dim}, final_sup={metric.final_sup}, "
                   f"{elapsed:.3f}s")
 
 

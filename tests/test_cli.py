@@ -37,9 +37,10 @@ GOLDEN_COMMANDS = {
 
 class TestGoldenReports:
     """``--out`` reports of the bundled systems, byte for byte, against
-    reports recorded before the integer-numerator ``Poly``; only the
-    ``timing`` key is dropped.  Any change of exact representation must
-    leave certificates and canonical bases as they are."""
+    reports regenerated at schema 2.0, when the strong-star inclusion lost
+    its reference V* subspaces; only the ``timing`` key is dropped.  Any
+    change of exact representation must leave certificates and canonical
+    bases as they are."""
 
     @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
     @pytest.mark.parametrize("name", bundled_names())
@@ -94,7 +95,45 @@ class TestParsing:
             doc = dump_system_document(sys1, meta1)
             sys2, meta2 = load_system_text(json.dumps(doc))
             assert sys1 == sys2
-            assert meta1.get("expected") == meta2.get("expected")
+            assert meta1 == meta2 and set(meta1) == {"name", "description", "expected"}
+
+
+KNOWN_KEYS = "known: A, B, C, D, E, F, m, name, description, expected"
+
+
+class TestSystemFileKeys:
+    """A system file holds the plant fields, m, name, description and
+    expected.  Any other key, or a name or description that is not a
+    string, exits 2 naming the field: a misspelled block must not leave
+    the plant with a zero block in its place."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"A": [[0]], "b": [[1]], "C": [[1]], "E": [[0]], "F": [[1]]}, "unknown field 'b'"),
+        ({"A": [[1]], "C": [[1]], "E": [[1]], "Expected": {"functional": True}},
+         "unknown field 'Expected'"),
+        ({"name": 3, "A": [[1]], "C": [[1]], "E": [[1]]}, "field 'name' must be a string"),
+        ({"description": ["x"], "A": [[1]], "C": [[1]], "E": [[1]]},
+         "field 'description' must be a string"),
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(doc))
+        for command in ("check", "witness"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+            if message.startswith("unknown"):
+                assert KNOWN_KEYS in err
+
+    def test_batch_reports_the_bad_file(self, tmp_path, capsys):
+        (tmp_path / "misspelled.json").write_text(json.dumps(
+            {"A": [[0]], "b": [[1]], "C": [[1]], "E": [[0]], "F": [[1]]}))
+        (tmp_path / "stable_pair.json").write_text(bundled_text("stable_pair"))
+        assert main(["batch", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "misspelled.json: exit 2" in captured.out
+        assert "stable_pair.json: ok" in captured.out
+        assert "unknown field 'b'" in captured.err and "Traceback" not in captured.err
 
 
 # Edge documents where the library builder and the file reader used to part,
@@ -337,7 +376,7 @@ class TestCmdCheck:
                      "--specialize", "leftinv", "--out", str(out)])
         assert code == 1
         report = json.loads(out.read_text())
-        assert report["schema_version"] == "1.0"
+        assert report["schema_version"] == "2.0"
         names = [v["name"] for v in report["verdicts"]]
         assert decide.STRONGLY in names and decide.LEFT_INVERTIBLE in names
         strong = next(v for v in report["verdicts"] if v["name"] == decide.STRONGLY)
@@ -346,6 +385,14 @@ class TestCmdCheck:
         assert cert["normrank_p"] == 3 and cert["normrank_pe"] == 3
         assert cert["zero_poly_p"]["coeffs"] == ["1", "1"]
         assert "timing" in report and report["timing"]["parse_s"] >= 0
+
+    def test_strong_star_inclusion_holds_only_what_decides_it(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["check", "integrator_chain", "--strong-star", "--out", str(out)]) == 1
+        assert "chain-reachable dim 1; inclusion fails" in capsys.readouterr().out
+        (verdict,) = json.loads(out.read_text())["verdicts"]
+        inc = verdict["certificate"]["inclusion"]
+        assert set(inc) == {"holds", "reachable", "reachable_steps", "violation"}
 
     def test_regression_mismatch_detected(self, tmp_path, capsys):
         doc = json.loads(bundled_text("stable_pair"))
@@ -437,6 +484,17 @@ class TestCmdSimulate:
         sc.write_text(json.dumps(dump_scenario_document(
             zero_input_scenario([1.0], xi0=[0.0], horizon=20.0))))
         assert main(["simulate", "state_estimation_demo", str(obs), str(sc)]) == 0
+
+    def test_oversize_scenario_exits_2(self, tmp_path, capsys):
+        # refused when the Scenario is built, before any array is allocated
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"R": [[0]]}))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"x0": [0, 0], "horizon": 1e15, "step": 1}))
+        assert main(["simulate", "integrator_chain", str(obs), str(sc)]) == 2
+        err = capsys.readouterr().err
+        assert "bad scenario" in err and "horizon" in err and "step" in err
+        assert "Traceback" not in err
 
     def test_missing_horizon_auto_suggested(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"

@@ -41,7 +41,7 @@ class TestGoldenVerdicts:
         assert decide.strongly_functional_detectable(sys).holds
         star = decide.strong_star_functional_detectable(sys)
         assert star.holds
-        assert star.certificate.inclusion.vstar_cd_in_image.dim == 0
+        assert star.certificate.inclusion.reachable.dim == 0
 
     def test_measured_input(self):
         sys = support.measured_input()

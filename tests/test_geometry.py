@@ -1,7 +1,9 @@
 from fractions import Fraction
 
-from funcobs.exactlin import QMatrix, Subspace, image_basis, kernel_basis, preimage
-from funcobs.geometry import extend, reachable_within, strong_star_inclusion, vstar
+from funcobs.corpus import bundled_names, bundled_text
+from funcobs.exactlin import QMatrix, Subspace, kernel_basis
+from funcobs.fileio import load_system_text
+from funcobs.geometry import extend, reachable_within, strong_star_inclusion
 from funcobs.markov import kernel_inclusion_upto
 from funcobs.system import SystemSextuple
 
@@ -33,41 +35,6 @@ class TestExtend:
         assert ext.C_e == QMatrix.from_rows([[1, 0]])
 
 
-class TestVstar:
-    def test_zero_kernel_is_immediate(self):
-        A = QMatrix.from_rows([[1, 0], [0, 1]])
-        B = QMatrix.zeros(2, 0)
-        v, steps = vstar(A, B, Subspace.zero(2))
-        assert v.dim == 0 and steps == 0
-
-    def test_integrator_chain_values(self):
-        ext = extend(support.integrator_chain())
-        v_cd, _ = vstar(ext.A_e, ext.B_e, kernel_basis(ext.C_e))
-        assert v_cd.basis.columns() == [(frac(1), frac(-1), frac(-1))]
-        v_ef, _ = vstar(ext.A_e, ext.B_e, kernel_basis(ext.EF_e))
-        assert v_ef == Subspace.span(3, [[1, 0, 0], [0, 1, 0]])
-
-    def test_fixed_point_property(self, rng):
-        for _ in range(25):
-            sys = support.random_system(rng)
-            ext = extend(sys)
-            K = kernel_basis(ext.C_e)
-            v, _ = vstar(ext.A_e, ext.B_e, K)
-            im_b = image_basis(ext.B_e)
-            assert v == K.intersect(preimage(ext.A_e, im_b.sum(v)))
-            assert v.is_subspace_of(K)
-
-    def test_invariance(self, rng):
-        for _ in range(25):
-            sys = support.random_system(rng)
-            ext = extend(sys)
-            v, _ = vstar(ext.A_e, ext.B_e, kernel_basis(ext.C_e))
-            if v.dim == 0:
-                continue
-            pushed = image_basis(ext.A_e @ v.basis)
-            assert pushed.is_subspace_of(v.sum(image_basis(ext.B_e)))
-
-
 class TestReachableWithin:
     def test_integrator_chain(self):
         ext = extend(support.integrator_chain())
@@ -90,7 +57,7 @@ class TestStrongStarInclusion:
     def test_no_input_vacuous(self):
         cert = strong_star_inclusion(support.stable_pair())
         assert cert.holds
-        assert cert.vstar_cd_in_image.dim == 0
+        assert cert.reachable.dim == 0
 
     def test_integrator_chain_fails_with_witness(self):
         cert = strong_star_inclusion(support.integrator_chain())
@@ -106,3 +73,72 @@ class TestStrongStarInclusion:
             geo = strong_star_inclusion(sys).holds
             toep = kernel_inclusion_upto(sys, sys.n + sys.m).holds
             assert geo == toep
+
+
+def _dot(row, vec):
+    return sum((a * b for a, b in zip(row, vec)), Fraction(0))
+
+
+def _canonical(vectors):
+    """Nonzero rows of the Gauss-Jordan oracle's RREF: the canonical rows."""
+    reduced, pivots = support.ref_rref(vectors)
+    return tuple(tuple(r) for r in reduced[:len(pivots)])
+
+
+def _within_kernel(vectors, M):
+    """A spanning set of span(vectors) ^ Ker M: the combinations sum c_i x_i
+    whose coefficients c lie in the kernel of the columns M x_i."""
+    k = len(vectors)
+    coeffs = support.ref_kernel(k, [[_dot(row, x) for x in vectors] for row in M])
+    d = len(vectors[0]) if vectors else 0
+    return [[sum((c[i] * vectors[i][j] for i in range(k)), Fraction(0)) for j in range(d)]
+            for c in coeffs]
+
+
+def _oracle_reachable(sys):
+    """(A_e R + Im B_e) ^ Ker C_e iterated from R = Im B_e ^ Ker C_e to its
+    fixed point, on plain lists, with the step at which it stops."""
+    n, m = sys.n, sys.m
+    A_e = [list(sys.A.data[i]) + list(sys.B.data[i]) for i in range(n)] + \
+        [[Fraction(0)] * (n + m) for _ in range(m)]
+    C_e = [list(sys.C.data[i]) + list(sys.D.data[i]) for i in range(sys.p)]
+    im_b = [[Fraction(int(i == n + j)) for i in range(n + m)] for j in range(m)]
+    current = _canonical(_within_kernel(im_b, C_e))
+    for step in range(n + m + 1):
+        pushed = [[_dot(row, r) for row in A_e] for r in current]
+        nxt = _canonical(_within_kernel(pushed + im_b, C_e))
+        if nxt == current:
+            return current, step
+        current = nxt
+    raise AssertionError("oracle iteration did not stop")
+
+
+class TestCertificateRecheck:
+    """The certificate re-checks on its own: the oracles recompute the
+    reachable subspace and test it against [E F], with no Subspace call."""
+
+    def _recheck(self, sys):
+        cert = strong_star_inclusion(sys)
+        rows, steps = _oracle_reachable(sys)
+        assert cert.reachable.rows == rows
+        assert cert.reachable_steps == steps
+        C_e = [sys.C.data[i] + sys.D.data[i] for i in range(sys.p)]
+        EF_e = [sys.E.data[i] + sys.F.data[i] for i in range(sys.q)]
+        assert all(_dot(row, r) == 0 for r in rows for row in C_e)
+        silent = all(_dot(row, r) == 0 for r in rows for row in EF_e)
+        assert cert.holds == silent
+        if cert.holds:
+            assert cert.violation is None
+        else:
+            assert cert.violation in rows
+            assert any(_dot(row, cert.violation) != 0 for row in EF_e)
+        return cert.holds
+
+    def test_bundled_systems(self):
+        verdicts = {name: self._recheck(load_system_text(bundled_text(name))[0])
+                    for name in bundled_names()}
+        assert verdicts["stable_pair"] and not verdicts["integrator_chain"]
+
+    def test_seeded_plants(self, rng):
+        verdicts = [self._recheck(support.random_system(rng)) for _ in range(80)]
+        assert True in verdicts and False in verdicts

@@ -7,7 +7,7 @@ import pytest
 from funcobs.polymat import Poly
 from funcobs.scenarios import (_yddot, _yddot_grid, fading_output_scenario,
                                zero_input_scenario)
-from funcobs.sim import (InputSignal, RealizationError, Scenario,
+from funcobs.sim import (MAX_STEPS, InputSignal, RealizationError, Scenario,
                          StateSpaceRealization, StepInstabilityError,
                          _rk4_step_map, convergence_metric, realize, rk4_linear,
                          simulate, suggested_horizon, write_csv)
@@ -431,6 +431,16 @@ class TestScenarioHelpers:
         kwargs = {"horizon": 1.0, "step": 1e-3, field: value}
         with pytest.raises(ValueError, match=f"^{field} must"):
             Scenario(x0=(), xi0=(), **kwargs)
+
+    # Building a Scenario allocates nothing, so these values are safe to try.
+    @pytest.mark.parametrize("horizon, step", [(1e15, 1.0), (MAX_STEPS + 1.0, 1.0),
+                                               (1e308, 5e-324)])
+    def test_scenario_caps_the_step_count(self, horizon, step):
+        with pytest.raises(ValueError, match=r"^horizon / step must be at most 10000000 steps"):
+            Scenario(x0=(), xi0=(), horizon=horizon, step=step)
+
+    def test_step_cap_is_inclusive(self):
+        assert Scenario(x0=(), xi0=(), horizon=float(MAX_STEPS), step=1.0).horizon == MAX_STEPS
 
 
 class TestCsvExport:
