@@ -27,8 +27,8 @@ from pathlib import Path
 
 from . import decide, witness
 from .corpus import bundled_names, bundled_text
-from .fileio import (SCHEMA_VERSION, SystemFileError, load_observer_file,
-                     load_scenario_file, load_system_text, read_text, to_jsonable)
+from .fileio import (SCHEMA_VERSION, SystemFileError, load_system_text, read_text,
+                     to_jsonable)
 from .markov import kernel_inclusion_upto
 from .system import SystemSextuple
 from .witness import RationalFunctionMatrix
@@ -266,7 +266,7 @@ def cmd_simulate(args) -> int:
 
     try:
         system, meta = _read_system(args.system)
-        observer = load_observer_file(args.observer)
+        observer = sim.load_observer_file(args.observer)
     except SystemFileError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
@@ -282,7 +282,7 @@ def cmd_simulate(args) -> int:
     else:
         omega = observer
     try:
-        scenario = load_scenario_file(
+        scenario = sim.load_scenario_file(
             args.scenario,
             horizon_fallback=sim.suggested_horizon(system, omega))
     except ValueError as exc:  # SystemFileError, or an observer that does not fit

@@ -192,8 +192,8 @@ def hautus_strong_star_detectable(sys: SystemSextuple) -> Verdict:
     Ker [D 0; CB D] inside Ker [0 0; B 0], the first-order Toeplitz
     matrices of (C, D) and (I, 0)."""
     strong = hautus_strong_detectable(sys)
-    lhs = toeplitz(sys.A, sys.B, sys.C, sys.D, 1).M
-    rhs = toeplitz(sys.A, sys.B, QMatrix.identity(sys.n), QMatrix.zeros(sys.n, sys.m), 1).M
+    lhs = toeplitz(sys.A, sys.B, sys.C, sys.D, 1)
+    rhs = toeplitz(sys.A, sys.B, QMatrix.identity(sys.n), QMatrix.zeros(sys.n, sys.m), 1)
     kernel = _kernel_inclusion(lhs, rhs)
     cert = HautusStarCertificate(strong.certificate, kernel)
     return Verdict(HAUTUS_STRONG_STAR, strong.holds and kernel.holds, cert)

@@ -6,7 +6,9 @@ excites the output.  The inclusion "Ker M^k of the measured pair inside
 Ker M^k of the target pair, for every k" is the order-by-order face of the
 properness condition; the geometric test in the geometry module decides
 the whole family at once, and this module serves as its finite cross-oracle
-and as the witness extractor for the command-line reports.
+and as the witness extractor for the command-line reports.  M^k is the
+leading block corner of every higher order, so a search up to kmax builds
+each chain once, at kmax.
 """
 
 from __future__ import annotations
@@ -18,34 +20,19 @@ from .exactlin import QMatrix, first_escape, kernel_basis
 from .system import SystemSextuple
 
 
-@dataclass(frozen=True)
-class ToeplitzChain:
-    k: int
-    M: QMatrix
-
-
-def toeplitz(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix, k: int) -> ToeplitzChain:
-    """The (k+1) x (k+1) block Toeplitz matrix of Markov parameters."""
+def toeplitz(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix, k: int) -> QMatrix:
+    """The (k+1) x (k+1) block Toeplitz matrix of Markov parameters.  Its
+    leading (i+1) x (i+1) blocks are the matrices of the orders i < k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     p, m = D.shape
     c_powers = [C]  # C A^i for i < k
     for _ in range(1, k):
         c_powers.append(c_powers[-1] @ A)
-    markov = [ca @ B for ca in c_powers[:k]]
+    markov = [D] + [ca @ B for ca in c_powers[:k]]  # D, CB, CAB, ...
     zero = QMatrix.zeros(p, m)
-    grid = []
-    for i in range(k + 1):
-        row = []
-        for j in range(k + 1):
-            if i == j:
-                row.append(D)
-            elif i > j:
-                row.append(markov[i - 1 - j])
-            else:
-                row.append(zero)
-        grid.append(row)
-    return ToeplitzChain(k, QMatrix.from_blocks(grid))
+    return QMatrix.from_blocks([[markov[i - j] if i >= j else zero for j in range(k + 1)]
+                                for i in range(k + 1)])
 
 
 @dataclass(frozen=True)
@@ -82,12 +69,18 @@ def kernel_inclusion_upto(sys: SystemSextuple, kmax: int) -> KernelInclusionRepo
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    m = sys.m
+    m, p, q = sys.m, sys.p, sys.q
+    # order k is the leading (k+1)-block corner of order kmax
+    mcd = toeplitz(sys.A, sys.B, sys.C, sys.D, kmax)
+    mef = toeplitz(sys.A, sys.B, sys.E, sys.F, kmax)
     for k in range(kmax + 1):
-        mcd = toeplitz(sys.A, sys.B, sys.C, sys.D, k).M
-        mef = toeplitz(sys.A, sys.B, sys.E, sys.F, k).M
-        vec = first_escape(kernel_basis(mcd), mef)
+        vec = first_escape(kernel_basis(_leading(mcd, (k + 1) * p, (k + 1) * m)),
+                           _leading(mef, (k + 1) * q, (k + 1) * m))
         if vec is not None:
             chain = tuple(tuple(vec[i * m:(i + 1) * m]) for i in range(k + 1))
             return KernelInclusionReport(False, k, vec, chain)
     return KernelInclusionReport(True, None, None, None)
+
+
+def _leading(M: QMatrix, rows: int, cols: int) -> QMatrix:
+    return QMatrix(rows, cols, tuple(row[:cols] for row in M.data[:rows]))

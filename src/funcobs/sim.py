@@ -8,6 +8,10 @@ with classical fixed-step fourth-order Runge-Kutta (one precomputed affine
 step map, inputs sampled as arrays on the half-step grid, and the N-step
 recurrence run as a blocked scan of about 3 sqrt(N) numpy calls), and the
 estimation error is summarised over the final stretch of the horizon.
+
+Scenario and observer documents are parsed and written here too, next to
+the types they build; ``INPUT_FIELDS`` is the one list of input kinds and
+the fields each carries.  Files are read through ``fileio.read_text``.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactlin import QMatrix
+from .exactlin import QMatrix, as_fraction
+from .fileio import SystemFileError, load_json, read_text
+from .polymat import Poly
 from .system import SystemSextuple
-from .witness import RationalFunctionMatrix, classify, denominator_lcm
+from .witness import RationalFunction, RationalFunctionMatrix, classify, denominator_lcm
 
 
 def to_float_array(M: QMatrix) -> np.ndarray:
@@ -97,6 +103,18 @@ def realize(N: RationalFunctionMatrix) -> StateSpaceRealization:
     return StateSpaceRealization(G, H, Q, R)
 
 
+# Every input kind and the fields it carries, each with its array depth (1:
+# an array of numbers, 2: an array of arrays of numbers, ...).  Validation,
+# the channel count, parsing and dumping all read the kinds from here.
+INPUT_FIELDS: dict[str, dict[str, int]] = {
+    "zero": {},
+    "constant": {"value": 1},
+    "polynomial": {"coefficients": 2},
+    "sinusoids": {"terms": 3},
+    "table": {"times": 1, "values": 2},
+}
+
+
 @dataclass(frozen=True)
 class InputSignal:
     """Symbolic input descriptor so scenarios reproduce bit for bit.
@@ -115,6 +133,11 @@ class InputSignal:
     values: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
+        if self.kind not in INPUT_FIELDS:
+            raise ValueError(f"unknown input kind {self.kind!r} "
+                             f"(known: {', '.join(INPUT_FIELDS)})")
+        if any(len(term) != 3 for chan in self.terms for term in chan):
+            raise ValueError("a sinusoid term is (amplitude, frequency, phase)")
         if self.kind != "table":
             return
         if not all(map(operator.lt, self.times, self.times[1:])):
@@ -126,17 +149,13 @@ class InputSignal:
             raise ValueError("table rows differ in length")
 
     def channels(self, m: int) -> int:
-        if self.kind == "zero":
+        fields = INPUT_FIELDS[self.kind]
+        if not fields:  # "zero" fits any input count
             return m
-        if self.kind == "constant":
-            return len(self.value)
-        if self.kind == "polynomial":
-            return len(self.coefficients)
-        if self.kind == "sinusoids":
-            return len(self.terms)
-        if self.kind == "table":
+        if self.kind == "table":  # one row of values per time
             return len(self.values[0]) if self.values else 0
-        raise ValueError(f"unknown input kind {self.kind!r}")
+        (field,) = fields  # one entry per channel
+        return len(getattr(self, field))
 
     def sample(self, t: np.ndarray, m: int) -> np.ndarray:
         """u at each of the times t, one row per time."""
@@ -312,8 +331,10 @@ def simulate(sys: SystemSextuple, omega: StateSpaceRealization,
              sc: Scenario) -> Trajectory:
     """Fixed-step fourth-order Runge-Kutta on the plant/observer cascade.
 
-    Deterministic for a fixed scenario.  A runaway state norm raises
-    StepInstabilityError instead of returning silently corrupted data.
+    The last sample lies in [horizon, horizon + step), so a horizon that is
+    not a multiple of the step is still reached.  Deterministic for a fixed
+    scenario.  A runaway state norm raises StepInstabilityError instead of
+    returning silently corrupted data.
     """
     n, m = sys.n, sys.m
     nu = omega.order
@@ -330,7 +351,9 @@ def simulate(sys: SystemSextuple, omega: StateSpaceRealization,
     Bc = np.vstack([to_float_array(sys.B), omega.H @ D])
 
     h = sc.step
-    nsteps = int(round(sc.horizon / h))
+    # enough steps to reach the horizon; the slack absorbs the rounding of
+    # the ratio, so an exact multiple keeps its step count
+    nsteps = math.ceil(sc.horizon / h - 1e-9)
     t_half = np.arange(2 * nsteps + 1) * (h / 2)
     u_half = sc.input_signal.sample(t_half, m)
     w0 = np.concatenate([np.asarray(sc.x0, dtype=float),
@@ -403,3 +426,134 @@ def write_csv(traj: Trajectory, path) -> None:
         # hold every value as an object at once
         for row in np.column_stack([traj.t, traj.x, traj.xi, traj.z, traj.zhat, traj.e]):
             writer.writerow([repr(v) for v in row.tolist()])
+
+
+# -- scenario and observer documents -------------------------------------------
+
+def _finite_float(raw) -> float:
+    if isinstance(raw, bool):
+        raise TypeError(f"{raw!r} is not a number")
+    try:
+        x = float(raw)
+    except OverflowError as exc:  # an exact literal such as 1e400
+        raise ValueError("number out of the floating-point range") from exc
+    if not math.isfinite(x):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return x
+
+
+def _float_array(raw, depth: int = 1) -> tuple:
+    """Arrays nested depth levels deep, finite numbers at the bottom, as
+    nested tuples."""
+    if not isinstance(raw, list):
+        raise TypeError(f"{raw!r} is not an array")
+    return tuple(_float_array(v, depth - 1) if depth > 1 else _finite_float(v) for v in raw)
+
+
+def _field(doc: dict, field: str, convert, default):
+    try:
+        return convert(doc.get(field, default))
+    except (TypeError, ValueError) as exc:
+        raise SystemFileError(f"field {field!r}: {exc}") from exc
+
+
+def _float_matrix(doc: dict, field: str) -> np.ndarray:
+    """A field holding equal-length arrays of finite numbers, as a float matrix."""
+    rows = _field(doc, field, lambda raw: _float_array(raw, 2), None)
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise SystemFileError(f"field {field!r}: rows differ in length")
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+def parse_scenario_document(doc: dict) -> Scenario:
+    """A scenario from its JSON object.  The input object holds its kind
+    and the fields ``INPUT_FIELDS`` names for that kind, each empty when
+    absent; a missing input is "zero"."""
+    if not isinstance(doc, dict):
+        raise SystemFileError("scenario document must be a JSON object")
+    sig = doc.get("input", {"kind": "zero"})
+    if not isinstance(sig, dict) or not isinstance(sig.get("kind"), str):
+        raise SystemFileError("field 'input' must be an object with a string 'kind'")
+    try:
+        depths = INPUT_FIELDS.get(sig["kind"], {})  # InputSignal rejects an unknown kind
+        signal = InputSignal(sig["kind"], **{name: _float_array(sig.get(name, []), depth)
+                                            for name, depth in depths.items()})
+    except (TypeError, ValueError) as exc:
+        raise SystemFileError(f"field 'input': {exc}") from exc
+    x0 = _field(doc, "x0", _float_array, [])
+    xi0 = _field(doc, "xi0", _float_array, [])
+    horizon = _field(doc, "horizon", _finite_float, 10.0)
+    step = _field(doc, "step", _finite_float, 1e-3)
+    try:
+        return Scenario(x0, xi0, signal, horizon, step)
+    except ValueError as exc:
+        raise SystemFileError(f"bad scenario: {exc}") from exc
+
+
+def load_scenario_file(path, horizon_fallback: float | None = None) -> Scenario:
+    """Parse a scenario file; a missing horizon falls back to the supplied
+    value (e.g. a spectral-abscissa-based suggestion) when one is given."""
+    doc = load_json(read_text(path), float)
+    if isinstance(doc, dict) and "horizon" not in doc and horizon_fallback is not None:
+        doc = {**doc, "horizon": horizon_fallback}
+    return parse_scenario_document(doc)
+
+
+def _nested_lists(x, depth: int):
+    return [_nested_lists(v, depth - 1) for v in x] if depth else x
+
+
+def dump_scenario_document(sc: Scenario) -> dict:
+    sig = sc.input_signal
+    fields = {name: _nested_lists(getattr(sig, name), depth)
+              for name, depth in INPUT_FIELDS[sig.kind].items()}
+    return {"x0": list(sc.x0), "xi0": list(sc.xi0), "input": {"kind": sig.kind, **fields},
+            "horizon": sc.horizon, "step": sc.step}
+
+
+def _transfer_entry(cell, field: str) -> RationalFunction:
+    """One entry of N: a rational literal or {"num": [...], "den": [...]}
+    with ascending coefficients."""
+    try:
+        if isinstance(cell, dict):
+            num = Poly([as_fraction(c) for c in cell.get("num", [])])
+            den = Poly([as_fraction(c) for c in cell.get("den", [1])])
+        else:
+            num, den = Poly([as_fraction(cell)]), Poly([1])
+        return RationalFunction(num, den)
+    except ZeroDivisionError as exc:
+        raise SystemFileError(f"field {field!r}: zero denominator") from exc
+    except (TypeError, ValueError) as exc:
+        raise SystemFileError(f"field {field!r}: {exc}") from exc
+
+
+def parse_observer_document(doc: dict) -> StateSpaceRealization | RationalFunctionMatrix:
+    """Either an exact transfer matrix {"N": [[{num, den}]]} to be realized,
+    or explicit real matrices {"G", "H", "Q", "R"}; a bare {"R": ...} is a
+    static gain."""
+    if not isinstance(doc, dict):
+        raise SystemFileError("observer document must be a JSON object")
+    if "N" in doc:
+        raw = doc["N"]
+        if not isinstance(raw, list) or not raw or any(not isinstance(r, list) for r in raw):
+            raise SystemFileError("field 'N' must be a nonempty array of arrays")
+        rows = [[_transfer_entry(cell, f"N[{i}][{j}]") for j, cell in enumerate(row)]
+                for i, row in enumerate(raw)]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise SystemFileError("field 'N': rows differ in length")
+        return RationalFunctionMatrix.from_rows(rows)
+    if any(name in doc for name in ("G", "H", "Q", "R")):
+        if "R" not in doc:
+            raise SystemFileError("field 'R' is required")
+        # an absent G, H or Q is a zero block of the shape that fits G and R
+        R = _float_matrix(doc, "R")
+        G = _float_matrix(doc, "G") if "G" in doc else np.zeros((0, 0))
+        H = _float_matrix(doc, "H") if "H" in doc else np.zeros((G.shape[0], R.shape[1]))
+        Q = _float_matrix(doc, "Q") if "Q" in doc else np.zeros((R.shape[0], G.shape[0]))
+        return StateSpaceRealization(G, H, Q, R)
+    raise SystemFileError("observer document needs 'N', 'R', or 'G'/'H'/'Q'/'R'")
+
+
+def load_observer_file(path) -> StateSpaceRealization | RationalFunctionMatrix:
+    return parse_observer_document(load_json(read_text(path)))

@@ -9,9 +9,10 @@ import pytest
 from funcobs import decide
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
-from funcobs.fileio import (SystemFileError, dump_scenario_document,
-                            dump_system_document, load_system_text, to_jsonable)
+from funcobs.fileio import (SystemFileError, dump_system_document, load_system_text,
+                            to_jsonable)
 from funcobs.scenarios import zero_input_scenario
+from funcobs.sim import dump_scenario_document
 from funcobs.system import SystemSextuple
 
 EXPECTED_CHECKS = {
@@ -496,6 +497,16 @@ class TestCmdSimulate:
         assert "bad scenario" in err and "horizon" in err and "step" in err
         assert "Traceback" not in err
 
+    def test_unknown_input_kind_exits_2(self, tmp_path, capsys):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"R": [[1, 0]]}))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"x0": [1.0, 0.0], "input": {"kind": "ramp"}}))
+        assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 2
+        err = capsys.readouterr().err
+        assert "field 'input': unknown input kind 'ramp'" in err
+        assert "Traceback" not in err
+
     def test_missing_horizon_auto_suggested(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps({"R": [[1.0]]}))
@@ -650,6 +661,23 @@ class TestLazyNumpy:
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert json.loads((tmp_path / "report.json").read_text())["verdicts"]
+
+    def test_witness_leaves_the_float_layer_unloaded(self, tmp_path):
+        code = "\n".join([
+            "import sys, funcobs.cli",
+            "from funcobs.corpus import bundled_names",
+            "for name in bundled_names():",
+            "    funcobs.cli.main(['witness', name, '--out', sys.argv[1]])",
+            "assert 'numpy' not in sys.modules, 'numpy loaded by witness'",
+            "assert 'funcobs.sim' not in sys.modules, 'funcobs.sim loaded by witness'",
+        ])
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([_sys.executable, "-c", code, str(tmp_path / "report.json")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["witness"]
 
     def test_unknown_attribute(self):
         import funcobs

@@ -133,7 +133,7 @@ class TestKernel:
 
     def test_toeplitz_kernel_against_row_reduction(self):
         sys = support.measured_input()
-        M = toeplitz(sys.A, sys.B, sys.C, sys.D, 2).M
+        M = toeplitz(sys.A, sys.B, sys.C, sys.D, 2)
         K = kernel_basis(M)
         assert K.dim == M.cols - support.ref_rank_q(M)
         for col in K.basis.columns():

@@ -8,11 +8,11 @@ class TestToeplitz:
     def test_order_zero_is_feedthrough(self, rng):
         sys = support.random_system(rng)
         chain = toeplitz(sys.A, sys.B, sys.C, sys.D, 0)
-        assert chain.M == sys.D
+        assert chain == sys.D
 
     def test_order_one_structure(self):
         sys = support.integrator_chain()
-        M = toeplitz(sys.A, sys.B, sys.C, sys.D, 1).M
+        M = toeplitz(sys.A, sys.B, sys.C, sys.D, 1)
         CB = sys.C @ sys.B
         expected = QMatrix.from_blocks([
             [sys.D, QMatrix.zeros(1, 1)],
@@ -26,7 +26,7 @@ class TestToeplitz:
         for _ in range(10):
             sys = support.random_system(rng)
             p, m, k = sys.p, sys.m, rng.randint(1, 3)
-            M = toeplitz(sys.A, sys.B, sys.C, sys.D, k).M
+            M = toeplitz(sys.A, sys.B, sys.C, sys.D, k)
             power = QMatrix.identity(sys.n)
             for lag in range(1, k + 1):
                 want = sys.C @ power @ sys.B
@@ -39,15 +39,15 @@ class TestToeplitz:
     def test_measured_input_gives_identity(self):
         sys = support.measured_input()
         for k in range(4):
-            assert toeplitz(sys.A, sys.B, sys.C, sys.D, k).M == QMatrix.identity(k + 1)
+            assert toeplitz(sys.A, sys.B, sys.C, sys.D, k) == QMatrix.identity(k + 1)
 
     def test_shift_structure(self, rng):
         for _ in range(15):
             sys = support.random_system(rng)
             p, m = sys.p, sys.m
             k = rng.randint(1, 3)
-            M = toeplitz(sys.A, sys.B, sys.C, sys.D, k).M
-            prev = toeplitz(sys.A, sys.B, sys.C, sys.D, k - 1).M
+            M = toeplitz(sys.A, sys.B, sys.C, sys.D, k)
+            prev = toeplitz(sys.A, sys.B, sys.C, sys.D, k - 1)
             shrunk = QMatrix.from_rows(
                 [[M[i, j] for j in range(m, M.cols)] for i in range(p, M.rows)],
                 cols=k * m)
@@ -70,8 +70,8 @@ class TestKernelInclusion:
         rep = kernel_inclusion_upto(sys, 4)
         assert not rep.holds
         assert rep.failing_k == 0
-        mcd = toeplitz(sys.A, sys.B, sys.C, sys.D, rep.failing_k).M
-        mef = toeplitz(sys.A, sys.B, sys.E, sys.F, rep.failing_k).M
+        mcd = toeplitz(sys.A, sys.B, sys.C, sys.D, rep.failing_k)
+        mef = toeplitz(sys.A, sys.B, sys.E, sys.F, rep.failing_k)
         v = QMatrix.column_vector(rep.witness)
         assert (mcd @ v).is_zero()
         assert not (mef @ v).is_zero()
@@ -90,8 +90,8 @@ class TestKernelInclusion:
             # every larger order too (Toeplitz shift invariance)
             for extra in (1, 2):
                 padded = [0] * (extra * sys.m) + list(rep.witness)
-                mcd = toeplitz(sys.A, sys.B, sys.C, sys.D, k + extra).M
-                mef = toeplitz(sys.A, sys.B, sys.E, sys.F, k + extra).M
+                mcd = toeplitz(sys.A, sys.B, sys.C, sys.D, k + extra)
+                mef = toeplitz(sys.A, sys.B, sys.E, sys.F, k + extra)
                 v = QMatrix.column_vector(padded)
                 assert (mcd @ v).is_zero()
                 assert not (mef @ v).is_zero()

@@ -1,15 +1,18 @@
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from funcobs.polymat import Poly
 from funcobs.scenarios import (_yddot, _yddot_grid, fading_output_scenario,
                                zero_input_scenario)
-from funcobs.sim import (MAX_STEPS, InputSignal, RealizationError, Scenario,
+from funcobs.sim import (INPUT_FIELDS, MAX_STEPS, InputSignal, RealizationError, Scenario,
                          StateSpaceRealization, StepInstabilityError,
-                         _rk4_step_map, convergence_metric, realize, rk4_linear,
+                         _rk4_step_map, convergence_metric, dump_scenario_document,
+                         parse_scenario_document, realize, rk4_linear,
                          simulate, suggested_horizon, write_csv)
 from funcobs.system import SystemSextuple
 from funcobs.witness import RationalFunction, RationalFunctionMatrix
@@ -183,6 +186,22 @@ class TestSimulate:
                        input_signal=sc.input_signal)
         m2 = convergence_metric(simulate(sys, omega, sc2), threshold=1e9)
         assert abs(m1.final_sup - m2.final_sup) <= 0.01 * max(m1.final_sup, 1e-12)
+
+    @pytest.mark.parametrize("horizon, step, samples", [
+        (1.0, 0.4, 4),       # round(horizon / step) steps would stop at t = 0.8
+        (1.0, 0.3, 5),
+        (2.5, 1.0, 4),
+        (0.7, 0.1, 8),       # 0.7 / 0.1 rounds to 6.999999999999999
+        (40.0, 0.01, 4001),  # the exact multiples of the bundled and benchmark runs
+        (40.0, 0.005, 8001),
+        (10.0, 0.002, 5001),
+    ])
+    def test_last_sample_reaches_the_horizon(self, horizon, step, samples):
+        sys = SystemSextuple.from_lists(A=[[-1]], C=[[1]], E=[[1]], m=0)
+        omega = StateSpaceRealization.static_gain([[0.0]])
+        traj = simulate(sys, omega, zero_input_scenario([1.0], horizon=horizon, step=step))
+        assert len(traj.t) == samples
+        assert horizon <= traj.t[-1] < horizon + step
 
     @pytest.mark.parametrize("a, x0, t", [
         # h * a = -10: each RK4 step multiplies the state by 291, so it first
@@ -441,6 +460,61 @@ class TestScenarioHelpers:
 
     def test_step_cap_is_inclusive(self):
         assert Scenario(x0=(), xi0=(), horizon=float(MAX_STEPS), step=1.0).horizon == MAX_STEPS
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _per_channel(entry):
+    """Up to three channels, none included."""
+    return st.lists(entry, max_size=3).map(tuple)
+
+
+@st.composite
+def _table_signals(draw):
+    times = tuple(sorted(draw(st.lists(_finite, max_size=5, unique=True))))
+    row = st.tuples(*[_finite] * draw(st.integers(0, 3)))
+    return InputSignal("table", times=times, values=tuple(draw(row) for _ in times))
+
+
+SIGNALS = {
+    "zero": st.just(InputSignal("zero")),
+    "constant": _per_channel(_finite).map(lambda v: InputSignal("constant", value=v)),
+    "polynomial": _per_channel(_per_channel(_finite)).map(
+        lambda c: InputSignal("polynomial", coefficients=c)),
+    "sinusoids": _per_channel(_per_channel(st.tuples(_finite, _finite, _finite))).map(
+        lambda t: InputSignal("sinusoids", terms=t)),
+    "table": _table_signals(),
+}
+
+
+@st.composite
+def _scenarios(draw, kind: str):
+    step = draw(st.floats(1e-3, 1.0))
+    return Scenario(x0=draw(_per_channel(_finite)), xi0=draw(_per_channel(_finite)),
+                    input_signal=draw(SIGNALS[kind]),
+                    horizon=step * draw(st.floats(1.0, 1e3)), step=step)
+
+
+class TestScenarioDocuments:
+    def test_every_input_kind_is_generated(self):
+        assert set(SIGNALS) == set(INPUT_FIELDS)
+
+    @pytest.mark.parametrize("kind", list(INPUT_FIELDS))
+    @given(data=st.data())
+    def test_json_round_trip(self, kind, data):
+        sc = data.draw(_scenarios(kind))
+        doc = json.loads(json.dumps(dump_scenario_document(sc)))
+        assert set(doc["input"]) == {"kind", *INPUT_FIELDS[kind]}
+        assert parse_scenario_document(doc) == sc
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown input kind 'ramp'"):
+            InputSignal("ramp")
+
+    def test_sinusoid_term_is_a_triple(self):
+        with pytest.raises(ValueError, match="amplitude, frequency, phase"):
+            InputSignal("sinusoids", terms=(((1.0, 2.0),),))
 
 
 class TestCsvExport:
