@@ -65,17 +65,14 @@ def fading_output_scenario(horizon: float = 100.0, step: float = 1e-3,
     x1 = y' - u and x2 = y - x1 at the shifted origin.
     """
     nsamples = int(round(horizon / table_step)) + 1
-    # the table is labelled with the grid that is integrated
-    times = np.arange(nsamples) * table_step
-    # y'' on the half-step grid; its array is freed before the table is built
+    # y'' on the half-step grid; its array is freed once u is integrated
     u = rk4_linear(np.array([[-1.0]]), np.array([[1.0]]), table_step, (0.0,),
-                   _yddot_grid(2 * nsamples - 1, table_step / 2))[:, 0]
+                   _yddot_grid(2 * nsamples - 1, table_step / 2))
 
-    x1 = _ydot(_SHIFT) - u[0]
+    x1 = _ydot(_SHIFT) - u[0, 0]
     x2 = _y(_SHIFT) - x1
-    signal = InputSignal("table",
-                         times=tuple(float(t) for t in times),
-                         values=tuple((float(v),) for v in u))
+    # the table is labelled with the grid that is integrated
+    signal = InputSignal("table", times=np.arange(nsamples) * table_step, values=u)
     return Scenario(x0=(x1, x2), xi0=(), input_signal=signal,
                     horizon=horizon, step=step)
 

@@ -11,15 +11,17 @@ estimation error is summarised over the final stretch of the horizon.
 
 Scenario and observer documents are parsed and written here too, next to
 the types they build; ``INPUT_FIELDS`` is the one list of input kinds and
-the fields each carries.  Files are read through ``fileio.read_text``.
+the fields each carries, and a field or document key that a kind does not
+carry is rejected.  A table input holds its knots and rows as read-only
+float64 arrays, converted once when it is built, so sampling a long table
+does no per-call conversion.  Files are read through ``fileio.read_text``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -123,38 +125,80 @@ class InputSignal:
     (coefficients in t, ascending, per channel); "sinusoids" (list of
     (amplitude, frequency, phase) terms per channel); "table" (strictly
     increasing sample times, one equal-width row of values per time,
-    linear interpolation, ends held).
+    linear interpolation, ends held).  A field the kind does not carry
+    must be empty.
+
+    A table's ``times`` and ``values`` may be given as any sequences or
+    arrays; they are converted once, to read-only float64 arrays of shapes
+    (N,) and (N, m), and ``sample`` reads those arrays directly.  Equality
+    compares them by value.
     """
     kind: str
     value: tuple[float, ...] = ()
     coefficients: tuple[tuple[float, ...], ...] = ()
     terms: tuple[tuple[tuple[float, float, float], ...], ...] = ()
-    times: tuple[float, ...] = ()
-    values: tuple[tuple[float, ...], ...] = ()
+    times: np.ndarray = ()
+    values: np.ndarray = ()
 
     def __post_init__(self):
         if self.kind not in INPUT_FIELDS:
             raise ValueError(f"unknown input kind {self.kind!r} "
                              f"(known: {', '.join(INPUT_FIELDS)})")
+        for f in fields(self)[1:]:  # every field after kind
+            if f.name not in INPUT_FIELDS[self.kind] and len(getattr(self, f.name)):
+                raise ValueError(f"input kind {self.kind!r} carries no field {f.name!r}")
         if any(len(term) != 3 for chan in self.terms for term in chan):
             raise ValueError("a sinusoid term is (amplitude, frequency, phase)")
-        if self.kind != "table":
-            return
-        if not all(map(operator.lt, self.times, self.times[1:])):
+        if self.kind == "table":
+            object.__setattr__(self, "times", _read_only(self._table_times()))
+            object.__setattr__(self, "values", _read_only(self._table_values()))
+
+    def _table_times(self) -> np.ndarray:
+        times = np.array(self.times, dtype=float)
+        if times.ndim != 1:
+            raise ValueError("table times must be an array of numbers")
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("table times must be strictly increasing")
-        if len(self.values) != len(self.times):
-            raise ValueError(f"table has {len(self.times)} times but "
-                             f"{len(self.values)} rows of values")
-        if len(set(map(len, self.values))) > 1:
-            raise ValueError("table rows differ in length")
+        return times
+
+    def _table_values(self) -> np.ndarray:
+        rows = self.values
+        if len(rows) != len(self.times):
+            raise ValueError(f"table has {len(self.times)} times but {len(rows)} rows of values")
+        if not isinstance(rows, np.ndarray):  # an array is never ragged
+            try:
+                widths = set(map(len, rows))
+            except TypeError:
+                raise ValueError("table values must be one row of numbers per time") from None
+            if len(widths) > 1:
+                raise ValueError("table rows differ in length")
+        values = np.array(rows, dtype=float)
+        if values.size == 0:  # no times, or rows of width 0: no channels
+            return values.reshape(len(rows), 0)
+        if values.ndim != 2:
+            raise ValueError("table values must be one row of numbers per time")
+        return values
+
+    def __eq__(self, other):
+        if not isinstance(other, InputSignal):
+            return NotImplemented
+        return ((self.kind, self.value, self.coefficients, self.terms)
+                == (other.kind, other.value, other.coefficients, other.terms)
+                and np.array_equal(self.times, other.times)
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        # a table enters by its length only: equal signals hash equal, and
+        # hashing never walks the samples
+        return hash((self.kind, self.value, self.coefficients, self.terms, len(self.times)))
 
     def channels(self, m: int) -> int:
-        fields = INPUT_FIELDS[self.kind]
-        if not fields:  # "zero" fits any input count
+        carried = INPUT_FIELDS[self.kind]
+        if not carried:  # "zero" fits any input count
             return m
         if self.kind == "table":  # one row of values per time
-            return len(self.values[0]) if self.values else 0
-        (field,) = fields  # one entry per channel
+            return self.values.shape[1]
+        (field,) = carried  # one entry per channel
         return len(getattr(self, field))
 
     def sample(self, t: np.ndarray, m: int) -> np.ndarray:
@@ -172,10 +216,14 @@ class InputSignal:
                 for a, w, ph in chan:
                     out[:, i] += a * np.sin(w * t + ph)
         elif self.kind == "table":
-            vals = np.asarray(self.values, dtype=float)
             for i in range(out.shape[1]):
-                out[:, i] = np.interp(t, self.times, vals[:, i])
+                out[:, i] = np.interp(t, self.times, self.values[:, i])
         return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 ZERO_INPUT = InputSignal("zero")
@@ -469,7 +517,7 @@ def _float_matrix(doc: dict, field: str) -> np.ndarray:
 def parse_scenario_document(doc: dict) -> Scenario:
     """A scenario from its JSON object.  The input object holds its kind
     and the fields ``INPUT_FIELDS`` names for that kind, each empty when
-    absent; a missing input is "zero"."""
+    absent, and no other key; a missing input is "zero"."""
     if not isinstance(doc, dict):
         raise SystemFileError("scenario document must be a JSON object")
     sig = doc.get("input", {"kind": "zero"})
@@ -479,6 +527,9 @@ def parse_scenario_document(doc: dict) -> Scenario:
         depths = INPUT_FIELDS.get(sig["kind"], {})  # InputSignal rejects an unknown kind
         signal = InputSignal(sig["kind"], **{name: _float_array(sig.get(name, []), depth)
                                             for name, depth in depths.items()})
+        extra = sorted(sig.keys() - {"kind", *depths})
+        if extra:
+            raise ValueError(f"input kind {signal.kind!r} carries no field {extra[0]!r}")
     except (TypeError, ValueError) as exc:
         raise SystemFileError(f"field 'input': {exc}") from exc
     x0 = _field(doc, "x0", _float_array, [])
@@ -501,6 +552,8 @@ def load_scenario_file(path, horizon_fallback: float | None = None) -> Scenario:
 
 
 def _nested_lists(x, depth: int):
+    if isinstance(x, np.ndarray):  # a table field
+        return x.tolist()
     return [_nested_lists(v, depth - 1) for v in x] if depth else x
 
 

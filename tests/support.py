@@ -11,7 +11,8 @@ column, matrix products and Smith row/column operations term by term
 from numpy's companion-matrix solver,
 trajectories from a stage-by-stage RK4 loop fed by scalar input
 evaluation, the affine RK4 recurrence from one matrix-vector product per
-step, trajectory CSV rows formatted value by value.
+step, trajectory CSV rows formatted value by value, the fading scenario's
+document from its table built as tuples of Python floats.
 """
 
 from __future__ import annotations
@@ -466,3 +467,22 @@ def ref_write_csv(traj, path) -> None:
                    + [repr(float(v)) for v in traj.zhat[k]]
                    + [repr(float(v)) for v in traj.e[k]])
             writer.writerow(row)
+
+
+def ref_fading_document(horizon: float, step: float, table_step: float) -> dict:
+    """The JSON document of ``scenarios.fading_output_scenario``, its table
+    built element by element as tuples of Python floats and written list
+    by list; u and y'' come from the same routines the scenario calls."""
+    from funcobs.scenarios import _SHIFT, _y, _ydot, _yddot_grid
+    from funcobs.sim import rk4_linear
+
+    nsamples = int(round(horizon / table_step)) + 1
+    u = rk4_linear(np.array([[-1.0]]), np.array([[1.0]]), table_step, (0.0,),
+                   _yddot_grid(2 * nsamples - 1, table_step / 2))[:, 0]
+    times = tuple(float(t) for t in np.arange(nsamples) * table_step)
+    values = tuple((float(v),) for v in u)
+    x1 = _ydot(_SHIFT) - u[0]
+    return {"x0": [x1, _y(_SHIFT) - x1], "xi0": [],
+            "input": {"kind": "table", "times": list(times),
+                      "values": [list(row) for row in values]},
+            "horizon": horizon, "step": step}

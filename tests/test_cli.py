@@ -507,6 +507,24 @@ class TestCmdSimulate:
         assert "field 'input': unknown input kind 'ramp'" in err
         assert "Traceback" not in err
 
+    # a key the input kind does not carry is an error, not silently dropped
+    @pytest.mark.parametrize("signal, key", [
+        ({"kind": "zero", "value": [2]}, "value"),
+        ({"kind": "zero", "vaule": [2]}, "vaule"),
+        ({"kind": "table", "times": [0, 1], "values": [[], []], "value": [1]}, "value"),
+        ({"kind": "constant", "value": [], "terms": []}, "terms"),
+    ])
+    def test_input_key_the_kind_does_not_carry_exits_2(self, tmp_path, capsys, signal, key):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"R": [[1, 0]]}))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"x0": [1.0, 0.0], "input": signal}))
+        assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 2
+        err = capsys.readouterr().err
+        assert (f"field 'input': input kind {signal['kind']!r} carries no field {key!r}"
+                in err)
+        assert "Traceback" not in err
+
     def test_missing_horizon_auto_suggested(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps({"R": [[1.0]]}))

@@ -99,6 +99,15 @@ class TestRealize:
             assert np.max(np.abs(exact - got)) < 1e-12
 
 
+# (times, values, the message that rejects them)
+MALFORMED_TABLES = [
+    ((2.0, 0.0), ((0.0,), (1.0,)), "strictly increasing"),
+    ((0.0, 0.0), ((0.0,), (1.0,)), "strictly increasing"),
+    ((0.0, 1.0), ((0.0,), (1.0, 2.0)), "differ in length"),
+    ((0.0, 1.0, 2.0), ((0.0,), (1.0,)), "3 times but 2 rows"),
+]
+
+
 class TestSimulate:
     def test_static_observer_tracks_exactly(self):
         sys = support.stable_pair()
@@ -159,12 +168,7 @@ class TestSimulate:
         traj = simulate(sys, omega, sc)  # area of the triangle is 1
         assert abs(traj.x[-1, 0] - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("times, values, message", [
-        ((2.0, 0.0), ((0.0,), (1.0,)), "strictly increasing"),
-        ((0.0, 0.0), ((0.0,), (1.0,)), "strictly increasing"),
-        ((0.0, 1.0), ((0.0,), (1.0, 2.0)), "differ in length"),
-        ((0.0, 1.0, 2.0), ((0.0,), (1.0,)), "3 times but 2 rows"),
-    ])
+    @pytest.mark.parametrize("times, values, message", MALFORMED_TABLES)
     def test_malformed_table_rejected(self, times, values, message):
         with pytest.raises(ValueError, match=message):
             InputSignal("table", times=times, values=values)
@@ -403,7 +407,7 @@ class TestScenarioHelpers:
         # be k * table_step, the times at which u was integrated
         sc = fading_output_scenario(horizon=1.0005, step=1e-2, table_step=1e-3)
         times = sc.input_signal.times
-        assert times == tuple(k * 1e-3 for k in range(len(times)))
+        assert np.array_equal(times, [k * 1e-3 for k in range(len(times))])
         # and the values are u' + u = y'' from u(0) = 0 at those times
         ref = support.ref_rk4(np.array([[-1.0]]), np.array([[1.0]]),
                               lambda t: np.array([_yddot(1.0 + t)]), (0.0,),
@@ -460,6 +464,118 @@ class TestScenarioHelpers:
 
     def test_step_cap_is_inclusive(self):
         assert Scenario(x0=(), xi0=(), horizon=float(MAX_STEPS), step=1.0).horizon == MAX_STEPS
+
+
+# the fading case the simulate benchmark builds and replays
+FADING = {"horizon": 40.0, "step": 1e-2, "table_step": 1e-3}
+
+
+class TestTableStorage:
+    """A table holds its knots and rows as read-only float64 arrays,
+    converted once; the fading scenario built on them matches the route
+    that built tuples of Python floats (support.ref_fading_document)."""
+
+    def test_fading_table_arrays_are_read_only_float64(self):
+        sig = fading_output_scenario(horizon=1.0005, step=1e-2, table_step=1e-3).input_signal
+        assert sig.times.dtype == sig.values.dtype == np.float64
+        assert sig.times.shape == (1001,) and sig.values.shape == (1001, 1)
+        assert not sig.times.flags.writeable and not sig.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sig.times[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sig.values[0, 0] = 1.0
+
+    def test_caller_array_is_copied(self):
+        times, values = np.array([0.0, 1.0]), np.array([[1.0], [2.0]])
+        sig = InputSignal("table", times=times, values=values)
+        times[0] = values[0, 0] = -5.0  # the caller's arrays stay writable and unshared
+        assert sig.times[0] == 0.0 and sig.values[0, 0] == 1.0
+
+    def test_tuples_and_arrays_compare_and_hash_equal(self):
+        from_tuples = InputSignal("table", times=(0.0, 0.5, 2.0),
+                                  values=((1.0, -1.0), (2.0, 0.0), (0.5, 3.0)))
+        from_arrays = InputSignal("table", times=np.array([0.0, 0.5, 2.0]),
+                                  values=np.array([[1.0, -1.0], [2.0, 0.0], [0.5, 3.0]]))
+        assert from_tuples == from_arrays and hash(from_tuples) == hash(from_arrays)
+        sc = Scenario(x0=(1.0,), xi0=(), input_signal=from_tuples)
+        assert sc == Scenario(x0=(1.0,), xi0=(), input_signal=from_arrays)
+        assert hash(sc) == hash(Scenario(x0=(1.0,), xi0=(), input_signal=from_arrays))
+        changed = InputSignal("table", times=(0.0, 0.5, 2.0),
+                              values=((1.0, -1.0), (2.0, 0.0), (0.5, 3.5)))
+        assert from_tuples != changed
+        assert from_tuples != InputSignal("table", times=(0.0, 0.5, 2.5),
+                                          values=((1.0, -1.0), (2.0, 0.0), (0.5, 3.0)))
+        assert from_tuples != InputSignal("zero")
+
+    @pytest.mark.parametrize("times, values, shape", [
+        ((), (), (0, 0)),                       # an empty table
+        ((0.0, 1.0), ((), ()), (2, 0)),         # zero-width rows
+        ((1.0,), ((2.0, -1.0),), (1, 2)),       # a single knot
+        ((0.0, 1.0, 3.0), ((0.0, 1.0), (1.0, -1.0), (3.0, 0.0)), (3, 2)),  # two channels
+    ], ids=["empty", "zero-width", "single-knot", "two-channels"])
+    def test_edge_shapes(self, times, values, shape):
+        sig = InputSignal("table", times=times, values=values)
+        assert sig.values.shape == shape and sig.times.shape == (shape[0],)
+        assert sig.channels(shape[1]) == shape[1]
+        assert sig.sample(np.array([-1.0, 0.0, 0.5, 5.0]), shape[1]).shape == (4, shape[1])
+
+    def test_single_knot_holds_its_row(self):
+        sig = InputSignal("table", times=(1.0,), values=((2.0, -1.0),))
+        assert np.array_equal(sig.sample([-3.0, 1.0, 7.0], 2), [[2.0, -1.0]] * 3)
+
+    @pytest.mark.parametrize("times, values, message", MALFORMED_TABLES)
+    def test_malformed_table_of_arrays_rejected(self, times, values, message):
+        with pytest.raises(ValueError, match=message):
+            InputSignal("table", times=np.array(times), values=[np.array(row) for row in values])
+
+    @pytest.mark.parametrize("values", [(0.0, 1.0), np.array([0.0, 1.0]),
+                                        np.zeros((2, 1, 1))], ids=["tuple", "array", "3-d"])
+    def test_rows_must_be_arrays_of_numbers(self, values):
+        with pytest.raises(ValueError, match="one row of numbers per time"):
+            InputSignal("table", times=(0.0, 1.0), values=values)
+
+    def test_times_must_be_flat(self):
+        with pytest.raises(ValueError, match="times must be an array of numbers"):
+            InputSignal("table", times=((0.0,), (1.0,)), values=((0.0,), (1.0,)))
+
+    @pytest.mark.parametrize("kind, field, given", [
+        ("zero", "value", (2.0,)),
+        ("constant", "times", (0.0,)),
+        ("polynomial", "terms", (((1.0, 1.0, 0.0),),)),
+        ("sinusoids", "coefficients", ((1.0,),)),
+        ("table", "value", (1.0,)),
+        ("zero", "values", np.zeros((1, 1))),
+    ])
+    def test_field_the_kind_does_not_carry_rejected(self, kind, field, given):
+        with pytest.raises(ValueError, match=f"input kind '{kind}' carries no field '{field}'"):
+            InputSignal(kind, **{field: given})
+
+    def test_fading_table_matches_tuple_route(self):
+        sc = fading_output_scenario(**FADING)
+        doc = support.ref_fading_document(**FADING)
+        assert list(sc.x0) == doc["x0"]
+        assert sc.input_signal.times.tolist() == doc["input"]["times"]
+        assert sc.input_signal.values.tolist() == doc["input"]["values"]
+        assert json.dumps(dump_scenario_document(sc)) == json.dumps(doc)
+
+    def test_fading_sampling_matches_tuple_knots(self):
+        sig = fading_output_scenario(**FADING).input_signal
+        doc = support.ref_fading_document(**FADING)["input"]
+        t = np.arange(2 * 4000 + 1) * (FADING["step"] / 2)
+        want = np.interp(t, tuple(doc["times"]), np.asarray(doc["values"], dtype=float)[:, 0])
+        assert np.array_equal(sig.sample(t, 1)[:, 0], want)
+
+    @pytest.mark.parametrize("divisor", [1, 2])
+    def test_fading_trajectory_matches_tuple_route(self, divisor):
+        sys = support.integrator_chain()
+        omega = StateSpaceRealization.static_gain([[0.0]])
+        sc = fading_output_scenario(**FADING)
+        ref = parse_scenario_document(support.ref_fading_document(**FADING))
+        got, want = (simulate(sys, omega, Scenario(s.x0, s.xi0, s.input_signal, s.horizon,
+                                                   s.step / divisor))
+                     for s in (sc, ref))
+        for name in ("t", "x", "e"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
