@@ -38,20 +38,22 @@ def _yddot(t: float) -> float:
             - 4.0 * t * math.sin(tt))
 
 
+_YDDOT_BLOCK = 2048
+
+
 def _yddot_grid(npoints: int, dt: float) -> np.ndarray:
     """y''(_SHIFT + j dt) for j = 0, ..., npoints - 1 as one column.
 
-    Evaluated with numpy one block of ceil(sqrt(npoints)) points at a time,
-    written into the returned array: whole-grid numpy would hold several
-    grid-sized temporaries at once.  Same formula as ``_yddot``.
+    Evaluated with numpy one block of _YDDOT_BLOCK points at a time, written
+    into the returned array: whole-grid numpy would hold several grid-sized
+    temporaries at once.  Same formula as ``_yddot``.
     """
     out = np.empty((npoints, 1))
-    block = math.isqrt(max(npoints - 1, 0)) + 1
-    for lo in range(0, npoints, block):
-        t = _SHIFT + np.arange(lo, min(lo + block, npoints)) * dt
+    for lo in range(0, npoints, _YDDOT_BLOCK):
+        t = _SHIFT + np.arange(lo, min(lo + _YDDOT_BLOCK, npoints)) * dt
         tt = t * t
         sin, cos = np.sin(tt), np.cos(tt)
-        out[lo:lo + block, 0] = 2.0 * sin / (tt * t) - 2.0 * cos / t - 4.0 * t * sin
+        out[lo:lo + _YDDOT_BLOCK, 0] = 2.0 * sin / (tt * t) - 2.0 * cos / t - 4.0 * t * sin
     return out
 
 

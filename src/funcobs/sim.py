@@ -6,8 +6,9 @@ realized in state-space form column by column (companion blocks of each
 column's common denominator), the plant/observer cascade is integrated
 with classical fixed-step fourth-order Runge-Kutta (one precomputed affine
 step map, inputs sampled as arrays on the half-step grid, and the N-step
-recurrence run as a blocked scan of about 3 sqrt(N) numpy calls), and the
-estimation error is summarised over the final stretch of the horizon.
+recurrence run as a doubling scan of at most 13 passes over row blocks),
+and the estimation error is summarised over the final stretch of the
+horizon.
 
 Scenario and observer documents are parsed and written here too, next to
 the types they build; ``INPUT_FIELDS`` is the one list of input kinds and
@@ -128,10 +129,12 @@ class InputSignal:
     linear interpolation, ends held).  A field the kind does not carry
     must be empty.
 
-    A table's ``times`` and ``values`` may be given as any sequences or
-    arrays; they are converted once, to read-only float64 arrays of shapes
-    (N,) and (N, m), and ``sample`` reads those arrays directly.  Equality
-    compares them by value.
+    Every field may be given as any sequences or arrays.  ``value``,
+    ``coefficients`` and ``terms`` are converted to nested tuples of floats,
+    so signals built from lists, tuples or arrays compare and hash equal.
+    A table's ``times`` and ``values`` are converted once, to read-only
+    float64 arrays of shapes (N,) and (N, m), and ``sample`` reads those
+    arrays directly.  Equality compares them by value.
     """
     kind: str
     value: tuple[float, ...] = ()
@@ -147,11 +150,14 @@ class InputSignal:
         for f in fields(self)[1:]:  # every field after kind
             if f.name not in INPUT_FIELDS[self.kind] and len(getattr(self, f.name)):
                 raise ValueError(f"input kind {self.kind!r} carries no field {f.name!r}")
-        if any(len(term) != 3 for chan in self.terms for term in chan):
-            raise ValueError("a sinusoid term is (amplitude, frequency, phase)")
         if self.kind == "table":
             object.__setattr__(self, "times", _read_only(self._table_times()))
             object.__setattr__(self, "values", _read_only(self._table_values()))
+        else:
+            for name, depth in INPUT_FIELDS[self.kind].items():
+                object.__setattr__(self, name, _float_tuples(getattr(self, name), depth))
+        if any(len(term) != 3 for chan in self.terms for term in chan):
+            raise ValueError("a sinusoid term is (amplitude, frequency, phase)")
 
     def _table_times(self) -> np.ndarray:
         times = np.array(self.times, dtype=float)
@@ -219,6 +225,11 @@ class InputSignal:
             for i in range(out.shape[1]):
                 out[:, i] = np.interp(t, self.times, self.values[:, i])
         return out
+
+
+def _float_tuples(x, depth: int) -> tuple:
+    """A sequence or array nested depth levels deep as nested tuples of floats."""
+    return tuple(_float_tuples(v, depth - 1) if depth > 1 else float(v) for v in x)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -311,37 +322,37 @@ def _rk4_step_map(A: np.ndarray, B: np.ndarray, h: float):
     return TS[:, :d], S0, S_half, S1
 
 
-def _affine_scan(T: np.ndarray, w: np.ndarray) -> None:
-    """w[k + 1] += T w[k] for k = 0, ..., N - 1, in place, with about 3 sqrt(N)
-    numpy calls instead of N.
+# Rows per numpy call in ``_affine_scan``, a power of two so that doubling
+# stops at a window of at most this many steps: the scan's temporaries stay
+# this many rows by the state dimension, whatever the step count.
+_SCAN_BLOCK = 2**12
 
-    The N steps are cut into chunks of L = ceil(sqrt(N)) steps.  The
-    zero-start responses of all chunks advance together (L vectorized
-    steps), T^L chains the chunk start states (N / L steps), and T^i times
-    its chunk's start is added at offset i of every chunk.  The powers come
-    from repeated multiplication and L stops before the first non-finite
-    one, so a zero start never meets inf * 0.  With L = 1 this is the plain
-    recurrence, which also runs the steps left after the last full chunk.
+
+def _affine_scan(T: np.ndarray, w: np.ndarray) -> None:
+    """w[k + 1] += T w[k] for k = 0, ..., N - 1, in place, as a doubling scan:
+    at most log2(_SCAN_BLOCK) + 1 passes over the rows instead of N steps.
+
+    Invariant: w[k] holds the sum of T^(k - i) w_in[i] over its last s
+    inputs, and Q = (T^s)^T.  A pass adds T^s w[k - s] to every w[k] and
+    doubles s; it runs backwards over row blocks, so every source row still
+    holds its old window.  Doubling stops at the block size, or before the
+    first non-finite power so that a zero state never meets inf * 0; windows
+    of s steps are then chained by T^s, forwards, so every source row is
+    already final (no window is left once s > N).
     """
-    nsteps, d = len(w) - 1, w.shape[1]
-    powers = [T]  # powers[i] = T^(i + 1), up to T^ceil(sqrt(N))
-    while len(powers) ** 2 < nsteps:
-        nxt = powers[-1] @ T
-        if not np.isfinite(nxt).all():
+    n, s, Q = len(w), 1, np.ascontiguousarray(T.T)
+    while s < min(n, _SCAN_BLOCK):
+        Q2 = Q @ Q
+        if not np.isfinite(Q2).all():
             break
-        powers.append(nxt)
-    L = len(powers)
-    end = nsteps - nsteps % L
-    chunks = w[1:end + 1].reshape(end // L, L, d)  # a view: steps 1..end, one row per chunk
-    for i in range(1, L):
-        chunks[:, i] += chunks[:, i - 1] @ T.T
-    for k in range(L, end + 1, L):
-        w[k] += powers[-1] @ w[k - L]
-    starts = w[:end:L]
-    for i in range(L - 1):
-        chunks[:, i] += starts @ powers[i].T
-    for k in range(end, nsteps):
-        w[k + 1] += T @ w[k]
+        for hi in range(n, s, -_SCAN_BLOCK):
+            lo = max(s, hi - _SCAN_BLOCK)
+            # np.dot, not @: matmul takes a path ~9x slower for one-column states
+            w[lo:hi] += np.dot(w[lo - s:hi - s], Q)
+        s, Q = 2 * s, Q2
+    for lo in range(s, n, s):
+        hi = min(lo + s, n)
+        w[lo:hi] += np.dot(w[lo - s:hi - s], Q)
 
 
 def rk4_linear(A: np.ndarray, B: np.ndarray, h: float, w0: np.ndarray,
@@ -353,7 +364,7 @@ def rk4_linear(A: np.ndarray, B: np.ndarray, h: float, w0: np.ndarray,
     field one RK4 step is the affine map
     w+ = T w + S0 u(t) + S_half u(t + h/2) + S1 u(t + h), precomputed once;
     the input terms of all steps are one matrix product each, and the
-    recurrence in T runs as a blocked scan (``_affine_scan``) with no
+    recurrence in T runs as a doubling scan (``_affine_scan``) with no
     per-step Python loop.  A state that is not finite or exceeds the
     blow-up bound raises StepInstabilityError naming the first such step.
     """

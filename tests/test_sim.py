@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from funcobs.polymat import Poly
-from funcobs.scenarios import (_yddot, _yddot_grid, fading_output_scenario,
+from funcobs import sim
+from funcobs.scenarios import (_YDDOT_BLOCK, _yddot, _yddot_grid, fading_output_scenario,
                                zero_input_scenario)
 from funcobs.sim import (INPUT_FIELDS, MAX_STEPS, InputSignal, RealizationError, Scenario,
                          StateSpaceRealization, StepInstabilityError,
@@ -300,9 +301,11 @@ def assert_matches_loop(got, ref):
 
 
 class TestBlockedScan:
-    """The chunked recurrence in rk4_linear against the step-by-step loop."""
+    """The doubling scan in rk4_linear, run over row blocks, against the
+    step-by-step loop."""
 
-    @pytest.mark.parametrize("nsteps", [0, 1, 2, 3, 15, 16, 17, 99, 100, 101, 1009])
+    @pytest.mark.parametrize("nsteps", [0, 1, 2, 3, 15, 16, 17, 99, 100, 101, 1009,
+                                        255, 256, 257, 4095, 4096, 4097])
     @pytest.mark.parametrize("kind", ["stable", "marginal", "unstable"])
     def test_matches_step_by_step_recurrence(self, nsteps, kind):
         nrng = np.random.default_rng(nsteps)
@@ -320,8 +323,9 @@ class TestBlockedScan:
                                 loop_rk4(A, B, 5e-3, w0, u_half))
 
     def test_zero_state_stays_zero_under_step_unstable_mode(self):
-        # h * a = -1000: T = 4.1e10 and T^32 = T^ceil(sqrt(1000)) overflows;
-        # an unguarded chunk start would meet inf * 0
+        # h * a = -1000: T = 4.1e10 and T^32 overflows, so doubling stops at
+        # T^16 and chains windows of 16 steps; an unguarded pass would meet
+        # inf * 0
         T = _rk4_step_map(np.array([[-1e6]]), np.zeros((1, 0)), 1e-3)[0]
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.linalg.matrix_power(T, 32)).all()
@@ -337,8 +341,32 @@ class TestBlockedScan:
         assert not got[:, 0].any()
         assert_matches_loop(got, loop_rk4(A, B, 1e-3, (0.0, 1.0), u_half))
 
+    @pytest.mark.parametrize("block", [4, 8])
+    @pytest.mark.parametrize("huge", [False, True], ids=["finite-powers", "overflowing-power"])
+    def test_small_blocks_match_step_by_step_recurrence(self, monkeypatch, block, huge):
+        # every doubling pass spans several backward blocks.  Doubling stops
+        # at s = block, or, with a zero-state mode of 1e40 and block 8, at
+        # s = 4 because T^8 overflows; s-step windows are then chained
+        monkeypatch.setattr(sim, "_SCAN_BLOCK", block)
+        nrng = np.random.default_rng(block)
+        T = np.eye(3) + 0.05 * nrng.uniform(-1, 1, (3, 3))
+        if huge:
+            T = np.block([[np.full((1, 1), 1e40), np.zeros((1, 3))], [np.zeros((3, 1)), T]])
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(np.linalg.matrix_power(T, 8)).all()
+        for nsteps in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 40, 41):
+            w = nrng.uniform(-1, 1, (nsteps + 1, len(T)))
+            if huge:
+                w[:, 0] = 0.0
+            ref = w.copy()
+            support.ref_recurrence(T, ref)
+            with np.errstate(over="ignore"):  # as in rk4_linear
+                sim._affine_scan(T, w)
+            assert_matches_loop(w, ref)
+
     def test_blow_up_in_a_later_chunk_reports_its_step(self):
-        # e^(5t) first exceeds 1e12 at step 5527 of 10000, in chunk 55 of 100
+        # e^(5t) first exceeds 1e12 at step 5527 of 10000, in the second of
+        # the 4096-step windows that the scan chains
         sys = SystemSextuple.from_lists(A=[[5]], C=[[1]], E=[[1]], m=0)
         omega = StateSpaceRealization.static_gain([[0.0]])
         sc = zero_input_scenario([1.0], horizon=10.0, step=1e-3)
@@ -416,10 +444,10 @@ class TestScenarioHelpers:
         assert np.max(np.abs(got - ref)) < 1e-10
 
     def test_blockwise_yddot_matches_scalar(self):
-        # the half-step grid of horizon 1.0005 at table step 1e-3: 2001
-        # points, not a multiple of the 45-point block
-        npoints = 2 * (int(round(1.0005 / 1e-3)) + 1) - 1
-        assert npoints % (math.isqrt(npoints - 1) + 1) != 0
+        # the half-step grid of horizon 2.5 at table step 1e-3: 5001 points,
+        # two full blocks and a partial one
+        npoints = 2 * (int(round(2.5 / 1e-3)) + 1) - 1
+        assert npoints > 2 * _YDDOT_BLOCK and npoints % _YDDOT_BLOCK != 0
         got = _yddot_grid(npoints, 5e-4)[:, 0]
         want = np.array([_yddot(1.0 + j * 5e-4) for j in range(npoints)])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -506,6 +534,22 @@ class TestTableStorage:
         assert from_tuples != InputSignal("table", times=(0.0, 0.5, 2.5),
                                           values=((1.0, -1.0), (2.0, 0.0), (0.5, 3.0)))
         assert from_tuples != InputSignal("zero")
+
+    @pytest.mark.parametrize("kind, field, tuples, given", [
+        ("constant", "value", (1.0, 2.0), [np.array([1.0, 2.0]), [1, 2], (1, 2.0)]),
+        ("polynomial", "coefficients", ((1.0, 0.5), (2.0,)),
+         [[np.array([1.0, 0.5]), [2]], [[1, 0.5], (2.0,)]]),
+        ("sinusoids", "terms", (((1.0, 2.0, 0.0),), ()),
+         [[np.array([[1, 2, 0]]), []], [[[1, 2, 0]], ()]]),
+    ])
+    def test_other_fields_compare_and_hash_equal(self, kind, field, tuples, given):
+        want = InputSignal(kind, **{field: tuples})
+        doc = json.dumps(dump_scenario_document(Scenario((), (), want)))
+        for raw in given:
+            sig = InputSignal(kind, **{field: raw})
+            assert sig == want and hash(sig) == hash(want)
+            assert getattr(sig, field) == tuples
+            assert json.dumps(dump_scenario_document(Scenario((), (), sig))) == doc
 
     @pytest.mark.parametrize("times, values, shape", [
         ((), (), (0, 0)),                       # an empty table
