@@ -8,7 +8,7 @@ rational-function witnesses of the underlying matrix equation, and
 demonstrates convergence numerically on realized observers.
 """
 
-from .decide import (Verdict, asympt_strong_left_invertible,
+from .decide import (PlantForms, Verdict, asympt_strong_left_invertible,
                      asympt_strong_star_left_invertible, darouach_fixed_order,
                      functional_detectable, hautus_strong_detectable,
                      hautus_strong_star_detectable,
@@ -46,7 +46,7 @@ __all__ = [
     "HurwitzReport", "is_hurwitz", "antistable_parts_equal",
     "SystemSextuple", "extend", "reachable_within", "strong_star_inclusion",
     "toeplitz", "kernel_inclusion_upto",
-    "Verdict", "functional_detectable", "strongly_functional_detectable",
+    "PlantForms", "Verdict", "functional_detectable", "strongly_functional_detectable",
     "strong_star_functional_detectable", "hautus_strong_detectable",
     "hautus_strong_star_detectable", "asympt_strong_left_invertible",
     "asympt_strong_star_left_invertible", "darouach_fixed_order",

@@ -172,16 +172,19 @@ def cmd_check(args) -> int:
         if args.strong_star:
             selected.append("strong-star")
 
+    # one object carries the plant's pencils through every decision, so a
+    # decision's seconds count only the work it adds to it
+    forms = decide.PlantForms(system)
     verdicts: list[decide.Verdict] = []
     timing: dict[str, float] = {"parse_s": parse_s}
     for key in selected:
         t0 = time.perf_counter()
-        verdicts.append(_CHECKS[key](system))
+        verdicts.append(_CHECKS[key](forms))
         timing[f"check.{key}_s"] = time.perf_counter() - t0
     for spec in args.specialize or []:
         for fn in _SPECIALIZED[spec]:
             t0 = time.perf_counter()
-            verdicts.append(fn(system))
+            verdicts.append(fn(forms))
             timing[f"check.{spec}.{fn.__name__}_s"] = time.perf_counter() - t0
 
     name = meta.get("name", Path(args.system).stem)
@@ -325,7 +328,8 @@ def cmd_batch(args) -> int:
         return EXIT_ERROR
     results: list[tuple[str, int]] = []
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the fork start method launches every worker up front
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(files))) as pool:
             results = list(pool.map(_batch_one, files))
     else:
         for f in files:

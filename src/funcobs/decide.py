@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import geometry
 from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
 from .markov import toeplitz
-from .polymat import (POLY_ONE, Poly, build_system_matrices, pencil, poly_gcd,
+from .polymat import (POLY_ONE, Poly, PolyMatrix, SmithDecomposition,
+                      build_system_matrices, pencil, poly_gcd,
                       rank_and_zero_from_invariants, rank_and_zero_polynomial,
                       smith_form, stacked_invariants)
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
@@ -142,56 +144,96 @@ def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix) -> KernelInclusionCertificate:
     return KernelInclusionCertificate(lhs, rhs, witness is None, witness)
 
 
-def _detectability_certificate(sys: SystemSextuple) -> DetectabilityCertificate:
-    P, EF = build_system_matrices(sys)
-    dec = smith_form(P)
-    rp, zp = rank_and_zero_from_invariants(dec.invariant_polys)
-    # P_e = [P; E F] is not eliminated: its invariants follow from P's form
-    rpe, zpe = rank_and_zero_from_invariants(stacked_invariants(dec, EF))
-    cmp_ = antistable_parts_equal(zp, zpe)
-    return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
+class PlantForms:
+    """The pencils of one plant and what the decisions read off them.
+
+    Each part is computed on first use and kept by this object alone: the
+    decisions and the witness run on one object share P, its Smith form and
+    the certificates built on it, while a call with a bare plant builds a
+    fresh object and does all of its own work.
+    """
+
+    def __init__(self, sys: SystemSextuple):
+        self.sys = sys
+
+    @staticmethod
+    def of(plant: SystemSextuple | PlantForms) -> PlantForms:
+        return plant if isinstance(plant, PlantForms) else PlantForms(plant)
+
+    @cached_property
+    def matrices(self) -> tuple[PolyMatrix, PolyMatrix]:
+        """(P, EF) from ``build_system_matrices``."""
+        return build_system_matrices(self.sys)
+
+    @cached_property
+    def smith(self) -> SmithDecomposition:
+        return smith_form(self.matrices[0])
+
+    @cached_property
+    def rank_and_zero(self) -> tuple[int, Poly]:
+        """Normal rank and zero polynomial of P."""
+        return rank_and_zero_from_invariants(self.smith.invariant_polys)
+
+    @cached_property
+    def detectability(self) -> DetectabilityCertificate:
+        rp, zp = self.rank_and_zero
+        # P_e = [P; E F] is not eliminated: its invariants follow from P's form
+        rpe, zpe = rank_and_zero_from_invariants(stacked_invariants(self.smith, self.matrices[1]))
+        cmp_ = antistable_parts_equal(zp, zpe)
+        return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
+
+    @cached_property
+    def known_input(self) -> PlantForms:
+        """The same object for ``sys.known_input_reduction()``, whose P is
+        [sI - A; C]: its zeros are the unobservable modes."""
+        return PlantForms(self.sys.known_input_reduction())
 
 
-def strongly_functional_detectable(sys: SystemSextuple) -> Verdict:
+def strongly_functional_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """Normal ranks of P and P_e agree and their antistable zero multisets
     coincide; equivalent to a stable rational solution of [M N] P = [E F]."""
-    cert = _detectability_certificate(sys)
+    cert = PlantForms.of(sys).detectability
     return Verdict(STRONGLY, cert.rank_condition and cert.zero_condition, cert)
 
 
-def functional_detectable(sys: SystemSextuple) -> Verdict:
+def functional_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """Known-input (equivalently zero-input) detectability: the same rank
     and zero conditions applied to the input-stripped plant."""
-    cert = _detectability_certificate(sys.known_input_reduction())
+    cert = PlantForms.of(sys).known_input.detectability
     return Verdict(FUNCTIONAL, cert.rank_condition and cert.zero_condition,
                    KnownInputCertificate(cert))
 
 
-def strong_star_functional_detectable(sys: SystemSextuple) -> Verdict:
+def strong_star_functional_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """Strong detectability plus the chain-reachability inclusion; equivalent
     to a proper stable solution of [M N] P = [E F], i.e. to an observer whose
     estimate tracks z whenever y fades."""
-    strong = _detectability_certificate(sys)
-    inclusion = geometry.strong_star_inclusion(sys)
+    forms = PlantForms.of(sys)
+    strong = forms.detectability
+    inclusion = geometry.strong_star_inclusion(forms.sys)
     holds = strong.rank_condition and strong.zero_condition and inclusion.holds
     return Verdict(STRONG_STAR, holds, StrongStarCertificate(strong, inclusion))
 
 
-def hautus_strong_detectable(sys: SystemSextuple) -> Verdict:
+def hautus_strong_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """State-reconstruction test (target z = x): normrank P = n + rank [-B; D]
     and all invariant zeros of P strictly stable."""
-    rp, zp = rank_and_zero_polynomial(build_system_matrices(sys)[0])
+    forms = PlantForms.of(sys)
+    sys = forms.sys
+    rp, zp = forms.rank_and_zero
     target = sys.n + QMatrix.vstack([-sys.B, sys.D]).rank()
     rep = is_hurwitz(zp)
     cert = HautusCertificate(rp, target, rp == target, zp, rep, rep.is_hurwitz)
     return Verdict(HAUTUS_STRONG, cert.rank_condition and cert.zero_condition, cert)
 
 
-def hautus_strong_star_detectable(sys: SystemSextuple) -> Verdict:
+def hautus_strong_star_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """State reconstruction from a fading measurement: the strong test plus
     Ker [D 0; CB D] inside Ker [0 0; B 0], the first-order Toeplitz
     matrices of (C, D) and (I, 0)."""
-    strong = hautus_strong_detectable(sys)
+    forms = PlantForms.of(sys)
+    sys = forms.sys
+    strong = hautus_strong_detectable(forms)
     lhs = toeplitz(sys.A, sys.B, sys.C, sys.D, 1)
     rhs = toeplitz(sys.A, sys.B, QMatrix.identity(sys.n), QMatrix.zeros(sys.n, sys.m), 1)
     kernel = _kernel_inclusion(lhs, rhs)
@@ -199,11 +241,10 @@ def hautus_strong_star_detectable(sys: SystemSextuple) -> Verdict:
     return Verdict(HAUTUS_STRONG_STAR, strong.holds and kernel.holds, cert)
 
 
-def _left_invertibility_certificate(sys: SystemSextuple) -> LeftInvertibilityCertificate:
-    rp, zp = rank_and_zero_polynomial(build_system_matrices(sys)[0])
-    # the P of the input-free plant is [sI - A; C]: its zeros are the
-    # unobservable modes
-    od = rank_and_zero_polynomial(build_system_matrices(sys.known_input_reduction())[0])[1]
+def _left_invertibility_certificate(forms: PlantForms) -> LeftInvertibilityCertificate:
+    sys = forms.sys
+    rp, zp = forms.rank_and_zero
+    od = forms.known_input.rank_and_zero[1]
     g = poly_gcd(zp, od)
     quotient = zp.exact_div(g).monic()
     rep = is_hurwitz(quotient)
@@ -211,24 +252,26 @@ def _left_invertibility_certificate(sys: SystemSextuple) -> LeftInvertibilityCer
                                         zp, od, g, quotient, rep, rep.is_hurwitz)
 
 
-def asympt_strong_left_invertible(sys: SystemSextuple) -> Verdict:
+def asympt_strong_left_invertible(sys: SystemSextuple | PlantForms) -> Verdict:
     """Input-reconstruction test (target z = u): normrank P = n + m and all
     invariant zeros outside the unobservable modes strictly stable.  The set
     difference is taken multiplicity-wise through a gcd."""
-    cert = _left_invertibility_certificate(sys)
+    cert = _left_invertibility_certificate(PlantForms.of(sys))
     return Verdict(LEFT_INVERTIBLE, cert.rank_condition and cert.zero_condition, cert)
 
 
-def asympt_strong_star_left_invertible(sys: SystemSextuple) -> Verdict:
+def asympt_strong_star_left_invertible(sys: SystemSextuple | PlantForms) -> Verdict:
     """Input reconstruction from a fading measurement: adds rank D = m."""
-    strong = _left_invertibility_certificate(sys)
+    forms = PlantForms.of(sys)
+    sys = forms.sys
+    strong = _left_invertibility_certificate(forms)
     rank_d = sys.D.rank()
     cert = LeftInvertibilityStarCertificate(strong, rank_d, sys.m, rank_d == sys.m)
     holds = strong.rank_condition and strong.zero_condition and cert.feedthrough_condition
     return Verdict(LEFT_INVERTIBLE_STAR, holds, cert)
 
 
-def darouach_fixed_order(sys: SystemSextuple) -> Verdict:
+def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     """Existence test for a fixed-order (order = dim z) observer.
 
     Two conditions: a constant kernel inclusion, and rank equality of two
@@ -236,8 +279,10 @@ def darouach_fixed_order(sys: SystemSextuple) -> Verdict:
     latter universally quantified statement is decided exactly through
     normal ranks and antistable zero multisets, never by sampling.  A note
     records uncontrollability, since the fixed-order theory assumes a
-    controllable plant.
+    controllable plant.  Its pencil is not P, so it reads nothing from the
+    plant's forms.
     """
+    sys = PlantForms.of(sys).sys
     n, m, p, q = sys.n, sys.m, sys.p, sys.q
     zq_m = QMatrix.zeros(q, m)
     zp_m = QMatrix.zeros(p, m)

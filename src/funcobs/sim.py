@@ -374,9 +374,10 @@ def rk4_linear(A: np.ndarray, B: np.ndarray, h: float, w0: np.ndarray,
     w = np.empty((nsteps + 1, d))
     w[0] = w0
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
-        w[1:] = u_half[:-1:2] @ S0.T
-        w[1:] += u_half[1::2] @ S_half.T
-        w[1:] += u_half[2::2] @ S1.T
+        # np.dot, not @, as in _affine_scan: strided rows take matmul's slow path
+        w[1:] = np.dot(u_half[:-1:2], S0.T)
+        w[1:] += np.dot(u_half[1::2], S_half.T)
+        w[1:] += np.dot(u_half[2::2], S1.T)
         _affine_scan(T, w)
     blown = ~(np.abs(w[1:]) <= _BLOWUP).all(axis=1)
     if blown.any():

@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from . import decide
 from .exactlin import DenseMatrix
-from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix,
-                      build_system_matrices, poly_gcd, poly_lcm, smith_form)
+from .polymat import POLY_ONE, POLY_ZERO, Poly, PolyMatrix, poly_gcd, poly_lcm
 from .stability import HurwitzReport, is_hurwitz
 from .system import SystemSextuple
 
@@ -163,15 +162,16 @@ def residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) 
     return True
 
 
-def solve_over_field(sys: SystemSextuple) -> WitnessReport:
+def solve_over_field(sys: SystemSextuple | decide.PlantForms) -> WitnessReport:
     """Construct and verify the canonical field solution of [M N] P = [E F].
 
     Unsolvable is a report state, not an error; the report then names the
     Smith column on which [E F] V fails to vanish.  When a solution exists
     the residual is recomputed exactly and must be the zero matrix.
     """
-    P, EF = build_system_matrices(sys)
-    dec = smith_form(P)
+    forms = decide.PlantForms.of(sys)
+    P, EF = forms.matrices
+    dec = forms.smith
     r = len(dec.invariant_polys)
     W = EF @ dec.V
     left_kernel_dim = P.rows - r
@@ -201,7 +201,7 @@ def solve_over_field(sys: SystemSextuple) -> WitnessReport:
                          left_kernel_dim, None)
 
 
-def decision_consistency(sys: SystemSextuple) -> bool:
+def decision_consistency(sys: SystemSextuple | decide.PlantForms) -> bool:
     """Contract between the existence verdicts and the constructed witness.
 
     A solvable plant has a zero residual, and the plant is strongly
@@ -211,14 +211,14 @@ def decision_consistency(sys: SystemSextuple) -> bool:
     converse is not asserted, because the canonical representative may miss
     properness that another member of the solution family achieves.
     """
-    report = solve_over_field(sys)
+    forms = decide.PlantForms.of(sys)
+    report = solve_over_field(forms)
     if report.solvable_over_field and not report.residual_zero:
         return False
     stable = report.solvable_over_field and report.denominator_hurwitz.is_hurwitz
-    # the strong-star certificate carries the strong one: P is eliminated
-    # here twice (witness, certificate), P_e only as its small remainder
-    # block (polymat.stacked_invariants)
-    strong_star = decide.strong_star_functional_detectable(sys)
+    # the strong-star certificate carries the strong one, and reads P's
+    # Smith form from the forms the witness already built
+    strong_star = decide.strong_star_functional_detectable(forms)
     strong = strong_star.certificate.strong
     if (strong.rank_condition and strong.zero_condition) != stable:
         return False

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from funcobs import decide
+from funcobs import cli, decide
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.fileio import (SystemFileError, dump_system_document, load_system_text,
@@ -550,6 +550,31 @@ class TestCmdBatch:
         code_serial = main(["batch", str(tmp_path)])
         code_parallel = main(["batch", str(tmp_path), "--jobs", "2"])
         assert code_serial == code_parallel
+
+    @pytest.mark.parametrize("jobs,nfiles,workers", [(5000, 2, 2), (2, 3, 2), (3, 3, 3)])
+    def test_jobs_capped_at_file_count(self, tmp_path, monkeypatch, jobs, nfiles, workers):
+        # the fork start method launches all max_workers processes up front;
+        # the fake pool records the request and runs the files in process
+        for name in bundled_names()[:nfiles]:
+            (tmp_path / f"{name}.json").write_text(bundled_text(name))
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        assert main(["batch", str(tmp_path), "--jobs", str(jobs)]) == main(["batch", str(tmp_path)])
+        assert requested == [workers]
 
     def test_empty_directory(self, tmp_path):
         assert main(["batch", str(tmp_path)]) == 2

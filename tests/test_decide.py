@@ -1,10 +1,14 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from funcobs import decide, polymat
+from funcobs import decide, polymat, witness
+from funcobs.cli import main
+from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import QMatrix
+from funcobs.fileio import load_system_text, to_jsonable
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices,
                              rank_and_zero_polynomial, smith_form)
 from funcobs.system import SystemSextuple
@@ -272,10 +276,20 @@ class TestSympySmithOracle:
                 assert got == self._rank_and_zeros(self._sympy_pencils(sys)[1]), name
 
 
+def _seeded_n6_lists() -> dict:
+    rng = random.Random(6)
+
+    def block(rows, cols):
+        return [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+
+    return {"A": block(6, 6), "B": block(6, 2), "C": block(2, 6),
+            "D": block(2, 2), "E": block(2, 6), "F": block(2, 2), "m": 2}
+
+
 class TestWorkCount:
-    def test_strong_eliminates_p_once(self, monkeypatch):
-        """One full Smith form (of P) per detectability certificate; P_e is
-        reached only through a block of at most r - k + q rows."""
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every smith_form call, with its matrix and decomposition."""
         calls = []
 
         def counting(M):
@@ -284,14 +298,17 @@ class TestWorkCount:
             return dec
 
         monkeypatch.setattr(decide, "smith_form", counting, raising=False)
+        monkeypatch.setattr(witness, "smith_form", counting, raising=False)
         monkeypatch.setattr(polymat, "smith_form", counting)
-        rng = random.Random(6)
+        return calls
 
-        def block(rows, cols):
-            return [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+    @pytest.fixture
+    def plant(self):
+        return SystemSextuple.from_lists(**_seeded_n6_lists())
 
-        plant = SystemSextuple.from_lists(A=block(6, 6), B=block(6, 2), C=block(2, 6),
-                                          D=block(2, 2), E=block(2, 6), F=block(2, 2))
+    def test_strong_eliminates_p_once(self, calls, plant):
+        """One full Smith form (of P) per detectability certificate; P_e is
+        reached only through a block of at most r - k + q rows."""
         decide.strongly_functional_detectable(plant)
         P = build_system_matrices(plant)[0]
         assert len(calls) == 2
@@ -299,3 +316,83 @@ class TestWorkCount:
         invariants = calls[0][1].invariant_polys
         k = sum(1 for d in invariants if d.degree == 0)
         assert calls[1][0].rows <= len(invariants) - k + plant.q < P.rows + plant.q
+
+    def test_check_eliminates_each_pencil_once(self, calls, plant, tmp_path):
+        """The eight decisions of one check share one PlantForms: P and the
+        known-input P once each, their two remainder blocks, and the
+        Darouach pencil."""
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(_seeded_n6_lists()))
+        main(["check", str(path), "--all", "--specialize", "hautus",
+              "--specialize", "leftinv", "--specialize", "darouach"])
+        P = build_system_matrices(plant)[0]
+        Pk = build_system_matrices(plant.known_input_reduction())[0]
+        # functional: Pk and its block; strong: P and its block; then Darouach
+        assert len(calls) == 5
+        assert calls[0][0] == Pk and calls[2][0] == P
+        for (_, dec), (block, _) in (calls[0:2], calls[2:4]):
+            k = sum(1 for d in dec.invariant_polys if d.degree == 0)
+            assert block.rows <= len(dec.invariant_polys) - k + plant.q
+        n, m, p, q = plant.n, plant.m, plant.p, plant.q
+        assert calls[4][0].shape == (q + 2 * p, n + 2 * m)
+
+    def test_decision_consistency_shares_p(self, calls, plant):
+        assert witness.decision_consistency(plant)
+        assert len(calls) == 2
+        assert calls[0][0] == build_system_matrices(plant)[0]
+
+    @pytest.mark.parametrize("fn,count", [
+        (decide.functional_detectable, 2), (decide.strongly_functional_detectable, 2),
+        (decide.strong_star_functional_detectable, 2), (decide.hautus_strong_detectable, 1),
+        (decide.hautus_strong_star_detectable, 1), (decide.asympt_strong_left_invertible, 2),
+        (decide.asympt_strong_star_left_invertible, 2), (decide.darouach_fixed_order, 1),
+        (witness.solve_over_field, 1)])
+    def test_bare_plant_does_all_its_own_work(self, calls, plant, fn, count):
+        # no cache outlives the per-plant object: each call on a bare plant
+        # eliminates its pencils again
+        fn(plant)
+        assert len(calls) == count
+        fn(plant)
+        assert len(calls) == 2 * count
+        assert [M for M, _ in calls[:count]] == [M for M, _ in calls[count:]]
+
+
+def _equality_plants():
+    rng = random.Random(20261018)
+    plants = [load_system_text(bundled_text(name))[0] for name in bundled_names()]
+    plants += [support.random_system(rng) for _ in range(25)]
+    plants += [SystemSextuple.from_lists(A=[[0]], C=[[1]], E=[[1]], m=0),
+               SystemSextuple.from_lists(A=[[-1, 2], [0, 1]], C=[[1, 0]], E=[[0, 1]], m=0),
+               SystemSextuple.from_lists(A=[], D=[[1]], F=[[1]]),
+               SystemSextuple.from_lists(A=[], F=[[1]])]
+    assert any(p.n == 0 for p in plants) and any(p.m == 0 for p in plants)
+    return plants
+
+
+# forward order as `check` runs them, then the witness
+_FORWARD = [decide.functional_detectable, decide.strongly_functional_detectable,
+            decide.strong_star_functional_detectable, decide.hautus_strong_detectable,
+            decide.hautus_strong_star_detectable, decide.asympt_strong_left_invertible,
+            decide.asympt_strong_star_left_invertible, decide.darouach_fixed_order,
+            witness.solve_over_field]
+
+
+class TestPlantForms:
+    @pytest.mark.parametrize("plant", _equality_plants(), ids=lambda p: f"n{p.n}m{p.m}p{p.p}q{p.q}")
+    def test_shared_forms_give_the_bare_plant_answers(self, plant):
+        bare = {fn.__name__: to_jsonable(fn(plant)) for fn in _FORWARD}
+        forms = decide.PlantForms(plant)
+        forward = {fn.__name__: to_jsonable(fn(forms)) for fn in _FORWARD}
+        # reversed: the witness first, strong-star before strong, each star
+        # test before its plain half
+        forms = decide.PlantForms(plant)
+        backward = {fn.__name__: to_jsonable(fn(forms)) for fn in reversed(_FORWARD)}
+        assert forward == bare
+        assert backward == bare
+
+    def test_of_keeps_an_object_and_wraps_a_plant(self):
+        plant = support.stable_pair()
+        forms = decide.PlantForms(plant)
+        assert decide.PlantForms.of(forms) is forms
+        fresh = decide.PlantForms.of(plant)
+        assert fresh is not forms and fresh.sys is plant
