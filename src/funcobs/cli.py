@@ -181,7 +181,8 @@ def cmd_check(args) -> int:
         t0 = time.perf_counter()
         verdicts.append(_CHECKS[key](forms))
         timing[f"check.{key}_s"] = time.perf_counter() - t0
-    for spec in args.specialize or []:
+    # a repeated --specialize runs once, in first-seen order
+    for spec in dict.fromkeys(args.specialize or []):
         for fn in _SPECIALIZED[spec]:
             t0 = time.perf_counter()
             verdicts.append(fn(forms))

@@ -6,7 +6,8 @@ system pencils
     P(s)   = [ sI - A   -B ]        P_e(s) = [ P(s) ]
              [   C       D ]                 [ E  F ]
 
-Every pencil is built by ``pencil`` and eliminated once, by the Smith
+Every pencil entry s e - a is written by ``pencil_entry`` straight from
+the constant entries, and every pencil is eliminated once, by the Smith
 normal form (gcd-driven elementary row/column operations with both
 unimodular transformers tracked); its normal rank is the number of
 invariant polynomials and its invariant zeros are their roots.  P_e is
@@ -340,24 +341,49 @@ class PolyMatrix(DenseMatrix):
                                  cols=self.cols)
 
 
+def pencil_entry(e, a) -> Poly:
+    """The entry s e - a of a pencil, from two reduced fractions.
+
+    Written straight into canonical storage: the numerators over
+    lcm(den e, den a) share no factor with it (as in ``Poly.__init__``).
+    """
+    if not e:
+        return _raw([-a.numerator], a.denominator) if a else POLY_ZERO
+    de, da = e.denominator, a.denominator
+    if de == da:
+        return _raw([-a.numerator, e.numerator], de)
+    den = lcm(de, da)
+    return _raw([-a.numerator * (den // da), e.numerator * (den // de)], den)
+
+
+def _constant(c) -> Poly:
+    """The constant polynomial c, from a reduced fraction."""
+    return _raw([c.numerator], c.denominator) if c else POLY_ZERO
+
+
 def pencil(E0: QMatrix, A0: QMatrix) -> PolyMatrix:
     """The pencil s E0 - A0 of two constant matrices of one shape."""
     if E0.shape != A0.shape:
         raise ValueError(f"pencil blocks differ in shape: {E0.shape} vs {A0.shape}")
     return PolyMatrix(A0.rows, A0.cols,
-                      tuple(tuple(Poly([-a, e]) for e, a in zip(row_e, row_a))
+                      tuple(tuple(map(pencil_entry, row_e, row_a))
                             for row_e, row_a in zip(E0.data, A0.data)))
 
 
 def build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
     """The system pencil P(s) = [sI-A, -B; C, D] and the constant rows
-    [E F] that extend it to P_e = [P; E F]."""
-    n, m, p = sys.n, sys.m, sys.p
-    P = pencil(QMatrix.from_blocks([[QMatrix.identity(n), QMatrix.zeros(n, m)],
-                                    [QMatrix.zeros(p, n + m)]]),
-               QMatrix.from_blocks([[sys.A, sys.B], [-sys.C, -sys.D]]))
-    EF = pencil(QMatrix.zeros(sys.q, n + m), -QMatrix.hstack([sys.E, sys.F]))
-    return P, EF
+    [E F] that extend it to P_e = [P; E F], read row by row from the
+    plant's entries."""
+    n, m = sys.n, sys.m
+    top = tuple(tuple([pencil_entry(1 if j == i else 0, a) for j, a in enumerate(row_a)]
+                      + [pencil_entry(0, b) for b in row_b])
+                for i, (row_a, row_b) in enumerate(zip(sys.A.data, sys.B.data)))
+    bottom = tuple(tuple(map(_constant, row_c + row_d))
+                   for row_c, row_d in zip(sys.C.data, sys.D.data))
+    EF = tuple(tuple(map(_constant, row_e + row_f))
+               for row_e, row_f in zip(sys.E.data, sys.F.data))
+    return (PolyMatrix(n + sys.p, n + m, top + bottom),
+            PolyMatrix(sys.q, n + m, EF))
 
 
 @dataclass(frozen=True)

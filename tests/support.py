@@ -6,7 +6,8 @@ from Gauss-Jordan over Fraction, polynomial arithmetic from Fraction
 coefficient lists, normal ranks from ranks at enough integer points,
 determinants from cofactor expansion and from Bareiss elimination,
 controllability from the Krylov matrix, kernel-inclusion witnesses from a matrix product per basis
-column, matrix products and Smith row/column operations term by term
+column, system pencils from constant blocks and one coerced ``Poly`` per entry,
+matrix products and Smith row/column operations term by term
 (one sum of ``Fraction`` or ``Poly`` values per term), root locations
 from numpy's companion-matrix solver,
 trajectories from a stage-by-stage RK4 loop fed by scalar input
@@ -199,6 +200,23 @@ def ref_polymatmul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
             row.append(acc)
         data.append(tuple(row))
     return PolyMatrix(A.rows, B.cols, tuple(data))
+
+
+def ref_pencil(E0: QMatrix, A0: QMatrix) -> PolyMatrix:
+    """The pencil s E0 - A0 with one coerced ``Poly([-a, e])`` per entry."""
+    return PolyMatrix(A0.rows, A0.cols,
+                      tuple(tuple(Poly([-a, e]) for e, a in zip(row_e, row_a))
+                            for row_e, row_a in zip(E0.data, A0.data)))
+
+
+def ref_build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
+    """P = [sI-A, -B; C, D] and [E F] assembled from constant blocks."""
+    n, m = sys.n, sys.m
+    P = ref_pencil(QMatrix.from_blocks([[QMatrix.identity(n), QMatrix.zeros(n, m)],
+                                        [QMatrix.zeros(sys.p, n + m)]]),
+                   QMatrix.from_blocks([[sys.A, sys.B], [-sys.C, -sys.D]]))
+    EF = ref_pencil(QMatrix.zeros(sys.q, n + m), -QMatrix.hstack([sys.E, sys.F]))
+    return P, EF
 
 
 def ref_row_op_sub(mat: list[list[Poly]], i: int, t: int, q: Poly) -> None:

@@ -421,6 +421,20 @@ class TestCmdCheck:
         assert main(["check", "state_estimation_demo", "--specialize", "hautus"]) == 0
         assert main(["check", "fixed_order_demo", "--specialize", "darouach"]) == 0
 
+    def test_repeated_specialize_runs_once(self, tmp_path, capsys):
+        reports = []
+        for repeat in (1, 2):
+            out = tmp_path / f"report{repeat}.json"
+            main(["check", "stable_pair", *["--specialize", "hautus"] * repeat,
+                  "--out", str(out)])
+            reports.append((capsys.readouterr().out, json.loads(out.read_text())))
+        (once_out, once), (twice_out, twice) = reports
+        assert twice_out == once_out
+        assert twice["verdicts"] == once["verdicts"]
+        assert [v["name"] for v in once["verdicts"]] == [
+            decide.HAUTUS_STRONG, decide.HAUTUS_STRONG_STAR]
+        assert list(twice["timing"]) == list(once["timing"])
+
 
 class TestCmdWitness:
     def test_proper_unstable_family(self, capsys):

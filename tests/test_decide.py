@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from funcobs import decide, polymat, witness
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
-from funcobs.exactlin import QMatrix
+from funcobs.exactlin import DenseMatrix, QMatrix
 from funcobs.fileio import load_system_text, to_jsonable
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices,
                              rank_and_zero_polynomial, smith_form)
@@ -355,6 +356,42 @@ class TestWorkCount:
         fn(plant)
         assert len(calls) == 2 * count
         assert [M for M, _ in calls[:count]] == [M for M, _ in calls[count:]]
+
+    def test_system_matrices_assemble_no_blocks(self, monkeypatch):
+        """P and [E F] come straight from the plant's rows: no block
+        assembly, no intermediate QMatrix and no coerced Poly entry."""
+        rng = random.Random(4)
+
+        def block(rows, cols):
+            return [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                     for _ in range(cols)] for _ in range(rows)]
+
+        plant = SystemSextuple.from_lists(A=block(4, 4), B=block(4, 2), C=block(2, 4),
+                                          D=block(2, 2), E=block(2, 4), F=block(2, 2))
+        want = support.ref_build_system_matrices(plant)
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("from_blocks", "hstack", "vstack"):
+            monkeypatch.setattr(DenseMatrix, name,
+                                classmethod(counted(name, getattr(DenseMatrix, name).__func__)))
+        dense_init = DenseMatrix.__init__
+
+        def init(self, *args):
+            if type(self) is QMatrix:
+                counts["QMatrix"] += 1
+            dense_init(self, *args)
+
+        monkeypatch.setattr(DenseMatrix, "__init__", init)
+        monkeypatch.setattr(Poly, "__init__", counted("Poly.__init__", Poly.__init__))
+        got = build_system_matrices(plant)
+        assert counts == {}
+        assert got == want
 
 
 def _equality_plants():

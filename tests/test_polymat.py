@@ -303,6 +303,29 @@ class TestGcd:
         assert poly_lcm(a, b) == (Poly([1, 1]) * Poly([2, 1]) * Poly([3, 1])).monic()
 
 
+# entries that are zero, negative, or rational over mixed non-unit denominators
+_entries = st.one_of(st.just(Fraction(0)),
+                     st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 9])))
+
+
+@st.composite
+def _sextuples(draw):
+    n, m, p, q = (draw(st.integers(0, 3)) for _ in range(4))
+
+    def block(rows, cols):
+        data = tuple(tuple(draw(_entries) for _ in range(cols)) for _ in range(rows))
+        return QMatrix(rows, cols, data)
+
+    return SystemSextuple(block(n, n), block(n, m), block(p, n), block(p, m),
+                          block(q, n), block(q, m))
+
+
+def _assert_same_storage(got: PolyMatrix, want: PolyMatrix) -> None:
+    assert got.shape == want.shape
+    assert _storage(got.data) == _storage(want.data)
+    assert all(_canonical(p) for row in got.data for p in row)
+
+
 class TestSystemMatrices:
     def test_feedthrough_gap_pencil(self):
         P = P_of(support.feedthrough_gap())
@@ -333,6 +356,20 @@ class TestSystemMatrices:
         ])
         with pytest.raises(ValueError):
             pencil(E0, QMatrix.zeros(2, 3))
+
+    def test_pencil_with_rational_e0_matches_oracle(self):
+        # Darouach's pencil carries E's entries, rational and non-unit, in E0
+        E0 = QMatrix.from_rows([[Fraction(2, 3), 0, Fraction(-5, 4)],
+                                [Fraction(1, 6), 3, 0]])
+        A0 = QMatrix.from_rows([[Fraction(1, 4), Fraction(-7, 9), 0],
+                                [Fraction(1, 6), Fraction(2, 5), 0]])
+        _assert_same_storage(pencil(E0, A0), support.ref_pencil(E0, A0))
+
+    @given(_sextuples())
+    @example(SystemSextuple.from_lists(A=[], m=0))
+    def test_build_matches_block_oracle(self, sys):
+        for got, want in zip(build_system_matrices(sys), support.ref_build_system_matrices(sys)):
+            _assert_same_storage(got, want)
 
     def test_degenerate_no_input(self):
         sys = SystemSextuple.from_lists(A=[[0]], C=[[1]], m=0)
