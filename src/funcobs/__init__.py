@@ -18,7 +18,7 @@ from .exactlin import QMatrix, Subspace, as_fraction, image_basis, kernel_basis
 from .geometry import extend, reachable_within, strong_star_inclusion
 from .markov import kernel_inclusion_upto, toeplitz
 from .polymat import (Poly, PolyMatrix, SmithDecomposition, build_system_matrices,
-                      pencil, poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form)
+                      poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form)
 from .stability import HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
 from .witness import (RationalFunction, RationalFunctionMatrix, WitnessReport,
@@ -41,7 +41,7 @@ def __getattr__(name: str):
 __all__ = [
     "QMatrix", "Subspace", "as_fraction", "kernel_basis", "image_basis",
     "Poly", "PolyMatrix", "SmithDecomposition", "poly_gcd", "poly_lcm",
-    "pencil", "build_system_matrices", "smith_form",
+    "build_system_matrices", "smith_form",
     "rank_and_zero_polynomial",
     "HurwitzReport", "is_hurwitz", "antistable_parts_equal",
     "SystemSextuple", "extend", "reachable_within", "strong_star_inclusion",

@@ -28,7 +28,7 @@ from . import geometry
 from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
 from .markov import toeplitz
 from .polymat import (POLY_ONE, Poly, PolyMatrix, SmithDecomposition,
-                      build_system_matrices, pencil, poly_gcd,
+                      build_system_matrices, constant_entry, pencil_entry, poly_gcd,
                       rank_and_zero_from_invariants, rank_and_zero_polynomial,
                       smith_form, stacked_invariants)
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
@@ -139,8 +139,9 @@ class DarouachCertificate:
     note: str | None
 
 
-def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix) -> KernelInclusionCertificate:
-    witness = first_escape(kernel_basis(lhs), rhs)
+def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix, ker: Subspace) -> KernelInclusionCertificate:
+    """Whether ``ker``, the kernel of lhs, lies inside the kernel of rhs."""
+    witness = first_escape(ker, rhs)
     return KernelInclusionCertificate(lhs, rhs, witness is None, witness)
 
 
@@ -217,11 +218,12 @@ def strong_star_functional_detectable(sys: SystemSextuple | PlantForms) -> Verdi
 
 def hautus_strong_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """State-reconstruction test (target z = x): normrank P = n + rank [-B; D]
-    and all invariant zeros of P strictly stable."""
+    and all invariant zeros of P strictly stable.  Negating B keeps the
+    rank, so the rank is taken of [B; D]."""
     forms = PlantForms.of(sys)
     sys = forms.sys
     rp, zp = forms.rank_and_zero
-    target = sys.n + QMatrix.vstack([-sys.B, sys.D]).rank()
+    target = sys.n + QMatrix(sys.n + sys.p, sys.m, sys.B.data + sys.D.data).rank()
     rep = is_hurwitz(zp)
     cert = HautusCertificate(rp, target, rp == target, zp, rep, rep.is_hurwitz)
     return Verdict(HAUTUS_STRONG, cert.rank_condition and cert.zero_condition, cert)
@@ -236,7 +238,7 @@ def hautus_strong_star_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     strong = hautus_strong_detectable(forms)
     lhs = toeplitz(sys.A, sys.B, sys.C, sys.D, 1)
     rhs = toeplitz(sys.A, sys.B, QMatrix.identity(sys.n), QMatrix.zeros(sys.n, sys.m), 1)
-    kernel = _kernel_inclusion(lhs, rhs)
+    kernel = _kernel_inclusion(lhs, rhs, kernel_basis(lhs))
     cert = HautusStarCertificate(strong.certificate, kernel)
     return Verdict(HAUTUS_STRONG_STAR, strong.holds and kernel.holds, cert)
 
@@ -284,27 +286,27 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     """
     sys = PlantForms.of(sys).sys
     n, m, p, q = sys.n, sys.m, sys.p, sys.q
-    zq_m = QMatrix.zeros(q, m)
-    zp_m = QMatrix.zeros(p, m)
     ca, cb = sys.C @ sys.A, sys.C @ sys.B
     ea, eb = sys.E @ sys.A, sys.E @ sys.B
-    lhs = QMatrix.from_blocks([
-        [sys.E, sys.F, zq_m],
-        [sys.C, sys.D, zp_m],
-        [ca, cb, sys.D],
-    ])
-    kernel = _kernel_inclusion(lhs, QMatrix.hstack([ea, eb, sys.F]))
+    zeros = (Fraction(0),) * m
+    # the rows [C D 0; CA CB D], shared by the constant stack and the pencil
+    lower = (tuple(c + d + zeros for c, d in zip(sys.C.data, sys.D.data))
+             + tuple(a + b + d for a, b, d in zip(ca.data, cb.data, sys.D.data)))
+    lhs = QMatrix(q + 2 * p, n + 2 * m,
+                  tuple(e + f + zeros for e, f in zip(sys.E.data, sys.F.data)) + lower)
+    rhs = QMatrix(q, n + 2 * m, tuple(a + b + f for a, b, f in zip(ea.data, eb.data, sys.F.data)))
+    ker = kernel_basis(lhs)
+    kernel = _kernel_inclusion(lhs, rhs, ker)
 
     # rank of [E(sI-A), -EB, 0; C, D, 0; CA, CB, D] versus the constant
-    # stack above, for every s with Re s >= 0; the constant side has rank
-    # lhs.rank() everywhere and no finite zeros
-    stacked = pencil(QMatrix.from_blocks([[sys.E, zq_m, zq_m],
-                                          [QMatrix.zeros(2 * p, n + 2 * m)]]),
-                     QMatrix.from_blocks([[ea, eb, zq_m],
-                                          [-sys.C, -sys.D, zp_m],
-                                          [-ca, -cb, -sys.D]]))
+    # stack, for every s with Re s >= 0; the stack has rank
+    # n + 2m - dim Ker lhs everywhere and no finite zeros
+    top = tuple(tuple(map(pencil_entry, e + zeros + zeros, a + b + zeros))
+                for e, a, b in zip(sys.E.data, ea.data, eb.data))
+    stacked = PolyMatrix(q + 2 * p, n + 2 * m,
+                         top + tuple(tuple(map(constant_entry, row)) for row in lower))
     rl, zl = rank_and_zero_polynomial(stacked)
-    rr = lhs.rank()
+    rr = n + 2 * m - ker.dim
     cmp_ = antistable_parts_equal(zl, POLY_ONE)
     rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)
 

@@ -64,10 +64,8 @@ def parse_system_document(doc: dict) -> tuple[SystemSextuple, dict]:
     for key in ("name", "description"):
         if key in doc and not isinstance(doc[key], str):
             raise SystemFileError(f"field {key!r} must be a string")
-    if "A" not in doc:
-        raise SystemFileError("field 'A' is required")
     try:
-        sys = SystemSextuple.from_lists(**{k: doc[k] for k in _PLANT_FIELDS if k in doc})
+        sys = SystemSextuple.from_lists(**{k: doc.get(k) for k in _PLANT_FIELDS})
     except ValueError as exc:
         raise SystemFileError(str(exc)) from exc
     meta = {k: doc[k] for k in _META_FIELDS if k in doc}

@@ -356,18 +356,9 @@ def pencil_entry(e, a) -> Poly:
     return _raw([-a.numerator * (den // da), e.numerator * (den // de)], den)
 
 
-def _constant(c) -> Poly:
+def constant_entry(c) -> Poly:
     """The constant polynomial c, from a reduced fraction."""
     return _raw([c.numerator], c.denominator) if c else POLY_ZERO
-
-
-def pencil(E0: QMatrix, A0: QMatrix) -> PolyMatrix:
-    """The pencil s E0 - A0 of two constant matrices of one shape."""
-    if E0.shape != A0.shape:
-        raise ValueError(f"pencil blocks differ in shape: {E0.shape} vs {A0.shape}")
-    return PolyMatrix(A0.rows, A0.cols,
-                      tuple(tuple(map(pencil_entry, row_e, row_a))
-                            for row_e, row_a in zip(E0.data, A0.data)))
 
 
 def build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
@@ -378,9 +369,9 @@ def build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
     top = tuple(tuple([pencil_entry(1 if j == i else 0, a) for j, a in enumerate(row_a)]
                       + [pencil_entry(0, b) for b in row_b])
                 for i, (row_a, row_b) in enumerate(zip(sys.A.data, sys.B.data)))
-    bottom = tuple(tuple(map(_constant, row_c + row_d))
+    bottom = tuple(tuple(map(constant_entry, row_c + row_d))
                    for row_c, row_d in zip(sys.C.data, sys.D.data))
-    EF = tuple(tuple(map(_constant, row_e + row_f))
+    EF = tuple(tuple(map(constant_entry, row_e + row_f))
                for row_e, row_f in zip(sys.E.data, sys.F.data))
     return (PolyMatrix(n + sys.p, n + m, top + bottom),
             PolyMatrix(sys.q, n + m, EF))
@@ -473,8 +464,6 @@ def smith_form(P: PolyMatrix) -> SmithDecomposition:
                     changed = True
                     break
             if changed:
-                continue
-            if any(not S[i][t].is_zero() for i in range(t + 1, m)):
                 continue
             # pivot must divide the rest of the submatrix
             bad = None

@@ -61,13 +61,15 @@ class SystemSextuple:
         """Build from nested lists of rational literals; system files go
         through here too, so both share one set of rules and messages.
 
-        A block that is present is taken as given; a missing one is a zero
-        block.  The input count is the width of the first of B, D, F that
-        has a row, else the declared ``m``, else 0; a declared ``m`` must
-        agree with it.  A missing or empty C (E) takes its row count from D
+        A is required.  Any other block that is present is taken as given;
+        a missing one is a zero block.  The input count is the width of the
+        first of B, D, F that has a row, else the declared ``m``, else 0; a
+        declared ``m`` must agree with it.  A missing or empty C (E) takes its row count from D
         (F), which matters for n = 0 plants where C and E carry no columns.
         Every error is a ValueError that names the field.
         """
+        if A is None:
+            raise ValueError("field 'A' is required")
         if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 0):
             raise ValueError("field 'm' must be a nonnegative integer")
         given = {name: _matrix(name, rows)

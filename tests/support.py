@@ -6,7 +6,8 @@ from Gauss-Jordan over Fraction, polynomial arithmetic from Fraction
 coefficient lists, normal ranks from ranks at enough integer points,
 determinants from cofactor expansion and from Bareiss elimination,
 controllability from the Krylov matrix, kernel-inclusion witnesses from a matrix product per basis
-column, system pencils from constant blocks and one coerced ``Poly`` per entry,
+column, system pencils and Darouach's pencil from constant blocks and one
+coerced ``Poly`` per entry,
 matrix products and Smith row/column operations term by term
 (one sum of ``Fraction`` or ``Poly`` values per term), root locations
 from numpy's companion-matrix solver,
@@ -217,6 +218,20 @@ def ref_build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatr
                    QMatrix.from_blocks([[sys.A, sys.B], [-sys.C, -sys.D]]))
     EF = ref_pencil(QMatrix.zeros(sys.q, n + m), -QMatrix.hstack([sys.E, sys.F]))
     return P, EF
+
+
+def ref_darouach_pencil(sys: SystemSextuple) -> PolyMatrix:
+    """Darouach's pencil [E(sI-A), -EB, 0; C, D, 0; CA, CB, D] assembled
+    from constant blocks."""
+    n, m, p, q = sys.n, sys.m, sys.p, sys.q
+    ca, cb = ref_qmatmul(sys.C, sys.A), ref_qmatmul(sys.C, sys.B)
+    ea, eb = ref_qmatmul(sys.E, sys.A), ref_qmatmul(sys.E, sys.B)
+    zq_m, zp_m = QMatrix.zeros(q, m), QMatrix.zeros(p, m)
+    return ref_pencil(QMatrix.from_blocks([[sys.E, zq_m, zq_m],
+                                           [QMatrix.zeros(2 * p, n + 2 * m)]]),
+                      QMatrix.from_blocks([[ea, eb, zq_m],
+                                           [-sys.C, -sys.D, zp_m],
+                                           [-ca, -cb, -sys.D]]))
 
 
 def ref_row_op_sub(mat: list[list[Poly]], i: int, t: int, q: Poly) -> None:

@@ -147,6 +147,7 @@ PARITY_DOCS = [
     ({"A": [[0]], "C": [[1]], "D": [[1]], "m": 0}, "'m'"),
     ({"A": [[0]], "B": [], "m": 1}, "'B'"),
     ({"A": [[0]], "C": [], "D": []}, (1, 0, 0, 0)),
+    ({"A": None}, "'A'"),
 ]
 
 
@@ -250,6 +251,7 @@ class TestCmdCheck:
         ({"A": [[0]], "C": [[1]], "D": [[True]]}, "'D'"),
         ({"A": [[0]], "E": [[1]], "F": [[True]], "B": [[1]]}, "'F'"),
         ({"A": [[0]], "C": [[1]], "m": True}, "'m'"),
+        ({"A": None}, "'A'"),
     ])
     def test_boolean_in_system(self, tmp_path, capsys, doc, field):
         bad = tmp_path / "bad.json"
@@ -740,3 +742,8 @@ class TestLazyNumpy:
         import funcobs
         with pytest.raises(AttributeError):
             funcobs.no_such_name
+
+    def test_every_exported_name_resolves(self):
+        import funcobs
+        for name in funcobs.__all__:
+            assert getattr(funcobs, name) is not None, name

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from funcobs import decide, polymat, witness
+from funcobs import decide, exactlin, polymat, witness
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import DenseMatrix, QMatrix
@@ -258,6 +258,14 @@ class TestSympySmithOracle:
             assert self._rank_and_zeros(Pe) == (strong.normrank_pe, strong.zero_poly_pe)
             assert self._rank_and_zeros(stacked) == (rank_eq.normrank_lhs, rank_eq.zero_poly_lhs)
 
+    def test_darouach_stack_rank_read_from_its_kernel(self):
+        # normrank_rhs is the column count minus the kernel dimension of the
+        # constant stack, which is eliminated once
+        bundled = [load_system_text(bundled_text(name))[0] for name in bundled_names()]
+        for plant in bundled + self._plants():
+            cert = decide.darouach_fixed_order(plant).certificate
+            assert cert.rank_equality.normrank_rhs == support.ref_rank_q(cert.kernel.lhs)
+
     def test_extension_read_from_smith_form_of_p(self):
         # P_e's rank and zero polynomial in the functional, strong and
         # strong-star certificates, which never eliminate P_e, against a
@@ -392,6 +400,53 @@ class TestWorkCount:
         got = build_system_matrices(plant)
         assert counts == {}
         assert got == want
+
+    def test_darouach_writes_its_matrices_from_the_plant_rows(self, monkeypatch, plant):
+        """No block assembly and no negated copy; the constant stack is
+        eliminated once, for its kernel, and never for a separate rank."""
+        counts = Counter()
+        eliminated, ranked = [], []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("from_blocks", "hstack", "vstack"):
+            monkeypatch.setattr(DenseMatrix, name,
+                                classmethod(counted(name, getattr(DenseMatrix, name).__func__)))
+        monkeypatch.setattr(QMatrix, "__neg__", counted("__neg__", QMatrix.__neg__))
+        rank, echelon = QMatrix.rank, exactlin._integer_echelon
+
+        def recorded_rank(self):
+            ranked.append(self)
+            return rank(self)
+
+        def recorded_echelon(rows):
+            eliminated.append(tuple(map(tuple, rows)))
+            return echelon(rows)
+
+        monkeypatch.setattr(QMatrix, "rank", recorded_rank)
+        monkeypatch.setattr(exactlin, "_integer_echelon", recorded_echelon)
+        lhs = decide.darouach_fixed_order(plant).certificate.kernel.lhs
+        assert counts == {}
+        assert lhs not in ranked
+        assert eliminated.count(lhs.data) == 1
+
+    def test_hautus_negates_nothing(self, monkeypatch, plant):
+        negated = []
+        neg = QMatrix.__neg__
+
+        def recorded_neg(self):
+            negated.append(self)
+            return neg(self)
+
+        monkeypatch.setattr(QMatrix, "__neg__", recorded_neg)
+        cert = decide.hautus_strong_detectable(plant).certificate
+        assert negated == []
+        assert cert.n_plus_rank_bd == plant.n + support.ref_rank_q(
+            QMatrix.vstack([plant.B, plant.D]))
 
 
 def _equality_plants():

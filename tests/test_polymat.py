@@ -4,9 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
+from funcobs import decide, polymat
 from funcobs.exactlin import QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub,
-                             build_system_matrices, pencil, poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form,
+                             build_system_matrices, poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form,
                              stacked_invariants)
 from funcobs.system import SystemSextuple
 
@@ -347,29 +348,28 @@ class TestSystemMatrices:
             M = support.random_polymatrix(rng, n, n, max_degree=2)
             assert support.ref_determinant(M) == support.cofactor_det(M)
 
-    def test_pencil_entries(self):
-        E0 = QMatrix.from_rows([[1, 0], [2, Fraction(1, 2)]])
-        A0 = QMatrix.from_rows([[3, 0], [0, -1]])
-        assert pencil(E0, A0) == PolyMatrix.from_rows([
-            [Poly([-3, 1]), Poly()],
-            [Poly([0, 2]), Poly([1, Fraction(1, 2)])],
-        ])
-        with pytest.raises(ValueError):
-            pencil(E0, QMatrix.zeros(2, 3))
-
-    def test_pencil_with_rational_e0_matches_oracle(self):
-        # Darouach's pencil carries E's entries, rational and non-unit, in E0
-        E0 = QMatrix.from_rows([[Fraction(2, 3), 0, Fraction(-5, 4)],
-                                [Fraction(1, 6), 3, 0]])
-        A0 = QMatrix.from_rows([[Fraction(1, 4), Fraction(-7, 9), 0],
-                                [Fraction(1, 6), Fraction(2, 5), 0]])
-        _assert_same_storage(pencil(E0, A0), support.ref_pencil(E0, A0))
-
     @given(_sextuples())
     @example(SystemSextuple.from_lists(A=[], m=0))
     def test_build_matches_block_oracle(self, sys):
         for got, want in zip(build_system_matrices(sys), support.ref_build_system_matrices(sys)):
             _assert_same_storage(got, want)
+
+    @given(_sextuples())
+    @example(SystemSextuple.from_lists(A=[], m=0))
+    def test_darouach_pencil_matches_block_oracle(self, sys):
+        # the pencil Darouach's test hands to smith_form, written from the
+        # plant's rows, against the one assembled from constant blocks
+        handed = []
+
+        def capture(M):
+            handed.append(M)
+            return smith_form(M)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polymat, "smith_form", capture)
+            decide.darouach_fixed_order(sys)
+        assert len(handed) == 1
+        _assert_same_storage(handed[0], support.ref_darouach_pencil(sys))
 
     def test_degenerate_no_input(self):
         sys = SystemSextuple.from_lists(A=[[0]], C=[[1]], m=0)
