@@ -16,6 +16,13 @@ The three headline properties, ordered by strength:
 Specialised checks for state reconstruction, input reconstruction and the
 fixed-order observer conditions are provided as independent formulas that
 cross-validate against the general decision procedures.
+
+The input-free pencils [sI - A; C] and [sI - A; C; E] are never built:
+both have normal rank n, and their zero polynomials are the
+characteristic polynomials of A on the unobservable subspaces of (A, C)
+and (A, [C; E]), the kernels of ``geometry.observed_rows``.  The
+functional certificate and the unobservable modes that the
+left-invertibility tests remove are read from there.
 """
 
 from __future__ import annotations
@@ -145,8 +152,35 @@ def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix, ker: Subspace) -> KernelInclus
     return KernelInclusionCertificate(lhs, rhs, witness is None, witness)
 
 
+def _unobservable_modes(A: QMatrix, C: QMatrix) -> Poly:
+    """Characteristic polynomial of A on the unobservable subspace N of
+    (A, C), the zero polynomial of [sI - A; C].
+
+    N's canonical rows v_i have a unit at their own pivot column and zeros
+    at the others', so a vector of N has, on that basis, the coordinates it
+    holds at the pivot columns: the rows of A V at the pivots give A_N.
+    That A V = V A_N exactly is checked on every call; then the pencil
+    sI - A_N alone is eliminated.
+    """
+    observed = geometry.observed_rows(A, C)
+    N = kernel_basis(QMatrix(observed.dim, A.rows, observed.rows))
+    d = N.dim
+    if not d:
+        return POLY_ONE
+    V = N.basis
+    image = A @ V
+    pivots = [next(j for j, x in enumerate(row) if x) for row in N.rows]
+    A_N = QMatrix(d, d, tuple(image.data[j] for j in pivots))
+    if V @ A_N != image:
+        raise AssertionError("unobservable subspace not invariant under A")
+    pencil = tuple(tuple(pencil_entry(1 if j == i else 0, a) for j, a in enumerate(row))
+                   for i, row in enumerate(A_N.data))
+    return rank_and_zero_polynomial(PolyMatrix(d, d, pencil))[1]
+
+
 class PlantForms:
-    """The pencils of one plant and what the decisions read off them.
+    """The pencils of one plant and what the decisions read off them, and
+    the unobservable modes.
 
     Each part is computed on first use and kept by this object alone: the
     decisions and the witness run on one object share P, its Smith form and
@@ -184,10 +218,22 @@ class PlantForms:
         return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
 
     @cached_property
-    def known_input(self) -> PlantForms:
-        """The same object for ``sys.known_input_reduction()``, whose P is
-        [sI - A; C]: its zeros are the unobservable modes."""
-        return PlantForms(self.sys.known_input_reduction())
+    def unobservable_modes(self) -> Poly:
+        """The zero polynomial of [sI - A; C]: the unobservable modes."""
+        return _unobservable_modes(self.sys.A, self.sys.C)
+
+    @cached_property
+    def functional(self) -> DetectabilityCertificate:
+        """The certificate of the input-free plant, whose pencils
+        [sI - A; C] and [sI - A; C; E] both have normal rank n.  The zeros
+        of the second are the unobservable modes of (A, [C; E]), which lie
+        among those of (A, C): there are none when (A, C) has none."""
+        sys = self.sys
+        zp = zpe = self.unobservable_modes
+        if zp.degree > 0 and sys.q:
+            zpe = _unobservable_modes(sys.A, QMatrix.vstack([sys.C, sys.E]))
+        cmp_ = antistable_parts_equal(zp, zpe)
+        return DetectabilityCertificate(sys.n, sys.n, zp, zpe, cmp_, True, cmp_.equal)
 
 
 def strongly_functional_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
@@ -199,8 +245,9 @@ def strongly_functional_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
 
 def functional_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """Known-input (equivalently zero-input) detectability: the same rank
-    and zero conditions applied to the input-stripped plant."""
-    cert = PlantForms.of(sys).known_input.detectability
+    and zero conditions applied to the input-stripped plant, read off its
+    unobservable subspaces (``PlantForms.functional``)."""
+    cert = PlantForms.of(sys).functional
     return Verdict(FUNCTIONAL, cert.rank_condition and cert.zero_condition,
                    KnownInputCertificate(cert))
 
@@ -246,7 +293,7 @@ def hautus_strong_star_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
 def _left_invertibility_certificate(forms: PlantForms) -> LeftInvertibilityCertificate:
     sys = forms.sys
     rp, zp = forms.rank_and_zero
-    od = forms.known_input.rank_and_zero[1]
+    od = forms.unobservable_modes
     g = poly_gcd(zp, od)
     quotient = zp.exact_div(g).monic()
     rep = is_hurwitz(quotient)
@@ -310,7 +357,7 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     cmp_ = antistable_parts_equal(zl, POLY_ONE)
     rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)
 
-    controllable = geometry.reachable_within(sys.A, sys.B, Subspace.full(n))[0].dim == n
+    controllable = geometry.observed_rows(sys.A.transpose(), sys.B.transpose()).dim == n
     note = None if controllable else (
         "plant is not controllable; the fixed-order existence theory assumes "
         "controllability, so this verdict extrapolates outside its hypotheses")

@@ -1,4 +1,5 @@
-"""Extended-system construction and the chain-reachable subspace test.
+"""Extended-system construction, the chain-reachable subspace test, and
+the observed rows of a pair (A, C).
 
 The extended system attaches the input as extra integrator states:
 
@@ -66,6 +67,26 @@ def reachable_within(A_e: QMatrix, B_e: QMatrix, K: Subspace) -> tuple[Subspace,
             return current, step
         current = nxt
     raise AssertionError("reachability iteration failed to stabilise")
+
+
+def observed_rows(A: QMatrix, C: QMatrix) -> Subspace:
+    """The row space of [C; CA; CA^2; ...] in its canonical rows.
+
+    Grown one block C A^k at a time: once a block adds no dimension, no
+    later one does, so the growth stops there or at dimension n.  Its
+    kernel is the unobservable subspace of (A, C), and on the dual pair
+    (A^T, B^T) it has dimension n exactly when (A, B) is controllable.
+    """
+    n = A.rows
+    rows = Subspace.span(n, C.data)
+    block = C
+    while 0 < rows.dim < n:
+        block = block @ A
+        grown = Subspace.span(n, rows.rows + block.data)
+        if grown.dim == rows.dim:
+            break
+        rows = grown
+    return rows
 
 
 @dataclass(frozen=True)

@@ -480,18 +480,20 @@ def smith_form(P: PolyMatrix) -> SmithDecomposition:
                 continue
             break
         t += 1
-    # monic normalisation of the diagonal (constant row scalings)
+    # monic normalisation of the diagonal (constant row scalings): dividing
+    # by the leading coefficient lead/den multiplies the numerators by den
+    # and the denominators by lead
     for i in range(min(m, n)):
         d = S[i][i]
-        if not d.is_zero() and d.leading != 1:
-            inv = Fraction(1) / d.leading
-            S[i] = [x.scale(inv) for x in S[i]]
-            U[i] = [x.scale(inv) for x in U[i]]
-    Sm = PolyMatrix.from_rows(S, cols=n)
-    Um = PolyMatrix.from_rows(U, cols=m)
-    Vm = PolyMatrix.from_rows(V, cols=n)
-    invariants = tuple(Sm[i, i] for i in range(min(m, n)) if not Sm[i, i].is_zero())
-    dec = SmithDecomposition(Um, Sm, Vm, invariants)
+        if d._num and d._num[-1] != d._den:
+            lead, den = d._num[-1], d._den
+            S[i] = [_reduced([den * c for c in x._num], lead * x._den) for x in S[i]]
+            U[i] = [_reduced([den * c for c in x._num], lead * x._den) for x in U[i]]
+    invariants = tuple(S[i][i] for i in range(min(m, n)) if S[i][i]._num)
+    # the working rows hold canonical entries already
+    dec = SmithDecomposition(PolyMatrix(m, m, tuple(map(tuple, U))),
+                             PolyMatrix(m, n, tuple(map(tuple, S))),
+                             PolyMatrix(n, n, tuple(map(tuple, V))), invariants)
     _assert_smith(P, dec)
     return dec
 

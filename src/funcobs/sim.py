@@ -615,6 +615,8 @@ def parse_observer_document(doc: dict) -> StateSpaceRealization | RationalFuncti
         R = _float_matrix(doc, "R")
         G = _float_matrix(doc, "G") if "G" in doc else np.zeros((0, 0))
         H = _float_matrix(doc, "H") if "H" in doc else np.zeros((G.shape[0], R.shape[1]))
+        if not H.shape[0]:  # an empty array carries no width: take R's
+            H = H.reshape(0, R.shape[1])
         Q = _float_matrix(doc, "Q") if "Q" in doc else np.zeros((R.shape[0], G.shape[0]))
         return StateSpaceRealization(G, H, Q, R)
     raise SystemFileError("observer document needs 'N', 'R', or 'G'/'H'/'Q'/'R'")

@@ -475,6 +475,18 @@ class TestCmdSimulate:
         header = csv_path.read_text().splitlines()[0]
         assert header == "t,x_1,x_2,z_1,zhat_1,e_1"
 
+    @pytest.mark.parametrize("doc", [
+        {"G": [], "H": [], "Q": [[]], "R": [[1, 0]]},
+        {"G": [], "Q": [[]], "R": [[1, 0]]}])
+    def test_order_zero_realization(self, tmp_path, doc):
+        # an empty H has no rows to carry its width: it takes R's
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps(doc))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(dump_scenario_document(
+            zero_input_scenario([1.0, -2.0], horizon=1.0))))
+        assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 0
+
     def test_nonproper_observer_rejected(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps({"N": [[{"num": [0, 0, 1], "den": [1, 1]}]]}))

@@ -4,14 +4,16 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from funcobs import decide, exactlin, polymat, witness
+from funcobs import decide, exactlin, geometry, polymat, witness
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
-from funcobs.exactlin import DenseMatrix, QMatrix
+from funcobs.exactlin import DenseMatrix, QMatrix, Subspace
 from funcobs.fileio import load_system_text, to_jsonable
-from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices,
+from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices, poly_gcd,
                              rank_and_zero_polynomial, smith_form)
+from funcobs.stability import antistable_parts_equal, is_hurwitz
 from funcobs.system import SystemSextuple
 
 import support
@@ -179,6 +181,111 @@ class TestDarouach:
                 assert decide.strong_star_functional_detectable(sys).holds
 
 
+def _smith_route(sys):
+    """The functional and left-invertibility certificates read off the
+    Smith forms of the known-input pencils [sI - A; C] and [sI - A; C; E]."""
+    P, EF = build_system_matrices(sys.known_input_reduction())
+    rp, zp = rank_and_zero_polynomial(P)
+    rpe, zpe = rank_and_zero_polynomial(PolyMatrix.vstack([P, EF]))
+    cmp_ = antistable_parts_equal(zp, zpe)
+    functional = decide.KnownInputCertificate(
+        decide.DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal))
+    rank, zeros = rank_and_zero_polynomial(build_system_matrices(sys)[0])
+    g = poly_gcd(zeros, zp)
+    quotient = zeros.exact_div(g).monic()
+    rep = is_hurwitz(quotient)
+    leftinv = decide.LeftInvertibilityCertificate(rank, sys.n + sys.m, rank == sys.n + sys.m,
+                                                  zeros, zp, g, quotient, rep, rep.is_hurwitz)
+    return zp, functional, leftinv
+
+
+# sparse entries, so that unobservable modes occur
+_sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3])))
+
+
+@st.composite
+def _sparse_plants(draw):
+    """Plants with n in 0..6 and p, q in 0..2; half of the A matrices are
+    triangular with a diagonal drawn from three values, so eigenvalues
+    repeat."""
+    n = draw(st.integers(0, 6))
+    m, p, q = (draw(st.integers(0, 2)) for _ in range(3))
+
+    def block(rows, cols):
+        return [[draw(_sparse) for _ in range(cols)] for _ in range(rows)]
+
+    A = block(n, n)
+    if draw(st.booleans()):
+        A = [[draw(st.sampled_from([-1, 0, 1])) if j == i else (a if j > i else 0)
+              for j, a in enumerate(row)] for i, row in enumerate(A)]
+    return SystemSextuple.from_lists(A=A, B=block(n, m), C=block(p, n), D=block(p, m),
+                                     E=block(q, n), F=block(q, m), m=m)
+
+
+_ROUTE_CASES = {
+    # no measurement: every mode is unobservable
+    "p_zero": SystemSextuple.from_lists(A=[[1, 1], [0, -2]], E=[[1, 0]], m=0),
+    "n_zero": SystemSextuple.from_lists(A=[], D=[[1]], F=[[2]]),
+    "q_zero": SystemSextuple.from_lists(A=[[0, 1], [-1, 0]], C=[[0, 0]], m=0),
+    "c_zero": SystemSextuple.from_lists(A=[[2, 0], [1, -1]], B=[[1], [0]], C=[[0, 0]],
+                                        D=[[1]], E=[[1, 1]]),
+    # E sees the unstable mode that C misses: A has modes 1 and -1, and
+    # only the stable one shows in C
+    "e_adds_observability": SystemSextuple.from_lists(A=[[1, 0, 0], [0, -1, 0], [0, 1, -1]],
+                                                      C=[[0, 1, 0]], E=[[1, 0, 0]], m=0),
+    # a repeated eigenvalue, one copy hidden from C
+    "repeated_mode": SystemSextuple.from_lists(A=[[-1, 0, 0], [0, -1, 0], [0, 0, 3]],
+                                               C=[[1, 0, 1]], E=[[0, 1, 0]], m=0),
+}
+
+
+class TestUnobservableSubspaceRoute:
+    """The unobservable modes and the functional and left-invertibility
+    certificates, read off the unobservable subspace, against the Smith
+    forms of the known-input pencils."""
+
+    @staticmethod
+    def _check(sys):
+        zp, functional, leftinv = _smith_route(sys)
+        forms = decide.PlantForms(sys)
+        assert forms.unobservable_modes == zp
+        got = decide.functional_detectable(forms).certificate
+        assert to_jsonable(got) == to_jsonable(functional)
+        got = decide.asympt_strong_left_invertible(forms).certificate
+        assert to_jsonable(got) == to_jsonable(leftinv)
+        return zp
+
+    @given(_sparse_plants())
+    def test_matches_smith_route(self, sys):
+        self._check(sys)
+
+    @pytest.mark.parametrize("name", sorted(_ROUTE_CASES))
+    def test_edge_cases(self, name):
+        self._check(_ROUTE_CASES[name])
+
+    def test_edge_cases_have_the_modes_they_name(self):
+        assert self._check(_ROUTE_CASES["p_zero"]) == Poly([-2, 1, 1])  # (s - 1)(s + 2)
+        assert self._check(_ROUTE_CASES["n_zero"]) == POLY_ONE
+        cert = decide.functional_detectable(_ROUTE_CASES["e_adds_observability"]).certificate
+        assert cert.reduced.zero_poly_p == Poly([-1, 0, 1])  # (s - 1)(s + 1)
+        assert cert.reduced.zero_poly_pe == Poly([1, 1])
+        assert self._check(_ROUTE_CASES["repeated_mode"]) == Poly([1, 1])
+
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_bundled_systems(self, name):
+        self._check(load_system_text(bundled_text(name))[0])
+
+    def test_invariance_checked(self, monkeypatch):
+        # the row space of C alone: its kernel, Ker C = span(e_2), is not
+        # A-invariant, since A e_2 = e_1
+        sys = SystemSextuple.from_lists(A=[[0, 1], [0, 0]], C=[[1, 0]], m=0)
+        monkeypatch.setattr(geometry, "observed_rows",
+                            lambda A, C: Subspace.span(A.rows, C.data))
+        with pytest.raises(AssertionError, match="not invariant"):
+            decide.functional_detectable(sys)
+
+
 class TestImplicationChain:
     def test_random_batch(self, rng):
         for _ in range(120):
@@ -327,23 +434,22 @@ class TestWorkCount:
         assert calls[1][0].rows <= len(invariants) - k + plant.q < P.rows + plant.q
 
     def test_check_eliminates_each_pencil_once(self, calls, plant, tmp_path):
-        """The eight decisions of one check share one PlantForms: P and the
-        known-input P once each, their two remainder blocks, and the
-        Darouach pencil."""
+        """The eight decisions of one check share one PlantForms: P once,
+        its remainder block, and the Darouach pencil.  The known-input
+        pencils are never built: this plant is observable, so the
+        unobservable subspace is zero and leaves no pencil to eliminate."""
         path = tmp_path / "plant.json"
         path.write_text(json.dumps(_seeded_n6_lists()))
         main(["check", str(path), "--all", "--specialize", "hautus",
               "--specialize", "leftinv", "--specialize", "darouach"])
         P = build_system_matrices(plant)[0]
-        Pk = build_system_matrices(plant.known_input_reduction())[0]
-        # functional: Pk and its block; strong: P and its block; then Darouach
-        assert len(calls) == 5
-        assert calls[0][0] == Pk and calls[2][0] == P
-        for (_, dec), (block, _) in (calls[0:2], calls[2:4]):
-            k = sum(1 for d in dec.invariant_polys if d.degree == 0)
-            assert block.rows <= len(dec.invariant_polys) - k + plant.q
+        # strong: P and its block; then Darouach
+        assert len(calls) == 3
+        assert calls[0][0] == P
+        k = sum(1 for d in calls[0][1].invariant_polys if d.degree == 0)
+        assert calls[1][0].rows <= len(calls[0][1].invariant_polys) - k + plant.q
         n, m, p, q = plant.n, plant.m, plant.p, plant.q
-        assert calls[4][0].shape == (q + 2 * p, n + 2 * m)
+        assert calls[2][0].shape == (q + 2 * p, n + 2 * m)
 
     def test_decision_consistency_shares_p(self, calls, plant):
         assert witness.decision_consistency(plant)
@@ -351,10 +457,10 @@ class TestWorkCount:
         assert calls[0][0] == build_system_matrices(plant)[0]
 
     @pytest.mark.parametrize("fn,count", [
-        (decide.functional_detectable, 2), (decide.strongly_functional_detectable, 2),
+        (decide.functional_detectable, 0), (decide.strongly_functional_detectable, 2),
         (decide.strong_star_functional_detectable, 2), (decide.hautus_strong_detectable, 1),
-        (decide.hautus_strong_star_detectable, 1), (decide.asympt_strong_left_invertible, 2),
-        (decide.asympt_strong_star_left_invertible, 2), (decide.darouach_fixed_order, 1),
+        (decide.hautus_strong_star_detectable, 1), (decide.asympt_strong_left_invertible, 1),
+        (decide.asympt_strong_star_left_invertible, 1), (decide.darouach_fixed_order, 1),
         (witness.solve_over_field, 1)])
     def test_bare_plant_does_all_its_own_work(self, calls, plant, fn, count):
         # no cache outlives the per-plant object: each call on a bare plant

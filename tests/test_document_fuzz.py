@@ -79,7 +79,7 @@ def _observer_documents(draw):
     elif form == "R":
         doc = {"R": draw(_matrix(_NUMBERS, rows, cols))}
     else:
-        nu = draw(st.integers(1, 2))
+        nu = draw(st.integers(0, 2))
         doc = {"G": draw(_matrix(_NUMBERS, nu, nu)), "H": draw(_matrix(_NUMBERS, nu, cols)),
                "Q": draw(_matrix(_NUMBERS, rows, nu)), "R": draw(_matrix(_NUMBERS, rows, cols))}
     return _damage(draw, doc, ["N", "G", "H", "Q", "R"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import QMatrix, Subspace, kernel_basis
 from funcobs.fileio import load_system_text
-from funcobs.geometry import extend, reachable_within, strong_star_inclusion
+from funcobs.geometry import extend, observed_rows, reachable_within, strong_star_inclusion
 from funcobs.markov import kernel_inclusion_upto
 from funcobs.system import SystemSextuple
 
@@ -45,6 +45,33 @@ class TestReachableWithin:
         ext = extend(support.stable_pair())
         reach, steps = reachable_within(ext.A_e, ext.B_e, kernel_basis(ext.C_e))
         assert reach.dim == 0
+
+
+class TestObservedRows:
+    def test_matches_full_observability_matrix(self, rng):
+        # the rows of [C; CA; ...; CA^(n-1)], all n blocks, spanned at once
+        for _ in range(60):
+            n, p = rng.randint(0, 5), rng.randint(0, 2)
+            A = support.random_qmatrix(rng, n, n, -1, 1)
+            C = support.random_qmatrix(rng, p, n, -1, 1)
+            blocks, block = [], C
+            for _ in range(n):
+                blocks.append(block)
+                block = support.ref_qmatmul(block, A)
+            rows = [list(r) for b in blocks for r in b.data]
+            assert observed_rows(A, C) == Subspace.span(n, rows)
+
+    def test_chain_grows_one_row_per_block(self):
+        A = QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        assert observed_rows(A, QMatrix.from_rows([[1, 0, 0]])) == Subspace.full(3)
+        assert observed_rows(A, QMatrix.from_rows([[0, 0, 1]])).dim == 1
+        assert observed_rows(A, QMatrix.zeros(0, 3)) == Subspace.zero(3)
+
+    def test_dual_pair_decides_controllability(self, rng):
+        for _ in range(40):
+            sys = support.random_system(rng)
+            got = observed_rows(sys.A.transpose(), sys.B.transpose()).dim == sys.n
+            assert got == support.ref_controllable(sys)
 
 
 class TestStrongStarInclusion:

@@ -478,10 +478,16 @@ class TestStackedInvariants:
 
     @staticmethod
     def _check(P, X):
-        got = stacked_invariants(smith_form(P), X)
+        dec = smith_form(P)
+        got = stacked_invariants(dec, X)
         PX = PolyMatrix.vstack([P, X])
-        assert got == smith_form(PX).invariant_polys
+        direct = smith_form(PX)
+        assert got == direct.invariant_polys
         assert len(got) == support.ref_normal_rank(PX)
+        # U, S and V keep the working rows' entries: canonical storage
+        for form in (dec, direct):
+            for M in (form.U, form.S, form.V):
+                assert all(_canonical(p) for row in M.data for p in row)
 
     @given(_stacked_case())
     def test_matches_direct_smith_form(self, case):
