@@ -14,8 +14,8 @@ from .decide import (PlantForms, Verdict, asympt_strong_left_invertible,
                      hautus_strong_star_detectable,
                      strong_star_functional_detectable,
                      strongly_functional_detectable)
-from .exactlin import QMatrix, Subspace, as_fraction, image_basis, kernel_basis
-from .geometry import extend, reachable_within, strong_star_inclusion
+from .exactlin import QMatrix, Subspace, as_fraction, kernel_basis
+from .geometry import reachable_within, strong_star_inclusion
 from .markov import kernel_inclusion_upto, toeplitz
 from .polymat import (Poly, PolyMatrix, SmithDecomposition, build_system_matrices,
                       poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form)
@@ -39,12 +39,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "QMatrix", "Subspace", "as_fraction", "kernel_basis", "image_basis",
+    "QMatrix", "Subspace", "as_fraction", "kernel_basis",
     "Poly", "PolyMatrix", "SmithDecomposition", "poly_gcd", "poly_lcm",
     "build_system_matrices", "smith_form",
     "rank_and_zero_polynomial",
     "HurwitzReport", "is_hurwitz", "antistable_parts_equal",
-    "SystemSextuple", "extend", "reachable_within", "strong_star_inclusion",
+    "SystemSextuple", "reachable_within", "strong_star_inclusion",
     "toeplitz", "kernel_inclusion_upto",
     "PlantForms", "Verdict", "functional_detectable", "strongly_functional_detectable",
     "strong_star_functional_detectable", "hautus_strong_detectable",

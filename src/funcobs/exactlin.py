@@ -1,7 +1,7 @@
 """Exact rational linear algebra.
 
 Dense matrices over arbitrary-precision rationals (``fractions.Fraction``)
-plus canonical subspace arithmetic: kernels, images, sums, intersections
+plus canonical subspace arithmetic: spans, kernels, sums, intersections
 and inclusion tests.  A subspace is held as the nonzero rows of
 its reduced row echelon form, the form elimination produces, so no
 operation transposes or re-coerces its data.  Everything in this module is
@@ -376,9 +376,4 @@ def first_escape(V: Subspace, M: QMatrix) -> tuple[Fraction, ...] | None:
         if any(sum(a * b for a, b in zip(row, vec)) for row in M.data):
             return vec
     return None
-
-
-def image_basis(M: QMatrix) -> Subspace:
-    """Canonical basis of the column space of M."""
-    return Subspace.span(M.rows, M.columns())
 

@@ -1,23 +1,21 @@
-"""Extended-system construction, the chain-reachable subspace test, and
-the observed rows of a pair (A, C).
-
-The extended system attaches the input as extra integrator states:
-
-    A_e = [A B; 0 0],  B_e = [0; I_m],  C_e = [C D],  EF_e = [E F].
+"""The chain-reachable subspace test and the observed rows of a pair (A, C).
 
 The decision surface for the properness side of observer existence is
 ``strong_star_inclusion``: every finite input chain whose trajectory stays
-inside Ker C_e must keep the target rows [E F] silent as well.  The set of
-states such chains can reach is the nondecreasing sequence
+inside Ker [C D] must keep the target rows [E F] silent as well.  The
+chain's state is a pair (x, u) in Q^(n+m); write 0 + Q^m for the pairs
+(0, u) and [A B] r + 0 for the pair ([A B] r, 0).  The set of pairs such
+chains can reach is the nondecreasing sequence
 
-    R_0 = Im B_e  ^  Ker C_e,    R_{j+1} = (A_e R_j + Im B_e)  ^  Ker C_e,
+    R_0 = (0 + Q^m)  ^  Ker [C D],
+    R_{j+1} = ({[A B] r + 0 : r in R_j} + (0 + Q^m))  ^  Ker [C D],
 
-and the verdict is "limit of R contained in Ker [E F]".  That matches the
-block-Toeplitz kernel inclusions of the markov module for every order, and
-it is what separates a merely stable estimate from a causally realizable
-one.  The certificate keeps only what decides the verdict and re-checks
-it: the limit, its step count and, on failure, a reachable state that
-[E F] does not annihilate.
+grown on the plant's own rows [A B] and [C D].  The verdict is "limit of
+R contained in Ker [E F]".  That matches the block-Toeplitz kernel
+inclusions of the markov module for every order, and it is what separates
+a merely stable estimate from a causally realizable one.  The certificate
+keeps only what decides the verdict and re-checks it: the limit, its step
+count and, on failure, a reachable pair that [E F] does not annihilate.
 """
 
 from __future__ import annotations
@@ -25,42 +23,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import QMatrix, Subspace, first_escape, image_basis, kernel_basis
+from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
 from .system import SystemSextuple
 
 
-@dataclass(frozen=True)
-class ExtendedSystem:
-    A_e: QMatrix
-    B_e: QMatrix
-    C_e: QMatrix
-    EF_e: QMatrix
+def reachable_within(sys: SystemSextuple) -> tuple[Subspace, int]:
+    """Pairs (x, u) reachable by input chains whose whole trajectory stays
+    in Ker [C D], with the step at which the chain stops growing.
 
-
-def extend(sys: SystemSextuple) -> ExtendedSystem:
-    """Assemble A_e = [A B; 0 0], B_e = [0; I_m], C_e = [C D], EF_e = [E F]."""
-    n, m = sys.n, sys.m
-    A_e = QMatrix.from_blocks([
-        [sys.A, sys.B],
-        [QMatrix.zeros(m, n), QMatrix.zeros(m, m)],
-    ])
-    B_e = QMatrix.vstack([QMatrix.zeros(n, m), QMatrix.identity(m)])
-    C_e = QMatrix.hstack([sys.C, sys.D])
-    EF_e = QMatrix.hstack([sys.E, sys.F])
-    return ExtendedSystem(A_e, B_e, C_e, EF_e)
-
-
-def reachable_within(A_e: QMatrix, B_e: QMatrix, K: Subspace) -> tuple[Subspace, int]:
-    """States reachable by input chains whose whole trajectory stays in K.
-
-    Nondecreasing sequence R_0 = Im B_e ^ K, R_{j+1} = (A_e R_j + Im B_e) ^ K;
-    stabilises within dim K steps (asserted).
+    Each step maps the canonical rows r of R_j to [A B] r + 0, adds the
+    input directions 0 + Q^m and intersects with Ker [C D]; the sequence
+    stabilises within dim Ker [C D] steps (asserted).
     """
-    im_b = image_basis(B_e)
-    current = im_b.intersect(K)
+    n, d = sys.n, sys.n + sys.m
+    AB_T = QMatrix.hstack([sys.A, sys.B]).transpose()
+    tail = (Fraction(0),) * sys.m
+    # 0 + Q^m: unit rows in the last m columns, already canonical
+    inputs = QMatrix.identity(d).data[n:]
+    K = kernel_basis(QMatrix.hstack([sys.C, sys.D]))
+    current = Subspace(d, inputs).intersect(K)
     for step in range(K.dim + 1):
-        pushed = image_basis(A_e @ current.basis) if current.dim else Subspace.zero(K.ambient_dim)
-        nxt = pushed.sum(im_b).intersect(K)
+        # row r [A B]^T is ([A B] r)^T, for every canonical row r at once
+        pushed = [x + tail for x in (QMatrix(current.dim, d, current.rows) @ AB_T).data]
+        nxt = Subspace.span(d, pushed + list(inputs)).intersect(K)
         if not current.is_subspace_of(nxt):
             raise AssertionError("reachability sequence not monotone")
         if nxt == current:
@@ -103,12 +88,11 @@ class InclusionCertificate:
 def strong_star_inclusion(sys: SystemSextuple) -> InclusionCertificate:
     """Decide the properness inclusion between measured and target chains.
 
-    Holds iff every state reachable inside Ker C_e by an input chain lies
-    in Ker [E F]; on failure the certificate carries a reachable state that
+    Holds iff every pair reachable inside Ker [C D] by an input chain lies
+    in Ker [E F]; on failure the certificate carries a reachable pair that
     the target rows can see.
     """
-    ext = extend(sys)
-    reach, steps = reachable_within(ext.A_e, ext.B_e, kernel_basis(ext.C_e))
-    violation = first_escape(reach, ext.EF_e)
+    reach, steps = reachable_within(sys)
+    violation = first_escape(reach, QMatrix.hstack([sys.E, sys.F]))
     return InclusionCertificate(holds=violation is None, reachable=reach,
                                 reachable_steps=steps, violation=violation)

@@ -445,10 +445,7 @@ def convergence_metric(traj: Trajectory, threshold: float = 1e-4) -> Convergence
         raise ValueError("empty trajectory")
     tail_start = traj.t[-1] * 0.9
     mask = traj.t >= tail_start
-    if traj.e.shape[1] == 0:
-        final_sup = 0.0
-    else:
-        final_sup = float(np.max(np.abs(traj.e[mask]), initial=0.0))
+    final_sup = float(np.max(np.abs(traj.e[mask]), initial=0.0))
     return ConvergenceReport(final_sup < threshold, final_sup, threshold, tail_start)
 
 

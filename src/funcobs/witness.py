@@ -98,12 +98,6 @@ class RationalFunctionMatrix(DenseMatrix):
     _zero = RationalFunction(POLY_ZERO)
     _one = RationalFunction(POLY_ONE)
 
-    def is_proper(self) -> bool:
-        return all(e.is_proper() for row in self.data for e in row)
-
-    def denominator_lcm(self) -> Poly:
-        return denominator_lcm(e for row in self.data for e in row)
-
     def evaluate(self, x):
         return [[e.evaluate(x) for e in row] for row in self.data]
 
@@ -129,9 +123,10 @@ class Classification:
 def classify(MN: RationalFunctionMatrix) -> Classification:
     """Properness by entrywise degree comparison; stability of the monic
     lcm of the reduced denominators (constants count as stable)."""
-    pole = MN.denominator_lcm()
+    entries = [e for row in MN.data for e in row]
+    pole = denominator_lcm(entries)
     rep = is_hurwitz(pole)
-    return Classification(MN.is_proper(), pole, rep.is_hurwitz, rep)
+    return Classification(all(e.is_proper() for e in entries), pole, rep.is_hurwitz, rep)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
-from funcobs.exactlin import QMatrix, Subspace, as_fraction
+from funcobs.exactlin import QMatrix, Subspace, as_fraction, kernel_basis
 from funcobs.polymat import Poly, PolyMatrix
 from funcobs.system import SystemSextuple
 
@@ -92,6 +93,20 @@ def random_system(rng: random.Random, max_nm: int = 6, max_p: int = 2,
         E=block(q, n),
         F=block(q, m) if m else None,
         m=m)
+
+
+@st.composite
+def plants(draw, max_n: int, max_mpq: int) -> SystemSextuple:
+    """Hypothesis strategy: plants with n in 0..max_n, m, p and q in
+    0..max_mpq, and integer entries in -2..2."""
+    n = draw(st.integers(0, max_n))
+    m, p, q = (draw(st.integers(0, max_mpq)) for _ in range(3))
+
+    def block(rows, cols):
+        return [[draw(st.integers(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+
+    return SystemSextuple.from_lists(A=block(n, n), B=block(n, m), C=block(p, n),
+                                     D=block(p, m), E=block(q, n), F=block(q, m), m=m)
 
 
 def random_qmatrix(rng: random.Random, rows: int, cols: int,
@@ -265,6 +280,28 @@ def ref_controllable(sys: SystemSextuple) -> bool:
         blocks.append(ref_qmatmul(power, sys.B))
         power = ref_qmatmul(sys.A, power)
     return sys.n == 0 or ref_rank_q(QMatrix.hstack(blocks)) == sys.n
+
+
+def ref_reachable(sys: SystemSextuple) -> tuple[Subspace, int]:
+    """The chain-reachable subspace on the extended system, with its step.
+
+    The input becomes m integrator states: A_e = [A B; 0 0],
+    B_e = [0; I_m], C_e = [C D], and R_0 = Im B_e ^ Ker C_e,
+    R_{j+1} = (A_e R_j + Im B_e) ^ Ker C_e, iterated to its fixed point.
+    """
+    n, m = sys.n, sys.m
+    A_e = QMatrix.from_blocks([[sys.A, sys.B], [QMatrix.zeros(m, n), QMatrix.zeros(m, m)]])
+    B_e = QMatrix.vstack([QMatrix.zeros(n, m), QMatrix.identity(m)])
+    K = kernel_basis(QMatrix.hstack([sys.C, sys.D]))
+    im_b = Subspace.span(n + m, B_e.columns())
+    current = im_b.intersect(K)
+    for step in range(K.dim + 1):
+        pushed = Subspace.span(n + m, ref_qmatmul(A_e, current.basis).columns())
+        nxt = pushed.sum(im_b).intersect(K)
+        if nxt == current:
+            return current, step
+        current = nxt
+    raise AssertionError("reachability iteration failed to stabilise")
 
 
 def ref_normal_rank(M: PolyMatrix) -> int:

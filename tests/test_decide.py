@@ -594,3 +594,73 @@ class TestPlantForms:
         assert decide.PlantForms.of(forms) is forms
         fresh = decide.PlantForms.of(plant)
         assert fresh is not forms and fresh.sys is plant
+
+
+@st.composite
+def _unimodular(draw, k):
+    """An integer matrix T of determinant +-1 and its exact inverse, as a
+    product of up to four elementary row operations: T gets each operation
+    on its rows, the inverse the opposite one on its columns."""
+    T = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    Ti = [row[:] for row in T]
+    for _ in range(draw(st.integers(0, 4)) if k else 0):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        kind = draw(st.sampled_from(["add", "swap", "negate"]))
+        if kind == "add" and i != j:
+            c = draw(st.sampled_from([-2, -1, 1, 2]))
+            T[i] = [a + c * b for a, b in zip(T[i], T[j])]
+            for row in Ti:
+                row[j] -= c * row[i]
+        elif kind == "swap":
+            T[i], T[j] = T[j], T[i]
+            for row in Ti:
+                row[i], row[j] = row[j], row[i]
+        elif kind == "negate":
+            T[i] = [-a for a in T[i]]
+            for row in Ti:
+                row[i] = -row[i]
+    T, Ti = QMatrix.from_rows(T, cols=k), QMatrix.from_rows(Ti, cols=k)
+    assert T @ Ti == QMatrix.identity(k)
+    return T, Ti
+
+
+@st.composite
+def _plant_and_coordinates(draw):
+    """A plant with n <= 4, m, p, q <= 2 and entries in -2..2, and the same
+    plant in new state, input, measurement and target coordinates:
+    (T A T^-1, T B K, R C T^-1, R D K, S E T^-1, S F K)."""
+    sys = draw(support.plants(4, 2))
+    (T, Ti), (K, _), (R, _), (S, _) = (draw(_unimodular(k)) for k in (sys.n, sys.m, sys.p, sys.q))
+    moved = SystemSextuple(T @ sys.A @ Ti, T @ sys.B @ K, R @ sys.C @ Ti, R @ sys.D @ K,
+                           S @ sys.E @ Ti, S @ sys.F @ K)
+    return sys, moved
+
+
+def _coordinate_free(sys):
+    """The eight verdicts and the certificate quantities that no change of
+    coordinates can move."""
+    forms = decide.PlantForms(sys)
+    verdicts = {fn.__name__: fn(forms) for fn in _FORWARD[:8]}
+    strong, functional = forms.detectability, forms.functional
+    inclusion = verdicts["strong_star_functional_detectable"].certificate.inclusion
+    return ({name: v.holds for name, v in verdicts.items()},
+            (strong.normrank_p, strong.normrank_pe, strong.zero_poly_p, strong.zero_poly_pe),
+            (functional.zero_poly_p, functional.zero_poly_pe),
+            forms.unobservable_modes,
+            (inclusion.reachable.dim, inclusion.reachable_steps))
+
+
+class TestCoordinateChanges:
+    """Unimodular changes of state, input, measurement and target
+    coordinates change no verdict and no certificate invariant."""
+
+    @given(_plant_and_coordinates())
+    def test_invariants_survive(self, pair):
+        sys, moved = pair
+        before = _coordinate_free(sys)
+        assert _coordinate_free(moved) == before
+        holds = before[0]
+        if holds["strong_star_functional_detectable"]:
+            assert holds["strongly_functional_detectable"]
+        if holds["strongly_functional_detectable"]:
+            assert holds["functional_detectable"]

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from funcobs.exactlin import (DenseMatrix, QMatrix, Subspace, _rref, as_fraction,
-                              first_escape, image_basis, kernel_basis)
-from funcobs.geometry import extend
+                              first_escape, kernel_basis)
 from funcobs.markov import toeplitz
 from funcobs.polymat import Poly, PolyMatrix
 from funcobs.witness import RationalFunction, RationalFunctionMatrix
@@ -144,26 +143,6 @@ class TestKernel:
             M = support.random_qmatrix(rng, 3, 5)
             for col in kernel_basis(M).basis.columns():
                 assert (M @ QMatrix.column_vector(col)).is_zero()
-
-
-class TestImage:
-    def test_zero_matrix(self):
-        assert image_basis(QMatrix.zeros(3, 2)).dim == 0
-
-    def test_extended_input_map_spans_last_coordinates(self):
-        ext = extend(support.integrator_chain())
-        img = image_basis(ext.B_e)
-        assert img.dim == 1
-        assert img.basis.columns() == [(frac(0), frac(0), frac(1))]
-
-    def test_rank_one_matrix(self, rng):
-        u = [frac(rng.randint(-3, 3)) or frac(1) for _ in range(4)]
-        v = [frac(rng.randint(1, 3)), frac(rng.randint(1, 3))]
-        M = QMatrix.from_rows([[a * b for b in v] for a in u])
-        img = image_basis(M)
-        assert img.dim == support.ref_rank_q(M)
-        for col in M.columns():
-            assert img.contains(col)
 
 
 class TestSubspaceOps:

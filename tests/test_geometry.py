@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+from hypothesis import example, given
+
 from funcobs.corpus import bundled_names, bundled_text
-from funcobs.exactlin import QMatrix, Subspace, kernel_basis
+from funcobs.exactlin import QMatrix, Subspace
 from funcobs.fileio import load_system_text
-from funcobs.geometry import extend, observed_rows, reachable_within, strong_star_inclusion
+from funcobs.geometry import observed_rows, reachable_within, strong_star_inclusion
 from funcobs.markov import kernel_inclusion_upto
 from funcobs.system import SystemSextuple
 
@@ -14,37 +16,26 @@ def frac(x):
     return Fraction(x)
 
 
-class TestExtend:
-    def test_integrator_chain_blocks(self):
-        ext = extend(support.integrator_chain())
-        assert ext.A_e == QMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 0, 0]])
-        assert ext.B_e == QMatrix.from_rows([[0], [0], [1]])
-        assert ext.C_e == QMatrix.from_rows([[1, 1, 0]])
-        assert ext.EF_e == QMatrix.from_rows([[0, 0, 1]])
-
-    def test_no_input(self):
-        ext = extend(support.stable_pair())
-        assert ext.A_e.shape == (2, 2)
-        assert ext.B_e.shape == (2, 0)
-        assert ext.C_e == QMatrix.identity(2)
-
-    def test_no_state(self):
-        sys = SystemSextuple.from_lists(A=[], B=[], C=[], D=[[1, 0]], E=[], F=[[0, 1]])
-        ext = extend(sys)
-        assert ext.A_e == QMatrix.zeros(2, 2)
-        assert ext.C_e == QMatrix.from_rows([[1, 0]])
-
-
 class TestReachableWithin:
     def test_integrator_chain(self):
-        ext = extend(support.integrator_chain())
-        reach, _ = reachable_within(ext.A_e, ext.B_e, kernel_basis(ext.C_e))
+        reach, _ = reachable_within(support.integrator_chain())
         assert reach == Subspace.span(3, [[0, 0, 1]])
 
     def test_no_input_gives_zero(self):
-        ext = extend(support.stable_pair())
-        reach, steps = reachable_within(ext.A_e, ext.B_e, kernel_basis(ext.C_e))
+        reach, steps = reachable_within(support.stable_pair())
         assert reach.dim == 0
+
+    # n in 0..5, m, p, q in 0..3; n = 0, m = 0 and p = 0 are all drawn
+    @given(support.plants(5, 3))
+    @example(SystemSextuple.from_lists(A=[], D=[[1, 0]], F=[[0, 1]]))
+    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], C=[[1, 0]], m=0))
+    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[0], [1]], E=[[1, 0]]))
+    # a shift chain read at its head: the chain grows for two steps
+    @example(SystemSextuple.from_lists(A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], B=[[0], [0], [1]],
+                                       C=[[1, 0, 0]], D=[[0]], E=[[0, 1, 0]], F=[[0]]))
+    def test_matches_extended_system(self, sys):
+        # rows and step count, both bit for bit
+        assert reachable_within(sys) == support.ref_reachable(sys)
 
 
 class TestObservedRows:
@@ -90,8 +81,9 @@ class TestStrongStarInclusion:
         cert = strong_star_inclusion(support.integrator_chain())
         assert not cert.holds
         assert cert.violation is not None
-        ext = extend(support.integrator_chain())
-        assert not (ext.EF_e @ QMatrix.column_vector(cert.violation)).is_zero()
+        sys = support.integrator_chain()
+        EF = QMatrix.hstack([sys.E, sys.F])
+        assert not (EF @ QMatrix.column_vector(cert.violation)).is_zero()
         assert cert.reachable.contains(cert.violation)
 
     def test_agrees_with_toeplitz_oracle(self, rng):

@@ -136,6 +136,15 @@ class TestSimulate:
         # matches exp(-t) pointwise
         assert abs(traj.e[-1, 0] - math.exp(-20.0)) < 1e-12
 
+    def test_no_target_channel_has_decayed(self):
+        # q = 0: the error has no columns, and its sup is the empty max
+        sys = SystemSextuple.from_lists(A=[[1]], C=[[1]], E=[], m=0)
+        omega = StateSpaceRealization.static_gain(np.zeros((0, 1)))
+        traj = simulate(sys, omega, zero_input_scenario([1.0], horizon=2.0))
+        assert traj.e.shape == (len(traj.t), 0)
+        metric = convergence_metric(traj)
+        assert metric.final_sup == 0.0 and metric.decayed
+
     def test_rk4_accuracy_against_exact_solution(self):
         sys = SystemSextuple.from_lists(A=[[-2]], B=[[1]], C=[[1]], D=[[0]],
                                         E=[[1]], F=[[0]])
