@@ -17,12 +17,9 @@ Specialised checks for state reconstruction, input reconstruction and the
 fixed-order observer conditions are provided as independent formulas that
 cross-validate against the general decision procedures.
 
-The input-free pencils [sI - A; C] and [sI - A; C; E] are never built:
-both have normal rank n, and their zero polynomials are the
-characteristic polynomials of A on the unobservable subspaces of (A, C)
-and (A, [C; E]), the kernels of ``geometry.observed_rows``.  The
-functional certificate and the unobservable modes that the
-left-invertibility tests remove are read from there.
+Only Darouach's test eliminates a pencil: the others read the normal ranks
+and zeros of P, P_e and the input-free pencils [sI - A; C] and
+[sI - A; C; E] off weakly unobservable subspaces (``geometry.vstar``).
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
 from .markov import toeplitz
 from .polymat import (POLY_ONE, Poly, PolyMatrix, SmithDecomposition,
                       build_system_matrices, constant_entry, pencil_entry, poly_gcd,
-                      rank_and_zero_from_invariants, rank_and_zero_polynomial,
-                      smith_form, stacked_invariants)
+                      rank_and_zero_polynomial, smith_form)
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
 
@@ -152,41 +148,10 @@ def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix, ker: Subspace) -> KernelInclus
     return KernelInclusionCertificate(lhs, rhs, witness is None, witness)
 
 
-def _unobservable_modes(A: QMatrix, C: QMatrix) -> Poly:
-    """Characteristic polynomial of A on the unobservable subspace N of
-    (A, C), the zero polynomial of [sI - A; C].
-
-    N's canonical rows v_i have a unit at their own pivot column and zeros
-    at the others', so a vector of N has, on that basis, the coordinates it
-    holds at the pivot columns: the rows of A V at the pivots give A_N.
-    That A V = V A_N exactly is checked on every call; then the pencil
-    sI - A_N alone is eliminated.
-    """
-    observed = geometry.observed_rows(A, C)
-    N = kernel_basis(QMatrix(observed.dim, A.rows, observed.rows))
-    d = N.dim
-    if not d:
-        return POLY_ONE
-    V = N.basis
-    image = A @ V
-    pivots = [next(j for j, x in enumerate(row) if x) for row in N.rows]
-    A_N = QMatrix(d, d, tuple(image.data[j] for j in pivots))
-    if V @ A_N != image:
-        raise AssertionError("unobservable subspace not invariant under A")
-    pencil = tuple(tuple(pencil_entry(1 if j == i else 0, a) for j, a in enumerate(row))
-                   for i, row in enumerate(A_N.data))
-    return rank_and_zero_polynomial(PolyMatrix(d, d, pencil))[1]
-
-
 class PlantForms:
-    """The pencils of one plant and what the decisions read off them, and
-    the unobservable modes.
-
-    Each part is computed on first use and kept by this object alone: the
-    decisions and the witness run on one object share P, its Smith form and
-    the certificates built on it, while a call with a bare plant builds a
-    fresh object and does all of its own work.
-    """
+    """What the decisions read off one plant and, for the witness alone,
+    P and its Smith form, each computed on first use and kept by this
+    object alone: a call with a bare plant does all of its own work."""
 
     def __init__(self, sys: SystemSextuple):
         self.sys = sys
@@ -205,33 +170,39 @@ class PlantForms:
         return smith_form(self.matrices[0])
 
     @cached_property
+    def vstar(self) -> geometry.VStar:
+        return geometry.vstar(self.sys.A, self.sys.B, self.sys.C, self.sys.D)
+
+    @cached_property
     def rank_and_zero(self) -> tuple[int, Poly]:
         """Normal rank and zero polynomial of P."""
-        return rank_and_zero_from_invariants(self.smith.invariant_polys)
+        return geometry.rank_and_zeros(self.sys.A, self.sys.B, self.vstar)
 
     @cached_property
     def detectability(self) -> DetectabilityCertificate:
+        sys = self.sys
         rp, zp = self.rank_and_zero
-        # P_e = [P; E F] is not eliminated: its invariants follow from P's form
-        rpe, zpe = rank_and_zero_from_invariants(stacked_invariants(self.smith, self.matrices[1]))
+        # P_e's V* lies in P's: grow it from P's rows
+        ve = geometry.vstar(sys.A, sys.B, QMatrix.vstack([sys.C, sys.E]),
+                            QMatrix.vstack([sys.D, sys.F]), self.vstar.rows)
+        rpe, zpe = geometry.rank_and_zeros(sys.A, sys.B, ve)
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
 
     @cached_property
     def unobservable_modes(self) -> Poly:
         """The zero polynomial of [sI - A; C]: the unobservable modes."""
-        return _unobservable_modes(self.sys.A, self.sys.C)
+        return geometry.unobservable_modes(self.sys.A, self.sys.C)
 
     @cached_property
     def functional(self) -> DetectabilityCertificate:
-        """The certificate of the input-free plant, whose pencils
-        [sI - A; C] and [sI - A; C; E] both have normal rank n.  The zeros
-        of the second are the unobservable modes of (A, [C; E]), which lie
-        among those of (A, C): there are none when (A, C) has none."""
+        """The certificate of the input-free plant: [sI - A; C] and
+        [sI - A; C; E] have normal rank n, and the zeros of the second lie
+        among those of the first."""
         sys = self.sys
         zp = zpe = self.unobservable_modes
         if zp.degree > 0 and sys.q:
-            zpe = _unobservable_modes(sys.A, QMatrix.vstack([sys.C, sys.E]))
+            zpe = geometry.unobservable_modes(sys.A, QMatrix.vstack([sys.C, sys.E]))
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(sys.n, sys.n, zp, zpe, cmp_, True, cmp_.equal)
 
@@ -357,7 +328,9 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     cmp_ = antistable_parts_equal(zl, POLY_ONE)
     rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)
 
-    controllable = geometry.observed_rows(sys.A.transpose(), sys.B.transpose()).dim == n
+    # controllable: the dual pair (A^T, B^T) is observable
+    controllable = geometry.vstar(sys.A.transpose(), QMatrix.zeros(n, 0), sys.B.transpose(),
+                                  QMatrix.zeros(m, 0)).rows.dim == n
     note = None if controllable else (
         "plant is not controllable; the fixed-order existence theory assumes "
         "controllability, so this verdict extrapolates outside its hypotheses")

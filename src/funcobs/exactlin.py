@@ -207,18 +207,8 @@ class QMatrix(DenseMatrix):
     _zero = Fraction(0)
     _one = Fraction(1)
 
-    @classmethod
-    def column_vector(cls, entries: Sequence) -> "QMatrix":
-        return cls.from_rows([[x] for x in entries], cols=1)
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
-
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.data]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -240,11 +230,6 @@ class QMatrix(DenseMatrix):
         return QMatrix(self.rows, self.cols,
                        tuple(tuple(-a for a in row) for row in self.data))
 
-    def scale(self, c) -> "QMatrix":
-        c = as_fraction(c)
-        return QMatrix(self.rows, self.cols,
-                       tuple(tuple(c * a for a in row) for row in self.data))
-
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in product: {self.shape} @ {other.shape}")
@@ -263,7 +248,7 @@ class QMatrix(DenseMatrix):
         return len(_integer_echelon(self.data)[1])
 
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
-        rows, pivots = _rref(self.to_lists())
+        rows, pivots = _rref(self.data)
         return QMatrix.from_rows(rows, cols=self.cols), tuple(pivots)
 
 
@@ -292,14 +277,6 @@ class Subspace:
         reduced, pivots = _rref(rows)
         return cls(ambient_dim, tuple(tuple(r) for r in reduced[:len(pivots)]))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, QMatrix.identity(ambient_dim).data)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -307,12 +284,6 @@ class Subspace:
     @property
     def basis(self) -> QMatrix:
         return QMatrix(self.dim, self.ambient_dim, self.rows).transpose()
-
-    def contains(self, vector: Sequence) -> bool:
-        v = tuple(as_fraction(x) for x in vector)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector of wrong length")
-        return QMatrix(self.dim + 1, self.ambient_dim, self.rows + (v,)).rank() == self.dim
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_ambient(other)

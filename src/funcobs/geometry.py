@@ -1,4 +1,13 @@
-"""The chain-reachable subspace test and the observed rows of a pair (A, C).
+"""The weakly unobservable subspace V* and the chain-reachable subspace.
+
+Every rank and zero condition of the decisions is read off ``vstar``: the
+largest subspace V* from which some input holds Cx + Du at zero (Morse,
+SIAM J. Control 11, 1973; Trentelman, Stoorvogel & Hautus, Control Theory
+for Linear Systems, 2001, ch. 7-8).  P = [sI - A, -B; C, D] has normal
+rank n + rank [Y*B; D] (V* = Ker Y*), and its zeros are those of A + BF on
+V*/R*, F a friend of V* and R* the span of A + BF on B Ker [Y*B; D].
+P_e = [P; E F] is the same call on [C; E] and [D; F], grown from Y*.
+With m = 0, V* is the unobservable subspace of (A, C).
 
 The decision surface for the properness side of observer existence is
 ``strong_star_inclusion``: every finite input chain whose trajectory stays
@@ -22,9 +31,90 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
+from typing import NamedTuple
 
-from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
+from .exactlin import QMatrix, Subspace, _integer_echelon, first_escape, kernel_basis
+from .polymat import POLY_ONE, Poly, characteristic_polynomial
 from .system import SystemSextuple
+
+
+class VStar(NamedTuple):
+    """V* = Ker Y* and what the last RREF gives: a friend F (m x n), with
+    (A + BF) V* in V* and (C + DF) V* = 0, and the rows of [Y*B; D]."""
+    rows: Subspace
+    steps: int
+    friend: QMatrix
+    input_rows: Subspace
+
+
+def vstar(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix,
+          seed: Subspace | None = None) -> VStar:
+    """V*(A, B, C, D) = Ker Y*: Y_{k+1} are the rows of the RREF of
+    [Y_k B, Y_k A; D, C] (inputs first) that pivot in a state column, from
+    Y_0 = ``seed`` (rows that annihilate V*, as P's do for P_e's) or none.
+
+    Rows stay integer multiples of RREF rows.  Y and its pivots only grow,
+    so only the rows at new pivots add products [y B, y A].
+    """
+    n, m = A.rows, B.cols
+    BA = [b + a for b, a in zip(B.data, A.data)]
+    den = lcm(*(x.denominator for row in BA for x in row))
+    cols = [[row[j].numerator * (den // row[j].denominator) for row in BA] for j in range(m + n)]
+    new = seed.rows if seed is not None else ()
+    seen = {m + next(j for j, x in enumerate(y) if x) for y in new}
+    rows = [d + c for d, c in zip(D.data, C.data)]
+    # Y gains a row at every step but the last, and has n at most
+    for step in range(n + 1):
+        rows, pivots = _integer_echelon(rows + [[sum(map(mul, y, col)) for col in cols]
+                                                for y in new])
+        state = [(r, p) for r, p in zip(rows, pivots) if p >= m]
+        if len(state) == len(seen):
+            break
+        new = [r[m:] for r, p in state if p not in seen]
+        seen.update(p for _, p in state)
+    # an input-pivot row reads u_j + (free inputs) + f x = 0: take u_j = -f x
+    held = list(zip(rows, pivots))[:len(pivots) - len(state)]
+    friend = [(Fraction(0),) * n] * m
+    for r, p in held:
+        friend[p] = tuple(Fraction(-x, r[p]) for x in r[m:])
+    return VStar(Subspace(n, tuple(tuple(Fraction(x, r[p]) for x in r[m:]) for r, p in state)),
+                 step, QMatrix(m, n, tuple(friend)),
+                 Subspace(m, tuple(tuple(Fraction(x, r[p]) for x in r[:m]) for r, p in held)))
+
+
+def _restricted(N: Subspace, image: QMatrix) -> QMatrix:
+    """X with N.basis @ X == image, checked exactly: on N's canonical
+    basis a vector of N has the coordinates it holds at N's pivots."""
+    X = QMatrix(N.dim, image.cols,
+                tuple(image.data[next(j for j, x in enumerate(r) if x)] for r in N.rows))
+    if N.basis @ X != image:
+        raise AssertionError("subspace not invariant")
+    return X
+
+
+def unobservable_modes(A: QMatrix, C: QMatrix) -> Poly:
+    """A's characteristic polynomial on the unobservable subspace of
+    (A, C): the zero polynomial of [sI - A; C]."""
+    B, D = QMatrix.zeros(A.rows, 0), QMatrix.zeros(C.rows, 0)
+    return rank_and_zeros(A, B, vstar(A, B, C, D))[1]
+
+
+def rank_and_zeros(A: QMatrix, B: QMatrix, v: VStar) -> tuple[int, Poly]:
+    """Normal rank and zero polynomial of [sI - A, -B; C, D] from its V*.
+    On V*'s basis A + BF is A_V and B L is G.  R* = 0 when L = 0; else its
+    annihilator is the unobservable subspace of (A_V^T, G^T), where A_V^T
+    has A_V's characteristic polynomial on V*/R*."""
+    n, m, Y, U = A.rows, B.cols, v.rows, v.input_rows
+    if Y.dim == n:
+        return n + U.dim, POLY_ONE
+    N = kernel_basis(QMatrix(Y.dim, n, Y.rows))
+    A_V = _restricted(N, (A + B @ v.friend) @ N.basis)
+    if U.dim == m:
+        return n + U.dim, characteristic_polynomial(A_V)
+    G = _restricted(N, B @ kernel_basis(QMatrix(U.dim, m, U.rows)).basis)
+    return n + U.dim, unobservable_modes(A_V.transpose(), G.transpose())
 
 
 def reachable_within(sys: SystemSextuple) -> tuple[Subspace, int]:
@@ -52,26 +142,6 @@ def reachable_within(sys: SystemSextuple) -> tuple[Subspace, int]:
             return current, step
         current = nxt
     raise AssertionError("reachability iteration failed to stabilise")
-
-
-def observed_rows(A: QMatrix, C: QMatrix) -> Subspace:
-    """The row space of [C; CA; CA^2; ...] in its canonical rows.
-
-    Grown one block C A^k at a time: once a block adds no dimension, no
-    later one does, so the growth stops there or at dimension n.  Its
-    kernel is the unobservable subspace of (A, C), and on the dual pair
-    (A^T, B^T) it has dimension n exactly when (A, B) is controllable.
-    """
-    n = A.rows
-    rows = Subspace.span(n, C.data)
-    block = C
-    while 0 < rows.dim < n:
-        block = block @ A
-        grown = Subspace.span(n, rows.rows + block.data)
-        if grown.dim == rows.dim:
-            break
-        rows = grown
-    return rows
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,11 @@ system pencils
     P(s)   = [ sI - A   -B ]        P_e(s) = [ P(s) ]
              [   C       D ]                 [ E  F ]
 
-Every pencil entry s e - a is written by ``pencil_entry`` straight from
-the constant entries, and every pencil is eliminated once, by the Smith
-normal form (gcd-driven elementary row/column operations with both
-unimodular transformers tracked); its normal rank is the number of
-invariant polynomials and its invariant zeros are their roots.  P_e is
-never eliminated itself: ``stacked_invariants`` reads its invariants off
-the Smith form of P plus that of a small remainder block.
+Every pencil entry s e - a is written by ``pencil_entry`` straight from the
+constant entries.  The decisions read the normal ranks and zeros of P and
+P_e off ``geometry.vstar`` and ``characteristic_polynomial``; the Smith
+form (gcd-driven elementary row/column operations with both unimodular
+transformers tracked) serves the witness and Darouach's pencil.
 """
 
 from __future__ import annotations
@@ -515,43 +513,37 @@ def _assert_smith(P: PolyMatrix, dec: SmithDecomposition) -> None:
 
 
 def rank_and_zero_polynomial(P: PolyMatrix) -> tuple[int, Poly]:
-    """Normal rank and zero polynomial of P from one Smith form."""
-    return rank_and_zero_from_invariants(smith_form(P).invariant_polys)
-
-
-def rank_and_zero_from_invariants(invariants: Sequence[Poly]) -> tuple[int, Poly]:
-    """Normal rank and zero polynomial of a matrix with these invariants.
-
-    The rank is the number of invariant polynomials; the zero polynomial
-    is their monic product, whose roots (with multiplicity) are the
-    invariant zeros of the matrix.
-    """
+    """Normal rank and zero polynomial of P from one Smith form: the number
+    of invariant polynomials, and their monic product."""
+    invariants = smith_form(P).invariant_polys
     prod = POLY_ONE
     for a in invariants:
-        if a.degree > 0:
-            prod = prod * a
+        prod = prod * a
     return len(invariants), prod.monic()
 
 
-def stacked_invariants(dec: SmithDecomposition, X: PolyMatrix) -> tuple[Poly, ...]:
-    """Invariant polynomials of [P; X], given the Smith form U P V = S of P.
-
-    [U 0; 0 I] [P; X] V = [S; X V].  The k unit invariants lead the chain
-    and their rows of S are unit vectors e_j, so row operations clear
-    columns 0..k-1 of X V.  What is left is I_k (+) M with
-
-        M = [ diag(d_k+1, ..., d_r)  0 ]
-            [        (X V)[:, k:]      ]
-
-    (the zero rows of S drop out), so the invariants of [P; X] are k ones
-    followed by those of M, which is small: r - k + rows(X) rows.
-    """
-    invariants = dec.invariant_polys
-    k = sum(1 for d in invariants if d.degree == 0)
-    c = dec.V.cols - k
-    W = X @ PolyMatrix(dec.V.rows, c, tuple(row[k:] for row in dec.V.data))
-    diag = tuple(tuple(d if j == i else POLY_ZERO for j in range(c))
-                 for i, d in enumerate(invariants[k:]))
-    M = PolyMatrix(len(diag) + W.rows, c, diag + W.data)
-    return invariants[:k] + smith_form(M).invariant_polys
-
+def characteristic_polynomial(A: QMatrix) -> Poly:
+    """det(sI - A), by an exact similarity to upper Hessenberg form H and
+    the recurrence on the leading minors of sI - H (Cohen, A Course in
+    Computational Algebraic Number Theory, Algorithm 2.2.9)."""
+    n = A.rows
+    H = [list(row) for row in A.data]
+    for r in range(1, n - 1):
+        i = next((i for i in range(r, n) if H[i][r - 1]), r)
+        H[i], H[r] = H[r], H[i]
+        for row in H:
+            row[i], row[r] = row[r], row[i]
+        for i in range(r + 1, n):
+            if H[i][r - 1]:  # row i -= u row r, then column r += u column i
+                u = H[i][r - 1] / H[r][r - 1]
+                H[i] = [x - u * y for x, y in zip(H[i], H[r])]
+                for row in H:
+                    row[r] += u * row[i]
+    p = [POLY_ONE]  # p[k] = det(sI - H[:k, :k]), expanded along column k - 1
+    for k in range(n):
+        pk, t = Poly([-H[k][k], 1]) * p[k], Fraction(1)
+        for i in range(k - 1, -1, -1):
+            t *= H[i + 1][i]
+            pk = pk - p[i].scale(t * H[i][k])
+        p.append(pk)
+    return p[n]

@@ -102,12 +102,6 @@ class SystemSextuple:
         """Same plant with a different target output block [E F]."""
         return SystemSextuple(self.A, self.B, self.C, self.D, E, F)
 
-    def known_input_reduction(self) -> "SystemSextuple":
-        """Drop the input channels (B, D, F become zero-width)."""
-        return SystemSextuple(self.A, QMatrix.zeros(self.n, 0),
-                              self.C, QMatrix.zeros(self.p, 0),
-                              self.E, QMatrix.zeros(self.q, 0))
-
 
 def _matrix(name: str, rows) -> QMatrix:
     """One given block as an exact matrix; any defect names the field."""

@@ -7,7 +7,9 @@ coefficient lists, normal ranks from ranks at enough integer points,
 determinants from cofactor expansion and from Bareiss elimination,
 controllability from the Krylov matrix, kernel-inclusion witnesses from a matrix product per basis
 column, system pencils and Darouach's pencil from constant blocks and one
-coerced ``Poly`` per entry,
+coerced ``Poly`` per entry, the normal ranks and zeros of P and P_e from
+Smith forms of those block-assembled pencils, V* from its textbook
+recursion on Gauss-Jordan kernels,
 matrix products and Smith row/column operations term by term
 (one sum of ``Fraction`` or ``Poly`` values per term), root locations
 from numpy's companion-matrix solver,
@@ -28,7 +30,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from funcobs.exactlin import QMatrix, Subspace, as_fraction, kernel_basis
-from funcobs.polymat import Poly, PolyMatrix
+from funcobs.polymat import Poly, PolyMatrix, smith_form
 from funcobs.system import SystemSextuple
 
 
@@ -71,6 +73,36 @@ GOLDEN = {
     "measured_input": measured_input,
     "unstable_chain": unstable_chain,
 }
+
+
+# -- small constructors the library does not need ------------------------------
+
+def known_input_reduction(sys: SystemSextuple) -> SystemSextuple:
+    """The plant with its input channels dropped (B, D, F zero-width)."""
+    return SystemSextuple(sys.A, QMatrix.zeros(sys.n, 0), sys.C, QMatrix.zeros(sys.p, 0),
+                          sys.E, QMatrix.zeros(sys.q, 0))
+
+
+def zero_subspace(d: int) -> Subspace:
+    return Subspace(d, ())
+
+
+def full_subspace(d: int) -> Subspace:
+    return Subspace(d, QMatrix.identity(d).data)
+
+
+def contains(V: Subspace, vector) -> bool:
+    """Whether V holds the vector: appending it keeps the rank."""
+    v = tuple(as_fraction(x) for x in vector)
+    return ref_rank([list(r) for r in V.rows + (v,)]) == V.dim
+
+
+def columns(M: QMatrix) -> list[tuple[Fraction, ...]]:
+    return [M.column(j) for j in range(M.cols)]
+
+
+def column_vector(entries) -> QMatrix:
+    return QMatrix.from_rows([[x] for x in entries], cols=1)
 
 
 # -- random generators ----------------------------------------------------------
@@ -263,14 +295,14 @@ def ref_col_op_sub(mat: list[list[Poly]], j: int, t: int, q: Poly) -> None:
 def ref_first_escape(V: Subspace, M: QMatrix):
     """First basis column of V whose image under M is nonzero, by a full
     matrix product per column; None when every column is annihilated."""
-    for vec in V.basis.columns():
-        if not ref_qmatmul(M, QMatrix.column_vector(vec)).is_zero():
+    for vec in columns(V.basis):
+        if not ref_qmatmul(M, column_vector(vec)).is_zero():
             return vec
     return None
 
 
 def ref_rank_q(M: QMatrix) -> int:
-    return ref_rank(M.to_lists())
+    return ref_rank([list(r) for r in M.data])
 
 
 def ref_controllable(sys: SystemSextuple) -> bool:
@@ -293,15 +325,59 @@ def ref_reachable(sys: SystemSextuple) -> tuple[Subspace, int]:
     A_e = QMatrix.from_blocks([[sys.A, sys.B], [QMatrix.zeros(m, n), QMatrix.zeros(m, m)]])
     B_e = QMatrix.vstack([QMatrix.zeros(n, m), QMatrix.identity(m)])
     K = kernel_basis(QMatrix.hstack([sys.C, sys.D]))
-    im_b = Subspace.span(n + m, B_e.columns())
+    im_b = Subspace.span(n + m, columns(B_e))
     current = im_b.intersect(K)
     for step in range(K.dim + 1):
-        pushed = Subspace.span(n + m, ref_qmatmul(A_e, current.basis).columns())
+        pushed = Subspace.span(n + m, columns(ref_qmatmul(A_e, current.basis)))
         nxt = pushed.sum(im_b).intersect(K)
         if nxt == current:
             return current, step
         current = nxt
     raise AssertionError("reachability iteration failed to stabilise")
+
+
+def ref_zero_structure(sys: SystemSextuple) -> tuple[tuple[int, Poly], tuple[int, Poly]]:
+    """Normal rank and zero polynomial of P and of P_e = [P; E F], each
+    from a Smith form of the pencil assembled from constant blocks: the
+    number of invariant polynomials and their monic product."""
+    P, EF = ref_build_system_matrices(sys)
+    out = []
+    for M in (P, PolyMatrix.vstack([P, EF])):
+        invariants = smith_form(M).invariant_polys
+        prod = Poly([1])
+        for a in invariants:
+            prod = prod * a
+        out.append((len(invariants), prod.monic()))
+    return out[0], out[1]
+
+
+def ref_vstar(sys: SystemSextuple) -> Subspace:
+    """V*(A, B, C, D) by its textbook recursion: V_0 = Q^n and V_{k+1} the
+    x-part of the kernel of [A B; C D] restricted to Ax + Bu in V_k, i.e.
+    of [W A, W B; C, D] for W spanning the annihilator of V_k."""
+    n, m = sys.n, sys.m
+    V = full_subspace(n)
+    for _ in range(n + 1):
+        W = QMatrix.from_rows(ref_kernel(n, [list(r) for r in V.rows]), cols=n)
+        rows = ([list(a) + list(b) for a, b in zip(ref_qmatmul(W, sys.A).data,
+                                                    ref_qmatmul(W, sys.B).data)]
+                + [list(c) + list(d) for c, d in zip(sys.C.data, sys.D.data)])
+        nxt = Subspace.span(n, [v[:n] for v in ref_kernel(n + m, rows)])
+        if nxt == V:
+            return V
+        V = nxt
+    raise AssertionError("V* recursion failed to stabilise")
+
+
+def reanchor_plant(n: int) -> SystemSextuple:
+    """The n-ladder plant of the benchmark's baseline, m = p = q = 2 and
+    entries in -2..2, drawn as ``perfbench/plants.plant_lists`` draws it
+    from ``random.Random(f"reanchor/{n}")``."""
+    rng = random.Random(f"reanchor/{n}")
+    blocks = {name: [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+              for name, rows, cols in (("A", n, n), ("B", n, 2), ("C", 2, n),
+                                       ("D", 2, 2), ("E", 2, n), ("F", 2, 2))}
+    return SystemSextuple.from_lists(**blocks, m=2)
 
 
 def ref_normal_rank(M: PolyMatrix) -> int:

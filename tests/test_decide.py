@@ -182,21 +182,21 @@ class TestDarouach:
 
 
 def _smith_route(sys):
-    """The functional and left-invertibility certificates read off the
-    Smith forms of the known-input pencils [sI - A; C] and [sI - A; C; E]."""
-    P, EF = build_system_matrices(sys.known_input_reduction())
-    rp, zp = rank_and_zero_polynomial(P)
-    rpe, zpe = rank_and_zero_polynomial(PolyMatrix.vstack([P, EF]))
+    """P's and P_e's ranks and zeros, and the functional and
+    left-invertibility certificates, read off the Smith forms of P and P_e
+    and of the known-input pencils [sI - A; C] and [sI - A; C; E]."""
+    (rp, zp), (rpe, zpe) = support.ref_zero_structure(support.known_input_reduction(sys))
     cmp_ = antistable_parts_equal(zp, zpe)
     functional = decide.KnownInputCertificate(
         decide.DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal))
-    rank, zeros = rank_and_zero_polynomial(build_system_matrices(sys)[0])
+    full = support.ref_zero_structure(sys)
+    rank, zeros = full[0]
     g = poly_gcd(zeros, zp)
     quotient = zeros.exact_div(g).monic()
     rep = is_hurwitz(quotient)
     leftinv = decide.LeftInvertibilityCertificate(rank, sys.n + sys.m, rank == sys.n + sys.m,
                                                   zeros, zp, g, quotient, rep, rep.is_hurwitz)
-    return zp, functional, leftinv
+    return zp, functional, leftinv, full
 
 
 # sparse entries, so that unobservable modes occur
@@ -206,11 +206,11 @@ _sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
 
 @st.composite
 def _sparse_plants(draw):
-    """Plants with n in 0..6 and p, q in 0..2; half of the A matrices are
-    triangular with a diagonal drawn from three values, so eigenvalues
-    repeat."""
+    """Plants with n in 0..6 and m, p, q in 0..3, rational entries (D
+    among them); half of the A matrices are triangular with a diagonal
+    drawn from three values, so eigenvalues repeat."""
     n = draw(st.integers(0, 6))
-    m, p, q = (draw(st.integers(0, 2)) for _ in range(3))
+    m, p, q = (draw(st.integers(0, 3)) for _ in range(3))
 
     def block(rows, cols):
         return [[draw(_sparse) for _ in range(cols)] for _ in range(rows)]
@@ -237,18 +237,37 @@ _ROUTE_CASES = {
     # a repeated eigenvalue, one copy hidden from C
     "repeated_mode": SystemSextuple.from_lists(A=[[-1, 0, 0], [0, -1, 0], [0, 0, 3]],
                                                C=[[1, 0, 1]], E=[[0, 1, 0]], m=0),
+    # V* = span(e1, e2) (x3 decays on its own), R* = span(e1): P's zero is
+    # the mode 2 of V*/R*; E pins x2 too, so P_e's V* is R*
+    "r_star_inside_v_star": SystemSextuple.from_lists(
+        A=[[1, 0, 0], [0, 2, 0], [0, 0, -1]], B=[[1], [0], [0]], C=[[0, 0, 1]], D=[[0]],
+        E=[[0, 1, 0]], F=[[0]]),
+    # V* = R* = span(e2): the input moves x2 freely while y = x1 stays 0
+    "r_star_equals_v_star": SystemSextuple.from_lists(
+        A=[[0, 0], [0, 0]], B=[[0], [1]], C=[[1, 0]], D=[[0]], E=[[1, 1]], F=[[0]]),
+    # controllable canonical form read by C = [1 2 1]: the zero s = -1 twice
+    "repeated_zero": SystemSextuple.from_lists(
+        A=[[0, 1, 0], [0, 0, 1], [-1, -1, -1]], B=[[0], [0], [1]], C=[[1, 2, 1]], D=[[0]],
+        E=[[1, 0, 0]], F=[[0]]),
+    # the second input is in Ker B ^ Ker D, and only F sees it
+    "input_in_ker_b_ker_d": SystemSextuple.from_lists(
+        A=[[-1]], B=[[1, 0]], C=[[1]], D=[[1, 0]], E=[[1]], F=[[0, 1]]),
 }
 
 
 class TestUnobservableSubspaceRoute:
-    """The unobservable modes and the functional and left-invertibility
-    certificates, read off the unobservable subspace, against the Smith
-    forms of the known-input pencils."""
+    """P's and P_e's normal ranks and zero polynomials, the unobservable
+    modes and the functional and left-invertibility certificates, read off
+    weakly unobservable subspaces, against the Smith forms of P, P_e and
+    the known-input pencils."""
 
     @staticmethod
     def _check(sys):
-        zp, functional, leftinv = _smith_route(sys)
+        zp, functional, leftinv, full = _smith_route(sys)
         forms = decide.PlantForms(sys)
+        strong = decide.strongly_functional_detectable(forms).certificate
+        assert ((strong.normrank_p, strong.zero_poly_p),
+                (strong.normrank_pe, strong.zero_poly_pe)) == full
         assert forms.unobservable_modes == zp
         got = decide.functional_detectable(forms).certificate
         assert to_jsonable(got) == to_jsonable(functional)
@@ -272,6 +291,32 @@ class TestUnobservableSubspaceRoute:
         assert cert.reduced.zero_poly_pe == Poly([1, 1])
         assert self._check(_ROUTE_CASES["repeated_mode"]) == Poly([1, 1])
 
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_reanchor_plants(self, n):
+        # the n-ladder plants of the benchmark baseline: P and P_e only
+        sys = support.reanchor_plant(n)
+        cert = decide.strongly_functional_detectable(sys).certificate
+        assert ((cert.normrank_p, cert.zero_poly_p),
+                (cert.normrank_pe, cert.zero_poly_pe)) == support.ref_zero_structure(sys)
+
+    @pytest.mark.parametrize("name,dims,zeros", [
+        ("r_star_inside_v_star", (2, 1), Poly([-2, 1])),
+        ("r_star_equals_v_star", (1, 1), POLY_ONE),
+        ("repeated_zero", (2, 0), Poly([1, 2, 1])),
+        ("input_in_ker_b_ker_d", (1, 0), Poly([2, 1]))])
+    def test_cases_have_the_structure_they_name(self, name, dims, zeros):
+        # dim V* from the rows, dim R* = dim V* - deg of the zero polynomial
+        sys = _ROUTE_CASES[name]
+        forms = decide.PlantForms(sys)
+        rank, got = forms.rank_and_zero
+        dim_v = sys.n - forms.vstar.rows.dim
+        assert (dim_v, dim_v - got.degree) == dims and got == zeros
+        assert rank == sys.n + forms.vstar.input_rows.dim
+        if name == "input_in_ker_b_ker_d":
+            # [Y*B; D] = [1 0]: the second input is in its kernel
+            assert forms.vstar.input_rows.rows == ((Fraction(1), Fraction(0)),)
+            assert decide.strongly_functional_detectable(forms).certificate.normrank_pe == rank + 1
+
     @pytest.mark.parametrize("name", bundled_names())
     def test_bundled_systems(self, name):
         self._check(load_system_text(bundled_text(name))[0])
@@ -280,10 +325,23 @@ class TestUnobservableSubspaceRoute:
         # the row space of C alone: its kernel, Ker C = span(e_2), is not
         # A-invariant, since A e_2 = e_1
         sys = SystemSextuple.from_lists(A=[[0, 1], [0, 0]], C=[[1, 0]], m=0)
-        monkeypatch.setattr(geometry, "observed_rows",
-                            lambda A, C: Subspace.span(A.rows, C.data))
+        vstar = geometry.vstar
+        monkeypatch.setattr(geometry, "vstar", lambda A, B, C, D, seed=None: vstar(
+            A, B, C, D, seed)._replace(rows=Subspace.span(A.rows, C.data)))
         with pytest.raises(AssertionError, match="not invariant"):
             decide.functional_detectable(sys)
+        with pytest.raises(AssertionError, match="not invariant"):
+            decide.strongly_functional_detectable(sys)
+
+    def test_friend_checked(self, monkeypatch):
+        # V* = span(e_2) is held by u = -x_2; without that friend A moves
+        # e_2 to e_1, out of V*
+        sys = SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[1], [0]], C=[[1, 0]], D=[[0]])
+        vstar = geometry.vstar
+        monkeypatch.setattr(geometry, "vstar", lambda A, B, C, D, seed=None: vstar(
+            A, B, C, D, seed)._replace(friend=QMatrix.zeros(B.cols, A.rows)))
+        with pytest.raises(AssertionError, match="not invariant"):
+            decide.strongly_functional_detectable(sys)
 
 
 class TestImplicationChain:
@@ -307,7 +365,7 @@ class TestImplicationChain:
         for _ in range(40):
             sys = support.random_system(rng)
             if sys.m:
-                sys = sys.known_input_reduction()
+                sys = support.known_input_reduction(sys)
             f = decide.functional_detectable(sys).holds
             s = decide.strongly_functional_detectable(sys).holds
             ss = decide.strong_star_functional_detectable(sys).holds
@@ -373,13 +431,13 @@ class TestSympySmithOracle:
             cert = decide.darouach_fixed_order(plant).certificate
             assert cert.rank_equality.normrank_rhs == support.ref_rank_q(cert.kernel.lhs)
 
-    def test_extension_read_from_smith_form_of_p(self):
+    def test_extension_read_from_vstar(self):
         # P_e's rank and zero polynomial in the functional, strong and
         # strong-star certificates, which never eliminate P_e, against a
         # direct Smith form of P_e and against sympy
         for plant in self._plants():
             certs = {
-                "functional": (plant.known_input_reduction(),
+                "functional": (support.known_input_reduction(plant),
                                decide.functional_detectable(plant).certificate.reduced),
                 "strong": (plant, decide.strongly_functional_detectable(plant).certificate),
                 "strong_star": (plant,
@@ -422,45 +480,33 @@ class TestWorkCount:
     def plant(self):
         return SystemSextuple.from_lists(**_seeded_n6_lists())
 
-    def test_strong_eliminates_p_once(self, calls, plant):
-        """One full Smith form (of P) per detectability certificate; P_e is
-        reached only through a block of at most r - k + q rows."""
+    def test_strong_eliminates_nothing(self, calls, plant):
+        """P's and P_e's ranks and zeros come from V*: no Smith form."""
         decide.strongly_functional_detectable(plant)
-        P = build_system_matrices(plant)[0]
-        assert len(calls) == 2
-        assert calls[0][0] == P
-        invariants = calls[0][1].invariant_polys
-        k = sum(1 for d in invariants if d.degree == 0)
-        assert calls[1][0].rows <= len(invariants) - k + plant.q < P.rows + plant.q
+        assert calls == []
 
     def test_check_eliminates_each_pencil_once(self, calls, plant, tmp_path):
-        """The eight decisions of one check share one PlantForms: P once,
-        its remainder block, and the Darouach pencil.  The known-input
-        pencils are never built: this plant is observable, so the
-        unobservable subspace is zero and leaves no pencil to eliminate."""
+        """The eight decisions of one check share one PlantForms, and only
+        Darouach's test eliminates a pencil, its own."""
         path = tmp_path / "plant.json"
         path.write_text(json.dumps(_seeded_n6_lists()))
         main(["check", str(path), "--all", "--specialize", "hautus",
               "--specialize", "leftinv", "--specialize", "darouach"])
-        P = build_system_matrices(plant)[0]
-        # strong: P and its block; then Darouach
-        assert len(calls) == 3
-        assert calls[0][0] == P
-        k = sum(1 for d in calls[0][1].invariant_polys if d.degree == 0)
-        assert calls[1][0].rows <= len(calls[0][1].invariant_polys) - k + plant.q
+        assert len(calls) == 1
         n, m, p, q = plant.n, plant.m, plant.p, plant.q
-        assert calls[2][0].shape == (q + 2 * p, n + 2 * m)
+        assert calls[0][0].shape == (q + 2 * p, n + 2 * m)
 
     def test_decision_consistency_shares_p(self, calls, plant):
+        # the witness's Smith form of P is the only one
         assert witness.decision_consistency(plant)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert calls[0][0] == build_system_matrices(plant)[0]
 
     @pytest.mark.parametrize("fn,count", [
-        (decide.functional_detectable, 0), (decide.strongly_functional_detectable, 2),
-        (decide.strong_star_functional_detectable, 2), (decide.hautus_strong_detectable, 1),
-        (decide.hautus_strong_star_detectable, 1), (decide.asympt_strong_left_invertible, 1),
-        (decide.asympt_strong_star_left_invertible, 1), (decide.darouach_fixed_order, 1),
+        (decide.functional_detectable, 0), (decide.strongly_functional_detectable, 0),
+        (decide.strong_star_functional_detectable, 0), (decide.hautus_strong_detectable, 0),
+        (decide.hautus_strong_star_detectable, 0), (decide.asympt_strong_left_invertible, 0),
+        (decide.asympt_strong_star_left_invertible, 0), (decide.darouach_fixed_order, 1),
         (witness.solve_over_field, 1)])
     def test_bare_plant_does_all_its_own_work(self, calls, plant, fn, count):
         # no cache outlives the per-plant object: each call on a bare plant

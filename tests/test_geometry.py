@@ -3,9 +3,9 @@ from fractions import Fraction
 from hypothesis import example, given
 
 from funcobs.corpus import bundled_names, bundled_text
-from funcobs.exactlin import QMatrix, Subspace
+from funcobs.exactlin import QMatrix, Subspace, kernel_basis
 from funcobs.fileio import load_system_text
-from funcobs.geometry import observed_rows, reachable_within, strong_star_inclusion
+from funcobs.geometry import reachable_within, strong_star_inclusion, vstar
 from funcobs.markov import kernel_inclusion_upto
 from funcobs.system import SystemSextuple
 
@@ -38,6 +38,13 @@ class TestReachableWithin:
         assert reachable_within(sys) == support.ref_reachable(sys)
 
 
+def observed(A, C):
+    """``vstar`` with m = 0: the rows of the unobservable subspace's
+    annihilator, with their step count."""
+    v = vstar(A, QMatrix.zeros(A.rows, 0), C, QMatrix.zeros(C.rows, 0))
+    return v.rows, v.steps
+
+
 class TestObservedRows:
     def test_matches_full_observability_matrix(self, rng):
         # the rows of [C; CA; ...; CA^(n-1)], all n blocks, spanned at once
@@ -50,19 +57,57 @@ class TestObservedRows:
                 blocks.append(block)
                 block = support.ref_qmatmul(block, A)
             rows = [list(r) for b in blocks for r in b.data]
-            assert observed_rows(A, C) == Subspace.span(n, rows)
+            assert observed(A, C)[0] == Subspace.span(n, rows)
 
     def test_chain_grows_one_row_per_block(self):
         A = QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        assert observed_rows(A, QMatrix.from_rows([[1, 0, 0]])) == Subspace.full(3)
-        assert observed_rows(A, QMatrix.from_rows([[0, 0, 1]])).dim == 1
-        assert observed_rows(A, QMatrix.zeros(0, 3)) == Subspace.zero(3)
+        assert observed(A, QMatrix.from_rows([[1, 0, 0]])) == (support.full_subspace(3), 3)
+        assert observed(A, QMatrix.from_rows([[0, 0, 1]])) == (Subspace.span(3, [[0, 0, 1]]), 1)
+        assert observed(A, QMatrix.zeros(0, 3)) == (support.zero_subspace(3), 0)
 
     def test_dual_pair_decides_controllability(self, rng):
         for _ in range(40):
             sys = support.random_system(rng)
-            got = observed_rows(sys.A.transpose(), sys.B.transpose()).dim == sys.n
+            got = observed(sys.A.transpose(), sys.B.transpose())[0].dim == sys.n
             assert got == support.ref_controllable(sys)
+
+
+class TestVStar:
+    # n in 0..4, m, p, q in 0..3
+    @given(support.plants(4, 3))
+    @example(SystemSextuple.from_lists(A=[], D=[[1, 0]], F=[[0, 1]]))
+    # the input holds y = x_1 at zero by cancelling x_2: V* = span(e_2)
+    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[1], [0]], C=[[1, 0]], D=[[0]]))
+    def test_matches_textbook_recursion(self, sys):
+        v = vstar(sys.A, sys.B, sys.C, sys.D)
+        V = kernel_basis(QMatrix(v.rows.dim, sys.n, v.rows.rows))
+        assert V == support.ref_vstar(sys)
+        # the friend holds V* and its output at zero
+        closed = sys.A + support.ref_qmatmul(sys.B, v.friend)
+        feed = sys.C + support.ref_qmatmul(sys.D, v.friend)
+        for x in support.columns(V.basis):
+            x = support.column_vector(x)
+            assert support.contains(V, support.columns(support.ref_qmatmul(closed, x))[0])
+            assert support.ref_qmatmul(feed, x).is_zero()
+        # the canonical rows of [Y*B; D]
+        YB = support.ref_qmatmul(QMatrix(v.rows.dim, sys.n, v.rows.rows), sys.B)
+        rows, pivots = support.ref_rref([list(r) for r in YB.data + sys.D.data])
+        assert v.input_rows == Subspace(sys.m, tuple(map(tuple, rows[:len(pivots)])))
+
+    def test_seed_is_grown_from(self):
+        # P_e's V* grown from P's rows equals the one grown from nothing
+        sys = support.integrator_chain()
+        C, D = QMatrix.vstack([sys.C, sys.E]), QMatrix.vstack([sys.D, sys.F])
+        seed = vstar(sys.A, sys.B, sys.C, sys.D).rows
+        seeded, fresh = vstar(sys.A, sys.B, C, D, seed), vstar(sys.A, sys.B, C, D)
+        assert seeded.rows == fresh.rows and seeded.input_rows == fresh.input_rows
+        assert seeded.steps < fresh.steps
+
+    def test_steps_at_index_one(self):
+        # a benchmark tracer adds result[1] of every vstar call to its count
+        A = QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        v = vstar(A, QMatrix.zeros(3, 0), QMatrix.from_rows([[1, 0, 0]]), QMatrix.zeros(1, 0))
+        assert v[1] == v.steps == 3
 
 
 class TestStrongStarInclusion:
@@ -83,8 +128,8 @@ class TestStrongStarInclusion:
         assert cert.violation is not None
         sys = support.integrator_chain()
         EF = QMatrix.hstack([sys.E, sys.F])
-        assert not (EF @ QMatrix.column_vector(cert.violation)).is_zero()
-        assert cert.reachable.contains(cert.violation)
+        assert not (EF @ support.column_vector(cert.violation)).is_zero()
+        assert support.contains(cert.reachable, cert.violation)
 
     def test_agrees_with_toeplitz_oracle(self, rng):
         for _ in range(80):

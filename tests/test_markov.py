@@ -72,7 +72,7 @@ class TestKernelInclusion:
         assert rep.failing_k == 0
         mcd = toeplitz(sys.A, sys.B, sys.C, sys.D, rep.failing_k)
         mef = toeplitz(sys.A, sys.B, sys.E, sys.F, rep.failing_k)
-        v = QMatrix.column_vector(rep.witness)
+        v = support.column_vector(rep.witness)
         assert (mcd @ v).is_zero()
         assert not (mef @ v).is_zero()
         assert "s" in rep.describe_witness() or rep.failing_k == 0
@@ -92,7 +92,7 @@ class TestKernelInclusion:
                 padded = [0] * (extra * sys.m) + list(rep.witness)
                 mcd = toeplitz(sys.A, sys.B, sys.C, sys.D, k + extra)
                 mef = toeplitz(sys.A, sys.B, sys.E, sys.F, k + extra)
-                v = QMatrix.column_vector(padded)
+                v = support.column_vector(padded)
                 assert (mcd @ v).is_zero()
                 assert not (mef @ v).is_zero()
             if found > 10:
@@ -116,6 +116,6 @@ class TestKernelInclusion:
                 [sys.B, QMatrix.zeros(n, m)],
             ])
             ker = kernel_basis(lhs)
-            collapsed = all((rhs @ QMatrix.column_vector(c)).is_zero()
-                            for c in ker.basis.columns())
+            collapsed = all((rhs @ support.column_vector(c)).is_zero()
+                            for c in support.columns(ker.basis))
             assert full == collapsed

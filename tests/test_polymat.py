@@ -4,11 +4,11 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from funcobs import decide, polymat
+from funcobs import decide, geometry, polymat
 from funcobs.exactlin import QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub,
-                             build_system_matrices, poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form,
-                             stacked_invariants)
+                             build_system_matrices, characteristic_polynomial, poly_gcd, poly_lcm,
+                             rank_and_zero_polynomial, smith_form)
 from funcobs.system import SystemSextuple
 
 import support
@@ -432,86 +432,104 @@ class TestSmith:
                 assert a.divides(b)
 
 
-_small_polys = st.lists(_coeffs, max_size=3).map(Poly)
-
-
-@st.composite
-def _stacked_case(draw):
-    """P (r x c) and X (q x c), any of r, c, q zero; now and then a row of P
-    is a polynomial multiple of another, so P is rank deficient."""
-    r, c, q = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
-    P = [[draw(_small_polys) for _ in range(c)] for _ in range(r)]
-    if r >= 2 and draw(st.booleans()):
-        f = draw(_small_polys)
-        P[1] = [f * x for x in P[0]]
-    X = [[draw(_small_polys) for _ in range(c)] for _ in range(q)]
-    return (PolyMatrix(r, c, tuple(map(tuple, P))),
-            PolyMatrix(q, c, tuple(map(tuple, X))))
-
-
-def _pm(rows, cols):
-    return PolyMatrix.from_rows([[Poly(e) for e in row] for row in rows], cols=cols)
-
-
-_S = [0, 1]  # the polynomial s
-
 _STACKED_CASES = {
-    # [s 1; s^2 s] has rank 1; X lifts it to rank 2
-    "rank_deficient_p": (_pm([[_S, [1]], [[0, 0, 1], _S]], 2), _pm([[[1], []]], 2)),
-    "rank_jump_from_x": (_pm([[_S, []]], 2), _pm([[[], [1]]], 2)),
-    # unimodular P: every invariant is a unit (k = r)
-    "k_equals_r": (_pm([[[1], _S], [[], [1]]], 2), _pm([[_S, [0, 0, 1]]], 2)),
-    # full column rank with unit invariants (c = k): M has no columns
-    "c_equals_k": (_pm([[[1]], [_S]], 1), _pm([[[1, 1]]], 1)),
-    "p_without_rows": (PolyMatrix.zeros(0, 2), _pm([[_S, [1]]], 2)),
-    "p_without_columns": (PolyMatrix.zeros(2, 0), PolyMatrix.zeros(1, 0)),
-    "x_without_rows": (_pm([[_S, [1]], [[], [0, 0, 1]]], 2), PolyMatrix.zeros(0, 2)),
-    # non-unit invariants s | s(s+1), and an X row that meets both
-    "non_unit_invariants": (_pm([[_S, []], [[], [0, 1, 1]]], 2), _pm([[[1], [1]]], 2)),
-    "zero_p": (PolyMatrix.zeros(2, 2), _pm([[[-1, 1], [1]]], 2)),
+    # the input direction u_1 - u_2 is in Ker B ^ Ker D: P loses a column
+    "rank_deficient_p": SystemSextuple.from_lists(A=[[0]], B=[[1, 1]], C=[[1]], D=[[1, 1]],
+                                                  E=[[1]], F=[[0, 1]]),
+    # [E F] raises the rank: 2 for P, 3 for P_e
+    "rank_jump_from_x": support.feedthrough_gap(),
+    # P = [s -1; 1 0] is unimodular: every invariant is a unit
+    "k_equals_r": SystemSextuple.from_lists(A=[[0]], B=[[1]], C=[[1]], D=[[0]],
+                                            E=[[0]], F=[[1]]),
+    # P = [s; 1]: full column rank, unit invariants
+    "c_equals_k": SystemSextuple.from_lists(A=[[0]], C=[[1]], E=[[1]], m=0),
+    "p_without_rows": SystemSextuple.from_lists(A=[], F=[[1, 0]]),
+    "p_without_columns": SystemSextuple.from_lists(A=[], C=[[]], E=[[]], m=0),
+    "x_without_rows": SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[0], [1]], C=[[1, 0]],
+                                                D=[[0]]),
+    # sI - diag(0, 0, -1) has the invariants s | s(s + 1)
+    "non_unit_invariants": SystemSextuple.from_lists(A=[[0, 0, 0], [0, 0, 0], [0, 0, -1]],
+                                                     E=[[1, 1, 1]], m=0),
+    # n = 0 and D = 0: P is the zero 1 x 2 matrix
+    "zero_p": SystemSextuple.from_lists(A=[], D=[[0, 0]], F=[[1, -1]]),
 }
 
 
 class TestStackedInvariants:
-    """Invariants of [P; X] read off the Smith form of P against a Smith
-    form of the stacked matrix itself."""
+    """The normal ranks and zero polynomials of P and of the stacked
+    P_e = [P; E F], read off V*, against the Smith forms of both assembled
+    from constant blocks; those Smith forms keep canonical storage."""
 
     @staticmethod
-    def _check(P, X):
-        dec = smith_form(P)
-        got = stacked_invariants(dec, X)
-        PX = PolyMatrix.vstack([P, X])
-        direct = smith_form(PX)
-        assert got == direct.invariant_polys
-        assert len(got) == support.ref_normal_rank(PX)
+    def _check(sys):
+        cert = decide.strongly_functional_detectable(sys).certificate
+        got = ((cert.normrank_p, cert.zero_poly_p), (cert.normrank_pe, cert.zero_poly_pe))
+        assert got == support.ref_zero_structure(sys)
+        P, EF = support.ref_build_system_matrices(sys)
+        Pe = PolyMatrix.vstack([P, EF])
+        assert (cert.normrank_p, cert.normrank_pe) == (support.ref_normal_rank(P),
+                                                       support.ref_normal_rank(Pe))
         # U, S and V keep the working rows' entries: canonical storage
-        for form in (dec, direct):
+        for form in (smith_form(P), smith_form(Pe)):
             for M in (form.U, form.S, form.V):
                 assert all(_canonical(p) for row in M.data for p in row)
 
-    @given(_stacked_case())
-    def test_matches_direct_smith_form(self, case):
-        self._check(*case)
+    @given(support.plants(4, 3))
+    def test_matches_direct_smith_form(self, sys):
+        self._check(sys)
 
     @pytest.mark.parametrize("name", sorted(_STACKED_CASES))
     def test_edge_cases(self, name):
-        self._check(*_STACKED_CASES[name])
+        self._check(_STACKED_CASES[name])
 
     def test_system_pencils(self, rng):
-        # P_e = [P; E F] of seeded plants, of plants without input (m = 0)
-        # and without state (n = 0), as built for the decisions
+        # seeded plants, plants without input (m = 0) and without state
+        # (n = 0), each with and without its inputs
         plants = [support.random_system(rng) for _ in range(30)]
         plants += [build() for build in support.GOLDEN.values()]
         plants += [SystemSextuple.from_lists(A=[[0]], C=[[1]], E=[[1]], m=0),
                    SystemSextuple.from_lists(A=[], D=[[1]], F=[[1]]),
                    SystemSextuple.from_lists(A=[], F=[[1]])]
         for sys in plants:
-            for plant in (sys, sys.known_input_reduction()):
-                self._check(*build_system_matrices(plant))
+            for plant in (sys, support.known_input_reduction(sys)):
+                self._check(plant)
 
     def test_shape_mismatch(self):
+        # a V* read against a plant with another state dimension
+        chain, gap = support.integrator_chain(), support.feedthrough_gap()
+        v = geometry.vstar(gap.A, gap.B, gap.C, gap.D)
         with pytest.raises(ValueError):
-            stacked_invariants(smith_form(PolyMatrix.identity(2)), PolyMatrix.zeros(1, 3))
+            geometry.rank_and_zeros(chain.A, chain.B, v)
+
+
+_square = st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3])),
+             min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestCharacteristicPolynomial:
+    """det(sI - A) through Hessenberg form, against cofactor expansion of
+    the pencil sI - A."""
+
+    @staticmethod
+    def _ref(A):
+        return support.cofactor_det(support.ref_pencil(QMatrix.identity(A.rows), A))
+
+    @given(_square)
+    @example([])
+    # a zero on the subdiagonal with a nonzero below it: rows swap
+    @example([[1, 2, 3], [0, 4, 5], [6, 7, 8]])
+    # a column with nothing to clear below the subdiagonal
+    @example([[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 0, 0, 1]])
+    def test_matches_cofactor_expansion(self, rows):
+        A = QMatrix.from_rows(rows, cols=len(rows))
+        got = characteristic_polynomial(A)
+        assert got == self._ref(A) and _canonical(got)
+
+    def test_companion_matrix(self):
+        # the companion matrix of s^3 + 2s^2 - s + 5/2
+        A = QMatrix.from_rows([[0, 0, Fraction(-5, 2)], [1, 0, 1], [0, 1, -2]])
+        assert characteristic_polynomial(A) == Poly([Fraction(5, 2), -1, 2, 1])
 
 
 class TestZeroPolynomial:
@@ -550,7 +568,7 @@ class TestDecouplingZeros:
 
     @staticmethod
     def decoupling_polynomial(sys):
-        return zero_polynomial(P_of(sys.known_input_reduction()))
+        return zero_polynomial(P_of(support.known_input_reduction(sys)))
 
     def test_fully_observable(self):
         sys = SystemSextuple.from_lists(A=[[1, 0], [0, 2]], C=[[1, 0], [0, 1]], m=0)
