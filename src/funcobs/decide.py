@@ -150,8 +150,9 @@ def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix, ker: Subspace) -> KernelInclus
 
 class PlantForms:
     """What the decisions read off one plant and, for the witness alone,
-    P and its Smith form, each computed on first use and kept by this
-    object alone: a call with a bare plant does all of its own work."""
+    P and, unless P is square and nonsingular, its Smith form, each
+    computed on first use and kept by this object alone: a call with a
+    bare plant does all of its own work."""
 
     def __init__(self, sys: SystemSextuple):
         self.sys = sys
@@ -190,9 +191,14 @@ class PlantForms:
         return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
 
     @cached_property
+    def unobservable(self) -> geometry.VStar:
+        """The unobservable subspace of (A, C), the m = 0 V*."""
+        return geometry.unobservable(self.sys.A, self.sys.C)
+
+    @cached_property
     def unobservable_modes(self) -> Poly:
         """The zero polynomial of [sI - A; C]: the unobservable modes."""
-        return geometry.unobservable_modes(self.sys.A, self.sys.C)
+        return geometry.unobservable_modes(self.sys.A, self.unobservable)
 
     @cached_property
     def functional(self) -> DetectabilityCertificate:
@@ -202,7 +208,11 @@ class PlantForms:
         sys = self.sys
         zp = zpe = self.unobservable_modes
         if zp.degree > 0 and sys.q:
-            zpe = geometry.unobservable_modes(sys.A, QMatrix.vstack([sys.C, sys.E]))
+            # (A, [C; E])'s unobservable subspace lies in (A, C)'s: grow
+            # it from (A, C)'s rows
+            ce = geometry.unobservable(sys.A, QMatrix.vstack([sys.C, sys.E]),
+                                       self.unobservable.rows)
+            zpe = geometry.unobservable_modes(sys.A, ce)
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(sys.n, sys.n, zp, zpe, cmp_, True, cmp_.equal)
 
@@ -329,8 +339,7 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)
 
     # controllable: the dual pair (A^T, B^T) is observable
-    controllable = geometry.vstar(sys.A.transpose(), QMatrix.zeros(n, 0), sys.B.transpose(),
-                                  QMatrix.zeros(m, 0)).rows.dim == n
+    controllable = geometry.unobservable(sys.A.transpose(), sys.B.transpose()).rows.dim == n
     note = None if controllable else (
         "plant is not controllable; the fixed-order existence theory assumes "
         "controllability, so this verdict extrapolates outside its hypotheses")

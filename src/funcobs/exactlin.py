@@ -85,6 +85,53 @@ def _integer_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
     return mat, pivots
 
 
+def adjugate_solve(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """det M and adj(M) @ R, for the rows of an integer [M | R] with M
+    square; (0, []) when M is singular.
+
+    One fraction-free elimination (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968) keeps every entry a minor of the row-swapped [M | R], so each
+    division is exact and the last pivot is det M up to the sign of the
+    swaps.  The back-substitution works on det M times the solution, which
+    is integral by Cramer's rule, so its divisions are exact too.
+    """
+    n = len(rows)
+    mat = [list(r) for r in rows]
+    upper = []  # row k of the echelon form from column k on
+    sign, prev = 1, 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if mat[i][0]), None)
+        if pr is None:
+            return 0, []
+        if pr != k:
+            mat[k], mat[pr] = mat[pr], mat[k]
+            sign = -sign
+        prow = mat[k]
+        p, tail = prow[0], prow[1:]
+        upper.append(prow)
+        for i in range(k + 1, n):
+            row = mat[i]
+            f = row[0]
+            if f:
+                mat[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+            elif p != prev:
+                mat[i] = [p * x // prev for x in row[1:]]
+            else:
+                mat[i] = row[1:]
+        prev = p
+    det = sign * prev
+    sol: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        u = upper[i]
+        acc = [det * c for c in u[n - i:]]
+        for a, x in zip(u[1:n - i], sol[i + 1:]):
+            if a:
+                acc = [s - a * y for s, y in zip(acc, x)]
+        sol[i] = [s // u[0] for s in acc]
+    return det, sol
+
+
 def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q with pivot columns.
 

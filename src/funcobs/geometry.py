@@ -94,11 +94,16 @@ def _restricted(N: Subspace, image: QMatrix) -> QMatrix:
     return X
 
 
-def unobservable_modes(A: QMatrix, C: QMatrix) -> Poly:
-    """A's characteristic polynomial on the unobservable subspace of
+def unobservable(A: QMatrix, C: QMatrix, seed: Subspace | None = None) -> VStar:
+    """The m = 0 V* of (A, C), its unobservable subspace, grown from
+    ``seed`` (rows that annihilate it) when given."""
+    return vstar(A, QMatrix.zeros(A.rows, 0), C, QMatrix.zeros(C.rows, 0), seed)
+
+
+def unobservable_modes(A: QMatrix, v: VStar) -> Poly:
+    """A's characteristic polynomial on the unobservable subspace ``v`` of
     (A, C): the zero polynomial of [sI - A; C]."""
-    B, D = QMatrix.zeros(A.rows, 0), QMatrix.zeros(C.rows, 0)
-    return rank_and_zeros(A, B, vstar(A, B, C, D))[1]
+    return rank_and_zeros(A, QMatrix.zeros(A.rows, 0), v)[1]
 
 
 def rank_and_zeros(A: QMatrix, B: QMatrix, v: VStar) -> tuple[int, Poly]:
@@ -114,7 +119,8 @@ def rank_and_zeros(A: QMatrix, B: QMatrix, v: VStar) -> tuple[int, Poly]:
     if U.dim == m:
         return n + U.dim, characteristic_polynomial(A_V)
     G = _restricted(N, B @ kernel_basis(QMatrix(U.dim, m, U.rows)).basis)
-    return n + U.dim, unobservable_modes(A_V.transpose(), G.transpose())
+    A_T = A_V.transpose()
+    return n + U.dim, unobservable_modes(A_T, unobservable(A_T, G.transpose()))
 
 
 def reachable_within(sys: SystemSextuple) -> tuple[Subspace, int]:

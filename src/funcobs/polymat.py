@@ -10,14 +10,17 @@ Every pencil entry s e - a is written by ``pencil_entry`` straight from the
 constant entries.  The decisions read the normal ranks and zeros of P and
 P_e off ``geometry.vstar`` and ``characteristic_polynomial``; the Smith
 form (gcd-driven elementary row/column operations with both unimodular
-transformers tracked) serves the witness and Darouach's pencil.
+transformers tracked) serves Darouach's pencil and the witness of a P that
+is not square and nonsingular.  ``interpolate`` rebuilds the witness of
+the other plants from its values at integer points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .exactlin import DenseMatrix, QMatrix, as_fraction
@@ -288,6 +291,33 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return POLY_ZERO
     return (a * b).exact_div(poly_gcd(a, b)).monic()
+
+
+def interpolate(xs: Sequence[int], values: Sequence[Sequence[int]],
+                dens: Sequence[int]) -> list[Poly]:
+    """For each k, the polynomial of degree < len(xs) that takes the value
+    values[k][j] / dens[k] at the distinct integer xs[j].
+
+    One integer Lagrange basis serves every polynomial: with
+    w_j = prod_{i != j} (x_j - x_i) and D = lcm |w_j|, the basis
+    polynomial l_j = (D / w_j) prod_{i != j} (s - x_i) has integer
+    coefficients, and each polynomial is sum_j values[k][j] l_j over
+    D dens[k], reduced once.
+    """
+    node = [1]  # prod_i (s - x_i), ascending
+    for x in xs:
+        node = [a - x * b for a, b in zip([0, *node], [*node, 0])]
+    basis = []
+    for x in xs:
+        q, acc = [0] * len(xs), 0  # node / (s - x), by synthetic division
+        for t in range(len(xs), 0, -1):
+            acc = node[t] + x * acc
+            q[t - 1] = acc
+        basis.append((q, prod(x - y for y in xs if y != x)))
+    D = lcm(*(w for _, w in basis))
+    cols = list(zip(*([D // w * c for c in q] for q, w in basis)))
+    return [_reduced([sum(map(mul, v, col)) for col in cols], D * den)
+            for v, den in zip(values, dens)]
 
 
 def _as_poly(x) -> Poly:

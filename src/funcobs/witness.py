@@ -1,20 +1,31 @@
 """Rational-function witnesses for [M N] P = [E F].
 
 Solvability over the field of rational functions needs only rank
-consistency, and the Smith decomposition of P makes the canonical solution
-explicit: with U P V = S, the solution is [M N] = [E F] V S^+ U where S^+
-inverts the nonzero diagonal entries d_1 | ... | d_r.  The solution is
-formed over the single denominator d_r with polynomial arithmetic, and the
-residual of the returned solution is re-verified exactly on every solve;
-properness and pole locations of the constructed solution are classified.
-Stability is never missed: every solution is ([E F] V S^+ + [0 K]) U with
-a rational K on the columns that [E F] V S^+ leaves zero (the left-kernel
-rows of U), and U is unimodular, so each solution has at least the poles
-of the canonical one (K = 0); the canonical solution is stable exactly
-when some solution is.  Properness can be missed: the canonical
-representative may be improper when another member of the family is
-proper -- the existence questions themselves are settled by the decide
-module.
+consistency.  Two routes build the canonical solution, and the data alone
+picks one:
+
+* P square with det P not identically zero: the solution [E F] P^-1 is
+  unique, so its reduced entries do not depend on the route, and no
+  transformer is needed.  det P and the numerators [E F] adj P have degree
+  <= n; they come from one fraction-free integer solve at each of n + 1
+  integer points where det P does not vanish, and one Lagrange
+  interpolation each.
+* every other plant: the Smith decomposition U P V = S makes the canonical
+  solution explicit, [M N] = [E F] V S^+ U where S^+ inverts the nonzero
+  diagonal entries d_1 | ... | d_r, formed over the single denominator d_r
+  with polynomial arithmetic.  With a left kernel the family of solutions
+  is ([E F] V S^+ + [0 K]) U, with a rational K on the columns that
+  [E F] V S^+ leaves zero (the left-kernel rows of U), and K = 0 picks the
+  canonical one, which depends on U.
+
+The residual of the returned solution is re-verified exactly on every
+solve; properness and pole locations of the constructed solution are
+classified.  Stability is never missed: U is unimodular, so each solution
+has at least the poles of the canonical one; the canonical solution is
+stable exactly when some solution is.  Properness can be missed: the
+canonical representative may be improper when another member of the
+family is proper -- the existence questions themselves are settled by the
+decide module.
 """
 
 from __future__ import annotations
@@ -23,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import decide
-from .exactlin import DenseMatrix
-from .polymat import POLY_ONE, POLY_ZERO, Poly, PolyMatrix, poly_gcd, poly_lcm
+from .exactlin import DenseMatrix, _common_den, adjugate_solve
+from .polymat import POLY_ONE, POLY_ZERO, Poly, PolyMatrix, interpolate, poly_gcd, poly_lcm
 from .stability import HurwitzReport, is_hurwitz
 from .system import SystemSextuple
 
@@ -157,15 +168,75 @@ def residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) 
     return True
 
 
+def _unique_solution(sys: SystemSextuple) -> RationalFunctionMatrix | None:
+    """[E F] P^-1 for a square P (p = m, n + m > 0) from integer solves at
+    s = 0, 1, 2, ...; None when det P vanishes at n + 1 of them, hence
+    identically.
+
+    Row i of P and row k of [E F] are scaled by the lcms r_i and e_k of
+    their denominators, so X' P' = [E F]' holds on integer rows and
+    [M N] = X' with entry (k, i) times r_i / e_k.  One ``adjugate_solve``
+    of [P'(s)^T | [E F]'^T] per point gives det P'(s) and det P'(s) X'(s),
+    and both have degree <= n, since s enters P only on the n diagonal
+    entries of sI - A: n + 1 points where det P'(s) != 0 interpolate them.
+    """
+    n, q = sys.n, sys.q
+    # P(s) = s [I 0; 0 0] + [-A -B; C D]
+    rows = ([tuple(-x for x in a + b) for a, b in zip(sys.A.data, sys.B.data)]
+            + [c + d for c, d in zip(sys.C.data, sys.D.data)])
+    N = len(rows)
+    scaled = [_common_den(row) for row in rows]
+    targets = [_common_den(e + f) for e, f in zip(sys.E.data, sys.F.data)]
+    r = [den for _, den in scaled]
+    # row j of [P'(0)^T | [E F]'^T]
+    base = [list(col) for col in zip(*(ints for ints, _ in scaled + targets))]
+    xs, dets, sols, s = [], [], [], 0
+    while len(xs) <= n:
+        if s - len(xs) > n:
+            return None
+        aug = [list(row) for row in base]
+        for j in range(n):
+            aug[j][j] += s * r[j]
+        det, sol = adjugate_solve(aug)
+        if det:
+            xs.append(s)
+            dets.append(det)
+            sols.append(sol)
+        s += 1
+    det, *nums = interpolate(
+        xs, [dets] + [[sol[i][k] * r[i] for sol in sols] for k in range(q) for i in range(N)],
+        [1] + [e for _, e in targets for _ in range(N)])
+    return RationalFunctionMatrix(q, N, tuple(
+        tuple(RationalFunction(num, det) for num in nums[k * N:(k + 1) * N])
+        for k in range(q)))
+
+
+def _verified(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix,
+              left_kernel_dim: int) -> WitnessReport:
+    """The report of a solution, with its residual recomputed exactly."""
+    residual_zero = residual_is_zero(MN, P, EF)
+    cls = classify(MN)
+    return WitnessReport(True, MN, residual_zero, cls.proper,
+                         cls.pole_polynomial, cls.pole_report,
+                         left_kernel_dim, None)
+
+
 def solve_over_field(sys: SystemSextuple | decide.PlantForms) -> WitnessReport:
     """Construct and verify the canonical field solution of [M N] P = [E F].
 
-    Unsolvable is a report state, not an error; the report then names the
-    Smith column on which [E F] V fails to vanish.  When a solution exists
-    the residual is recomputed exactly and must be the zero matrix.
+    A square P with det P not identically zero takes the unique solution
+    from ``_unique_solution``; every other plant reads it off the Smith
+    form of P.  Unsolvable is a report state, not an error; the report then
+    names the Smith column on which [E F] V fails to vanish.  When a
+    solution exists the residual is recomputed exactly and must be the zero
+    matrix.
     """
     forms = decide.PlantForms.of(sys)
     P, EF = forms.matrices
+    if P.rows == P.cols > 0:
+        MN = _unique_solution(forms.sys)
+        if MN is not None:
+            return _verified(MN, P, EF, 0)
     dec = forms.smith
     r = len(dec.invariant_polys)
     W = EF @ dec.V
@@ -189,11 +260,7 @@ def solve_over_field(sys: SystemSextuple | decide.PlantForms) -> WitnessReport:
     MN = RationalFunctionMatrix(num.rows, num.cols,
                                 tuple(tuple(RationalFunction(e, L) for e in row)
                                       for row in num.data))
-    residual_zero = residual_is_zero(MN, P, EF)
-    cls = classify(MN)
-    return WitnessReport(True, MN, residual_zero, cls.proper,
-                         cls.pole_polynomial, cls.pole_report,
-                         left_kernel_dim, None)
+    return _verified(MN, P, EF, left_kernel_dim)
 
 
 def decision_consistency(sys: SystemSextuple | decide.PlantForms) -> bool:
@@ -211,8 +278,8 @@ def decision_consistency(sys: SystemSextuple | decide.PlantForms) -> bool:
     if report.solvable_over_field and not report.residual_zero:
         return False
     stable = report.solvable_over_field and report.denominator_hurwitz.is_hurwitz
-    # the strong-star certificate carries the strong one, and reads P's
-    # Smith form from the forms the witness already built
+    # the strong-star certificate carries the strong one, read off the V*
+    # that the forms keep
     strong_star = decide.strong_star_functional_detectable(forms)
     strong = strong_star.certificate.strong
     if (strong.rank_condition and strong.zero_condition) != stable:

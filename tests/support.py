@@ -8,7 +8,8 @@ determinants from cofactor expansion and from Bareiss elimination,
 controllability from the Krylov matrix, kernel-inclusion witnesses from a matrix product per basis
 column, system pencils and Darouach's pencil from constant blocks and one
 coerced ``Poly`` per entry, the normal ranks and zeros of P and P_e from
-Smith forms of those block-assembled pencils, V* from its textbook
+Smith forms of those block-assembled pencils, the canonical witness from
+the Smith form of P for every plant, V* from its textbook
 recursion on Gauss-Jordan kernels,
 matrix products and Smith row/column operations term by term
 (one sum of ``Fraction`` or ``Poly`` values per term), root locations
@@ -32,6 +33,8 @@ from hypothesis import strategies as st
 from funcobs.exactlin import QMatrix, Subspace, as_fraction, kernel_basis
 from funcobs.polymat import Poly, PolyMatrix, smith_form
 from funcobs.system import SystemSextuple
+from funcobs.witness import (RationalFunction, RationalFunctionMatrix, WitnessReport, classify,
+                             residual_is_zero)
 
 
 # -- golden systems -----------------------------------------------------------
@@ -128,14 +131,20 @@ def random_system(rng: random.Random, max_nm: int = 6, max_p: int = 2,
 
 
 @st.composite
-def plants(draw, max_n: int, max_mpq: int) -> SystemSextuple:
+def plants(draw, max_n: int, max_mpq: int, square: bool = False,
+           rational: bool = False) -> SystemSextuple:
     """Hypothesis strategy: plants with n in 0..max_n, m, p and q in
-    0..max_mpq, and integer entries in -2..2."""
+    0..max_mpq, and integer entries in -2..2; with ``square``, p = m, and
+    with ``rational``, entries in -2..2 over 1, 2 or 3."""
     n = draw(st.integers(0, max_n))
     m, p, q = (draw(st.integers(0, max_mpq)) for _ in range(3))
+    if square:
+        p = m
+    entry = (st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+             if rational else st.integers(-2, 2))
 
     def block(rows, cols):
-        return [[draw(st.integers(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
     return SystemSextuple.from_lists(A=block(n, n), B=block(n, m), C=block(p, n),
                                      D=block(p, m), E=block(q, n), F=block(q, m), m=m)
@@ -349,6 +358,30 @@ def ref_zero_structure(sys: SystemSextuple) -> tuple[tuple[int, Poly], tuple[int
             prod = prod * a
         out.append((len(invariants), prod.monic()))
     return out[0], out[1]
+
+
+def ref_witness(sys: SystemSextuple) -> WitnessReport:
+    """The canonical solution of [M N] P = [E F] read off the Smith form
+    U P V = S of P, for every plant: with W = [E F] V and r invariant
+    polynomials d_j, unsolvable when a column j >= r of W is nonzero,
+    else [M N] = W diag(d_r / d_j) U / d_r on the first r columns."""
+    P, EF = ref_build_system_matrices(sys)
+    dec = smith_form(P)
+    d = dec.invariant_polys
+    r = len(d)
+    W = EF @ dec.V
+    bad = next((j for j in range(r, W.cols)
+                if not all(W[i, j].is_zero() for i in range(W.rows))), None)
+    if bad is not None:
+        return WitnessReport(False, None, None, None, None, None, P.rows - r, bad)
+    L = d[-1] if r else Poly([1])
+    Y = PolyMatrix.from_rows([[W[i, j] * L.exact_div(d[j]) if j < r else Poly()
+                               for j in range(P.rows)] for i in range(W.rows)], cols=P.rows)
+    MN = RationalFunctionMatrix.from_rows(
+        [[RationalFunction(e, L) for e in row] for row in (Y @ dec.U).data], cols=P.rows)
+    cls = classify(MN)
+    return WitnessReport(True, MN, residual_is_zero(MN, P, EF), cls.proper,
+                         cls.pole_polynomial, cls.pole_report, P.rows - r, None)
 
 
 def ref_vstar(sys: SystemSextuple) -> Subspace:

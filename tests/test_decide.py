@@ -450,14 +450,14 @@ class TestSympySmithOracle:
                 assert got == self._rank_and_zeros(self._sympy_pencils(sys)[1]), name
 
 
-def _seeded_n6_lists() -> dict:
+def _seeded_n6_lists(p: int = 2) -> dict:
     rng = random.Random(6)
 
     def block(rows, cols):
         return [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
 
-    return {"A": block(6, 6), "B": block(6, 2), "C": block(2, 6),
-            "D": block(2, 2), "E": block(2, 6), "F": block(2, 2), "m": 2}
+    return {"A": block(6, 6), "B": block(6, 2), "C": block(p, 6),
+            "D": block(p, 2), "E": block(2, 6), "F": block(2, 2), "m": 2}
 
 
 class TestWorkCount:
@@ -497,17 +497,32 @@ class TestWorkCount:
         assert calls[0][0].shape == (q + 2 * p, n + 2 * m)
 
     def test_decision_consistency_shares_p(self, calls, plant):
-        # the witness's Smith form of P is the only one
+        # P is square and nonsingular: the witness solves at points, and
+        # nothing eliminates P
+        assert witness.decision_consistency(plant)
+        assert calls == []
+
+    @pytest.mark.parametrize("lists", [
+        _seeded_n6_lists(p=3),
+        # B = 0 and D = 0: P is square but singular
+        dict(_seeded_n6_lists(), B=[[0, 0]] * 6, D=[[0, 0]] * 2)],
+        ids=["p_ne_m", "square_singular"])
+    def test_witness_falls_back_to_one_smith_form(self, calls, lists):
+        # the witness's Smith form of P is the only one, and
+        # decision_consistency shares it with nothing else
+        plant = SystemSextuple.from_lists(**lists)
         assert witness.decision_consistency(plant)
         assert len(calls) == 1
         assert calls[0][0] == build_system_matrices(plant)[0]
+        witness.solve_over_field(plant)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("fn,count", [
         (decide.functional_detectable, 0), (decide.strongly_functional_detectable, 0),
         (decide.strong_star_functional_detectable, 0), (decide.hautus_strong_detectable, 0),
         (decide.hautus_strong_star_detectable, 0), (decide.asympt_strong_left_invertible, 0),
         (decide.asympt_strong_star_left_invertible, 0), (decide.darouach_fixed_order, 1),
-        (witness.solve_over_field, 1)])
+        (witness.solve_over_field, 0)])
     def test_bare_plant_does_all_its_own_work(self, calls, plant, fn, count):
         # no cache outlives the per-plant object: each call on a bare plant
         # eliminates its pencils again
@@ -516,6 +531,23 @@ class TestWorkCount:
         fn(plant)
         assert len(calls) == 2 * count
         assert [M for M, _ in calls[:count]] == [M for M, _ in calls[count:]]
+
+    def test_functional_grows_from_the_observed_rows(self, monkeypatch):
+        """(A, [C; E])'s unobservable subspace is grown from the rows of
+        (A, C)'s, which the forms keep."""
+        seeds = []
+        grow = geometry.unobservable
+
+        def spy(A, C, seed=None):
+            seeds.append(seed)
+            return grow(A, C, seed)
+
+        monkeypatch.setattr(geometry, "unobservable", spy)
+        # x1 is hidden from C = [0 1 0]; E reads it
+        forms = decide.PlantForms(SystemSextuple.from_lists(
+            A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], C=[[0, 1, 0]], E=[[1, 0, 0]], m=0))
+        assert decide.functional_detectable(forms).certificate.reduced.zero_poly_pe == POLY_ONE
+        assert seeds == [None, forms.unobservable.rows]
 
     def test_system_matrices_assemble_no_blocks(self, monkeypatch):
         """P and [E F] come straight from the plant's rows: no block

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import QMatrix, Subspace, kernel_basis
 from funcobs.fileio import load_system_text
-from funcobs.geometry import reachable_within, strong_star_inclusion, vstar
+from funcobs.geometry import reachable_within, strong_star_inclusion, unobservable, vstar
 from funcobs.markov import kernel_inclusion_upto
 from funcobs.system import SystemSextuple
 
@@ -41,7 +41,8 @@ class TestReachableWithin:
 def observed(A, C):
     """``vstar`` with m = 0: the rows of the unobservable subspace's
     annihilator, with their step count."""
-    v = vstar(A, QMatrix.zeros(A.rows, 0), C, QMatrix.zeros(C.rows, 0))
+    v = unobservable(A, C)
+    assert v == vstar(A, QMatrix.zeros(A.rows, 0), C, QMatrix.zeros(C.rows, 0))
     return v.rows, v.steps
 
 
@@ -64,6 +65,21 @@ class TestObservedRows:
         assert observed(A, QMatrix.from_rows([[1, 0, 0]])) == (support.full_subspace(3), 3)
         assert observed(A, QMatrix.from_rows([[0, 0, 1]])) == (Subspace.span(3, [[0, 0, 1]]), 1)
         assert observed(A, QMatrix.zeros(0, 3)) == (support.zero_subspace(3), 0)
+
+    def test_seed_is_grown_from(self, rng):
+        # (A, [C; E])'s rows grown from (A, C)'s equal those grown from nothing
+        for _ in range(40):
+            sys = support.random_system(rng)
+            CE = QMatrix.vstack([sys.C, sys.E])
+            seeded = unobservable(sys.A, CE, unobservable(sys.A, sys.C).rows)
+            assert seeded.rows == unobservable(sys.A, CE).rows
+        # a shift chain read in the middle: E adds the head, one step on
+        # from the seed and two from nothing
+        A = QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        C, CE = QMatrix.from_rows([[0, 1, 0]]), QMatrix.from_rows([[0, 1, 0], [1, 0, 0]])
+        seeded = unobservable(A, CE, unobservable(A, C).rows)
+        assert (seeded.rows, seeded.steps) == (support.full_subspace(3), 1)
+        assert unobservable(A, CE).steps == 2
 
     def test_dual_pair_decides_controllability(self, rng):
         for _ in range(40):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -7,8 +8,8 @@ from hypothesis import example, given, strategies as st
 from funcobs import decide, geometry, polymat
 from funcobs.exactlin import QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub,
-                             build_system_matrices, characteristic_polynomial, poly_gcd, poly_lcm,
-                             rank_and_zero_polynomial, smith_form)
+                             build_system_matrices, characteristic_polynomial, interpolate,
+                             poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form)
 from funcobs.system import SystemSextuple
 
 import support
@@ -530,6 +531,34 @@ class TestCharacteristicPolynomial:
         # the companion matrix of s^3 + 2s^2 - s + 5/2
         A = QMatrix.from_rows([[0, 0, Fraction(-5, 2)], [1, 0, 1], [0, 1, -2]])
         assert characteristic_polynomial(A) == Poly([Fraction(5, 2), -1, 2, 1])
+
+
+class TestInterpolate:
+    """Polynomials through their values at distinct integers, against the
+    polynomials that gave the values."""
+
+    @given(st.lists(st.integers(-6, 6), unique=True, min_size=1, max_size=6),
+           st.lists(st.lists(st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 5])),
+                             max_size=6), max_size=4),
+           st.data())
+    def test_recovers_the_polynomials(self, xs, coeff_lists, data):
+        polys = [Poly(cs[:len(xs)]) for cs in coeff_lists]
+        # dens[k] times polynomial k has integer coefficients, so integer
+        # values at integer points
+        dens = [data.draw(st.integers(1, 4)) * math.lcm(*(c.denominator for c in p.coeffs))
+                for p in polys]
+        values = [[int(p.evaluate(x) * d) for x in xs] for p, d in zip(polys, dens)]
+        got = interpolate(xs, values, dens)
+        assert got == polys and all(_canonical(p) for p in got)
+
+    def test_one_point_is_a_constant(self):
+        assert interpolate([3], [[6], [0]], [4, 1]) == [Poly([Fraction(3, 2)]), Poly()]
+
+    def test_skipped_points(self):
+        # s^3 - 3s^2 + 2s through 3, 5, 6, 7: nodes need not be consecutive
+        p = Poly([0, 2, -3, 1])
+        xs = [3, 5, 6, 7]
+        assert interpolate(xs, [[int(p.evaluate(x)) for x in xs]], [1]) == [p]
 
 
 class TestZeroPolynomial:

@@ -1,11 +1,14 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from funcobs import decide
-from funcobs.exactlin import QMatrix
+from funcobs import decide, witness
+from funcobs.exactlin import QMatrix, adjugate_solve
 from funcobs.polymat import POLY_ONE, Poly, PolyMatrix, build_system_matrices, smith_form
+from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, classify,
                              decision_consistency, residual_is_zero, solve_over_field)
 
@@ -181,3 +184,134 @@ class TestDecisionConsistency:
     def test_random_batch(self, rng):
         for _ in range(40):
             assert decision_consistency(support.random_system(rng))
+
+
+def _fields(rep) -> dict:
+    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+
+
+def _ref_adjugate_solve(rows):
+    """det M by cofactor expansion and adj(M) R = det M * M^-1 R by
+    Gauss-Jordan over Fraction on [M | R]."""
+    n = len(rows)
+    M = PolyMatrix.from_rows([[Poly([x]) for x in row[:n]] for row in rows], cols=n)
+    det = support.cofactor_det(M)
+    det = det.leading if not det.is_zero() else 0
+    if not det:
+        return 0, []
+    reduced, _ = support.ref_rref([[Fraction(x) for x in row] for row in rows])
+    return det, [[det * x for x in row[n:]] for row in reduced]
+
+
+@st.composite
+def _augmented(draw):
+    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    return [[draw(st.integers(-3, 3)) for _ in range(n + k)] for _ in range(n)]
+
+
+class TestAdjugateSolve:
+    @given(_augmented())
+    def test_matches_gauss_jordan(self, rows):
+        assert adjugate_solve(rows) == _ref_adjugate_solve(rows)
+
+    @pytest.mark.parametrize("rows,det,sol", [
+        # N = 0: the empty determinant is 1
+        ([], 1, []),
+        # a zero leading entry: one row swap, det -1
+        ([[0, 1, 5], [1, 0, 7]], -1, [[-7], [-5]]),
+        # the swap comes at the second pivot
+        ([[1, 2, 3, 1], [2, 4, 7, 0], [0, 1, 1, 2]], -1, [[1], [-4], [2]]),
+        # singular: the last pivot vanishes
+        ([[1, 2, 1], [2, 4, 3]], 0, []),
+        # no right-hand side
+        ([[2, 1], [1, 1]], 1, [[], []])])
+    def test_named_cases(self, rows, det, sol):
+        assert adjugate_solve(rows) == (det, sol) == _ref_adjugate_solve(rows)
+
+
+@st.composite
+def _square_plants(draw):
+    """Plants with p = m, n in 0..5, m and q in 0..2 and rational entries;
+    in some, rows of A and B that make 0, 1, 2 uncontrollable modes, zeros
+    of det P at the first points the solve tries."""
+    sys = draw(support.plants(5, 2, square=True, rational=True))
+    A = [list(row) for row in sys.A.data]
+    B = [list(row) for row in sys.B.data]
+    for i in range(min(draw(st.integers(0, 3)), sys.n)):
+        A[i] = [Fraction(i) if j == i else Fraction(0) for j in range(sys.n)]
+        B[i] = [Fraction(0)] * sys.m
+    return SystemSextuple.from_lists(A=A, B=B, C=sys.C.data, D=sys.D.data, E=sys.E.data,
+                                     F=sys.F.data, m=sys.m)
+
+
+def _det_p(sys) -> Poly:
+    return support.ref_determinant(build_system_matrices(sys)[0])
+
+
+_UNIQUE_CASES = {
+    # det P = s (s - 1)(s - 2): the solve skips s = 0, 1, 2
+    "skipped_points": SystemSextuple.from_lists(
+        A=[[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [1, 1, 1, -1]],
+        B=[[0], [0], [0], [1]], C=[[1, 1, 1, 1]], D=[[0]], E=[[1, 0, 0, 1]], F=[[1]]),
+    "rational": SystemSextuple.from_lists(
+        A=[[Fraction(1, 2), 1], [0, Fraction(-1, 3)]], B=[[1], [Fraction(2, 3)]],
+        C=[[1, Fraction(3, 4)]], D=[[Fraction(1, 5)]], E=[[Fraction(1, 7), 2]],
+        F=[[Fraction(-1, 2)]]),
+    "n_zero": SystemSextuple.from_lists(A=[], D=[[1, 2], [3, 4]], F=[[1, 1]]),
+    "q_zero": SystemSextuple.from_lists(A=[[-1]], B=[[1]], C=[[1]], D=[[0]]),
+}
+
+_FALLBACK_CASES = {
+    # B = 0 and D = 0: the input column of P is zero
+    "square_singular": SystemSextuple.from_lists(A=[[1, 0], [0, -1]], B=[[0], [0]],
+                                                 C=[[1, 1]], D=[[0]], E=[[1, 0]], F=[[1]]),
+    "square_singular_n_zero": SystemSextuple.from_lists(A=[], D=[[1, 2], [2, 4]], F=[[1, 1]]),
+    "p_ne_m": support.stable_pair(),
+    "p_ne_m_unsolvable": support.feedthrough_gap(),
+    "n_plus_m_zero": SystemSextuple.from_lists(A=[], m=0),
+}
+
+
+class TestUniqueSolution:
+    """The point solves against the Smith route, ``support.ref_witness``,
+    field by field: in the unique case their reduced entries agree."""
+
+    @given(_square_plants())
+    def test_matches_smith_route(self, sys):
+        assert _fields(solve_over_field(sys)) == _fields(support.ref_witness(sys))
+
+    @pytest.mark.parametrize("name", sorted(_UNIQUE_CASES))
+    def test_unique_cases(self, name):
+        sys = _UNIQUE_CASES[name]
+        assert witness._unique_solution(sys) is not None
+        rep = solve_over_field(sys)
+        assert rep.residual_zero
+        assert _fields(rep) == _fields(support.ref_witness(sys))
+
+    def test_skipped_points_are_zeros_of_det_p(self):
+        det = _det_p(_UNIQUE_CASES["skipped_points"])
+        assert det == Poly([0, 2, -3, 1])
+
+    @pytest.mark.parametrize("name", sorted(_FALLBACK_CASES))
+    def test_fallback_cases(self, name):
+        sys = _FALLBACK_CASES[name]
+        if sys.p == sys.m and sys.n + sys.m:
+            assert _det_p(sys).is_zero()
+            assert witness._unique_solution(sys) is None
+        assert _fields(solve_over_field(sys)) == _fields(support.ref_witness(sys))
+
+    def test_reanchor_10_matches_smith_route(self):
+        sys = support.reanchor_plant(10)
+        assert witness._unique_solution(sys) is not None
+        assert _fields(solve_over_field(sys)) == _fields(support.ref_witness(sys))
+
+    def test_reanchor_20(self):
+        # the Smith route takes tens of seconds here: check the residual
+        # and the contract with strong detectability instead
+        sys = support.reanchor_plant(20)
+        forms = decide.PlantForms(sys)
+        rep = solve_over_field(forms)
+        assert rep.solvable_over_field and rep.residual_zero
+        assert rep.left_kernel_dim == 0
+        assert decide.strongly_functional_detectable(forms).holds == \
+            rep.denominator_hurwitz.is_hurwitz
