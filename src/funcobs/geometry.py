@@ -84,14 +84,23 @@ def vstar(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix,
                  Subspace(m, tuple(tuple(Fraction(x, r[p]) for x in r[:m]) for r, p in held)))
 
 
-def _restricted(N: Subspace, image: QMatrix) -> QMatrix:
-    """X with N.basis @ X == image, checked exactly: on N's canonical
-    basis a vector of N has the coordinates it holds at N's pivots."""
-    X = QMatrix(N.dim, image.cols,
-                tuple(image.data[next(j for j, x in enumerate(r) if x)] for r in N.rows))
-    if N.basis @ X != image:
+def _kernel(K: Subspace) -> tuple[QMatrix, list[int]]:
+    """A basis of Ker K as columns, read off K's canonical rows k_i, and
+    its free columns: column f has a unit at f and -k_i[f] at k_i's pivot."""
+    pivots = {next(j for j, x in enumerate(r) if x): r for r in K.rows}
+    free = [j for j in range(K.ambient_dim) if j not in pivots]
+    one, zero = Fraction(1), Fraction(0)
+    rows = tuple(tuple(-pivots[j][f] for f in free) if j in pivots
+                 else tuple(one if f == j else zero for f in free) for j in range(K.ambient_dim))
+    return QMatrix(K.ambient_dim, len(free), rows), free
+
+
+def _restricted(Y: Subspace, free: list[int], image: QMatrix) -> QMatrix:
+    """X with N X == image for N = ``_kernel(Y)``, checked as Y image == 0:
+    X is image at the free columns, so image - N X is Y image at Y's pivots."""
+    if not (QMatrix(Y.dim, Y.ambient_dim, Y.rows) @ image).is_zero():
         raise AssertionError("subspace not invariant")
-    return X
+    return QMatrix(len(free), image.cols, tuple(image.data[f] for f in free))
 
 
 def unobservable(A: QMatrix, C: QMatrix, seed: Subspace | None = None) -> VStar:
@@ -108,17 +117,21 @@ def unobservable_modes(A: QMatrix, v: VStar) -> Poly:
 
 def rank_and_zeros(A: QMatrix, B: QMatrix, v: VStar) -> tuple[int, Poly]:
     """Normal rank and zero polynomial of [sI - A, -B; C, D] from its V*.
-    On V*'s basis A + BF is A_V and B L is G.  R* = 0 when L = 0; else its
-    annihilator is the unobservable subspace of (A_V^T, G^T), where A_V^T
-    has A_V's characteristic polynomial on V*/R*."""
+    N and L, bases of V* = Ker Y* and Ker [Y*B; D], are read off the rows
+    of ``v``; on N, A + BF is A_V and B L is G, checked as Y*(A + BF)N = 0
+    and Y*BL = 0.  R* = 0 when L = 0; else its annihilator is the
+    unobservable subspace of (A_V^T, G^T), where A_V^T has A_V's
+    characteristic polynomial on V*/R*."""
     n, m, Y, U = A.rows, B.cols, v.rows, v.input_rows
+    if (Y.ambient_dim, U.ambient_dim) != (n, m):
+        raise ValueError("V* of a plant of another shape")
     if Y.dim == n:
         return n + U.dim, POLY_ONE
-    N = kernel_basis(QMatrix(Y.dim, n, Y.rows))
-    A_V = _restricted(N, (A + B @ v.friend) @ N.basis)
+    N, free = _kernel(Y)
+    A_V = _restricted(Y, free, (A + B @ v.friend) @ N)
     if U.dim == m:
         return n + U.dim, characteristic_polynomial(A_V)
-    G = _restricted(N, B @ kernel_basis(QMatrix(U.dim, m, U.rows)).basis)
+    G = _restricted(Y, free, B @ _kernel(U)[0])
     A_T = A_V.transpose()
     return n + U.dim, unobservable_modes(A_T, unobservable(A_T, G.transpose()))
 

@@ -553,27 +553,21 @@ def rank_and_zero_polynomial(P: PolyMatrix) -> tuple[int, Poly]:
 
 
 def characteristic_polynomial(A: QMatrix) -> Poly:
-    """det(sI - A), by an exact similarity to upper Hessenberg form H and
-    the recurrence on the leading minors of sI - H (Cohen, A Course in
-    Computational Algebraic Number Theory, Algorithm 2.2.9)."""
-    n = A.rows
-    H = [list(row) for row in A.data]
-    for r in range(1, n - 1):
-        i = next((i for i in range(r, n) if H[i][r - 1]), r)
-        H[i], H[r] = H[r], H[i]
-        for row in H:
-            row[i], row[r] = row[r], row[i]
-        for i in range(r + 1, n):
-            if H[i][r - 1]:  # row i -= u row r, then column r += u column i
-                u = H[i][r - 1] / H[r][r - 1]
-                H[i] = [x - u * y for x, y in zip(H[i], H[r])]
-                for row in H:
-                    row[r] += u * row[i]
-    p = [POLY_ONE]  # p[k] = det(sI - H[:k, :k]), expanded along column k - 1
-    for k in range(n):
-        pk, t = Poly([-H[k][k], 1]) * p[k], Fraction(1)
-        for i in range(k - 1, -1, -1):
-            t *= H[i + 1][i]
-            pk = pk - p[i].scale(t * H[i][k])
-        p.append(pk)
-    return p[n]
+    """det(sI - A) on integers: Berkowitz's division-free recurrence
+    (Inf. Process. Lett. 18, 1984) gives det(tI - M) for M = d A, d the
+    lcm of A's denominators, and det(sI - A) = d^-k det(d s I - M)."""
+    k = A.rows
+    d = lcm(*(x.denominator for row in A.data for x in row))
+    M = [[x.numerator * (d // x.denominator) for x in row] for row in A.data]
+    c = [1]  # det(tI - M[:r, :r]), descending
+    for r in range(k):
+        # M[:r+1, :r+1] = [M_r S; R a]: c times the lower triangular
+        # Toeplitz matrix with first column 1, -a, -R S, -R M_r S, ...
+        R, top = M[r][:r], [row[:r] for row in M[:r]]
+        col, v = [1, -M[r][r]], [row[r] for row in M[:r]]
+        for j in range(r):
+            col.append(-sum(map(mul, R, v)))
+            if j < r - 1:
+                v = [sum(map(mul, row, v)) for row in top]
+        c = [sum(col[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return _reduced([x * d ** j for j, x in enumerate(reversed(c))], d ** k)

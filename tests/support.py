@@ -5,6 +5,7 @@ ranks come from a plain forward Gaussian elimination, the canonical RREF
 from Gauss-Jordan over Fraction, polynomial arithmetic from Fraction
 coefficient lists, normal ranks from ranks at enough integer points,
 determinants from cofactor expansion and from Bareiss elimination,
+characteristic polynomials from a Hessenberg reduction over Fraction,
 controllability from the Krylov matrix, kernel-inclusion witnesses from a matrix product per basis
 column, system pencils and Darouach's pencil from constant blocks and one
 coerced ``Poly`` per entry, the normal ranks and zeros of P and P_e from
@@ -472,6 +473,33 @@ def ref_determinant(M: PolyMatrix) -> Poly:
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+def ref_characteristic_polynomial(A: QMatrix) -> Poly:
+    """det(sI - A) by an exact similarity to upper Hessenberg form H over
+    Fraction and the recurrence on the leading minors of sI - H (Cohen, A
+    Course in Computational Algebraic Number Theory, Algorithm 2.2.9)."""
+    n = A.rows
+    H = [list(row) for row in A.data]
+    for r in range(1, n - 1):
+        i = next((i for i in range(r, n) if H[i][r - 1]), r)
+        H[i], H[r] = H[r], H[i]
+        for row in H:
+            row[i], row[r] = row[r], row[i]
+        for i in range(r + 1, n):
+            if H[i][r - 1]:  # row i -= u row r, then column r += u column i
+                u = H[i][r - 1] / H[r][r - 1]
+                H[i] = [x - u * y for x, y in zip(H[i], H[r])]
+                for row in H:
+                    row[r] += u * row[i]
+    p = [Poly([1])]  # p[k] = det(sI - H[:k, :k]), expanded along column k - 1
+    for k in range(n):
+        pk, t = Poly([-H[k][k], 1]) * p[k], Fraction(1)
+        for i in range(k - 1, -1, -1):
+            t *= H[i + 1][i]
+            pk = pk - p[i].scale(t * H[i][k])
+        p.append(pk)
+    return p[n]
 
 
 def numeric_roots(p: Poly) -> np.ndarray:

@@ -343,6 +343,18 @@ class TestUnobservableSubspaceRoute:
         with pytest.raises(AssertionError, match="not invariant"):
             decide.strongly_functional_detectable(sys)
 
+    def test_input_rows_checked(self, monkeypatch):
+        # V* = span(e_2) and [Y*B; D] = [1 0], so L = Ker [Y*B; D] is the
+        # second input, which B sends into V*; rows [0 1] make L the first
+        # input, which B sends to e_1, out of V*
+        sys = SystemSextuple.from_lists(A=[[0, 0], [0, 0]], B=[[1, 0], [0, 1]], C=[[1, 0]],
+                                        D=[[0, 0]])
+        vstar = geometry.vstar
+        monkeypatch.setattr(geometry, "vstar", lambda A, B, C, D, seed=None: vstar(
+            A, B, C, D, seed)._replace(input_rows=Subspace.span(B.cols, [[0, 1]])))
+        with pytest.raises(AssertionError, match="not invariant"):
+            decide.strongly_functional_detectable(sys)
+
 
 class TestImplicationChain:
     def test_random_batch(self, rng):
@@ -484,6 +496,27 @@ class TestWorkCount:
         """P's and P_e's ranks and zeros come from V*: no Smith form."""
         decide.strongly_functional_detectable(plant)
         assert calls == []
+
+    @pytest.mark.parametrize("p", [2, 1], ids=["zeros_of_a_v", "zeros_through_r_star"])
+    def test_rank_and_zeros_reads_kernels_off_rows(self, monkeypatch, p):
+        """V*'s and Ker [Y*B; D]'s bases are read off the canonical rows
+        that vstar returns: no kernel is eliminated.  With p = 1, L != 0
+        and the zeros come through R*."""
+        sys = SystemSextuple.from_lists(**_seeded_n6_lists(p))
+        want = decide.strongly_functional_detectable(sys).certificate
+        v = geometry.vstar(sys.A, sys.B, sys.C, sys.D)
+        assert (v.input_rows.dim < sys.m) == (p == 1)
+        count = Counter()
+        kernel_basis = exactlin.kernel_basis
+
+        def counted(M):
+            count["kernel_basis"] += 1
+            return kernel_basis(M)
+
+        monkeypatch.setattr(exactlin, "kernel_basis", counted)
+        monkeypatch.setattr(geometry, "kernel_basis", counted)
+        assert geometry.rank_and_zeros(sys.A, sys.B, v) == (want.normrank_p, want.zero_poly_p)
+        assert count == {}
 
     def test_check_eliminates_each_pencil_once(self, calls, plant, tmp_path):
         """The eight decisions of one check share one PlantForms, and only

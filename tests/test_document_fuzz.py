@@ -4,7 +4,8 @@ Each document is drawn well formed and then damaged: a field dropped or
 replaced by a null, a boolean, a string, an empty or ragged array or an
 object, an unknown input kind, or an extra key.  Whatever the document,
 a command returns 0, 1 or 2, no exception escapes ``main``, and exit 2
-comes with an ``error:`` line on stderr.  Horizons and steps are drawn
+comes with an ``error:`` line on stderr; for a system document that line
+quotes the field it is about.  Horizons and steps are drawn
 so that a valid scenario takes at most 10^4 steps.
 """
 
@@ -48,13 +49,16 @@ def _damage(draw, doc: dict, keys: list[str]) -> dict:
 _RATIONALS = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/4", "0.25"]))
 
 
+_SYSTEM_FIELDS = ["A", "B", "C", "D", "E", "F", "m", "name", "description", "expected"]
+
+
 @st.composite
 def _system_documents(draw):
     n, m, p, q = (draw(st.integers(0, 3)) for _ in range(4))
     shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m), "E": (q, n), "F": (q, m)}
     doc = {k: draw(_matrix(_RATIONALS, r, c)) for k, (r, c) in shapes.items()}
     doc["m"] = m
-    return _damage(draw, doc, [*shapes, "m", "name", "description", "expected"])
+    return _damage(draw, doc, _SYSTEM_FIELDS)
 
 
 _NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-4, 4))
@@ -117,13 +121,17 @@ def _scenario_documents(draw):
     return _damage(draw, doc, ["x0", "xi0", "input"])
 
 
-def _run(argv: list[str]) -> None:
+def _run(argv: list[str]) -> list[str]:
+    """The ``error:`` lines of a command that exits 2, which must print one."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
-    if code == 2:
-        assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    if code != 2:
+        return []
+    assert errors
+    return errors
 
 
 def _write(directory, name: str, doc) -> str:
@@ -136,8 +144,11 @@ def _write(directory, name: str, doc) -> str:
 @example({"A": None})
 def test_system_documents(tmp_path_factory, doc):
     path = _write(tmp_path_factory.mktemp("system"), "plant.json", doc)
-    _run(["check", path, "--all", *_SPECIALIZE])
-    _run(["witness", path])
+    # an error names the field it is about, known or unknown, in quotes
+    fields = {*_SYSTEM_FIELDS, *doc}
+    for argv in (["check", path, "--all", *_SPECIALIZE], ["witness", path]):
+        for line in _run(argv):
+            assert any(f"'{field}'" in line for field in fields), line
 
 
 @given(_observer_documents(), _scenario_documents())

@@ -508,9 +508,29 @@ _square = st.integers(0, 6).flatmap(lambda n: st.lists(
              min_size=n, max_size=n), min_size=n, max_size=n))
 
 
+@st.composite
+def _char_case(draw):
+    """A k x k matrix, k <= 8, with denominators up to 7: dense, zero,
+    nilpotent (strictly upper triangular), triangular or a companion
+    matrix."""
+    k = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["dense", "zero", "nilpotent", "triangular", "companion"]))
+    entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))
+    rows = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if (kind == "dense" or (kind == "nilpotent" and j > i)
+                    or (kind == "triangular" and j >= i) or (kind == "companion" and j == k - 1)):
+                rows[i][j] = draw(entry)
+            elif kind == "companion" and i == j + 1:
+                rows[i][j] = Fraction(1)
+    return rows
+
+
 class TestCharacteristicPolynomial:
-    """det(sI - A) through Hessenberg form, against cofactor expansion of
-    the pencil sI - A."""
+    """det(sI - A) by Berkowitz's recurrence on integers, against cofactor
+    expansion of the pencil sI - A and against a Hessenberg reduction over
+    Fraction."""
 
     @staticmethod
     def _ref(A):
@@ -531,6 +551,29 @@ class TestCharacteristicPolynomial:
         # the companion matrix of s^3 + 2s^2 - s + 5/2
         A = QMatrix.from_rows([[0, 0, Fraction(-5, 2)], [1, 0, 1], [0, 1, -2]])
         assert characteristic_polynomial(A) == Poly([Fraction(5, 2), -1, 2, 1])
+
+    @given(_char_case())
+    @example([])
+    @example([[Fraction(-3, 7)]])
+    def test_matches_hessenberg_reduction(self, rows):
+        A = QMatrix.from_rows(rows, cols=len(rows))
+        got = characteristic_polynomial(A)
+        assert got == support.ref_characteristic_polynomial(A) and _canonical(got)
+
+    def test_reanchor_restrictions(self, monkeypatch):
+        # every A + BF on V* (and A_V^T on the unobservable part) that the
+        # n = 30 ladder plant's P and P_e pass in
+        seen = []
+
+        def spy(A):
+            seen.append(A)
+            return characteristic_polynomial(A)
+
+        monkeypatch.setattr(geometry, "characteristic_polynomial", spy)
+        decide.PlantForms(support.reanchor_plant(30)).detectability
+        assert seen and max(A.rows for A in seen) >= 20
+        for A in seen:
+            assert characteristic_polynomial(A) == support.ref_characteristic_polynomial(A)
 
 
 class TestInterpolate:
