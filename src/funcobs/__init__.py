@@ -18,7 +18,7 @@ from .exactlin import QMatrix, Subspace, as_fraction, kernel_basis
 from .geometry import reachable_within, strong_star_inclusion
 from .markov import kernel_inclusion_upto, toeplitz
 from .polymat import (Poly, PolyMatrix, SmithDecomposition, build_system_matrices,
-                      poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form)
+                      poly_gcd, poly_lcm, smith_form)
 from .stability import HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
 from .witness import (RationalFunction, RationalFunctionMatrix, WitnessReport,
@@ -42,7 +42,6 @@ __all__ = [
     "QMatrix", "Subspace", "as_fraction", "kernel_basis",
     "Poly", "PolyMatrix", "SmithDecomposition", "poly_gcd", "poly_lcm",
     "build_system_matrices", "smith_form",
-    "rank_and_zero_polynomial",
     "HurwitzReport", "is_hurwitz", "antistable_parts_equal",
     "SystemSextuple", "reachable_within", "strong_star_inclusion",
     "toeplitz", "kernel_inclusion_upto",

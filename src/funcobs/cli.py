@@ -41,13 +41,14 @@ EXIT_ERROR = 2
 def _read_system(path: str) -> tuple[SystemSextuple, dict]:
     p = Path(path)
     if p.exists():
-        text = read_text(p)
-    else:
-        stem = p.stem if p.suffix == ".json" else path
-        try:
-            text = bundled_text(stem)
-        except FileNotFoundError:
-            raise SystemFileError(f"no such file or bundled system: {path}")
+        return load_system_text(read_text(p))
+    try:
+        # only a bare name, with or without .json, can name a bundled system
+        if p.name != path:
+            raise FileNotFoundError(path)
+        text = bundled_text(p.stem if p.suffix == ".json" else path)
+    except FileNotFoundError:
+        raise SystemFileError(f"no such file or bundled system: {path}")
     return load_system_text(text)
 
 

@@ -17,9 +17,9 @@ Specialised checks for state reconstruction, input reconstruction and the
 fixed-order observer conditions are provided as independent formulas that
 cross-validate against the general decision procedures.
 
-Only Darouach's test eliminates a pencil: the others read the normal ranks
-and zeros of P, P_e and the input-free pencils [sI - A; C] and
-[sI - A; C; E] off weakly unobservable subspaces (``geometry.vstar``).
+No decision builds a polynomial matrix: the normal ranks and zeros of P,
+P_e, the input-free pencils [sI - A; C] and [sI - A; C; E] and Darouach's
+pencil are read off weakly unobservable subspaces (``geometry.vstar``).
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ from functools import cached_property
 from . import geometry
 from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
 from .markov import toeplitz
-from .polymat import (POLY_ONE, Poly, PolyMatrix, SmithDecomposition,
-                      build_system_matrices, constant_entry, pencil_entry, poly_gcd,
-                      rank_and_zero_polynomial, smith_form)
+from .polymat import POLY_ONE, Poly, poly_gcd
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
 
@@ -149,10 +147,9 @@ def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix, ker: Subspace) -> KernelInclus
 
 
 class PlantForms:
-    """What the decisions read off one plant and, for the witness alone,
-    P and, unless P is square and nonsingular, its Smith form, each
-    computed on first use and kept by this object alone: a call with a
-    bare plant does all of its own work."""
+    """What the decisions read off one plant, each computed on first use
+    and kept by this object alone: a call with a bare plant does all of
+    its own work."""
 
     def __init__(self, sys: SystemSextuple):
         self.sys = sys
@@ -160,15 +157,6 @@ class PlantForms:
     @staticmethod
     def of(plant: SystemSextuple | PlantForms) -> PlantForms:
         return plant if isinstance(plant, PlantForms) else PlantForms(plant)
-
-    @cached_property
-    def matrices(self) -> tuple[PolyMatrix, PolyMatrix]:
-        """(P, EF) from ``build_system_matrices``."""
-        return build_system_matrices(self.sys)
-
-    @cached_property
-    def smith(self) -> SmithDecomposition:
-        return smith_form(self.matrices[0])
 
     @cached_property
     def vstar(self) -> geometry.VStar:
@@ -317,7 +305,8 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     ca, cb = sys.C @ sys.A, sys.C @ sys.B
     ea, eb = sys.E @ sys.A, sys.E @ sys.B
     zeros = (Fraction(0),) * m
-    # the rows [C D 0; CA CB D], shared by the constant stack and the pencil
+    # the rows [C D 0; CA CB D], shared by the constant stack and the
+    # outputs of the pencil's plant below
     lower = (tuple(c + d + zeros for c, d in zip(sys.C.data, sys.D.data))
              + tuple(a + b + d for a, b, d in zip(ca.data, cb.data, sys.D.data)))
     lhs = QMatrix(q + 2 * p, n + 2 * m,
@@ -328,12 +317,18 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
 
     # rank of [E(sI-A), -EB, 0; C, D, 0; CA, CB, D] versus the constant
     # stack, for every s with Re s >= 0; the stack has rank
-    # n + 2m - dim Ker lhs everywhere and no finite zeros
-    top = tuple(tuple(map(pencil_entry, e + zeros + zeros, a + b + zeros))
-                for e, a, b in zip(sys.E.data, ea.data, eb.data))
-    stacked = PolyMatrix(q + 2 * p, n + 2 * m,
-                         top + tuple(tuple(map(constant_entry, row)) for row in lower))
-    rl, zl = rank_and_zero_polynomial(stacked)
+    # n + 2m - dim Ker lhs everywhere and no finite zeros.  With the input
+    # v = (sI - A)x - Bu_1, the pencil is the system matrix of the plant
+    # (A, [B 0 I], [0; C; CA], [0 0 E; D 0 0; CB D 0]) with n unit
+    # invariants removed
+    zn = (Fraction(0),) * n
+    bv = QMatrix(n, 2 * m + n, tuple(b + zeros + e for b, e in
+                                     zip(sys.B.data, QMatrix.identity(n).data)))
+    cv = QMatrix(q + 2 * p, n, (zn,) * q + tuple(r[:n] for r in lower))
+    dv = QMatrix(q + 2 * p, 2 * m + n, tuple(zeros + zeros + e for e in sys.E.data)
+                 + tuple(r[n:] + zn for r in lower))
+    rl, zl = geometry.rank_and_zeros(sys.A, bv, geometry.vstar(sys.A, bv, cv, dv))
+    rl -= n
     rr = n + 2 * m - ker.dim
     cmp_ = antistable_parts_equal(zl, POLY_ONE)
     rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)

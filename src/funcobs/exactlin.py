@@ -367,19 +367,23 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def _kernel_columns(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
+                    d: int) -> tuple[tuple[tuple[Fraction, ...], ...], list[int]]:
+    """A basis of the kernel of canonical rows r_i, pivoting at p_i, as the
+    columns of d row tuples, and its free columns: column f has a unit at
+    f and -r_i[f] at p_i."""
+    at = dict(zip(pivots, rows))
+    free = [j for j in range(d) if j not in at]
+    one = Fraction(1)
+    return tuple(tuple(-at[j][f] for f in free) if j in at
+                 else tuple(one if f == j else _ZERO for f in free) for j in range(d)), free
+
+
 def kernel_basis(M: QMatrix) -> Subspace:
     """Canonical basis of {v : M v = 0}."""
     reduced, pivots = _rref(M.data)
-    pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [_ZERO] * M.cols
-        v[f] = Fraction(1)
-        for idx, p in enumerate(pivots):
-            v[p] = -reduced[idx][f]
-        vectors.append(v)
-    return Subspace.span(M.cols, vectors)
+    columns, _ = _kernel_columns(reduced, pivots, M.cols)
+    return Subspace.span(M.cols, zip(*columns))
 
 
 def first_escape(V: Subspace, M: QMatrix) -> tuple[Fraction, ...] | None:

@@ -35,7 +35,8 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exactlin import QMatrix, Subspace, _integer_echelon, first_escape, kernel_basis
+from .exactlin import (QMatrix, Subspace, _integer_echelon, _kernel_columns, first_escape,
+                       kernel_basis)
 from .polymat import POLY_ONE, Poly, characteristic_polynomial
 from .system import SystemSextuple
 
@@ -85,14 +86,11 @@ def vstar(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix,
 
 
 def _kernel(K: Subspace) -> tuple[QMatrix, list[int]]:
-    """A basis of Ker K as columns, read off K's canonical rows k_i, and
-    its free columns: column f has a unit at f and -k_i[f] at k_i's pivot."""
-    pivots = {next(j for j, x in enumerate(r) if x): r for r in K.rows}
-    free = [j for j in range(K.ambient_dim) if j not in pivots]
-    one, zero = Fraction(1), Fraction(0)
-    rows = tuple(tuple(-pivots[j][f] for f in free) if j in pivots
-                 else tuple(one if f == j else zero for f in free) for j in range(K.ambient_dim))
-    return QMatrix(K.ambient_dim, len(free), rows), free
+    """A basis of Ker K as columns, read off K's canonical rows, and its
+    free columns."""
+    pivots = [next(j for j, x in enumerate(r) if x) for r in K.rows]
+    columns, free = _kernel_columns(K.rows, pivots, K.ambient_dim)
+    return QMatrix(K.ambient_dim, len(free), columns), free
 
 
 def _restricted(Y: Subspace, free: list[int], image: QMatrix) -> QMatrix:

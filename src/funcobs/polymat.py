@@ -7,12 +7,13 @@ system pencils
              [   C       D ]                 [ E  F ]
 
 Every pencil entry s e - a is written by ``pencil_entry`` straight from the
-constant entries.  The decisions read the normal ranks and zeros of P and
-P_e off ``geometry.vstar`` and ``characteristic_polynomial``; the Smith
-form (gcd-driven elementary row/column operations with both unimodular
-transformers tracked) serves Darouach's pencil and the witness of a P that
-is not square and nonsingular.  ``interpolate`` rebuilds the witness of
-the other plants from its values at integer points.
+constant entries.  No decision builds a polynomial matrix: they read
+normal ranks and zeros off ``geometry.vstar`` and
+``characteristic_polynomial``.  The system pencils and the Smith form
+(gcd-driven elementary row/column operations with both unimodular
+transformers tracked) serve the witness of a P that is not square and
+nonsingular; ``interpolate`` rebuilds the witness of the other plants from
+its values at integer points.
 """
 
 from __future__ import annotations
@@ -540,16 +541,6 @@ def _assert_smith(P: PolyMatrix, dec: SmithDecomposition) -> None:
     for a in polys:
         if a.leading != 1:
             raise AssertionError("invariant polynomial not monic")
-
-
-def rank_and_zero_polynomial(P: PolyMatrix) -> tuple[int, Poly]:
-    """Normal rank and zero polynomial of P from one Smith form: the number
-    of invariant polynomials, and their monic product."""
-    invariants = smith_form(P).invariant_polys
-    prod = POLY_ONE
-    for a in invariants:
-        prod = prod * a
-    return len(invariants), prod.monic()
 
 
 def characteristic_polynomial(A: QMatrix) -> Poly:

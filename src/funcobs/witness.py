@@ -35,7 +35,8 @@ from fractions import Fraction
 
 from . import decide
 from .exactlin import DenseMatrix, _common_den, adjugate_solve
-from .polymat import POLY_ONE, POLY_ZERO, Poly, PolyMatrix, interpolate, poly_gcd, poly_lcm
+from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix, build_system_matrices, interpolate,
+                      poly_gcd, poly_lcm, smith_form)
 from .stability import HurwitzReport, is_hurwitz
 from .system import SystemSextuple
 
@@ -231,13 +232,13 @@ def solve_over_field(sys: SystemSextuple | decide.PlantForms) -> WitnessReport:
     solution exists the residual is recomputed exactly and must be the zero
     matrix.
     """
-    forms = decide.PlantForms.of(sys)
-    P, EF = forms.matrices
+    sys = decide.PlantForms.of(sys).sys
+    P, EF = build_system_matrices(sys)
     if P.rows == P.cols > 0:
-        MN = _unique_solution(forms.sys)
+        MN = _unique_solution(sys)
         if MN is not None:
             return _verified(MN, P, EF, 0)
-    dec = forms.smith
+    dec = smith_form(P)
     r = len(dec.invariant_polys)
     W = EF @ dec.V
     left_kernel_dim = P.rows - r

@@ -8,8 +8,10 @@ determinants from cofactor expansion and from Bareiss elimination,
 characteristic polynomials from a Hessenberg reduction over Fraction,
 controllability from the Krylov matrix, kernel-inclusion witnesses from a matrix product per basis
 column, system pencils and Darouach's pencil from constant blocks and one
-coerced ``Poly`` per entry, the normal ranks and zeros of P and P_e from
-Smith forms of those block-assembled pencils, the canonical witness from
+coerced ``Poly`` per entry, the normal ranks and zeros of P, P_e and
+Darouach's pencil from Smith forms of those block-assembled pencils
+(``ref_rank_and_zero_polynomial``), where the library reads them off V*
+and builds no pencil, the canonical witness from
 the Smith form of P for every plant, V* from its textbook
 recursion on Gauss-Jordan kernels,
 matrix products and Smith row/column operations term by term
@@ -346,19 +348,21 @@ def ref_reachable(sys: SystemSextuple) -> tuple[Subspace, int]:
     raise AssertionError("reachability iteration failed to stabilise")
 
 
+def ref_rank_and_zero_polynomial(M: PolyMatrix) -> tuple[int, Poly]:
+    """Normal rank and zero polynomial of M from its Smith form: the
+    number of invariant polynomials and their monic product."""
+    invariants = smith_form(M).invariant_polys
+    prod = Poly([1])
+    for a in invariants:
+        prod = prod * a
+    return len(invariants), prod.monic()
+
+
 def ref_zero_structure(sys: SystemSextuple) -> tuple[tuple[int, Poly], tuple[int, Poly]]:
     """Normal rank and zero polynomial of P and of P_e = [P; E F], each
-    from a Smith form of the pencil assembled from constant blocks: the
-    number of invariant polynomials and their monic product."""
+    from a Smith form of the pencil assembled from constant blocks."""
     P, EF = ref_build_system_matrices(sys)
-    out = []
-    for M in (P, PolyMatrix.vstack([P, EF])):
-        invariants = smith_form(M).invariant_polys
-        prod = Poly([1])
-        for a in invariants:
-            prod = prod * a
-        out.append((len(invariants), prod.monic()))
-    return out[0], out[1]
+    return ref_rank_and_zero_polynomial(P), ref_rank_and_zero_polynomial(PolyMatrix.vstack([P, EF]))
 
 
 def ref_witness(sys: SystemSextuple) -> WitnessReport:

@@ -648,8 +648,17 @@ class TestUnreadableInput:
         roles = ["system", "observer", "scenario"] if command == "simulate" else ["system"]
         assert main([command, *(argv[r] for r in roles)]) == 2
         err = capsys.readouterr().err
-        # a missing system path is first looked up as a bundled name
         assert bad in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check", "witness"])
+    def test_missing_path_never_names_a_bundled_system(self, tmp_path, capsys, command):
+        # the stem names a bundled system, but a path with a directory part
+        # names a file only
+        bad = str(tmp_path / "missing" / "stable_pair.json")
+        assert main([command, bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no such file or bundled system: {bad}\n"
 
     def test_batch_reports_the_bad_file(self, tmp_path, capsys):
         _unreadable(tmp_path, "binary")

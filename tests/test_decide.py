@@ -12,7 +12,7 @@ from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import DenseMatrix, QMatrix, Subspace
 from funcobs.fileio import load_system_text, to_jsonable
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices, poly_gcd,
-                             rank_and_zero_polynomial, smith_form)
+                             smith_form)
 from funcobs.stability import antistable_parts_equal, is_hurwitz
 from funcobs.system import SystemSextuple
 
@@ -458,7 +458,7 @@ class TestSympySmithOracle:
             for name, (sys, cert) in certs.items():
                 Pe = PolyMatrix.vstack(build_system_matrices(sys))
                 got = (cert.normrank_pe, cert.zero_poly_pe)
-                assert got == rank_and_zero_polynomial(Pe), name
+                assert got == support.ref_rank_and_zero_polynomial(Pe), name
                 assert got == self._rank_and_zeros(self._sympy_pencils(sys)[1]), name
 
 
@@ -483,8 +483,7 @@ class TestWorkCount:
             calls.append((M, dec))
             return dec
 
-        monkeypatch.setattr(decide, "smith_form", counting, raising=False)
-        monkeypatch.setattr(witness, "smith_form", counting, raising=False)
+        monkeypatch.setattr(witness, "smith_form", counting)
         monkeypatch.setattr(polymat, "smith_form", counting)
         return calls
 
@@ -518,16 +517,24 @@ class TestWorkCount:
         assert geometry.rank_and_zeros(sys.A, sys.B, v) == (want.normrank_p, want.zero_poly_p)
         assert count == {}
 
-    def test_check_eliminates_each_pencil_once(self, calls, plant, tmp_path):
-        """The eight decisions of one check share one PlantForms, and only
-        Darouach's test eliminates a pencil, its own."""
+    def test_check_eliminates_no_pencil(self, calls, monkeypatch, tmp_path):
+        """The eight decisions of one check read V*: none builds a
+        polynomial matrix, Darouach's included."""
+        built = []
+        dense_init = DenseMatrix.__init__
+
+        def init(self, *args):
+            if type(self) is PolyMatrix:
+                built.append(self)
+            dense_init(self, *args)
+
+        monkeypatch.setattr(DenseMatrix, "__init__", init)
         path = tmp_path / "plant.json"
         path.write_text(json.dumps(_seeded_n6_lists()))
         main(["check", str(path), "--all", "--specialize", "hautus",
               "--specialize", "leftinv", "--specialize", "darouach"])
-        assert len(calls) == 1
-        n, m, p, q = plant.n, plant.m, plant.p, plant.q
-        assert calls[0][0].shape == (q + 2 * p, n + 2 * m)
+        assert calls == []
+        assert built == []
 
     def test_decision_consistency_shares_p(self, calls, plant):
         # P is square and nonsingular: the witness solves at points, and
@@ -554,15 +561,25 @@ class TestWorkCount:
         (decide.functional_detectable, 0), (decide.strongly_functional_detectable, 0),
         (decide.strong_star_functional_detectable, 0), (decide.hautus_strong_detectable, 0),
         (decide.hautus_strong_star_detectable, 0), (decide.asympt_strong_left_invertible, 0),
-        (decide.asympt_strong_star_left_invertible, 0), (decide.darouach_fixed_order, 1),
+        (decide.asympt_strong_star_left_invertible, 0), (decide.darouach_fixed_order, 0),
         (witness.solve_over_field, 0)])
-    def test_bare_plant_does_all_its_own_work(self, calls, plant, fn, count):
+    def test_bare_plant_does_all_its_own_work(self, calls, monkeypatch, plant, fn, count):
         # no cache outlives the per-plant object: each call on a bare plant
-        # eliminates its pencils again
+        # grows its subspaces again, and makes ``count`` Smith forms each time
+        grown = []
+        vstar = geometry.vstar
+
+        def spy(*args):
+            grown.append(args)
+            return vstar(*args)
+
+        monkeypatch.setattr(geometry, "vstar", spy)
         fn(plant)
+        once = len(grown)
         assert len(calls) == count
         fn(plant)
         assert len(calls) == 2 * count
+        assert grown[once:] == grown[:once]
         assert [M for M, _ in calls[:count]] == [M for M, _ in calls[count:]]
 
     def test_functional_grows_from_the_observed_rows(self, monkeypatch):
@@ -708,15 +725,16 @@ class TestPlantForms:
 
 
 @st.composite
-def _unimodular(draw, k):
-    """An integer matrix T of determinant +-1 and its exact inverse, as a
-    product of up to four elementary row operations: T gets each operation
-    on its rows, the inverse the opposite one on its columns."""
+def _invertible(draw, k):
+    """A rational matrix T of nonzero determinant and its exact inverse, as
+    a product of up to four elementary row operations: T gets each
+    operation on its rows, the inverse the opposite one on its columns.  A
+    row scaled by c, c not 0 or +-1, makes T non-integer."""
     T = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     Ti = [row[:] for row in T]
     for _ in range(draw(st.integers(0, 4)) if k else 0):
         i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
-        kind = draw(st.sampled_from(["add", "swap", "negate"]))
+        kind = draw(st.sampled_from(["add", "swap", "negate", "scale"]))
         if kind == "add" and i != j:
             c = draw(st.sampled_from([-2, -1, 1, 2]))
             T[i] = [a + c * b for a, b in zip(T[i], T[j])]
@@ -730,6 +748,11 @@ def _unimodular(draw, k):
             T[i] = [-a for a in T[i]]
             for row in Ti:
                 row[i] = -row[i]
+        elif kind == "scale":
+            c = draw(st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(-5, 2)]))
+            T[i] = [c * a for a in T[i]]
+            for row in Ti:
+                row[i] /= c
     T, Ti = QMatrix.from_rows(T, cols=k), QMatrix.from_rows(Ti, cols=k)
     assert T @ Ti == QMatrix.identity(k)
     return T, Ti
@@ -741,7 +764,7 @@ def _plant_and_coordinates(draw):
     plant in new state, input, measurement and target coordinates:
     (T A T^-1, T B K, R C T^-1, R D K, S E T^-1, S F K)."""
     sys = draw(support.plants(4, 2))
-    (T, Ti), (K, _), (R, _), (S, _) = (draw(_unimodular(k)) for k in (sys.n, sys.m, sys.p, sys.q))
+    (T, Ti), (K, _), (R, _), (S, _) = (draw(_invertible(k)) for k in (sys.n, sys.m, sys.p, sys.q))
     moved = SystemSextuple(T @ sys.A @ Ti, T @ sys.B @ K, R @ sys.C @ Ti, R @ sys.D @ K,
                            S @ sys.E @ Ti, S @ sys.F @ K)
     return sys, moved
@@ -754,15 +777,17 @@ def _coordinate_free(sys):
     verdicts = {fn.__name__: fn(forms) for fn in _FORWARD[:8]}
     strong, functional = forms.detectability, forms.functional
     inclusion = verdicts["strong_star_functional_detectable"].certificate.inclusion
+    darouach = verdicts["darouach_fixed_order"].certificate.rank_equality
     return ({name: v.holds for name, v in verdicts.items()},
             (strong.normrank_p, strong.normrank_pe, strong.zero_poly_p, strong.zero_poly_pe),
             (functional.zero_poly_p, functional.zero_poly_pe),
             forms.unobservable_modes,
-            (inclusion.reachable.dim, inclusion.reachable_steps))
+            (inclusion.reachable.dim, inclusion.reachable_steps),
+            (darouach.normrank_lhs, darouach.zero_poly_lhs))
 
 
 class TestCoordinateChanges:
-    """Unimodular changes of state, input, measurement and target
+    """Invertible rational changes of state, input, measurement and target
     coordinates change no verdict and no certificate invariant."""
 
     @given(_plant_and_coordinates())

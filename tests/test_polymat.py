@@ -5,11 +5,11 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from funcobs import decide, geometry, polymat
+from funcobs import decide, geometry
 from funcobs.exactlin import QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub,
                              build_system_matrices, characteristic_polynomial, interpolate,
-                             poly_gcd, poly_lcm, rank_and_zero_polynomial, smith_form)
+                             poly_gcd, poly_lcm, smith_form)
 from funcobs.system import SystemSextuple
 
 import support
@@ -24,11 +24,11 @@ def Pe_of(sys):
 
 
 def rank_of(M):
-    return rank_and_zero_polynomial(M)[0]
+    return support.ref_rank_and_zero_polynomial(M)[0]
 
 
 def zero_polynomial(M):
-    return rank_and_zero_polynomial(M)[1]
+    return support.ref_rank_and_zero_polynomial(M)[1]
 
 
 class TestPoly:
@@ -322,6 +322,15 @@ def _sextuples(draw):
                           block(q, n), block(q, m))
 
 
+def _assert_darouach_matches_smith_oracle(sys: SystemSextuple) -> None:
+    """Darouach's pencil, read off V* of the plant it becomes with the
+    input v = (sI - A)x - Bu_1, against the Smith form of the pencil
+    assembled from constant blocks."""
+    rank_eq = decide.darouach_fixed_order(sys).certificate.rank_equality
+    want = support.ref_rank_and_zero_polynomial(support.ref_darouach_pencil(sys))
+    assert (rank_eq.normrank_lhs, rank_eq.zero_poly_lhs) == want
+
+
 def _assert_same_storage(got: PolyMatrix, want: PolyMatrix) -> None:
     assert got.shape == want.shape
     assert _storage(got.data) == _storage(want.data)
@@ -357,20 +366,18 @@ class TestSystemMatrices:
 
     @given(_sextuples())
     @example(SystemSextuple.from_lists(A=[], m=0))
-    def test_darouach_pencil_matches_block_oracle(self, sys):
-        # the pencil Darouach's test hands to smith_form, written from the
-        # plant's rows, against the one assembled from constant blocks
-        handed = []
+    @example(SystemSextuple.from_lists(A=[], D=[[1, 2], [0, 0]], F=[[1, -1]]))
+    @example(SystemSextuple.from_lists(A=[[0, 1], [-1, 0]], C=[[1, 0]], E=[[0, 1]], m=0))
+    @example(SystemSextuple.from_lists(A=[[1, 0], [1, -2]], B=[[1], [0]], E=[[0, 1]], F=[[1]]))
+    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[0], [1]], C=[[1, 0]], D=[[0]]))
+    @example(SystemSextuple.from_lists(A=[["1/2", 1], [0, "-2/3"]], B=[["1/3"], [1]],
+                                       C=[[1, "1/2"]], D=[["1/4"]], E=[["2/3", 0]], F=[[0]]))
+    def test_darouach_rank_and_zeros_match_smith_oracle(self, sys):
+        # n = 0, m = 0, p = 0, q = 0 and rational entries among the examples
+        _assert_darouach_matches_smith_oracle(sys)
 
-        def capture(M):
-            handed.append(M)
-            return smith_form(M)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polymat, "smith_form", capture)
-            decide.darouach_fixed_order(sys)
-        assert len(handed) == 1
-        _assert_same_storage(handed[0], support.ref_darouach_pencil(sys))
+    def test_darouach_reanchor_n10_matches_smith_oracle(self):
+        _assert_darouach_matches_smith_oracle(support.reanchor_plant(10))
 
     def test_degenerate_no_input(self):
         sys = SystemSextuple.from_lists(A=[[0]], C=[[1]], m=0)
