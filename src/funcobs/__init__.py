@@ -15,7 +15,7 @@ from .decide import (PlantForms, Verdict, asympt_strong_left_invertible,
                      strong_star_functional_detectable,
                      strongly_functional_detectable)
 from .exactlin import QMatrix, Subspace, as_fraction, kernel_basis
-from .geometry import reachable_within, strong_star_inclusion
+from .geometry import strong_star_inclusion
 from .markov import kernel_inclusion_upto, toeplitz
 from .polymat import (Poly, PolyMatrix, SmithDecomposition, build_system_matrices,
                       poly_gcd, poly_lcm, smith_form)
@@ -43,7 +43,7 @@ __all__ = [
     "Poly", "PolyMatrix", "SmithDecomposition", "poly_gcd", "poly_lcm",
     "build_system_matrices", "smith_form",
     "HurwitzReport", "is_hurwitz", "antistable_parts_equal",
-    "SystemSextuple", "reachable_within", "strong_star_inclusion",
+    "SystemSextuple", "strong_star_inclusion",
     "toeplitz", "kernel_inclusion_upto",
     "PlantForms", "Verdict", "functional_detectable", "strongly_functional_detectable",
     "strong_star_functional_detectable", "hautus_strong_detectable",

@@ -7,7 +7,8 @@ Subcommands:
                   full structured report.  Exit 0 when every requested
                   property holds, 1 when any fails, 2 on input errors.
 * ``witness``  -- construct, verify and classify the canonical rational
-                  solution of [M N] P = [E F].
+                  solution of [M N] P = [E F], and report the strong-star
+                  inclusion certificate that decides its properness side.
 * ``simulate`` -- realize an observer, integrate the cascade, write the
                   trajectory CSV; exit 0 iff the error decayed.
 * ``batch``    -- run ``check --all`` over every system file in a directory.
@@ -29,7 +30,7 @@ from . import decide, witness
 from .corpus import bundled_names, bundled_text
 from .fileio import (SCHEMA_VERSION, SystemFileError, load_system_text, read_text,
                      to_jsonable)
-from .markov import kernel_inclusion_upto
+from .geometry import InclusionCertificate, strong_star_inclusion
 from .system import SystemSextuple
 from .witness import RationalFunctionMatrix
 
@@ -113,6 +114,14 @@ def _expected_block(meta: dict) -> dict[str, bool]:
     return expected
 
 
+def _inclusion_lines(inc: InclusionCertificate) -> list[str]:
+    lines = [f"chain-reachable dim {inc.reachable.dim}; "
+             f"inclusion {'holds' if inc.holds else 'fails'}"]
+    if inc.violation is not None:
+        lines.append(f"violating reachable state: ({', '.join(str(x) for x in inc.violation)})")
+    return lines
+
+
 def _summarize_verdict(v: decide.Verdict) -> list[str]:
     lines = [f"{v.name:<40s} : {'yes' if v.holds else 'no'}"]
     cert = v.certificate
@@ -128,11 +137,7 @@ def _summarize_verdict(v: decide.Verdict) -> list[str]:
         s = cert.strong
         lines.append(f"    normrank P = {s.normrank_p}, normrank P_e = {s.normrank_pe}; "
                      f"zeros {s.zero_poly_p} vs {s.zero_poly_pe}")
-        inc = cert.inclusion
-        lines.append(f"    chain-reachable dim {inc.reachable.dim}; "
-                     f"inclusion {'holds' if inc.holds else 'fails'}")
-        if inc.violation is not None:
-            lines.append(f"    violating reachable state: ({', '.join(str(x) for x in inc.violation)})")
+        lines += [f"    {line}" for line in _inclusion_lines(cert.inclusion)]
     elif isinstance(cert, decide.HautusStarCertificate):
         lines.append(f"    kernel inclusion {'holds' if cert.kernel.holds else 'fails'}")
     elif isinstance(cert, decide.HautusCertificate):
@@ -245,19 +250,18 @@ def cmd_witness(args) -> int:
         print(f"  proper                : {report.is_proper}")
         print(f"  pole polynomial       : {report.pole_denominator}")
         print(f"  stable                : {report.denominator_hurwitz.is_hurwitz}")
-    kmax = system.n + system.m
-    toep = kernel_inclusion_upto(system, kmax)
-    print(f"  Toeplitz kernel inclusion up to k = {kmax}: "
-          f"{'holds' if toep.holds else f'fails at k = {toep.failing_k}'}")
-    if not toep.holds:
-        print(f"    violating input direction q(s) = {toep.describe_witness()}")
+    inclusion = strong_star_inclusion(system)
+    head, *rest = _inclusion_lines(inclusion)
+    print(f"  strong-star inclusion : {head}")
+    for line in rest:
+        print(f"    {line}")
     if args.out:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "system": {"name": name},
             "verdicts": [],
             "witness": to_jsonable(report),
-            "toeplitz": to_jsonable(toep),
+            "inclusion": to_jsonable(inclusion),
             "timing": {"solve_s": solve_s},
         }
         text = json.dumps(doc, indent=2) + "\n"

@@ -5,7 +5,8 @@ decimal strings/numbers); decimal literals convert exactly through
 power-of-ten denominators, never through binary floating point.  Rationals
 are serialized back as strings so every round trip is lossless.  Scenario
 and observer documents are parsed in ``sim``, which reads their files
-through ``read_text`` and ``load_json`` here.
+through ``read_text`` and ``load_json`` here and checks their keys with
+``check_keys``, as system documents are checked.
 """
 
 from __future__ import annotations
@@ -21,11 +22,19 @@ from .polymat import Poly
 from .system import SystemSextuple
 from .witness import RationalFunction
 
-SCHEMA_VERSION = "2.0"
+SCHEMA_VERSION = "2.1"
 
 
 class SystemFileError(ValueError):
     """Malformed input document; the message names the offending field."""
+
+
+def check_keys(doc: dict, known: tuple[str, ...]) -> None:
+    """A SystemFileError naming the first key of ``doc`` outside ``known``,
+    so a misspelled key is never read as a missing one."""
+    for key in doc:
+        if key not in known:
+            raise SystemFileError(f"unknown field {key!r} (known: {', '.join(known)})")
 
 
 def read_text(path) -> str:
@@ -57,10 +66,7 @@ def parse_system_document(doc: dict) -> tuple[SystemSextuple, dict]:
     error, so a misspelled field never leaves its block at the default."""
     if not isinstance(doc, dict):
         raise SystemFileError("system document must be a JSON object")
-    for key in doc:
-        if key not in _PLANT_FIELDS + _META_FIELDS:
-            raise SystemFileError(f"unknown field {key!r} "
-                                  f"(known: {', '.join(_PLANT_FIELDS + _META_FIELDS)})")
+    check_keys(doc, _PLANT_FIELDS + _META_FIELDS)
     for key in ("name", "description"):
         if key in doc and not isinstance(doc[key], str):
             raise SystemFileError(f"field {key!r} must be a string")

@@ -1,4 +1,4 @@
-"""The weakly unobservable subspace V* and the chain-reachable subspace.
+"""The weakly unobservable subspace V* and what is read off it.
 
 Every rank and zero condition of the decisions is read off ``vstar``: the
 largest subspace V* from which some input holds Cx + Du at zero (Morse,
@@ -12,19 +12,21 @@ With m = 0, V* is the unobservable subspace of (A, C).
 The decision surface for the properness side of observer existence is
 ``strong_star_inclusion``: every finite input chain whose trajectory stays
 inside Ker [C D] must keep the target rows [E F] silent as well.  The
-chain's state is a pair (x, u) in Q^(n+m); write 0 + Q^m for the pairs
-(0, u) and [A B] r + 0 for the pair ([A B] r, 0).  The set of pairs such
-chains can reach is the nondecreasing sequence
+chain's state is a pair (x, u) in Q^(n+m).  The states such chains reach
+form the strongly reachable subspace T*, the limit of
 
-    R_0 = (0 + Q^m)  ^  Ker [C D],
-    R_{j+1} = ({[A B] r + 0 : r in R_j} + (0 + Q^m))  ^  Ker [C D],
+    T_0 = 0,    T_{k+1} = [A B] ((T_k + Q^m)  ^  Ker [C D]),
 
-grown on the plant's own rows [A B] and [C D].  The verdict is "limit of
-R contained in Ker [E F]".  That matches the block-Toeplitz kernel
+and T* is the annihilator of the V* of the dual plant (A^T, C^T, B^T,
+D^T) (ibid., ch. 8): its canonical rows are that ``vstar`` call's rows, and
+the call's step count is the first k with T_{k+1} = T_k.  The reachable
+pairs are (T* + Q^m) ^ Ker [C D], and the verdict is "reachable pairs
+contained in Ker [E F]".  That matches the block-Toeplitz kernel
 inclusions of the markov module for every order, and it is what separates
 a merely stable estimate from a causally realizable one.  The certificate
-keeps only what decides the verdict and re-checks it: the limit, its step
-count and, on failure, a reachable pair that [E F] does not annihilate.
+keeps only what decides the verdict and re-checks it: the reachable
+pairs, T*'s step count and, on failure, a reachable pair that [E F] does
+not annihilate.
 """
 
 from __future__ import annotations
@@ -134,37 +136,10 @@ def rank_and_zeros(A: QMatrix, B: QMatrix, v: VStar) -> tuple[int, Poly]:
     return n + U.dim, unobservable_modes(A_T, unobservable(A_T, G.transpose()))
 
 
-def reachable_within(sys: SystemSextuple) -> tuple[Subspace, int]:
-    """Pairs (x, u) reachable by input chains whose whole trajectory stays
-    in Ker [C D], with the step at which the chain stops growing.
-
-    Each step maps the canonical rows r of R_j to [A B] r + 0, adds the
-    input directions 0 + Q^m and intersects with Ker [C D]; the sequence
-    stabilises within dim Ker [C D] steps (asserted).
-    """
-    n, d = sys.n, sys.n + sys.m
-    AB_T = QMatrix.hstack([sys.A, sys.B]).transpose()
-    tail = (Fraction(0),) * sys.m
-    # 0 + Q^m: unit rows in the last m columns, already canonical
-    inputs = QMatrix.identity(d).data[n:]
-    K = kernel_basis(QMatrix.hstack([sys.C, sys.D]))
-    current = Subspace(d, inputs).intersect(K)
-    for step in range(K.dim + 1):
-        # row r [A B]^T is ([A B] r)^T, for every canonical row r at once
-        pushed = [x + tail for x in (QMatrix(current.dim, d, current.rows) @ AB_T).data]
-        nxt = Subspace.span(d, pushed + list(inputs)).intersect(K)
-        if not current.is_subspace_of(nxt):
-            raise AssertionError("reachability sequence not monotone")
-        if nxt == current:
-            return current, step
-        current = nxt
-    raise AssertionError("reachability iteration failed to stabilise")
-
-
 @dataclass(frozen=True)
 class InclusionCertificate:
-    """Verdict plus what re-checks it: recompute ``reachable`` as the
-    fixed point, then check it lies in Ker [E F], or that [E F] does not
+    """Verdict plus what re-checks it: recompute ``reachable`` from the
+    fixed point T*, then check it lies in Ker [E F], or that [E F] does not
     annihilate ``violation``."""
     holds: bool
     reachable: Subspace
@@ -179,7 +154,13 @@ def strong_star_inclusion(sys: SystemSextuple) -> InclusionCertificate:
     in Ker [E F]; on failure the certificate carries a reachable pair that
     the target rows can see.
     """
-    reach, steps = reachable_within(sys)
+    n, d = sys.n, sys.n + sys.m
+    dual = vstar(sys.A.transpose(), sys.C.transpose(), sys.B.transpose(), sys.D.transpose())
+    # T* + 0 pivots in the state columns and 0 + Q^m, unit rows, in the
+    # input columns: together they are canonical rows already
+    tail = (Fraction(0),) * sys.m
+    pairs = Subspace(d, tuple(t + tail for t in dual.rows.rows) + QMatrix.identity(d).data[n:])
+    reach = pairs.intersect(kernel_basis(QMatrix.hstack([sys.C, sys.D])))
     violation = first_escape(reach, QMatrix.hstack([sys.E, sys.F]))
     return InclusionCertificate(holds=violation is None, reachable=reach,
-                                reachable_steps=steps, violation=violation)
+                                reachable_steps=dual.steps, violation=violation)

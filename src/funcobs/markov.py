@@ -5,10 +5,10 @@ consists of the input coefficient chains q_0..q_k whose response never
 excites the output.  The inclusion "Ker M^k of the measured pair inside
 Ker M^k of the target pair, for every k" is the order-by-order face of the
 properness condition; the geometric test in the geometry module decides
-the whole family at once, and this module serves as its finite cross-oracle
-and as the witness extractor for the command-line reports.  M^k is the
-leading block corner of every higher order, so a search up to kmax builds
-each chain once, at kmax.
+the whole family at once, and this module serves as its finite
+cross-oracle.  M^k is the leading block corner of every higher order, so a
+search up to kmax builds each chain once, at kmax.  The Hautus strong-star
+test reads the first order of ``toeplitz``.
 """
 
 from __future__ import annotations
@@ -40,32 +40,14 @@ class KernelInclusionReport:
     holds: bool
     failing_k: int | None
     witness: tuple[Fraction, ...] | None
-    witness_chain: tuple[tuple[Fraction, ...], ...] | None
-
-    def describe_witness(self) -> str:
-        """The violating input direction as a vector polynomial q(s)."""
-        if self.witness_chain is None:
-            return ""
-        k = len(self.witness_chain) - 1
-        terms = []
-        for i, q in enumerate(self.witness_chain):
-            power = k - i
-            vec = "(" + ", ".join(str(x) for x in q) + ")"
-            if power == 0:
-                terms.append(vec)
-            elif power == 1:
-                terms.append(f"{vec}*s")
-            else:
-                terms.append(f"{vec}*s^{power}")
-        return " + ".join(terms)
 
 
 def kernel_inclusion_upto(sys: SystemSextuple, kmax: int) -> KernelInclusionReport:
     """Check Ker M^k(C,D) inside Ker M^k(E,F) for every k <= kmax.
 
     On the smallest failing k the report carries an explicit kernel vector
-    of the measured chain that the target chain maps to something nonzero,
-    both flat and split into the coefficient blocks q_0..q_k.
+    of the measured chain, the coefficient blocks q_0..q_k end to end, that
+    the target chain maps to something nonzero.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -77,9 +59,8 @@ def kernel_inclusion_upto(sys: SystemSextuple, kmax: int) -> KernelInclusionRepo
         vec = first_escape(kernel_basis(_leading(mcd, (k + 1) * p, (k + 1) * m)),
                            _leading(mef, (k + 1) * q, (k + 1) * m))
         if vec is not None:
-            chain = tuple(tuple(vec[i * m:(i + 1) * m]) for i in range(k + 1))
-            return KernelInclusionReport(False, k, vec, chain)
-    return KernelInclusionReport(True, None, None, None)
+            return KernelInclusionReport(False, k, vec)
+    return KernelInclusionReport(True, None, None)
 
 
 def _leading(M: QMatrix, rows: int, cols: int) -> QMatrix:

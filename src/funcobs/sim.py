@@ -13,9 +13,11 @@ horizon.
 Scenario and observer documents are parsed and written here too, next to
 the types they build; ``INPUT_FIELDS`` is the one list of input kinds and
 the fields each carries, and a field or document key that a kind does not
-carry is rejected.  A table input holds its knots and rows as read-only
-float64 arrays, converted once when it is built, so sampling a long table
-does no per-call conversion.  Files are read through ``fileio.read_text``.
+carry is rejected.  As in system documents, any other unknown key, at the
+top level or in an entry of N, is rejected by ``fileio.check_keys``.  A
+table input holds its knots and rows as read-only float64 arrays,
+converted once when it is built, so sampling a long table does no
+per-call conversion.  Files are read through ``fileio.read_text``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .exactlin import QMatrix, as_fraction
-from .fileio import SystemFileError, load_json, read_text
+from .fileio import SystemFileError, check_keys, load_json, read_text
 from .polymat import Poly
 from .system import SystemSextuple
 from .witness import RationalFunction, RationalFunctionMatrix, classify, denominator_lcm
@@ -523,12 +525,17 @@ def _float_matrix(doc: dict, field: str) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
+_OBSERVER_BLOCKS = ("G", "H", "Q", "R")
+
+
 def parse_scenario_document(doc: dict) -> Scenario:
-    """A scenario from its JSON object.  The input object holds its kind
-    and the fields ``INPUT_FIELDS`` names for that kind, each empty when
-    absent, and no other key; a missing input is "zero"."""
+    """A scenario from its JSON object, which holds no key but x0, xi0,
+    input, horizon and step.  The input object holds its kind and the
+    fields ``INPUT_FIELDS`` names for that kind, each empty when absent,
+    and no other key; a missing input is "zero"."""
     if not isinstance(doc, dict):
         raise SystemFileError("scenario document must be a JSON object")
+    check_keys(doc, ("x0", "xi0", "input", "horizon", "step"))
     sig = doc.get("input", {"kind": "zero"})
     if not isinstance(sig, dict) or not isinstance(sig.get("kind"), str):
         raise SystemFileError("field 'input' must be an object with a string 'kind'")
@@ -579,6 +586,7 @@ def _transfer_entry(cell, field: str) -> RationalFunction:
     with ascending coefficients."""
     try:
         if isinstance(cell, dict):
+            check_keys(cell, ("num", "den"))
             num = Poly([as_fraction(c) for c in cell.get("num", [])])
             den = Poly([as_fraction(c) for c in cell.get("den", [1])])
         else:
@@ -592,11 +600,16 @@ def _transfer_entry(cell, field: str) -> RationalFunction:
 
 def parse_observer_document(doc: dict) -> StateSpaceRealization | RationalFunctionMatrix:
     """Either an exact transfer matrix {"N": [[{num, den}]]} to be realized,
-    or explicit real matrices {"G", "H", "Q", "R"}; a bare {"R": ...} is a
-    static gain."""
+    or explicit real matrices {"G", "H", "Q", "R"}, never both; a bare
+    {"R": ...} is a static gain."""
     if not isinstance(doc, dict):
         raise SystemFileError("observer document must be a JSON object")
+    check_keys(doc, ("N", *_OBSERVER_BLOCKS))
     if "N" in doc:
+        clash = [name for name in _OBSERVER_BLOCKS if name in doc]
+        if clash:
+            raise SystemFileError(f"field {clash[0]!r}: an observer gives 'N' or "
+                                  f"'G'/'H'/'Q'/'R', not both")
         raw = doc["N"]
         if not isinstance(raw, list) or not raw or any(not isinstance(r, list) for r in raw):
             raise SystemFileError("field 'N' must be a nonempty array of arrays")
@@ -605,7 +618,7 @@ def parse_observer_document(doc: dict) -> StateSpaceRealization | RationalFuncti
         if any(len(row) != len(rows[0]) for row in rows):
             raise SystemFileError("field 'N': rows differ in length")
         return RationalFunctionMatrix.from_rows(rows)
-    if any(name in doc for name in ("G", "H", "Q", "R")):
+    if any(name in doc for name in _OBSERVER_BLOCKS):
         if "R" not in doc:
             raise SystemFileError("field 'R' is required")
         # an absent G, H or Q is a zero block of the shape that fits G and R

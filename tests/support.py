@@ -327,24 +327,27 @@ def ref_controllable(sys: SystemSextuple) -> bool:
 
 
 def ref_reachable(sys: SystemSextuple) -> tuple[Subspace, int]:
-    """The chain-reachable subspace on the extended system, with its step.
+    """The chain-reachable subspace on the extended system, with the step
+    count of its state part T*.
 
     The input becomes m integrator states: A_e = [A B; 0 0],
     B_e = [0; I_m], C_e = [C D], and R_0 = Im B_e ^ Ker C_e,
     R_{j+1} = (A_e R_j + Im B_e) ^ Ker C_e, iterated to its fixed point.
+    A_e R_j is T_{j+1} + 0, so T_{j+1} = [A B] ((T_j + Q^m) ^ Ker [C D])
+    from T_0 = 0, and the count is the first k with T_{k+1} = T_k; R can
+    stop one step before T does.
     """
     n, m = sys.n, sys.m
     A_e = QMatrix.from_blocks([[sys.A, sys.B], [QMatrix.zeros(m, n), QMatrix.zeros(m, m)]])
     B_e = QMatrix.vstack([QMatrix.zeros(n, m), QMatrix.identity(m)])
     K = kernel_basis(QMatrix.hstack([sys.C, sys.D]))
     im_b = Subspace.span(n + m, columns(B_e))
-    current = im_b.intersect(K)
-    for step in range(K.dim + 1):
+    current, reached = im_b.intersect(K), zero_subspace(n + m)
+    for step in range(n + 1):
         pushed = Subspace.span(n + m, columns(ref_qmatmul(A_e, current.basis)))
-        nxt = pushed.sum(im_b).intersect(K)
-        if nxt == current:
+        if pushed == reached:
             return current, step
-        current = nxt
+        current, reached = pushed.sum(im_b).intersect(K), pushed
     raise AssertionError("reachability iteration failed to stabilise")
 
 

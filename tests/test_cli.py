@@ -38,10 +38,11 @@ GOLDEN_COMMANDS = {
 
 class TestGoldenReports:
     """``--out`` reports of the bundled systems, byte for byte, against
-    reports regenerated at schema 2.0, when the strong-star inclusion lost
-    its reference V* subspaces; only the ``timing`` key is dropped.  Any
-    change of exact representation must leave certificates and canonical
-    bases as they are."""
+    reports regenerated at schema 2.1, when ``reachable_steps`` came to
+    count T*'s steps and the witness report's Toeplitz diagnostic gave way
+    to the strong-star ``inclusion`` certificate; only the ``timing`` key
+    is dropped.  Any change of exact representation must leave
+    certificates and canonical bases as they are."""
 
     @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
     @pytest.mark.parametrize("name", bundled_names())
@@ -379,7 +380,7 @@ class TestCmdCheck:
                      "--specialize", "leftinv", "--out", str(out)])
         assert code == 1
         report = json.loads(out.read_text())
-        assert report["schema_version"] == "2.0"
+        assert report["schema_version"] == "2.1"
         names = [v["name"] for v in report["verdicts"]]
         assert decide.STRONGLY in names and decide.LEFT_INVERTIBLE in names
         strong = next(v for v in report["verdicts"] if v["name"] == decide.STRONGLY)
@@ -458,6 +459,14 @@ class TestCmdWitness:
         report = json.loads(out.read_text())
         assert report["witness"]["solvable_over_field"] is True
         assert report["witness"]["residual_zero"] is True
+
+
+    def test_prints_the_strong_star_inclusion(self, capsys):
+        # the --out report's "inclusion" key is held by the goldens
+        assert main(["witness", "integrator_chain"]) == 0
+        printed = capsys.readouterr().out
+        assert "strong-star inclusion : chain-reachable dim 1; inclusion fails" in printed
+        assert "violating reachable state: (0, 0, 1)" in printed
 
 
 class TestCmdSimulate:
@@ -552,6 +561,29 @@ class TestCmdSimulate:
         assert (f"field 'input': input kind {signal['kind']!r} carries no field {key!r}"
                 in err)
         assert "Traceback" not in err
+
+    # scenario and observer documents, like system documents, hold only
+    # known keys: a misspelled one is never read as a missing one
+    @pytest.mark.parametrize("observer, scenario, message", [
+        # read as N = 0 before: a missing "num" is the zero polynomial
+        ({"N": [[{"nums": [1], "den": [1, 2]}, 0]]}, {"x0": [1.0, 0.0]},
+         "field 'N[0][0]': unknown field 'nums' (known: num, den)"),
+        ({"R": [[1, 0]]}, {"x0": [1.0, 0.0], "horizn": 3},
+         "unknown field 'horizn' (known: x0, xi0, input, horizon, step)"),
+        ({"R": [[1, 0]], "extra": 1}, {"x0": [1.0, 0.0]},
+         "unknown field 'extra' (known: N, G, H, Q, R)"),
+        # N won before, and R was never read
+        ({"N": [[1, 0]], "R": [[0, 1]]}, {"x0": [1.0, 0.0]},
+         "field 'R': an observer gives 'N' or 'G'/'H'/'Q'/'R', not both"),
+    ])
+    def test_unknown_document_key_exits_2(self, tmp_path, capsys, observer, scenario, message):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps(observer))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(scenario))
+        assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
 
     def test_missing_horizon_auto_suggested(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"

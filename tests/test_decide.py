@@ -1,12 +1,13 @@
 import json
 import random
+import sys as _sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from funcobs import decide, exactlin, geometry, polymat, witness
+from funcobs import decide, exactlin, geometry, markov, polymat, witness
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import DenseMatrix, QMatrix, Subspace
@@ -681,6 +682,41 @@ class TestWorkCount:
         assert negated == []
         assert cert.n_plus_rank_bd == plant.n + support.ref_rank_q(
             QMatrix.vstack([plant.B, plant.D]))
+
+    def test_witness_rederives_no_inclusion(self, monkeypatch, tmp_path, capsys):
+        """``funcobs witness`` reports the strong-star certificate and runs
+        no Toeplitz kernel search beside it."""
+        searched = []
+        search = markov.kernel_inclusion_upto
+
+        def spy(*args):
+            searched.append(args)
+            return search(*args)
+
+        for module in [m for name, m in _sys.modules.items() if name.startswith("funcobs")]:
+            if getattr(module, "kernel_inclusion_upto", None) is search:
+                monkeypatch.setattr(module, "kernel_inclusion_upto", spy)
+        assert main(["witness", "integrator_chain", "--out", str(tmp_path / "w.json")]) == 0
+        assert "strong-star inclusion" in capsys.readouterr().out
+        assert searched == []
+
+    def test_strong_star_intersects_once(self, monkeypatch):
+        """The reachable pairs are (T* + Q^m) ^ Ker [C D], one intersection
+        however many steps T* takes: three on a shift chain read at its
+        head, where R grows for two."""
+        count = Counter()
+        intersect = Subspace.intersect
+
+        def counted(self, other):
+            count["intersect"] += 1
+            return intersect(self, other)
+
+        monkeypatch.setattr(Subspace, "intersect", counted)
+        chain = SystemSextuple.from_lists(A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], B=[[0], [0], [1]],
+                                          C=[[1, 0, 0]], D=[[0]], E=[[0, 1, 0]], F=[[0]])
+        verdict = decide.strong_star_functional_detectable(chain)
+        assert verdict.certificate.inclusion.reachable_steps == 3
+        assert count == {"intersect": 1}
 
 
 def _equality_plants():

@@ -5,8 +5,9 @@ replaced by a null, a boolean, a string, an empty or ragged array or an
 object, an unknown input kind, or an extra key.  Whatever the document,
 a command returns 0, 1 or 2, no exception escapes ``main``, and exit 2
 comes with an ``error:`` line on stderr; for a system document that line
-quotes the field it is about.  Horizons and steps are drawn
-so that a valid scenario takes at most 10^4 steps.
+quotes the field it is about, and a system, observer or scenario document
+with an added top-level ``extra`` key exits 2 naming it.  Horizons and
+steps are drawn so that a valid scenario takes at most 10^4 steps.
 """
 
 import contextlib
@@ -134,6 +135,12 @@ def _run(argv: list[str]) -> list[str]:
     return errors
 
 
+def _names_extra(doc: dict, errors: list[str]) -> None:
+    """A document with the unknown key ``extra`` exits 2 naming it."""
+    if "extra" in doc:
+        assert any("'extra'" in line for line in errors), errors
+
+
 def _write(directory, name: str, doc) -> str:
     path = directory / name
     path.write_text(json.dumps(doc))
@@ -147,12 +154,26 @@ def test_system_documents(tmp_path_factory, doc):
     # an error names the field it is about, known or unknown, in quotes
     fields = {*_SYSTEM_FIELDS, *doc}
     for argv in (["check", path, "--all", *_SPECIALIZE], ["witness", path]):
-        for line in _run(argv):
+        errors = _run(argv)
+        for line in errors:
             assert any(f"'{field}'" in line for field in fields), line
+        _names_extra(doc, errors)
 
 
+# the observer is read first, so its keys are checked whatever the scenario
 @given(_observer_documents(), _scenario_documents())
 def test_observer_and_scenario_documents(tmp_path_factory, observer, scenario):
     directory = tmp_path_factory.mktemp("simulate")
-    _run(["simulate", "stable_pair", _write(directory, "obs.json", observer),
-          _write(directory, "sc.json", scenario)])
+    _names_extra(observer, _run(["simulate", "stable_pair",
+                                 _write(directory, "obs.json", observer),
+                                 _write(directory, "sc.json", scenario)]))
+
+
+# behind an observer that fits stable_pair, the scenario's keys are checked
+@given(_scenario_documents())
+@example({"x0": [1.0, 0.0], "extra": None})
+def test_scenario_documents(tmp_path_factory, scenario):
+    directory = tmp_path_factory.mktemp("scenario")
+    _names_extra(scenario, _run(["simulate", "stable_pair",
+                                 _write(directory, "obs.json", {"R": [[1, 0]]}),
+                                 _write(directory, "sc.json", scenario)]))

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import QMatrix, Subspace, kernel_basis
 from funcobs.fileio import load_system_text
-from funcobs.geometry import reachable_within, strong_star_inclusion, unobservable, vstar
+from funcobs.geometry import strong_star_inclusion, unobservable, vstar
 from funcobs.markov import kernel_inclusion_upto
 from funcobs.system import SystemSextuple
 
@@ -14,28 +14,6 @@ import support
 
 def frac(x):
     return Fraction(x)
-
-
-class TestReachableWithin:
-    def test_integrator_chain(self):
-        reach, _ = reachable_within(support.integrator_chain())
-        assert reach == Subspace.span(3, [[0, 0, 1]])
-
-    def test_no_input_gives_zero(self):
-        reach, steps = reachable_within(support.stable_pair())
-        assert reach.dim == 0
-
-    # n in 0..5, m, p, q in 0..3; n = 0, m = 0 and p = 0 are all drawn
-    @given(support.plants(5, 3))
-    @example(SystemSextuple.from_lists(A=[], D=[[1, 0]], F=[[0, 1]]))
-    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], C=[[1, 0]], m=0))
-    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[0], [1]], E=[[1, 0]]))
-    # a shift chain read at its head: the chain grows for two steps
-    @example(SystemSextuple.from_lists(A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], B=[[0], [0], [1]],
-                                       C=[[1, 0, 0]], D=[[0]], E=[[0, 1, 0]], F=[[0]]))
-    def test_matches_extended_system(self, sys):
-        # rows and step count, both bit for bit
-        assert reachable_within(sys) == support.ref_reachable(sys)
 
 
 def observed(A, C):
@@ -140,12 +118,28 @@ class TestStrongStarInclusion:
 
     def test_integrator_chain_fails_with_witness(self):
         cert = strong_star_inclusion(support.integrator_chain())
+        assert cert.reachable == Subspace.span(3, [[0, 0, 1]])
         assert not cert.holds
         assert cert.violation is not None
         sys = support.integrator_chain()
         EF = QMatrix.hstack([sys.E, sys.F])
         assert not (EF @ support.column_vector(cert.violation)).is_zero()
         assert support.contains(cert.reachable, cert.violation)
+
+    # n in 0..5, m, p, q in 0..3; n = 0, m = 0 and p = 0 are all drawn
+    @given(support.plants(5, 3))
+    @example(SystemSextuple.from_lists(A=[], D=[[1, 0]], F=[[0, 1]]))
+    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], C=[[1, 0]], m=0))
+    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[0], [1]], E=[[1, 0]]))
+    # a shift chain read at its head: R grows for two steps, T* for three
+    @example(SystemSextuple.from_lists(A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], B=[[0], [0], [1]],
+                                       C=[[1, 0, 0]], D=[[0]], E=[[0, 1, 0]], F=[[0]]))
+    # x' = u, y = x: T* = Q is reached in one step, while R = 0 + Q never grows
+    @example(SystemSextuple.from_lists(A=[[0]], B=[[1]], C=[[1]], D=[[0]]))
+    def test_reachable_matches_extended_system(self, sys):
+        # rows bit for bit, and T*'s step count
+        cert = strong_star_inclusion(sys)
+        assert (cert.reachable, cert.reachable_steps) == support.ref_reachable(sys)
 
     def test_agrees_with_toeplitz_oracle(self, rng):
         for _ in range(80):
@@ -176,20 +170,21 @@ def _within_kernel(vectors, M):
 
 
 def _oracle_reachable(sys):
-    """(A_e R + Im B_e) ^ Ker C_e iterated from R = Im B_e ^ Ker C_e to its
-    fixed point, on plain lists, with the step at which it stops."""
+    """(A_e R + Im B_e) ^ Ker C_e iterated from R = Im B_e ^ Ker C_e, on
+    plain lists, with the step count of its state part: A_e R_k holds the
+    pairs (t, 0) of T_{k+1}, and the count is the first k with
+    T_{k+1} = T_k, T_0 = 0."""
     n, m = sys.n, sys.m
     A_e = [list(sys.A.data[i]) + list(sys.B.data[i]) for i in range(n)] + \
         [[Fraction(0)] * (n + m) for _ in range(m)]
     C_e = [list(sys.C.data[i]) + list(sys.D.data[i]) for i in range(sys.p)]
     im_b = [[Fraction(int(i == n + j)) for i in range(n + m)] for j in range(m)]
-    current = _canonical(_within_kernel(im_b, C_e))
-    for step in range(n + m + 1):
-        pushed = [[_dot(row, r) for row in A_e] for r in current]
-        nxt = _canonical(_within_kernel(pushed + im_b, C_e))
-        if nxt == current:
+    current, reached = _canonical(_within_kernel(im_b, C_e)), ()
+    for step in range(n + 1):
+        pushed = _canonical([[_dot(row, r) for row in A_e] for r in current])
+        if pushed == reached:
             return current, step
-        current = nxt
+        current, reached = _canonical(_within_kernel(list(pushed) + im_b, C_e)), pushed
     raise AssertionError("oracle iteration did not stop")
 
 

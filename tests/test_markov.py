@@ -75,7 +75,8 @@ class TestKernelInclusion:
         v = support.column_vector(rep.witness)
         assert (mcd @ v).is_zero()
         assert not (mef @ v).is_zero()
-        assert "s" in rep.describe_witness() or rep.failing_k == 0
+        # the coefficient blocks q_0..q_k end to end
+        assert len(rep.witness) == (rep.failing_k + 1) * sys.m
 
     def test_failure_is_monotone_in_k(self, rng):
         found = 0
