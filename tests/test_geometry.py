@@ -16,6 +16,18 @@ def frac(x):
     return Fraction(x)
 
 
+class TestReachableWithin:
+    """The chain-reachable pairs that ``strong_star_inclusion`` reports."""
+
+    def test_integrator_chain(self):
+        cert = strong_star_inclusion(support.integrator_chain())
+        assert cert.reachable == Subspace.span(3, [[0, 0, 1]])
+
+    def test_no_input_gives_zero(self):
+        cert = strong_star_inclusion(support.stable_pair())
+        assert cert.reachable.dim == 0
+
+
 def observed(A, C):
     """``vstar`` with m = 0: the rows of the unobservable subspace's
     annihilator, with their step count."""
@@ -118,7 +130,6 @@ class TestStrongStarInclusion:
 
     def test_integrator_chain_fails_with_witness(self):
         cert = strong_star_inclusion(support.integrator_chain())
-        assert cert.reachable == Subspace.span(3, [[0, 0, 1]])
         assert not cert.holds
         assert cert.violation is not None
         sys = support.integrator_chain()
