@@ -1,10 +1,11 @@
 """Exact rational linear algebra.
 
 Dense matrices over arbitrary-precision rationals (``fractions.Fraction``)
-plus canonical subspace arithmetic: spans, kernels, sums, intersections
-and inclusion tests.  A subspace is held as the nonzero rows of
-its reduced row echelon form, the form elimination produces, so no
-operation transposes or re-coerces its data.  Everything in this module is
+plus canonical subspace arithmetic: spans, kernels, sums and
+intersections.  A subspace is held as the nonzero rows of its reduced row
+echelon form, the form elimination produces, so no operation transposes
+or re-coerces its data.  Every elimination grows one fraction-free
+echelon of integer rows (``_echelon_add``).  Everything in this module is
 exact; no floating point is used anywhere.  Matrices with zero rows or
 zero columns are first-class citizens (plants without inputs need them).
 """
@@ -49,40 +50,56 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _integer_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination on integer rows.
+def _echelon_add(echelon: dict[int, list[int]], row: list[int]) -> None:
+    """Grow a fraction-free Gauss-Jordan echelon by one integer row.
 
-    Every row stays a nonzero integer multiple of the row that Gauss-Jordan
-    over Q would hold at the same step (pivot rows unnormalised), so zero
-    patterns, row swaps and pivot columns agree with it exactly.  Rows are
-    kept primitive (content 1) to stop coefficient growth.
+    ``echelon`` maps each pivot column to a primitive integer row that is
+    zero in every other pivot column: row for row a nonzero multiple of the
+    reduced row echelon form of the rows added so far.  The new row is
+    reduced against the kept pivots in one pass (their rows are zero at
+    each other's pivots, so its entries there fix every multiplier), then
+    its pivot column is cleared from the kept rows.  A row in the span
+    already leaves the echelon as it was.
     """
-    mat = [_integer_row(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        prow = mat[r]
-        p = prow[c]
-        for i in range(nrows):
-            f = mat[i][c]
-            if i == r or not f:
-                continue
+    hits = [(c, row[c]) for c in echelon if row[c]]
+    if hits:
+        scale = lcm(*(echelon[c][c] // gcd(echelon[c][c], f) for c, f in hits))
+        if scale != 1:
+            row = [scale * x for x in row]
+        for c, f in hits:
+            prow = echelon[c]
+            k = scale * f // prow[c]
+            row = [x - k * y for x, y in zip(row, prow)]
+    pivot = next((j for j, x in enumerate(row) if x), None)
+    if pivot is None:
+        return
+    g = gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+    p = row[pivot]
+    for c, krow in echelon.items():
+        f = krow[pivot]
+        if f:
             g = gcd(p, f)
             a, b = p // g, f // g
-            new = [a * x - b * y for x, y in zip(mat[i], prow)]
+            new = [a * x - b * y for x, y in zip(krow, row)]
             g = gcd(*new)
-            mat[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-    return mat, pivots
+            echelon[c] = [x // g for x in new] if g > 1 else new
+    echelon[pivot] = row
+
+
+def _integer_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """The pivot rows of ``_echelon_add`` grown from nothing, in pivot
+    order, and their pivot columns: primitive integer multiples of the
+    nonzero rows of the reduced row echelon form."""
+    echelon: dict[int, list[int]] = {}
+    width = len(rows[0]) if rows else 0
+    for r in rows:
+        if len(echelon) == width:
+            break
+        _echelon_add(echelon, _integer_row(r))
+    pivots = sorted(echelon)
+    return [echelon[p] for p in pivots], pivots
 
 
 def adjugate_solve(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
@@ -139,14 +156,9 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], lis
     emitted, so the result is the canonical RREF, entry for entry.
     """
     mat, pivots = _integer_echelon(rows)
-    ncols = len(mat[0]) if mat else 0
-    out = []
-    for i, row in enumerate(mat):
-        if i < len(pivots):
-            p = row[pivots[i]]
-            out.append([Fraction(x, p) if x else _ZERO for x in row])
-        else:
-            out.append([_ZERO] * ncols)
+    out = [[Fraction(x, row[p]) if x else _ZERO for x in row] for row, p in zip(mat, pivots)]
+    ncols = len(rows[0]) if rows else 0
+    out.extend([_ZERO] * ncols for _ in range(len(rows) - len(out)))
     return out, pivots
 
 
@@ -332,11 +344,6 @@ class Subspace:
     def basis(self) -> QMatrix:
         return QMatrix(self.dim, self.ambient_dim, self.rows).transpose()
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        stacked = QMatrix(other.dim + self.dim, self.ambient_dim, other.rows + self.rows)
-        return self.dim == 0 or stacked.rank() == other.dim
-
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         return Subspace.span(self.ambient_dim, self.rows + other.rows)
@@ -380,10 +387,29 @@ def _kernel_columns(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
 
 
 def kernel_basis(M: QMatrix) -> Subspace:
-    """Canonical basis of {v : M v = 0}."""
-    reduced, pivots = _rref(M.data)
-    columns, _ = _kernel_columns(reduced, pivots, M.cols)
-    return Subspace.span(M.cols, zip(*columns))
+    """Canonical basis of {v : M v = 0}, from one elimination.
+
+    M is eliminated with its columns reversed.  Read back in the original
+    order, the kernel vector of that RREF at free column f has its unit at
+    d - 1 - f, zeros at the other free columns and its other entries
+    further right, so these vectors, last free column first, are Ker M's
+    canonical rows already.
+    """
+    d = M.cols
+    mat, pivots = _integer_echelon([row[::-1] for row in M.data])
+    at = dict(zip(pivots, mat))
+    one = Fraction(1)
+    rows = []
+    for f in range(d - 1, -1, -1):
+        if f in at:
+            continue
+        vec = [_ZERO] * d
+        vec[d - 1 - f] = one
+        for p, r in at.items():
+            if r[f]:
+                vec[d - 1 - p] = Fraction(-r[f], r[p])
+        rows.append(tuple(vec))
+    return Subspace(d, tuple(rows))
 
 
 def first_escape(V: Subspace, M: QMatrix) -> tuple[Fraction, ...] | None:

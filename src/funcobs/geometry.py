@@ -7,7 +7,9 @@ for Linear Systems, 2001, ch. 7-8).  P = [sI - A, -B; C, D] has normal
 rank n + rank [Y*B; D] (V* = Ker Y*), and its zeros are those of A + BF on
 V*/R*, F a friend of V* and R* the span of A + BF on B Ker [Y*B; D].
 P_e = [P; E F] is the same call on [C; E] and [D; F], grown from Y*.
-With m = 0, V* is the unobservable subspace of (A, C).
+With m = 0, V* is the unobservable subspace of (A, C).  The call keeps
+one fraction-free integer echelon across its steps, so each row of the
+stack is eliminated once.
 
 The decision surface for the properness side of observer existence is
 ``strong_star_inclusion``: every finite input chain whose trajectory stays
@@ -37,8 +39,8 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exactlin import (QMatrix, Subspace, _integer_echelon, _kernel_columns, first_escape,
-                       kernel_basis)
+from .exactlin import (QMatrix, Subspace, _echelon_add, _integer_row, _kernel_columns,
+                       first_escape, kernel_basis)
 from .polymat import POLY_ONE, Poly, characteristic_polynomial
 from .system import SystemSextuple
 
@@ -58,31 +60,36 @@ def vstar(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix,
     [Y_k B, Y_k A; D, C] (inputs first) that pivot in a state column, from
     Y_0 = ``seed`` (rows that annihilate V*, as P's do for P_e's) or none.
 
-    Rows stay integer multiples of RREF rows.  Y and its pivots only grow,
-    so only the rows at new pivots add products [y B, y A].
+    One fraction-free echelon, kept across the steps, holds integer
+    multiples of those RREF rows.  Y and its pivots only grow, so a step
+    hands it only the products [y B, y A] of the rows at new pivots.
     """
     n, m = A.rows, B.cols
     BA = [b + a for b, a in zip(B.data, A.data)]
     den = lcm(*(x.denominator for row in BA for x in row))
     cols = [[row[j].numerator * (den // row[j].denominator) for row in BA] for j in range(m + n)]
-    new = seed.rows if seed is not None else ()
+    echelon: dict[int, list[int]] = {}
+    for d, c in zip(D.data, C.data):
+        _echelon_add(echelon, _integer_row(d + c))
+    new = [_integer_row(y) for y in seed.rows] if seed is not None else []
     seen = {m + next(j for j, x in enumerate(y) if x) for y in new}
-    rows = [d + c for d, c in zip(D.data, C.data)]
     # Y gains a row at every step but the last, and has n at most
     for step in range(n + 1):
-        rows, pivots = _integer_echelon(rows + [[sum(map(mul, y, col)) for col in cols]
-                                                for y in new])
-        state = [(r, p) for r, p in zip(rows, pivots) if p >= m]
+        for y in new:
+            _echelon_add(echelon, [sum(map(mul, y, col)) for col in cols])
+        state = [p for p in echelon if p >= m]
         if len(state) == len(seen):
             break
-        new = [r[m:] for r, p in state if p not in seen]
-        seen.update(p for _, p in state)
+        new = [echelon[p][m:] for p in state if p not in seen]
+        seen.update(state)
     # an input-pivot row reads u_j + (free inputs) + f x = 0: take u_j = -f x
-    held = list(zip(rows, pivots))[:len(pivots) - len(state)]
+    pivots = sorted(echelon)
+    held = [(echelon[p], p) for p in pivots if p < m]
     friend = [(Fraction(0),) * n] * m
     for r, p in held:
         friend[p] = tuple(Fraction(-x, r[p]) for x in r[m:])
-    return VStar(Subspace(n, tuple(tuple(Fraction(x, r[p]) for x in r[m:]) for r, p in state)),
+    return VStar(Subspace(n, tuple(tuple(Fraction(x, echelon[p][p]) for x in echelon[p][m:])
+                                   for p in pivots if p >= m)),
                  step, QMatrix(m, n, tuple(friend)),
                  Subspace(m, tuple(tuple(Fraction(x, r[p]) for x in r[:m]) for r, p in held)))
 

@@ -277,10 +277,67 @@ POLY_ONE = Poly([1])
 _POLY_MINUS_ONE = Poly([-1])
 
 
+def _value(num: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(num):
+        acc = acc * x + c
+    return acc
+
+
+def _candidate(gamma: int, xi: int) -> list[int]:
+    """The primitive polynomial, leading coefficient positive, whose
+    coefficients are gamma's symmetric base-xi digits (at most xi / 2 in
+    size) divided by their content."""
+    digits = []
+    while gamma:
+        d = gamma % xi
+        if d > xi // 2:
+            d -= xi
+        digits.append(d)
+        gamma = (gamma - d) // xi
+    g = gcd(*digits) * (1 if digits[-1] > 0 else -1)
+    return [d // g for d in digits]
+
+
+def _heuristic_gcd(a: Poly, b: Poly) -> list[int] | None:
+    """GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989) on
+    primitive integer polynomials of positive degree (denominator 1): the
+    numerators of their primitive gcd, leading coefficient positive, or
+    None after six evaluation points.
+
+    At a point xi the candidate G is ``_candidate`` of gamma = gcd(a(xi),
+    b(xi)); it is accepted only when it divides a and b exactly.  Every xi
+    is at least 2 min(|a|, |b|) + 2 in the max norm, and then an accepted G
+    is the gcd g: G divides g, and a cofactor h = g / G of positive degree
+    has its roots, which are roots of a and of b, inside the Cauchy bound
+    1 + min(|a|, |b|) <= xi / 2, so |h(xi)| > xi / 2; yet h(xi) divides the
+    content of gamma's digits, which is at most xi / 2.
+    """
+    xi = 2 * min(max(map(abs, a._num)), max(map(abs, b._num))) + 29
+    for _ in range(6):
+        g = _candidate(gcd(_value(a._num, xi), _value(b._num, xi)), xi)
+        G = _raw(g, 1)
+        if (a % G).is_zero() and (b % G).is_zero():
+            return g
+        xi = xi * 73794 // 27011
+    return None
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; errors when both arguments are zero."""
+    """Monic greatest common divisor; errors when both arguments are zero.
+
+    The heuristic gcd runs first, on the primitive integer numerators.  If
+    it gives up, a Euclidean remainder sequence over Q finds the gcd.
+    """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
+    if a.is_zero() or b.is_zero():
+        return (a if b.is_zero() else b).monic()
+    if a.degree == 0 or b.degree == 0:
+        return POLY_ONE
+    g = _heuristic_gcd(*(_reduced(list(p._num), gcd(*p._num)) for p in (a, b)))
+    if g is not None:
+        return _raw(g, g[-1])
     a, b = a.monic(), b.monic()
     while not b.is_zero():
         r = a % b

@@ -13,7 +13,9 @@ Darouach's pencil from Smith forms of those block-assembled pencils
 (``ref_rank_and_zero_polynomial``), where the library reads them off V*
 and builds no pencil, the canonical witness from
 the Smith form of P for every plant, V* from its textbook
-recursion on Gauss-Jordan kernels,
+recursion on Gauss-Jordan kernels and from ``vstar``'s loop re-run over
+the whole stack at every step, subspace inclusion from the rank of
+stacked rows,
 matrix products and Smith row/column operations term by term
 (one sum of ``Fraction`` or ``Poly`` values per term), root locations
 from numpy's companion-matrix solver,
@@ -34,6 +36,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from funcobs.exactlin import QMatrix, Subspace, as_fraction, kernel_basis
+from funcobs.geometry import VStar
 from funcobs.polymat import Poly, PolyMatrix, smith_form
 from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, WitnessReport, classify,
@@ -101,6 +104,13 @@ def contains(V: Subspace, vector) -> bool:
     """Whether V holds the vector: appending it keeps the rank."""
     v = tuple(as_fraction(x) for x in vector)
     return ref_rank([list(r) for r in V.rows + (v,)]) == V.dim
+
+
+def is_subspace_of(V: Subspace, W: Subspace) -> bool:
+    """V inside W: stacking V's rows under W's adds no rank."""
+    if V.ambient_dim != W.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return V.dim == 0 or ref_rank([list(r) for r in W.rows + V.rows]) == W.dim
 
 
 def columns(M: QMatrix) -> list[tuple[Fraction, ...]]:
@@ -408,6 +418,34 @@ def ref_vstar(sys: SystemSextuple) -> Subspace:
             return V
         V = nxt
     raise AssertionError("V* recursion failed to stabilise")
+
+
+def ref_vstar_restacked(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix,
+                        seed: Subspace | None = None) -> VStar:
+    """``geometry.vstar`` by its whole-stack loop: every step runs the
+    Gauss-Jordan oracle over the whole stack [Y_k B, Y_k A; D, C] again,
+    the rows kept from the step before included, and multiplies only the
+    rows at new state pivots by [B A]."""
+    n, m = A.rows, B.cols
+    BA = [list(b) + list(a) for b, a in zip(B.data, A.data)]
+    new = [list(y) for y in seed.rows] if seed is not None else []
+    seen = {m + next(j for j, x in enumerate(y) if x) for y in new}
+    rows = [list(d) + list(c) for d, c in zip(D.data, C.data)]
+    for step in range(n + 1):
+        rows, pivots = ref_rref(rows + [[sum((y[i] * BA[i][j] for i in range(n)), Fraction(0))
+                                         for j in range(m + n)] for y in new])
+        state = [(r, p) for r, p in zip(rows, pivots) if p >= m]
+        if len(state) == len(seen):
+            break
+        new = [r[m:] for r, p in state if p not in seen]
+        seen.update(p for _, p in state)
+    held = list(zip(rows, pivots))[:len(pivots) - len(state)]
+    friend = [[Fraction(0)] * n for _ in range(m)]
+    for r, p in held:
+        friend[p] = [-x for x in r[m:]]
+    return VStar(Subspace(n, tuple(tuple(r[m:]) for r, _ in state)), step,
+                 QMatrix.from_rows(friend, cols=n),
+                 Subspace(m, tuple(tuple(r[:m]) for r, _ in held)))
 
 
 def reanchor_plant(n: int) -> SystemSextuple:

@@ -518,6 +518,33 @@ class TestWorkCount:
         assert geometry.rank_and_zeros(sys.A, sys.B, v) == (want.normrank_p, want.zero_poly_p)
         assert count == {}
 
+    def test_vstar_hands_each_row_to_the_elimination_once(self, monkeypatch):
+        """One vstar call hands the echelon it keeps each row of [D C] and
+        each product [y B, y A] once: no step re-eliminates the rows kept
+        from the step before."""
+        # strictly proper with p = 3: Y* grows for four steps
+        plant = SystemSextuple.from_lists(**dict(_seeded_n6_lists(p=3), D=[[0, 0]] * 3))
+        handed = []
+        add = exactlin._echelon_add
+
+        def spy(echelon, row):
+            handed.append(row)
+            return add(echelon, row)
+
+        monkeypatch.setattr(geometry, "_echelon_add", spy)
+        v = geometry.vstar(plant.A, plant.B, plant.C, plant.D)
+        assert v.steps == 4
+        # one product for each row of Y*, none for the last step
+        assert len(handed) == plant.p + v.rows.dim
+
+        def pivots(Y):
+            return {next(j for j, x in enumerate(y) if x) for y in Y.rows}
+
+        handed.clear()
+        CE, DF = QMatrix.vstack([plant.C, plant.E]), QMatrix.vstack([plant.D, plant.F])
+        ve = geometry.vstar(plant.A, plant.B, CE, DF, v.rows)
+        assert len(handed) == CE.rows + v.rows.dim + len(pivots(ve.rows) - pivots(v.rows))
+
     def test_check_eliminates_no_pencil(self, calls, monkeypatch, tmp_path):
         """The eight decisions of one check read V*: none builds a
         polynomial matrix, Darouach's included."""
@@ -638,7 +665,8 @@ class TestWorkCount:
 
     def test_darouach_writes_its_matrices_from_the_plant_rows(self, monkeypatch, plant):
         """No block assembly and no negated copy; the constant stack is
-        eliminated once, for its kernel, and never for a separate rank."""
+        eliminated once, for its kernel (with its columns reversed), and
+        never for a separate rank."""
         counts = Counter()
         eliminated, ranked = [], []
 
@@ -667,7 +695,7 @@ class TestWorkCount:
         lhs = decide.darouach_fixed_order(plant).certificate.kernel.lhs
         assert counts == {}
         assert lhs not in ranked
-        assert eliminated.count(lhs.data) == 1
+        assert eliminated.count(tuple(row[::-1] for row in lhs.data)) == 1
 
     def test_hautus_negates_nothing(self, monkeypatch, plant):
         negated = []

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, strategies as st
 
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import QMatrix, Subspace, kernel_basis
@@ -99,6 +100,36 @@ class TestVStar:
         YB = support.ref_qmatmul(QMatrix(v.rows.dim, sys.n, v.rows.rows), sys.B)
         rows, pivots = support.ref_rref([list(r) for r in YB.data + sys.D.data])
         assert v.input_rows == Subspace(sys.m, tuple(map(tuple, rows[:len(pivots)])))
+
+    @given(st.one_of(support.plants(4, 3), support.plants(4, 3, rational=True)))
+    @example(SystemSextuple.from_lists(A=[], D=[[1, 0]], F=[[0, 1]]))
+    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[1], [0]], C=[[1, 0]], D=[[0]]))
+    def test_matches_whole_stack_loop(self, sys):
+        """The kept echelon gives what re-eliminating the whole stack at
+        every step gives: rows, steps, friend and input rows, for plain
+        calls, for P_e's call seeded with P's rows, for the dual plant's
+        and for an m = 0 call seeded with (A, C)'s rows."""
+        calls = [(sys.A, sys.B, sys.C, sys.D),
+                 (sys.A.transpose(), sys.C.transpose(), sys.B.transpose(), sys.D.transpose())]
+        for args in calls:
+            assert vstar(*args) == support.ref_vstar_restacked(*args)
+        CE, DF = QMatrix.vstack([sys.C, sys.E]), QMatrix.vstack([sys.D, sys.F])
+        seed = vstar(sys.A, sys.B, sys.C, sys.D).rows
+        assert (vstar(sys.A, sys.B, CE, DF, seed)
+                == support.ref_vstar_restacked(sys.A, sys.B, CE, DF, seed))
+        none = QMatrix.zeros(sys.n, 0)
+        seed = unobservable(sys.A, sys.C).rows
+        assert (unobservable(sys.A, CE, seed)
+                == support.ref_vstar_restacked(sys.A, none, CE, QMatrix.zeros(CE.rows, 0), seed))
+
+    @pytest.mark.parametrize("n", [6, 10, 14])
+    def test_matches_whole_stack_loop_on_ladder_plants(self, n):
+        sys = support.reanchor_plant(n)
+        CE, DF = QMatrix.vstack([sys.C, sys.E]), QMatrix.vstack([sys.D, sys.F])
+        plain = vstar(sys.A, sys.B, sys.C, sys.D)
+        assert plain == support.ref_vstar_restacked(sys.A, sys.B, sys.C, sys.D)
+        assert (vstar(sys.A, sys.B, CE, DF, plain.rows)
+                == support.ref_vstar_restacked(sys.A, sys.B, CE, DF, plain.rows))
 
     def test_seed_is_grown_from(self):
         # P_e's V* grown from P's rows equals the one grown from nothing

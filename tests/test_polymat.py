@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from funcobs import decide, geometry
+from funcobs import decide, geometry, polymat
 from funcobs.exactlin import QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub,
                              build_system_matrices, characteristic_polynomial, interpolate,
@@ -64,6 +65,41 @@ _coeffs = st.one_of(st.just(F(0)),
 # and leading coefficients that are negative or not units.
 _coeff_lists = st.lists(_coeffs, max_size=6)
 _nonzero_lists = _coeff_lists.filter(lambda cs: any(cs))
+
+
+# Integer coefficients up to 10^6 in size; a factor has degree 0..3.
+_big = st.integers(-10**6, 10**6)
+_factors = st.lists(_big, min_size=1, max_size=4).filter(any)
+# A rational content of either sign.
+_contents = st.builds(F, st.integers(-50, 50).filter(bool), st.integers(1, 60))
+
+
+def _product(coeff_lists) -> Poly:
+    out = POLY_ONE
+    for cs in coeff_lists:
+        out = out * Poly(cs)
+    return out
+
+
+@st.composite
+def _gcd_pairs(draw):
+    """Coefficients of (a, b) of degree <= 12: a planted common factor,
+    raised to a power up to 3, times cofactors that may share repeated
+    factors of their own, each scaled by a rational content; or unrelated
+    polynomials, zero and constants among them."""
+    if draw(st.booleans()):
+        return tuple(Poly(draw(st.lists(_big, max_size=13))).scale(draw(_contents)).coeffs
+                     for _ in range(2))
+    common = draw(_factors)
+    power = draw(st.integers(1, 3))
+    room = 12 - power * (len(common) - 1)
+    out = []
+    for _ in range(2):
+        cofactor = draw(st.lists(_factors, max_size=3))
+        while sum(len(c) - 1 for c in cofactor) > room:
+            cofactor.pop()
+        out.append(_product([common] * power + cofactor).scale(draw(_contents)).coeffs)
+    return tuple(out)
 
 
 def _same(got: Poly, want: support.RefPoly) -> bool:
@@ -138,17 +174,23 @@ class TestPolyOracle:
         assert _same(got, support.RefPoly(a).monic())
         assert _canonical(got)
 
-    @given(_coeff_lists, _coeff_lists)
-    @example([], [F(-2, 3), F(4, 3)])
-    @example([F(1), F(2), F(1)], [F(-3), F(-3)])
-    def test_gcd_and_lcm(self, a, b):
+    @given(st.one_of(st.tuples(_coeff_lists, _coeff_lists), _gcd_pairs()))
+    @example(([], [F(-2, 3), F(4, 3)]))
+    @example(([F(1), F(2), F(1)], [F(-3), F(-3)]))
+    @example(([3, 4, 4, 1], [-6, 4, 5, -2, 2, 1]))
+    @example(([F(-3, 2)], [0, 0, 10**6]))
+    @settings(max_examples=200)
+    def test_gcd_and_lcm(self, pair):
+        a, b = pair
         pa, pb = Poly(a), Poly(b)
         ra, rb = support.RefPoly(a), support.RefPoly(b)
         if pa.is_zero() and pb.is_zero():
             with pytest.raises(ValueError):
                 poly_gcd(pa, pb)
         else:
-            assert _same(poly_gcd(pa, pb), support.ref_poly_gcd(ra, rb))
+            got = poly_gcd(pa, pb)
+            assert _same(got, support.ref_poly_gcd(ra, rb))
+            assert _canonical(got)
         assert _same(poly_lcm(pa, pb), support.ref_poly_lcm(ra, rb))
 
     @given(_coeff_lists, st.one_of(st.integers(-5, 5),
@@ -298,6 +340,38 @@ class TestGcd:
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
             poly_gcd(Poly(), Poly())
+
+    def test_heuristic_retries_at_a_larger_point(self, monkeypatch):
+        # the candidate at the first point does not divide a; the second
+        # point gives gcd(a, b) = s + 3
+        tried = []
+        candidate = polymat._candidate
+
+        def spy(gamma, xi):
+            tried.append(candidate(gamma, xi))
+            return tried[-1]
+
+        monkeypatch.setattr(polymat, "_candidate", spy)
+        assert poly_gcd(Poly([3, 4, 4, 1]), Poly([-6, 4, 5, -2, 2, 1])) == Poly([3, 1])
+        assert len(tried) == 2 and tried[0] != tried[1] == [3, 1]
+
+    def test_euclidean_fallback_gives_the_same_gcds(self, monkeypatch):
+        """When the heuristic gives up, the Euclidean remainder sequence
+        over Q returns the same monic gcds."""
+        rng = random.Random(27)
+        pairs = [(Poly([3, 4, 4, 1]), Poly([-6, 4, 5, -2, 2, 1])),
+                 (Poly([F(1, 2), 1]), Poly([F(-3, 4)])), (Poly(), Poly([2, 4]))]
+        for _ in range(60):
+            common = support.random_poly(rng, 3, -9, 9)
+            pairs.append(tuple(common * common * support.random_poly(rng, 4, -9, 9)
+                               * F(rng.randint(-7, 7) or 1, rng.randint(1, 9))
+                               for _ in range(2)))
+        pairs = [(a, b) for a, b in pairs if not (a.is_zero() and b.is_zero())]
+        heuristic = [poly_gcd(a, b) for a, b in pairs]
+        gave_up = []
+        monkeypatch.setattr(polymat, "_heuristic_gcd", lambda a, b: gave_up.append(1))
+        assert [poly_gcd(a, b) for a, b in pairs] == heuristic
+        assert gave_up and any(g.degree > 0 for g in heuristic)
 
     def test_lcm(self):
         a = Poly([1, 1]) * Poly([2, 1])
