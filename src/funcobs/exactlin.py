@@ -43,6 +43,13 @@ def _common_den(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
+def _integer_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The numerators of a matrix's rows over the lcm of all its
+    denominators, and that lcm."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """The row times the lcm of its denominators, divided by its content."""
     ints, _ = _common_den(row)
@@ -374,18 +381,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def _kernel_columns(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
-                    d: int) -> tuple[tuple[tuple[Fraction, ...], ...], list[int]]:
-    """A basis of the kernel of canonical rows r_i, pivoting at p_i, as the
-    columns of d row tuples, and its free columns: column f has a unit at
-    f and -r_i[f] at p_i."""
-    at = dict(zip(pivots, rows))
-    free = [j for j in range(d) if j not in at]
-    one = Fraction(1)
-    return tuple(tuple(-at[j][f] for f in free) if j in at
-                 else tuple(one if f == j else _ZERO for f in free) for j in range(d)), free
-
-
 def kernel_basis(M: QMatrix) -> Subspace:
     """Canonical basis of {v : M v = 0}, from one elimination.
 
@@ -416,12 +411,15 @@ def first_escape(V: Subspace, M: QMatrix) -> tuple[Fraction, ...] | None:
     """First canonical basis vector of V that M does not annihilate.
 
     None exactly when V lies inside Ker M; the search stops at the first
-    escaping vector.
+    escaping vector.  M's rows are brought to integers once and each
+    vector to its primitive integer row, so every test is an integer dot
+    product.
     """
     if M.cols != V.ambient_dim:
         raise ValueError("first_escape: column count must match ambient dimension")
+    rows = [_common_den(row)[0] for row in M.data]
     for vec in V.rows:
-        if any(sum(a * b for a, b in zip(row, vec)) for row in M.data):
+        ints = _integer_row(vec)
+        if any(sum(map(mul, row, ints)) for row in rows):
             return vec
     return None
-

@@ -8,12 +8,12 @@ system pencils
 
 Every pencil entry s e - a is written by ``pencil_entry`` straight from the
 constant entries.  No decision builds a polynomial matrix: they read
-normal ranks and zeros off ``geometry.vstar`` and
-``characteristic_polynomial``.  The system pencils and the Smith form
-(gcd-driven elementary row/column operations with both unimodular
-transformers tracked) serve the witness of a P that is not square and
-nonsingular; ``interpolate`` rebuilds the witness of the other plants from
-its values at integer points.
+normal ranks and zeros off ``geometry.vstar`` and ``berkowitz``, the
+characteristic polynomial of an integer matrix over a scale.  The system
+pencils and the Smith form (gcd-driven elementary row/column operations
+with both unimodular transformers tracked) serve the witness of a P that
+is not square and nonsingular; ``interpolate`` rebuilds the witness of
+the other plants from its values at integer points.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .exactlin import DenseMatrix, QMatrix, as_fraction
+from .exactlin import DenseMatrix, QMatrix, _integer_matrix, as_fraction
 from .system import SystemSextuple
 
 
@@ -600,13 +600,17 @@ def _assert_smith(P: PolyMatrix, dec: SmithDecomposition) -> None:
             raise AssertionError("invariant polynomial not monic")
 
 
-def characteristic_polynomial(A: QMatrix) -> Poly:
-    """det(sI - A) on integers: Berkowitz's division-free recurrence
-    (Inf. Process. Lett. 18, 1984) gives det(tI - M) for M = d A, d the
-    lcm of A's denominators, and det(sI - A) = d^-k det(d s I - M)."""
-    k = A.rows
-    d = lcm(*(x.denominator for row in A.data for x in row))
-    M = [[x.numerator * (d // x.denominator) for x in row] for row in A.data]
+def berkowitz(M: Sequence[Sequence[int]], d: int = 1) -> Poly:
+    """det(sI - M/d) for an integer k x k matrix M and an integer d > 0.
+
+    The gcd g of d and M's entries is divided out first, so the recurrence
+    sees M/g and d/g, the lcm of the denominators of M/d.  Berkowitz's
+    division-free recurrence (Inf. Process. Lett. 18, 1984) gives
+    det(tI - M) on integers, and det(sI - M/d) = d^-k det(d s I - M)."""
+    k = len(M)
+    g = gcd(d, *(x for row in M for x in row))
+    if g > 1:
+        M, d = [[x // g for x in row] for row in M], d // g
     c = [1]  # det(tI - M[:r, :r]), descending
     for r in range(k):
         # M[:r+1, :r+1] = [M_r S; R a]: c times the lower triangular
@@ -619,3 +623,9 @@ def characteristic_polynomial(A: QMatrix) -> Poly:
                 v = [sum(map(mul, row, v)) for row in top]
         c = [sum(col[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
     return _reduced([x * d ** j for j, x in enumerate(reversed(c))], d ** k)
+
+
+def characteristic_polynomial(A: QMatrix) -> Poly:
+    """det(sI - A): ``berkowitz`` on A's numerators over the lcm of its
+    denominators."""
+    return berkowitz(*_integer_matrix(A.data))

@@ -459,6 +459,56 @@ def reanchor_plant(n: int) -> SystemSextuple:
     return SystemSextuple.from_lists(**blocks, m=2)
 
 
+def seeded_n6_lists(p: int = 2) -> dict:
+    """A plant document with n = 6, m = q = 2, p outputs and entries in
+    -2..2, drawn from ``random.Random(6)``; with p = 1 its zeros come
+    through R*."""
+    rng = random.Random(6)
+
+    def block(rows, cols):
+        return [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+
+    return {"A": block(6, 6), "B": block(6, 2), "C": block(p, 6),
+            "D": block(p, 2), "E": block(2, 6), "F": block(2, 2), "m": 2}
+
+
+def _ref_unit_kernel(K: Subspace) -> tuple[QMatrix, list[int]]:
+    """A basis of Ker K as columns, read off K's canonical rows k_i, and
+    its free columns: column f has a unit at f and -k_i[f] at k_i's
+    pivot."""
+    d = K.ambient_dim
+    at = {next(j for j, x in enumerate(k) if x): k for k in K.rows}
+    free = [j for j in range(d) if j not in at]
+    return QMatrix.from_rows([[-at[j][f] if j in at else Fraction(int(f == j)) for f in free]
+                              for j in range(d)], cols=len(free)), free
+
+
+def _ref_restricted(Y: Subspace, free: list[int], image: QMatrix) -> QMatrix:
+    """X with N X == image for N the unit basis of Ker Y, checked as
+    Y image == 0: X is image at the free columns."""
+    if not ref_qmatmul(QMatrix.from_rows(Y.rows, cols=Y.ambient_dim), image).is_zero():
+        raise AssertionError("subspace not invariant")
+    return QMatrix.from_rows([image.data[f] for f in free], cols=image.cols)
+
+
+def ref_rank_and_zeros(A: QMatrix, B: QMatrix, v: VStar) -> tuple[int, Poly]:
+    """``geometry.rank_and_zeros`` by Fraction matrix products: A_V is
+    (A + BF) N and G is B L at N's free columns, for N and L the unit
+    bases of Ker Y* and Ker [Y*B; D]; the zeros come from the Hessenberg
+    oracle, through R* from the whole-stack V* of (A_V^T, G^T)."""
+    n, m, Y, U = A.rows, B.cols, v.rows, v.input_rows
+    if Y.dim == n:
+        return n + U.dim, Poly([1])
+    N, free = _ref_unit_kernel(Y)
+    A_V = _ref_restricted(Y, free, ref_qmatmul(A + ref_qmatmul(B, v.friend), N))
+    if U.dim == m:
+        return n + U.dim, ref_characteristic_polynomial(A_V)
+    G = _ref_restricted(Y, free, ref_qmatmul(B, _ref_unit_kernel(U)[0]))
+    A_T, none = A_V.transpose(), QMatrix.zeros(len(free), 0)
+    w = ref_vstar_restacked(A_T, none, G.transpose(), QMatrix.zeros(G.cols, 0))
+    return n + U.dim, ref_rank_and_zeros(A_T, none, w)[1]
+
+
 def ref_normal_rank(M: PolyMatrix) -> int:
     """Normal rank as the largest rank of M at min(rows, cols) * maxdeg + 1
     integer points.

@@ -463,16 +463,6 @@ class TestSympySmithOracle:
                 assert got == self._rank_and_zeros(self._sympy_pencils(sys)[1]), name
 
 
-def _seeded_n6_lists(p: int = 2) -> dict:
-    rng = random.Random(6)
-
-    def block(rows, cols):
-        return [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
-
-    return {"A": block(6, 6), "B": block(6, 2), "C": block(p, 6),
-            "D": block(p, 2), "E": block(2, 6), "F": block(2, 2), "m": 2}
-
-
 class TestWorkCount:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -490,7 +480,7 @@ class TestWorkCount:
 
     @pytest.fixture
     def plant(self):
-        return SystemSextuple.from_lists(**_seeded_n6_lists())
+        return SystemSextuple.from_lists(**support.seeded_n6_lists())
 
     def test_strong_eliminates_nothing(self, calls, plant):
         """P's and P_e's ranks and zeros come from V*: no Smith form."""
@@ -502,7 +492,7 @@ class TestWorkCount:
         """V*'s and Ker [Y*B; D]'s bases are read off the canonical rows
         that vstar returns: no kernel is eliminated.  With p = 1, L != 0
         and the zeros come through R*."""
-        sys = SystemSextuple.from_lists(**_seeded_n6_lists(p))
+        sys = SystemSextuple.from_lists(**support.seeded_n6_lists(p))
         want = decide.strongly_functional_detectable(sys).certificate
         v = geometry.vstar(sys.A, sys.B, sys.C, sys.D)
         assert (v.input_rows.dim < sys.m) == (p == 1)
@@ -518,12 +508,31 @@ class TestWorkCount:
         assert geometry.rank_and_zeros(sys.A, sys.B, v) == (want.normrank_p, want.zero_poly_p)
         assert count == {}
 
+    def test_rank_and_zeros_multiplies_no_fraction_matrices(self, monkeypatch):
+        """V*'s restrictions, R*'s unobservable subspace and its zeros are
+        formed on integer rows: no QMatrix product between V*'s rows and
+        the zero polynomial, on a plant whose zeros come through R*."""
+        sys = SystemSextuple.from_lists(**support.seeded_n6_lists(1))
+        v = geometry.vstar(sys.A, sys.B, sys.C, sys.D)
+        assert v.input_rows.dim < sys.m
+        products = []
+        matmul = QMatrix.__matmul__
+
+        def counted(self, other):
+            products.append((self.shape, other.shape))
+            return matmul(self, other)
+
+        monkeypatch.setattr(QMatrix, "__matmul__", counted)
+        got = geometry.rank_and_zeros(sys.A, sys.B, v)
+        assert products == []
+        assert got == support.ref_rank_and_zeros(sys.A, sys.B, v)
+
     def test_vstar_hands_each_row_to_the_elimination_once(self, monkeypatch):
         """One vstar call hands the echelon it keeps each row of [D C] and
         each product [y B, y A] once: no step re-eliminates the rows kept
         from the step before."""
         # strictly proper with p = 3: Y* grows for four steps
-        plant = SystemSextuple.from_lists(**dict(_seeded_n6_lists(p=3), D=[[0, 0]] * 3))
+        plant = SystemSextuple.from_lists(**dict(support.seeded_n6_lists(p=3), D=[[0, 0]] * 3))
         handed = []
         add = exactlin._echelon_add
 
@@ -558,7 +567,7 @@ class TestWorkCount:
 
         monkeypatch.setattr(DenseMatrix, "__init__", init)
         path = tmp_path / "plant.json"
-        path.write_text(json.dumps(_seeded_n6_lists()))
+        path.write_text(json.dumps(support.seeded_n6_lists()))
         main(["check", str(path), "--all", "--specialize", "hautus",
               "--specialize", "leftinv", "--specialize", "darouach"])
         assert calls == []
@@ -571,9 +580,9 @@ class TestWorkCount:
         assert calls == []
 
     @pytest.mark.parametrize("lists", [
-        _seeded_n6_lists(p=3),
+        support.seeded_n6_lists(p=3),
         # B = 0 and D = 0: P is square but singular
-        dict(_seeded_n6_lists(), B=[[0, 0]] * 6, D=[[0, 0]] * 2)],
+        dict(support.seeded_n6_lists(), B=[[0, 0]] * 6, D=[[0, 0]] * 2)],
         ids=["p_ne_m", "square_singular"])
     def test_witness_falls_back_to_one_smith_form(self, calls, lists):
         # the witness's Smith form of P is the only one, and

@@ -300,6 +300,10 @@ class TestFirstEscape:
     @example((3, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]), (3, [[F(0), F(1), F(0)]]))
     @example((3, []), (3, [[F(1), F(2), F(3)]]))
     @example((2, [[F(1), F(1)]]), (2, []))
+    # rows over different denominators: M annihilates (1, -3/2) only in
+    # integers scaled by each row's own lcm
+    @example((2, [[F(2), F(-3)], [F(0), F(0)]]), (2, [[F(1, 2), F(1, 3)], [F(3, 4), F(1, 2)]]))
+    @example((2, [[F(2), F(-3)]]), (2, [[F(1, 2), F(1, 5)]]))
     def test_matches_reference_and_inclusion(self, space, matrix):
         d, vectors = space
         _, rows = matrix

@@ -6,8 +6,9 @@ from hypothesis import example, given, strategies as st
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import QMatrix, Subspace, kernel_basis
 from funcobs.fileio import load_system_text
-from funcobs.geometry import strong_star_inclusion, unobservable, vstar
+from funcobs.geometry import rank_and_zeros, strong_star_inclusion, unobservable, vstar
 from funcobs.markov import kernel_inclusion_upto
+from funcobs.polymat import Poly
 from funcobs.system import SystemSextuple
 
 import support
@@ -145,6 +146,57 @@ class TestVStar:
         A = QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         v = vstar(A, QMatrix.zeros(3, 0), QMatrix.from_rows([[1, 0, 0]]), QMatrix.zeros(1, 0))
         assert v[1] == v.steps == 3
+
+
+# plants that reach each branch of rank_and_zeros
+_BRANCHES = {
+    "n0": SystemSextuple.from_lists(A=[], D=[[1, 0]], F=[[0, 1]]),
+    "m0": SystemSextuple.from_lists(A=[[1, 2], [0, 3]], C=[[1, 0]], E=[[0, 1]], m=0),
+    # p < m: Ker [Y*B; D] != 0, so the zeros come through R*
+    "r_star": SystemSextuple.from_lists(**support.seeded_n6_lists(1)),
+    # no output: V* = Q^2, and the chain is reachable from u, so R* = V*
+    "r_star_is_v_star": SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[0], [1]],
+                                                  C=[[0, 0]], D=[[0]]),
+}
+
+
+class TestRankAndZeros:
+    """``rank_and_zeros`` on integer rows against its Fraction route,
+    ``support.ref_rank_and_zeros``, on the calls the decisions make: P's
+    V*, P_e's grown from P's rows, the m = 0 unobservable subspace and
+    the dual plant's V*."""
+
+    @staticmethod
+    def _check(sys):
+        A, B, C, D = sys.A, sys.B, sys.C, sys.D
+        v = vstar(A, B, C, D)
+        CE, DF = QMatrix.vstack([C, sys.E]), QMatrix.vstack([D, sys.F])
+        At, Ct = A.transpose(), C.transpose()
+        calls = [(A, B, v), (A, B, vstar(A, B, CE, DF, v.rows)),
+                 (A, QMatrix.zeros(sys.n, 0), unobservable(A, C)),
+                 (At, Ct, vstar(At, Ct, B.transpose(), D.transpose()))]
+        for args in calls:
+            assert rank_and_zeros(*args) == support.ref_rank_and_zeros(*args)
+
+    @given(support.plants(4, 3))
+    @example(_BRANCHES["n0"])
+    @example(_BRANCHES["m0"])
+    @example(_BRANCHES["r_star"])
+    @example(_BRANCHES["r_star_is_v_star"])
+    def test_matches_fraction_route(self, sys):
+        self._check(sys)
+
+    @given(support.plants(4, 3, rational=True))
+    def test_matches_fraction_route_rational(self, sys):
+        self._check(sys)
+
+    def test_examples_reach_their_branches(self):
+        for name, sys in _BRANCHES.items():
+            v = vstar(sys.A, sys.B, sys.C, sys.D)
+            through_r_star = v.rows.dim < sys.n and v.input_rows.dim < sys.m
+            assert through_r_star == name.startswith("r_star"), name
+        sys = _BRANCHES["r_star_is_v_star"]
+        assert rank_and_zeros(sys.A, sys.B, vstar(sys.A, sys.B, sys.C, sys.D))[1] == Poly([1])
 
 
 class TestStrongStarInclusion:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from funcobs import decide, geometry, polymat
 from funcobs.exactlin import QMatrix
-from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub,
+from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub, berkowitz,
                              build_system_matrices, characteristic_polynomial, interpolate,
                              poly_gcd, poly_lcm, smith_form)
 from funcobs.system import SystemSextuple
@@ -642,19 +642,69 @@ class TestCharacteristicPolynomial:
         assert got == support.ref_characteristic_polynomial(A) and _canonical(got)
 
     def test_reanchor_restrictions(self, monkeypatch):
-        # every A + BF on V* (and A_V^T on the unobservable part) that the
-        # n = 30 ladder plant's P and P_e pass in
+        # every restriction of A + BF to V* (and of A_V^T to the
+        # unobservable part) that the n = 30 ladder plant's P and P_e
+        # pass in, as an integer matrix over its scale
         seen = []
 
-        def spy(A):
-            seen.append(A)
-            return characteristic_polynomial(A)
+        def spy(M, d):
+            seen.append((M, d))
+            return berkowitz(M, d)
 
-        monkeypatch.setattr(geometry, "characteristic_polynomial", spy)
+        monkeypatch.setattr(geometry, "berkowitz", spy)
         decide.PlantForms(support.reanchor_plant(30)).detectability
-        assert seen and max(A.rows for A in seen) >= 20
-        for A in seen:
-            assert characteristic_polynomial(A) == support.ref_characteristic_polynomial(A)
+        assert seen and max(len(M) for M, _ in seen) >= 20
+        for M, d in seen:
+            A = QMatrix.from_rows([[Fraction(x, d) for x in row] for row in M], cols=len(M))
+            assert berkowitz(M, d) == support.ref_characteristic_polynomial(A)
+
+
+class TestBerkowitz:
+    """det(sI - M/d) for an integer M over a scale d."""
+
+    @staticmethod
+    def _ref(M, d):
+        return support.ref_characteristic_polynomial(
+            QMatrix.from_rows([[Fraction(x, d) for x in row] for row in M], cols=len(M)))
+
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_empty_matrix(self, d):
+        assert berkowitz([], d) == POLY_ONE
+
+    def test_unit_scale(self):
+        # the companion matrix of s^3 + 2s^2 - s + 5
+        M = [[0, 0, -5], [1, 0, 1], [0, 1, -2]]
+        assert berkowitz(M) == berkowitz(M, 1) == Poly([5, -1, 2, 1])
+
+    def test_negative_entries(self):
+        M = [[-3, -1, 4], [-2, -7, -1], [5, -6, -2]]
+        for d in (1, 2, 9):
+            got = berkowitz(M, d)
+            assert got == self._ref(M, d) and _canonical(got)
+
+    def test_scale_sharing_the_content(self, monkeypatch):
+        # d = 12 and M's content 6 share 6: the recurrence sees M/6 over 2,
+        # the lcm of M/d's denominators, as for the same matrix in lowest
+        # terms
+        M = [[6, -12, 18], [0, 30, -6], [24, 6, 0]]
+        want = self._ref(M, 12)
+        assert berkowitz(M, 12) == want == berkowitz([[x // 6 for x in row] for row in M], 2)
+        scaled = []
+        reduced = polymat._reduced
+
+        def spy(num, den):
+            scaled.append(den)
+            return reduced(num, den)
+
+        monkeypatch.setattr(polymat, "_reduced", spy)
+        berkowitz(M, 12)
+        assert scaled == [2 ** 3]
+
+    @given(_square, st.integers(1, 12))
+    def test_matches_hessenberg_reduction(self, rows, d):
+        M = [[x.numerator for x in row] for row in rows]
+        got = berkowitz(M, d)
+        assert got == self._ref(M, d) and _canonical(got)
 
 
 class TestInterpolate:
