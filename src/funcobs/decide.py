@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import geometry
-from .exactlin import QMatrix, Subspace, first_escape, kernel_basis
+from .exactlin import IntegerMatrix, QMatrix, Subspace, first_escape, kernel_basis
 from .markov import toeplitz
 from .polymat import POLY_ONE, Poly, poly_gcd
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
@@ -149,7 +149,8 @@ def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix, ker: Subspace) -> KernelInclus
 class PlantForms:
     """What the decisions read off one plant, each computed on first use
     and kept by this object alone: a call with a bare plant does all of
-    its own work."""
+    its own work.  The plant's blocks are read into integers once
+    (``integers``), and every V* call of the decisions takes them."""
 
     def __init__(self, sys: SystemSextuple):
         self.sys = sys
@@ -159,48 +160,53 @@ class PlantForms:
         return plant if isinstance(plant, PlantForms) else PlantForms(plant)
 
     @cached_property
+    def integers(self) -> geometry.IntegerPlant:
+        return geometry.IntegerPlant(self.sys)
+
+    @cached_property
     def vstar(self) -> geometry.VStar:
-        return geometry.vstar(self.sys.A, self.sys.B, self.sys.C, self.sys.D)
+        ints = self.integers
+        return geometry.vstar(ints.A, ints.B, ints.C, ints.D)
 
     @cached_property
     def rank_and_zero(self) -> tuple[int, Poly]:
         """Normal rank and zero polynomial of P."""
-        return geometry.rank_and_zeros(self.sys.A, self.sys.B, self.vstar)
+        return geometry.rank_and_zeros(self.integers.A, self.integers.B, self.vstar)
 
     @cached_property
     def detectability(self) -> DetectabilityCertificate:
-        sys = self.sys
+        ints = self.integers
         rp, zp = self.rank_and_zero
         # P_e's V* lies in P's: grow it from P's rows
-        ve = geometry.vstar(sys.A, sys.B, QMatrix.vstack([sys.C, sys.E]),
-                            QMatrix.vstack([sys.D, sys.F]), self.vstar.rows)
-        rpe, zpe = geometry.rank_and_zeros(sys.A, sys.B, ve)
+        ve = geometry.vstar(ints.A, ints.B, IntegerMatrix.vstack([ints.C, ints.E]),
+                            IntegerMatrix.vstack([ints.D, ints.F]), self.vstar.state_rows)
+        rpe, zpe = geometry.rank_and_zeros(ints.A, ints.B, ve)
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
 
     @cached_property
     def unobservable(self) -> geometry.VStar:
         """The unobservable subspace of (A, C), the m = 0 V*."""
-        return geometry.unobservable(self.sys.A, self.sys.C)
+        return geometry.unobservable(self.integers.A, self.integers.C)
 
     @cached_property
     def unobservable_modes(self) -> Poly:
         """The zero polynomial of [sI - A; C]: the unobservable modes."""
-        return geometry.unobservable_modes(self.sys.A, self.unobservable)
+        return geometry.unobservable_modes(self.integers.A, self.unobservable)
 
     @cached_property
     def functional(self) -> DetectabilityCertificate:
         """The certificate of the input-free plant: [sI - A; C] and
         [sI - A; C; E] have normal rank n, and the zeros of the second lie
         among those of the first."""
-        sys = self.sys
+        sys, ints = self.sys, self.integers
         zp = zpe = self.unobservable_modes
         if zp.degree > 0 and sys.q:
             # (A, [C; E])'s unobservable subspace lies in (A, C)'s: grow
             # it from (A, C)'s rows
-            ce = geometry.unobservable(sys.A, QMatrix.vstack([sys.C, sys.E]),
-                                       self.unobservable.rows)
-            zpe = geometry.unobservable_modes(sys.A, ce)
+            ce = geometry.unobservable(ints.A, IntegerMatrix.vstack([ints.C, ints.E]),
+                                       self.unobservable.state_rows)
+            zpe = geometry.unobservable_modes(ints.A, ce)
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(sys.n, sys.n, zp, zpe, cmp_, True, cmp_.equal)
 
@@ -227,7 +233,7 @@ def strong_star_functional_detectable(sys: SystemSextuple | PlantForms) -> Verdi
     estimate tracks z whenever y fades."""
     forms = PlantForms.of(sys)
     strong = forms.detectability
-    inclusion = geometry.strong_star_inclusion(forms.sys)
+    inclusion = geometry.strong_star_inclusion(forms.integers)
     holds = strong.rank_condition and strong.zero_condition and inclusion.holds
     return Verdict(STRONG_STAR, holds, StrongStarCertificate(strong, inclusion))
 
@@ -297,23 +303,23 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     latter universally quantified statement is decided exactly through
     normal ranks and antistable zero multisets, never by sampling.  A note
     records uncontrollability, since the fixed-order theory assumes a
-    controllable plant.  Its pencil is not P, so it reads nothing from the
-    plant's forms.
+    controllable plant.  Its pencil is not P, so it reads only the
+    plant's integer blocks from the forms.
     """
-    sys = PlantForms.of(sys).sys
+    forms = PlantForms.of(sys)
+    sys = forms.sys
     n, m, p, q = sys.n, sys.m, sys.p, sys.q
-    ca, cb = sys.C @ sys.A, sys.C @ sys.B
-    ea, eb = sys.E @ sys.A, sys.E @ sys.B
-    zeros = (Fraction(0),) * m
-    # the rows [C D 0; CA CB D], shared by the constant stack and the
-    # outputs of the pencil's plant below
-    lower = (tuple(c + d + zeros for c, d in zip(sys.C.data, sys.D.data))
-             + tuple(a + b + d for a, b, d in zip(ca.data, cb.data, sys.D.data)))
-    lhs = QMatrix(q + 2 * p, n + 2 * m,
-                  tuple(e + f + zeros for e, f in zip(sys.E.data, sys.F.data)) + lower)
-    rhs = QMatrix(q, n + 2 * m, tuple(a + b + f for a, b, f in zip(ea.data, eb.data, sys.F.data)))
+    ints = forms.integers
+    A, B, C, D, E, F = ints.A, ints.B, ints.C, ints.D, ints.E, ints.F
+    CA, CB = C @ A, C @ B
+    hstack, vstack, zeros = IntegerMatrix.hstack, IntegerMatrix.vstack, IntegerMatrix.zeros
+    # the constant stack [E F 0; C D 0; CA CB D] and [EA EB F], on
+    # integers; their Fractions are made for the certificate only
+    lhs = vstack([hstack([E, F, zeros(q, m)]), hstack([C, D, zeros(p, m)]),
+                  hstack([CA, CB, D])])
+    rhs = hstack([E @ A, E @ B, F])
     ker = kernel_basis(lhs)
-    kernel = _kernel_inclusion(lhs, rhs, ker)
+    kernel = _kernel_inclusion(lhs.fractions(), rhs.fractions(), ker)
 
     # rank of [E(sI-A), -EB, 0; C, D, 0; CA, CB, D] versus the constant
     # stack, for every s with Re s >= 0; the stack has rank
@@ -321,20 +327,18 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     # v = (sI - A)x - Bu_1, the pencil is the system matrix of the plant
     # (A, [B 0 I], [0; C; CA], [0 0 E; D 0 0; CB D 0]) with n unit
     # invariants removed
-    zn = (Fraction(0),) * n
-    bv = QMatrix(n, 2 * m + n, tuple(b + zeros + e for b, e in
-                                     zip(sys.B.data, QMatrix.identity(n).data)))
-    cv = QMatrix(q + 2 * p, n, (zn,) * q + tuple(r[:n] for r in lower))
-    dv = QMatrix(q + 2 * p, 2 * m + n, tuple(zeros + zeros + e for e in sys.E.data)
-                 + tuple(r[n:] + zn for r in lower))
-    rl, zl = geometry.rank_and_zeros(sys.A, bv, geometry.vstar(sys.A, bv, cv, dv))
+    bv = hstack([B, zeros(n, m), IntegerMatrix.identity(n)])
+    cv = vstack([zeros(q, n), C, CA])
+    dv = vstack([hstack([zeros(q, 2 * m), E]), hstack([D, zeros(p, m + n)]),
+                 hstack([CB, D, zeros(p, n)])])
+    rl, zl = geometry.rank_and_zeros(A, bv, geometry.vstar(A, bv, cv, dv))
     rl -= n
     rr = n + 2 * m - ker.dim
     cmp_ = antistable_parts_equal(zl, POLY_ONE)
     rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)
 
     # controllable: the dual pair (A^T, B^T) is observable
-    controllable = geometry.unobservable(sys.A.transpose(), sys.B.transpose()).rows.dim == n
+    controllable = len(geometry.unobservable(A.transpose(), B.transpose()).state_rows) == n
     note = None if controllable else (
         "plant is not controllable; the fixed-order existence theory assumes "
         "controllability, so this verdict extrapolates outside its hypotheses")

@@ -47,14 +47,24 @@ def _integer_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]]
     """The numerators of a matrix's rows over the lcm of all its
     denominators, and that lcm."""
     den = lcm(*(x.denominator for row in rows for x in row))
+    if den == 1:
+        return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """An integer row divided by its content."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """The row times the lcm of its denominators, divided by its content."""
-    ints, _ = _common_den(row)
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    return _primitive(_common_den(row)[0])
+
+
+def _scaled(rows: list[list[int]], k: int) -> list[list[int]]:
+    return rows if k == 1 else [[k * x for x in row] for row in rows]
 
 
 def _echelon_add(echelon: dict[int, list[int]], row: list[int]) -> None:
@@ -80,18 +90,14 @@ def _echelon_add(echelon: dict[int, list[int]], row: list[int]) -> None:
     pivot = next((j for j, x in enumerate(row) if x), None)
     if pivot is None:
         return
-    g = gcd(*row)
-    if g > 1:
-        row = [x // g for x in row]
+    row = _primitive(row)
     p = row[pivot]
     for c, krow in echelon.items():
         f = krow[pivot]
         if f:
             g = gcd(p, f)
             a, b = p // g, f // g
-            new = [a * x - b * y for x, y in zip(krow, row)]
-            g = gcd(*new)
-            echelon[c] = [x // g for x in new] if g > 1 else new
+            echelon[c] = _primitive([a * x - b * y for x, y in zip(krow, row)])
     echelon[pivot] = row
 
 
@@ -318,6 +324,69 @@ class QMatrix(DenseMatrix):
         return QMatrix.from_rows(rows, cols=self.cols), tuple(pivots)
 
 
+class IntegerMatrix:
+    """A rational matrix as integer rows over one positive denominator.
+
+    ``of`` reads a ``QMatrix`` once, over the lcm of its entries'
+    denominators.  Products and stacks stay in this form with no gcd, so
+    the denominator may share a factor with every entry; ``fractions``
+    makes the ``QMatrix`` back, only where a certificate reports it.
+    """
+
+    __slots__ = ("rows", "cols", "data", "den")
+
+    def __init__(self, rows: int, cols: int, data: list[list[int]], den: int):
+        self.rows, self.cols, self.data, self.den = rows, cols, data, den
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, IntegerMatrix) and self.den == other.den
+                and (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data))
+
+    @staticmethod
+    def of(M: QMatrix | IntegerMatrix) -> IntegerMatrix:
+        if isinstance(M, IntegerMatrix):
+            return M
+        data, den = _integer_matrix(M.data)
+        return IntegerMatrix(M.rows, M.cols, data, den)
+
+    @staticmethod
+    def zeros(rows: int, cols: int) -> IntegerMatrix:
+        return IntegerMatrix(rows, cols, [[0] * cols for _ in range(rows)], 1)
+
+    @staticmethod
+    def identity(n: int) -> IntegerMatrix:
+        return IntegerMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)], 1)
+
+    @staticmethod
+    def hstack(mats: Sequence[IntegerMatrix]) -> IntegerMatrix:
+        den = lcm(*(M.den for M in mats))
+        parts = [_scaled(M.data, den // M.den) for M in mats]
+        return IntegerMatrix(mats[0].rows, sum(M.cols for M in mats),
+                             [[x for row in rows for x in row] for rows in zip(*parts)], den)
+
+    @staticmethod
+    def vstack(mats: Sequence[IntegerMatrix]) -> IntegerMatrix:
+        den = lcm(*(M.den for M in mats))
+        return IntegerMatrix(sum(M.rows for M in mats), mats[0].cols,
+                             [row for M in mats for row in _scaled(M.data, den // M.den)], den)
+
+    def transpose(self) -> IntegerMatrix:
+        return IntegerMatrix(self.cols, self.rows,
+                             [[row[j] for row in self.data] for j in range(self.cols)], self.den)
+
+    def __matmul__(self, other: IntegerMatrix) -> IntegerMatrix:
+        cols = other.transpose().data
+        return IntegerMatrix(self.rows, other.cols,
+                             [[sum(map(mul, row, col)) for col in cols] for row in self.data],
+                             self.den * other.den)
+
+    def fractions(self) -> QMatrix:
+        den = self.den
+        return QMatrix(self.rows, self.cols,
+                       tuple(tuple(Fraction(x, den) if x else _ZERO for x in row)
+                             for row in self.data))
+
+
 class Subspace:
     """Linear subspace of Q^d held by its canonical rows.
 
@@ -358,12 +427,20 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the Zassenhaus block trick: the right halves of
         the RREF rows of [v v; w 0] that pivot there.  RREF clears every
-        pivot column, so they are the canonical rows already."""
+        pivot column, so they are the canonical rows already.  Each row is
+        brought to its primitive integer row once, at half width, and only
+        the rows returned are made Fractions."""
         self._check_ambient(other)
         d = self.ambient_dim
-        zeros = (_ZERO,) * d
-        reduced, pivots = _rref([v + v for v in self.rows] + [w + zeros for w in other.rows])
-        return Subspace(d, tuple(tuple(r[d:]) for r, p in zip(reduced, pivots) if p >= d))
+        zeros = [0] * d
+        echelon: dict[int, list[int]] = {}
+        for v in self.rows:
+            half = _integer_row(v)
+            _echelon_add(echelon, half + half)
+        for w in other.rows:
+            _echelon_add(echelon, _integer_row(w) + zeros)
+        return Subspace(d, tuple(tuple(Fraction(x, r[p]) if x else _ZERO for x in r[d:])
+                                 for p, r in sorted(echelon.items()) if p >= d))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -381,8 +458,9 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def kernel_basis(M: QMatrix) -> Subspace:
-    """Canonical basis of {v : M v = 0}, from one elimination.
+def kernel_basis(M: QMatrix | IntegerMatrix) -> Subspace:
+    """Canonical basis of {v : M v = 0}, from one elimination.  M may be
+    an ``IntegerMatrix``: a row's content is all that elimination drops.
 
     M is eliminated with its columns reversed.  Read back in the original
     order, the kernel vector of that RREF at free column f has its unit at
@@ -407,17 +485,17 @@ def kernel_basis(M: QMatrix) -> Subspace:
     return Subspace(d, tuple(rows))
 
 
-def first_escape(V: Subspace, M: QMatrix) -> tuple[Fraction, ...] | None:
+def first_escape(V: Subspace, M: QMatrix | IntegerMatrix) -> tuple[Fraction, ...] | None:
     """First canonical basis vector of V that M does not annihilate.
 
     None exactly when V lies inside Ker M; the search stops at the first
-    escaping vector.  M's rows are brought to integers once and each
-    vector to its primitive integer row, so every test is an integer dot
-    product.
+    escaping vector.  M's rows are brought to integers once (an
+    ``IntegerMatrix``'s are already) and each vector to its primitive
+    integer row, so every test is an integer dot product.
     """
     if M.cols != V.ambient_dim:
         raise ValueError("first_escape: column count must match ambient dimension")
-    rows = [_common_den(row)[0] for row in M.data]
+    rows = M.data if isinstance(M, IntegerMatrix) else [_common_den(row)[0] for row in M.data]
     for vec in V.rows:
         ints = _integer_row(vec)
         if any(sum(map(mul, row, ints)) for row in rows):

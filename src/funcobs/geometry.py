@@ -9,9 +9,13 @@ V*/R*, F a friend of V* and R* the span of A + BF on B Ker [Y*B; D].
 P_e = [P; E F] is the same call on [C; E] and [D; F], grown from Y*.
 With m = 0, V* is the unobservable subspace of (A, C).  The call keeps
 one fraction-free integer echelon across its steps, so each row of the
-stack is eliminated once.
+stack is eliminated once, and returns it (``VStar``): ``rank_and_zeros``
+and the seeded calls read its integer rows, and Fractions are made from
+them only when a certificate reads V*'s rows, friend or input rows.  The
+blocks may come as ``IntegerMatrix`` forms, which ``IntegerPlant`` reads
+once per plant.
 
-``rank_and_zeros`` runs on integers from V*'s rows to the zero
+``rank_and_zeros`` runs on integers from V*'s echelon to the zero
 polynomial.  The bases of V* and Ker [Y*B; D] are integer columns, the
 canonical kernel vectors times the lcm L of the pivots of their rows'
 primitive integer multiples; with s the lcm of the denominators of
@@ -45,23 +49,65 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exactlin import (QMatrix, Subspace, _echelon_add, _integer_matrix, _integer_row,
-                       first_escape, kernel_basis)
+from .exactlin import (IntegerMatrix, QMatrix, Subspace, _echelon_add, _integer_row,
+                       _primitive, first_escape, kernel_basis)
 from .polymat import POLY_ONE, Poly, berkowitz
 from .system import SystemSextuple
 
 
 class VStar(NamedTuple):
-    """V* = Ker Y* and what the last RREF gives: a friend F (m x n), with
-    (A + BF) V* in V* and (C + DF) V* = 0, and the rows of [Y*B; D]."""
-    rows: Subspace
+    """V* = Ker Y* as ``vstar`` grows it: the fraction-free echelon of
+    [Y*B, Y*A; D, C] (inputs first), {pivot column: primitive integer
+    row}, the step count (at index 1, which a benchmark tracer reads) and
+    the input and state counts.  The rows that pivot in a state column are
+    Y*'s; those that pivot in an input column read u_p + (free inputs) +
+    f x = 0, so they give a friend F (m x n, u_p = -f x), with (A + BF) V*
+    in V* and (C + DF) V* = 0, and the rows of [Y*B; D].  ``rows``,
+    ``friend`` and ``input_rows`` make their Fractions when read."""
+    echelon: dict[int, list[int]]
     steps: int
-    friend: QMatrix
-    input_rows: Subspace
+    m: int
+    n: int
+
+    def integer_rows(self) -> tuple[list[tuple[list[int], int]], list[list[int]]]:
+        """The rows that pivot in an input column, with their pivots, and
+        Y*'s rows (input part dropped), each in pivot order."""
+        m, held, state = self.m, [], []
+        for p, r in sorted(self.echelon.items()):
+            if p < m:
+                held.append((r, p))
+            else:
+                state.append(r[m:])
+        return held, state
+
+    @property
+    def state_rows(self) -> list[list[int]]:
+        """Y* as primitive integer rows, the seed form of ``vstar``."""
+        return self.integer_rows()[1]
+
+    @property
+    def rows(self) -> Subspace:
+        m = self.m
+        return Subspace(self.n, tuple(tuple(Fraction(x, r[p]) for x in r[m:])
+                                      for p, r in sorted(self.echelon.items()) if p >= m))
+
+    @property
+    def friend(self) -> QMatrix:
+        m, n = self.m, self.n
+        friend = [(Fraction(0),) * n] * m
+        for r, p in self.integer_rows()[0]:
+            friend[p] = tuple(Fraction(-x, r[p]) for x in r[m:])
+        return QMatrix(m, n, tuple(friend))
+
+    @property
+    def input_rows(self) -> Subspace:
+        m = self.m
+        return Subspace(m, tuple(tuple(Fraction(x, r[p]) for x in r[:m])
+                                 for r, p in self.integer_rows()[0]))
 
 
 def _grow(cols: list[list[int]], m: int, rows: list[list[int]],
@@ -87,43 +133,43 @@ def _grow(cols: list[list[int]], m: int, rows: list[list[int]],
     return echelon, step
 
 
-def vstar(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix,
-          seed: Subspace | None = None) -> VStar:
+def vstar(A: QMatrix | IntegerMatrix, B: QMatrix | IntegerMatrix,
+          C: QMatrix | IntegerMatrix, D: QMatrix | IntegerMatrix,
+          seed: Subspace | list[list[int]] | None = None) -> VStar:
     """V*(A, B, C, D) = Ker Y*: Y_{k+1} are the rows of the RREF of
     [Y_k B, Y_k A; D, C] (inputs first) that pivot in a state column, from
-    Y_0 = ``seed`` (rows that annihilate V*, as P's do for P_e's) or none.
+    Y_0 = ``seed`` (rows that annihilate V*, as P's do for P_e's: a
+    ``Subspace`` or integer rows) or none.  Each block is a ``QMatrix`` or
+    its ``IntegerMatrix``, which a caller reads once and hands to every
+    call.
 
     One fraction-free echelon, kept across the steps, holds integer
     multiples of those RREF rows.  Y and its pivots only grow, so a step
-    hands it only the products [y B, y A] of the rows at new pivots.
+    hands it only the products [y B, y A] of the rows at new pivots.  A
+    positive factor of a row of [D C] leaves that echelon as it is, so
+    each row is taken over [D C]'s denominator as it comes.
     """
+    A, B, C, D = map(IntegerMatrix.of, (A, B, C, D))
     n, m = A.rows, B.cols
-    BA, _ = _integer_matrix([b + a for b, a in zip(B.data, A.data)])
+    BA = IntegerMatrix.hstack([B, A]).data
+    if isinstance(seed, Subspace):
+        seed = [_integer_row(y) for y in seed.rows]
     echelon, step = _grow([[row[j] for row in BA] for j in range(m + n)], m,
-                          [_integer_row(d + c) for d, c in zip(D.data, C.data)],
-                          [_integer_row(y) for y in seed.rows] if seed is not None else [])
-    # an input-pivot row reads u_j + (free inputs) + f x = 0: take u_j = -f x
-    pivots = sorted(echelon)
-    held = [(echelon[p], p) for p in pivots if p < m]
-    friend = [(Fraction(0),) * n] * m
-    for r, p in held:
-        friend[p] = tuple(Fraction(-x, r[p]) for x in r[m:])
-    return VStar(Subspace(n, tuple(tuple(Fraction(x, echelon[p][p]) for x in echelon[p][m:])
-                                   for p in pivots if p >= m)),
-                 step, QMatrix(m, n, tuple(friend)),
-                 Subspace(m, tuple(tuple(Fraction(x, r[p]) for x in r[:m]) for r, p in held)))
+                          IntegerMatrix.hstack([D, C]).data, seed or [])
+    return VStar(echelon, step, m, n)
 
 
-def unobservable(A: QMatrix, C: QMatrix, seed: Subspace | None = None) -> VStar:
+def unobservable(A: QMatrix | IntegerMatrix, C: QMatrix | IntegerMatrix,
+                 seed: Subspace | list[list[int]] | None = None) -> VStar:
     """The m = 0 V* of (A, C), its unobservable subspace, grown from
     ``seed`` (rows that annihilate it) when given."""
-    return vstar(A, QMatrix.zeros(A.rows, 0), C, QMatrix.zeros(C.rows, 0), seed)
+    return vstar(A, IntegerMatrix.zeros(A.rows, 0), C, IntegerMatrix.zeros(C.rows, 0), seed)
 
 
-def unobservable_modes(A: QMatrix, v: VStar) -> Poly:
+def unobservable_modes(A: QMatrix | IntegerMatrix, v: VStar) -> Poly:
     """A's characteristic polynomial on the unobservable subspace ``v`` of
     (A, C): the zero polynomial of [sI - A; C]."""
-    return rank_and_zeros(A, QMatrix.zeros(A.rows, 0), v)[1]
+    return rank_and_zeros(A, IntegerMatrix.zeros(A.rows, 0), v)[1]
 
 
 def _integer_kernel(Y: list[list[int]], d: int) -> tuple[list[list[int]], list[int], int]:
@@ -163,39 +209,45 @@ def _restriction(A: list[list[int]],
     return [[col[f] for col in image] for f in free], free, L
 
 
-def rank_and_zeros(A: QMatrix, B: QMatrix, v: VStar) -> tuple[int, Poly]:
+def rank_and_zeros(A: QMatrix | IntegerMatrix, B: QMatrix | IntegerMatrix,
+                   v: VStar) -> tuple[int, Poly]:
     """Normal rank and zero polynomial of [sI - A, -B; C, D] from its V*.
 
-    Y* and the rows of [Y*B; D] are read from ``v`` as primitive integer
-    rows, and the bases N of V* = Ker Y* and K of Ker [Y*B; D] as integer
-    columns scaled by their pivots' lcm.  On N, s(A + BF) (s clears every
-    denominator) restricts to an integer multiple of A_V, checked as
-    Y*(A + BF)N = 0, and B K to one of G, checked as Y*BK = 0.  R* = 0
-    when K = 0; else its annihilator is the unobservable subspace of
-    (A_V^T, G^T), where A_V^T has A_V's characteristic polynomial on
+    Y*, the friend F and the rows of [Y*B; D] are read straight off
+    ``v``'s echelon, and the bases N of V* = Ker Y* and K of Ker [Y*B; D]
+    as integer columns scaled by their pivots' lcm.  On N, s(A + BF)
+    (s clears every denominator) restricts to an integer multiple of A_V,
+    checked as Y*(A + BF)N = 0, and B K to one of G, checked as Y*BK = 0.
+    R* = 0 when K = 0; else its annihilator is the unobservable subspace
+    of (A_V^T, G^T), where A_V^T has A_V's characteristic polynomial on
     V*/R*.  Every step runs on integers, and the scale goes to
     ``berkowitz``."""
-    n, m, Y, U = A.rows, B.cols, v.rows, v.input_rows
-    if (Y.ambient_dim, U.ambient_dim) != (n, m):
+    A, B = IntegerMatrix.of(A), IntegerMatrix.of(B)
+    n, m = A.rows, B.cols
+    if (v.n, v.m) != (n, m):
         raise ValueError("V* of a plant of another shape")
-    if Y.dim == n:
-        return n + U.dim, POLY_ONE
-    y = [_integer_row(r) for r in Y.rows]
-    Ai, da = _integer_matrix(A.data)
-    Bi, db = _integer_matrix(B.data)
-    Fi, df = _integer_matrix(v.friend.data)
-    s = lcm(da, db * df)
-    a, b = s // da, s // (db * df)
-    fcols = list(zip(*Fi))
-    AF = [[a * x + b * sum(map(mul, brow, fcol)) for x, fcol in zip(arow, fcols)]
-          for arow, brow in zip(Ai, Bi)] if m else [[a * x for x in row] for row in Ai]
+    held, y = v.integer_rows()
+    if len(y) == n:
+        return n + len(held), POLY_ONE
+    # F's row p is -r[m:] / r[p], whose entries' denominators have the lcm
+    # |r[p]| / gcd(r[p], r[m:]); df is the lcm of those over every row
+    df = lcm(*(abs(r[p]) // gcd(r[p], *r[m:]) for r, p in held))
+    s = lcm(A.den, B.den * df)
+    a, b = s // A.den, s // (B.den * df)
+    AF = [[a * x for x in row] for row in A.data]
+    for r, p in held:
+        f = [-x * df // r[p] for x in r[m:]]
+        for i, brow in enumerate(B.data):
+            c = b * brow[p]
+            if c:
+                AF[i] = [x + c * g for x, g in zip(AF[i], f)]
     M, free, L = _restriction(AF, y)
-    if U.dim == m:
-        return n + U.dim, berkowitz(M, s * L)
-    K = _integer_kernel([_integer_row(r) for r in U.rows], m)[0]
-    BK = [[sum(map(mul, row, col)) for row in Bi] for col in K]
+    if len(held) == m:
+        return n + m, berkowitz(M, s * L)
+    K = _integer_kernel([_primitive(r[:m]) for r, _ in held], m)[0]
+    BK = [[sum(map(mul, row, col)) for row in B.data] for col in K]
     _invariant(y, BK)
-    return n + U.dim, _unobserved_zeros(M, s * L, [[col[f] for f in free] for col in BK])
+    return n + len(held), _unobserved_zeros(M, s * L, [[col[f] for f in free] for col in BK])
 
 
 def _unobserved_zeros(M: list[list[int]], d: int, C: list[list[int]]) -> Poly:
@@ -221,20 +273,43 @@ class InclusionCertificate:
     violation: tuple[Fraction, ...] | None
 
 
-def strong_star_inclusion(sys: SystemSextuple) -> InclusionCertificate:
+class IntegerPlant:
+    """A plant's blocks A, B, C, D, E and F as ``IntegerMatrix`` forms,
+    each read on first use and kept."""
+
+    def __init__(self, sys: SystemSextuple):
+        self.sys = sys
+
+    def __getattr__(self, name: str) -> IntegerMatrix:
+        # called only for a block that is not read yet
+        if name not in ("A", "B", "C", "D", "E", "F"):
+            raise AttributeError(name)
+        block = IntegerMatrix.of(getattr(self.sys, name))
+        setattr(self, name, block)
+        return block
+
+    @staticmethod
+    def of(plant: SystemSextuple | IntegerPlant) -> IntegerPlant:
+        return plant if isinstance(plant, IntegerPlant) else IntegerPlant(plant)
+
+
+def strong_star_inclusion(plant: SystemSextuple | IntegerPlant) -> InclusionCertificate:
     """Decide the properness inclusion between measured and target chains.
 
     Holds iff every pair reachable inside Ker [C D] by an input chain lies
     in Ker [E F]; on failure the certificate carries a reachable pair that
-    the target rows can see.
+    the target rows can see.  The plant's integer blocks give the dual
+    plant, Ker [C D] and the test against [E F].
     """
-    n, d = sys.n, sys.n + sys.m
-    dual = vstar(sys.A.transpose(), sys.C.transpose(), sys.B.transpose(), sys.D.transpose())
+    ints = IntegerPlant.of(plant)
+    n, m = ints.A.rows, ints.B.cols
+    dual = vstar(ints.A.transpose(), ints.C.transpose(), ints.B.transpose(), ints.D.transpose())
     # T* + 0 pivots in the state columns and 0 + Q^m, unit rows, in the
     # input columns: together they are canonical rows already
-    tail = (Fraction(0),) * sys.m
-    pairs = Subspace(d, tuple(t + tail for t in dual.rows.rows) + QMatrix.identity(d).data[n:])
-    reach = pairs.intersect(kernel_basis(QMatrix.hstack([sys.C, sys.D])))
-    violation = first_escape(reach, QMatrix.hstack([sys.E, sys.F]))
+    tail = (Fraction(0),) * m
+    pairs = Subspace(n + m, tuple(t + tail for t in dual.rows.rows)
+                     + QMatrix.identity(n + m).data[n:])
+    reach = pairs.intersect(kernel_basis(IntegerMatrix.hstack([ints.C, ints.D])))
+    violation = first_escape(reach, IntegerMatrix.hstack([ints.E, ints.F]))
     return InclusionCertificate(holds=violation is None, reachable=reach,
                                 reachable_steps=dual.steps, violation=violation)

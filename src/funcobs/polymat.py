@@ -311,11 +311,14 @@ def _heuristic_gcd(a: Poly, b: Poly) -> list[int] | None:
     is the gcd g: G divides g, and a cofactor h = g / G of positive degree
     has its roots, which are roots of a and of b, inside the Cauchy bound
     1 + min(|a|, |b|) <= xi / 2, so |h(xi)| > xi / 2; yet h(xi) divides the
-    content of gamma's digits, which is at most xi / 2.
+    content of gamma's digits, which is at most xi / 2.  A constant G
+    divides a and b, so it is accepted with no trial division.
     """
     xi = 2 * min(max(map(abs, a._num)), max(map(abs, b._num))) + 29
     for _ in range(6):
         g = _candidate(gcd(_value(a._num, xi), _value(b._num, xi)), xi)
+        if len(g) == 1:
+            return g
         G = _raw(g, 1)
         if (a % G).is_zero() and (b % G).is_zero():
             return g

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own elimination code:
 ranks come from a plain forward Gaussian elimination, the canonical RREF
-from Gauss-Jordan over Fraction, polynomial arithmetic from Fraction
-coefficient lists, normal ranks from ranks at enough integer points,
+from Gauss-Jordan over Fraction, intersections from Zassenhaus on that
+RREF, polynomial arithmetic from Fraction coefficient lists, normal
+ranks from ranks at enough integer points,
 determinants from cofactor expansion and from Bareiss elimination,
 characteristic polynomials from a Hessenberg reduction over Fraction,
 controllability from the Krylov matrix, kernel-inclusion witnesses from a matrix product per basis
@@ -31,12 +32,12 @@ import csv
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
 from funcobs.exactlin import QMatrix, Subspace, as_fraction, kernel_basis
-from funcobs.geometry import VStar
 from funcobs.polymat import Poly, PolyMatrix, smith_form
 from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, WitnessReport, classify,
@@ -233,6 +234,15 @@ def ref_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows, pivots
 
 
+def ref_intersect(V: Subspace, W: Subspace) -> Subspace:
+    """V ^ W by Zassenhaus on the Gauss-Jordan oracle: the right halves
+    of the reduced rows of [v v; w 0] that pivot in the right half."""
+    d = V.ambient_dim
+    rows, pivots = ref_rref([list(v) * 2 for v in V.rows]
+                            + [list(w) + [Fraction(0)] * d for w in W.rows])
+    return Subspace(d, tuple(tuple(r[d:]) for r, p in zip(rows, pivots) if p >= d))
+
+
 def ref_kernel(d: int, rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Vectors spanning {x in Q^d : r . x = 0 for every row r}, one per free
     column of the Gauss-Jordan oracle."""
@@ -420,8 +430,21 @@ def ref_vstar(sys: SystemSextuple) -> Subspace:
     raise AssertionError("V* recursion failed to stabilise")
 
 
+class RefVStar(NamedTuple):
+    """What ``geometry.VStar`` reports, in Fractions."""
+    rows: Subspace
+    steps: int
+    friend: QMatrix
+    input_rows: Subspace
+
+
+def vstar_fields(v) -> RefVStar:
+    """A ``geometry.VStar``'s rows, steps, friend and input rows."""
+    return RefVStar(v.rows, v.steps, v.friend, v.input_rows)
+
+
 def ref_vstar_restacked(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix,
-                        seed: Subspace | None = None) -> VStar:
+                        seed: Subspace | None = None) -> RefVStar:
     """``geometry.vstar`` by its whole-stack loop: every step runs the
     Gauss-Jordan oracle over the whole stack [Y_k B, Y_k A; D, C] again,
     the rows kept from the step before included, and multiplies only the
@@ -443,9 +466,9 @@ def ref_vstar_restacked(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix,
     friend = [[Fraction(0)] * n for _ in range(m)]
     for r, p in held:
         friend[p] = [-x for x in r[m:]]
-    return VStar(Subspace(n, tuple(tuple(r[m:]) for r, _ in state)), step,
-                 QMatrix.from_rows(friend, cols=n),
-                 Subspace(m, tuple(tuple(r[:m]) for r, _ in held)))
+    return RefVStar(Subspace(n, tuple(tuple(r[m:]) for r, _ in state)), step,
+                    QMatrix.from_rows(friend, cols=n),
+                    Subspace(m, tuple(tuple(r[:m]) for r, _ in held)))
 
 
 def reanchor_plant(n: int) -> SystemSextuple:
@@ -491,7 +514,7 @@ def _ref_restricted(Y: Subspace, free: list[int], image: QMatrix) -> QMatrix:
     return QMatrix.from_rows([image.data[f] for f in free], cols=image.cols)
 
 
-def ref_rank_and_zeros(A: QMatrix, B: QMatrix, v: VStar) -> tuple[int, Poly]:
+def ref_rank_and_zeros(A: QMatrix, B: QMatrix, v) -> tuple[int, Poly]:
     """``geometry.rank_and_zeros`` by Fraction matrix products: A_V is
     (A + BF) N and G is B L at N's free columns, for N and L the unit
     bases of Ker Y* and Ker [Y*B; D]; the zeros come from the Hessenberg

@@ -322,13 +322,24 @@ class TestUnobservableSubspaceRoute:
     def test_bundled_systems(self, name):
         self._check(load_system_text(bundled_text(name))[0])
 
+    @staticmethod
+    def _edit_echelon(monkeypatch, edit):
+        """Make every vstar call return its echelon as ``edit(echelon, m)``
+        rewrites it: the integer rows that rank_and_zeros and the seeded
+        calls read."""
+        vstar = geometry.vstar
+
+        def edited(A, B, C, D, seed=None):
+            v = vstar(A, B, C, D, seed)
+            return v._replace(echelon=edit(v.echelon, v.m))
+
+        monkeypatch.setattr(geometry, "vstar", edited)
+
     def test_invariance_checked(self, monkeypatch):
         # the row space of C alone: its kernel, Ker C = span(e_2), is not
         # A-invariant, since A e_2 = e_1
         sys = SystemSextuple.from_lists(A=[[0, 1], [0, 0]], C=[[1, 0]], m=0)
-        vstar = geometry.vstar
-        monkeypatch.setattr(geometry, "vstar", lambda A, B, C, D, seed=None: vstar(
-            A, B, C, D, seed)._replace(rows=Subspace.span(A.rows, C.data)))
+        self._edit_echelon(monkeypatch, lambda echelon, m: {m: [0] * m + [1, 0]})
         with pytest.raises(AssertionError, match="not invariant"):
             decide.functional_detectable(sys)
         with pytest.raises(AssertionError, match="not invariant"):
@@ -336,23 +347,28 @@ class TestUnobservableSubspaceRoute:
 
     def test_friend_checked(self, monkeypatch):
         # V* = span(e_2) is held by u = -x_2; without that friend A moves
-        # e_2 to e_1, out of V*
+        # e_2 to e_1, out of V*: the input-pivot row keeps its input part
+        # and loses its state part
         sys = SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[1], [0]], C=[[1, 0]], D=[[0]])
-        vstar = geometry.vstar
-        monkeypatch.setattr(geometry, "vstar", lambda A, B, C, D, seed=None: vstar(
-            A, B, C, D, seed)._replace(friend=QMatrix.zeros(B.cols, A.rows)))
+        self._edit_echelon(monkeypatch, lambda echelon, m: {
+            p: r if p >= m else r[:m] + [0] * (len(r) - m) for p, r in echelon.items()})
         with pytest.raises(AssertionError, match="not invariant"):
             decide.strongly_functional_detectable(sys)
 
     def test_input_rows_checked(self, monkeypatch):
         # V* = span(e_2) and [Y*B; D] = [1 0], so L = Ker [Y*B; D] is the
         # second input, which B sends into V*; rows [0 1] make L the first
-        # input, which B sends to e_1, out of V*
+        # input, which B sends to e_1, out of V*: the input-pivot row
+        # [1 0 | 0 0] moves to pivot 1 as [0 1 | 0 0]
         sys = SystemSextuple.from_lists(A=[[0, 0], [0, 0]], B=[[1, 0], [0, 1]], C=[[1, 0]],
                                         D=[[0, 0]])
-        vstar = geometry.vstar
-        monkeypatch.setattr(geometry, "vstar", lambda A, B, C, D, seed=None: vstar(
-            A, B, C, D, seed)._replace(input_rows=Subspace.span(B.cols, [[0, 1]])))
+
+        def edit(echelon, m):
+            assert echelon[0] == [1, 0, 0, 0]
+            return {(1 if p == 0 else p): ([0, 1, 0, 0] if p == 0 else r)
+                    for p, r in echelon.items()}
+
+        self._edit_echelon(monkeypatch, edit)
         with pytest.raises(AssertionError, match="not invariant"):
             decide.strongly_functional_detectable(sys)
 
@@ -573,6 +589,38 @@ class TestWorkCount:
         assert calls == []
         assert built == []
 
+    def test_plant_blocks_are_read_into_integers_once(self, monkeypatch, plant, tmp_path):
+        """The eight decisions of one check share one PlantForms, which
+        reads each block of the plant into integers once; rank_and_zeros
+        reads V*'s echelon as it is and brings nothing to integers."""
+        reads = []
+
+        def spying(name):
+            original = getattr(exactlin, name)
+
+            def spy(arg):
+                reads.append((name, tuple(arg)))
+                return original(arg)
+            return spy
+
+        for name in ("_integer_matrix", "_integer_row"):
+            spy = spying(name)
+            monkeypatch.setattr(exactlin, name, spy)
+            monkeypatch.setattr(geometry, name, spy, raising=False)
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(support.seeded_n6_lists()))
+        main(["check", str(path), "--all", "--specialize", "hautus",
+              "--specialize", "leftinv", "--specialize", "darouach"])
+        blocks = [getattr(plant, name).data for name in "ABCDEF"]
+        assert len(set(blocks)) == 6
+        assert [reads.count(("_integer_matrix", block)) for block in blocks] == [1] * 6
+
+        forms = decide.PlantForms(plant)
+        v = forms.vstar
+        reads.clear()
+        assert forms.rank_and_zero == geometry.rank_and_zeros(plant.A, plant.B, v)
+        assert [r for r in reads if r[1] not in blocks[:2]] == []
+
     def test_decision_consistency_shares_p(self, calls, plant):
         # P is square and nonsingular: the witness solves at points, and
         # nothing eliminates P
@@ -620,8 +668,8 @@ class TestWorkCount:
         assert [M for M, _ in calls[:count]] == [M for M, _ in calls[count:]]
 
     def test_functional_grows_from_the_observed_rows(self, monkeypatch):
-        """(A, [C; E])'s unobservable subspace is grown from the rows of
-        (A, C)'s, which the forms keep."""
+        """(A, [C; E])'s unobservable subspace is grown from the integer
+        rows of (A, C)'s echelon, which the forms keep."""
         seeds = []
         grow = geometry.unobservable
 
@@ -634,7 +682,8 @@ class TestWorkCount:
         forms = decide.PlantForms(SystemSextuple.from_lists(
             A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], C=[[0, 1, 0]], E=[[1, 0, 0]], m=0))
         assert decide.functional_detectable(forms).certificate.reduced.zero_poly_pe == POLY_ONE
-        assert seeds == [None, forms.unobservable.rows]
+        assert seeds == [None, forms.unobservable.state_rows]
+        assert seeds[1] == [[0, 1, 0], [0, 0, 1]]
 
     def test_system_matrices_assemble_no_blocks(self, monkeypatch):
         """P and [E F] come straight from the plant's rows: no block

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from funcobs.exactlin import (DenseMatrix, QMatrix, Subspace, _rref, as_fraction,
-                              first_escape, kernel_basis)
+from funcobs.exactlin import (DenseMatrix, IntegerMatrix, QMatrix, Subspace, _rref,
+                              as_fraction, first_escape, kernel_basis)
 from funcobs.markov import toeplitz
 from funcobs.polymat import Poly, PolyMatrix
 from funcobs.witness import RationalFunction, RationalFunctionMatrix
@@ -145,7 +146,33 @@ class TestKernel:
                 assert (M @ support.column_vector(col)).is_zero()
 
 
+_RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def _subspace_pairs(draw):
+    """Two subspaces of Q^d, d in 0..5, each spanned by 0..d + 1 rational
+    vectors, so either may be zero, full or neither."""
+    d = draw(st.integers(0, 5))
+
+    def span():
+        k = draw(st.integers(0, d + 1))
+        return Subspace.span(d, [[draw(_RATIONAL) for _ in range(d)] for _ in range(k)])
+
+    return span(), span()
+
+
 class TestSubspaceOps:
+    @given(_subspace_pairs())
+    @example((Subspace(0, ()), Subspace(0, ())))
+    @example((support.zero_subspace(3), support.full_subspace(3)))
+    @example((support.full_subspace(3), support.zero_subspace(3)))
+    @example((Subspace.span(3, [[Fraction(1, 2), Fraction(-2, 3), 1]]),
+              Subspace.span(3, [[3, -4, 6], [0, 1, 0]])))
+    def test_intersection_matches_zassenhaus_oracle(self, pair):
+        V, W = pair
+        assert V.intersect(W) == support.ref_intersect(V, W)
+
     def test_intersection_idempotent(self, rng):
         V = Subspace.span(4, [[1, 2, 0, 1], [0, 1, 1, 1]])
         assert V.intersect(V) == V
@@ -448,3 +475,28 @@ class TestIntegerProduct:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             QMatrix.zeros(2, 3) @ QMatrix.zeros(2, 3)
+
+
+
+class TestIntegerMatrix:
+    """The integer form of a rational matrix against the QMatrix it came
+    from: reading back, products, stacks and transposes give the same
+    Fractions."""
+
+    @given(_qfactor_pair())
+    @example((QMatrix.zeros(0, 3), QMatrix.zeros(3, 0)))
+    @example((QMatrix.zeros(2, 0), QMatrix.zeros(0, 3)))
+    def test_matches_fraction_matrices(self, pair):
+        A, B = pair
+        Ai, Bi = IntegerMatrix.of(A), IntegerMatrix.of(B)
+        assert IntegerMatrix.of(Ai) is Ai
+        assert Ai.den == lcm(*(x.denominator for row in A.data for x in row))
+        assert _fraction_storage(Ai.fractions()) == _fraction_storage(A)
+        assert Ai.transpose().fractions() == A.transpose()
+        assert (Ai @ Bi).fractions() == support.ref_qmatmul(A, B)
+        # B^T has A's column count k, so it stacks under A
+        Bt, k = B.transpose(), A.cols
+        got = IntegerMatrix.vstack([Ai, IntegerMatrix.of(Bt), IntegerMatrix.identity(k)])
+        assert got.fractions() == QMatrix.vstack([A, Bt, QMatrix.identity(k)])
+        got = IntegerMatrix.hstack([Ai, IntegerMatrix.zeros(A.rows, 2), Ai])
+        assert got.fractions() == QMatrix.hstack([A, QMatrix.zeros(A.rows, 2), A])

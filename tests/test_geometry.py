@@ -12,6 +12,7 @@ from funcobs.polymat import Poly
 from funcobs.system import SystemSextuple
 
 import support
+from support import vstar_fields as fields
 
 
 def frac(x):
@@ -113,14 +114,14 @@ class TestVStar:
         calls = [(sys.A, sys.B, sys.C, sys.D),
                  (sys.A.transpose(), sys.C.transpose(), sys.B.transpose(), sys.D.transpose())]
         for args in calls:
-            assert vstar(*args) == support.ref_vstar_restacked(*args)
+            assert fields(vstar(*args)) == support.ref_vstar_restacked(*args)
         CE, DF = QMatrix.vstack([sys.C, sys.E]), QMatrix.vstack([sys.D, sys.F])
         seed = vstar(sys.A, sys.B, sys.C, sys.D).rows
-        assert (vstar(sys.A, sys.B, CE, DF, seed)
+        assert (fields(vstar(sys.A, sys.B, CE, DF, seed))
                 == support.ref_vstar_restacked(sys.A, sys.B, CE, DF, seed))
         none = QMatrix.zeros(sys.n, 0)
         seed = unobservable(sys.A, sys.C).rows
-        assert (unobservable(sys.A, CE, seed)
+        assert (fields(unobservable(sys.A, CE, seed))
                 == support.ref_vstar_restacked(sys.A, none, CE, QMatrix.zeros(CE.rows, 0), seed))
 
     @pytest.mark.parametrize("n", [6, 10, 14])
@@ -128,18 +129,20 @@ class TestVStar:
         sys = support.reanchor_plant(n)
         CE, DF = QMatrix.vstack([sys.C, sys.E]), QMatrix.vstack([sys.D, sys.F])
         plain = vstar(sys.A, sys.B, sys.C, sys.D)
-        assert plain == support.ref_vstar_restacked(sys.A, sys.B, sys.C, sys.D)
-        assert (vstar(sys.A, sys.B, CE, DF, plain.rows)
+        assert fields(plain) == support.ref_vstar_restacked(sys.A, sys.B, sys.C, sys.D)
+        assert (fields(vstar(sys.A, sys.B, CE, DF, plain.rows))
                 == support.ref_vstar_restacked(sys.A, sys.B, CE, DF, plain.rows))
 
     def test_seed_is_grown_from(self):
         # P_e's V* grown from P's rows equals the one grown from nothing
         sys = support.integrator_chain()
         C, D = QMatrix.vstack([sys.C, sys.E]), QMatrix.vstack([sys.D, sys.F])
-        seed = vstar(sys.A, sys.B, sys.C, sys.D).rows
-        seeded, fresh = vstar(sys.A, sys.B, C, D, seed), vstar(sys.A, sys.B, C, D)
+        v = vstar(sys.A, sys.B, sys.C, sys.D)
+        seeded, fresh = vstar(sys.A, sys.B, C, D, v.rows), vstar(sys.A, sys.B, C, D)
         assert seeded.rows == fresh.rows and seeded.input_rows == fresh.input_rows
         assert seeded.steps < fresh.steps
+        # the integer rows of P's echelon seed the same call
+        assert vstar(sys.A, sys.B, C, D, v.state_rows) == seeded
 
     def test_steps_at_index_one(self):
         # a benchmark tracer adds result[1] of every vstar call to its count

@@ -355,6 +355,21 @@ class TestGcd:
         assert poly_gcd(Poly([3, 4, 4, 1]), Poly([-6, 4, 5, -2, 2, 1])) == Poly([3, 1])
         assert len(tried) == 2 and tried[0] != tried[1] == [3, 1]
 
+    def test_constant_candidate_needs_no_division(self, monkeypatch):
+        # a coprime pair: the candidate at the first point is the constant
+        # 1, which divides both, so no pseudo-division is tried
+        divided = []
+        pseudo_divmod = Poly._pseudo_divmod
+
+        def spy(self, other):
+            divided.append(other)
+            return pseudo_divmod(self, other)
+
+        monkeypatch.setattr(Poly, "_pseudo_divmod", spy)
+        assert poly_gcd(Poly([1, 1]), Poly([2, 1])) == POLY_ONE
+        assert poly_gcd(Poly([-1, 0, 3]), Poly([F(1, 2), 5, 0, 1])) == POLY_ONE
+        assert divided == []
+
     def test_euclidean_fallback_gives_the_same_gcds(self, monkeypatch):
         """When the heuristic gives up, the Euclidean remainder sequence
         over Q returns the same monic gcds."""
