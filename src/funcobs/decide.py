@@ -241,11 +241,11 @@ def strong_star_functional_detectable(sys: SystemSextuple | PlantForms) -> Verdi
 def hautus_strong_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """State-reconstruction test (target z = x): normrank P = n + rank [-B; D]
     and all invariant zeros of P strictly stable.  Negating B keeps the
-    rank, so the rank is taken of [B; D]."""
+    rank, so the rank is taken of [B; D], on the plant's integer rows."""
     forms = PlantForms.of(sys)
-    sys = forms.sys
+    ints = forms.integers
     rp, zp = forms.rank_and_zero
-    target = sys.n + QMatrix(sys.n + sys.p, sys.m, sys.B.data + sys.D.data).rank()
+    target = forms.sys.n + IntegerMatrix.vstack([ints.B, ints.D]).rank()
     rep = is_hurwitz(zp)
     cert = HautusCertificate(rp, target, rp == target, zp, rep, rep.is_hurwitz)
     return Verdict(HAUTUS_STRONG, cert.rank_condition and cert.zero_condition, cert)
@@ -285,12 +285,13 @@ def asympt_strong_left_invertible(sys: SystemSextuple | PlantForms) -> Verdict:
 
 
 def asympt_strong_star_left_invertible(sys: SystemSextuple | PlantForms) -> Verdict:
-    """Input reconstruction from a fading measurement: adds rank D = m."""
+    """Input reconstruction from a fading measurement: adds rank D = m, on
+    the plant's integer rows."""
     forms = PlantForms.of(sys)
-    sys = forms.sys
+    m = forms.sys.m
     strong = _left_invertibility_certificate(forms)
-    rank_d = sys.D.rank()
-    cert = LeftInvertibilityStarCertificate(strong, rank_d, sys.m, rank_d == sys.m)
+    rank_d = forms.integers.D.rank()
+    cert = LeftInvertibilityStarCertificate(strong, rank_d, m, rank_d == m)
     holds = strong.rank_condition and strong.zero_condition and cert.feedthrough_condition
     return Verdict(LEFT_INVERTIBLE_STAR, holds, cert)
 

@@ -374,6 +374,14 @@ class IntegerMatrix:
         return IntegerMatrix(self.cols, self.rows,
                              [[row[j] for row in self.data] for j in range(self.cols)], self.den)
 
+    def rank(self) -> int:
+        """The rank, from the echelon that ``_echelon_add`` grows from the
+        integer rows; the denominator does not change it."""
+        echelon: dict[int, list[int]] = {}
+        for row in self.data:
+            _echelon_add(echelon, row)
+        return len(echelon)
+
     def __matmul__(self, other: IntegerMatrix) -> IntegerMatrix:
         cols = other.transpose().data
         return IntegerMatrix(self.rows, other.cols,

@@ -12,15 +12,16 @@ normal ranks and zeros off ``geometry.vstar`` and ``berkowitz``, the
 characteristic polynomial of an integer matrix over a scale.  The system
 pencils and the Smith form (gcd-driven elementary row/column operations
 with both unimodular transformers tracked) serve the witness of a P that
-is not square and nonsingular; ``interpolate`` rebuilds the witness of
-the other plants from its values at integer points.
+is not square and nonsingular; the witness of the other plants, like the
+heuristic gcd, is read off one integer value as its symmetric digits
+(``_digits``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -284,10 +285,11 @@ def _value(num: list[int], x: int) -> int:
     return acc
 
 
-def _candidate(gamma: int, xi: int) -> list[int]:
-    """The primitive polynomial, leading coefficient positive, whose
-    coefficients are gamma's symmetric base-xi digits (at most xi / 2 in
-    size) divided by their content."""
+def _digits(gamma: int, xi: int) -> list[int]:
+    """gamma's symmetric base-xi digits (xi >= 2), lowest first: each in
+    (-xi/2, xi/2], no trailing zero, none for gamma = 0.  An integer
+    polynomial whose coefficients lie in [-h, h] with xi > 2h is the one
+    whose digits these are at xi, since the representation is unique."""
     digits = []
     while gamma:
         d = gamma % xi
@@ -295,6 +297,13 @@ def _candidate(gamma: int, xi: int) -> list[int]:
             d -= xi
         digits.append(d)
         gamma = (gamma - d) // xi
+    return digits
+
+
+def _candidate(gamma: int, xi: int) -> list[int]:
+    """The primitive polynomial, leading coefficient positive, whose
+    coefficients are ``_digits(gamma, xi)`` divided by their content."""
+    digits = _digits(gamma, xi)
     g = gcd(*digits) * (1 if digits[-1] > 0 else -1)
     return [d // g for d in digits]
 
@@ -352,33 +361,6 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return POLY_ZERO
     return (a * b).exact_div(poly_gcd(a, b)).monic()
-
-
-def interpolate(xs: Sequence[int], values: Sequence[Sequence[int]],
-                dens: Sequence[int]) -> list[Poly]:
-    """For each k, the polynomial of degree < len(xs) that takes the value
-    values[k][j] / dens[k] at the distinct integer xs[j].
-
-    One integer Lagrange basis serves every polynomial: with
-    w_j = prod_{i != j} (x_j - x_i) and D = lcm |w_j|, the basis
-    polynomial l_j = (D / w_j) prod_{i != j} (s - x_i) has integer
-    coefficients, and each polynomial is sum_j values[k][j] l_j over
-    D dens[k], reduced once.
-    """
-    node = [1]  # prod_i (s - x_i), ascending
-    for x in xs:
-        node = [a - x * b for a, b in zip([0, *node], [*node, 0])]
-    basis = []
-    for x in xs:
-        q, acc = [0] * len(xs), 0  # node / (s - x), by synthetic division
-        for t in range(len(xs), 0, -1):
-            acc = node[t] + x * acc
-            q[t - 1] = acc
-        basis.append((q, prod(x - y for y in xs if y != x)))
-    D = lcm(*(w for _, w in basis))
-    cols = list(zip(*([D // w * c for c in q] for q, w in basis)))
-    return [_reduced([sum(map(mul, v, col)) for col in cols], D * den)
-            for v, den in zip(values, dens)]
 
 
 def _as_poly(x) -> Poly:

@@ -6,10 +6,9 @@ picks one:
 
 * P square with det P not identically zero: the solution [E F] P^-1 is
   unique, so its reduced entries do not depend on the route, and no
-  transformer is needed.  det P and the numerators [E F] adj P have degree
-  <= n; they come from one fraction-free integer solve at each of n + 1
-  integer points where det P does not vanish, and one Lagrange
-  interpolation each.
+  transformer is needed.  det P and the numerators [E F] adj P come from
+  one fraction-free integer solve at one integer S past a bound on their
+  coefficients, which are read off the values as symmetric base-S digits.
 * every other plant: the Smith decomposition U P V = S makes the canonical
   solution explicit, [M N] = [E F] V S^+ U where S^+ inverts the nonzero
   diagonal entries d_1 | ... | d_r, formed over the single denominator d_r
@@ -19,7 +18,8 @@ picks one:
   canonical one, which depends on U.
 
 The residual of the returned solution is re-verified exactly on every
-solve; properness and pole locations of the constructed solution are
+solve, by one integer evaluation per row past a bound on its
+coefficients; properness and pole locations of the constructed solution are
 classified.  Stability is never missed: U is unimodular, so each solution
 has at least the poles of the canonical one; the canonical solution is
 stable exactly when some solution is.  Properness can be missed: the
@@ -32,11 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm, prod
+from operator import mul
 
-from . import decide
+from . import decide, polymat
 from .exactlin import DenseMatrix, _common_den, adjugate_solve
-from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix, build_system_matrices, interpolate,
-                      poly_gcd, poly_lcm, smith_form)
+from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix, _digits, _reduced, _value,
+                      build_system_matrices, poly_gcd, poly_lcm, smith_form)
 from .stability import HurwitzReport, is_hurwitz
 from .system import SystemSextuple
 
@@ -153,33 +155,94 @@ class WitnessReport:
     inconsistent_column: int | None
 
 
-def residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) -> bool:
-    """Whether MN @ P == EF exactly.
+def _norm1(num: list[int]) -> int:
+    return sum(map(abs, num))
 
-    Row i of MN is brought onto the lcm l_i of its denominators, and its
-    numerators must satisfy nums_i @ P == l_i EF_i as polynomials.
+
+def _others(xs: list[int]) -> list[int]:
+    """For each u, the product of the xs other than xs[u]."""
+    return [prod(xs[:u] + xs[u + 1:]) for u in range(len(xs))]
+
+
+def residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) -> bool:
+    """Whether MN @ P == EF exactly, from one integer value per column.
+
+    Row k of MN holds a_r / b_r with a_r = A_r / dA_r and b_r = B_r / dB_r
+    (A_r and B_r integer polynomials), row r of P is Prow_r / dP_r and row
+    k of EF is T / dT.  With L the product of the row's distinct B_u, so
+    that L / B_r is the product of the others, and K = lcm(dT, dA_r dP_r),
+    K L times column j of the residual is the integer polynomial
+
+        Q_j = sum_r w_r A_r (L / B_r) Prow_rj - w_T L T_j,
+
+    with the integers w_r = K dB_r / (dA_r dP_r) and w_T = K / dT, so the
+    row holds exactly when every Q_j is the zero polynomial.  The 1-norm is
+    submultiplicative, so ||Q_j||_1 is at most
+
+        H = sum_r w_r ||A_r||_1 ||L / B_r||_1 max_j ||Prow_rj||_1
+            + w_T ||L||_1 max_j ||T_j||_1,
+
+    with ||L||_1 and ||L / B_r||_1 bounded by the products of the 1-norms
+    of their factors.  At an integer S > H a nonzero integer polynomial of
+    degree d, whose coefficients are at most S - 1 in size, does not
+    vanish: its leading term is at least S^d in size, the others sum to at
+    most (S - 1)(S^(d-1) + ... + 1) = S^d - 1.  One S past every row's H
+    serves all rows: P's entries, the numerators and the distinct
+    denominators are evaluated there once, and Q_j(S) = 0 is one integer
+    dot product per column.
     """
     if MN.shape != (EF.rows, P.rows) or EF.cols != P.cols:
         raise ValueError(f"residual shapes differ: {MN.shape} @ {P.shape} vs {EF.shape}")
+    prows = [polymat._common_den(row) for row in P.data]
+    pnorm = [max(map(_norm1, nums), default=0) for nums, _ in prows]
+    checks, bound = [], 0
     for row, target in zip(MN.data, EF.data):
-        ell = denominator_lcm(row)
-        nums = PolyMatrix(1, MN.cols, (tuple(e.num * ell.exact_div(e.den) for e in row),))
-        if (nums @ P).data[0] != tuple(ell * x for x in target):
+        dens = list(dict.fromkeys(e.den for e in row))
+        at = [dens.index(e.den) for e in row]
+        tnums, dt = polymat._common_den(target)
+        K = lcm(dt, *(e.num._den * dp for e, (_, dp) in zip(row, prows)))
+        w = [K * e.den._den // (e.num._den * dp) for e, (_, dp) in zip(row, prows)]
+        wt = K // dt
+        bnorm = [_norm1(b._num) for b in dens]
+        others = _others(bnorm)
+        bound = max(bound, sum(wr * _norm1(e.num._num) * others[u] * pn
+                               for wr, e, u, pn in zip(w, row, at, pnorm))
+                    + wt * prod(bnorm) * max(map(_norm1, tnums), default=0))
+        checks.append((row, dens, at, w, tnums, wt))
+    S = bound + 1
+    cols = [[_value(nums[j], S) for nums, _ in prows] for j in range(P.cols)]
+    for row, dens, at, w, tnums, wt in checks:
+        beta = [_value(b._num, S) for b in dens]
+        others = _others(beta)
+        v = [wr * _value(e.num._num, S) * others[u] for wr, e, u in zip(w, row, at)]
+        scale = wt * prod(beta)
+        if any(sum(map(mul, v, col)) != scale * _value(t, S) for col, t in zip(cols, tnums)):
             return False
     return True
 
 
 def _unique_solution(sys: SystemSextuple) -> RationalFunctionMatrix | None:
-    """[E F] P^-1 for a square P (p = m, n + m > 0) from integer solves at
-    s = 0, 1, 2, ...; None when det P vanishes at n + 1 of them, hence
-    identically.
+    """[E F] P^-1 for a square P (p = m, n + m > 0) from one integer solve
+    at s = S; None when det P vanishes there, hence identically.
 
     Row i of P and row k of [E F] are scaled by the lcms r_i and e_k of
     their denominators, so X' P' = [E F]' holds on integer rows and
     [M N] = X' with entry (k, i) times r_i / e_k.  One ``adjugate_solve``
-    of [P'(s)^T | [E F]'^T] per point gives det P'(s) and det P'(s) X'(s),
-    and both have degree <= n, since s enters P only on the n diagonal
-    entries of sI - A: n + 1 points where det P'(s) != 0 interpolate them.
+    of G(s) = [P'(s)^T | [E F]'^T] at s = S gives det P'(S) and
+    det P'(S) X'(S)^T, whose entries are, by Cramer's rule, the
+    determinants of N x N matrices D(s) whose row j is taken from row j
+    of G(s).  Their coefficients are bounded by the Goldstein-Graham bound
+    (SIAM Review 16, 1974)
+
+        H = prod_j (sum_k ||G_jk||_1^2)^(1/2),
+
+    with ||.||_1 the sum of the absolute coefficients: by Parseval the
+    2-norm of det D's coefficients is the root mean square of |det D(z)|
+    on the unit circle, where Hadamard's inequality bounds it by
+    prod_j (sum_k |G_jk(z)|^2)^(1/2) and |G_jk(z)| <= ||G_jk||_1.  The
+    coefficients are integers, so they lie in [-isqrt(H^2), isqrt(H^2)],
+    and at S = 2 isqrt(H^2) + 1 they are the symmetric base-S digits
+    (``polymat._digits``) of the values: det P'(S) = 0 proves det P = 0.
     """
     n, q = sys.n, sys.q
     # P(s) = s [I 0; 0 0] + [-A -B; C D]
@@ -189,27 +252,25 @@ def _unique_solution(sys: SystemSextuple) -> RationalFunctionMatrix | None:
     scaled = [_common_den(row) for row in rows]
     targets = [_common_den(e + f) for e, f in zip(sys.E.data, sys.F.data)]
     r = [den for _, den in scaled]
-    # row j of [P'(0)^T | [E F]'^T]
-    base = [list(col) for col in zip(*(ints for ints, _ in scaled + targets))]
-    xs, dets, sols, s = [], [], [], 0
-    while len(xs) <= n:
-        if s - len(xs) > n:
-            return None
-        aug = [list(row) for row in base]
-        for j in range(n):
-            aug[j][j] += s * r[j]
-        det, sol = adjugate_solve(aug)
-        if det:
-            xs.append(s)
-            dets.append(det)
-            sols.append(sol)
-        s += 1
-    det, *nums = interpolate(
-        xs, [dets] + [[sol[i][k] * r[i] for sol in sols] for k in range(q) for i in range(N)],
-        [1] + [e for _, e in targets for _ in range(N)])
+    # row j of G(0); for j < n its diagonal entry of G(s) is r_j s + G_jj(0)
+    G = [list(col) for col in zip(*(ints for ints, _ in scaled + targets))]
+    h2 = 1
+    for j, row in enumerate(G):
+        norm2 = sum(x * x for x in row)
+        if j < n:
+            norm2 += r[j] * (r[j] + 2 * abs(row[j]))
+        h2 *= norm2
+    S = 2 * isqrt(h2) + 1
+    for j in range(n):
+        G[j][j] += S * r[j]
+    det, sol = adjugate_solve(G)
+    if not det:
+        return None
+    den = _reduced(_digits(det, S), 1)
     return RationalFunctionMatrix(q, N, tuple(
-        tuple(RationalFunction(num, det) for num in nums[k * N:(k + 1) * N])
-        for k in range(q)))
+        tuple(RationalFunction(_reduced([r[i] * c for c in _digits(sol[i][k], S)], e), den)
+              for i in range(N))
+        for k, (_, e) in enumerate(targets)))
 
 
 def _verified(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix,

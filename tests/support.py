@@ -13,7 +13,10 @@ coerced ``Poly`` per entry, the normal ranks and zeros of P, P_e and
 Darouach's pencil from Smith forms of those block-assembled pencils
 (``ref_rank_and_zero_polynomial``), where the library reads them off V*
 and builds no pencil, the canonical witness from
-the Smith form of P for every plant, V* from its textbook
+the Smith form of P for every plant and, for a square P, from n + 1
+integer solves and a Lagrange interpolation (``ref_unique_solution``),
+the residual of a witness from a ``PolyMatrix`` product over each row's
+denominator lcm (``ref_residual_is_zero``), V* from its textbook
 recursion on Gauss-Jordan kernels and from ``vstar``'s loop re-run over
 the whole stack at every step, subspace inclusion from the rank of
 stacked rows,
@@ -37,11 +40,12 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from funcobs.exactlin import QMatrix, Subspace, as_fraction, kernel_basis
+from funcobs.exactlin import QMatrix, Subspace, _common_den, adjugate_solve, as_fraction, \
+    kernel_basis
 from funcobs.polymat import Poly, PolyMatrix, smith_form
 from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, WitnessReport, classify,
-                             residual_is_zero)
+                             denominator_lcm)
 
 
 # -- golden systems -----------------------------------------------------------
@@ -408,8 +412,89 @@ def ref_witness(sys: SystemSextuple) -> WitnessReport:
     MN = RationalFunctionMatrix.from_rows(
         [[RationalFunction(e, L) for e in row] for row in (Y @ dec.U).data], cols=P.rows)
     cls = classify(MN)
-    return WitnessReport(True, MN, residual_is_zero(MN, P, EF), cls.proper,
+    return WitnessReport(True, MN, ref_residual_is_zero(MN, P, EF), cls.proper,
                          cls.pole_polynomial, cls.pole_report, P.rows - r, None)
+
+
+def ref_residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) -> bool:
+    """Whether MN @ P == EF: row i of MN is brought onto the lcm l_i of its
+    denominators, and its numerators must satisfy nums_i @ P == l_i EF_i
+    as polynomials, by one ``PolyMatrix`` product per row."""
+    if MN.shape != (EF.rows, P.rows) or EF.cols != P.cols:
+        raise ValueError(f"residual shapes differ: {MN.shape} @ {P.shape} vs {EF.shape}")
+    for row, target in zip(MN.data, EF.data):
+        ell = denominator_lcm(row)
+        nums = PolyMatrix(1, MN.cols, (tuple(e.num * ell.exact_div(e.den) for e in row),))
+        if (nums @ P).data[0] != tuple(ell * x for x in target):
+            return False
+    return True
+
+
+def ref_interpolate(xs: list[int], values: list[list[int]], dens: list[int]) -> list[Poly]:
+    """For each k, the polynomial of degree < len(xs) that takes the value
+    values[k][j] / dens[k] at the distinct integer xs[j].
+
+    One integer Lagrange basis serves every polynomial: with
+    w_j = prod_{i != j} (x_j - x_i) and D = lcm |w_j|, the basis
+    polynomial l_j = (D / w_j) prod_{i != j} (s - x_i) has integer
+    coefficients, and each polynomial is sum_j values[k][j] l_j over
+    D dens[k].
+    """
+    node = [1]  # prod_i (s - x_i), ascending
+    for x in xs:
+        node = [a - x * b for a, b in zip([0, *node], [*node, 0])]
+    basis = []
+    for x in xs:
+        q, acc = [0] * len(xs), 0  # node / (s - x), by synthetic division
+        for t in range(len(xs), 0, -1):
+            acc = node[t] + x * acc
+            q[t - 1] = acc
+        basis.append((q, math.prod(x - y for y in xs if y != x)))
+    D = math.lcm(*(w for _, w in basis))
+    cols = list(zip(*([D // w * c for c in q] for q, w in basis)))
+    return [Poly([Fraction(sum(a * b for a, b in zip(v, col)), D * den) for col in cols])
+            for v, den in zip(values, dens)]
+
+
+def ref_unique_solution(sys: SystemSextuple) -> RationalFunctionMatrix | None:
+    """[E F] P^-1 for a square P (p = m, n + m > 0) from integer solves at
+    s = 0, 1, 2, ...; None when det P vanishes at n + 1 of them, hence
+    identically.
+
+    Row i of P and row k of [E F] are scaled by the lcms r_i and e_k of
+    their denominators, so X' P' = [E F]' holds on integer rows and
+    [M N] = X' with entry (k, i) times r_i / e_k.  One ``adjugate_solve``
+    of [P'(s)^T | [E F]'^T] per point gives det P'(s) and det P'(s) X'(s),
+    and both have degree <= n, since s enters P only on the n diagonal
+    entries of sI - A: n + 1 points where det P'(s) != 0 interpolate them.
+    """
+    n, q = sys.n, sys.q
+    rows = ([tuple(-x for x in a + b) for a, b in zip(sys.A.data, sys.B.data)]
+            + [c + d for c, d in zip(sys.C.data, sys.D.data)])
+    N = len(rows)
+    scaled = [_common_den(row) for row in rows]
+    targets = [_common_den(e + f) for e, f in zip(sys.E.data, sys.F.data)]
+    r = [den for _, den in scaled]
+    base = [list(col) for col in zip(*(ints for ints, _ in scaled + targets))]
+    xs, dets, sols, s = [], [], [], 0
+    while len(xs) <= n:
+        if s - len(xs) > n:
+            return None
+        aug = [list(row) for row in base]
+        for j in range(n):
+            aug[j][j] += s * r[j]
+        det, sol = adjugate_solve(aug)
+        if det:
+            xs.append(s)
+            dets.append(det)
+            sols.append(sol)
+        s += 1
+    det, *nums = ref_interpolate(
+        xs, [dets] + [[sol[i][k] * r[i] for sol in sols] for k in range(q) for i in range(N)],
+        [1] + [e for _, e in targets for _ in range(N)])
+    return RationalFunctionMatrix(q, N, tuple(
+        tuple(RationalFunction(num, det) for num in nums[k * N:(k + 1) * N])
+        for k in range(q)))
 
 
 def ref_vstar(sys: SystemSextuple) -> Subspace:

@@ -755,6 +755,54 @@ class TestWorkCount:
         assert lhs not in ranked
         assert eliminated.count(tuple(row[::-1] for row in lhs.data)) == 1
 
+    @pytest.mark.parametrize("lists", [
+        support.seeded_n6_lists(),
+        # B = 0 and D = 0: P is square but singular, and the one solve
+        # proves it before the Smith form takes over
+        dict(support.seeded_n6_lists(), B=[[0, 0]] * 6, D=[[0, 0]] * 2)],
+        ids=["nonsingular", "singular"])
+    def test_square_witness_solves_once(self, monkeypatch, lists):
+        """A square P takes one integer solve, whatever n is."""
+        solves = []
+        solve = witness.adjugate_solve
+
+        def spy(rows):
+            solves.append(rows)
+            return solve(rows)
+
+        monkeypatch.setattr(witness, "adjugate_solve", spy)
+        plant = SystemSextuple.from_lists(**lists)
+        rep = witness.solve_over_field(plant)
+        assert len(solves) == 1
+        assert rep.residual_zero in (True, None)
+
+    def test_b_d_ranks_read_integer_rows(self, monkeypatch, plant):
+        """rank [B; D] of the Hautus test and rank D of the feedthrough
+        condition come from the integer blocks the forms hold: no
+        ``QMatrix`` rank and no ``Fraction`` row brought to integers."""
+        forms = decide.PlantForms(plant)
+        # V* and the unobservable modes are grown before the spies go in
+        forms.rank_and_zero, forms.unobservable_modes
+        ranked, rows = [], []
+        rank, integer_row = QMatrix.rank, exactlin._integer_row
+
+        def recorded_rank(self):
+            ranked.append(self)
+            return rank(self)
+
+        def recorded_row(row):
+            rows.append(row)
+            return integer_row(row)
+
+        monkeypatch.setattr(QMatrix, "rank", recorded_rank)
+        monkeypatch.setattr(exactlin, "_integer_row", recorded_row)
+        hautus = decide.hautus_strong_detectable(forms).certificate
+        star = decide.asympt_strong_star_left_invertible(forms).certificate
+        assert ranked == [] and rows == []
+        assert hautus.n_plus_rank_bd == plant.n + support.ref_rank_q(
+            QMatrix.vstack([plant.B, plant.D]))
+        assert star.rank_d == support.ref_rank_q(plant.D)
+
     def test_hautus_negates_nothing(self, monkeypatch, plant):
         negated = []
         neg = QMatrix.__neg__

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from funcobs import decide, geometry, polymat
 from funcobs.exactlin import QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub, berkowitz,
-                             build_system_matrices, characteristic_polynomial, interpolate,
-                             poly_gcd, poly_lcm, smith_form)
+                             build_system_matrices, characteristic_polynomial, poly_gcd,
+                             poly_lcm, smith_form)
 from funcobs.system import SystemSextuple
 
 import support
@@ -722,9 +722,39 @@ class TestBerkowitz:
         assert got == self._ref(M, d) and _canonical(got)
 
 
+class TestDigits:
+    """Symmetric base-xi digits, which the heuristic gcd and the square
+    witness read their coefficients from."""
+
+    def test_zero_has_no_digits(self):
+        assert polymat._digits(0, 7) == []
+
+    @pytest.mark.parametrize("gamma,xi,digits", [
+        (-7, 10, [3, -1]),        # -7 = 3 - 10
+        (-1, 7, [-1]),
+        (-50, 7, [-1, 0, -1]),    # -50 = -1 - 49
+        (3, 7, [3]), (-3, 7, [-3]),    # +-floor(7/2) stay one digit
+        (4, 7, [-3, 1]), (-4, 7, [3, -1]),
+        (5, 10, [5]), (-5, 10, [5, -1])])    # an even base keeps +xi/2 only
+    def test_named_values(self, gamma, xi, digits):
+        assert polymat._digits(gamma, xi) == digits
+        assert sum(d * xi ** k for k, d in enumerate(digits)) == gamma
+
+    @given(st.integers(1, 60), st.data())
+    def test_coefficients_below_half_the_base_come_back(self, h, data):
+        # the coefficients of an integer polynomial in [-h, h] are its
+        # symmetric digits at any xi > 2h, trailing zeros dropped
+        xi = 2 * h + data.draw(st.integers(1, 3))
+        coeffs = data.draw(st.lists(st.integers(-h, h), max_size=8))
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        assert polymat._digits(polymat._value(coeffs, xi), xi) == coeffs
+
+
 class TestInterpolate:
-    """Polynomials through their values at distinct integers, against the
-    polynomials that gave the values."""
+    """The oracle's polynomials through their values at distinct integers
+    (``support.ref_interpolate``), against the polynomials that gave the
+    values."""
 
     @given(st.lists(st.integers(-6, 6), unique=True, min_size=1, max_size=6),
            st.lists(st.lists(st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 5])),
@@ -737,17 +767,17 @@ class TestInterpolate:
         dens = [data.draw(st.integers(1, 4)) * math.lcm(*(c.denominator for c in p.coeffs))
                 for p in polys]
         values = [[int(p.evaluate(x) * d) for x in xs] for p, d in zip(polys, dens)]
-        got = interpolate(xs, values, dens)
+        got = support.ref_interpolate(xs, values, dens)
         assert got == polys and all(_canonical(p) for p in got)
 
     def test_one_point_is_a_constant(self):
-        assert interpolate([3], [[6], [0]], [4, 1]) == [Poly([Fraction(3, 2)]), Poly()]
+        assert support.ref_interpolate([3], [[6], [0]], [4, 1]) == [Poly([Fraction(3, 2)]), Poly()]
 
     def test_skipped_points(self):
         # s^3 - 3s^2 + 2s through 3, 5, 6, 7: nodes need not be consecutive
         p = Poly([0, 2, -3, 1])
         xs = [3, 5, 6, 7]
-        assert interpolate(xs, [[int(p.evaluate(x)) for x in xs]], [1]) == [p]
+        assert support.ref_interpolate(xs, [[int(p.evaluate(x)) for x in xs]], [1]) == [p]
 
 
 class TestZeroPolynomial:

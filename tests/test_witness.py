@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from funcobs import decide, witness
 from funcobs.exactlin import QMatrix, adjugate_solve
@@ -169,6 +169,78 @@ class TestWitnessOracle:
         assert perturbed >= 5
 
 
+_coef = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _residual_cases(draw):
+    """(MN, P, EF), exact or with one entry of MN or EF moved.  Row r of P
+    is f_r P0_r, with f_r a nonzero constant or s + c and P0 of degree
+    <= 1, so P has degree 2; entry (k, r) of MN is x_kr / f_r, so a row
+    has several distinct denominators, and EF = X P0.  Rows of X may be
+    zero, and q may be 0."""
+    rows, cols, q = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+
+    def poly(degree):
+        return Poly([draw(_coef) for _ in range(degree + 1)])
+
+    f = [Poly([draw(_coef), 1]) if draw(st.booleans())
+         else Poly([draw(st.sampled_from([-2, 1, Fraction(1, 3)]))]) for _ in range(rows)]
+    P0 = PolyMatrix.from_rows([[poly(1) for _ in range(cols)] for _ in range(rows)], cols=cols)
+    X = PolyMatrix.from_rows([[Poly() if zero else poly(1) for _ in range(rows)]
+                              for zero in (draw(st.booleans()) for _ in range(q))], cols=rows)
+    P = PolyMatrix.from_rows([[f[r] * e for e in P0.data[r]] for r in range(rows)], cols=cols)
+    MN = [[RationalFunction(x, d) for x, d in zip(row, f)] for row in X.data]
+    EF = [list(row) for row in support.ref_polymatmul(X, P0).data]
+    move = draw(st.sampled_from(["none", "mn", "ef"])) if q else "none"
+    if move == "mn":
+        k, r = draw(st.integers(0, q - 1)), draw(st.integers(0, rows - 1))
+        e, (num, den) = MN[k][r], (poly(1), Poly([draw(_coef), 1]))
+        MN[k][r] = RationalFunction(e.num * den + num * e.den, e.den * den)
+    elif move == "ef":
+        k, j = draw(st.integers(0, q - 1)), draw(st.integers(0, cols - 1))
+        EF[k][j] = EF[k][j] + poly(2)
+    return (RationalFunctionMatrix.from_rows(MN, cols=rows), P,
+            PolyMatrix.from_rows(EF, cols=cols), move)
+
+
+class TestResidual:
+    """The check at one point against ``support.ref_residual_is_zero``,
+    which multiplies each row's numerators over its denominator lcm."""
+
+    @given(_residual_cases())
+    def test_matches_polymatrix_product(self, case):
+        MN, P, EF, move = case
+        got = residual_is_zero(MN, P, EF)
+        assert got == support.ref_residual_is_zero(MN, P, EF)
+        if move == "none":
+            assert got
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_integer_roots_are_no_zeros(self, k):
+        # MN @ P - EF is s - k - c, the second time through a denominator:
+        # its root k + c walks through every integer below the point that
+        # a weaker bound would pick
+        s1 = Poly([1, 1])
+        for c in range(12):
+            for MN, P in ((rf((1,)), Poly([-k, 1])), (rf((1,), (1, 1)), Poly([-k, 1]) * s1)):
+                assert not residual_is_zero(RationalFunctionMatrix.from_rows([[MN]]),
+                                            PolyMatrix.from_rows([[P]]),
+                                            PolyMatrix.from_rows([[c]]))
+
+    def test_zero_width_plant(self):
+        # n + p = 0: MN has no columns, so the residual is -EF
+        P = PolyMatrix(0, 2, ())
+        MN = RationalFunctionMatrix(1, 0, ((),))
+        assert residual_is_zero(MN, P, PolyMatrix.from_rows([[0, 0]], cols=2))
+        assert not residual_is_zero(MN, P, PolyMatrix.from_rows([[0, 1]], cols=2))
+
+    def test_shape_mismatch_rejected(self):
+        P = PolyMatrix.from_rows([[1, 0], [0, 1]], cols=2)
+        with pytest.raises(ValueError):
+            residual_is_zero(RationalFunctionMatrix.from_rows([[rf((1,))]]), P, P)
+
+
 class TestDecisionConsistency:
     def test_golden_systems(self):
         for build in support.GOLDEN.values():
@@ -244,12 +316,34 @@ def _square_plants(draw):
                                      F=sys.F.data, m=sys.m)
 
 
+@st.composite
+def _wide_square_plants(draw):
+    """Plants with p = m, n in 0..4 (n + m > 0), m and q in 0..2, and
+    entries that are small integers, fractions over 1..6 or integers up to
+    +-10^6; in some, B and D are zero in the first input column, so P is
+    singular."""
+    m, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    n = draw(st.integers(0 if m else 1, 4))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-10 ** 6, 10 ** 6),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+    def block(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    B, D = block(n, m), block(m, m)
+    if m and draw(st.booleans()):
+        for row in B + D:
+            row[0] = 0
+    return SystemSextuple.from_lists(A=block(n, n), B=B, C=block(m, n), D=D, E=block(q, n),
+                                     F=block(q, m), m=m)
+
+
 def _det_p(sys) -> Poly:
     return support.ref_determinant(build_system_matrices(sys)[0])
 
 
 _UNIQUE_CASES = {
-    # det P = s (s - 1)(s - 2): the solve skips s = 0, 1, 2
+    # det P = s (s - 1)(s - 2): the oracle's point solves skip s = 0, 1, 2
     "skipped_points": SystemSextuple.from_lists(
         A=[[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [1, 1, 1, -1]],
         B=[[0], [0], [0], [1]], C=[[1, 1, 1, 1]], D=[[0]], E=[[1, 0, 0, 1]], F=[[1]]),
@@ -273,8 +367,19 @@ _FALLBACK_CASES = {
 
 
 class TestUniqueSolution:
-    """The point solves against the Smith route, ``support.ref_witness``,
-    field by field: in the unique case their reduced entries agree."""
+    """The solve at one point against the Smith route,
+    ``support.ref_witness``, field by field, and against the n + 1 point
+    solves of ``support.ref_unique_solution``: in the unique case their
+    reduced entries agree."""
+
+    @given(_wide_square_plants())
+    @example(_UNIQUE_CASES["n_zero"])
+    @example(_UNIQUE_CASES["q_zero"])
+    @example(_FALLBACK_CASES["square_singular"])
+    @example(_FALLBACK_CASES["square_singular_n_zero"])
+    @example(SystemSextuple.from_lists(A=[], D=[[-10 ** 6]], F=[[10 ** 6 - 1]]))
+    def test_matches_point_solves(self, sys):
+        assert witness._unique_solution(sys) == support.ref_unique_solution(sys)
 
     @given(_square_plants())
     def test_matches_smith_route(self, sys):
