@@ -82,6 +82,7 @@ def load_system_text(text: str) -> tuple[SystemSextuple, dict]:
     return parse_system_document(load_json(text))
 
 
+# no command runs it; CI writes its large-n smoke plant with it
 def dump_system_document(sys: SystemSextuple, meta: dict | None = None) -> dict:
     doc: dict[str, Any] = {}
     meta = meta or {}

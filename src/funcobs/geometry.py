@@ -11,9 +11,8 @@ With m = 0, V* is the unobservable subspace of (A, C).  The call keeps
 one fraction-free integer echelon across its steps, so each row of the
 stack is eliminated once, and returns it (``VStar``): ``rank_and_zeros``
 and the seeded calls read its integer rows, and Fractions are made from
-them only when a certificate reads V*'s rows, friend or input rows.  The
-blocks may come as ``IntegerMatrix`` forms, which ``IntegerPlant`` reads
-once per plant.
+them only when a certificate reads V*'s rows.  The blocks may come as
+``IntegerMatrix`` forms, which ``IntegerPlant`` reads once per plant.
 
 ``rank_and_zeros`` runs on integers from V*'s echelon to the zero
 polynomial.  The bases of V* and Ker [Y*B; D] are integer columns, the
@@ -53,8 +52,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exactlin import (IntegerMatrix, QMatrix, Subspace, _echelon_add, _integer_row,
-                       _primitive, first_escape, kernel_basis)
+from .exactlin import (IntegerMatrix, QMatrix, Subspace, _echelon_add, _primitive,
+                       first_escape, kernel_basis)
 from .polymat import POLY_ONE, Poly, berkowitz
 from .system import SystemSextuple
 
@@ -66,8 +65,8 @@ class VStar(NamedTuple):
     the input and state counts.  The rows that pivot in a state column are
     Y*'s; those that pivot in an input column read u_p + (free inputs) +
     f x = 0, so they give a friend F (m x n, u_p = -f x), with (A + BF) V*
-    in V* and (C + DF) V* = 0, and the rows of [Y*B; D].  ``rows``,
-    ``friend`` and ``input_rows`` make their Fractions when read."""
+    in V* and (C + DF) V* = 0, and the rows of [Y*B; D].  ``rows`` makes
+    its Fractions when read."""
     echelon: dict[int, list[int]]
     steps: int
     m: int
@@ -95,20 +94,6 @@ class VStar(NamedTuple):
         return Subspace(self.n, tuple(tuple(Fraction(x, r[p]) for x in r[m:])
                                       for p, r in sorted(self.echelon.items()) if p >= m))
 
-    @property
-    def friend(self) -> QMatrix:
-        m, n = self.m, self.n
-        friend = [(Fraction(0),) * n] * m
-        for r, p in self.integer_rows()[0]:
-            friend[p] = tuple(Fraction(-x, r[p]) for x in r[m:])
-        return QMatrix(m, n, tuple(friend))
-
-    @property
-    def input_rows(self) -> Subspace:
-        m = self.m
-        return Subspace(m, tuple(tuple(Fraction(x, r[p]) for x in r[:m])
-                                 for r, p in self.integer_rows()[0]))
-
 
 def _grow(cols: list[list[int]], m: int, rows: list[list[int]],
           seed: list[list[int]]) -> tuple[dict[int, list[int]], int]:
@@ -135,13 +120,12 @@ def _grow(cols: list[list[int]], m: int, rows: list[list[int]],
 
 def vstar(A: QMatrix | IntegerMatrix, B: QMatrix | IntegerMatrix,
           C: QMatrix | IntegerMatrix, D: QMatrix | IntegerMatrix,
-          seed: Subspace | list[list[int]] | None = None) -> VStar:
+          seed: list[list[int]] | None = None) -> VStar:
     """V*(A, B, C, D) = Ker Y*: Y_{k+1} are the rows of the RREF of
     [Y_k B, Y_k A; D, C] (inputs first) that pivot in a state column, from
-    Y_0 = ``seed`` (rows that annihilate V*, as P's do for P_e's: a
-    ``Subspace`` or integer rows) or none.  Each block is a ``QMatrix`` or
-    its ``IntegerMatrix``, which a caller reads once and hands to every
-    call.
+    Y_0 = ``seed`` (integer rows that annihilate V*, as P's do for P_e's)
+    or none.  Each block is a ``QMatrix`` or its ``IntegerMatrix``, which a
+    caller reads once and hands to every call.
 
     One fraction-free echelon, kept across the steps, holds integer
     multiples of those RREF rows.  Y and its pivots only grow, so a step
@@ -152,15 +136,13 @@ def vstar(A: QMatrix | IntegerMatrix, B: QMatrix | IntegerMatrix,
     A, B, C, D = map(IntegerMatrix.of, (A, B, C, D))
     n, m = A.rows, B.cols
     BA = IntegerMatrix.hstack([B, A]).data
-    if isinstance(seed, Subspace):
-        seed = [_integer_row(y) for y in seed.rows]
     echelon, step = _grow([[row[j] for row in BA] for j in range(m + n)], m,
                           IntegerMatrix.hstack([D, C]).data, seed or [])
     return VStar(echelon, step, m, n)
 
 
 def unobservable(A: QMatrix | IntegerMatrix, C: QMatrix | IntegerMatrix,
-                 seed: Subspace | list[list[int]] | None = None) -> VStar:
+                 seed: list[list[int]] | None = None) -> VStar:
     """The m = 0 V* of (A, C), its unobservable subspace, grown from
     ``seed`` (rows that annihilate it) when given."""
     return vstar(A, IntegerMatrix.zeros(A.rows, 0), C, IntegerMatrix.zeros(C.rows, 0), seed)

@@ -42,6 +42,7 @@ class KernelInclusionReport:
     witness: tuple[Fraction, ...] | None
 
 
+# no command runs it; the benchmark's small_batch times it as an op
 def kernel_inclusion_upto(sys: SystemSextuple, kmax: int) -> KernelInclusionReport:
     """Check Ker M^k(C,D) inside Ker M^k(E,F) for every k <= kmax.
 
@@ -63,5 +64,6 @@ def kernel_inclusion_upto(sys: SystemSextuple, kmax: int) -> KernelInclusionRepo
     return KernelInclusionReport(True, None, None)
 
 
+# reached only through kernel_inclusion_upto, which the benchmark times
 def _leading(M: QMatrix, rows: int, cols: int) -> QMatrix:
     return QMatrix(rows, cols, tuple(row[:cols] for row in M.data[:rows]))

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .exactlin import DenseMatrix, QMatrix, _integer_matrix, as_fraction
+from .exactlin import DenseMatrix, as_fraction
 from .system import SystemSextuple
 
 
@@ -168,13 +168,6 @@ class Poly:
         if not num or num[-1] == self._den:
             return self
         return _reduced(list(num), num[-1])
-
-    def evaluate(self, x):
-        """Horner evaluation at x (exact for rational x)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- comparisons / display -----------------------------------------------
 
@@ -397,20 +390,6 @@ class PolyMatrix(DenseMatrix):
             data.append(tuple(entries))
         return PolyMatrix(self.rows, other.cols, tuple(data))
 
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return PolyMatrix(self.rows, self.cols,
-                          tuple(tuple(a - b for a, b in zip(ra, rb))
-                                for ra, rb in zip(self.data, other.data)))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
-
-    def evaluate(self, s0) -> QMatrix:
-        return QMatrix.from_rows([[e.evaluate(as_fraction(s0)) for e in row] for row in self.data],
-                                 cols=self.cols)
-
 
 def pencil_entry(e, a) -> Poly:
     """The entry s e - a of a pencil, from two reduced fractions.
@@ -608,9 +587,3 @@ def berkowitz(M: Sequence[Sequence[int]], d: int = 1) -> Poly:
                 v = [sum(map(mul, row, v)) for row in top]
         c = [sum(col[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
     return _reduced([x * d ** j for j, x in enumerate(reversed(c))], d ** k)
-
-
-def characteristic_polynomial(A: QMatrix) -> Poly:
-    """det(sI - A): ``berkowitz`` on A's numerators over the lcm of its
-    denominators."""
-    return berkowitz(*_integer_matrix(A.data))

@@ -31,6 +31,7 @@ def _ydot(t: float) -> float:
     return 2.0 * math.cos(t * t) - math.sin(t * t) / (t * t)
 
 
+# no caller in the package: the scalar reference the tests hold _yddot_grid to
 def _yddot(t: float) -> float:
     tt = t * t
     return (2.0 * math.sin(tt) / (tt * t)
@@ -57,6 +58,7 @@ def _yddot_grid(npoints: int, dt: float) -> np.ndarray:
     return out
 
 
+# no command runs it; the README documents it and the benchmark times it
 def fading_output_scenario(horizon: float = 100.0, step: float = 1e-3,
                            table_step: float = 1e-3) -> Scenario:
     """Scenario driving the two-state chain so that y fades but z = u does not.
@@ -76,11 +78,4 @@ def fading_output_scenario(horizon: float = 100.0, step: float = 1e-3,
     # the table is labelled with the grid that is integrated
     signal = InputSignal("table", times=np.arange(nsamples) * table_step, values=u)
     return Scenario(x0=(x1, x2), xi0=(), input_signal=signal,
-                    horizon=horizon, step=step)
-
-
-def zero_input_scenario(x0, xi0=(), horizon: float = 10.0, step: float = 1e-3) -> Scenario:
-    return Scenario(x0=tuple(float(v) for v in x0),
-                    xi0=tuple(float(v) for v in xi0),
-                    input_signal=InputSignal("zero"),
                     horizon=horizon, step=step)

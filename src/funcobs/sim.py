@@ -59,6 +59,7 @@ class StateSpaceRealization:
     def order(self) -> int:
         return self.G.shape[0]
 
+    # no command calls it; the benchmark's simulate workload does
     @classmethod
     def static_gain(cls, R) -> "StateSpaceRealization":
         R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -565,20 +566,6 @@ def load_scenario_file(path, horizon_fallback: float | None = None) -> Scenario:
     if isinstance(doc, dict) and "horizon" not in doc and horizon_fallback is not None:
         doc = {**doc, "horizon": horizon_fallback}
     return parse_scenario_document(doc)
-
-
-def _nested_lists(x, depth: int):
-    if isinstance(x, np.ndarray):  # a table field
-        return x.tolist()
-    return [_nested_lists(v, depth - 1) for v in x] if depth else x
-
-
-def dump_scenario_document(sc: Scenario) -> dict:
-    sig = sc.input_signal
-    fields = {name: _nested_lists(getattr(sig, name), depth)
-              for name, depth in INPUT_FIELDS[sig.kind].items()}
-    return {"x0": list(sc.x0), "xi0": list(sc.xi0), "input": {"kind": sig.kind, **fields},
-            "horizon": sc.horizon, "step": sc.step}
 
 
 def _transfer_entry(cell, field: str) -> RationalFunction:

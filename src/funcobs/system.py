@@ -98,6 +98,7 @@ class SystemSextuple:
         return cls(given["A"], input_block("B", n), C, input_block("D", C.rows),
                    E, input_block("F", E.rows))
 
+    # no command retargets a plant; the benchmark's cross-checks do
     def with_target(self, E: QMatrix, F: QMatrix) -> "SystemSextuple":
         """Same plant with a different target output block [E F]."""
         return SystemSextuple(self.A, self.B, self.C, self.D, E, F)

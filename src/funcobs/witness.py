@@ -70,9 +70,6 @@ class RationalFunction:
     def is_proper(self) -> bool:
         return self.is_zero() or self.num.degree <= self.den.degree
 
-    def evaluate(self, x):
-        return self.num.evaluate(x) / self.den.evaluate(x)
-
     def limit_at_infinity(self) -> Fraction:
         """Finite limit for proper functions (0 when strictly proper)."""
         if not self.is_proper():
@@ -111,9 +108,6 @@ class RationalFunctionMatrix(DenseMatrix):
     _entry = staticmethod(lambda e: e)  # entries are built as RationalFunction
     _zero = RationalFunction(POLY_ZERO)
     _one = RationalFunction(POLY_ONE)
-
-    def evaluate(self, x):
-        return [[e.evaluate(x) for e in row] for row in self.data]
 
 
 def denominator_lcm(entries) -> Poly:
@@ -283,7 +277,7 @@ def _verified(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix,
                          left_kernel_dim, None)
 
 
-def solve_over_field(sys: SystemSextuple | decide.PlantForms) -> WitnessReport:
+def solve_over_field(sys: SystemSextuple) -> WitnessReport:
     """Construct and verify the canonical field solution of [M N] P = [E F].
 
     A square P with det P not identically zero takes the unique solution
@@ -293,7 +287,6 @@ def solve_over_field(sys: SystemSextuple | decide.PlantForms) -> WitnessReport:
     solution exists the residual is recomputed exactly and must be the zero
     matrix.
     """
-    sys = decide.PlantForms.of(sys).sys
     P, EF = build_system_matrices(sys)
     if P.rows == P.cols > 0:
         MN = _unique_solution(sys)
@@ -325,6 +318,7 @@ def solve_over_field(sys: SystemSextuple | decide.PlantForms) -> WitnessReport:
     return _verified(MN, P, EF, left_kernel_dim)
 
 
+# no command runs it; the README documents it as the library's cross-check
 def decision_consistency(sys: SystemSextuple | decide.PlantForms) -> bool:
     """Contract between the existence verdicts and the constructed witness.
 
@@ -336,7 +330,7 @@ def decision_consistency(sys: SystemSextuple | decide.PlantForms) -> bool:
     properness that another member of the solution family achieves.
     """
     forms = decide.PlantForms.of(sys)
-    report = solve_over_field(forms)
+    report = solve_over_field(forms.sys)
     if report.solvable_over_field and not report.residual_zero:
         return False
     stable = report.solvable_over_field and report.denominator_hurwitz.is_hurwitz

@@ -26,7 +26,12 @@ from numpy's companion-matrix solver,
 trajectories from a stage-by-stage RK4 loop fed by scalar input
 evaluation, the affine RK4 recurrence from one matrix-vector product per
 step, trajectory CSV rows formatted value by value, the fading scenario's
-document from its table built as tuples of Python floats.
+document from its table built as tuples of Python floats, and any
+scenario's document field by field (``scenario_document``).  It also holds
+conveniences the library does not need: V*'s friend and the
+rows of [Y*B; D] read off ``VStar.echelon``, subspace bases as columns,
+transposes, sums and negations of ``QMatrix``, and polynomial values by
+``RefPoly``'s Horner rule.
 """
 
 from __future__ import annotations
@@ -120,6 +125,31 @@ def is_subspace_of(V: Subspace, W: Subspace) -> bool:
 
 def columns(M: QMatrix) -> list[tuple[Fraction, ...]]:
     return [M.column(j) for j in range(M.cols)]
+
+
+def transpose(M: QMatrix) -> QMatrix:
+    return QMatrix(M.cols, M.rows, tuple(M.column(j) for j in range(M.cols)))
+
+
+def basis(V: Subspace) -> QMatrix:
+    """V's canonical rows as the columns of a matrix."""
+    return transpose(QMatrix(V.dim, V.ambient_dim, V.rows))
+
+
+def is_zero(M: QMatrix) -> bool:
+    return all(x == 0 for row in M.data for x in row)
+
+
+def ref_add(A: QMatrix, B: QMatrix) -> QMatrix:
+    """Entrywise sum, one ``Fraction`` sum per entry."""
+    if A.shape != B.shape:
+        raise ValueError("shape mismatch in addition")
+    return QMatrix(A.rows, A.cols, tuple(tuple(a + b for a, b in zip(ra, rb))
+                                         for ra, rb in zip(A.data, B.data)))
+
+
+def ref_neg(M: QMatrix) -> QMatrix:
+    return QMatrix(M.rows, M.cols, tuple(tuple(-x for x in row) for row in M.data))
 
 
 def column_vector(entries) -> QMatrix:
@@ -298,8 +328,8 @@ def ref_build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatr
     n, m = sys.n, sys.m
     P = ref_pencil(QMatrix.from_blocks([[QMatrix.identity(n), QMatrix.zeros(n, m)],
                                         [QMatrix.zeros(sys.p, n + m)]]),
-                   QMatrix.from_blocks([[sys.A, sys.B], [-sys.C, -sys.D]]))
-    EF = ref_pencil(QMatrix.zeros(sys.q, n + m), -QMatrix.hstack([sys.E, sys.F]))
+                   QMatrix.from_blocks([[sys.A, sys.B], [ref_neg(sys.C), ref_neg(sys.D)]]))
+    EF = ref_pencil(QMatrix.zeros(sys.q, n + m), ref_neg(QMatrix.hstack([sys.E, sys.F])))
     return P, EF
 
 
@@ -313,8 +343,8 @@ def ref_darouach_pencil(sys: SystemSextuple) -> PolyMatrix:
     return ref_pencil(QMatrix.from_blocks([[sys.E, zq_m, zq_m],
                                            [QMatrix.zeros(2 * p, n + 2 * m)]]),
                       QMatrix.from_blocks([[ea, eb, zq_m],
-                                           [-sys.C, -sys.D, zp_m],
-                                           [-ca, -cb, -sys.D]]))
+                                           [ref_neg(sys.C), ref_neg(sys.D), zp_m],
+                                           [ref_neg(ca), ref_neg(cb), ref_neg(sys.D)]]))
 
 
 def ref_row_op_sub(mat: list[list[Poly]], i: int, t: int, q: Poly) -> None:
@@ -329,10 +359,10 @@ def ref_col_op_sub(mat: list[list[Poly]], j: int, t: int, q: Poly) -> None:
 
 
 def ref_first_escape(V: Subspace, M: QMatrix):
-    """First basis column of V whose image under M is nonzero, by a full
-    matrix product per column; None when every column is annihilated."""
-    for vec in columns(V.basis):
-        if not ref_qmatmul(M, column_vector(vec)).is_zero():
+    """First canonical basis vector of V whose image under M is nonzero, by
+    a full matrix product per vector; None when every one is annihilated."""
+    for vec in V.rows:
+        if not is_zero(ref_qmatmul(M, column_vector(vec))):
             return vec
     return None
 
@@ -368,7 +398,7 @@ def ref_reachable(sys: SystemSextuple) -> tuple[Subspace, int]:
     im_b = Subspace.span(n + m, columns(B_e))
     current, reached = im_b.intersect(K), zero_subspace(n + m)
     for step in range(n + 1):
-        pushed = Subspace.span(n + m, columns(ref_qmatmul(A_e, current.basis)))
+        pushed = Subspace.span(n + m, columns(ref_qmatmul(A_e, basis(current))))
         if pushed == reached:
             return current, step
         current, reached = pushed.sum(im_b).intersect(K), pushed
@@ -523,9 +553,30 @@ class RefVStar(NamedTuple):
     input_rows: Subspace
 
 
+def vstar_friend(v) -> QMatrix:
+    """A friend F of a ``geometry.VStar``, read off its echelon: a row r
+    that pivots in input column p < m gives F's row p = -r[m:] / r[p],
+    and every other row of F is zero."""
+    m, n = v.m, v.n
+    friend = [[Fraction(0)] * n for _ in range(m)]
+    for p, r in v.echelon.items():
+        if p < m:
+            friend[p] = [Fraction(-x, r[p]) for x in r[m:]]
+    return QMatrix.from_rows(friend, cols=n)
+
+
+def vstar_input_rows(v) -> Subspace:
+    """The canonical rows of [Y*B; D] of a ``geometry.VStar``: the input
+    parts of its echelon's rows that pivot in an input column, over their
+    pivots."""
+    m = v.m
+    return Subspace(m, tuple(tuple(Fraction(x, r[p]) for x in r[:m])
+                             for p, r in sorted(v.echelon.items()) if p < m))
+
+
 def vstar_fields(v) -> RefVStar:
     """A ``geometry.VStar``'s rows, steps, friend and input rows."""
-    return RefVStar(v.rows, v.steps, v.friend, v.input_rows)
+    return RefVStar(v.rows, v.steps, vstar_friend(v), vstar_input_rows(v))
 
 
 def ref_vstar_restacked(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix,
@@ -594,7 +645,7 @@ def _ref_unit_kernel(K: Subspace) -> tuple[QMatrix, list[int]]:
 def _ref_restricted(Y: Subspace, free: list[int], image: QMatrix) -> QMatrix:
     """X with N X == image for N the unit basis of Ker Y, checked as
     Y image == 0: X is image at the free columns."""
-    if not ref_qmatmul(QMatrix.from_rows(Y.rows, cols=Y.ambient_dim), image).is_zero():
+    if not is_zero(ref_qmatmul(QMatrix.from_rows(Y.rows, cols=Y.ambient_dim), image)):
         raise AssertionError("subspace not invariant")
     return QMatrix.from_rows([image.data[f] for f in free], cols=image.cols)
 
@@ -603,17 +654,20 @@ def ref_rank_and_zeros(A: QMatrix, B: QMatrix, v) -> tuple[int, Poly]:
     """``geometry.rank_and_zeros`` by Fraction matrix products: A_V is
     (A + BF) N and G is B L at N's free columns, for N and L the unit
     bases of Ker Y* and Ker [Y*B; D]; the zeros come from the Hessenberg
-    oracle, through R* from the whole-stack V* of (A_V^T, G^T)."""
+    oracle, through R* from the whole-stack V* of (A_V^T, G^T).  ``v`` is
+    a ``geometry.VStar`` or a ``RefVStar``."""
+    if not isinstance(v, RefVStar):
+        v = vstar_fields(v)
     n, m, Y, U = A.rows, B.cols, v.rows, v.input_rows
     if Y.dim == n:
         return n + U.dim, Poly([1])
     N, free = _ref_unit_kernel(Y)
-    A_V = _ref_restricted(Y, free, ref_qmatmul(A + ref_qmatmul(B, v.friend), N))
+    A_V = _ref_restricted(Y, free, ref_qmatmul(ref_add(A, ref_qmatmul(B, v.friend)), N))
     if U.dim == m:
         return n + U.dim, ref_characteristic_polynomial(A_V)
     G = _ref_restricted(Y, free, ref_qmatmul(B, _ref_unit_kernel(U)[0]))
-    A_T, none = A_V.transpose(), QMatrix.zeros(len(free), 0)
-    w = ref_vstar_restacked(A_T, none, G.transpose(), QMatrix.zeros(G.cols, 0))
+    A_T, none = transpose(A_V), QMatrix.zeros(len(free), 0)
+    w = ref_vstar_restacked(A_T, none, transpose(G), QMatrix.zeros(G.cols, 0))
     return n + U.dim, ref_rank_and_zeros(A_T, none, w)[1]
 
 
@@ -626,7 +680,22 @@ def ref_normal_rank(M: PolyMatrix) -> int:
     """
     maxdeg = max((e.degree for row in M.data for e in row), default=0)
     npoints = min(M.rows, M.cols) * max(maxdeg, 0) + 1
-    return max(ref_rank_q(M.evaluate(s0)) for s0 in range(npoints))
+    return max(ref_rank_q(polymatrix_at(M, s0)) for s0 in range(npoints))
+
+
+def poly_at(p: Poly, x):
+    """p(x) by ``RefPoly``'s Horner evaluation on p's coefficients."""
+    return RefPoly(p.coeffs).evaluate(x)
+
+
+def polymatrix_at(M: PolyMatrix, s0) -> QMatrix:
+    return QMatrix.from_rows([[poly_at(e, as_fraction(s0)) for e in row] for row in M.data],
+                             cols=M.cols)
+
+
+def rational_matrix_at(MN: RationalFunctionMatrix, x) -> list[list]:
+    """The entries num(x) / den(x) of a rational matrix at x."""
+    return [[poly_at(e.num, x) / poly_at(e.den, x) for e in row] for row in MN.data]
 
 
 def cofactor_det(M: PolyMatrix) -> Poly:
@@ -877,6 +946,23 @@ def ref_write_csv(traj, path) -> None:
                    + [repr(float(v)) for v in traj.zhat[k]]
                    + [repr(float(v)) for v in traj.e[k]])
             writer.writerow(row)
+
+
+def _nested_lists(x):
+    if isinstance(x, np.ndarray):  # a table field
+        return x.tolist()
+    return [_nested_lists(v) for v in x] if isinstance(x, tuple) else x
+
+
+def scenario_document(sc) -> dict:
+    """The JSON document of a ``sim.Scenario``: the input holds its kind
+    and every field ``INPUT_FIELDS`` names for that kind, as nested lists."""
+    from funcobs.sim import INPUT_FIELDS
+
+    sig = sc.input_signal
+    fields = {name: _nested_lists(getattr(sig, name)) for name in INPUT_FIELDS[sig.kind]}
+    return {"x0": list(sc.x0), "xi0": list(sc.xi0), "input": {"kind": sig.kind, **fields},
+            "horizon": sc.horizon, "step": sc.step}
 
 
 def ref_fading_document(horizon: float, step: float, table_step: float) -> dict:

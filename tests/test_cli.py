@@ -9,10 +9,9 @@ import pytest
 from funcobs import cli, decide
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
+from funcobs.exactlin import QMatrix
 from funcobs.fileio import (SystemFileError, dump_system_document, load_system_text,
                             to_jsonable)
-from funcobs.scenarios import zero_input_scenario
-from funcobs.sim import dump_scenario_document
 from funcobs.system import SystemSextuple
 
 EXPECTED_CHECKS = {
@@ -25,6 +24,12 @@ EXPECTED_CHECKS = {
     "left_invertible_star": decide.asympt_strong_star_left_invertible,
     "darouach": decide.darouach_fixed_order,
 }
+
+
+def zero_input_json(x0, horizon, xi0=()) -> str:
+    """A scenario document with the zero input, written as JSON text."""
+    return json.dumps({"x0": list(x0), "xi0": list(xi0), "input": {"kind": "zero"},
+                       "horizon": horizon, "step": 0.001})
 
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -81,7 +86,7 @@ class TestParsing:
     def test_declared_m_with_zero_blocks(self):
         sys, _ = load_system_text(json.dumps({"A": [[1]], "C": [[1]], "E": [[1]], "m": 2}))
         assert sys.m == 2
-        assert sys.B.is_zero()
+        assert sys.B == QMatrix.zeros(1, 2)
 
     def test_truncated_document(self):
         with pytest.raises(SystemFileError):
@@ -213,8 +218,7 @@ class TestCmdCheck:
     ])
     def test_unwritable_output_path(self, tmp_path, capsys, command, option):
         (tmp_path / "OBS").write_text(json.dumps({"R": [[1, 0]]}))
-        (tmp_path / "SC").write_text(json.dumps(dump_scenario_document(
-            zero_input_scenario([1.0, -2.0], horizon=1.0))))
+        (tmp_path / "SC").write_text(zero_input_json([1.0, -2.0], 1.0))
         argv = [str(tmp_path / a) if a in ("OBS", "SC") else a for a in command]
         target = tmp_path / "no" / "such" / "dir" / "x.out"
         assert main([*argv, option, str(target)]) == 2
@@ -474,8 +478,7 @@ class TestCmdSimulate:
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps({"R": [[1, 0]]}))
         sc = tmp_path / "sc.json"
-        sc.write_text(json.dumps(dump_scenario_document(
-            zero_input_scenario([1.0, -2.0], horizon=2.0))))
+        sc.write_text(zero_input_json([1.0, -2.0], 2.0))
         csv_path = tmp_path / "traj.csv"
         code = main(["simulate", "stable_pair", str(obs), str(sc),
                      "--csv", str(csv_path)])
@@ -492,16 +495,14 @@ class TestCmdSimulate:
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps(doc))
         sc = tmp_path / "sc.json"
-        sc.write_text(json.dumps(dump_scenario_document(
-            zero_input_scenario([1.0, -2.0], horizon=1.0))))
+        sc.write_text(zero_input_json([1.0, -2.0], 1.0))
         assert main(["simulate", "stable_pair", str(obs), str(sc)]) == 0
 
     def test_nonproper_observer_rejected(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps({"N": [[{"num": [0, 0, 1], "den": [1, 1]}]]}))
         sc = tmp_path / "sc.json"
-        sc.write_text(json.dumps(dump_scenario_document(
-            zero_input_scenario([0.0], horizon=1.0))))
+        sc.write_text(zero_input_json([0.0], 1.0))
         assert main(["simulate", "state_estimation_demo", str(obs), str(sc)]) == 2
         err = capsys.readouterr().err
         assert "proper" in err
@@ -510,8 +511,7 @@ class TestCmdSimulate:
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps({"N": [[{"num": [1], "den": [-1, 1]}]]}))
         sc = tmp_path / "sc.json"
-        sc.write_text(json.dumps(dump_scenario_document(
-            zero_input_scenario([0.0], horizon=1.0))))
+        sc.write_text(zero_input_json([0.0], 1.0))
         assert main(["simulate", "state_estimation_demo", str(obs), str(sc)]) == 2
 
     def test_explicit_realization_accepted(self, tmp_path):
@@ -519,8 +519,7 @@ class TestCmdSimulate:
         obs.write_text(json.dumps({"G": [[-1.0]], "H": [[1.0]],
                                    "Q": [[1.0]], "R": [[0.0]]}))
         sc = tmp_path / "sc.json"
-        sc.write_text(json.dumps(dump_scenario_document(
-            zero_input_scenario([1.0], xi0=[0.0], horizon=20.0))))
+        sc.write_text(zero_input_json([1.0], 20.0, xi0=[0.0]))
         assert main(["simulate", "state_estimation_demo", str(obs), str(sc)]) == 0
 
     def test_oversize_scenario_exits_2(self, tmp_path, capsys):
@@ -665,8 +664,7 @@ class TestUnreadableInput:
     def files(self, tmp_path):
         obs, sc = tmp_path / "obs.json", tmp_path / "sc.json"
         obs.write_text(json.dumps({"R": [[1, 0]]}))
-        sc.write_text(json.dumps(dump_scenario_document(
-            zero_input_scenario([1.0, -2.0], horizon=1.0))))
+        sc.write_text(zero_input_json([1.0, -2.0], 1.0))
         return {"system": "stable_pair", "observer": str(obs), "scenario": str(sc)}
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
@@ -707,8 +705,7 @@ class TestOptionValues:
     def simulate_argv(self, tmp_path):
         obs, sc = tmp_path / "obs.json", tmp_path / "sc.json"
         obs.write_text(json.dumps({"R": [[1, 0]]}))
-        sc.write_text(json.dumps(dump_scenario_document(
-            zero_input_scenario([1.0, -2.0], horizon=1.0))))
+        sc.write_text(zero_input_json([1.0, -2.0], 1.0))
         return ["simulate", "stable_pair", str(obs), str(sc)]
 
     @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])

@@ -39,7 +39,7 @@ class TestQMatrix:
         A = QMatrix.from_rows([[1, 2], [3, 4]])
         B = QMatrix.from_rows([[0, 1], [1, 0]])
         assert (A @ B) == QMatrix.from_rows([[2, 1], [4, 3]])
-        assert A.transpose() == QMatrix.from_rows([[1, 3], [2, 4]])
+        assert IntegerMatrix.of(A).transpose().fractions() == QMatrix.from_rows([[1, 3], [2, 4]])
 
     def test_empty_dimensions(self):
         Z = QMatrix.zeros(2, 0)
@@ -91,8 +91,6 @@ class TestDenseMatrix:
     def test_operations_keep_the_subclass(self, cls, entry, message):
         A = cls.from_rows(self._rows(entry, 2, 3))
         B = cls.from_rows(self._rows(entry, 1, 3, start=6))
-        T = A.transpose()
-        assert type(T) is cls and T.shape == (3, 2) and T[2, 1] == A[1, 2]
         V = cls.vstack([A, B])
         assert type(V) is cls and V.shape == (3, 3) and V[2, 0] == B[0, 0]
         H = cls.hstack([A, A])
@@ -112,11 +110,11 @@ class TestDenseMatrix:
         A = cls.from_rows(self._rows(entry, 2, 2))
         B = cls.from_rows(self._rows(entry, 2, 2))
         assert A is not B and A == B and hash(A) == hash(B)
-        assert len({A, B, A.transpose()}) == 2
+        assert len({A, B, cls.from_rows(self._rows(entry, 2, 2, start=4))}) == 2
 
     def test_container_methods_defined_once(self, cls, entry, message):
         for name in ("__init__", "from_rows", "zeros", "identity", "hstack", "vstack",
-                     "from_blocks", "__getitem__", "shape", "transpose", "__eq__",
+                     "from_blocks", "__getitem__", "shape", "__eq__",
                      "__hash__", "__repr__"):
             assert name in DenseMatrix.__dict__ and name not in cls.__dict__, name
         assert cls.__slots__ == ()
@@ -129,21 +127,21 @@ class TestKernel:
     def test_one_equation_two_unknowns(self):
         K = kernel_basis(QMatrix.from_rows([[1, 1]]))
         assert K.dim == 1
-        assert support.columns(K.basis) == [(frac(1), frac(-1))]
+        assert K.rows == ((frac(1), frac(-1)),)
 
     def test_toeplitz_kernel_against_row_reduction(self):
         sys = support.measured_input()
         M = toeplitz(sys.A, sys.B, sys.C, sys.D, 2)
         K = kernel_basis(M)
         assert K.dim == M.cols - support.ref_rank_q(M)
-        for col in support.columns(K.basis):
-            assert (M @ support.column_vector(col)).is_zero()
+        for col in K.rows:
+            assert support.is_zero(M @ support.column_vector(col))
 
     def test_kernel_vectors_annihilate(self, rng):
         for _ in range(30):
             M = support.random_qmatrix(rng, 3, 5)
-            for col in support.columns(kernel_basis(M).basis):
-                assert (M @ support.column_vector(col)).is_zero()
+            for col in kernel_basis(M).rows:
+                assert support.is_zero(M @ support.column_vector(col))
 
 
 _RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
@@ -242,13 +240,13 @@ class TestCanonicity:
                      vecs[1], vecs[0]]
             W = Subspace.span(4, mixed)
             if V.dim == W.dim and support.is_subspace_of(V, W):
-                assert V.basis == W.basis
+                assert V.rows == W.rows
                 assert hash(V) == hash(W)
 
     def test_pivot_structure(self):
         V = Subspace.span(3, [[2, 4, 0], [0, 0, 5]])
-        cols = support.columns(V.basis)
-        assert cols[0][0] == 1 and cols[1][2] == 1
+        rows = V.rows
+        assert rows[0][0] == 1 and rows[1][2] == 1
 
 
 F = Fraction
@@ -299,11 +297,9 @@ class TestIntegerRREF:
         ncols, rows = case
         reduced, _ = support.ref_rref(rows)
         nonzero = [r for r in reduced if any(x != 0 for x in r)]
-        want = QMatrix.from_rows(nonzero, cols=ncols).transpose()
-        got = Subspace.span(ncols, rows).basis
-        assert got.shape == want.shape
-        assert [[(x.numerator, x.denominator) for x in row] for row in got.data] == \
-            [[(x.numerator, x.denominator) for x in row] for row in want.data]
+        got = Subspace.span(ncols, rows).rows
+        assert [[(x.numerator, x.denominator) for x in row] for row in got] == \
+            [[(x.numerator, x.denominator) for x in row] for row in nonzero]
 
     @given(_spanning_rows())
     @example((4, []))
@@ -389,8 +385,6 @@ class TestCanonicalRows:
         V = Subspace.span(d, rows)
         assert V.rows == _ref_rows(rows)
         assert all(type(x) is Fraction for row in V.rows for x in row)
-        assert V.basis.shape == (d, V.dim)
-        assert support.columns(V.basis) == list(V.rows)
 
     @given(_subspace_pair())
     @example((0, [], []))
@@ -429,7 +423,7 @@ class TestCanonicalRows:
         # the spans of nothing and of a shuffled basis of Q^d
         assert Subspace.span(3, []).rows == ()
         assert Subspace.span(2, [[0, 3], [2, 1]]).rows == ((F(1), F(0)), (F(0), F(1)))
-        assert Subspace.span(3, []).basis.shape == (3, 0)
+        assert Subspace.span(3, []).ambient_dim == 3
         assert Subspace.span(0, [[]]).rows == () and Subspace.span(0, []) == Subspace(0, ())
 
     def test_constructor_checks_row_length(self):
@@ -492,10 +486,10 @@ class TestIntegerMatrix:
         assert IntegerMatrix.of(Ai) is Ai
         assert Ai.den == lcm(*(x.denominator for row in A.data for x in row))
         assert _fraction_storage(Ai.fractions()) == _fraction_storage(A)
-        assert Ai.transpose().fractions() == A.transpose()
+        assert Ai.transpose().fractions() == support.transpose(A)
         assert (Ai @ Bi).fractions() == support.ref_qmatmul(A, B)
         # B^T has A's column count k, so it stacks under A
-        Bt, k = B.transpose(), A.cols
+        Bt, k = support.transpose(B), A.cols
         got = IntegerMatrix.vstack([Ai, IntegerMatrix.of(Bt), IntegerMatrix.identity(k)])
         assert got.fractions() == QMatrix.vstack([A, Bt, QMatrix.identity(k)])
         got = IntegerMatrix.hstack([Ai, IntegerMatrix.zeros(A.rows, 2), Ai])

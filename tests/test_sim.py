@@ -8,12 +8,11 @@ from hypothesis import given, strategies as st
 
 from funcobs.polymat import Poly
 from funcobs import sim
-from funcobs.scenarios import (_YDDOT_BLOCK, _yddot, _yddot_grid, fading_output_scenario,
-                               zero_input_scenario)
+from funcobs.scenarios import _YDDOT_BLOCK, _yddot, _yddot_grid, fading_output_scenario
 from funcobs.sim import (INPUT_FIELDS, MAX_STEPS, InputSignal, RealizationError, Scenario,
                          StateSpaceRealization, StepInstabilityError,
-                         _rk4_step_map, convergence_metric, dump_scenario_document,
-                         parse_scenario_document, realize, rk4_linear,
+                         _rk4_step_map, convergence_metric, parse_scenario_document,
+                         realize, rk4_linear,
                          simulate, suggested_horizon, write_csv)
 from funcobs.system import SystemSextuple
 from funcobs.witness import RationalFunction, RationalFunctionMatrix
@@ -67,7 +66,7 @@ class TestRealize:
         rnd = np.random.default_rng(42)
         for _ in range(20):
             s0 = complex(rnd.uniform(0.3, 3.0), rnd.uniform(-3.0, 3.0))
-            exact = np.array(N.evaluate(s0), dtype=complex)
+            exact = np.array(support.rational_matrix_at(N, s0), dtype=complex)
             got = transfer_of(omega, s0)
             scale = 1.0 + np.max(np.abs(exact))
             assert np.max(np.abs(exact - got)) / scale < 1e-9
@@ -95,7 +94,7 @@ class TestRealize:
         omega = realize(N)
         assert omega.order == 1
         for s0 in (0.7 + 0.3j, 2.0 - 1.0j):
-            exact = np.array(N.evaluate(s0), dtype=complex)
+            exact = np.array(support.rational_matrix_at(N, s0), dtype=complex)
             got = transfer_of(omega, s0)
             assert np.max(np.abs(exact - got)) < 1e-12
 
@@ -113,7 +112,7 @@ class TestSimulate:
     def test_static_observer_tracks_exactly(self):
         sys = support.stable_pair()
         omega = StateSpaceRealization.static_gain([[1, 0]])
-        traj = simulate(sys, omega, zero_input_scenario([1.0, -2.0], horizon=3.0))
+        traj = simulate(sys, omega, Scenario((1.0, -2.0), (), horizon=3.0))
         assert float(np.max(np.abs(traj.e))) == 0.0
         metric = convergence_metric(traj)
         assert metric.decayed and metric.final_sup == 0.0
@@ -123,14 +122,14 @@ class TestSimulate:
                                         E=[[1]], F=[[0]])
         N = RationalFunctionMatrix.from_rows([[rf((1,), (1, 1))]])
         omega = realize(N)
-        traj = simulate(sys, omega, zero_input_scenario([1.0], xi0=[0.0], horizon=25.0))
+        traj = simulate(sys, omega, Scenario((1.0,), (0.0,), horizon=25.0))
         tail = traj.t >= 0.9 * 25.0
         assert float(np.max(np.abs(traj.e[tail]))) < 1e-6
 
     def test_exponential_decay_closed_form(self):
         sys = SystemSextuple.from_lists(A=[[-1]], C=[[1]], E=[[1]], m=0)
         omega = StateSpaceRealization.static_gain([[0.0]])
-        traj = simulate(sys, omega, zero_input_scenario([1.0], horizon=20.0))
+        traj = simulate(sys, omega, Scenario((1.0,), (), horizon=20.0))
         metric = convergence_metric(traj)
         assert metric.final_sup < 2e-8
         # matches exp(-t) pointwise
@@ -140,7 +139,7 @@ class TestSimulate:
         # q = 0: the error has no columns, and its sup is the empty max
         sys = SystemSextuple.from_lists(A=[[1]], C=[[1]], E=[], m=0)
         omega = StateSpaceRealization.static_gain(np.zeros((0, 1)))
-        traj = simulate(sys, omega, zero_input_scenario([1.0], horizon=2.0))
+        traj = simulate(sys, omega, Scenario((1.0,), (), horizon=2.0))
         assert traj.e.shape == (len(traj.t), 0)
         metric = convergence_metric(traj)
         assert metric.final_sup == 0.0 and metric.decayed
@@ -187,7 +186,7 @@ class TestSimulate:
         sys = support.stable_pair()
         omega = StateSpaceRealization.static_gain([[1, 0]])
         with pytest.raises(ValueError):
-            simulate(sys, omega, zero_input_scenario([1.0], horizon=1.0))
+            simulate(sys, omega, Scenario((1.0,), (), horizon=1.0))
 
     def test_step_halving_consistency(self):
         sys = SystemSextuple.from_lists(A=[[-1]], B=[[1]], C=[[1]], D=[[0]],
@@ -213,7 +212,7 @@ class TestSimulate:
     def test_last_sample_reaches_the_horizon(self, horizon, step, samples):
         sys = SystemSextuple.from_lists(A=[[-1]], C=[[1]], E=[[1]], m=0)
         omega = StateSpaceRealization.static_gain([[0.0]])
-        traj = simulate(sys, omega, zero_input_scenario([1.0], horizon=horizon, step=step))
+        traj = simulate(sys, omega, Scenario((1.0,), (), horizon=horizon, step=step))
         assert len(traj.t) == samples
         assert horizon <= traj.t[-1] < horizon + step
 
@@ -226,7 +225,7 @@ class TestSimulate:
     def test_blow_up_reports_first_bad_step(self, a, x0, t):
         sys = SystemSextuple.from_lists(A=[[a]], C=[[1]], E=[[1]], m=0)
         omega = StateSpaceRealization.static_gain([[0.0]])
-        sc = zero_input_scenario([x0], horizon=1.0, step=1e-3)
+        sc = Scenario((x0,), (), horizon=1.0, step=1e-3)
         with pytest.raises(StepInstabilityError, match=rf"exceeded 1e\+12 at t = {t};"):
             simulate(sys, omega, sc)
 
@@ -340,7 +339,7 @@ class TestBlockedScan:
             assert not np.isfinite(np.linalg.matrix_power(T, 32)).all()
         sys = SystemSextuple.from_lists(A=[[-10**6]], C=[[1]], E=[[1]], m=0)
         omega = StateSpaceRealization.static_gain([[0.0]])
-        traj = simulate(sys, omega, zero_input_scenario([0.0], horizon=1.0, step=1e-3))
+        traj = simulate(sys, omega, Scenario((0.0,), (), horizon=1.0, step=1e-3))
         assert len(traj.t) == 1001 and not traj.x.any()
 
     def test_unexcited_step_unstable_mode_matches_loop(self):
@@ -378,7 +377,7 @@ class TestBlockedScan:
         # the 4096-step windows that the scan chains
         sys = SystemSextuple.from_lists(A=[[5]], C=[[1]], E=[[1]], m=0)
         omega = StateSpaceRealization.static_gain([[0.0]])
-        sc = zero_input_scenario([1.0], horizon=10.0, step=1e-3)
+        sc = Scenario((1.0,), (), horizon=10.0, step=1e-3)
         with pytest.raises(StepInstabilityError, match=r"exceeded 1e\+12 at t = 5\.527;"):
             simulate(sys, omega, sc)
 
@@ -409,8 +408,7 @@ class TestSemanticsLink:
         sys = support.stable_pair()
         omega = StateSpaceRealization.static_gain([[1, 0]])
         for _ in range(20):
-            sc = zero_input_scenario([rng.uniform(-5, 5), rng.uniform(-5, 5)],
-                                     horizon=2.0)
+            sc = Scenario((rng.uniform(-5, 5), rng.uniform(-5, 5)), (), horizon=2.0)
             metric = convergence_metric(simulate(sys, omega, sc))
             assert metric.decayed and metric.final_sup == 0.0
 
@@ -419,14 +417,14 @@ class TestConvergenceMetric:
     def test_zero_error(self):
         sys = support.stable_pair()
         omega = StateSpaceRealization.static_gain([[1, 0]])
-        traj = simulate(sys, omega, zero_input_scenario([3.0, 1.0], horizon=1.0))
+        traj = simulate(sys, omega, Scenario((3.0, 1.0), (), horizon=1.0))
         m = convergence_metric(traj)
         assert m.decayed and m.final_sup == 0.0
 
     def test_constant_error(self):
         sys = SystemSextuple.from_lists(A=[[0]], C=[[1]], E=[[1]], m=0)
         omega = StateSpaceRealization.static_gain([[0.0]])
-        traj = simulate(sys, omega, zero_input_scenario([1.0], horizon=2.0))
+        traj = simulate(sys, omega, Scenario((1.0,), (), horizon=2.0))
         m = convergence_metric(traj)
         assert not m.decayed and abs(m.final_sup - 1.0) < 1e-12
 
@@ -553,12 +551,12 @@ class TestTableStorage:
     ])
     def test_other_fields_compare_and_hash_equal(self, kind, field, tuples, given):
         want = InputSignal(kind, **{field: tuples})
-        doc = json.dumps(dump_scenario_document(Scenario((), (), want)))
+        doc = json.dumps(support.scenario_document(Scenario((), (), want)))
         for raw in given:
             sig = InputSignal(kind, **{field: raw})
             assert sig == want and hash(sig) == hash(want)
             assert getattr(sig, field) == tuples
-            assert json.dumps(dump_scenario_document(Scenario((), (), sig))) == doc
+            assert json.dumps(support.scenario_document(Scenario((), (), sig))) == doc
 
     @pytest.mark.parametrize("times, values, shape", [
         ((), (), (0, 0)),                       # an empty table
@@ -609,7 +607,7 @@ class TestTableStorage:
         assert list(sc.x0) == doc["x0"]
         assert sc.input_signal.times.tolist() == doc["input"]["times"]
         assert sc.input_signal.values.tolist() == doc["input"]["values"]
-        assert json.dumps(dump_scenario_document(sc)) == json.dumps(doc)
+        assert json.dumps(support.scenario_document(sc)) == json.dumps(doc)
 
     def test_fading_sampling_matches_tuple_knots(self):
         sig = fading_output_scenario(**FADING).input_signal
@@ -673,7 +671,7 @@ class TestScenarioDocuments:
     @given(data=st.data())
     def test_json_round_trip(self, kind, data):
         sc = data.draw(_scenarios(kind))
-        doc = json.loads(json.dumps(dump_scenario_document(sc)))
+        doc = json.loads(json.dumps(support.scenario_document(sc)))
         assert set(doc["input"]) == {"kind", *INPUT_FIELDS[kind]}
         assert parse_scenario_document(doc) == sc
 
@@ -692,8 +690,7 @@ class TestCsvExport:
                                         E=[[1]], F=[[0]])
         N = RationalFunctionMatrix.from_rows([[rf((1,), (1, 1))]])
         omega = realize(N)
-        traj = simulate(sys, omega, zero_input_scenario([1.0], xi0=[0.0],
-                                                        horizon=1.0, step=0.1))
+        traj = simulate(sys, omega, Scenario((1.0,), (0.0,), horizon=1.0, step=0.1))
         path = tmp_path / "traj.csv"
         write_csv(traj, path)
         raw = path.read_bytes()
@@ -716,8 +713,7 @@ class TestCsvExport:
         else:
             omega = StateSpaceRealization.static_gain([[0.5, 0.25]])
         assert omega.order == len(xi0)
-        traj = simulate(sys, omega, zero_input_scenario([1.0, -2.0], xi0=xi0,
-                                                        horizon=2.0, step=0.01))
+        traj = simulate(sys, omega, Scenario((1.0, -2.0), xi0, horizon=2.0, step=0.01))
         write_csv(traj, tmp_path / "got.csv")
         support.ref_write_csv(traj, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

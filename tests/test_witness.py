@@ -134,17 +134,17 @@ class TestWitnessOracle:
             # once a L - b R vanishes at more points than its degree
             bound = max(num_deg + L.degree,
                         den_deg + _maxdeg(dec.V) + L.degree + _maxdeg(dec.U))
-            checked, s0 = 0, Fraction(0)
+            checked, s0, at = 0, Fraction(0), support.poly_at
             while checked <= bound:
                 s0 = -s0 + (s0 <= 0)  # 1, -1, 2, -2, ...
-                if L.evaluate(s0) == 0 or any(e.den.evaluate(s0) == 0 for e in entries):
+                if at(L, s0) == 0 or any(at(e.den, s0) == 0 for e in entries):
                     continue
-                W0 = EF @ dec.V.evaluate(s0)
+                W0 = EF @ support.polymatrix_at(dec.V, s0)
                 Y0 = QMatrix.from_rows(
-                    [[W0[i, j] / d[j].evaluate(s0) if j < r else 0 for j in range(P.rows)]
+                    [[W0[i, j] / at(d[j], s0) if j < r else 0 for j in range(P.rows)]
                      for i in range(sys.q)], cols=P.rows)
-                assert Y0 @ dec.U.evaluate(s0) == \
-                    QMatrix.from_rows(rep.MN.evaluate(s0), cols=P.rows)
+                assert Y0 @ support.polymatrix_at(dec.U, s0) == \
+                    QMatrix.from_rows(support.rational_matrix_at(rep.MN, s0), cols=P.rows)
                 checked += 1
         assert solved >= 10
 
@@ -415,7 +415,7 @@ class TestUniqueSolution:
         # and the contract with strong detectability instead
         sys = support.reanchor_plant(20)
         forms = decide.PlantForms(sys)
-        rep = solve_over_field(forms)
+        rep = solve_over_field(sys)
         assert rep.solvable_over_field and rep.residual_zero
         assert rep.left_kernel_dim == 0
         assert decide.strongly_functional_detectable(forms).holds == \
