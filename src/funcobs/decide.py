@@ -30,7 +30,6 @@ from functools import cached_property
 
 from . import geometry
 from .exactlin import IntegerMatrix, QMatrix, Subspace, first_escape, kernel_basis
-from .markov import toeplitz
 from .polymat import POLY_ONE, Poly, poly_gcd
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
@@ -140,10 +139,12 @@ class DarouachCertificate:
     note: str | None
 
 
-def _kernel_inclusion(lhs: QMatrix, rhs: QMatrix, ker: Subspace) -> KernelInclusionCertificate:
-    """Whether ``ker``, the kernel of lhs, lies inside the kernel of rhs."""
+def _kernel_inclusion(lhs: IntegerMatrix, rhs: IntegerMatrix,
+                      ker: Subspace) -> KernelInclusionCertificate:
+    """Whether ``ker``, the kernel of lhs, lies inside the kernel of rhs,
+    searched on integer rows; Fractions are made for the certificate."""
     witness = first_escape(ker, rhs)
-    return KernelInclusionCertificate(lhs, rhs, witness is None, witness)
+    return KernelInclusionCertificate(lhs.fractions(), rhs.fractions(), witness is None, witness)
 
 
 class PlantForms:
@@ -254,12 +255,14 @@ def hautus_strong_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
 def hautus_strong_star_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """State reconstruction from a fading measurement: the strong test plus
     Ker [D 0; CB D] inside Ker [0 0; B 0], the first-order Toeplitz
-    matrices of (C, D) and (I, 0)."""
+    matrices of (C, D) and (I, 0), on the plant's integer blocks."""
     forms = PlantForms.of(sys)
-    sys = forms.sys
+    n, m, p = forms.sys.n, forms.sys.m, forms.sys.p
     strong = hautus_strong_detectable(forms)
-    lhs = toeplitz(sys.A, sys.B, sys.C, sys.D, 1)
-    rhs = toeplitz(sys.A, sys.B, QMatrix.identity(sys.n), QMatrix.zeros(sys.n, sys.m), 1)
+    B, C, D = forms.integers.B, forms.integers.C, forms.integers.D
+    hstack, vstack, zeros = IntegerMatrix.hstack, IntegerMatrix.vstack, IntegerMatrix.zeros
+    lhs = vstack([hstack([D, zeros(p, m)]), hstack([C @ B, D])])
+    rhs = vstack([zeros(n, 2 * m), hstack([B, zeros(n, m)])])
     kernel = _kernel_inclusion(lhs, rhs, kernel_basis(lhs))
     cert = HautusStarCertificate(strong.certificate, kernel)
     return Verdict(HAUTUS_STRONG_STAR, strong.holds and kernel.holds, cert)
@@ -314,13 +317,12 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     A, B, C, D, E, F = ints.A, ints.B, ints.C, ints.D, ints.E, ints.F
     CA, CB = C @ A, C @ B
     hstack, vstack, zeros = IntegerMatrix.hstack, IntegerMatrix.vstack, IntegerMatrix.zeros
-    # the constant stack [E F 0; C D 0; CA CB D] and [EA EB F], on
-    # integers; their Fractions are made for the certificate only
+    # the constant stack [E F 0; C D 0; CA CB D] and [EA EB F]
     lhs = vstack([hstack([E, F, zeros(q, m)]), hstack([C, D, zeros(p, m)]),
                   hstack([CA, CB, D])])
     rhs = hstack([E @ A, E @ B, F])
     ker = kernel_basis(lhs)
-    kernel = _kernel_inclusion(lhs.fractions(), rhs.fractions(), ker)
+    kernel = _kernel_inclusion(lhs, rhs, ker)
 
     # rank of [E(sI-A), -EB, 0; C, D, 0; CA, CB, D] versus the constant
     # stack, for every s with Re s >= 0; the stack has rank

@@ -4,8 +4,9 @@ Dense matrices over arbitrary-precision rationals (``fractions.Fraction``)
 plus canonical subspace arithmetic: spans, kernels, sums and
 intersections.  A subspace is held as the nonzero rows of its reduced row
 echelon form, the form elimination produces, so no operation transposes
-or re-coerces its data.  Every elimination grows one fraction-free
-echelon of integer rows (``_echelon_add``).  Everything in this module is
+or re-coerces its data.  Every elimination grows one fraction-free row
+echelon of integer rows (``_echelon_add``), reduced only where its rows
+are read (``_reduce``).  Everything in this module is
 exact; no floating point is used anywhere.  Matrices with zero rows or
 zero columns are first-class citizens (plants without inputs need them).
 """
@@ -68,49 +69,63 @@ def _scaled(rows: list[list[int]], k: int) -> list[list[int]]:
 
 
 def _echelon_add(echelon: dict[int, list[int]], row: list[int]) -> None:
-    """Grow a fraction-free Gauss-Jordan echelon by one integer row.
+    """Grow a fraction-free row echelon by one integer row.
 
-    ``echelon`` maps each pivot column to a primitive integer row that is
-    zero in every other pivot column: row for row a nonzero multiple of the
-    reduced row echelon form of the rows added so far.  The new row is
-    reduced against the kept pivots in one pass (their rows are zero at
-    each other's pivots, so its entries there fix every multiplier), then
-    its pivot column is cleared from the kept rows.  A row in the span
-    already leaves the echelon as it was.
+    ``echelon`` maps each pivot column to a primitive integer row whose
+    first nonzero entry sits there, and spans the rows added so far.  The
+    new row's leading entry is cleared against the kept row at that column
+    until it leads in a column no row holds, and the primitive remainder
+    is kept there.  No kept row is rewritten, and a full echelon (a pivot
+    in every column) takes no row at all.
     """
-    hits = [(c, row[c]) for c in echelon if row[c]]
-    if hits:
-        scale = lcm(*(echelon[c][c] // gcd(echelon[c][c], f) for c, f in hits))
-        if scale != 1:
-            row = [scale * x for x in row]
-        for c, f in hits:
-            prow = echelon[c]
-            k = scale * f // prow[c]
-            row = [x - k * y for x, y in zip(row, prow)]
-    pivot = next((j for j, x in enumerate(row) if x), None)
-    if pivot is None:
+    width = len(row)
+    if len(echelon) == width:
         return
-    row = _primitive(row)
-    p = row[pivot]
-    for c, krow in echelon.items():
-        f = krow[pivot]
-        if f:
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            echelon[c] = _primitive([a * x - b * y for x, y in zip(krow, row)])
-    echelon[pivot] = row
+    lead = next((j for j, x in enumerate(row) if x), width)
+    while lead in echelon:
+        prow = echelon[lead]
+        p, f = prow[lead], row[lead]
+        g = gcd(p, f)
+        a, b = p // g, f // g
+        row = [a * x - b * y for x, y in zip(row, prow)]
+        lead = next((j for j in range(lead + 1, width) if row[j]), width)
+    if lead < width:
+        echelon[lead] = _primitive(row)
+
+
+def _reduce(echelon: dict[int, list[int]]) -> None:
+    """Back-substitution in place: each row of ``_echelon_add``'s echelon
+    becomes a primitive integer multiple of its RREF row.  Rows are taken
+    from the last pivot back, each cleared in one pass against the reduced
+    rows after it; a full echelon is the identity, with no arithmetic."""
+    width = len(next(iter(echelon.values()), ()))
+    if len(echelon) == width:
+        for c in echelon:
+            echelon[c] = [int(j == c) for j in range(width)]
+        return
+    done: list[int] = []
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        hits = [(d, row[d]) for d in done if row[d]]
+        if hits:
+            scale = lcm(*(echelon[d][d] // gcd(echelon[d][d], f) for d, f in hits))
+            row = [scale * x for x in row]
+            for d, f in hits:
+                prow = echelon[d]
+                k = scale * f // prow[d]
+                row = [x - k * y for x, y in zip(row, prow)]
+            echelon[c] = _primitive(row)
+        done.append(c)
 
 
 def _integer_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """The pivot rows of ``_echelon_add`` grown from nothing, in pivot
-    order, and their pivot columns: primitive integer multiples of the
-    nonzero rows of the reduced row echelon form."""
+    """The pivot rows of ``_echelon_add`` grown from nothing and reduced,
+    in pivot order, and their pivot columns: primitive integer multiples
+    of the nonzero rows of the reduced row echelon form."""
     echelon: dict[int, list[int]] = {}
-    width = len(rows[0]) if rows else 0
     for r in rows:
-        if len(echelon) == width:
-            break
         _echelon_add(echelon, _integer_row(r))
+    _reduce(echelon)
     pivots = sorted(echelon)
     return [echelon[p] for p in pivots], pivots
 
@@ -291,7 +306,7 @@ class QMatrix(DenseMatrix):
 
     # no caller in the package; the benchmark tracer wraps it by name
     def rank(self) -> int:
-        return len(_integer_echelon(self.data)[1])
+        return IntegerMatrix.of(self).rank()
 
     # no caller in the package; the benchmark tracer wraps it by name
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
@@ -407,10 +422,10 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the Zassenhaus block trick: the right halves of
-        the RREF rows of [v v; w 0] that pivot there.  RREF clears every
-        pivot column, so they are the canonical rows already.  Each row is
-        brought to its primitive integer row once, at half width, and only
-        the rows returned are made Fractions."""
+        the RREF rows of [v v; w 0] that pivot there, the canonical rows
+        once reduced.  Each row is brought to its primitive integer row
+        once, at half width, and only the rows returned are reduced and
+        made Fractions."""
         self._check_ambient(other)
         d = self.ambient_dim
         zeros = [0] * d
@@ -420,8 +435,11 @@ class Subspace:
             _echelon_add(echelon, half + half)
         for w in other.rows:
             _echelon_add(echelon, _integer_row(w) + zeros)
+        # rows that pivot in the right half are zero in the left: reduce them alone
+        right = {p: r for p, r in echelon.items() if p >= d}
+        _reduce(right)
         return Subspace(d, tuple(tuple(Fraction(x, r[p]) if x else _ZERO for x in r[d:])
-                                 for p, r in sorted(echelon.items()) if p >= d))
+                                 for p, r in sorted(right.items())))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

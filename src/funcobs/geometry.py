@@ -9,9 +9,9 @@ V*/R*, F a friend of V* and R* the span of A + BF on B Ker [Y*B; D].
 P_e = [P; E F] is the same call on [C; E] and [D; F], grown from Y*.
 With m = 0, V* is the unobservable subspace of (A, C).  The call keeps
 one fraction-free integer echelon across its steps, so each row of the
-stack is eliminated once, and returns it (``VStar``): ``rank_and_zeros``
-and the seeded calls read its integer rows, and Fractions are made from
-them only when a certificate reads V*'s rows.  The blocks may come as
+stack is eliminated once, and returns it reduced (``VStar``):
+``rank_and_zeros`` and the seeded calls read its integer rows, and
+Fractions are made from them only when a certificate reads V*'s rows.  The blocks may come as
 ``IntegerMatrix`` forms, which ``IntegerPlant`` reads once per plant.
 
 ``rank_and_zeros`` runs on integers from V*'s echelon to the zero
@@ -52,21 +52,21 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exactlin import (IntegerMatrix, QMatrix, Subspace, _echelon_add, _primitive,
+from .exactlin import (IntegerMatrix, QMatrix, Subspace, _echelon_add, _primitive, _reduce,
                        first_escape, kernel_basis)
 from .polymat import POLY_ONE, Poly, berkowitz
 from .system import SystemSextuple
 
 
 class VStar(NamedTuple):
-    """V* = Ker Y* as ``vstar`` grows it: the fraction-free echelon of
-    [Y*B, Y*A; D, C] (inputs first), {pivot column: primitive integer
-    row}, the step count (at index 1, which a benchmark tracer reads) and
-    the input and state counts.  The rows that pivot in a state column are
-    Y*'s; those that pivot in an input column read u_p + (free inputs) +
-    f x = 0, so they give a friend F (m x n, u_p = -f x), with (A + BF) V*
-    in V* and (C + DF) V* = 0, and the rows of [Y*B; D].  ``rows`` makes
-    its Fractions when read."""
+    """V* = Ker Y* as ``vstar`` grows it: the reduced fraction-free
+    echelon of [Y*B, Y*A; D, C] (inputs first), {pivot column: primitive
+    integer row}, the step count (at index 1, which a benchmark tracer
+    reads) and the input and state counts.  The rows that pivot in a state
+    column are Y*'s; those that pivot in an input column read u_p + (free
+    inputs) + f x = 0, so they give a friend F (m x n, u_p = -f x), with
+    (A + BF) V* in V* and (C + DF) V* = 0, and the rows of [Y*B; D].
+    ``rows`` makes its Fractions when read."""
     echelon: dict[int, list[int]]
     steps: int
     m: int
@@ -99,7 +99,10 @@ def _grow(cols: list[list[int]], m: int, rows: list[list[int]],
           seed: list[list[int]]) -> tuple[dict[int, list[int]], int]:
     """``vstar``'s loop on integers: the echelon of [D C]'s ``rows`` grown
     by the products [y B, y A] (``cols`` are [B A]'s columns over one
-    denominator), from the rows y of ``seed``, and the step count."""
+    denominator), from the rows y of ``seed``, and the step count.  The
+    echelon is reduced only when the loop ends: a row echelon has the
+    RREF's pivot columns, and with the inputs first its rows at state
+    pivots span Y at every step, so the RREF loop's steps are kept."""
     n = len(cols) - m
     echelon: dict[int, list[int]] = {}
     for r in rows:
@@ -115,6 +118,7 @@ def _grow(cols: list[list[int]], m: int, rows: list[list[int]],
             break
         new = [echelon[p][m:] for p in state if p not in seen]
         seen.update(state)
+    _reduce(echelon)
     return echelon, step
 
 
@@ -127,11 +131,12 @@ def vstar(A: QMatrix | IntegerMatrix, B: QMatrix | IntegerMatrix,
     or none.  Each block is a ``QMatrix`` or its ``IntegerMatrix``, which a
     caller reads once and hands to every call.
 
-    One fraction-free echelon, kept across the steps, holds integer
-    multiples of those RREF rows.  Y and its pivots only grow, so a step
-    hands it only the products [y B, y A] of the rows at new pivots.  A
-    positive factor of a row of [D C] leaves that echelon as it is, so
-    each row is taken over [D C]'s denominator as it comes.
+    One fraction-free echelon, kept across the steps and reduced at the
+    end, holds integer multiples of those RREF rows.  Y and its pivots only
+    grow, and no kept row is rewritten, so a step hands it only the
+    products [y B, y A] of the rows at new pivots.  A positive factor of a
+    row of [D C] leaves that echelon as it is, so each row is taken over
+    [D C]'s denominator as it comes.
     """
     A, B, C, D = map(IntegerMatrix.of, (A, B, C, D))
     n, m = A.rows, B.cols

@@ -7,8 +7,7 @@ Ker M^k of the target pair, for every k" is the order-by-order face of the
 properness condition; the geometric test in the geometry module decides
 the whole family at once, and this module serves as its finite
 cross-oracle.  M^k is the leading block corner of every higher order, so a
-search up to kmax builds each chain once, at kmax.  The Hautus strong-star
-test reads the first order of ``toeplitz``.
+search up to kmax builds each chain once, at kmax.
 """
 
 from __future__ import annotations

@@ -111,12 +111,12 @@ class RationalFunctionMatrix(DenseMatrix):
 
 
 def denominator_lcm(entries) -> Poly:
-    """Monic lcm of the denominators; a denominator that already divides
+    """Monic lcm of the distinct denominators; one that already divides
     the running lcm costs one division instead of a gcd."""
     acc = POLY_ONE
-    for e in entries:
-        if not e.den.divides(acc):
-            acc = poly_lcm(acc, e.den)
+    for den in dict.fromkeys(e.den for e in entries):
+        if not den.divides(acc):
+            acc = poly_lcm(acc, den)
     return acc
 
 

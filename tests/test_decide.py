@@ -570,6 +570,37 @@ class TestWorkCount:
         ve = geometry.vstar(plant.A, plant.B, CE, DF, v.state_rows)
         assert len(handed) == CE.rows + v.rows.dim + len(pivots(ve.rows) - pivots(v.rows))
 
+    def test_growing_an_echelon_rewrites_no_kept_row(self):
+        """Each add leaves every kept row the same list with the same
+        entries, whether the row is new, in the span or handed to a full
+        echelon."""
+        rng = random.Random(32)
+        # the first row leads late, so later pivots land before it
+        rows = [[0, 0, 0, 2, 1]] + [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
+        rows += [[2 * x - y for x, y in zip(rows[1], rows[2])], rows[3], [0] * 5]
+        rows += [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
+        echelon: dict[int, list[int]] = {}
+        for row in rows:
+            kept = {p: (r, list(r)) for p, r in echelon.items()}
+            exactlin._echelon_add(echelon, row)
+            assert all(echelon[p] is r and r == entries for p, (r, entries) in kept.items())
+        assert len(echelon) == 5
+
+    def test_full_echelon_takes_a_row_without_arithmetic(self):
+        """A row handed to an echelon with a pivot in every column is not
+        read at all, so no arithmetic is done on it."""
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("row read")
+
+            def __getitem__(self, key):
+                raise AssertionError("row read")
+
+        echelon = {2: [0, 0, 3], 0: [3, 1, 2], 1: [0, 4, 2]}
+        kept = dict(echelon)
+        exactlin._echelon_add(echelon, Unread([1, 2, 3]))
+        assert echelon == kept and all(echelon[c] is kept[c] for c in kept)
+
     def test_check_eliminates_no_pencil(self, calls, monkeypatch, tmp_path):
         """The eight decisions of one check read V*: none builds a
         polynomial matrix, Darouach's included."""

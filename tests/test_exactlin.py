@@ -1,11 +1,11 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from funcobs.exactlin import (DenseMatrix, IntegerMatrix, QMatrix, Subspace, _rref,
-                              as_fraction, first_escape, kernel_basis)
+from funcobs.exactlin import (DenseMatrix, IntegerMatrix, QMatrix, Subspace, _echelon_add,
+                              _reduce, _rref, as_fraction, first_escape, kernel_basis)
 from funcobs.markov import toeplitz
 from funcobs.polymat import Poly, PolyMatrix
 from funcobs.witness import RationalFunction, RationalFunctionMatrix
@@ -313,6 +313,63 @@ class TestIntegerRREF:
         got = kernel_basis(QMatrix.from_rows(rows, cols=ncols)).rows
         assert got == tuple(map(tuple, reduced[:len(pivots)]))
         assert all(type(x) is Fraction for row in got for x in row)
+
+
+@st.composite
+def _integer_rows(draw):
+    """(width, integer rows) in random order: some rows repeat, some are
+    zero or combinations of others, and a triangular basis makes some
+    draws full rank."""
+    width = draw(st.integers(0, 5))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6))
+    if draw(st.booleans()):
+        rows += [[0] * i + [draw(entry.filter(bool))] + draw(st.lists(entry, min_size=width - i - 1,
+                                                                       max_size=width - i - 1))
+                 for i in range(width)]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(entry), draw(entry)
+            rows.append([ca * x + cb * y for x, y in zip(a, b)])
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append([0] * width)
+    return width, draw(st.permutations(rows))
+
+
+class TestForwardEchelon:
+    """``_echelon_add`` grows a row echelon with the pivots of the reduced
+    row echelon form, and ``_reduce`` brings its rows to that form, against
+    Gauss-Jordan over Fraction."""
+
+    @given(_integer_rows())
+    @example((0, []))
+    @example((0, [[], []]))
+    @example((4, []))
+    @example((3, [[0, 0, 0], [0, 0, 0]]))
+    @example((3, [[2, 4, 6], [1, 2, 3], [0, 0, 0], [-1, -2, -3]]))
+    @example((3, [[0, 0, 2], [0, 3, 1], [0, 3, 1], [5, 1, 1], [1, 1, 1]]))
+    @example((4, [[0, 2, 0, 4], [3, 1, 0, 0], [0, 0, 5, 1], [3, 5, 0, 8]]))
+    def test_pivots_then_reduced_rows_match_oracle(self, case):
+        width, rows = case
+        want, pivots = support.ref_rref([[F(x) for x in r] for r in rows])
+        echelon: dict[int, list[int]] = {}
+        for r in rows:
+            _echelon_add(echelon, r)
+        assert sorted(echelon) == pivots
+        for p, r in echelon.items():
+            assert len(r) == width and r[p] and not any(r[:p]) and gcd(*r) == 1
+        _reduce(echelon)
+        assert sorted(echelon) == pivots
+        for p, rref_row in zip(pivots, want):
+            got = echelon[p]
+            assert gcd(*got) == 1
+            assert [F(x, got[p]) for x in got] == rref_row
+        if len(pivots) == width:
+            assert [echelon[p] for p in pivots] == \
+                [[int(i == j) for j in range(width)] for i in range(width)]
 
 
 class TestFirstEscape:
