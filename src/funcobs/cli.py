@@ -403,6 +403,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # every literal a command reads is bounded (exactlin.LITERAL_DIGITS), so
+    # the certificates it prints may hold numbers of any size
+    if hasattr(_sys, "set_int_max_str_digits"):
+        _sys.set_int_max_str_digits(0)
     raise SystemExit(main())
 
 

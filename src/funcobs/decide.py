@@ -180,7 +180,7 @@ class PlantForms:
         rp, zp = self.rank_and_zero
         # P_e's V* lies in P's: grow it from P's rows
         ve = geometry.vstar(ints.A, ints.B, IntegerMatrix.vstack([ints.C, ints.E]),
-                            IntegerMatrix.vstack([ints.D, ints.F]), self.vstar.state_rows)
+                            IntegerMatrix.vstack([ints.D, ints.F]), self.vstar.rows)
         rpe, zpe = geometry.rank_and_zeros(ints.A, ints.B, ve)
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
@@ -206,7 +206,7 @@ class PlantForms:
             # (A, [C; E])'s unobservable subspace lies in (A, C)'s: grow
             # it from (A, C)'s rows
             ce = geometry.unobservable(ints.A, IntegerMatrix.vstack([ints.C, ints.E]),
-                                       self.unobservable.state_rows)
+                                       self.unobservable.rows)
             zpe = geometry.unobservable_modes(ints.A, ce)
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(sys.n, sys.n, zp, zpe, cmp_, True, cmp_.equal)
@@ -341,7 +341,7 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)
 
     # controllable: the dual pair (A^T, B^T) is observable
-    controllable = len(geometry.unobservable(A.transpose(), B.transpose()).state_rows) == n
+    controllable = geometry.unobservable(A.transpose(), B.transpose()).rows.dim == n
     note = None if controllable else (
         "plant is not controllable; the fixed-order existence theory assumes "
         "controllability, so this verdict extrapolates outside its hypotheses")

@@ -2,13 +2,16 @@
 
 Dense matrices over arbitrary-precision rationals (``fractions.Fraction``)
 plus canonical subspace arithmetic: spans, kernels, sums and
-intersections.  A subspace is held as the nonzero rows of its reduced row
-echelon form, the form elimination produces, so no operation transposes
-or re-coerces its data.  Every elimination grows one fraction-free row
-echelon of integer rows (``_echelon_add``), reduced only where its rows
-are read (``_reduce``).  Everything in this module is
-exact; no floating point is used anywhere.  Matrices with zero rows or
-zero columns are first-class citizens (plants without inputs need them).
+intersections.  Every elimination grows one fraction-free row echelon of
+integer rows (``_echelon_add``), reduced where its rows are read
+(``_reduce``) to canonical integer rows: the least positive integer
+multiples of the nonzero RREF rows, the form a ``Subspace`` holds.  One
+routine reads a kernel basis off such rows (``_integer_kernel``).
+Fractions are made from integer rows only for a report or a test:
+``Subspace.rows``, the vector ``first_escape`` returns and
+``IntegerMatrix.fractions``.  No floating point is used anywhere.
+Matrices with zero rows or zero columns are first-class citizens (plants
+without inputs need them).
 """
 
 from __future__ import annotations
@@ -34,8 +37,28 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        _check_literal(value)
         return Fraction(value)
     raise TypeError(f"not an exact rational literal: {value!r}")
+
+
+LITERAL_DIGITS = 4300  # Python's default int-string limit
+
+
+def _check_literal(text: str) -> None:
+    """A ValueError for a literal with more than ``LITERAL_DIGITS`` digits
+    in a numerator, denominator or exponent, or with a decimal exponent
+    above ``LITERAL_DIGITS`` in magnitude, read before any integer is built:
+    the number it would make is bounded, and so is the time to make it."""
+    for part in text.lower().split("/"):
+        mantissa, _, exp = part.partition("e")
+        digits = max(sum(map(str.isdecimal, mantissa)), sum(map(str.isdecimal, exp)))
+        if digits > LITERAL_DIGITS:
+            raise ValueError(f"literal of {digits} digits (at most {LITERAL_DIGITS})")
+        exp = exp.strip().lstrip("+-").replace("_", "")
+        if exp.isdecimal() and int(exp) > LITERAL_DIGITS:
+            raise ValueError(f"literal with exponent {exp} "
+                             f"(at most {LITERAL_DIGITS} in magnitude)")
 
 
 def _common_den(xs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -95,9 +118,10 @@ def _echelon_add(echelon: dict[int, list[int]], row: list[int]) -> None:
 
 def _reduce(echelon: dict[int, list[int]]) -> None:
     """Back-substitution in place: each row of ``_echelon_add``'s echelon
-    becomes a primitive integer multiple of its RREF row.  Rows are taken
-    from the last pivot back, each cleared in one pass against the reduced
-    rows after it; a full echelon is the identity, with no arithmetic."""
+    becomes the least positive integer multiple of its RREF row.  Rows are
+    taken from the last pivot back, each cleared in one pass against the
+    reduced rows after it; a full echelon is the identity, with no
+    arithmetic."""
     width = len(next(iter(echelon.values()), ()))
     if len(echelon) == width:
         for c in echelon:
@@ -114,20 +138,46 @@ def _reduce(echelon: dict[int, list[int]]) -> None:
                 prow = echelon[d]
                 k = scale * f // prow[d]
                 row = [x - k * y for x, y in zip(row, prow)]
-            echelon[c] = _primitive(row)
+            row = _primitive(row)
+        echelon[c] = [-x for x in row] if row[c] < 0 else row
         done.append(c)
 
 
-def _integer_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """The pivot rows of ``_echelon_add`` grown from nothing and reduced,
-    in pivot order, and their pivot columns: primitive integer multiples
-    of the nonzero rows of the reduced row echelon form."""
+def _integer_echelon(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The rows of ``_echelon_add``'s echelon grown from integer ``rows``
+    and reduced, in pivot order: the canonical integer rows of their
+    span."""
     echelon: dict[int, list[int]] = {}
     for r in rows:
-        _echelon_add(echelon, _integer_row(r))
+        _echelon_add(echelon, r)
     _reduce(echelon)
-    pivots = sorted(echelon)
-    return [echelon[p] for p in pivots], pivots
+    return [echelon[p] for p in sorted(echelon)]
+
+
+def _integer_kernel(Y: Sequence[Sequence[int]], d: int) -> tuple[list[list[int]], list[int], int]:
+    """An integer basis of Ker Y, as columns, its free columns and its
+    scale L, the lcm of the pivots of Y's rows y_i (integer rows zero at
+    each other's pivots p_i, as a reduced echelon's are): column f has L
+    at f and -y_i[f] L / y_i[p_i] at p_i, L times the canonical kernel
+    vector."""
+    at = {next(j for j, x in enumerate(y) if x): y for y in Y}
+    L = lcm(*(y[p] for p, y in at.items()))
+    free = [j for j in range(d) if j not in at]
+    scale = [(p, y, L // y[p]) for p, y in at.items()]
+    columns = []
+    for f in free:
+        col = [0] * d
+        col[f] = L
+        for p, y, k in scale:
+            col[p] = -y[f] * k
+        columns.append(col)
+    return columns, free, L
+
+
+def _fraction_row(row: Sequence[int]) -> tuple[Fraction, ...]:
+    """The RREF row of a canonical integer row: each entry over the pivot."""
+    p = next(x for x in row if x)
+    return tuple(Fraction(x, p) if x else _ZERO for x in row)
 
 
 def adjugate_solve(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
@@ -175,20 +225,6 @@ def adjugate_solve(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]
                 acc = [s - a * y for s, y in zip(acc, x)]
         sol[i] = [s // u[0] for s in acc]
     return det, sol
-
-
-# reached only through rref and Subspace.span, which the benchmark tracer pins
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q with pivot columns.
-
-    Eliminates on integers and divides by the pivots only when the rows are
-    emitted, so the result is the canonical RREF, entry for entry.
-    """
-    mat, pivots = _integer_echelon(rows)
-    out = [[Fraction(x, row[p]) if x else _ZERO for x in row] for row, p in zip(mat, pivots)]
-    ncols = len(rows[0]) if rows else 0
-    out.extend([_ZERO] * ncols for _ in range(len(rows) - len(out)))
-    return out, pivots
 
 
 class DenseMatrix:
@@ -310,8 +346,10 @@ class QMatrix(DenseMatrix):
 
     # no caller in the package; the benchmark tracer wraps it by name
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
-        rows, pivots = _rref(self.data)
-        return QMatrix.from_rows(rows, cols=self.cols), tuple(pivots)
+        rows = Subspace.span(self.cols, self.data).rows
+        pivots = tuple(next(j for j, x in enumerate(r) if x) for r in rows)
+        zeros = ((_ZERO,) * self.cols,) * (self.rows - len(rows))
+        return QMatrix(self.rows, self.cols, rows + zeros), pivots
 
 
 class IntegerMatrix:
@@ -386,60 +424,59 @@ class IntegerMatrix:
 
 
 class Subspace:
-    """Linear subspace of Q^d held by its canonical rows.
+    """Linear subspace of Q^d held by its canonical integer rows.
 
-    ``rows`` are the nonzero rows of the reduced row echelon form of any
-    spanning set, so two equal subspaces always carry bit-identical rows:
-    unit pivot entries in strictly increasing columns, and zeros elsewhere
-    in the pivot columns.
+    ``ints`` are the nonzero rows of the reduced row echelon form of any
+    spanning set, each times the least positive integer that clears its
+    denominators, so two equal subspaces always carry identical rows.
+    ``rows`` makes the RREF rows as Fractions, for a report or a test.
     """
 
-    __slots__ = ("ambient_dim", "rows")
+    __slots__ = ("ambient_dim", "ints")
 
-    def __init__(self, ambient_dim: int, rows: tuple[tuple[Fraction, ...], ...]):
-        if any(len(r) != ambient_dim for r in rows):
+    def __init__(self, ambient_dim: int, ints: Iterable[Sequence[int]]):
+        ints = tuple(map(tuple, ints))
+        if any(len(r) != ambient_dim for r in ints):
             raise ValueError("basis ambient dimension mismatch")
         self.ambient_dim = ambient_dim
-        self.rows = rows
+        self.ints = ints
 
-    # reached only through sum, which the benchmark tracer wraps by name
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         rows = [[as_fraction(x) for x in v] for v in vectors]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("spanning vector of wrong length")
-        reduced, pivots = _rref(rows)
-        return cls(ambient_dim, tuple(tuple(r) for r in reduced[:len(pivots)]))
+        return cls(ambient_dim, _integer_echelon(map(_integer_row, rows)))
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(map(_fraction_row, self.ints))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     # no caller in the package; the benchmark tracer wraps it by name
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(self.ambient_dim, self.rows + other.rows)
+        return Subspace(self.ambient_dim, _integer_echelon(self.ints + other.ints))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the Zassenhaus block trick: the right halves of
-        the RREF rows of [v v; w 0] that pivot there, the canonical rows
-        once reduced.  Each row is brought to its primitive integer row
-        once, at half width, and only the rows returned are reduced and
-        made Fractions."""
+        the rows of [v v; w 0]'s echelon that pivot there, the canonical
+        rows once reduced.  Only those rows are reduced."""
         self._check_ambient(other)
         d = self.ambient_dim
-        zeros = [0] * d
+        zeros = (0,) * d
         echelon: dict[int, list[int]] = {}
-        for v in self.rows:
-            half = _integer_row(v)
-            _echelon_add(echelon, half + half)
-        for w in other.rows:
-            _echelon_add(echelon, _integer_row(w) + zeros)
+        for v in self.ints:
+            _echelon_add(echelon, v + v)
+        for w in other.ints:
+            _echelon_add(echelon, w + zeros)
         # rows that pivot in the right half are zero in the left: reduce them alone
         right = {p: r for p, r in echelon.items() if p >= d}
         _reduce(right)
-        return Subspace(d, tuple(tuple(Fraction(x, r[p]) if x else _ZERO for x in r[d:])
-                                 for p, r in sorted(right.items())))
+        return Subspace(d, [right[p][d:] for p in sorted(right)])
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -448,10 +485,10 @@ class Subspace:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.rows == other.rows)
+                and self.ints == other.ints)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.rows))
+        return hash((self.ambient_dim, self.ints))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -461,27 +498,15 @@ def kernel_basis(M: QMatrix | IntegerMatrix) -> Subspace:
     """Canonical basis of {v : M v = 0}, from one elimination.  M may be
     an ``IntegerMatrix``: a row's content is all that elimination drops.
 
-    M is eliminated with its columns reversed.  Read back in the original
-    order, the kernel vector of that RREF at free column f has its unit at
-    d - 1 - f, zeros at the other free columns and its other entries
-    further right, so these vectors, last free column first, are Ker M's
-    canonical rows already.
+    M is eliminated with its columns reversed, and ``_integer_kernel``
+    reads that echelon's kernel off.  Read back in the original order, its
+    column at free column f leads at d - 1 - f, is zero at the other free
+    columns and has its other entries further right, so these columns,
+    last free column first and made primitive, are Ker M's canonical rows.
     """
-    d = M.cols
-    mat, pivots = _integer_echelon([row[::-1] for row in M.data])
-    at = dict(zip(pivots, mat))
-    one = Fraction(1)
-    rows = []
-    for f in range(d - 1, -1, -1):
-        if f in at:
-            continue
-        vec = [_ZERO] * d
-        vec[d - 1 - f] = one
-        for p, r in at.items():
-            if r[f]:
-                vec[d - 1 - p] = Fraction(-r[f], r[p])
-        rows.append(tuple(vec))
-    return Subspace(d, tuple(rows))
+    rows = M.data if isinstance(M, IntegerMatrix) else map(_integer_row, M.data)
+    columns = _integer_kernel(_integer_echelon(r[::-1] for r in rows), M.cols)[0]
+    return Subspace(M.cols, [_primitive(col[::-1]) for col in reversed(columns)])
 
 
 def first_escape(V: Subspace, M: QMatrix | IntegerMatrix) -> tuple[Fraction, ...] | None:
@@ -489,14 +514,14 @@ def first_escape(V: Subspace, M: QMatrix | IntegerMatrix) -> tuple[Fraction, ...
 
     None exactly when V lies inside Ker M; the search stops at the first
     escaping vector.  M's rows are brought to integers once (an
-    ``IntegerMatrix``'s are already) and each vector to its primitive
-    integer row, so every test is an integer dot product.
+    ``IntegerMatrix``'s are already), so every test is an integer dot
+    product with one of V's rows; only the vector returned is made
+    Fractions, its RREF row.
     """
     if M.cols != V.ambient_dim:
         raise ValueError("first_escape: column count must match ambient dimension")
     rows = M.data if isinstance(M, IntegerMatrix) else [_common_den(row)[0] for row in M.data]
-    for vec in V.rows:
-        ints = _integer_row(vec)
-        if any(sum(map(mul, row, ints)) for row in rows):
-            return vec
+    for vec in V.ints:
+        if any(sum(map(mul, row, vec)) for row in rows):
+            return _fraction_row(vec)
     return None

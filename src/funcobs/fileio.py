@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .exactlin import DenseMatrix, Subspace
+from .exactlin import DenseMatrix, Subspace, _check_literal
 from .polymat import Poly
 from .system import SystemSextuple
 from .witness import RationalFunction
@@ -47,13 +47,40 @@ def read_text(path) -> str:
         raise SystemFileError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+_TOO_LONG = object()  # what a number past the literal bound is read as
+
+
+def _holds_too_long(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    return value is _TOO_LONG or (isinstance(value, list) and any(map(_holds_too_long, value)))
+
+
 def load_json(text: str, parse_float=Fraction):
     """Parse a JSON document.  parse_float receives the raw literal, so by
-    default "0.1" becomes 1/10 exactly."""
+    default "0.1" becomes 1/10 exactly.  A number past the literal bound
+    of ``exactlin._check_literal`` is never built: the SystemFileError
+    names the top-level field that holds the first one."""
+    errors: list[str] = []
+
+    def bounded(parse):
+        def hook(literal: str):
+            try:
+                _check_literal(literal)
+            except ValueError as exc:
+                errors.append(str(exc))
+                return _TOO_LONG
+            return parse(literal)
+        return hook
+
     try:
-        return json.loads(text, parse_float=parse_float)
+        doc = json.loads(text, parse_int=bounded(int), parse_float=bounded(parse_float))
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if errors:
+        fields = [k for k, v in doc.items() if _holds_too_long(v)] if isinstance(doc, dict) else []
+        raise SystemFileError(f"field {fields[0]!r}: {errors[0]}" if fields else errors[0])
+    return doc
 
 
 _PLANT_FIELDS = ("A", "B", "C", "D", "E", "F", "m")

@@ -9,10 +9,10 @@ V*/R*, F a friend of V* and R* the span of A + BF on B Ker [Y*B; D].
 P_e = [P; E F] is the same call on [C; E] and [D; F], grown from Y*.
 With m = 0, V* is the unobservable subspace of (A, C).  The call keeps
 one fraction-free integer echelon across its steps, so each row of the
-stack is eliminated once, and returns it reduced (``VStar``):
-``rank_and_zeros`` and the seeded calls read its integer rows, and
-Fractions are made from them only when a certificate reads V*'s rows.  The blocks may come as
-``IntegerMatrix`` forms, which ``IntegerPlant`` reads once per plant.
+stack is eliminated once, and returns it reduced (``VStar``): its rows at
+state pivots are Y*'s canonical integer rows, the ``Subspace`` that seeds
+a later call.  The blocks are ``IntegerMatrix`` forms, which
+``IntegerPlant`` reads once per plant.
 
 ``rank_and_zeros`` runs on integers from V*'s echelon to the zero
 polynomial.  The bases of V* and Ker [Y*B; D] are integer columns, the
@@ -22,7 +22,8 @@ A + BF, the restriction to V* is the integer matrix sL A_V, and it goes
 with its scale sL to Berkowitz's recurrence (``polymat.berkowitz``).
 R*'s annihilator, the unobservable subspace of (A_V^T, G^T), is grown by
 ``vstar``'s integer loop on that matrix's transpose, and its zeros are
-read off the same way with the scale carried.
+read off the same way with the scale carried.  Every kernel basis here
+is ``exactlin._integer_kernel``'s.
 
 The decision surface for the properness side of observer existence is
 ``strong_star_inclusion``: every finite input chain whose trajectory stays
@@ -36,7 +37,8 @@ and T* is the annihilator of the V* of the dual plant (A^T, C^T, B^T,
 D^T) (ibid., ch. 8): its canonical rows are that ``vstar`` call's rows, and
 the call's step count is the first k with T_{k+1} = T_k.  The reachable
 pairs are (T* + Q^m) ^ Ker [C D], and the verdict is "reachable pairs
-contained in Ker [E F]".  That matches the block-Toeplitz kernel
+contained in Ker [E F]", all on integer rows: the only Fraction made is a
+violating pair's.  That matches the block-Toeplitz kernel
 inclusions of the markov module for every order, and it is what separates
 a merely stable estimate from a causally realizable one.  The certificate
 keeps only what decides the verdict and re-checks it: the reachable
@@ -52,51 +54,35 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exactlin import (IntegerMatrix, QMatrix, Subspace, _echelon_add, _primitive, _reduce,
-                       first_escape, kernel_basis)
+from .exactlin import (IntegerMatrix, Subspace, _echelon_add, _integer_kernel, _primitive,
+                       _reduce, first_escape, kernel_basis)
 from .polymat import POLY_ONE, Poly, berkowitz
 from .system import SystemSextuple
 
 
 class VStar(NamedTuple):
     """V* = Ker Y* as ``vstar`` grows it: the reduced fraction-free
-    echelon of [Y*B, Y*A; D, C] (inputs first), {pivot column: primitive
+    echelon of [Y*B, Y*A; D, C] (inputs first), {pivot column: canonical
     integer row}, the step count (at index 1, which a benchmark tracer
     reads) and the input and state counts.  The rows that pivot in a state
-    column are Y*'s; those that pivot in an input column read u_p + (free
-    inputs) + f x = 0, so they give a friend F (m x n, u_p = -f x), with
-    (A + BF) V* in V* and (C + DF) V* = 0, and the rows of [Y*B; D].
-    ``rows`` makes its Fractions when read."""
+    column are zero in the input columns and give Y*'s ``rows``; those
+    that pivot in an input column read u_p + (free inputs) + f x = 0, so
+    they give a friend F (m x n, u_p = -f x), with (A + BF) V* in V* and
+    (C + DF) V* = 0, and the rows of [Y*B; D]."""
     echelon: dict[int, list[int]]
     steps: int
     m: int
     n: int
 
-    def integer_rows(self) -> tuple[list[tuple[list[int], int]], list[list[int]]]:
-        """The rows that pivot in an input column, with their pivots, and
-        Y*'s rows (input part dropped), each in pivot order."""
-        m, held, state = self.m, [], []
-        for p, r in sorted(self.echelon.items()):
-            if p < m:
-                held.append((r, p))
-            else:
-                state.append(r[m:])
-        return held, state
-
-    @property
-    def state_rows(self) -> list[list[int]]:
-        """Y* as primitive integer rows, the seed form of ``vstar``."""
-        return self.integer_rows()[1]
-
     @property
     def rows(self) -> Subspace:
+        """Y*'s integer ``Subspace``, the seed of a later ``vstar`` call."""
         m = self.m
-        return Subspace(self.n, tuple(tuple(Fraction(x, r[p]) for x in r[m:])
-                                      for p, r in sorted(self.echelon.items()) if p >= m))
+        return Subspace(self.n, [r[m:] for p, r in sorted(self.echelon.items()) if p >= m])
 
 
 def _grow(cols: list[list[int]], m: int, rows: list[list[int]],
-          seed: list[list[int]]) -> tuple[dict[int, list[int]], int]:
+          seed: tuple[tuple[int, ...], ...]) -> tuple[dict[int, list[int]], int]:
     """``vstar``'s loop on integers: the echelon of [D C]'s ``rows`` grown
     by the products [y B, y A] (``cols`` are [B A]'s columns over one
     denominator), from the rows y of ``seed``, and the step count.  The
@@ -122,14 +108,13 @@ def _grow(cols: list[list[int]], m: int, rows: list[list[int]],
     return echelon, step
 
 
-def vstar(A: QMatrix | IntegerMatrix, B: QMatrix | IntegerMatrix,
-          C: QMatrix | IntegerMatrix, D: QMatrix | IntegerMatrix,
-          seed: list[list[int]] | None = None) -> VStar:
+def vstar(A: IntegerMatrix, B: IntegerMatrix, C: IntegerMatrix, D: IntegerMatrix,
+          seed: Subspace | None = None) -> VStar:
     """V*(A, B, C, D) = Ker Y*: Y_{k+1} are the rows of the RREF of
     [Y_k B, Y_k A; D, C] (inputs first) that pivot in a state column, from
-    Y_0 = ``seed`` (integer rows that annihilate V*, as P's do for P_e's)
-    or none.  Each block is a ``QMatrix`` or its ``IntegerMatrix``, which a
-    caller reads once and hands to every call.
+    Y_0 = ``seed`` (the ``rows`` of a call whose V* holds this one's, as
+    P's does P_e's) or none.  The blocks are ``IntegerMatrix`` forms,
+    which a caller reads once and hands to every call.
 
     One fraction-free echelon, kept across the steps and reduced at the
     end, holds integer multiples of those RREF rows.  Y and its pivots only
@@ -138,44 +123,23 @@ def vstar(A: QMatrix | IntegerMatrix, B: QMatrix | IntegerMatrix,
     row of [D C] leaves that echelon as it is, so each row is taken over
     [D C]'s denominator as it comes.
     """
-    A, B, C, D = map(IntegerMatrix.of, (A, B, C, D))
     n, m = A.rows, B.cols
     BA = IntegerMatrix.hstack([B, A]).data
     echelon, step = _grow([[row[j] for row in BA] for j in range(m + n)], m,
-                          IntegerMatrix.hstack([D, C]).data, seed or [])
+                          IntegerMatrix.hstack([D, C]).data, seed.ints if seed else ())
     return VStar(echelon, step, m, n)
 
 
-def unobservable(A: QMatrix | IntegerMatrix, C: QMatrix | IntegerMatrix,
-                 seed: list[list[int]] | None = None) -> VStar:
+def unobservable(A: IntegerMatrix, C: IntegerMatrix, seed: Subspace | None = None) -> VStar:
     """The m = 0 V* of (A, C), its unobservable subspace, grown from
-    ``seed`` (rows that annihilate it) when given."""
+    ``seed`` (the ``rows`` of a larger one) when given."""
     return vstar(A, IntegerMatrix.zeros(A.rows, 0), C, IntegerMatrix.zeros(C.rows, 0), seed)
 
 
-def unobservable_modes(A: QMatrix | IntegerMatrix, v: VStar) -> Poly:
+def unobservable_modes(A: IntegerMatrix, v: VStar) -> Poly:
     """A's characteristic polynomial on the unobservable subspace ``v`` of
     (A, C): the zero polynomial of [sI - A; C]."""
     return rank_and_zeros(A, IntegerMatrix.zeros(A.rows, 0), v)[1]
-
-
-def _integer_kernel(Y: list[list[int]], d: int) -> tuple[list[list[int]], list[int], int]:
-    """An integer basis of Ker Y, as columns, its free columns and its
-    scale L, the lcm of the pivots of Y's rows y_i (integer rows zero at
-    each other's pivots p_i): column f has L at f and -y_i[f] L / y_i[p_i]
-    at p_i, L times the canonical kernel vector."""
-    at = {next(j for j, x in enumerate(y) if x): y for y in Y}
-    L = lcm(*(y[p] for p, y in at.items()))
-    free = [j for j in range(d) if j not in at]
-    scale = [(p, y, L // y[p]) for p, y in at.items()]
-    columns = []
-    for f in free:
-        col = [0] * d
-        col[f] = L
-        for p, y, k in scale:
-            col[p] = -y[f] * k
-        columns.append(col)
-    return columns, free, L
 
 
 def _invariant(Y: list[list[int]], image: list[list[int]]) -> None:
@@ -196,8 +160,7 @@ def _restriction(A: list[list[int]],
     return [[col[f] for col in image] for f in free], free, L
 
 
-def rank_and_zeros(A: QMatrix | IntegerMatrix, B: QMatrix | IntegerMatrix,
-                   v: VStar) -> tuple[int, Poly]:
+def rank_and_zeros(A: IntegerMatrix, B: IntegerMatrix, v: VStar) -> tuple[int, Poly]:
     """Normal rank and zero polynomial of [sI - A, -B; C, D] from its V*.
 
     Y*, the friend F and the rows of [Y*B; D] are read straight off
@@ -209,11 +172,11 @@ def rank_and_zeros(A: QMatrix | IntegerMatrix, B: QMatrix | IntegerMatrix,
     of (A_V^T, G^T), where A_V^T has A_V's characteristic polynomial on
     V*/R*.  Every step runs on integers, and the scale goes to
     ``berkowitz``."""
-    A, B = IntegerMatrix.of(A), IntegerMatrix.of(B)
     n, m = A.rows, B.cols
     if (v.n, v.m) != (n, m):
         raise ValueError("V* of a plant of another shape")
-    held, y = v.integer_rows()
+    held = [(r, p) for p, r in sorted(v.echelon.items()) if p < m]
+    y = v.rows.ints
     if len(y) == n:
         return n + len(held), POLY_ONE
     # F's row p is -r[m:] / r[p], whose entries' denominators have the lcm
@@ -293,9 +256,9 @@ def strong_star_inclusion(plant: SystemSextuple | IntegerPlant) -> InclusionCert
     dual = vstar(ints.A.transpose(), ints.C.transpose(), ints.B.transpose(), ints.D.transpose())
     # T* + 0 pivots in the state columns and 0 + Q^m, unit rows, in the
     # input columns: together they are canonical rows already
-    tail = (Fraction(0),) * m
-    pairs = Subspace(n + m, tuple(t + tail for t in dual.rows.rows)
-                     + QMatrix.identity(n + m).data[n:])
+    tail = (0,) * m
+    pairs = Subspace(n + m, [t + tail for t in dual.rows.ints]
+                     + IntegerMatrix.identity(n + m).data[n:])
     reach = pairs.intersect(kernel_basis(IntegerMatrix.hstack([ints.C, ints.D])))
     violation = first_escape(reach, IntegerMatrix.hstack([ints.E, ints.F]))
     return InclusionCertificate(holds=violation is None, reachable=reach,

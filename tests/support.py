@@ -107,7 +107,18 @@ def zero_subspace(d: int) -> Subspace:
 
 
 def full_subspace(d: int) -> Subspace:
-    return Subspace(d, QMatrix.identity(d).data)
+    return Subspace(d, [[int(i == j) for j in range(d)] for i in range(d)])
+
+
+def ref_subspace(d: int, rref_rows) -> Subspace:
+    """The Subspace of canonical RREF rows over Fraction: each row times
+    the lcm of its denominators, its least positive integer multiple when
+    its pivot is 1."""
+    ints = []
+    for r in rref_rows:
+        den = math.lcm(*(Fraction(x).denominator for x in r))
+        ints.append([int(x * den) for x in r])
+    return Subspace(d, ints)
 
 
 def contains(V: Subspace, vector) -> bool:
@@ -274,7 +285,7 @@ def ref_intersect(V: Subspace, W: Subspace) -> Subspace:
     d = V.ambient_dim
     rows, pivots = ref_rref([list(v) * 2 for v in V.rows]
                             + [list(w) + [Fraction(0)] * d for w in W.rows])
-    return Subspace(d, tuple(tuple(r[d:]) for r, p in zip(rows, pivots) if p >= d))
+    return ref_subspace(d, [r[d:] for r, p in zip(rows, pivots) if p >= d])
 
 
 def ref_kernel(d: int, rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -546,7 +557,8 @@ def ref_vstar(sys: SystemSextuple) -> Subspace:
 
 
 class RefVStar(NamedTuple):
-    """What ``geometry.VStar`` reports, in Fractions."""
+    """What ``geometry.VStar`` reports: the subspaces of Y* and of
+    [Y*B; D], the step count and a friend."""
     rows: Subspace
     steps: int
     friend: QMatrix
@@ -570,8 +582,8 @@ def vstar_input_rows(v) -> Subspace:
     parts of its echelon's rows that pivot in an input column, over their
     pivots."""
     m = v.m
-    return Subspace(m, tuple(tuple(Fraction(x, r[p]) for x in r[:m])
-                             for p, r in sorted(v.echelon.items()) if p < m))
+    return ref_subspace(m, [[Fraction(x, r[p]) for x in r[:m]]
+                            for p, r in sorted(v.echelon.items()) if p < m])
 
 
 def vstar_fields(v) -> RefVStar:
@@ -602,9 +614,9 @@ def ref_vstar_restacked(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix,
     friend = [[Fraction(0)] * n for _ in range(m)]
     for r, p in held:
         friend[p] = [-x for x in r[m:]]
-    return RefVStar(Subspace(n, tuple(tuple(r[m:]) for r, _ in state)), step,
+    return RefVStar(ref_subspace(n, [r[m:] for r, _ in state]), step,
                     QMatrix.from_rows(friend, cols=n),
-                    Subspace(m, tuple(tuple(r[:m]) for r, _ in held)))
+                    ref_subspace(m, [r[:m] for r, _ in held]))
 
 
 def reanchor_plant(n: int) -> SystemSextuple:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys as _sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from funcobs import cli, decide
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
-from funcobs.exactlin import QMatrix
+from funcobs.exactlin import QMatrix, as_fraction
 from funcobs.fileio import (SystemFileError, dump_system_document, load_system_text,
                             to_jsonable)
 from funcobs.system import SystemSextuple
@@ -698,6 +699,82 @@ class TestUnreadableInput:
         assert "binary.json: exit 2" in captured.out
         assert "stable_pair.json: ok" in captured.out
         assert "binary.json" in captured.err and "Traceback" not in captured.err
+
+
+def _cli(tmp_path, *argv, timeout=60):
+    """``funcobs`` in a fresh interpreter, so the int-string limit it lifts
+    is the one Python starts with."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([_sys.executable, "-m", "funcobs.cli", *map(str, argv)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=timeout)
+
+
+class TestLiteralBound:
+    """Exact literals past 4300 digits, or with a decimal exponent past
+    4300 in magnitude, exit 2 naming the field, before any number is
+    built; numbers that a plant within the bound makes print at any
+    size."""
+
+    @pytest.mark.parametrize("text", [
+        '{"A": [[%s]]}' % ("7" * 5000),
+        '{"A": [[1e5000]]}',
+        '{"A": [["1e10000000"]]}',
+        '{"A": [[1e10000000]]}',
+        '{"A": [["1/%s"]]}' % ("3" * 4301),
+    ], ids=["json_integer", "json_exponent", "string_exponent", "json_huge_exponent",
+            "string_denominator"])
+    def test_exits_2_naming_the_field(self, tmp_path, text):
+        path = tmp_path / "plant.json"
+        path.write_text(text)
+        # building 10**10000000 takes seconds: the bound is read first
+        done = _cli(tmp_path, "check", path, "--out", tmp_path / "report.json", timeout=10)
+        assert done.returncode == 2, done.stderr
+        assert "field 'A'" in done.stderr and "at most 4300" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "report.json").exists()
+
+    def test_nested_number_names_the_top_level_field(self, tmp_path):
+        observer = tmp_path / "observer.json"
+        observer.write_text('{"N": [[{"num": [1e5000], "den": [1]}]]}')
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"x0": [0]}')
+        done = _cli(tmp_path, "simulate", "stable_pair", observer, scenario)
+        assert done.returncode == 2, done.stderr
+        assert "field 'N'" in done.stderr and "at most 4300" in done.stderr
+
+    def test_large_certificates_print(self, tmp_path):
+        # 3000-digit entries are within the bound; the zero polynomial and
+        # the witness's pole polynomial carry their 6000-digit squares
+        a = "7" * 3000
+
+        def longest_number(text):
+            return max(map(len, re.findall(r"\d+", text)))
+
+        plants = tmp_path / "plants"
+        plants.mkdir()
+        (plants / "diag.json").write_text(json.dumps({"A": [[a, "0"], ["0", a]]}))
+        (plants / "jordan.json").write_text(json.dumps(
+            {"A": [[a, "1"], ["0", a]], "C": [[0, 0]], "E": [[1, 0]], "m": 0}))
+        for command, name in (("check", "diag"), ("witness", "jordan")):
+            out = tmp_path / f"{name}.{command}.json"
+            done = _cli(tmp_path, command, plants / f"{name}.json", "--out", out)
+            assert done.returncode == 0, done.stderr
+            assert longest_number(done.stdout) == 6000
+            assert longest_number(out.read_text(encoding="utf-8")) == 6000
+        for jobs in ("1", "2"):
+            # jordan's unstable modes fail a verdict: exit 1, not 2
+            done = _cli(tmp_path, "batch", plants, "--jobs", jobs)
+            assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr
+            assert longest_number(done.stdout) == 6000
+
+    def test_bound_is_checked_before_the_number_is_built(self):
+        assert as_fraction("7" * 4300) == int("7" * 4300)
+        assert as_fraction("1e4300") == 10 ** 4300
+        for text in ("7" * 4301, "1e4301", "1e-10000000", "1/" + "3" * 4301, "1e" + "1" * 4301):
+            with pytest.raises(ValueError, match="^literal (of|with)"):
+                as_fraction(text)
 
 
 class TestOptionValues:

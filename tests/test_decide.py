@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from funcobs import decide, exactlin, geometry, markov, polymat, witness
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
-from funcobs.exactlin import DenseMatrix, QMatrix, Subspace
+from funcobs.exactlin import DenseMatrix, IntegerMatrix, QMatrix, Subspace, first_escape
 from funcobs.fileio import load_system_text, to_jsonable
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices, poly_gcd,
                              smith_form)
@@ -510,7 +510,8 @@ class TestWorkCount:
         and the zeros come through R*."""
         sys = SystemSextuple.from_lists(**support.seeded_n6_lists(p))
         want = decide.strongly_functional_detectable(sys).certificate
-        v = geometry.vstar(sys.A, sys.B, sys.C, sys.D)
+        P = geometry.IntegerPlant(sys)
+        v = geometry.vstar(P.A, P.B, P.C, P.D)
         assert (support.vstar_input_rows(v).dim < sys.m) == (p == 1)
         count = Counter()
         kernel_basis = exactlin.kernel_basis
@@ -521,7 +522,7 @@ class TestWorkCount:
 
         monkeypatch.setattr(exactlin, "kernel_basis", counted)
         monkeypatch.setattr(geometry, "kernel_basis", counted)
-        assert geometry.rank_and_zeros(sys.A, sys.B, v) == (want.normrank_p, want.zero_poly_p)
+        assert geometry.rank_and_zeros(P.A, P.B, v) == (want.normrank_p, want.zero_poly_p)
         assert count == {}
 
     def test_rank_and_zeros_multiplies_no_fraction_matrices(self, monkeypatch):
@@ -529,7 +530,8 @@ class TestWorkCount:
         formed on integer rows: no QMatrix product between V*'s rows and
         the zero polynomial, on a plant whose zeros come through R*."""
         sys = SystemSextuple.from_lists(**support.seeded_n6_lists(1))
-        v = geometry.vstar(sys.A, sys.B, sys.C, sys.D)
+        P = geometry.IntegerPlant(sys)
+        v = geometry.vstar(P.A, P.B, P.C, P.D)
         assert support.vstar_input_rows(v).dim < sys.m
         products = []
         matmul = QMatrix.__matmul__
@@ -539,7 +541,7 @@ class TestWorkCount:
             return matmul(self, other)
 
         monkeypatch.setattr(QMatrix, "__matmul__", counted)
-        got = geometry.rank_and_zeros(sys.A, sys.B, v)
+        got = geometry.rank_and_zeros(P.A, P.B, v)
         assert products == []
         assert got == support.ref_rank_and_zeros(sys.A, sys.B, v)
 
@@ -557,7 +559,8 @@ class TestWorkCount:
             return add(echelon, row)
 
         monkeypatch.setattr(geometry, "_echelon_add", spy)
-        v = geometry.vstar(plant.A, plant.B, plant.C, plant.D)
+        P = geometry.IntegerPlant(plant)
+        v = geometry.vstar(P.A, P.B, P.C, P.D)
         assert v.steps == 4
         # one product for each row of Y*, none for the last step
         assert len(handed) == plant.p + v.rows.dim
@@ -566,9 +569,53 @@ class TestWorkCount:
             return {next(j for j, x in enumerate(y) if x) for y in Y.rows}
 
         handed.clear()
-        CE, DF = QMatrix.vstack([plant.C, plant.E]), QMatrix.vstack([plant.D, plant.F])
-        ve = geometry.vstar(plant.A, plant.B, CE, DF, v.state_rows)
+        CE, DF = IntegerMatrix.vstack([P.C, P.E]), IntegerMatrix.vstack([P.D, P.F])
+        ve = geometry.vstar(P.A, P.B, CE, DF, v.rows)
         assert len(handed) == CE.rows + v.rows.dim + len(pivots(ve.rows) - pivots(v.rows))
+
+    def test_inclusion_makes_no_fraction_but_the_violation(self, monkeypatch, plant):
+        """strong_star_inclusion, intersect and first_escape read canonical
+        integer rows: no row is brought to integers, and the only Fractions
+        made are the entries of the escaping vector that first_escape
+        returns."""
+        made, converted = [], []
+        integer_row = exactlin._integer_row
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                made.append(args)
+                return Fraction(*args)
+
+        def spy(row):
+            converted.append(row)
+            return integer_row(row)
+
+        sys = support.integrator_chain()
+        plants = [geometry.IntegerPlant(p) for p in (plant, plant.with_target(plant.C, plant.D),
+                                                      sys)]
+        for ints in plants:
+            for name in "ABCDEF":  # the blocks are read before the count starts
+                getattr(ints, name)
+        V = Subspace.span(sys.n + sys.m, [[1, 2, 0], [0, 1, 1]])
+        W = Subspace.span(sys.n + sys.m, [[1, 3, 1], [2, 0, 5]])
+        M = IntegerMatrix.of(QMatrix.from_rows([[0, 1, -1]]))
+        for module in (exactlin, geometry):
+            monkeypatch.setattr(module, "Fraction", Counted)
+        monkeypatch.setattr(exactlin, "_integer_row", spy)
+        holds = []
+        for ints in plants:
+            made.clear()
+            cert = geometry.strong_star_inclusion(ints)
+            holds.append(cert.holds)
+            assert [Fraction(*args) for args in made] == [x for x in cert.violation or () if x]
+        assert holds == [decide.strong_star_functional_detectable(plant).certificate
+                         .inclusion.holds, True, False]
+        made.clear()
+        assert V.intersect(W).dim == 1 and made == []
+        # V's rows are (1, 0, -2) and (0, 1, 1): M sees the first
+        assert first_escape(V, M) == (1, 0, -2)
+        assert made == [(1, 1), (-2, 1)]
+        assert converted == []
 
     def test_growing_an_echelon_rewrites_no_kept_row(self):
         """Each add leaves every kept row the same list with the same
@@ -649,8 +696,9 @@ class TestWorkCount:
         forms = decide.PlantForms(plant)
         v = forms.vstar
         reads.clear()
-        assert forms.rank_and_zero == geometry.rank_and_zeros(plant.A, plant.B, v)
-        assert [r for r in reads if r[1] not in blocks[:2]] == []
+        assert forms.rank_and_zero == geometry.rank_and_zeros(forms.integers.A,
+                                                              forms.integers.B, v)
+        assert reads == []
 
     def test_decision_consistency_shares_p(self, calls, plant):
         # P is square and nonsingular: the witness solves at points, and
@@ -713,8 +761,8 @@ class TestWorkCount:
         forms = decide.PlantForms(SystemSextuple.from_lists(
             A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], C=[[0, 1, 0]], E=[[1, 0, 0]], m=0))
         assert decide.functional_detectable(forms).certificate.reduced.zero_poly_pe == POLY_ONE
-        assert seeds == [None, forms.unobservable.state_rows]
-        assert seeds[1] == [[0, 1, 0], [0, 0, 1]]
+        assert seeds == [None, forms.unobservable.rows]
+        assert seeds[1].ints == ((0, 1, 0), (0, 0, 1))
 
     def test_system_matrices_assemble_no_blocks(self, monkeypatch):
         """P and [E F] come straight from the plant's rows: no block

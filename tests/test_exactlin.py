@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from funcobs.exactlin import (DenseMatrix, IntegerMatrix, QMatrix, Subspace, _echelon_add,
-                              _reduce, _rref, as_fraction, first_escape, kernel_basis)
+                              _reduce, as_fraction, first_escape, kernel_basis)
 from funcobs.markov import toeplitz
 from funcobs.polymat import Poly, PolyMatrix
 from funcobs.witness import RationalFunction, RationalFunctionMatrix
@@ -283,13 +283,14 @@ class TestIntegerRREF:
     @example((2, [[F(-2, 3), F(4, 5)], [F(-4, 3), F(8, 5)]]))
     @example((3, [[F(0), F(-3, 2), F(1, 7)], [F(-5), F(2), F(0)], [F(-5), F(1, 2), F(1, 7)]]))
     def test_rows_and_pivots_match_oracle(self, case):
-        _, rows = case
-        got_rows, got_pivots = _rref(rows)
+        ncols, rows = case
+        got, got_pivots = QMatrix.from_rows(rows, cols=ncols).rref()
+        got_rows = [list(r) for r in got.data]
         want_rows, want_pivots = support.ref_rref(rows)
-        assert got_pivots == want_pivots
+        assert list(got_pivots) == want_pivots
         assert got_rows == want_rows
         assert all(type(x) is Fraction for row in got_rows for x in row)
-        assert QMatrix.from_rows(rows, cols=case[0]).rank() == len(want_pivots)
+        assert QMatrix.from_rows(rows, cols=ncols).rank() == len(want_pivots)
 
     @given(_spanning_rows())
     @example((3, [[F(0), F(-2), F(6)], [F(0), F(1, 3), F(-1)]]))
@@ -476,6 +477,25 @@ class TestCanonicalRows:
         assert other.rows == V.rows
         assert other == V and hash(other) == hash(V)
 
+    @given(_subspace_case(), st.data())
+    def test_integer_rows_are_canonical(self, case, data):
+        """The integer rows of a span are the same for any spanning set:
+        its rows scaled by nonzero rationals, duplicated, padded with zero
+        rows and shuffled.  Each row is primitive with a positive pivot,
+        and over its pivot it is the oracle's RREF row."""
+        d, rows = case
+        V = Subspace.span(d, rows)
+        scales = data.draw(st.lists(_nonzero, min_size=len(rows), max_size=len(rows)))
+        others = [[c * x for x in r] for r, c in zip(rows, scales)]
+        if others:
+            others += data.draw(st.lists(st.sampled_from(others), max_size=3))
+        others += [[F(0)] * d] * data.draw(st.integers(0, 2))
+        assert Subspace.span(d, data.draw(st.permutations(others))).ints == V.ints
+        for r in V.ints:
+            pivot = next(x for x in r if x)
+            assert all(type(x) is int for x in r) and gcd(*r) == 1 and pivot > 0
+        assert V.rows == _ref_rows(rows)
+
     def test_zero_and_full(self):
         # the spans of nothing and of a shuffled basis of Q^d
         assert Subspace.span(3, []).rows == ()
@@ -485,7 +505,7 @@ class TestCanonicalRows:
 
     def test_constructor_checks_row_length(self):
         with pytest.raises(ValueError, match="ambient dimension"):
-            Subspace(3, ((F(1), F(0)),))
+            Subspace(3, ((1, 0),))
 
 
 def _fraction_storage(M: QMatrix):

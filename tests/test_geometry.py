@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from funcobs.corpus import bundled_names, bundled_text
-from funcobs.exactlin import QMatrix, Subspace, kernel_basis
+from funcobs.exactlin import IntegerMatrix, QMatrix, Subspace, kernel_basis
 from funcobs.fileio import load_system_text
 from funcobs.geometry import rank_and_zeros, strong_star_inclusion, unobservable, vstar
 from funcobs.markov import kernel_inclusion_upto
@@ -17,6 +17,11 @@ from support import vstar_fields as fields
 
 def frac(x):
     return Fraction(x)
+
+
+def ints(*mats):
+    """The integer forms that ``vstar`` and its kin take."""
+    return [IntegerMatrix.of(M) for M in mats]
 
 
 class TestReachableWithin:
@@ -34,8 +39,9 @@ class TestReachableWithin:
 def observed(A, C):
     """``vstar`` with m = 0: the rows of the unobservable subspace's
     annihilator, with their step count."""
+    A, C = ints(A, C)
     v = unobservable(A, C)
-    assert v == vstar(A, QMatrix.zeros(A.rows, 0), C, QMatrix.zeros(C.rows, 0))
+    assert v == vstar(A, IntegerMatrix.zeros(A.rows, 0), C, IntegerMatrix.zeros(C.rows, 0))
     return v.rows, v.steps
 
 
@@ -63,14 +69,14 @@ class TestObservedRows:
         # (A, [C; E])'s rows grown from (A, C)'s equal those grown from nothing
         for _ in range(40):
             sys = support.random_system(rng)
-            CE = QMatrix.vstack([sys.C, sys.E])
-            seeded = unobservable(sys.A, CE, unobservable(sys.A, sys.C).state_rows)
-            assert seeded.rows == unobservable(sys.A, CE).rows
+            A, C, CE = ints(sys.A, sys.C, QMatrix.vstack([sys.C, sys.E]))
+            seeded = unobservable(A, CE, unobservable(A, C).rows)
+            assert seeded.rows == unobservable(A, CE).rows
         # a shift chain read in the middle: E adds the head, one step on
         # from the seed and two from nothing
-        A = QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        C, CE = QMatrix.from_rows([[0, 1, 0]]), QMatrix.from_rows([[0, 1, 0], [1, 0, 0]])
-        seeded = unobservable(A, CE, unobservable(A, C).state_rows)
+        A, C, CE = ints(QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+                        QMatrix.from_rows([[0, 1, 0]]), QMatrix.from_rows([[0, 1, 0], [1, 0, 0]]))
+        seeded = unobservable(A, CE, unobservable(A, C).rows)
         assert (seeded.rows, seeded.steps) == (support.full_subspace(3), 1)
         assert unobservable(A, CE).steps == 2
 
@@ -88,7 +94,7 @@ class TestVStar:
     # the input holds y = x_1 at zero by cancelling x_2: V* = span(e_2)
     @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[1], [0]], C=[[1, 0]], D=[[0]]))
     def test_matches_textbook_recursion(self, sys):
-        v = vstar(sys.A, sys.B, sys.C, sys.D)
+        v = vstar(*ints(sys.A, sys.B, sys.C, sys.D))
         V = kernel_basis(QMatrix(v.rows.dim, sys.n, v.rows.rows))
         assert V == support.ref_vstar(sys)
         # the friend holds V* and its output at zero
@@ -102,7 +108,7 @@ class TestVStar:
         # the canonical rows of [Y*B; D]
         YB = support.ref_qmatmul(QMatrix(v.rows.dim, sys.n, v.rows.rows), sys.B)
         rows, pivots = support.ref_rref([list(r) for r in YB.data + sys.D.data])
-        assert support.vstar_input_rows(v) == Subspace(sys.m, tuple(map(tuple, rows[:len(pivots)])))
+        assert support.vstar_input_rows(v) == support.ref_subspace(sys.m, rows[:len(pivots)])
 
     @given(st.one_of(support.plants(4, 3), support.plants(4, 3, rational=True)))
     @example(SystemSextuple.from_lists(A=[], D=[[1, 0]], F=[[0, 1]]))
@@ -115,14 +121,14 @@ class TestVStar:
         calls = [(sys.A, sys.B, sys.C, sys.D),
                  tuple(map(support.transpose, (sys.A, sys.C, sys.B, sys.D)))]
         for args in calls:
-            assert fields(vstar(*args)) == support.ref_vstar_restacked(*args)
+            assert fields(vstar(*ints(*args))) == support.ref_vstar_restacked(*args)
         CE, DF = QMatrix.vstack([sys.C, sys.E]), QMatrix.vstack([sys.D, sys.F])
-        seed = vstar(sys.A, sys.B, sys.C, sys.D)
-        assert (fields(vstar(sys.A, sys.B, CE, DF, seed.state_rows))
+        seed = vstar(*ints(sys.A, sys.B, sys.C, sys.D))
+        assert (fields(vstar(*ints(sys.A, sys.B, CE, DF), seed.rows))
                 == support.ref_vstar_restacked(sys.A, sys.B, CE, DF, seed.rows))
         none = QMatrix.zeros(sys.n, 0)
-        seed = unobservable(sys.A, sys.C)
-        assert (fields(unobservable(sys.A, CE, seed.state_rows))
+        seed = unobservable(*ints(sys.A, sys.C))
+        assert (fields(unobservable(*ints(sys.A, CE), seed.rows))
                 == support.ref_vstar_restacked(sys.A, none, CE, QMatrix.zeros(CE.rows, 0),
                                                seed.rows))
 
@@ -130,25 +136,27 @@ class TestVStar:
     def test_matches_whole_stack_loop_on_ladder_plants(self, n):
         sys = support.reanchor_plant(n)
         CE, DF = QMatrix.vstack([sys.C, sys.E]), QMatrix.vstack([sys.D, sys.F])
-        plain = vstar(sys.A, sys.B, sys.C, sys.D)
+        plain = vstar(*ints(sys.A, sys.B, sys.C, sys.D))
         assert fields(plain) == support.ref_vstar_restacked(sys.A, sys.B, sys.C, sys.D)
-        assert (fields(vstar(sys.A, sys.B, CE, DF, plain.state_rows))
+        assert (fields(vstar(*ints(sys.A, sys.B, CE, DF), plain.rows))
                 == support.ref_vstar_restacked(sys.A, sys.B, CE, DF, plain.rows))
 
     def test_seed_is_grown_from(self):
         # P_e's V* grown from P's rows equals the one grown from nothing
         sys = support.integrator_chain()
-        C, D = QMatrix.vstack([sys.C, sys.E]), QMatrix.vstack([sys.D, sys.F])
-        v = vstar(sys.A, sys.B, sys.C, sys.D)
-        seeded, fresh = vstar(sys.A, sys.B, C, D, v.state_rows), vstar(sys.A, sys.B, C, D)
+        A, B, C, D, E, F = ints(sys.A, sys.B, sys.C, sys.D, sys.E, sys.F)
+        CE, DF = IntegerMatrix.vstack([C, E]), IntegerMatrix.vstack([D, F])
+        v = vstar(A, B, C, D)
+        seeded, fresh = vstar(A, B, CE, DF, v.rows), vstar(A, B, CE, DF)
         assert seeded.rows == fresh.rows
         assert support.vstar_input_rows(seeded) == support.vstar_input_rows(fresh)
         assert seeded.steps < fresh.steps
 
     def test_steps_at_index_one(self):
         # a benchmark tracer adds result[1] of every vstar call to its count
-        A = QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        v = vstar(A, QMatrix.zeros(3, 0), QMatrix.from_rows([[1, 0, 0]]), QMatrix.zeros(1, 0))
+        A, C = ints(QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+                    QMatrix.from_rows([[1, 0, 0]]))
+        v = vstar(A, IntegerMatrix.zeros(3, 0), C, IntegerMatrix.zeros(1, 0))
         assert v[1] == v.steps == 3
 
 
@@ -173,14 +181,14 @@ class TestRankAndZeros:
     @staticmethod
     def _check(sys):
         A, B, C, D = sys.A, sys.B, sys.C, sys.D
-        v = vstar(A, B, C, D)
+        v = vstar(*ints(A, B, C, D))
         CE, DF = QMatrix.vstack([C, sys.E]), QMatrix.vstack([D, sys.F])
         At, Ct, Bt, Dt = map(support.transpose, (A, C, B, D))
-        calls = [(A, B, v), (A, B, vstar(A, B, CE, DF, v.state_rows)),
-                 (A, QMatrix.zeros(sys.n, 0), unobservable(A, C)),
-                 (At, Ct, vstar(At, Ct, Bt, Dt))]
-        for args in calls:
-            assert rank_and_zeros(*args) == support.ref_rank_and_zeros(*args)
+        calls = [(A, B, v), (A, B, vstar(*ints(A, B, CE, DF), v.rows)),
+                 (A, QMatrix.zeros(sys.n, 0), unobservable(*ints(A, C))),
+                 (At, Ct, vstar(*ints(At, Ct, Bt, Dt)))]
+        for a, b, w in calls:
+            assert rank_and_zeros(*ints(a, b), w) == support.ref_rank_and_zeros(a, b, w)
 
     @given(support.plants(4, 3))
     @example(_BRANCHES["n0"])
@@ -196,11 +204,12 @@ class TestRankAndZeros:
 
     def test_examples_reach_their_branches(self):
         for name, sys in _BRANCHES.items():
-            v = vstar(sys.A, sys.B, sys.C, sys.D)
+            v = vstar(*ints(sys.A, sys.B, sys.C, sys.D))
             through_r_star = v.rows.dim < sys.n and support.vstar_input_rows(v).dim < sys.m
             assert through_r_star == name.startswith("r_star"), name
         sys = _BRANCHES["r_star_is_v_star"]
-        assert rank_and_zeros(sys.A, sys.B, vstar(sys.A, sys.B, sys.C, sys.D))[1] == Poly([1])
+        A, B, C, D = ints(sys.A, sys.B, sys.C, sys.D)
+        assert rank_and_zeros(A, B, vstar(A, B, C, D))[1] == Poly([1])
 
 
 class TestStrongStarInclusion:

@@ -579,7 +579,8 @@ class TestStackedInvariants:
 
     def test_shape_mismatch(self):
         # a V* read against a plant with another state dimension
-        chain, gap = support.integrator_chain(), support.feedthrough_gap()
+        chain = geometry.IntegerPlant(support.integrator_chain())
+        gap = geometry.IntegerPlant(support.feedthrough_gap())
         v = geometry.vstar(gap.A, gap.B, gap.C, gap.D)
         with pytest.raises(ValueError):
             geometry.rank_and_zeros(chain.A, chain.B, v)
