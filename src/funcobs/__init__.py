@@ -14,7 +14,7 @@ from .decide import (PlantForms, Verdict, asympt_strong_left_invertible,
                      hautus_strong_star_detectable,
                      strong_star_functional_detectable,
                      strongly_functional_detectable)
-from .exactlin import QMatrix, Subspace, as_fraction, kernel_basis
+from .exactlin import IntegerMatrix, QMatrix, Subspace, as_fraction, kernel_basis
 from .geometry import strong_star_inclusion
 from .markov import kernel_inclusion_upto, toeplitz
 from .polymat import (Poly, PolyMatrix, SmithDecomposition, build_system_matrices,
@@ -39,7 +39,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "QMatrix", "Subspace", "as_fraction", "kernel_basis",
+    "IntegerMatrix", "QMatrix", "Subspace", "as_fraction", "kernel_basis",
     "Poly", "PolyMatrix", "SmithDecomposition", "poly_gcd", "poly_lcm",
     "build_system_matrices", "smith_form",
     "HurwitzReport", "is_hurwitz", "antistable_parts_equal",

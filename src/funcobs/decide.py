@@ -32,7 +32,7 @@ from . import geometry
 from .exactlin import IntegerMatrix, QMatrix, Subspace, first_escape, kernel_basis
 from .polymat import POLY_ONE, Poly, poly_gcd
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
-from .system import SystemSextuple
+from .system import IntegerPlant, SystemSextuple
 
 FUNCTIONAL = "functional_detectable"
 STRONGLY = "strongly_functional_detectable"
@@ -161,8 +161,8 @@ class PlantForms:
         return plant if isinstance(plant, PlantForms) else PlantForms(plant)
 
     @cached_property
-    def integers(self) -> geometry.IntegerPlant:
-        return geometry.IntegerPlant(self.sys)
+    def integers(self) -> IntegerPlant:
+        return IntegerPlant(self.sys)
 
     @cached_property
     def vstar(self) -> geometry.VStar:

@@ -1,10 +1,11 @@
 """Exact rational linear algebra.
 
-Dense matrices over arbitrary-precision rationals (``fractions.Fraction``)
-plus canonical subspace arithmetic: spans, kernels, sums and
-intersections.  Every elimination grows one fraction-free row echelon of
-integer rows (``_echelon_add``), reduced where its rows are read
-(``_reduce``) to canonical integer rows: the least positive integer
+A plant's blocks are ``QMatrix`` entries (``fractions.Fraction``), and
+every product, stack, rank and kernel runs on ``IntegerMatrix`` forms,
+integer rows over one denominator.  Subspaces (spans, kernels, sums and
+intersections) are canonical.  Every elimination grows one fraction-free
+row echelon of integer rows (``_echelon_add``), reduced where its rows are
+read (``_reduce``) to canonical integer rows: the least positive integer
 multiples of the nonzero RREF rows, the form a ``Subspace`` holds.  One
 routine reads a kernel basis off such rows (``_integer_kernel``).
 Fractions are made from integer rows only for a report or a test:
@@ -65,15 +66,6 @@ def _common_den(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """The numerators of xs over the lcm of their denominators."""
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
-
-
-def _integer_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The numerators of a matrix's rows over the lcm of all its
-    denominators, and that lcm."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    if den == 1:
-        return [[x.numerator for x in row] for row in rows], 1
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -270,30 +262,6 @@ class DenseMatrix:
         zero, one = cls._zero, cls._one
         return cls(n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def hstack(cls, mats: Sequence["DenseMatrix"]):
-        if not mats:
-            raise ValueError("hstack needs at least one matrix")
-        rows = mats[0].rows
-        if any(m.rows != rows for m in mats):
-            raise ValueError("hstack: row count mismatch")
-        data = tuple(tuple(x for m in mats for x in m.data[i]) for i in range(rows))
-        return cls(rows, sum(m.cols for m in mats), data)
-
-    @classmethod
-    def vstack(cls, mats: Sequence["DenseMatrix"]):
-        if not mats:
-            raise ValueError("vstack needs at least one matrix")
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValueError("vstack: column count mismatch")
-        data = tuple(row for m in mats for row in m.data)
-        return cls(sum(m.rows for m in mats), cols, data)
-
-    @classmethod
-    def from_blocks(cls, grid: Sequence[Sequence["DenseMatrix"]]):
-        return cls.vstack([cls.hstack(list(row)) for row in grid])
-
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]):
@@ -319,26 +287,13 @@ class DenseMatrix:
 
 
 class QMatrix(DenseMatrix):
-    """Immutable dense matrix over exact rationals."""
+    """Immutable dense matrix over exact rationals, a plant's blocks as
+    read; ``IntegerMatrix.of`` reads it for any arithmetic."""
 
     __slots__ = ()
     _entry = staticmethod(as_fraction)
     _zero = Fraction(0)
     _one = Fraction(1)
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch in product: {self.shape} @ {other.shape}")
-        # rows and columns over one denominator each: an integer dot
-        # product and one Fraction per entry
-        rows = [_common_den(row) for row in self.data]
-        cols = [_common_den(other.column(j)) for j in range(other.cols)]
-        data = tuple(tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
-                     for a, da in rows)
-        return QMatrix(self.rows, other.cols, data)
 
     # no caller in the package; the benchmark tracer wraps it by name
     def rank(self) -> int:
@@ -371,11 +326,12 @@ class IntegerMatrix:
                 and (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data))
 
     @staticmethod
-    def of(M: QMatrix | IntegerMatrix) -> IntegerMatrix:
-        if isinstance(M, IntegerMatrix):
-            return M
-        data, den = _integer_matrix(M.data)
-        return IntegerMatrix(M.rows, M.cols, data, den)
+    def of(M: QMatrix) -> IntegerMatrix:
+        den = lcm(*(x.denominator for row in M.data for x in row))
+        if den == 1:
+            return IntegerMatrix(M.rows, M.cols, [[x.numerator for x in row] for row in M.data], 1)
+        return IntegerMatrix(M.rows, M.cols, [[x.numerator * (den // x.denominator) for x in row]
+                                              for row in M.data], den)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> IntegerMatrix:
@@ -411,6 +367,9 @@ class IntegerMatrix:
         return len(echelon)
 
     def __matmul__(self, other: IntegerMatrix) -> IntegerMatrix:
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch in product: {self.rows}x{self.cols} @ "
+                             f"{other.rows}x{other.cols}")
         cols = other.transpose().data
         return IntegerMatrix(self.rows, other.cols,
                              [[sum(map(mul, row, col)) for col in cols] for row in self.data],
@@ -494,9 +453,9 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def kernel_basis(M: QMatrix | IntegerMatrix) -> Subspace:
-    """Canonical basis of {v : M v = 0}, from one elimination.  M may be
-    an ``IntegerMatrix``: a row's content is all that elimination drops.
+def kernel_basis(M: IntegerMatrix) -> Subspace:
+    """Canonical basis of {v : M v = 0}, from one elimination of M's
+    integer rows; the denominator does not change the kernel.
 
     M is eliminated with its columns reversed, and ``_integer_kernel``
     reads that echelon's kernel off.  Read back in the original order, its
@@ -504,24 +463,21 @@ def kernel_basis(M: QMatrix | IntegerMatrix) -> Subspace:
     columns and has its other entries further right, so these columns,
     last free column first and made primitive, are Ker M's canonical rows.
     """
-    rows = M.data if isinstance(M, IntegerMatrix) else map(_integer_row, M.data)
-    columns = _integer_kernel(_integer_echelon(r[::-1] for r in rows), M.cols)[0]
+    columns = _integer_kernel(_integer_echelon(r[::-1] for r in M.data), M.cols)[0]
     return Subspace(M.cols, [_primitive(col[::-1]) for col in reversed(columns)])
 
 
-def first_escape(V: Subspace, M: QMatrix | IntegerMatrix) -> tuple[Fraction, ...] | None:
+def first_escape(V: Subspace, M: IntegerMatrix) -> tuple[Fraction, ...] | None:
     """First canonical basis vector of V that M does not annihilate.
 
     None exactly when V lies inside Ker M; the search stops at the first
-    escaping vector.  M's rows are brought to integers once (an
-    ``IntegerMatrix``'s are already), so every test is an integer dot
-    product with one of V's rows; only the vector returned is made
+    escaping vector.  Every test is an integer dot product of one of M's
+    integer rows with one of V's rows; only the vector returned is made
     Fractions, its RREF row.
     """
     if M.cols != V.ambient_dim:
         raise ValueError("first_escape: column count must match ambient dimension")
-    rows = M.data if isinstance(M, IntegerMatrix) else [_common_den(row)[0] for row in M.data]
     for vec in V.ints:
-        if any(sum(map(mul, row, vec)) for row in rows):
+        if any(sum(map(mul, row, vec)) for row in M.data):
             return _fraction_row(vec)
     return None

@@ -12,7 +12,7 @@ one fraction-free integer echelon across its steps, so each row of the
 stack is eliminated once, and returns it reduced (``VStar``): its rows at
 state pivots are Y*'s canonical integer rows, the ``Subspace`` that seeds
 a later call.  The blocks are ``IntegerMatrix`` forms, which
-``IntegerPlant`` reads once per plant.
+``system.IntegerPlant`` reads once per plant.
 
 ``rank_and_zeros`` runs on integers from V*'s echelon to the zero
 polynomial.  The bases of V* and Ker [Y*B; D] are integer columns, the
@@ -26,10 +26,11 @@ read off the same way with the scale carried.  Every kernel basis here
 is ``exactlin._integer_kernel``'s.
 
 The decision surface for the properness side of observer existence is
-``strong_star_inclusion``: every finite input chain whose trajectory stays
-inside Ker [C D] must keep the target rows [E F] silent as well.  The
-chain's state is a pair (x, u) in Q^(n+m).  The states such chains reach
-form the strongly reachable subspace T*, the limit of
+``strong_star_inclusion``, on a plant's ``IntegerPlant``: every finite
+input chain whose trajectory stays inside Ker [C D] must keep the target
+rows [E F] silent as well.  The chain's state is a pair (x, u) in
+Q^(n+m).  The states such chains reach form the strongly reachable
+subspace T*, the limit of
 
     T_0 = 0,    T_{k+1} = [A B] ((T_k + Q^m)  ^  Ker [C D]),
 
@@ -57,7 +58,7 @@ from typing import NamedTuple
 from .exactlin import (IntegerMatrix, Subspace, _echelon_add, _integer_kernel, _primitive,
                        _reduce, first_escape, kernel_basis)
 from .polymat import POLY_ONE, Poly, berkowitz
-from .system import SystemSextuple
+from .system import IntegerPlant
 
 
 class VStar(NamedTuple):
@@ -223,27 +224,7 @@ class InclusionCertificate:
     violation: tuple[Fraction, ...] | None
 
 
-class IntegerPlant:
-    """A plant's blocks A, B, C, D, E and F as ``IntegerMatrix`` forms,
-    each read on first use and kept."""
-
-    def __init__(self, sys: SystemSextuple):
-        self.sys = sys
-
-    def __getattr__(self, name: str) -> IntegerMatrix:
-        # called only for a block that is not read yet
-        if name not in ("A", "B", "C", "D", "E", "F"):
-            raise AttributeError(name)
-        block = IntegerMatrix.of(getattr(self.sys, name))
-        setattr(self, name, block)
-        return block
-
-    @staticmethod
-    def of(plant: SystemSextuple | IntegerPlant) -> IntegerPlant:
-        return plant if isinstance(plant, IntegerPlant) else IntegerPlant(plant)
-
-
-def strong_star_inclusion(plant: SystemSextuple | IntegerPlant) -> InclusionCertificate:
+def strong_star_inclusion(ints: IntegerPlant) -> InclusionCertificate:
     """Decide the properness inclusion between measured and target chains.
 
     Holds iff every pair reachable inside Ker [C D] by an input chain lies
@@ -251,7 +232,6 @@ def strong_star_inclusion(plant: SystemSextuple | IntegerPlant) -> InclusionCert
     the target rows can see.  The plant's integer blocks give the dual
     plant, Ker [C D] and the test against [E F].
     """
-    ints = IntegerPlant.of(plant)
     n, m = ints.A.rows, ints.B.cols
     dual = vstar(ints.A.transpose(), ints.C.transpose(), ints.B.transpose(), ints.D.transpose())
     # T* + 0 pivots in the state columns and 0 + Q^m, unit rows, in the

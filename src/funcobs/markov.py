@@ -7,7 +7,9 @@ Ker M^k of the target pair, for every k" is the order-by-order face of the
 properness condition; the geometric test in the geometry module decides
 the whole family at once, and this module serves as its finite
 cross-oracle.  M^k is the leading block corner of every higher order, so a
-search up to kmax builds each chain once, at kmax.
+search up to kmax builds each chain once, at kmax.  Every block is an
+``IntegerMatrix``, read off the plant by ``system.IntegerPlant``; kernels
+and the escape test do not depend on a row's scale.
 """
 
 from __future__ import annotations
@@ -15,23 +17,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import QMatrix, first_escape, kernel_basis
-from .system import SystemSextuple
+from .exactlin import IntegerMatrix, first_escape, kernel_basis
+from .system import IntegerPlant, SystemSextuple
 
 
-def toeplitz(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix, k: int) -> QMatrix:
+def toeplitz(A: IntegerMatrix, B: IntegerMatrix, C: IntegerMatrix, D: IntegerMatrix,
+             k: int) -> IntegerMatrix:
     """The (k+1) x (k+1) block Toeplitz matrix of Markov parameters.  Its
     leading (i+1) x (i+1) blocks are the matrices of the orders i < k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    p, m = D.shape
     c_powers = [C]  # C A^i for i < k
     for _ in range(1, k):
         c_powers.append(c_powers[-1] @ A)
     markov = [D] + [ca @ B for ca in c_powers[:k]]  # D, CB, CAB, ...
-    zero = QMatrix.zeros(p, m)
-    return QMatrix.from_blocks([[markov[i - j] if i >= j else zero for j in range(k + 1)]
-                                for i in range(k + 1)])
+    zero = IntegerMatrix.zeros(D.rows, D.cols)
+    return IntegerMatrix.vstack([
+        IntegerMatrix.hstack([markov[i - j] if i >= j else zero for j in range(k + 1)])
+        for i in range(k + 1)])
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,10 @@ def kernel_inclusion_upto(sys: SystemSextuple, kmax: int) -> KernelInclusionRepo
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     m, p, q = sys.m, sys.p, sys.q
+    ints = IntegerPlant(sys)
     # order k is the leading (k+1)-block corner of order kmax
-    mcd = toeplitz(sys.A, sys.B, sys.C, sys.D, kmax)
-    mef = toeplitz(sys.A, sys.B, sys.E, sys.F, kmax)
+    mcd = toeplitz(ints.A, ints.B, ints.C, ints.D, kmax)
+    mef = toeplitz(ints.A, ints.B, ints.E, ints.F, kmax)
     for k in range(kmax + 1):
         vec = first_escape(kernel_basis(_leading(mcd, (k + 1) * p, (k + 1) * m)),
                            _leading(mef, (k + 1) * q, (k + 1) * m))
@@ -64,5 +68,5 @@ def kernel_inclusion_upto(sys: SystemSextuple, kmax: int) -> KernelInclusionRepo
 
 
 # reached only through kernel_inclusion_upto, which the benchmark times
-def _leading(M: QMatrix, rows: int, cols: int) -> QMatrix:
-    return QMatrix(rows, cols, tuple(row[:cols] for row in M.data[:rows]))
+def _leading(M: IntegerMatrix, rows: int, cols: int) -> IntegerMatrix:
+    return IntegerMatrix(rows, cols, [row[:cols] for row in M.data[:rows]], M.den)

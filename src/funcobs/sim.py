@@ -28,15 +28,21 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .exactlin import QMatrix, as_fraction
+from .exactlin import as_fraction
 from .fileio import SystemFileError, check_keys, load_json, read_text
 from .polymat import Poly
 from .system import SystemSextuple
 from .witness import RationalFunction, RationalFunctionMatrix, classify, denominator_lcm
 
 
-def to_float_array(M: QMatrix) -> np.ndarray:
-    return np.array(M.data, dtype=float).reshape(M.shape)
+def float_block(sys: SystemSextuple, name: str) -> np.ndarray:
+    """The plant's block ``name`` as floats; a ValueError names it when an
+    entry is past the float range."""
+    M = getattr(sys, name)
+    try:
+        return np.array(M.data, dtype=float).reshape(M.shape)
+    except OverflowError:
+        raise ValueError(f"field {name!r}: an entry is past the float range") from None
 
 
 class RealizationError(ValueError):
@@ -89,23 +95,28 @@ def realize(N: RationalFunctionMatrix) -> StateSpaceRealization:
     Q = np.zeros((q, nu_total))
     R = np.zeros((q, p))
     offset = 0
-    for j, den in enumerate(dens):
-        nu = den.degree
-        end = offset + nu
-        if nu:
-            # companion block of the monic den, driven through its last state
-            for k in range(offset, end - 1):
-                G[k, k + 1] = 1.0
-            G[end - 1, offset:end] = [-float(c) for c in den.coeffs[:nu]]
-            H[end - 1, j] = 1.0
-        for i in range(q):
-            entry = N[i, j]
-            limit = entry.limit_at_infinity()
-            R[i, j] = float(limit)
-            strict = entry.num * den.exact_div(entry.den) - den.scale(limit)
-            for k, c in enumerate(strict.coeffs, offset):
-                Q[i, k] = float(c)
-        offset = end
+    try:
+        for j, den in enumerate(dens):
+            i = None
+            nu = den.degree
+            end = offset + nu
+            if nu:
+                # companion block of the monic den, driven through its last state
+                for k in range(offset, end - 1):
+                    G[k, k + 1] = 1.0
+                G[end - 1, offset:end] = [-float(c) for c in den.coeffs[:nu]]
+                H[end - 1, j] = 1.0
+            for i in range(q):
+                entry = N[i, j]
+                limit = entry.limit_at_infinity()
+                R[i, j] = float(limit)
+                strict = entry.num * den.exact_div(entry.den) - den.scale(limit)
+                for k, c in enumerate(strict.coeffs, offset):
+                    Q[i, k] = float(c)
+            offset = end
+    except OverflowError:
+        where = f"N[{i}][{j}]" if i is not None else f"the denominator of column {j} of N"
+        raise RealizationError(f"{where}: a coefficient is past the float range") from None
     return StateSpaceRealization(G, H, Q, R)
 
 
@@ -299,8 +310,8 @@ def _cascade_matrix(sys: SystemSextuple, omega: StateSpaceRealization) -> np.nda
             raise ValueError(f"observer block {name} must be {shape[0]}x{shape[1]} "
                              f"for this plant, found {'x'.join(map(str, found))}")
     Ac = np.zeros((n + nu, n + nu))
-    Ac[:n, :n] = to_float_array(sys.A)
-    Ac[n:, :n] = omega.H @ to_float_array(sys.C)
+    Ac[:n, :n] = float_block(sys, "A")
+    Ac[n:, :n] = omega.H @ float_block(sys, "C")
     Ac[n:, n:] = omega.G
     return Ac
 
@@ -372,11 +383,11 @@ def rk4_linear(A: np.ndarray, B: np.ndarray, h: float, w0: np.ndarray,
     blow-up bound raises StepInstabilityError naming the first such step.
     """
     d = B.shape[0]
-    T, S0, S_half, S1 = _rk4_step_map(A, B, h)
     nsteps = (len(u_half) - 1) // 2
     w = np.empty((nsteps + 1, d))
     w[0] = w0
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
+        T, S0, S_half, S1 = _rk4_step_map(A, B, h)
         # np.dot, not @, as in _affine_scan: strided rows take matmul's slow path
         w[1:] = np.dot(u_half[:-1:2], S0.T)
         w[1:] += np.dot(u_half[1::2], S_half.T)
@@ -409,9 +420,9 @@ def simulate(sys: SystemSextuple, omega: StateSpaceRealization,
     if sc.input_signal.channels(m) != m:
         raise ValueError("input signal channel count does not match m")
 
-    C = to_float_array(sys.C)
-    D = to_float_array(sys.D)
-    Bc = np.vstack([to_float_array(sys.B), omega.H @ D])
+    C = float_block(sys, "C")
+    D = float_block(sys, "D")
+    Bc = np.vstack([float_block(sys, "B"), omega.H @ D])
 
     h = sc.step
     # enough steps to reach the horizon; the slack absorbs the rounding of
@@ -428,7 +439,7 @@ def simulate(sys: SystemSextuple, omega: StateSpaceRealization,
     X = states[:, :n]
     Xi = states[:, n:]
     Y = X @ C.T + inputs @ D.T
-    Z = X @ to_float_array(sys.E).T + inputs @ to_float_array(sys.F).T
+    Z = X @ float_block(sys, "E").T + inputs @ float_block(sys, "F").T
     Zhat = Xi @ omega.Q.T + Y @ omega.R.T
     return Trajectory(times, X, Xi, inputs, Y, Z, Zhat)
 

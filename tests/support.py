@@ -21,8 +21,9 @@ recursion on Gauss-Jordan kernels and from ``vstar``'s loop re-run over
 the whole stack at every step, subspace inclusion from the rank of
 stacked rows,
 matrix products and Smith row/column operations term by term
-(one sum of ``Fraction`` or ``Poly`` values per term), root locations
-from numpy's companion-matrix solver,
+(one sum of ``Fraction`` or ``Poly`` values per term), the block-Toeplitz
+matrices of Markov parameters from those products (``ref_toeplitz``),
+root locations from numpy's companion-matrix solver,
 trajectories from a stage-by-stage RK4 loop fed by scalar input
 evaluation, the affine RK4 recurrence from one matrix-vector product per
 step, trajectory CSV rows formatted value by value, the fading scenario's
@@ -30,8 +31,9 @@ document from its table built as tuples of Python floats, and any
 scenario's document field by field (``scenario_document``).  It also holds
 conveniences the library does not need: V*'s friend and the
 rows of [Y*B; D] read off ``VStar.echelon``, subspace bases as columns,
-transposes, sums and negations of ``QMatrix``, and polynomial values by
-``RefPoly``'s Horner rule.
+transposes, sums and negations of ``QMatrix``, block matrices of
+``QMatrix`` or ``PolyMatrix`` blocks (``stack``), and polynomial values
+by ``RefPoly``'s Horner rule.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from funcobs.exactlin import QMatrix, Subspace, _common_den, adjugate_solve, as_fraction, \
-    kernel_basis
+from funcobs.exactlin import IntegerMatrix, QMatrix, Subspace, _common_den, adjugate_solve, \
+    as_fraction, kernel_basis
 from funcobs.polymat import Poly, PolyMatrix, smith_form
 from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, WitnessReport, classify,
@@ -135,11 +137,20 @@ def is_subspace_of(V: Subspace, W: Subspace) -> bool:
 
 
 def columns(M: QMatrix) -> list[tuple[Fraction, ...]]:
-    return [M.column(j) for j in range(M.cols)]
+    return [tuple(row[j] for row in M.data) for j in range(M.cols)]
 
 
 def transpose(M: QMatrix) -> QMatrix:
-    return QMatrix(M.cols, M.rows, tuple(M.column(j) for j in range(M.cols)))
+    return QMatrix(M.cols, M.rows, tuple(columns(M)))
+
+
+def stack(grid):
+    """One matrix of the blocks' class from a grid of blocks, ``QMatrix``
+    or ``PolyMatrix``: the blocks of each grid row side by side, the grid
+    rows one under the other."""
+    data = tuple(tuple(x for M in blocks for x in M.data[i])
+                 for blocks in grid for i in range(blocks[0].rows))
+    return type(grid[0][0])(len(data), sum(M.cols for M in grid[0]), data)
 
 
 def basis(V: Subspace) -> QMatrix:
@@ -304,11 +315,24 @@ def ref_kernel(d: int, rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def ref_qmatmul(A: QMatrix, B: QMatrix) -> QMatrix:
     """Product with a running ``Fraction`` sum per term."""
-    cols = [B.column(j) for j in range(B.cols)]
+    cols = columns(B)
     return QMatrix(A.rows, B.cols,
                    tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
                                for col in cols)
                          for row in A.data))
+
+
+def ref_toeplitz(A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix, k: int) -> QMatrix:
+    """The order-k block Toeplitz matrix of Markov parameters: D on the
+    block diagonal, C A^(i-1-j) B at block (i, j) below it, each power
+    formed on its own, and zero blocks above."""
+    markov, power = [D], QMatrix.identity(A.rows)
+    for _ in range(k):
+        markov.append(ref_qmatmul(ref_qmatmul(C, power), B))
+        power = ref_qmatmul(A, power)
+    zero = QMatrix.zeros(*D.shape)
+    return stack([[markov[i - j] if i >= j else zero for j in range(k + 1)]
+                  for i in range(k + 1)])
 
 
 def ref_polymatmul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
@@ -337,10 +361,10 @@ def ref_pencil(E0: QMatrix, A0: QMatrix) -> PolyMatrix:
 def ref_build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
     """P = [sI-A, -B; C, D] and [E F] assembled from constant blocks."""
     n, m = sys.n, sys.m
-    P = ref_pencil(QMatrix.from_blocks([[QMatrix.identity(n), QMatrix.zeros(n, m)],
-                                        [QMatrix.zeros(sys.p, n + m)]]),
-                   QMatrix.from_blocks([[sys.A, sys.B], [ref_neg(sys.C), ref_neg(sys.D)]]))
-    EF = ref_pencil(QMatrix.zeros(sys.q, n + m), ref_neg(QMatrix.hstack([sys.E, sys.F])))
+    P = ref_pencil(stack([[QMatrix.identity(n), QMatrix.zeros(n, m)],
+                          [QMatrix.zeros(sys.p, n + m)]]),
+                   stack([[sys.A, sys.B], [ref_neg(sys.C), ref_neg(sys.D)]]))
+    EF = ref_pencil(QMatrix.zeros(sys.q, n + m), ref_neg(stack([[sys.E, sys.F]])))
     return P, EF
 
 
@@ -351,11 +375,10 @@ def ref_darouach_pencil(sys: SystemSextuple) -> PolyMatrix:
     ca, cb = ref_qmatmul(sys.C, sys.A), ref_qmatmul(sys.C, sys.B)
     ea, eb = ref_qmatmul(sys.E, sys.A), ref_qmatmul(sys.E, sys.B)
     zq_m, zp_m = QMatrix.zeros(q, m), QMatrix.zeros(p, m)
-    return ref_pencil(QMatrix.from_blocks([[sys.E, zq_m, zq_m],
-                                           [QMatrix.zeros(2 * p, n + 2 * m)]]),
-                      QMatrix.from_blocks([[ea, eb, zq_m],
-                                           [ref_neg(sys.C), ref_neg(sys.D), zp_m],
-                                           [ref_neg(ca), ref_neg(cb), ref_neg(sys.D)]]))
+    return ref_pencil(stack([[sys.E, zq_m, zq_m], [QMatrix.zeros(2 * p, n + 2 * m)]]),
+                      stack([[ea, eb, zq_m],
+                             [ref_neg(sys.C), ref_neg(sys.D), zp_m],
+                             [ref_neg(ca), ref_neg(cb), ref_neg(sys.D)]]))
 
 
 def ref_row_op_sub(mat: list[list[Poly]], i: int, t: int, q: Poly) -> None:
@@ -388,7 +411,7 @@ def ref_controllable(sys: SystemSextuple) -> bool:
     for _ in range(sys.n):
         blocks.append(ref_qmatmul(power, sys.B))
         power = ref_qmatmul(sys.A, power)
-    return sys.n == 0 or ref_rank_q(QMatrix.hstack(blocks)) == sys.n
+    return sys.n == 0 or ref_rank_q(stack([blocks])) == sys.n
 
 
 def ref_reachable(sys: SystemSextuple) -> tuple[Subspace, int]:
@@ -403,9 +426,9 @@ def ref_reachable(sys: SystemSextuple) -> tuple[Subspace, int]:
     stop one step before T does.
     """
     n, m = sys.n, sys.m
-    A_e = QMatrix.from_blocks([[sys.A, sys.B], [QMatrix.zeros(m, n), QMatrix.zeros(m, m)]])
-    B_e = QMatrix.vstack([QMatrix.zeros(n, m), QMatrix.identity(m)])
-    K = kernel_basis(QMatrix.hstack([sys.C, sys.D]))
+    A_e = stack([[sys.A, sys.B], [QMatrix.zeros(m, n), QMatrix.zeros(m, m)]])
+    B_e = stack([[QMatrix.zeros(n, m)], [QMatrix.identity(m)]])
+    K = kernel_basis(IntegerMatrix.of(stack([[sys.C, sys.D]])))
     im_b = Subspace.span(n + m, columns(B_e))
     current, reached = im_b.intersect(K), zero_subspace(n + m)
     for step in range(n + 1):
@@ -430,7 +453,7 @@ def ref_zero_structure(sys: SystemSextuple) -> tuple[tuple[int, Poly], tuple[int
     """Normal rank and zero polynomial of P and of P_e = [P; E F], each
     from a Smith form of the pencil assembled from constant blocks."""
     P, EF = ref_build_system_matrices(sys)
-    return ref_rank_and_zero_polynomial(P), ref_rank_and_zero_polynomial(PolyMatrix.vstack([P, EF]))
+    return ref_rank_and_zero_polynomial(P), ref_rank_and_zero_polynomial(stack([[P], [EF]]))
 
 
 def ref_witness(sys: SystemSextuple) -> WitnessReport:

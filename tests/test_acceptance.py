@@ -13,11 +13,12 @@ from funcobs import decide
 from funcobs.exactlin import QMatrix
 from funcobs.geometry import strong_star_inclusion
 from funcobs.markov import kernel_inclusion_upto
-from funcobs.polymat import POLY_ONE, Poly, PolyMatrix, build_system_matrices, smith_form
+from funcobs.polymat import POLY_ONE, Poly, build_system_matrices, smith_form
 from funcobs.scenarios import fading_output_scenario
 from funcobs.sim import (Scenario, StateSpaceRealization, convergence_metric,
                          simulate)
 from funcobs.stability import is_hurwitz
+from funcobs.system import IntegerPlant
 from funcobs.witness import solve_over_field
 
 import support
@@ -53,7 +54,7 @@ def test_criterion_02_integrator_chain_zero_polynomials():
     t0 = time.perf_counter()
     sys = support.integrator_chain()
     P, EF = build_system_matrices(sys)
-    Pe = PolyMatrix.vstack([P, EF])
+    Pe = support.stack([[P], [EF]])
     (_, zp), (_, zpe) = (support.ref_rank_and_zero_polynomial(P),
                           support.ref_rank_and_zero_polynomial(Pe))
     strongly = decide.strongly_functional_detectable(sys)
@@ -116,7 +117,7 @@ def test_criterion_06_geometry_matches_toeplitz(batch):
     t0 = time.perf_counter()
     disagreements = 0
     for sys in batch:
-        geo = strong_star_inclusion(sys).holds
+        geo = strong_star_inclusion(IntegerPlant(sys)).holds
         toep = kernel_inclusion_upto(sys, sys.n + sys.m).holds
         if geo != toep:
             disagreements += 1
@@ -205,7 +206,7 @@ def test_criterion_10_witness_residuals(batch):
     for sys in batch:
         rep = solve_over_field(sys)
         P, EF = build_system_matrices(sys)
-        Pe = PolyMatrix.vstack([P, EF])
+        Pe = support.stack([[P], [EF]])
         if rep.solvable_over_field != (support.ref_normal_rank(P)
                                        == support.ref_normal_rank(Pe)):
             bad += 1

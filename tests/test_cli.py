@@ -534,6 +534,43 @@ class TestCmdSimulate:
         assert "bad scenario" in err and "horizon" in err and "step" in err
         assert "Traceback" not in err
 
+    # the stable scalar plant of the overflow cases below, with C in place
+    _SCALAR = '{"A": [[-1]], "B": [[1]], "C": [[%s]], "D": [[0]], "E": [[1]], "F": [[0]]}'
+
+    def _simulate(self, tmp_path, plant: str, observer: str) -> int:
+        """Exit code of ``simulate`` on the documents as written, from
+        x0 = 1 with step 0.01."""
+        paths = [tmp_path / name for name in ("plant.json", "obs.json", "sc.json")]
+        texts = [plant, observer, json.dumps({"x0": [1.0], "horizon": 1.0, "step": 0.01})]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        return main(["simulate", *map(str, paths)])
+
+    def test_plant_entry_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # decided exactly by check and witness; only the float layer refuses it
+        assert self._simulate(tmp_path, self._SCALAR % '"1e400"', '{"R": [[1]]}') == 2
+        assert capsys.readouterr().err == "error: field 'C': an entry is past the float range\n"
+
+    @pytest.mark.parametrize("entry, field", [
+        ('{"num": [1e400], "den": [1, 1]}', "N[0][0]"),
+        # 1 + 1e-400 s is s + 1e400 once monic
+        ('{"num": [1], "den": [1, 1e-400]}', "the denominator of column 0 of N")])
+    def test_observer_coefficient_past_the_float_range_exits_2(self, tmp_path, capsys,
+                                                               entry, field):
+        assert self._simulate(tmp_path, self._SCALAR % "1", '{"N": [[%s]]}' % entry) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: observer rejected: {field}: a coefficient is past the "
+                              "float range\n")
+        assert "Traceback" not in err
+
+    def test_overflowing_step_map_prints_one_error_line(self, tmp_path, capsys):
+        # the observer pole at -1e300 overflows the RK4 step map itself
+        observer = '{"N": [[{"num": [1], "den": [1e300, 1]}]]}'
+        assert self._simulate(tmp_path, self._SCALAR % "1", observer) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: state norm exceeded 1e+12 at t = 0.01; "
+            "the step size is likely too large for these dynamics"]
+
     def test_unknown_input_kind_exits_2(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps({"R": [[1, 0]]}))

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import sys as _sys
@@ -15,7 +16,7 @@ from funcobs.fileio import load_system_text, to_jsonable
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices, poly_gcd,
                              smith_form)
 from funcobs.stability import antistable_parts_equal, is_hurwitz
-from funcobs.system import SystemSextuple
+from funcobs.system import IntegerPlant, SystemSextuple
 
 import support
 
@@ -473,7 +474,7 @@ class TestSympySmithOracle:
                                 decide.strong_star_functional_detectable(plant).certificate.strong),
             }
             for name, (sys, cert) in certs.items():
-                Pe = PolyMatrix.vstack(build_system_matrices(sys))
+                Pe = support.stack([[M] for M in build_system_matrices(sys)])
                 got = (cert.normrank_pe, cert.zero_poly_pe)
                 assert got == support.ref_rank_and_zero_polynomial(Pe), name
                 assert got == self._rank_and_zeros(self._sympy_pencils(sys)[1]), name
@@ -498,6 +499,20 @@ class TestWorkCount:
     def plant(self):
         return SystemSextuple.from_lists(**support.seeded_n6_lists())
 
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The class of every matrix built, QMatrix or PolyMatrix, from
+        here on."""
+        built = []
+        dense_init = DenseMatrix.__init__
+
+        def init(self, *args):
+            built.append(type(self))
+            dense_init(self, *args)
+
+        monkeypatch.setattr(DenseMatrix, "__init__", init)
+        return built
+
     def test_strong_eliminates_nothing(self, calls, plant):
         """P's and P_e's ranks and zeros come from V*: no Smith form."""
         decide.strongly_functional_detectable(plant)
@@ -510,7 +525,7 @@ class TestWorkCount:
         and the zeros come through R*."""
         sys = SystemSextuple.from_lists(**support.seeded_n6_lists(p))
         want = decide.strongly_functional_detectable(sys).certificate
-        P = geometry.IntegerPlant(sys)
+        P = IntegerPlant(sys)
         v = geometry.vstar(P.A, P.B, P.C, P.D)
         assert (support.vstar_input_rows(v).dim < sys.m) == (p == 1)
         count = Counter()
@@ -525,24 +540,17 @@ class TestWorkCount:
         assert geometry.rank_and_zeros(P.A, P.B, v) == (want.normrank_p, want.zero_poly_p)
         assert count == {}
 
-    def test_rank_and_zeros_multiplies_no_fraction_matrices(self, monkeypatch):
+    def test_rank_and_zeros_multiplies_no_fraction_matrices(self, built):
         """V*'s restrictions, R*'s unobservable subspace and its zeros are
-        formed on integer rows: no QMatrix product between V*'s rows and
+        formed on integer rows: no QMatrix is built between V*'s rows and
         the zero polynomial, on a plant whose zeros come through R*."""
         sys = SystemSextuple.from_lists(**support.seeded_n6_lists(1))
-        P = geometry.IntegerPlant(sys)
+        P = IntegerPlant(sys)
         v = geometry.vstar(P.A, P.B, P.C, P.D)
         assert support.vstar_input_rows(v).dim < sys.m
-        products = []
-        matmul = QMatrix.__matmul__
-
-        def counted(self, other):
-            products.append((self.shape, other.shape))
-            return matmul(self, other)
-
-        monkeypatch.setattr(QMatrix, "__matmul__", counted)
+        built.clear()
         got = geometry.rank_and_zeros(P.A, P.B, v)
-        assert products == []
+        assert QMatrix not in built
         assert got == support.ref_rank_and_zeros(sys.A, sys.B, v)
 
     def test_vstar_hands_each_row_to_the_elimination_once(self, monkeypatch):
@@ -559,7 +567,7 @@ class TestWorkCount:
             return add(echelon, row)
 
         monkeypatch.setattr(geometry, "_echelon_add", spy)
-        P = geometry.IntegerPlant(plant)
+        P = IntegerPlant(plant)
         v = geometry.vstar(P.A, P.B, P.C, P.D)
         assert v.steps == 4
         # one product for each row of Y*, none for the last step
@@ -591,8 +599,7 @@ class TestWorkCount:
             return integer_row(row)
 
         sys = support.integrator_chain()
-        plants = [geometry.IntegerPlant(p) for p in (plant, plant.with_target(plant.C, plant.D),
-                                                      sys)]
+        plants = [IntegerPlant(p) for p in (plant, plant.with_target(plant.C, plant.D), sys)]
         for ints in plants:
             for name in "ABCDEF":  # the blocks are read before the count starts
                 getattr(ints, name)
@@ -616,6 +623,36 @@ class TestWorkCount:
         assert first_escape(V, M) == (1, 0, -2)
         assert made == [(1, 1), (-2, 1)]
         assert converted == []
+
+    @pytest.mark.parametrize("lists", [
+        support.seeded_n6_lists(),
+        # fails at order 0, so the escaping vector is made
+        dict(A=[[0, 0], [1, 0]], B=[[1], [0]], C=[[1, 1]], D=[[0]], E=[[0, 0]], F=[[1]]),
+        # rational blocks: the chains carry unreduced denominators
+        dict(A=[["1/2", 1], [0, "-1/3"]], B=[["2/3"], [1]], C=[[1, "1/5"]], D=[["1/7"]],
+             E=[["3/4", 0]], F=[[0]])],
+        ids=["seeded", "failing", "rational"])
+    def test_toeplitz_search_runs_on_integers(self, monkeypatch, built, lists):
+        """kernel_inclusion_upto reads the plant's blocks into integers and
+        builds its chains, kernels and escape tests on them: no row is
+        brought to integers and no QMatrix is built."""
+        plant = SystemSextuple.from_lists(**lists)
+        calls = Counter()
+
+        def spying(name):
+            original = getattr(exactlin, name)
+
+            def spy(arg):
+                calls[name] += 1
+                return original(arg)
+            return spy
+
+        for name in ("_integer_row", "_common_den"):
+            monkeypatch.setattr(exactlin, name, spying(name))
+        built.clear()
+        rep = markov.kernel_inclusion_upto(plant, plant.n + plant.m)
+        assert calls == {} and QMatrix not in built
+        assert rep.holds == (rep.witness is None)
 
     def test_growing_an_echelon_rewrites_no_kept_row(self):
         """Each add leaves every kept row the same list with the same
@@ -648,50 +685,40 @@ class TestWorkCount:
         exactlin._echelon_add(echelon, Unread([1, 2, 3]))
         assert echelon == kept and all(echelon[c] is kept[c] for c in kept)
 
-    def test_check_eliminates_no_pencil(self, calls, monkeypatch, tmp_path):
+    def test_check_eliminates_no_pencil(self, calls, built, tmp_path):
         """The eight decisions of one check read V*: none builds a
         polynomial matrix, Darouach's included."""
-        built = []
-        dense_init = DenseMatrix.__init__
-
-        def init(self, *args):
-            if type(self) is PolyMatrix:
-                built.append(self)
-            dense_init(self, *args)
-
-        monkeypatch.setattr(DenseMatrix, "__init__", init)
         path = tmp_path / "plant.json"
         path.write_text(json.dumps(support.seeded_n6_lists()))
         main(["check", str(path), "--all", "--specialize", "hautus",
               "--specialize", "leftinv", "--specialize", "darouach"])
         assert calls == []
-        assert built == []
+        assert PolyMatrix not in built
 
     def test_plant_blocks_are_read_into_integers_once(self, monkeypatch, plant, tmp_path):
         """The eight decisions of one check share one PlantForms, which
         reads each block of the plant into integers once; rank_and_zeros
         reads V*'s echelon as it is and brings nothing to integers."""
         reads = []
+        of, integer_row = IntegerMatrix.of, exactlin._integer_row
 
-        def spying(name):
-            original = getattr(exactlin, name)
+        def read_matrix(M):
+            reads.append(("of", M.data))
+            return of(M)
 
-            def spy(arg):
-                reads.append((name, tuple(arg)))
-                return original(arg)
-            return spy
+        def read_row(row):
+            reads.append(("_integer_row", tuple(row)))
+            return integer_row(row)
 
-        for name in ("_integer_matrix", "_integer_row"):
-            spy = spying(name)
-            monkeypatch.setattr(exactlin, name, spy)
-            monkeypatch.setattr(geometry, name, spy, raising=False)
+        monkeypatch.setattr(IntegerMatrix, "of", staticmethod(read_matrix))
+        monkeypatch.setattr(exactlin, "_integer_row", read_row)
         path = tmp_path / "plant.json"
         path.write_text(json.dumps(support.seeded_n6_lists()))
         main(["check", str(path), "--all", "--specialize", "hautus",
               "--specialize", "leftinv", "--specialize", "darouach"])
         blocks = [getattr(plant, name).data for name in "ABCDEF"]
         assert len(set(blocks)) == 6
-        assert [reads.count(("_integer_matrix", block)) for block in blocks] == [1] * 6
+        assert [reads.count(("of", block)) for block in blocks] == [1] * 6
 
         forms = decide.PlantForms(plant)
         v = forms.vstar
@@ -764,7 +791,7 @@ class TestWorkCount:
         assert seeds == [None, forms.unobservable.rows]
         assert seeds[1].ints == ((0, 1, 0), (0, 0, 1))
 
-    def test_system_matrices_assemble_no_blocks(self, monkeypatch):
+    def test_system_matrices_assemble_no_blocks(self, monkeypatch, built):
         """P and [E F] come straight from the plant's rows: no block
         assembly, no intermediate QMatrix and no coerced Poly entry."""
         rng = random.Random(4)
@@ -784,38 +811,17 @@ class TestWorkCount:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("from_blocks", "hstack", "vstack"):
-            monkeypatch.setattr(DenseMatrix, name,
-                                classmethod(counted(name, getattr(DenseMatrix, name).__func__)))
-        dense_init = DenseMatrix.__init__
-
-        def init(self, *args):
-            if type(self) is QMatrix:
-                counts["QMatrix"] += 1
-            dense_init(self, *args)
-
-        monkeypatch.setattr(DenseMatrix, "__init__", init)
         monkeypatch.setattr(Poly, "__init__", counted("Poly.__init__", Poly.__init__))
+        built.clear()
         got = build_system_matrices(plant)
-        assert counts == {}
+        assert counts == {} and QMatrix not in built
         assert got == want
 
     def test_darouach_writes_its_matrices_from_the_plant_rows(self, monkeypatch, plant):
-        """No block assembly and no negated copy; the constant stack is
-        eliminated once, for its kernel (with its columns reversed), and
-        never for a separate rank."""
-        counts = Counter()
+        """No negated copy; the constant stack is eliminated once, for its
+        kernel (with its columns reversed), and never for a separate
+        rank."""
         eliminated, ranked = [], []
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("from_blocks", "hstack", "vstack"):
-            monkeypatch.setattr(DenseMatrix, name,
-                                classmethod(counted(name, getattr(DenseMatrix, name).__func__)))
         # QMatrix has no negation, so a negated copy would raise
         assert not hasattr(QMatrix, "__neg__")
         rank, echelon = QMatrix.rank, exactlin._integer_echelon
@@ -831,7 +837,6 @@ class TestWorkCount:
         monkeypatch.setattr(QMatrix, "rank", recorded_rank)
         monkeypatch.setattr(exactlin, "_integer_echelon", recorded_echelon)
         lhs = decide.darouach_fixed_order(plant).certificate.kernel.lhs
-        assert counts == {}
         assert lhs not in ranked
         assert eliminated.count(tuple(row[::-1] for row in lhs.data)) == 1
 
@@ -880,7 +885,7 @@ class TestWorkCount:
         star = decide.asympt_strong_star_left_invertible(forms).certificate
         assert ranked == [] and rows == []
         assert hautus.n_plus_rank_bd == plant.n + support.ref_rank_q(
-            QMatrix.vstack([plant.B, plant.D]))
+            support.stack([[plant.B], [plant.D]]))
         assert star.rank_d == support.ref_rank_q(plant.D)
 
     def test_hautus_negates_nothing(self, plant):
@@ -888,7 +893,7 @@ class TestWorkCount:
         assert not hasattr(QMatrix, "__neg__")
         cert = decide.hautus_strong_detectable(plant).certificate
         assert cert.n_plus_rank_bd == plant.n + support.ref_rank_q(
-            QMatrix.vstack([plant.B, plant.D]))
+            support.stack([[plant.B], [plant.D]]))
 
     def test_witness_rederives_no_inclusion(self, monkeypatch, tmp_path, capsys):
         """``funcobs witness`` reports the strong-star certificate and runs
@@ -996,8 +1001,12 @@ def _invertible(draw, k):
             for row in Ti:
                 row[i] /= c
     T, Ti = QMatrix.from_rows(T, cols=k), QMatrix.from_rows(Ti, cols=k)
-    assert T @ Ti == QMatrix.identity(k)
+    assert support.ref_qmatmul(T, Ti) == QMatrix.identity(k)
     return T, Ti
+
+
+def _product(*factors):
+    return functools.reduce(support.ref_qmatmul, factors)
 
 
 @st.composite
@@ -1007,8 +1016,9 @@ def _plant_and_coordinates(draw):
     (T A T^-1, T B K, R C T^-1, R D K, S E T^-1, S F K)."""
     sys = draw(support.plants(4, 2))
     (T, Ti), (K, _), (R, _), (S, _) = (draw(_invertible(k)) for k in (sys.n, sys.m, sys.p, sys.q))
-    moved = SystemSextuple(T @ sys.A @ Ti, T @ sys.B @ K, R @ sys.C @ Ti, R @ sys.D @ K,
-                           S @ sys.E @ Ti, S @ sys.F @ K)
+    moved = SystemSextuple(_product(T, sys.A, Ti), _product(T, sys.B, K),
+                           _product(R, sys.C, Ti), _product(R, sys.D, K),
+                           _product(S, sys.E, Ti), _product(S, sys.F, K))
     return sys, moved
 
 

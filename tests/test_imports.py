@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used by that module, and
-every function it defines is used somewhere.
+every function it defines is used somewhere; so is every helper of the
+tests' ``support`` module.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must appear as a name in the code or in a string
@@ -155,6 +156,15 @@ def test_every_function_is_used():
     workflows = sorted((ROOT / ".github" / "workflows").glob("*"))
     texts = [path.read_text(encoding="utf-8") for path in [ROOT / "pyproject.toml", *workflows]]
     assert orphans(modules, perfbench, texts) == []
+
+
+def test_every_support_helper_is_used():
+    """The fixtures and oracles of ``support`` are held to the same rule,
+    with the test modules as the sources that name them."""
+    tests = Path(__file__).resolve().parent
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(tests.glob("*.py")) if path.name != "support.py"]
+    assert orphans({"support": (tests / "support.py").read_text(encoding="utf-8")}, sources) == []
 
 
 def test_reader_flags_only_orphan_functions():

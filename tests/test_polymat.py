@@ -10,7 +10,7 @@ from funcobs import decide, geometry, polymat
 from funcobs.exactlin import IntegerMatrix, QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub, berkowitz,
                              build_system_matrices, poly_gcd, poly_lcm, smith_form)
-from funcobs.system import SystemSextuple
+from funcobs.system import IntegerPlant, SystemSextuple
 
 import support
 
@@ -20,7 +20,7 @@ def P_of(sys):
 
 
 def Pe_of(sys):
-    return PolyMatrix.vstack(build_system_matrices(sys))
+    return support.stack([[M] for M in build_system_matrices(sys)])
 
 
 def characteristic_polynomial(A):
@@ -549,7 +549,7 @@ class TestStackedInvariants:
         got = ((cert.normrank_p, cert.zero_poly_p), (cert.normrank_pe, cert.zero_poly_pe))
         assert got == support.ref_zero_structure(sys)
         P, EF = support.ref_build_system_matrices(sys)
-        Pe = PolyMatrix.vstack([P, EF])
+        Pe = support.stack([[P], [EF]])
         assert (cert.normrank_p, cert.normrank_pe) == (support.ref_normal_rank(P),
                                                        support.ref_normal_rank(Pe))
         # U, S and V keep the working rows' entries: canonical storage
@@ -579,8 +579,8 @@ class TestStackedInvariants:
 
     def test_shape_mismatch(self):
         # a V* read against a plant with another state dimension
-        chain = geometry.IntegerPlant(support.integrator_chain())
-        gap = geometry.IntegerPlant(support.feedthrough_gap())
+        chain = IntegerPlant(support.integrator_chain())
+        gap = IntegerPlant(support.feedthrough_gap())
         v = geometry.vstar(gap.A, gap.B, gap.C, gap.D)
         with pytest.raises(ValueError):
             geometry.rank_and_zeros(chain.A, chain.B, v)

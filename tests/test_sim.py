@@ -230,6 +230,15 @@ class TestSimulate:
             simulate(sys, omega, sc)
 
 
+    def test_overflowing_step_map_is_a_blow_up(self):
+        # a pole at -1e300 overflows the step map before the scan starts;
+        # that overflow is reported as the blow-up, not as numpy warnings
+        sys = SystemSextuple.from_lists(A=[[-1]], B=[[1]], C=[[1]], D=[[0]], E=[[1]], F=[[0]])
+        omega = realize(RationalFunctionMatrix.from_rows([[rf([1], [10**300, 1])]]))
+        sc = Scenario((1.0,), (0.0,), horizon=1.0, step=0.01)
+        with pytest.raises(StepInstabilityError, match=r"exceeded 1e\+12 at t = 0\.01;"):
+            simulate(sys, omega, sc)
+
 TWO_CHANNEL_SIGNALS = [
     InputSignal("zero"),
     InputSignal("constant", value=(1.5, -0.5)),

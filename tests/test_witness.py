@@ -84,7 +84,7 @@ class TestSolveOverField:
         for _ in range(80):
             sys = support.random_system(rng)
             P, EF = build_system_matrices(sys)
-            Pe = PolyMatrix.vstack([P, EF])
+            Pe = support.stack([[P], [EF]])
             rep = solve_over_field(sys)
             assert rep.solvable_over_field == (support.ref_normal_rank(P)
                                                == support.ref_normal_rank(Pe))
@@ -126,7 +126,7 @@ class TestWitnessOracle:
             d = dec.invariant_polys
             r = len(d)
             L = d[-1] if d else POLY_ONE
-            EF = QMatrix.hstack([sys.E, sys.F])
+            EF = support.stack([[sys.E, sys.F]])
             entries = [e for row in rep.MN.data for e in row]
             num_deg = max((e.num.degree for e in entries), default=0)
             den_deg = max((e.den.degree for e in entries), default=0)
@@ -139,11 +139,11 @@ class TestWitnessOracle:
                 s0 = -s0 + (s0 <= 0)  # 1, -1, 2, -2, ...
                 if at(L, s0) == 0 or any(at(e.den, s0) == 0 for e in entries):
                     continue
-                W0 = EF @ support.polymatrix_at(dec.V, s0)
+                W0 = support.ref_qmatmul(EF, support.polymatrix_at(dec.V, s0))
                 Y0 = QMatrix.from_rows(
                     [[W0[i, j] / at(d[j], s0) if j < r else 0 for j in range(P.rows)]
                      for i in range(sys.q)], cols=P.rows)
-                assert Y0 @ support.polymatrix_at(dec.U, s0) == \
+                assert support.ref_qmatmul(Y0, support.polymatrix_at(dec.U, s0)) == \
                     QMatrix.from_rows(support.rational_matrix_at(rep.MN, s0), cols=P.rows)
                 checked += 1
         assert solved >= 10
@@ -155,7 +155,7 @@ class TestWitnessOracle:
             if not rep.solvable_over_field or sys.q == 0 or sys.n == 0:
                 continue
             P, _ = build_system_matrices(sys)
-            EF = PolyMatrix.from_rows(QMatrix.hstack([sys.E, sys.F]).data, cols=P.cols)
+            EF = PolyMatrix.from_rows(support.stack([[sys.E, sys.F]]).data, cols=P.cols)
             assert residual_is_zero(rep.MN, P, EF)
             # column 0 of [M N] multiplies the row [s - a_11, ...] of P, never zero
             e = rep.MN[0, 0]
