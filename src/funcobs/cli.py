@@ -159,12 +159,8 @@ def _summarize_verdict(v: decide.Verdict) -> list[str]:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    try:
-        system, meta = _read_system(args.system)
-        expected = _expected_block(meta)
-    except SystemFileError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_ERROR
+    system, meta = _read_system(args.system)
+    expected = _expected_block(meta)
     parse_s = time.perf_counter() - started
 
     selected: list[str] = []
@@ -228,11 +224,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    try:
-        system, meta = _read_system(args.system)
-    except SystemFileError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_ERROR
+    system, meta = _read_system(args.system)
     t0 = time.perf_counter()
     report = witness.solve_over_field(system)
     solve_s = time.perf_counter() - t0
@@ -273,12 +265,8 @@ def cmd_witness(args) -> int:
 def cmd_simulate(args) -> int:
     from . import sim  # the float layer loads numpy; only this command needs it
 
-    try:
-        system, meta = _read_system(args.system)
-        observer = sim.load_observer_file(args.observer)
-    except SystemFileError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_ERROR
+    system, _ = _read_system(args.system)
+    observer = sim.load_observer_file(args.observer)
     if isinstance(observer, RationalFunctionMatrix):
         try:
             omega = sim.realize(observer)
@@ -291,18 +279,7 @@ def cmd_simulate(args) -> int:
     else:
         omega = observer
     try:
-        scenario = sim.load_scenario_file(
-            args.scenario,
-            horizon_fallback=sim.suggested_horizon(system, omega))
-    except ValueError as exc:  # SystemFileError, or an observer that does not fit
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_ERROR
-    if not scenario.xi0 and omega.order > 0:
-        # scenario files may leave the observer state implicit
-        scenario = sim.Scenario(scenario.x0, (0.0,) * omega.order,
-                                scenario.input_signal, scenario.horizon,
-                                scenario.step)
-    try:
+        scenario = sim.load_scenario_file(args.scenario, system, omega)
         traj = sim.simulate(system, omega, scenario)
     except (ValueError, sim.StepInstabilityError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
@@ -320,7 +297,7 @@ def cmd_simulate(args) -> int:
 
 def _batch_one(path: str) -> tuple[str, int]:
     # "--" keeps a path that starts with a dash from reading as an option
-    return path, cmd_check(build_parser().parse_args(["check", "--all", "--", path]))
+    return path, main(["check", "--all", "--", path])
 
 
 def cmd_batch(args) -> int:
@@ -399,7 +376,11 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return EXIT_ERROR
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SystemFileError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_ERROR
 
 
 def entrypoint() -> None:

@@ -343,6 +343,7 @@ class IntegerMatrix:
 
     @staticmethod
     def hstack(mats: Sequence[IntegerMatrix]) -> IntegerMatrix:
+        _check_stack("hstack", mats, "rows")
         den = lcm(*(M.den for M in mats))
         parts = [_scaled(M.data, den // M.den) for M in mats]
         return IntegerMatrix(mats[0].rows, sum(M.cols for M in mats),
@@ -350,6 +351,7 @@ class IntegerMatrix:
 
     @staticmethod
     def vstack(mats: Sequence[IntegerMatrix]) -> IntegerMatrix:
+        _check_stack("vstack", mats, "cols")
         den = lcm(*(M.den for M in mats))
         return IntegerMatrix(sum(M.rows for M in mats), mats[0].cols,
                              [row for M in mats for row in _scaled(M.data, den // M.den)], den)
@@ -380,6 +382,12 @@ class IntegerMatrix:
         return QMatrix(self.rows, self.cols,
                        tuple(tuple(Fraction(x, den) if x else _ZERO for x in row)
                              for row in self.data))
+
+
+def _check_stack(kind: str, mats: Sequence[IntegerMatrix], size: str) -> None:
+    if len({getattr(M, size) for M in mats}) > 1:
+        raise ValueError(f"shape mismatch in {kind}: "
+                         + ", ".join(f"{M.rows}x{M.cols}" for M in mats))
 
 
 class Subspace:

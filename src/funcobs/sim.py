@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -570,13 +570,15 @@ def parse_scenario_document(doc: dict) -> Scenario:
         raise SystemFileError(f"bad scenario: {exc}") from exc
 
 
-def load_scenario_file(path, horizon_fallback: float | None = None) -> Scenario:
-    """Parse a scenario file; a missing horizon falls back to the supplied
-    value (e.g. a spectral-abscissa-based suggestion) when one is given."""
+def load_scenario_file(path, sys: SystemSextuple, omega: StateSpaceRealization) -> Scenario:
+    """Parse a scenario file for the cascade of sys and omega, with its
+    defaults filled: a missing horizon is ``suggested_horizon`` (computed
+    only then), and an empty xi0 is omega's zero state."""
     doc = load_json(read_text(path), float)
-    if isinstance(doc, dict) and "horizon" not in doc and horizon_fallback is not None:
-        doc = {**doc, "horizon": horizon_fallback}
-    return parse_scenario_document(doc)
+    if isinstance(doc, dict) and "horizon" not in doc:
+        doc = {**doc, "horizon": suggested_horizon(sys, omega)}
+    scenario = parse_scenario_document(doc)
+    return scenario if scenario.xi0 else replace(scenario, xi0=(0.0,) * omega.order)
 
 
 def _transfer_entry(cell, field: str) -> RationalFunction:

@@ -36,7 +36,7 @@ from math import isqrt, lcm, prod
 from operator import mul
 
 from . import decide, polymat
-from .exactlin import DenseMatrix, _common_den, adjugate_solve
+from .exactlin import DenseMatrix, adjugate_solve
 from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix, _digits, _reduced, _value,
                       build_system_matrices, poly_gcd, poly_lcm, smith_form)
 from .stability import HurwitzReport, is_hurwitz
@@ -215,18 +215,19 @@ def residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) 
     return True
 
 
-def _unique_solution(sys: SystemSextuple) -> RationalFunctionMatrix | None:
-    """[E F] P^-1 for a square P (p = m, n + m > 0) from one integer solve
-    at s = S; None when det P vanishes there, hence identically.
+def _unique_solution(P: PolyMatrix, EF: PolyMatrix) -> RationalFunctionMatrix | None:
+    """X = EF P^-1, the solution of X P = EF for any square polynomial P
+    (N x N, N > 0), from one integer solve at s = S; None when det P
+    vanishes there, hence identically.
 
-    Row i of P and row k of [E F] are scaled by the lcms r_i and e_k of
-    their denominators, so X' P' = [E F]' holds on integer rows and
-    [M N] = X' with entry (k, i) times r_i / e_k.  One ``adjugate_solve``
-    of G(s) = [P'(s)^T | [E F]'^T] at s = S gives det P'(S) and
-    det P'(S) X'(S)^T, whose entries are, by Cramer's rule, the
-    determinants of N x N matrices D(s) whose row j is taken from row j
-    of G(s).  Their coefficients are bounded by the Goldstein-Graham bound
-    (SIAM Review 16, 1974)
+    Row i of P and row k of EF are read over the lcms r_i and e_k of their
+    denominators (``polymat._common_den``), so X' P' = EF' holds on integer
+    rows and X = X' with entry (k, i) times r_i / e_k.  One
+    ``adjugate_solve`` of G(S), G(s) = [P'(s)^T | EF'(s)^T], gives
+    det P'(S) and det P'(S) X'(S)^T, whose entries are, by Cramer's rule,
+    the determinants of N x N matrices D(s) whose row j is taken from row j
+    of G(s).  Whatever the degrees of the entries, their coefficients are
+    bounded by the Goldstein-Graham bound (SIAM Review 16, 1974)
 
         H = prod_j (sum_k ||G_jk||_1^2)^(1/2),
 
@@ -238,32 +239,20 @@ def _unique_solution(sys: SystemSextuple) -> RationalFunctionMatrix | None:
     and at S = 2 isqrt(H^2) + 1 they are the symmetric base-S digits
     (``polymat._digits``) of the values: det P'(S) = 0 proves det P = 0.
     """
-    n, q = sys.n, sys.q
-    # P(s) = s [I 0; 0 0] + [-A -B; C D]
-    rows = ([tuple(-x for x in a + b) for a, b in zip(sys.A.data, sys.B.data)]
-            + [c + d for c, d in zip(sys.C.data, sys.D.data)])
-    N = len(rows)
-    scaled = [_common_den(row) for row in rows]
-    targets = [_common_den(e + f) for e, f in zip(sys.E.data, sys.F.data)]
-    r = [den for _, den in scaled]
-    # row j of G(0); for j < n its diagonal entry of G(s) is r_j s + G_jj(0)
-    G = [list(col) for col in zip(*(ints for ints, _ in scaled + targets))]
-    h2 = 1
-    for j, row in enumerate(G):
-        norm2 = sum(x * x for x in row)
-        if j < n:
-            norm2 += r[j] * (r[j] + 2 * abs(row[j]))
-        h2 *= norm2
-    S = 2 * isqrt(h2) + 1
-    for j in range(n):
-        G[j][j] += S * r[j]
-    det, sol = adjugate_solve(G)
+    if not P.rows == P.cols == EF.cols:
+        raise ValueError(f"solve shapes differ: {EF.shape} P^-1 with P {P.shape}")
+    rows = [polymat._common_den(row) for row in P.data]
+    targets = [polymat._common_den(row) for row in EF.data]
+    # row j of G is column j of [P'; EF']
+    G = list(zip(*(nums for nums, _ in rows + targets)))
+    S = 2 * isqrt(prod(sum(_norm1(g) ** 2 for g in row) for row in G)) + 1
+    det, sol = adjugate_solve([[_value(g, S) for g in row] for row in G])
     if not det:
         return None
     den = _reduced(_digits(det, S), 1)
-    return RationalFunctionMatrix(q, N, tuple(
-        tuple(RationalFunction(_reduced([r[i] * c for c in _digits(sol[i][k], S)], e), den)
-              for i in range(N))
+    return RationalFunctionMatrix(EF.rows, P.rows, tuple(
+        tuple(RationalFunction(_reduced([r * c for c in _digits(sol[i][k], S)], e), den)
+              for i, (_, r) in enumerate(rows))
         for k, (_, e) in enumerate(targets)))
 
 
@@ -289,7 +278,7 @@ def solve_over_field(sys: SystemSextuple) -> WitnessReport:
     """
     P, EF = build_system_matrices(sys)
     if P.rows == P.cols > 0:
-        MN = _unique_solution(sys)
+        MN = _unique_solution(P, EF)
         if MN is not None:
             return _verified(MN, P, EF, 0)
     dec = smith_form(P)

@@ -551,6 +551,25 @@ class TestCmdSimulate:
         assert self._simulate(tmp_path, self._SCALAR % '"1e400"', '{"R": [[1]]}') == 2
         assert capsys.readouterr().err == "error: field 'C': an entry is past the float range\n"
 
+    def test_given_horizon_is_not_suggested(self, tmp_path, monkeypatch):
+        """The cascade's horizon is suggested only for a scenario that
+        gives none."""
+        from funcobs import sim
+        calls = []
+        suggested = sim.suggested_horizon
+
+        def spy(*args):
+            calls.append(args)
+            return suggested(*args)
+
+        monkeypatch.setattr(sim, "suggested_horizon", spy)
+        assert self._simulate(tmp_path, self._SCALAR % "1", '{"R": [[1]]}') == 0
+        assert calls == []
+        (tmp_path / "sc.json").write_text(json.dumps({"x0": [1.0], "step": 0.01}))
+        assert main(["simulate", *(str(tmp_path / name)
+                                   for name in ("plant.json", "obs.json", "sc.json"))]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("entry, field", [
         ('{"num": [1e400], "den": [1, 1]}', "N[0][0]"),
         # 1 + 1e-400 s is s + 1e400 once monic

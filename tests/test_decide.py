@@ -654,6 +654,29 @@ class TestWorkCount:
         assert calls == {} and QMatrix not in built
         assert rep.holds == (rep.witness is None)
 
+    @pytest.mark.parametrize("lists", [
+        support.seeded_n6_lists(),
+        dict(A=[["1/2", 1], [0, "-1/3"]], B=[[1], ["2/3"]], C=[[1, "3/4"]], D=[["1/5"]],
+             E=[["1/7", 2]], F=[["-1/2"]])],
+        ids=["seeded", "rational"])
+    def test_square_witness_reads_the_pencil(self, monkeypatch, lists):
+        """The square solve reads P and [E F] as build_system_matrices
+        wrote them: no plant row is brought over its common denominator."""
+        plant = SystemSextuple.from_lists(**lists)
+        calls = []
+        common_den = exactlin._common_den
+
+        def spy(xs):
+            calls.append(xs)
+            return common_den(xs)
+
+        for name, module in list(_sys.modules.items()):
+            if name.startswith("funcobs.") and getattr(module, "_common_den", None) is common_den:
+                monkeypatch.setattr(module, "_common_den", spy)
+        rep = witness.solve_over_field(plant)
+        assert rep.residual_zero and rep.left_kernel_dim == 0
+        assert calls == []
+
     def test_growing_an_echelon_rewrites_no_kept_row(self):
         """Each add leaves every kept row the same list with the same
         entries, whether the row is new, in the span or handed to a full

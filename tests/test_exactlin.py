@@ -578,3 +578,11 @@ class TestIntegerMatrix:
         assert got.fractions() == support.stack([[A], [Bt], [QMatrix.identity(k)]])
         got = IntegerMatrix.hstack([Ai, IntegerMatrix.zeros(A.rows, 2), Ai])
         assert got.fractions() == support.stack([[A, QMatrix.zeros(A.rows, 2), A]])
+
+    def test_hstack_rejects_unequal_rows(self):
+        with pytest.raises(ValueError, match=r"hstack: 2x1, 3x1"):
+            IntegerMatrix.hstack([IntegerMatrix.zeros(2, 1), IntegerMatrix.zeros(3, 1)])
+
+    def test_vstack_rejects_unequal_columns(self):
+        with pytest.raises(ValueError, match=r"vstack: 1x2, 1x3"):
+            IntegerMatrix.vstack([IntegerMatrix.zeros(1, 2), IntegerMatrix.zeros(1, 3)])

@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used by that module, and
-every function it defines is used somewhere; so is every helper of the
-tests' ``support`` module.
+"""Every name a module of the package or of the tests imports is used by
+that module, and every function the package defines is used somewhere; so
+is every helper of the tests' ``support`` module.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must appear as a name in the code or in a string
@@ -23,6 +23,7 @@ import funcobs
 
 MODULES = sorted(Path(funcobs.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -73,7 +74,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p in MODULES else f"tests/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import example, given
 
 from funcobs.exactlin import IntegerMatrix, QMatrix, kernel_basis
@@ -73,6 +74,14 @@ class TestToeplitz:
         for k in range(4):
             for target, (C, D) in ((False, (sys.C, sys.D)), (True, (sys.E, sys.F))):
                 assert chain(sys, k, target) == support.ref_toeplitz(sys.A, sys.B, C, D, k)
+
+    def test_feedthrough_of_another_shape_is_rejected(self):
+        """D must have C B's shape: a 2 x 1 D under 1 x 1 A, B and C
+        stacks no matrix."""
+        one = IntegerMatrix(1, 1, [[1]], 1)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            toeplitz(one, one, one, IntegerMatrix(2, 1, [[1], [1]], 1), 1)
+
 
 
 class TestKernelInclusion:

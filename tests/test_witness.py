@@ -366,11 +366,49 @@ _FALLBACK_CASES = {
 }
 
 
+_RATIONALS = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+
+
+def _polys(max_degree):
+    return st.lists(_RATIONALS, min_size=1, max_size=max_degree + 1).map(Poly)
+
+
+@st.composite
+def _square_pencils(draw):
+    """A square P of size 1..4 with entries of degree <= 2 and an EF of
+    0..3 rows with entries of degree <= 1, rational coefficients in -2..2
+    over 1, 2 or 3; a drawn flag makes P's last row a multiple of its
+    first, so singular P come up too."""
+    N, q = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    rows = [[draw(_polys(2)) for _ in range(N)] for _ in range(N)]
+    if N > 1 and draw(st.booleans()):
+        c = draw(_RATIONALS)
+        rows[-1] = [c * e for e in rows[0]]
+    EF = [[draw(_polys(1)) for _ in range(N)] for _ in range(q)]
+    return PolyMatrix.from_rows(rows), PolyMatrix(q, N, tuple(map(tuple, EF)))
+
+
 class TestUniqueSolution:
     """The solve at one point against the Smith route,
     ``support.ref_witness``, field by field, and against the n + 1 point
     solves of ``support.ref_unique_solution``: in the unique case their
     reduced entries agree."""
+
+    @given(_square_pencils())
+    def test_solves_any_square_pencil(self, pencil):
+        """P of any degree: no solution exactly when P is singular, that is
+        when its Smith form has fewer than N invariants; else the solution
+        verifies against the oracle's residual."""
+        P, EF = pencil
+        MN = witness._unique_solution(P, EF)
+        assert (MN is None) == (len(smith_form(P).invariant_polys) < P.rows)
+        if MN is not None:
+            assert support.ref_residual_is_zero(MN, P, EF)
+
+    @pytest.mark.parametrize("p_shape", [(2, 2), (2, 3)], ids=["ef_wider", "p_not_square"])
+    def test_shape_mismatch(self, p_shape):
+        with pytest.raises(ValueError, match="solve shapes differ"):
+            witness._unique_solution(PolyMatrix.zeros(*p_shape), PolyMatrix.zeros(1, 3))
 
     @given(_wide_square_plants())
     @example(_UNIQUE_CASES["n_zero"])
@@ -379,7 +417,8 @@ class TestUniqueSolution:
     @example(_FALLBACK_CASES["square_singular_n_zero"])
     @example(SystemSextuple.from_lists(A=[], D=[[-10 ** 6]], F=[[10 ** 6 - 1]]))
     def test_matches_point_solves(self, sys):
-        assert witness._unique_solution(sys) == support.ref_unique_solution(sys)
+        assert (witness._unique_solution(*build_system_matrices(sys))
+                == support.ref_unique_solution(sys))
 
     @given(_square_plants())
     def test_matches_smith_route(self, sys):
@@ -388,7 +427,7 @@ class TestUniqueSolution:
     @pytest.mark.parametrize("name", sorted(_UNIQUE_CASES))
     def test_unique_cases(self, name):
         sys = _UNIQUE_CASES[name]
-        assert witness._unique_solution(sys) is not None
+        assert witness._unique_solution(*build_system_matrices(sys)) is not None
         rep = solve_over_field(sys)
         assert rep.residual_zero
         assert _fields(rep) == _fields(support.ref_witness(sys))
@@ -402,12 +441,12 @@ class TestUniqueSolution:
         sys = _FALLBACK_CASES[name]
         if sys.p == sys.m and sys.n + sys.m:
             assert _det_p(sys).is_zero()
-            assert witness._unique_solution(sys) is None
+            assert witness._unique_solution(*build_system_matrices(sys)) is None
         assert _fields(solve_over_field(sys)) == _fields(support.ref_witness(sys))
 
     def test_reanchor_10_matches_smith_route(self):
         sys = support.reanchor_plant(10)
-        assert witness._unique_solution(sys) is not None
+        assert witness._unique_solution(*build_system_matrices(sys)) is not None
         assert _fields(solve_over_field(sys)) == _fields(support.ref_witness(sys))
 
     def test_reanchor_20(self):
