@@ -20,10 +20,11 @@ canonical kernel vectors times the lcm L of the pivots of their rows'
 primitive integer multiples; with s the lcm of the denominators of
 A + BF, the restriction to V* is the integer matrix sL A_V, and it goes
 with its scale sL to Berkowitz's recurrence (``polymat.berkowitz``).
-R*'s annihilator, the unobservable subspace of (A_V^T, G^T), is grown by
-``vstar``'s integer loop on that matrix's transpose, and its zeros are
-read off the same way with the scale carried.  Every kernel basis here
-is ``exactlin._integer_kernel``'s.
+R*'s annihilator is the unobservable subspace of (A_V^T, G^T), and R*'s
+zeros are ``unobservable_modes`` of that pair: the same restriction, on
+the integer sL A_V^T over its scale, after one more ``vstar`` call with
+m = 0, so ``vstar`` is the module's one fixed-point loop.  Every kernel
+basis here is ``exactlin._integer_kernel``'s.
 
 The decision surface for the properness side of observer existence is
 ``strong_star_inclusion``, on a plant's ``IntegerPlant``: every finite
@@ -82,19 +83,30 @@ class VStar(NamedTuple):
         return Subspace(self.n, [r[m:] for p, r in sorted(self.echelon.items()) if p >= m])
 
 
-def _grow(cols: list[list[int]], m: int, rows: list[list[int]],
-          seed: tuple[tuple[int, ...], ...]) -> tuple[dict[int, list[int]], int]:
-    """``vstar``'s loop on integers: the echelon of [D C]'s ``rows`` grown
-    by the products [y B, y A] (``cols`` are [B A]'s columns over one
-    denominator), from the rows y of ``seed``, and the step count.  The
-    echelon is reduced only when the loop ends: a row echelon has the
-    RREF's pivot columns, and with the inputs first its rows at state
-    pivots span Y at every step, so the RREF loop's steps are kept."""
-    n = len(cols) - m
+def vstar(A: IntegerMatrix, B: IntegerMatrix, C: IntegerMatrix, D: IntegerMatrix,
+          seed: Subspace | None = None) -> VStar:
+    """V*(A, B, C, D) = Ker Y*: Y_{k+1} are the rows of the RREF of
+    [Y_k B, Y_k A; D, C] (inputs first) that pivot in a state column, from
+    Y_0 = ``seed`` (the ``rows`` of a call whose V* holds this one's, as
+    P's does P_e's) or none.  The blocks are ``IntegerMatrix`` forms,
+    which a caller reads once and hands to every call.
+
+    One fraction-free echelon, kept across the steps, holds integer
+    multiples of those RREF rows.  Y and its pivots only grow, and no kept
+    row is rewritten, so a step hands it only the products [y B, y A]
+    (over [B A]'s denominator) of the rows at new pivots.  A positive
+    factor of a row of [D C] leaves that echelon as it is, so each row is
+    taken over [D C]'s denominator as it comes.  The echelon is reduced
+    only when the loop ends: a row echelon has the RREF's pivot columns,
+    and with the inputs first its rows at state pivots span Y at every
+    step, so the RREF loop's steps are kept.
+    """
+    n, m = A.rows, B.cols
+    cols = IntegerMatrix.hstack([B, A]).transpose().data
     echelon: dict[int, list[int]] = {}
-    for r in rows:
+    for r in IntegerMatrix.hstack([D, C]).data:
         _echelon_add(echelon, r)
-    new = seed
+    new = seed.ints if seed else ()
     seen = {m + next(j for j, x in enumerate(y) if x) for y in new}
     # Y gains a row at every step but the last, and has n at most
     for step in range(n + 1):
@@ -106,28 +118,6 @@ def _grow(cols: list[list[int]], m: int, rows: list[list[int]],
         new = [echelon[p][m:] for p in state if p not in seen]
         seen.update(state)
     _reduce(echelon)
-    return echelon, step
-
-
-def vstar(A: IntegerMatrix, B: IntegerMatrix, C: IntegerMatrix, D: IntegerMatrix,
-          seed: Subspace | None = None) -> VStar:
-    """V*(A, B, C, D) = Ker Y*: Y_{k+1} are the rows of the RREF of
-    [Y_k B, Y_k A; D, C] (inputs first) that pivot in a state column, from
-    Y_0 = ``seed`` (the ``rows`` of a call whose V* holds this one's, as
-    P's does P_e's) or none.  The blocks are ``IntegerMatrix`` forms,
-    which a caller reads once and hands to every call.
-
-    One fraction-free echelon, kept across the steps and reduced at the
-    end, holds integer multiples of those RREF rows.  Y and its pivots only
-    grow, and no kept row is rewritten, so a step hands it only the
-    products [y B, y A] of the rows at new pivots.  A positive factor of a
-    row of [D C] leaves that echelon as it is, so each row is taken over
-    [D C]'s denominator as it comes.
-    """
-    n, m = A.rows, B.cols
-    BA = IntegerMatrix.hstack([B, A]).data
-    echelon, step = _grow([[row[j] for row in BA] for j in range(m + n)], m,
-                          IntegerMatrix.hstack([D, C]).data, seed.ints if seed else ())
     return VStar(echelon, step, m, n)
 
 
@@ -149,18 +139,6 @@ def _invariant(Y: list[list[int]], image: list[list[int]]) -> None:
         raise AssertionError("subspace not invariant")
 
 
-def _restriction(A: list[list[int]],
-                 Y: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """A's restriction to Ker Y on integers: with N the integer basis of
-    Ker Y and L its scale, A N = N (L A_V), checked as Y A N = 0, and N
-    is L times the identity at the free columns, so L A_V is A N there.
-    Returns L A_V, the free columns and L."""
-    N, free, L = _integer_kernel(Y, len(A))
-    image = [[sum(map(mul, row, col)) for row in A] for col in N]
-    _invariant(Y, image)
-    return [[col[f] for col in image] for f in free], free, L
-
-
 def rank_and_zeros(A: IntegerMatrix, B: IntegerMatrix, v: VStar) -> tuple[int, Poly]:
     """Normal rank and zero polynomial of [sI - A, -B; C, D] from its V*.
 
@@ -170,9 +148,9 @@ def rank_and_zeros(A: IntegerMatrix, B: IntegerMatrix, v: VStar) -> tuple[int, P
     (s clears every denominator) restricts to an integer multiple of A_V,
     checked as Y*(A + BF)N = 0, and B K to one of G, checked as Y*BK = 0.
     R* = 0 when K = 0; else its annihilator is the unobservable subspace
-    of (A_V^T, G^T), where A_V^T has A_V's characteristic polynomial on
-    V*/R*.  Every step runs on integers, and the scale goes to
-    ``berkowitz``."""
+    of (A_V^T, G^T), and A_V^T has A_V's characteristic polynomial on
+    V*/R*: ``unobservable_modes`` of that pair.  Every step runs on
+    integers, and the scale goes to ``berkowitz``."""
     n, m = A.rows, B.cols
     if (v.n, v.m) != (n, m):
         raise ValueError("V* of a plant of another shape")
@@ -192,25 +170,22 @@ def rank_and_zeros(A: IntegerMatrix, B: IntegerMatrix, v: VStar) -> tuple[int, P
             c = b * brow[p]
             if c:
                 AF[i] = [x + c * g for x, g in zip(AF[i], f)]
-    M, free, L = _restriction(AF, y)
+    # N is L times the identity at the free columns, so s L A_V is AF N there
+    N, free, L = _integer_kernel(y, n)
+    image = [[sum(map(mul, row, col)) for row in AF] for col in N]
+    _invariant(y, image)
+    M = [[col[f] for col in image] for f in free]
+    # every input held: [Y*B; D] has full column rank, so K = 0 and R* = 0;
+    # the R* route below would end in the same polynomial, after one more
+    # V* call, on the transpose, for each such plant
     if len(held) == m:
         return n + m, berkowitz(M, s * L)
     K = _integer_kernel([_primitive(r[:m]) for r, _ in held], m)[0]
     BK = [[sum(map(mul, row, col)) for row in B.data] for col in K]
     _invariant(y, BK)
-    return n + len(held), _unobserved_zeros(M, s * L, [[col[f] for f in free] for col in BK])
-
-
-def _unobserved_zeros(M: list[list[int]], d: int, C: list[list[int]]) -> Poly:
-    """The characteristic polynomial of (M/d)^T on the unobservable
-    subspace of ((M/d)^T, C), on integers: ``vstar``'s loop with m = 0
-    (the columns of M^T are M's rows), and the restriction to its kernel
-    with the scale carried."""
-    echelon, _ = _grow(M, 0, C, [])
-    if len(echelon) == len(M):
-        return POLY_ONE
-    R, _, L = _restriction([list(row) for row in zip(*M)], [echelon[p] for p in sorted(echelon)])
-    return berkowitz(R, d * L)
+    Mt = IntegerMatrix(len(M), len(M), M, s * L).transpose()
+    G = IntegerMatrix(len(BK), len(free), [[col[f] for f in free] for col in BK], 1)
+    return n + len(held), unobservable_modes(Mt, unobservable(Mt, G))
 
 
 @dataclass(frozen=True)

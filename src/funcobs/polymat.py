@@ -182,9 +182,6 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
     def __str__(self) -> str:
-        return self.format()
-
-    def format(self, var: str = "s") -> str:
         if self.is_zero():
             return "0"
         terms = []
@@ -198,7 +195,7 @@ class Poly:
             else:
                 mag = abs(c)
                 head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+                body = f"{head}s" if k == 1 else f"{head}s^{k}"
             if not terms:
                 terms.append(body if c > 0 else f"-{body}")
             else:
@@ -564,7 +561,7 @@ def _assert_smith(P: PolyMatrix, dec: SmithDecomposition) -> None:
             raise AssertionError("invariant polynomial not monic")
 
 
-def berkowitz(M: Sequence[Sequence[int]], d: int = 1) -> Poly:
+def berkowitz(M: Sequence[Sequence[int]], d: int) -> Poly:
     """det(sI - M/d) for an integer k x k matrix M and an integer d > 0.
 
     The gcd g of d and M's entries is divided out first, so the recurrence

@@ -573,10 +573,17 @@ def parse_scenario_document(doc: dict) -> Scenario:
 def load_scenario_file(path, sys: SystemSextuple, omega: StateSpaceRealization) -> Scenario:
     """Parse a scenario file for the cascade of sys and omega, with its
     defaults filled: a missing horizon is ``suggested_horizon`` (computed
-    only then), and an empty xi0 is omega's zero state."""
+    only then, and refused, not stretched, when shorter than the step),
+    and an empty xi0 is omega's zero state."""
     doc = load_json(read_text(path), float)
     if isinstance(doc, dict) and "horizon" not in doc:
-        doc = {**doc, "horizon": suggested_horizon(sys, omega)}
+        horizon = suggested_horizon(sys, omega)
+        step = _field(doc, "step", _finite_float, 1e-3)
+        if horizon < step:
+            raise SystemFileError(
+                f"bad scenario: no horizon given, and the suggested horizon {horizon!r} is "
+                f"shorter than the step {step!r}; give a horizon or a smaller step")
+        doc = {**doc, "horizon": horizon}
     scenario = parse_scenario_document(doc)
     return scenario if scenario.xi0 else replace(scenario, xi0=(0.0,) * omega.order)
 

@@ -570,6 +570,28 @@ class TestCmdSimulate:
                                    for name in ("plant.json", "obs.json", "sc.json"))]) == 0
         assert len(calls) == 1
 
+    def test_suggested_horizon_shorter_than_the_step_exits_2(self, tmp_path, capsys):
+        """A scenario with no horizon is refused for the suggested one, 10 /
+        20000 s, which the default step 1e-3 s overshoots; a smaller step
+        runs it.  The horizon is not stretched to the step, at which RK4
+        would diverge on the mode -20000."""
+        paths = [tmp_path / name for name in ("plant.json", "obs.json", "sc.json")]
+        texts = ['{"A": [[-20000]], "B": [[1]], "C": [[1]], "D": [[0]], "E": [[1]], "F": [[0]]}',
+                 '{"R": [[1]]}', '{"x0": [1]}']
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        assert main(["simulate", *map(str, paths)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad scenario: no horizon given, and the suggested horizon 0.0005 is "
+            "shorter than the step 0.001; give a horizon or a smaller step\n")
+        # a horizon the scenario gives keeps the message about its own value
+        paths[2].write_text(json.dumps({"x0": [1], "horizon": 0.0005}))
+        assert main(["simulate", *map(str, paths)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad scenario: horizon must cover at least one step\n")
+        paths[2].write_text(json.dumps({"x0": [1], "step": 1e-4}))
+        assert main(["simulate", *map(str, paths)]) == 0
+
     @pytest.mark.parametrize("entry, field", [
         ('{"num": [1e400], "den": [1, 1]}', "N[0][0]"),
         # 1 + 1e-400 s is s + 1e400 once monic

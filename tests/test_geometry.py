@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from funcobs import geometry
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import IntegerMatrix, QMatrix, Subspace, kernel_basis
 from funcobs.fileio import load_system_text
@@ -210,6 +213,37 @@ class TestRankAndZeros:
         sys = _BRANCHES["r_star_is_v_star"]
         A, B, C, D = ints(sys.A, sys.B, sys.C, sys.D)
         assert rank_and_zeros(A, B, vstar(A, B, C, D))[1] == Poly([1])
+
+    def test_r_star_zeros_go_through_vstar(self, monkeypatch):
+        # R*'s annihilator is one more vstar call, the unobservable subspace
+        # of (A_V^T, G^T), and no second loop
+        sys = _BRANCHES["r_star"]
+        A, B, C, D = ints(sys.A, sys.B, sys.C, sys.D)
+        v = vstar(A, B, C, D)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return vstar(*args)
+
+        monkeypatch.setattr(geometry, "vstar", spy)
+        assert rank_and_zeros(A, B, v) == support.ref_rank_and_zeros(sys.A, sys.B, v)
+        assert len(calls) == 1
+
+
+def test_vstar_is_the_only_loop():
+    """Within ``geometry``, only ``vstar``'s body names the echelon
+    routines, so no second fixed-point loop grows beside it."""
+    tree = ast.parse(Path(geometry.__file__).read_text(encoding="utf-8"))
+    loop = {"_echelon_add", "_reduce"}
+
+    def named(node):
+        return [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in loop]
+
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "vstar")
+    assert set(named(body)) == loop
+    assert sorted(named(tree)) == sorted(named(body))
 
 
 class TestStrongStarInclusion:
