@@ -30,8 +30,8 @@ from . import decide, witness
 from .corpus import bundled_names, bundled_text
 from .fileio import (SCHEMA_VERSION, SystemFileError, load_system_text, read_text,
                      to_jsonable)
-from .geometry import InclusionCertificate, strong_star_inclusion
-from .system import IntegerPlant, SystemSextuple
+from .geometry import InclusionCertificate
+from .system import SystemSextuple
 from .witness import RationalFunctionMatrix
 
 EXIT_OK = 0
@@ -242,7 +242,7 @@ def cmd_witness(args) -> int:
         print(f"  proper                : {report.is_proper}")
         print(f"  pole polynomial       : {report.pole_denominator}")
         print(f"  stable                : {report.denominator_hurwitz.is_hurwitz}")
-    inclusion = strong_star_inclusion(IntegerPlant(system))
+    inclusion = decide.PlantForms(system).inclusion
     head, *rest = _inclusion_lines(inclusion)
     print(f"  strong-star inclusion : {head}")
     for line in rest:

@@ -19,7 +19,8 @@ cross-validate against the general decision procedures.
 
 No decision builds a polynomial matrix: the normal ranks and zeros of P,
 P_e, the input-free pencils [sI - A; C] and [sI - A; C; E] and Darouach's
-pencil are read off weakly unobservable subspaces (``geometry.vstar``).
+pencil are read off the weakly unobservable subspaces (``geometry.vstar``)
+of their system matrices, stacked from the plant's integer blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import geometry
 from .exactlin import IntegerMatrix, QMatrix, Subspace, first_escape, kernel_basis
 from .polymat import POLY_ONE, Poly, poly_gcd
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
-from .system import IntegerPlant, SystemSextuple
+from .system import SystemSextuple
 
 FUNCTIONAL = "functional_detectable"
 STRONGLY = "strongly_functional_detectable"
@@ -150,64 +151,78 @@ def _kernel_inclusion(lhs: IntegerMatrix, rhs: IntegerMatrix,
 class PlantForms:
     """What the decisions read off one plant, each computed on first use
     and kept by this object alone: a call with a bare plant does all of
-    its own work.  The plant's blocks are read into integers once
-    (``integers``), and every V* call of the decisions takes them."""
+    its own work.  The blocks A, ..., F are read into ``IntegerMatrix``
+    forms once, on first use, and every V* call takes a system matrix
+    stacked from them; P's and P_e's calls share ``system_matrix``."""
 
     def __init__(self, sys: SystemSextuple):
         self.sys = sys
+
+    def __getattr__(self, name: str) -> IntegerMatrix:
+        # called only for a block that is not read yet
+        if name not in ("A", "B", "C", "D", "E", "F"):
+            raise AttributeError(name)
+        block = IntegerMatrix.of(getattr(self.sys, name))
+        setattr(self, name, block)
+        return block
 
     @staticmethod
     def of(plant: SystemSextuple | PlantForms) -> PlantForms:
         return plant if isinstance(plant, PlantForms) else PlantForms(plant)
 
     @cached_property
-    def integers(self) -> IntegerPlant:
-        return IntegerPlant(self.sys)
+    def system_matrix(self) -> IntegerMatrix:
+        """S = [A B; C D], P's constant system matrix, states first."""
+        hstack = IntegerMatrix.hstack
+        return IntegerMatrix.vstack([hstack([self.A, self.B]), hstack([self.C, self.D])])
 
     @cached_property
     def vstar(self) -> geometry.VStar:
-        ints = self.integers
-        return geometry.vstar(ints.A, ints.B, ints.C, ints.D)
+        return geometry.vstar(self.system_matrix, self.sys.n)
 
     @cached_property
     def rank_and_zero(self) -> tuple[int, Poly]:
         """Normal rank and zero polynomial of P."""
-        return geometry.rank_and_zeros(self.integers.A, self.integers.B, self.vstar)
+        return geometry.rank_and_zeros(self.system_matrix, self.vstar)
 
     @cached_property
     def detectability(self) -> DetectabilityCertificate:
-        ints = self.integers
         rp, zp = self.rank_and_zero
         # P_e's V* lies in P's: grow it from P's rows
-        ve = geometry.vstar(ints.A, ints.B, IntegerMatrix.vstack([ints.C, ints.E]),
-                            IntegerMatrix.vstack([ints.D, ints.F]), self.vstar.rows)
-        rpe, zpe = geometry.rank_and_zeros(ints.A, ints.B, ve)
+        Se = IntegerMatrix.vstack([self.system_matrix, IntegerMatrix.hstack([self.E, self.F])])
+        rpe, zpe = geometry.rank_and_zeros(Se, geometry.vstar(Se, self.sys.n, self.vstar.rows))
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
 
     @cached_property
+    def inclusion(self) -> geometry.InclusionCertificate:
+        """The strong-star certificate: chain-reachable pairs in Ker [E F]."""
+        return geometry.strong_star_inclusion(self.system_matrix,
+                                              IntegerMatrix.hstack([self.E, self.F]), self.sys.n)
+
+    @cached_property
     def unobservable(self) -> geometry.VStar:
-        """The unobservable subspace of (A, C), the m = 0 V*."""
-        return geometry.unobservable(self.integers.A, self.integers.C)
+        """The unobservable subspace of (A, C), the V* of [A; C]."""
+        return geometry.vstar(IntegerMatrix.vstack([self.A, self.C]), self.sys.n)
 
     @cached_property
     def unobservable_modes(self) -> Poly:
         """The zero polynomial of [sI - A; C]: the unobservable modes."""
-        return geometry.unobservable_modes(self.integers.A, self.unobservable)
+        return geometry.rank_and_zeros(self.A, self.unobservable)[1]
 
     @cached_property
     def functional(self) -> DetectabilityCertificate:
         """The certificate of the input-free plant: [sI - A; C] and
         [sI - A; C; E] have normal rank n, and the zeros of the second lie
         among those of the first."""
-        sys, ints = self.sys, self.integers
+        sys = self.sys
         zp = zpe = self.unobservable_modes
         if zp.degree > 0 and sys.q:
             # (A, [C; E])'s unobservable subspace lies in (A, C)'s: grow
             # it from (A, C)'s rows
-            ce = geometry.unobservable(ints.A, IntegerMatrix.vstack([ints.C, ints.E]),
-                                       self.unobservable.rows)
-            zpe = geometry.unobservable_modes(ints.A, ce)
+            ce = geometry.vstar(IntegerMatrix.vstack([self.A, self.C, self.E]), sys.n,
+                                self.unobservable.rows)
+            zpe = geometry.rank_and_zeros(self.A, ce)[1]
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(sys.n, sys.n, zp, zpe, cmp_, True, cmp_.equal)
 
@@ -234,7 +249,7 @@ def strong_star_functional_detectable(sys: SystemSextuple | PlantForms) -> Verdi
     estimate tracks z whenever y fades."""
     forms = PlantForms.of(sys)
     strong = forms.detectability
-    inclusion = geometry.strong_star_inclusion(forms.integers)
+    inclusion = forms.inclusion
     holds = strong.rank_condition and strong.zero_condition and inclusion.holds
     return Verdict(STRONG_STAR, holds, StrongStarCertificate(strong, inclusion))
 
@@ -244,9 +259,8 @@ def hautus_strong_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     and all invariant zeros of P strictly stable.  Negating B keeps the
     rank, so the rank is taken of [B; D], on the plant's integer rows."""
     forms = PlantForms.of(sys)
-    ints = forms.integers
     rp, zp = forms.rank_and_zero
-    target = forms.sys.n + IntegerMatrix.vstack([ints.B, ints.D]).rank()
+    target = forms.sys.n + IntegerMatrix.vstack([forms.B, forms.D]).rank()
     rep = is_hurwitz(zp)
     cert = HautusCertificate(rp, target, rp == target, zp, rep, rep.is_hurwitz)
     return Verdict(HAUTUS_STRONG, cert.rank_condition and cert.zero_condition, cert)
@@ -259,7 +273,7 @@ def hautus_strong_star_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     forms = PlantForms.of(sys)
     n, m, p = forms.sys.n, forms.sys.m, forms.sys.p
     strong = hautus_strong_detectable(forms)
-    B, C, D = forms.integers.B, forms.integers.C, forms.integers.D
+    B, C, D = forms.B, forms.C, forms.D
     hstack, vstack, zeros = IntegerMatrix.hstack, IntegerMatrix.vstack, IntegerMatrix.zeros
     lhs = vstack([hstack([D, zeros(p, m)]), hstack([C @ B, D])])
     rhs = vstack([zeros(n, 2 * m), hstack([B, zeros(n, m)])])
@@ -293,7 +307,7 @@ def asympt_strong_star_left_invertible(sys: SystemSextuple | PlantForms) -> Verd
     forms = PlantForms.of(sys)
     m = forms.sys.m
     strong = _left_invertibility_certificate(forms)
-    rank_d = forms.integers.D.rank()
+    rank_d = forms.D.rank()
     cert = LeftInvertibilityStarCertificate(strong, rank_d, m, rank_d == m)
     holds = strong.rank_condition and strong.zero_condition and cert.feedthrough_condition
     return Verdict(LEFT_INVERTIBLE_STAR, holds, cert)
@@ -313,8 +327,7 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     forms = PlantForms.of(sys)
     sys = forms.sys
     n, m, p, q = sys.n, sys.m, sys.p, sys.q
-    ints = forms.integers
-    A, B, C, D, E, F = ints.A, ints.B, ints.C, ints.D, ints.E, ints.F
+    A, B, C, D, E, F = forms.A, forms.B, forms.C, forms.D, forms.E, forms.F
     CA, CB = C @ A, C @ B
     hstack, vstack, zeros = IntegerMatrix.hstack, IntegerMatrix.vstack, IntegerMatrix.zeros
     # the constant stack [E F 0; C D 0; CA CB D] and [EA EB F]
@@ -328,20 +341,19 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     # stack, for every s with Re s >= 0; the stack has rank
     # n + 2m - dim Ker lhs everywhere and no finite zeros.  With the input
     # v = (sI - A)x - Bu_1, the pencil is the system matrix of the plant
-    # (A, [B 0 I], [0; C; CA], [0 0 E; D 0 0; CB D 0]) with n unit
+    # S = [A, B 0 I; 0, 0 0 E; C, D 0 0; CA, CB D 0] with n unit
     # invariants removed
-    bv = hstack([B, zeros(n, m), IntegerMatrix.identity(n)])
-    cv = vstack([zeros(q, n), C, CA])
-    dv = vstack([hstack([zeros(q, 2 * m), E]), hstack([D, zeros(p, m + n)]),
-                 hstack([CB, D, zeros(p, n)])])
-    rl, zl = geometry.rank_and_zeros(A, bv, geometry.vstar(A, bv, cv, dv))
+    S = vstack([hstack([A, B, zeros(n, m), IntegerMatrix.identity(n)]),
+                hstack([zeros(q, n + 2 * m), E]), hstack([C, D, zeros(p, m + n)]),
+                hstack([CA, CB, D, zeros(p, n)])])
+    rl, zl = geometry.rank_and_zeros(S, geometry.vstar(S, n))
     rl -= n
     rr = n + 2 * m - ker.dim
     cmp_ = antistable_parts_equal(zl, POLY_ONE)
     rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)
 
     # controllable: the dual pair (A^T, B^T) is observable
-    controllable = geometry.unobservable(A.transpose(), B.transpose()).rows.dim == n
+    controllable = geometry.vstar(hstack([A, B]).transpose(), n).rows.dim == n
     note = None if controllable else (
         "plant is not controllable; the fixed-order existence theory assumes "
         "controllability, so this verdict extrapolates outside its hypotheses")

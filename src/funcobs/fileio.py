@@ -119,8 +119,9 @@ def dump_system_document(sys: SystemSextuple, meta: dict | None = None) -> dict:
     doc["A"] = [[str(x) for x in row] for row in sys.A.data]
     if sys.m:
         doc["B"] = [[str(x) for x in row] for row in sys.B.data]
-    else:
-        doc["m"] = 0
+    # a written B, D or F carries the input count only in a row
+    if not (sys.m and (sys.n or sys.p or sys.q)):
+        doc["m"] = sys.m
     if sys.p:
         doc["C"] = [[str(x) for x in row] for row in sys.C.data]
         if sys.m:

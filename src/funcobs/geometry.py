@@ -3,44 +3,44 @@
 Every rank and zero condition of the decisions is read off ``vstar``: the
 largest subspace V* from which some input holds Cx + Du at zero (Morse,
 SIAM J. Control 11, 1973; Trentelman, Stoorvogel & Hautus, Control Theory
-for Linear Systems, 2001, ch. 7-8).  P = [sI - A, -B; C, D] has normal
-rank n + rank [Y*B; D] (V* = Ker Y*), and its zeros are those of A + BF on
-V*/R*, F a friend of V* and R* the span of A + BF on B Ker [Y*B; D].
-P_e = [P; E F] is the same call on [C; E] and [D; F], grown from Y*.
-With m = 0, V* is the unobservable subspace of (A, C).  The call keeps
-one fraction-free integer echelon across its steps, so each row of the
-stack is eliminated once, and returns it reduced (``VStar``): its rows at
-state pivots are Y*'s canonical integer rows, the ``Subspace`` that seeds
-a later call.  The blocks are ``IntegerMatrix`` forms, which
-``system.IntegerPlant`` reads once per plant.
+for Linear Systems, 2001, ch. 7-8).  A call takes one matrix, the plant's
+constant system matrix S = [A B; C D] (states first), and n: the module
+works on matrices, and ``decide.PlantForms`` reads the plant.  P =
+[sI - A, -B; C, D] has normal rank n + rank [Y*B; D] (V* = Ker Y*), and
+its zeros are those of A + BF on V*/R*, F a friend of V* and R* the span
+of A + BF on B Ker [Y*B; D].  P_e = [P; E F] is the same call on S with
+[E F] below it, grown from Y*.  With no input, S = [A; C] and V* is the
+unobservable subspace of (A, C).  The call keeps one fraction-free
+integer echelon across its steps, so each row is eliminated once, and
+returns it reduced (``VStar``): its rows at state pivots are Y*'s
+canonical integer rows, the ``Subspace`` that seeds a later call.
 
 ``rank_and_zeros`` runs on integers from V*'s echelon to the zero
 polynomial.  The bases of V* and Ker [Y*B; D] are integer columns, the
 canonical kernel vectors times the lcm L of the pivots of their rows'
-primitive integer multiples; with s the lcm of the denominators of
-A + BF, the restriction to V* is the integer matrix sL A_V, and it goes
-with its scale sL to Berkowitz's recurrence (``polymat.berkowitz``).
-R*'s annihilator is the unobservable subspace of (A_V^T, G^T), and R*'s
-zeros are ``unobservable_modes`` of that pair: the same restriction, on
-the integer sL A_V^T over its scale, after one more ``vstar`` call with
-m = 0, so ``vstar`` is the module's one fixed-point loop.  Every kernel
-basis here is ``exactlin._integer_kernel``'s.
+primitive integer multiples; with s clearing the denominators of
+A + BF, the restriction to V* is the integer matrix sL A_V, and its
+transpose, read off the image, goes with its scale sL to Berkowitz's
+recurrence (``polymat.berkowitz``).  R*'s annihilator is the unobservable
+subspace of (A_V^T, G^T), and R*'s zeros are A_V^T's on it: one more
+``vstar`` call, on [A_V^T; G^T], so ``vstar`` is the module's one
+fixed-point loop.  Every kernel basis here is
+``exactlin._integer_kernel``'s.
 
 The decision surface for the properness side of observer existence is
-``strong_star_inclusion``, on a plant's ``IntegerPlant``: every finite
-input chain whose trajectory stays inside Ker [C D] must keep the target
-rows [E F] silent as well.  The chain's state is a pair (x, u) in
-Q^(n+m).  The states such chains reach form the strongly reachable
-subspace T*, the limit of
+``strong_star_inclusion``, on S and [E F]: every finite input chain whose
+trajectory stays inside Ker [C D] must keep the target rows [E F] silent
+as well.  The chain's state is a pair (x, u) in Q^(n+m).  The states such
+chains reach form the strongly reachable subspace T*, the limit of
 
     T_0 = 0,    T_{k+1} = [A B] ((T_k + Q^m)  ^  Ker [C D]),
 
-and T* is the annihilator of the V* of the dual plant (A^T, C^T, B^T,
-D^T) (ibid., ch. 8): its canonical rows are that ``vstar`` call's rows, and
-the call's step count is the first k with T_{k+1} = T_k.  The reachable
-pairs are (T* + Q^m) ^ Ker [C D], and the verdict is "reachable pairs
-contained in Ker [E F]", all on integer rows: the only Fraction made is a
-violating pair's.  That matches the block-Toeplitz kernel
+and T* is the annihilator of the V* of the dual plant, whose system
+matrix is S^T (ibid., ch. 8): its canonical rows are that ``vstar`` call's
+rows, and the call's step count is the first k with T_{k+1} = T_k.  The
+reachable pairs are (T* + Q^m) ^ Ker [C D], and the verdict is "reachable
+pairs contained in Ker [E F]", all on integer rows: the only Fraction
+made is a violating pair's.  That matches the block-Toeplitz kernel
 inclusions of the markov module for every order, and it is what separates
 a merely stable estimate from a causally realizable one.  The certificate
 keeps only what decides the verdict and re-checks it: the reachable
@@ -57,9 +57,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .exactlin import (IntegerMatrix, Subspace, _echelon_add, _integer_kernel, _primitive,
-                       _reduce, first_escape, kernel_basis)
+                       _reduce, _scaled, first_escape, kernel_basis)
 from .polymat import POLY_ONE, Poly, berkowitz
-from .system import IntegerPlant
 
 
 class VStar(NamedTuple):
@@ -83,29 +82,30 @@ class VStar(NamedTuple):
         return Subspace(self.n, [r[m:] for p, r in sorted(self.echelon.items()) if p >= m])
 
 
-def vstar(A: IntegerMatrix, B: IntegerMatrix, C: IntegerMatrix, D: IntegerMatrix,
-          seed: Subspace | None = None) -> VStar:
-    """V*(A, B, C, D) = Ker Y*: Y_{k+1} are the rows of the RREF of
-    [Y_k B, Y_k A; D, C] (inputs first) that pivot in a state column, from
-    Y_0 = ``seed`` (the ``rows`` of a call whose V* holds this one's, as
-    P's does P_e's) or none.  The blocks are ``IntegerMatrix`` forms,
-    which a caller reads once and hands to every call.
+def vstar(S: IntegerMatrix, n: int, seed: Subspace | None = None) -> VStar:
+    """V* of the plant with n states whose system matrix is S = [A B; C D],
+    m = S.cols - n.  S may have no input columns: V* of S = [A; C] is the
+    unobservable subspace of (A, C).  The dual plant's matrix is S^T.
 
-    One fraction-free echelon, kept across the steps, holds integer
-    multiples of those RREF rows.  Y and its pivots only grow, and no kept
-    row is rewritten, so a step hands it only the products [y B, y A]
-    (over [B A]'s denominator) of the rows at new pivots.  A positive
-    factor of a row of [D C] leaves that echelon as it is, so each row is
-    taken over [D C]'s denominator as it comes.  The echelon is reduced
-    only when the loop ends: a row echelon has the RREF's pivot columns,
-    and with the inputs first its rows at state pivots span Y at every
-    step, so the RREF loop's steps are kept.
+    Y_{k+1} are the rows of the RREF of [Y_k B, Y_k A; D, C] (inputs
+    first) that pivot in a state column, from Y_0 = ``seed`` (the ``rows``
+    of a call whose V* holds this one's, as P's does P_e's) or none.  One
+    fraction-free echelon, kept across the steps, holds integer multiples
+    of those RREF rows.  Y and its pivots only grow, and no kept row is
+    rewritten, so a step hands it only the products [y B, y A] of the rows
+    at new pivots.  A positive factor of a row leaves that echelon as it
+    is, so every row is taken over S's one denominator.  The echelon is
+    reduced only when the loop ends: a row echelon has the RREF's pivot
+    columns, and with the inputs first its rows at state pivots span Y at
+    every step, so the RREF loop's steps are kept.
     """
-    n, m = A.rows, B.cols
-    cols = IntegerMatrix.hstack([B, A]).transpose().data
+    m = S.cols - n
+    # the columns of [B A], and each later row of S as [D C]: inputs first
+    cols = [*zip(*S.data[:n])]
+    cols = cols[n:] + cols[:n]
     echelon: dict[int, list[int]] = {}
-    for r in IntegerMatrix.hstack([D, C]).data:
-        _echelon_add(echelon, r)
+    for r in S.data[n:]:
+        _echelon_add(echelon, r[n:] + r[:n])
     new = seed.ints if seed else ()
     seen = {m + next(j for j, x in enumerate(y) if x) for y in new}
     # Y gains a row at every step but the last, and has n at most
@@ -121,38 +121,28 @@ def vstar(A: IntegerMatrix, B: IntegerMatrix, C: IntegerMatrix, D: IntegerMatrix
     return VStar(echelon, step, m, n)
 
 
-def unobservable(A: IntegerMatrix, C: IntegerMatrix, seed: Subspace | None = None) -> VStar:
-    """The m = 0 V* of (A, C), its unobservable subspace, grown from
-    ``seed`` (the ``rows`` of a larger one) when given."""
-    return vstar(A, IntegerMatrix.zeros(A.rows, 0), C, IntegerMatrix.zeros(C.rows, 0), seed)
-
-
-def unobservable_modes(A: IntegerMatrix, v: VStar) -> Poly:
-    """A's characteristic polynomial on the unobservable subspace ``v`` of
-    (A, C): the zero polynomial of [sI - A; C]."""
-    return rank_and_zeros(A, IntegerMatrix.zeros(A.rows, 0), v)[1]
-
-
 def _invariant(Y: list[list[int]], image: list[list[int]]) -> None:
     """Check that the columns of ``image`` lie in Ker Y."""
     if any(sum(map(mul, y, col)) for col in image for y in Y):
         raise AssertionError("subspace not invariant")
 
 
-def rank_and_zeros(A: IntegerMatrix, B: IntegerMatrix, v: VStar) -> tuple[int, Poly]:
+def rank_and_zeros(S: IntegerMatrix, v: VStar) -> tuple[int, Poly]:
     """Normal rank and zero polynomial of [sI - A, -B; C, D] from its V*.
 
-    Y*, the friend F and the rows of [Y*B; D] are read straight off
-    ``v``'s echelon, and the bases N of V* = Ker Y* and K of Ker [Y*B; D]
-    as integer columns scaled by their pivots' lcm.  On N, s(A + BF)
-    (s clears every denominator) restricts to an integer multiple of A_V,
-    checked as Y*(A + BF)N = 0, and B K to one of G, checked as Y*BK = 0.
-    R* = 0 when K = 0; else its annihilator is the unobservable subspace
-    of (A_V^T, G^T), and A_V^T has A_V's characteristic polynomial on
-    V*/R*: ``unobservable_modes`` of that pair.  Every step runs on
-    integers, and the scale goes to ``berkowitz``."""
-    n, m = A.rows, B.cols
-    if (v.n, v.m) != (n, m):
+    A and B are S's first n rows, over its one denominator, and no later
+    row is read: with m = 0, S may be A alone, and the zeros are A's modes
+    on ``v``.  Y*, the friend F and the rows of [Y*B; D] are read straight
+    off ``v``'s echelon, and the bases N of V* = Ker Y* and K of
+    Ker [Y*B; D] as integer columns scaled by their pivots' lcm.  On N,
+    s(A + BF) (s clears every denominator) restricts to an integer
+    multiple of A_V, checked as Y*(A + BF)N = 0, and B K to one of G,
+    checked as Y*BK = 0.  R* = 0 when K = 0; else its annihilator is the
+    unobservable subspace of (A_V^T, G^T), and A_V^T has A_V's
+    characteristic polynomial on V*/R*.  Every step runs on integers, and
+    the scale goes to ``berkowitz``."""
+    n, m = v.n, v.m
+    if S.cols != n + m or S.rows < n:
         raise ValueError("V* of a plant of another shape")
     held = [(r, p) for p, r in sorted(v.echelon.items()) if p < m]
     y = v.rows.ints
@@ -161,31 +151,33 @@ def rank_and_zeros(A: IntegerMatrix, B: IntegerMatrix, v: VStar) -> tuple[int, P
     # F's row p is -r[m:] / r[p], whose entries' denominators have the lcm
     # |r[p]| / gcd(r[p], r[m:]); df is the lcm of those over every row
     df = lcm(*(abs(r[p]) // gcd(r[p], *r[m:]) for r, p in held))
-    s = lcm(A.den, B.den * df)
-    a, b = s // A.den, s // (B.den * df)
-    AF = [[a * x for x in row] for row in A.data]
+    s = S.den * df
+    top = S.data[:n]
+    AF = _scaled([row[:n] for row in top], df)
     for r, p in held:
         f = [-x * df // r[p] for x in r[m:]]
-        for i, brow in enumerate(B.data):
-            c = b * brow[p]
+        for i, row in enumerate(top):
+            c = row[n + p]
             if c:
                 AF[i] = [x + c * g for x, g in zip(AF[i], f)]
     # N is L times the identity at the free columns, so s L A_V is AF N there
     N, free, L = _integer_kernel(y, n)
     image = [[sum(map(mul, row, col)) for row in AF] for col in N]
     _invariant(y, image)
-    M = [[col[f] for col in image] for f in free]
+    # s L A_V^T, whose characteristic polynomial is A_V's
+    Mt = [[col[f] for f in free] for col in image]
     # every input held: [Y*B; D] has full column rank, so K = 0 and R* = 0;
-    # the R* route below would end in the same polynomial, after one more
-    # V* call, on the transpose, for each such plant
+    # the R* route below would end in the same polynomial, one call later
     if len(held) == m:
-        return n + m, berkowitz(M, s * L)
+        return n + m, berkowitz(Mt, s * L)
     K = _integer_kernel([_primitive(r[:m]) for r, _ in held], m)[0]
-    BK = [[sum(map(mul, row, col)) for row in B.data] for col in K]
+    BK = [[sum(map(mul, row[n:], col)) for row in top] for col in K]
     _invariant(y, BK)
-    Mt = IntegerMatrix(len(M), len(M), M, s * L).transpose()
-    G = IntegerMatrix(len(BK), len(free), [[col[f] for f in free] for col in BK], 1)
-    return n + len(held), unobservable_modes(Mt, unobservable(Mt, G))
+    # [A_V^T; G^T] over the scale s L: a positive factor of G's rows
+    # leaves the unobservable subspace as it is
+    R = IntegerMatrix(len(Mt) + len(BK), len(free),
+                      Mt + [[col[f] for f in free] for col in BK], s * L)
+    return n + len(held), rank_and_zeros(R, vstar(R, len(free)))[1]
 
 
 @dataclass(frozen=True)
@@ -199,22 +191,22 @@ class InclusionCertificate:
     violation: tuple[Fraction, ...] | None
 
 
-def strong_star_inclusion(ints: IntegerPlant) -> InclusionCertificate:
+def strong_star_inclusion(S: IntegerMatrix, EF: IntegerMatrix, n: int) -> InclusionCertificate:
     """Decide the properness inclusion between measured and target chains.
 
     Holds iff every pair reachable inside Ker [C D] by an input chain lies
     in Ker [E F]; on failure the certificate carries a reachable pair that
-    the target rows can see.  The plant's integer blocks give the dual
-    plant, Ker [C D] and the test against [E F].
+    the target rows can see.  S = [A B; C D] has n states: S^T is the dual
+    plant's system matrix, and S's rows after the n-th are [C D].
     """
-    n, m = ints.A.rows, ints.B.cols
-    dual = vstar(ints.A.transpose(), ints.C.transpose(), ints.B.transpose(), ints.D.transpose())
+    m = S.cols - n
+    dual = vstar(S.transpose(), n)
     # T* + 0 pivots in the state columns and 0 + Q^m, unit rows, in the
     # input columns: together they are canonical rows already
     tail = (0,) * m
     pairs = Subspace(n + m, [t + tail for t in dual.rows.ints]
                      + IntegerMatrix.identity(n + m).data[n:])
-    reach = pairs.intersect(kernel_basis(IntegerMatrix.hstack([ints.C, ints.D])))
-    violation = first_escape(reach, IntegerMatrix.hstack([ints.E, ints.F]))
+    reach = pairs.intersect(kernel_basis(IntegerMatrix(S.rows - n, S.cols, S.data[n:], S.den)))
+    violation = first_escape(reach, EF)
     return InclusionCertificate(holds=violation is None, reachable=reach,
                                 reachable_steps=dual.steps, violation=violation)

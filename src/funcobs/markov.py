@@ -8,7 +8,7 @@ properness condition; the geometric test in the geometry module decides
 the whole family at once, and this module serves as its finite
 cross-oracle.  M^k is the leading block corner of every higher order, so a
 search up to kmax builds each chain once, at kmax.  Every block is an
-``IntegerMatrix``, read off the plant by ``system.IntegerPlant``; kernels
+``IntegerMatrix``, read off the plant by ``IntegerMatrix.of``; kernels
 and the escape test do not depend on a row's scale.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import IntegerMatrix, first_escape, kernel_basis
-from .system import IntegerPlant, SystemSextuple
+from .system import SystemSextuple
 
 
 def toeplitz(A: IntegerMatrix, B: IntegerMatrix, C: IntegerMatrix, D: IntegerMatrix,
@@ -55,10 +55,10 @@ def kernel_inclusion_upto(sys: SystemSextuple, kmax: int) -> KernelInclusionRepo
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     m, p, q = sys.m, sys.p, sys.q
-    ints = IntegerPlant(sys)
+    A, B, C, D, E, F = map(IntegerMatrix.of, (sys.A, sys.B, sys.C, sys.D, sys.E, sys.F))
     # order k is the leading (k+1)-block corner of order kmax
-    mcd = toeplitz(ints.A, ints.B, ints.C, ints.D, kmax)
-    mef = toeplitz(ints.A, ints.B, ints.E, ints.F, kmax)
+    mcd = toeplitz(A, B, C, D, kmax)
+    mef = toeplitz(A, B, E, F, kmax)
     for k in range(kmax + 1):
         vec = first_escape(kernel_basis(_leading(mcd, (k + 1) * p, (k + 1) * m)),
                            _leading(mef, (k + 1) * q, (k + 1) * m))

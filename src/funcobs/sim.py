@@ -10,8 +10,8 @@ recurrence run as a doubling scan of at most 13 passes over row blocks),
 and the estimation error is summarised over the final stretch of the
 horizon.
 
-Scenario and observer documents are parsed and written here too, next to
-the types they build; ``INPUT_FIELDS`` is the one list of input kinds and
+Scenario and observer documents are parsed here too, next to the types
+they build; ``INPUT_FIELDS`` is the one list of input kinds and
 the fields each carries, and a field or document key that a kind does not
 carry is rejected.  As in system documents, any other unknown key, at the
 top level or in an entry of N, is rejected by ``fileio.check_keys``.  A
@@ -122,7 +122,7 @@ def realize(N: RationalFunctionMatrix) -> StateSpaceRealization:
 
 # Every input kind and the fields it carries, each with its array depth (1:
 # an array of numbers, 2: an array of arrays of numbers, ...).  Validation,
-# the channel count, parsing and dumping all read the kinds from here.
+# the channel count and parsing all read the kinds from here.
 INPUT_FIELDS: dict[str, dict[str, int]] = {
     "zero": {},
     "constant": {"value": 1},

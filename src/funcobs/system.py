@@ -2,15 +2,16 @@
 
 State dynamics ``x' = A x + B u`` with measured output ``y = C x + D u``
 and target output ``z = E x + F u``.  All blocks are exact rational
-matrices; any of the dimensions n, m, p, q may be zero.  ``IntegerPlant``
-reads them into the ``IntegerMatrix`` form that the exact code computes on.
+matrices; any of the dimensions n, m, p, q may be zero.  The decisions
+read them into the ``IntegerMatrix`` form that the exact code computes on
+(``decide.PlantForms``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import IntegerMatrix, QMatrix
+from .exactlin import QMatrix
 
 
 @dataclass(frozen=True)
@@ -103,22 +104,6 @@ class SystemSextuple:
     def with_target(self, E: QMatrix, F: QMatrix) -> "SystemSextuple":
         """Same plant with a different target output block [E F]."""
         return SystemSextuple(self.A, self.B, self.C, self.D, E, F)
-
-
-class IntegerPlant:
-    """A plant's blocks A, B, C, D, E and F as ``IntegerMatrix`` forms,
-    each read on first use and kept."""
-
-    def __init__(self, sys: SystemSextuple):
-        self.sys = sys
-
-    def __getattr__(self, name: str) -> IntegerMatrix:
-        # called only for a block that is not read yet
-        if name not in ("A", "B", "C", "D", "E", "F"):
-            raise AttributeError(name)
-        block = IntegerMatrix.of(getattr(self.sys, name))
-        setattr(self, name, block)
-        return block
 
 
 def _matrix(name: str, rows) -> QMatrix:

@@ -11,14 +11,12 @@ import pytest
 
 from funcobs import decide
 from funcobs.exactlin import QMatrix
-from funcobs.geometry import strong_star_inclusion
 from funcobs.markov import kernel_inclusion_upto
 from funcobs.polymat import POLY_ONE, Poly, build_system_matrices, smith_form
 from funcobs.scenarios import fading_output_scenario
 from funcobs.sim import (Scenario, StateSpaceRealization, convergence_metric,
                          simulate)
 from funcobs.stability import is_hurwitz
-from funcobs.system import IntegerPlant
 from funcobs.witness import solve_over_field
 
 import support
@@ -117,7 +115,7 @@ def test_criterion_06_geometry_matches_toeplitz(batch):
     t0 = time.perf_counter()
     disagreements = 0
     for sys in batch:
-        geo = strong_star_inclusion(IntegerPlant(sys)).holds
+        geo = decide.PlantForms(sys).inclusion.holds
         toep = kernel_inclusion_upto(sys, sys.n + sys.m).holds
         if geo != toep:
             disagreements += 1

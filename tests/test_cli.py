@@ -105,6 +105,19 @@ class TestParsing:
             assert sys1 == sys2
             assert meta1 == meta2 and set(meta1) == {"name", "description", "expected"}
 
+    @pytest.mark.parametrize("n,m,p,q", [(n, m, p, q) for n in range(3) for m in range(3)
+                                         for p in range(3) for q in range(3)])
+    def test_roundtrip_on_every_shape(self, n, m, p, q):
+        # with no state, output or target, only "m" carries the input count
+        def block(rows, cols, first):
+            return [[first + i + j for j in range(cols)] for i in range(rows)]
+
+        sys1 = SystemSextuple.from_lists(A=block(n, n, 1), B=block(n, m, 2), C=block(p, n, 3),
+                                         D=block(p, m, 4), E=block(q, n, 5), F=block(q, m, 6),
+                                         m=m)
+        sys2, _ = load_system_text(json.dumps(dump_system_document(sys1)))
+        assert sys2 == sys1 and (sys2.n, sys2.m, sys2.p, sys2.q) == (n, m, p, q)
+
 
 KNOWN_KEYS = "known: A, B, C, D, E, F, m, name, description, expected"
 

@@ -16,7 +16,7 @@ from funcobs.fileio import load_system_text, to_jsonable
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices, poly_gcd,
                              smith_form)
 from funcobs.stability import antistable_parts_equal, is_hurwitz
-from funcobs.system import IntegerPlant, SystemSextuple
+from funcobs.system import SystemSextuple
 
 import support
 
@@ -330,8 +330,8 @@ class TestUnobservableSubspaceRoute:
         calls read."""
         vstar = geometry.vstar
 
-        def edited(A, B, C, D, seed=None):
-            v = vstar(A, B, C, D, seed)
+        def edited(S, n, seed=None):
+            v = vstar(S, n, seed)
             return v._replace(echelon=edit(v.echelon, v.m))
 
         monkeypatch.setattr(geometry, "vstar", edited)
@@ -525,8 +525,8 @@ class TestWorkCount:
         and the zeros come through R*."""
         sys = SystemSextuple.from_lists(**support.seeded_n6_lists(p))
         want = decide.strongly_functional_detectable(sys).certificate
-        P = IntegerPlant(sys)
-        v = geometry.vstar(P.A, P.B, P.C, P.D)
+        S = decide.PlantForms(sys).system_matrix
+        v = geometry.vstar(S, sys.n)
         assert (support.vstar_input_rows(v).dim < sys.m) == (p == 1)
         count = Counter()
         kernel_basis = exactlin.kernel_basis
@@ -537,7 +537,7 @@ class TestWorkCount:
 
         monkeypatch.setattr(exactlin, "kernel_basis", counted)
         monkeypatch.setattr(geometry, "kernel_basis", counted)
-        assert geometry.rank_and_zeros(P.A, P.B, v) == (want.normrank_p, want.zero_poly_p)
+        assert geometry.rank_and_zeros(S, v) == (want.normrank_p, want.zero_poly_p)
         assert count == {}
 
     def test_rank_and_zeros_multiplies_no_fraction_matrices(self, built):
@@ -545,11 +545,11 @@ class TestWorkCount:
         formed on integer rows: no QMatrix is built between V*'s rows and
         the zero polynomial, on a plant whose zeros come through R*."""
         sys = SystemSextuple.from_lists(**support.seeded_n6_lists(1))
-        P = IntegerPlant(sys)
-        v = geometry.vstar(P.A, P.B, P.C, P.D)
+        S = decide.PlantForms(sys).system_matrix
+        v = geometry.vstar(S, sys.n)
         assert support.vstar_input_rows(v).dim < sys.m
         built.clear()
-        got = geometry.rank_and_zeros(P.A, P.B, v)
+        got = geometry.rank_and_zeros(S, v)
         assert QMatrix not in built
         assert got == support.ref_rank_and_zeros(sys.A, sys.B, v)
 
@@ -567,8 +567,8 @@ class TestWorkCount:
             return add(echelon, row)
 
         monkeypatch.setattr(geometry, "_echelon_add", spy)
-        P = IntegerPlant(plant)
-        v = geometry.vstar(P.A, P.B, P.C, P.D)
+        forms = decide.PlantForms(plant)
+        v = geometry.vstar(forms.system_matrix, plant.n)
         assert v.steps == 4
         # one product for each row of Y*, none for the last step
         assert len(handed) == plant.p + v.rows.dim
@@ -577,9 +577,12 @@ class TestWorkCount:
             return {next(j for j, x in enumerate(y) if x) for y in Y.rows}
 
         handed.clear()
-        CE, DF = IntegerMatrix.vstack([P.C, P.E]), IntegerMatrix.vstack([P.D, P.F])
-        ve = geometry.vstar(P.A, P.B, CE, DF, v.rows)
-        assert len(handed) == CE.rows + v.rows.dim + len(pivots(ve.rows) - pivots(v.rows))
+        Se = IntegerMatrix.vstack([forms.system_matrix, IntegerMatrix.hstack([forms.E, forms.F])])
+        ve = geometry.vstar(Se, plant.n, v.rows)
+        # each row of [C D; E F] once, and one product for each seed row and
+        # each new row of Y*
+        new = len(pivots(ve.rows) - pivots(v.rows))
+        assert len(handed) == (Se.rows - plant.n) + v.rows.dim + new
 
     def test_inclusion_makes_no_fraction_but_the_violation(self, monkeypatch, plant):
         """strong_star_inclusion, intersect and first_escape read canonical
@@ -599,10 +602,11 @@ class TestWorkCount:
             return integer_row(row)
 
         sys = support.integrator_chain()
-        plants = [IntegerPlant(p) for p in (plant, plant.with_target(plant.C, plant.D), sys)]
-        for ints in plants:
-            for name in "ABCDEF":  # the blocks are read before the count starts
-                getattr(ints, name)
+        # the blocks are read and stacked before the count starts
+        calls = []
+        for p in (plant, plant.with_target(plant.C, plant.D), sys):
+            forms = decide.PlantForms(p)
+            calls.append((forms.system_matrix, IntegerMatrix.hstack([forms.E, forms.F]), p.n))
         V = Subspace.span(sys.n + sys.m, [[1, 2, 0], [0, 1, 1]])
         W = Subspace.span(sys.n + sys.m, [[1, 3, 1], [2, 0, 5]])
         M = IntegerMatrix.of(QMatrix.from_rows([[0, 1, -1]]))
@@ -610,9 +614,9 @@ class TestWorkCount:
             monkeypatch.setattr(module, "Fraction", Counted)
         monkeypatch.setattr(exactlin, "_integer_row", spy)
         holds = []
-        for ints in plants:
+        for call in calls:
             made.clear()
-            cert = geometry.strong_star_inclusion(ints)
+            cert = geometry.strong_star_inclusion(*call)
             holds.append(cert.holds)
             assert [Fraction(*args) for args in made] == [x for x in cert.violation or () if x]
         assert holds == [decide.strong_star_functional_detectable(plant).certificate
@@ -746,8 +750,7 @@ class TestWorkCount:
         forms = decide.PlantForms(plant)
         v = forms.vstar
         reads.clear()
-        assert forms.rank_and_zero == geometry.rank_and_zeros(forms.integers.A,
-                                                              forms.integers.B, v)
+        assert forms.rank_and_zero == geometry.rank_and_zeros(forms.system_matrix, v)
         assert reads == []
 
     def test_decision_consistency_shares_p(self, calls, plant):
@@ -800,13 +803,13 @@ class TestWorkCount:
         """(A, [C; E])'s unobservable subspace is grown from the integer
         rows of (A, C)'s echelon, which the forms keep."""
         seeds = []
-        grow = geometry.unobservable
+        grow = geometry.vstar
 
-        def spy(A, C, seed=None):
+        def spy(S, n, seed=None):
             seeds.append(seed)
-            return grow(A, C, seed)
+            return grow(S, n, seed)
 
-        monkeypatch.setattr(geometry, "unobservable", spy)
+        monkeypatch.setattr(geometry, "vstar", spy)
         # x1 is hidden from C = [0 1 0]; E reads it
         forms = decide.PlantForms(SystemSextuple.from_lists(
             A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], C=[[0, 1, 0]], E=[[1, 0, 0]], m=0))

@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 from funcobs.exactlin import (DenseMatrix, IntegerMatrix, QMatrix, Subspace, _echelon_add,
                               _reduce, as_fraction, first_escape, kernel_basis)
 from funcobs.markov import toeplitz
-from funcobs.system import IntegerPlant
 from funcobs.polymat import Poly, PolyMatrix
 from funcobs.witness import RationalFunction, RationalFunctionMatrix
 
@@ -137,8 +136,7 @@ class TestKernel:
 
     def test_toeplitz_kernel_against_row_reduction(self):
         sys = support.measured_input()
-        P = IntegerPlant(sys)
-        M = toeplitz(P.A, P.B, P.C, P.D, 2)
+        M = toeplitz(*map(IntegerMatrix.of, (sys.A, sys.B, sys.C, sys.D)), 2)
         K = kernel_basis(M)
         assert K.dim == M.cols - support.ref_rank_q(M.fractions())
         for col in K.rows:

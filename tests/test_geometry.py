@@ -1,18 +1,19 @@
 import ast
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from funcobs import geometry
+from funcobs import decide, geometry
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import IntegerMatrix, QMatrix, Subspace, kernel_basis
 from funcobs.fileio import load_system_text
-from funcobs.geometry import rank_and_zeros, strong_star_inclusion, unobservable, vstar
+from funcobs.geometry import rank_and_zeros, strong_star_inclusion, vstar
 from funcobs.markov import kernel_inclusion_upto
 from funcobs.polymat import Poly
-from funcobs.system import IntegerPlant, SystemSextuple
+from funcobs.system import SystemSextuple
 
 import support
 from support import vstar_fields as fields
@@ -22,29 +23,37 @@ def frac(x):
     return Fraction(x)
 
 
-def ints(*mats):
-    """The integer forms that ``vstar`` and its kin take."""
-    return [IntegerMatrix.of(M) for M in mats]
+def system_matrix(*grid):
+    """The integer system matrix that ``vstar`` and its kin take, stacked
+    from grid rows of ``QMatrix`` blocks: ``system_matrix([A, B], [C, D])``
+    is S = [A B; C D], and ``system_matrix([A], [C])`` is [A; C]."""
+    return IntegerMatrix.of(support.stack(grid))
+
+
+def inclusion(sys):
+    """``strong_star_inclusion`` on the plant's system matrix and [E F]."""
+    return strong_star_inclusion(system_matrix([sys.A, sys.B], [sys.C, sys.D]),
+                                 system_matrix([sys.E, sys.F]), sys.n)
 
 
 class TestReachableWithin:
     """The chain-reachable pairs that ``strong_star_inclusion`` reports."""
 
     def test_integrator_chain(self):
-        cert = strong_star_inclusion(IntegerPlant(support.integrator_chain()))
+        cert = inclusion(support.integrator_chain())
         assert cert.reachable == Subspace.span(3, [[0, 0, 1]])
 
     def test_no_input_gives_zero(self):
-        cert = strong_star_inclusion(IntegerPlant(support.stable_pair()))
+        cert = inclusion(support.stable_pair())
         assert cert.reachable.dim == 0
 
 
 def observed(A, C):
-    """``vstar`` with m = 0: the rows of the unobservable subspace's
-    annihilator, with their step count."""
-    A, C = ints(A, C)
-    v = unobservable(A, C)
-    assert v == vstar(A, IntegerMatrix.zeros(A.rows, 0), C, IntegerMatrix.zeros(C.rows, 0))
+    """``vstar`` of [A; C], with no input columns: the rows of the
+    unobservable subspace's annihilator, with their step count."""
+    v = vstar(system_matrix([A], [C]), A.rows)
+    assert fields(v) == support.ref_vstar_restacked(A, QMatrix.zeros(A.rows, 0), C,
+                                                    QMatrix.zeros(C.rows, 0))
     return v.rows, v.steps
 
 
@@ -72,16 +81,17 @@ class TestObservedRows:
         # (A, [C; E])'s rows grown from (A, C)'s equal those grown from nothing
         for _ in range(40):
             sys = support.random_system(rng)
-            A, C, CE = ints(sys.A, sys.C, support.stack([[sys.C], [sys.E]]))
-            seeded = unobservable(A, CE, unobservable(A, C).rows)
-            assert seeded.rows == unobservable(A, CE).rows
+            AC, ACE = system_matrix([sys.A], [sys.C]), system_matrix([sys.A], [sys.C], [sys.E])
+            seeded = vstar(ACE, sys.n, vstar(AC, sys.n).rows)
+            assert seeded.rows == vstar(ACE, sys.n).rows
         # a shift chain read in the middle: E adds the head, one step on
         # from the seed and two from nothing
-        A, C, CE = ints(QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
-                        QMatrix.from_rows([[0, 1, 0]]), QMatrix.from_rows([[0, 1, 0], [1, 0, 0]]))
-        seeded = unobservable(A, CE, unobservable(A, C).rows)
+        A = QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        AC = system_matrix([A], [QMatrix.from_rows([[0, 1, 0]])])
+        ACE = system_matrix([A], [QMatrix.from_rows([[0, 1, 0], [1, 0, 0]])])
+        seeded = vstar(ACE, 3, vstar(AC, 3).rows)
         assert (seeded.rows, seeded.steps) == (support.full_subspace(3), 1)
-        assert unobservable(A, CE).steps == 2
+        assert vstar(ACE, 3).steps == 2
 
     def test_dual_pair_decides_controllability(self, rng):
         for _ in range(40):
@@ -97,7 +107,7 @@ class TestVStar:
     # the input holds y = x_1 at zero by cancelling x_2: V* = span(e_2)
     @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[1], [0]], C=[[1, 0]], D=[[0]]))
     def test_matches_textbook_recursion(self, sys):
-        v = vstar(*ints(sys.A, sys.B, sys.C, sys.D))
+        v = vstar(system_matrix([sys.A, sys.B], [sys.C, sys.D]), sys.n)
         V = kernel_basis(IntegerMatrix.of(QMatrix(v.rows.dim, sys.n, v.rows.rows)))
         assert V == support.ref_vstar(sys)
         # the friend holds V* and its output at zero
@@ -119,19 +129,22 @@ class TestVStar:
     def test_matches_whole_stack_loop(self, sys):
         """The kept echelon gives what re-eliminating the whole stack at
         every step gives: rows, steps, friend and input rows, for plain
-        calls, for P_e's call seeded with P's rows, for the dual plant's
-        and for an m = 0 call seeded with (A, C)'s rows."""
-        calls = [(sys.A, sys.B, sys.C, sys.D),
-                 tuple(map(support.transpose, (sys.A, sys.C, sys.B, sys.D)))]
-        for args in calls:
-            assert fields(vstar(*ints(*args))) == support.ref_vstar_restacked(*args)
+        calls, for the dual plant's (whose system matrix is S^T), for P_e's
+        call seeded with P's rows and for an m = 0 call seeded with
+        (A, C)'s rows."""
+        n = sys.n
+        S = system_matrix([sys.A, sys.B], [sys.C, sys.D])
+        seed = vstar(S, n)
+        assert fields(seed) == support.ref_vstar_restacked(sys.A, sys.B, sys.C, sys.D)
+        dual = tuple(map(support.transpose, (sys.A, sys.C, sys.B, sys.D)))
+        assert fields(vstar(S.transpose(), n)) == support.ref_vstar_restacked(*dual)
         CE, DF = support.stack([[sys.C], [sys.E]]), support.stack([[sys.D], [sys.F]])
-        seed = vstar(*ints(sys.A, sys.B, sys.C, sys.D))
-        assert (fields(vstar(*ints(sys.A, sys.B, CE, DF), seed.rows))
+        Se = system_matrix([sys.A, sys.B], [sys.C, sys.D], [sys.E, sys.F])
+        assert (fields(vstar(Se, n, seed.rows))
                 == support.ref_vstar_restacked(sys.A, sys.B, CE, DF, seed.rows))
-        none = QMatrix.zeros(sys.n, 0)
-        seed = unobservable(*ints(sys.A, sys.C))
-        assert (fields(unobservable(*ints(sys.A, CE), seed.rows))
+        none = QMatrix.zeros(n, 0)
+        seed = vstar(system_matrix([sys.A], [sys.C]), n)
+        assert (fields(vstar(system_matrix([sys.A], [sys.C], [sys.E]), n, seed.rows))
                 == support.ref_vstar_restacked(sys.A, none, CE, QMatrix.zeros(CE.rows, 0),
                                                seed.rows))
 
@@ -139,27 +152,26 @@ class TestVStar:
     def test_matches_whole_stack_loop_on_ladder_plants(self, n):
         sys = support.reanchor_plant(n)
         CE, DF = support.stack([[sys.C], [sys.E]]), support.stack([[sys.D], [sys.F]])
-        plain = vstar(*ints(sys.A, sys.B, sys.C, sys.D))
+        plain = vstar(system_matrix([sys.A, sys.B], [sys.C, sys.D]), n)
         assert fields(plain) == support.ref_vstar_restacked(sys.A, sys.B, sys.C, sys.D)
-        assert (fields(vstar(*ints(sys.A, sys.B, CE, DF), plain.rows))
+        Se = system_matrix([sys.A, sys.B], [sys.C, sys.D], [sys.E, sys.F])
+        assert (fields(vstar(Se, n, plain.rows))
                 == support.ref_vstar_restacked(sys.A, sys.B, CE, DF, plain.rows))
 
     def test_seed_is_grown_from(self):
         # P_e's V* grown from P's rows equals the one grown from nothing
         sys = support.integrator_chain()
-        A, B, C, D, E, F = ints(sys.A, sys.B, sys.C, sys.D, sys.E, sys.F)
-        CE, DF = IntegerMatrix.vstack([C, E]), IntegerMatrix.vstack([D, F])
-        v = vstar(A, B, C, D)
-        seeded, fresh = vstar(A, B, CE, DF, v.rows), vstar(A, B, CE, DF)
+        Se = system_matrix([sys.A, sys.B], [sys.C, sys.D], [sys.E, sys.F])
+        v = vstar(system_matrix([sys.A, sys.B], [sys.C, sys.D]), sys.n)
+        seeded, fresh = vstar(Se, sys.n, v.rows), vstar(Se, sys.n)
         assert seeded.rows == fresh.rows
         assert support.vstar_input_rows(seeded) == support.vstar_input_rows(fresh)
         assert seeded.steps < fresh.steps
 
     def test_steps_at_index_one(self):
         # a benchmark tracer adds result[1] of every vstar call to its count
-        A, C = ints(QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
-                    QMatrix.from_rows([[1, 0, 0]]))
-        v = vstar(A, IntegerMatrix.zeros(3, 0), C, IntegerMatrix.zeros(1, 0))
+        v = vstar(system_matrix([QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])],
+                                [QMatrix.from_rows([[1, 0, 0]])]), 3)
         assert v[1] == v.steps == 3
 
 
@@ -183,15 +195,17 @@ class TestRankAndZeros:
 
     @staticmethod
     def _check(sys):
-        A, B, C, D = sys.A, sys.B, sys.C, sys.D
-        v = vstar(*ints(A, B, C, D))
-        CE, DF = support.stack([[C], [sys.E]]), support.stack([[D], [sys.F]])
-        At, Ct, Bt, Dt = map(support.transpose, (A, C, B, D))
-        calls = [(A, B, v), (A, B, vstar(*ints(A, B, CE, DF), v.rows)),
-                 (A, QMatrix.zeros(sys.n, 0), unobservable(*ints(A, C))),
-                 (At, Ct, vstar(*ints(At, Ct, Bt, Dt)))]
-        for a, b, w in calls:
-            assert rank_and_zeros(*ints(a, b), w) == support.ref_rank_and_zeros(a, b, w)
+        A, B, C, D, n = sys.A, sys.B, sys.C, sys.D, sys.n
+        S = system_matrix([A, B], [C, D])
+        Se = system_matrix([A, B], [C, D], [sys.E, sys.F])
+        v = vstar(S, n)
+        # the m = 0 call reads A alone, and the dual plant's matrix is S^T
+        calls = [(S, A, B, v), (Se, A, B, vstar(Se, n, v.rows)),
+                 (IntegerMatrix.of(A), A, QMatrix.zeros(n, 0), vstar(system_matrix([A], [C]), n)),
+                 (S.transpose(), support.transpose(A), support.transpose(C),
+                  vstar(S.transpose(), n))]
+        for M, a, b, w in calls:
+            assert rank_and_zeros(M, w) == support.ref_rank_and_zeros(a, b, w)
 
     @given(support.plants(4, 3))
     @example(_BRANCHES["n0"])
@@ -207,19 +221,19 @@ class TestRankAndZeros:
 
     def test_examples_reach_their_branches(self):
         for name, sys in _BRANCHES.items():
-            v = vstar(*ints(sys.A, sys.B, sys.C, sys.D))
+            v = vstar(system_matrix([sys.A, sys.B], [sys.C, sys.D]), sys.n)
             through_r_star = v.rows.dim < sys.n and support.vstar_input_rows(v).dim < sys.m
             assert through_r_star == name.startswith("r_star"), name
         sys = _BRANCHES["r_star_is_v_star"]
-        A, B, C, D = ints(sys.A, sys.B, sys.C, sys.D)
-        assert rank_and_zeros(A, B, vstar(A, B, C, D))[1] == Poly([1])
+        S = system_matrix([sys.A, sys.B], [sys.C, sys.D])
+        assert rank_and_zeros(S, vstar(S, sys.n))[1] == Poly([1])
 
     def test_r_star_zeros_go_through_vstar(self, monkeypatch):
         # R*'s annihilator is one more vstar call, the unobservable subspace
         # of (A_V^T, G^T), and no second loop
         sys = _BRANCHES["r_star"]
-        A, B, C, D = ints(sys.A, sys.B, sys.C, sys.D)
-        v = vstar(A, B, C, D)
+        S = system_matrix([sys.A, sys.B], [sys.C, sys.D])
+        v = vstar(S, sys.n)
         calls = []
 
         def spy(*args):
@@ -227,8 +241,36 @@ class TestRankAndZeros:
             return vstar(*args)
 
         monkeypatch.setattr(geometry, "vstar", spy)
-        assert rank_and_zeros(A, B, v) == support.ref_rank_and_zeros(sys.A, sys.B, v)
+        assert rank_and_zeros(S, v) == support.ref_rank_and_zeros(sys.A, sys.B, v)
         assert len(calls) == 1
+
+    def test_r_star_route_stacks_and_transposes_nothing(self, monkeypatch):
+        """R*'s matrix [A_V^T; G^T] is written straight from the image, and
+        the unobservable subspace is the V* of [A; C]: neither makes a
+        zero-width block, an hstack or a transpose."""
+        sys = _BRANCHES["r_star"]
+        forms = decide.PlantForms(sys)
+        v = forms.vstar
+        forms.A, forms.C  # the blocks are read before the count starts
+        made = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                made[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("zeros", "hstack"):
+            monkeypatch.setattr(IntegerMatrix, name,
+                                staticmethod(counted(name, getattr(IntegerMatrix, name))))
+        monkeypatch.setattr(IntegerMatrix, "transpose",
+                            counted("transpose", IntegerMatrix.transpose))
+        got = rank_and_zeros(forms.system_matrix, v)
+        modes = forms.unobservable_modes
+        assert made == {}
+        assert got == support.ref_rank_and_zeros(sys.A, sys.B, v)
+        assert modes == support.ref_rank_and_zeros(sys.A, QMatrix.zeros(sys.n, 0),
+                                                   forms.unobservable)[1]
 
 
 def test_vstar_is_the_only_loop():
@@ -251,15 +293,15 @@ class TestStrongStarInclusion:
         for _ in range(10):
             sys = support.random_system(rng)
             same = sys.with_target(sys.C, sys.D)
-            assert strong_star_inclusion(IntegerPlant(same)).holds
+            assert inclusion(same).holds
 
     def test_no_input_vacuous(self):
-        cert = strong_star_inclusion(IntegerPlant(support.stable_pair()))
+        cert = inclusion(support.stable_pair())
         assert cert.holds
         assert cert.reachable.dim == 0
 
     def test_integrator_chain_fails_with_witness(self):
-        cert = strong_star_inclusion(IntegerPlant(support.integrator_chain()))
+        cert = inclusion(support.integrator_chain())
         assert not cert.holds
         assert cert.violation is not None
         sys = support.integrator_chain()
@@ -279,13 +321,13 @@ class TestStrongStarInclusion:
     @example(SystemSextuple.from_lists(A=[[0]], B=[[1]], C=[[1]], D=[[0]]))
     def test_reachable_matches_extended_system(self, sys):
         # rows bit for bit, and T*'s step count
-        cert = strong_star_inclusion(IntegerPlant(sys))
+        cert = inclusion(sys)
         assert (cert.reachable, cert.reachable_steps) == support.ref_reachable(sys)
 
     def test_agrees_with_toeplitz_oracle(self, rng):
         for _ in range(80):
             sys = support.random_system(rng)
-            geo = strong_star_inclusion(IntegerPlant(sys)).holds
+            geo = inclusion(sys).holds
             toep = kernel_inclusion_upto(sys, sys.n + sys.m).holds
             assert geo == toep
 
@@ -334,7 +376,7 @@ class TestCertificateRecheck:
     reachable subspace and test it against [E F], with no Subspace call."""
 
     def _recheck(self, sys):
-        cert = strong_star_inclusion(IntegerPlant(sys))
+        cert = inclusion(sys)
         rows, steps = _oracle_reachable(sys)
         assert cert.reachable.rows == rows
         assert cert.reachable_steps == steps

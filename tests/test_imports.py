@@ -1,6 +1,7 @@
 """Every name a module of the package or of the tests imports is used by
 that module, and every function the package defines is used somewhere; so
-is every helper of the tests' ``support`` module.
+is every helper of the tests' ``support`` module.  ``LAYERS`` bounds what
+some modules of the package import from the others.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must appear as a name in the code or in a string
@@ -92,6 +93,49 @@ def f(x: "Sequence[int]") -> None:
     return os.path.join(gcd(1, 2))
 '''
     assert unused_imports(source) == ["least (line 4)"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The package's modules that a module imports: the name after
+    ``funcobs`` in each dotted name it imports, a relative import read as
+    one from ``funcobs``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["funcobs" if node.level else None, node.module]))
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(parts[1] for parts in (name.split(".") for name in names)
+                     if parts[0] == "funcobs" and len(parts) > 1)
+    return found
+
+
+# The package's modules that each of these may import: geometry works on
+# matrices only, and markov, the cross-oracle of geometry's inclusion test,
+# does not import the module it checks.
+LAYERS = {"geometry": {"exactlin", "polymat"}, "markov": {"exactlin", "system"}}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_import_layers(module):
+    source = (Path(funcobs.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= LAYERS[module]
+
+
+def test_reader_finds_package_imports():
+    source = '''
+from __future__ import annotations
+import json
+import funcobs.sim
+from . import decide
+from .exactlin import QMatrix
+from funcobs.polymat import Poly
+from funcobs import system as plant
+'''
+    assert package_imports(source) == {"sim", "decide", "exactlin", "polymat", "system"}
 
 
 # Functions and methods that nothing outside the tests names, each with the

@@ -3,7 +3,7 @@ from hypothesis import example, given
 
 from funcobs.exactlin import IntegerMatrix, QMatrix, kernel_basis
 from funcobs.markov import kernel_inclusion_upto, toeplitz
-from funcobs.system import IntegerPlant, SystemSextuple
+from funcobs.system import SystemSextuple
 
 import support
 
@@ -11,9 +11,9 @@ import support
 def chain(sys, k, target=False):
     """The order-k Toeplitz matrix of (C, D), or of (E, F) with ``target``,
     built on the plant's integer blocks and read back as Fractions."""
-    P = IntegerPlant(sys)
-    C, D = (P.E, P.F) if target else (P.C, P.D)
-    return toeplitz(P.A, P.B, C, D, k).fractions()
+    out = (sys.E, sys.F) if target else (sys.C, sys.D)
+    A, B, C, D = map(IntegerMatrix.of, (sys.A, sys.B, *out))
+    return toeplitz(A, B, C, D, k).fractions()
 
 
 class TestToeplitz:

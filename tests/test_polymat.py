@@ -10,7 +10,7 @@ from funcobs import decide, geometry, polymat
 from funcobs.exactlin import IntegerMatrix, QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub, berkowitz,
                              build_system_matrices, poly_gcd, poly_lcm, smith_form)
-from funcobs.system import IntegerPlant, SystemSextuple
+from funcobs.system import SystemSextuple
 
 import support
 
@@ -578,12 +578,13 @@ class TestStackedInvariants:
                 self._check(plant)
 
     def test_shape_mismatch(self):
-        # a V* read against a plant with another state dimension
-        chain = IntegerPlant(support.integrator_chain())
-        gap = IntegerPlant(support.feedthrough_gap())
-        v = geometry.vstar(gap.A, gap.B, gap.C, gap.D)
+        # a V* read against the state matrix of a plant with another state
+        # dimension, so S's width is not V*'s n + m
+        chain = decide.PlantForms(support.integrator_chain())
+        gap = decide.PlantForms(support.feedthrough_gap())
+        v = geometry.vstar(gap.system_matrix, gap.sys.n)
         with pytest.raises(ValueError):
-            geometry.rank_and_zeros(chain.A, chain.B, v)
+            geometry.rank_and_zeros(chain.A, v)
 
 
 _square = st.integers(0, 6).flatmap(lambda n: st.lists(
