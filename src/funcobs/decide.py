@@ -177,28 +177,33 @@ class PlantForms:
         return IntegerMatrix.vstack([hstack([self.A, self.B]), hstack([self.C, self.D])])
 
     @cached_property
+    def EF(self) -> IntegerMatrix:
+        """[E F], the target rows: P_e's last rows and the strong-star test's."""
+        return IntegerMatrix.hstack([self.E, self.F])
+
+    @cached_property
     def vstar(self) -> geometry.VStar:
         return geometry.vstar(self.system_matrix, self.sys.n)
 
     @cached_property
     def rank_and_zero(self) -> tuple[int, Poly]:
         """Normal rank and zero polynomial of P."""
-        return geometry.rank_and_zeros(self.system_matrix, self.vstar)
+        return geometry.rank_and_zeros(self.system_matrix, self.sys.n, self.vstar)
 
     @cached_property
     def detectability(self) -> DetectabilityCertificate:
         rp, zp = self.rank_and_zero
         # P_e's V* lies in P's: grow it from P's rows
-        Se = IntegerMatrix.vstack([self.system_matrix, IntegerMatrix.hstack([self.E, self.F])])
-        rpe, zpe = geometry.rank_and_zeros(Se, geometry.vstar(Se, self.sys.n, self.vstar.rows))
+        n = self.sys.n
+        Se = IntegerMatrix.vstack([self.system_matrix, self.EF])
+        rpe, zpe = geometry.rank_and_zeros(Se, n, geometry.vstar(Se, n, self.vstar.rows))
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
 
     @cached_property
     def inclusion(self) -> geometry.InclusionCertificate:
         """The strong-star certificate: chain-reachable pairs in Ker [E F]."""
-        return geometry.strong_star_inclusion(self.system_matrix,
-                                              IntegerMatrix.hstack([self.E, self.F]), self.sys.n)
+        return geometry.strong_star_inclusion(self.system_matrix, self.EF, self.sys.n)
 
     @cached_property
     def unobservable(self) -> geometry.VStar:
@@ -208,7 +213,7 @@ class PlantForms:
     @cached_property
     def unobservable_modes(self) -> Poly:
         """The zero polynomial of [sI - A; C]: the unobservable modes."""
-        return geometry.rank_and_zeros(self.A, self.unobservable)[1]
+        return geometry.rank_and_zeros(self.A, self.sys.n, self.unobservable)[1]
 
     @cached_property
     def functional(self) -> DetectabilityCertificate:
@@ -222,7 +227,7 @@ class PlantForms:
             # it from (A, C)'s rows
             ce = geometry.vstar(IntegerMatrix.vstack([self.A, self.C, self.E]), sys.n,
                                 self.unobservable.rows)
-            zpe = geometry.rank_and_zeros(self.A, ce)[1]
+            zpe = geometry.rank_and_zeros(self.A, sys.n, ce)[1]
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(sys.n, sys.n, zp, zpe, cmp_, True, cmp_.equal)
 
@@ -346,7 +351,7 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     S = vstack([hstack([A, B, zeros(n, m), IntegerMatrix.identity(n)]),
                 hstack([zeros(q, n + 2 * m), E]), hstack([C, D, zeros(p, m + n)]),
                 hstack([CA, CB, D, zeros(p, n)])])
-    rl, zl = geometry.rank_and_zeros(S, geometry.vstar(S, n))
+    rl, zl = geometry.rank_and_zeros(S, n, geometry.vstar(S, n))
     rl -= n
     rr = n + 2 * m - ker.dim
     cmp_ = antistable_parts_equal(zl, POLY_ONE)

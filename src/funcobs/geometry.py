@@ -127,9 +127,10 @@ def _invariant(Y: list[list[int]], image: list[list[int]]) -> None:
         raise AssertionError("subspace not invariant")
 
 
-def rank_and_zeros(S: IntegerMatrix, v: VStar) -> tuple[int, Poly]:
+def rank_and_zeros(S: IntegerMatrix, n: int, v: VStar) -> tuple[int, Poly]:
     """Normal rank and zero polynomial of [sI - A, -B; C, D] from its V*.
 
+    S has n states, and ``v`` must have n states and S.cols - n inputs.
     A and B are S's first n rows, over its one denominator, and no later
     row is read: with m = 0, S may be A alone, and the zeros are A's modes
     on ``v``.  Y*, the friend F and the rows of [Y*B; D] are read straight
@@ -141,8 +142,8 @@ def rank_and_zeros(S: IntegerMatrix, v: VStar) -> tuple[int, Poly]:
     unobservable subspace of (A_V^T, G^T), and A_V^T has A_V's
     characteristic polynomial on V*/R*.  Every step runs on integers, and
     the scale goes to ``berkowitz``."""
-    n, m = v.n, v.m
-    if S.cols != n + m or S.rows < n:
+    m = S.cols - n
+    if (v.n, v.m) != (n, m) or S.rows < n:
         raise ValueError("V* of a plant of another shape")
     held = [(r, p) for p, r in sorted(v.echelon.items()) if p < m]
     y = v.rows.ints
@@ -174,10 +175,10 @@ def rank_and_zeros(S: IntegerMatrix, v: VStar) -> tuple[int, Poly]:
     BK = [[sum(map(mul, row[n:], col)) for row in top] for col in K]
     _invariant(y, BK)
     # [A_V^T; G^T] over the scale s L: a positive factor of G's rows
-    # leaves the unobservable subspace as it is
+    # leaves the unobservable subspace as it is; R has no input column
     R = IntegerMatrix(len(Mt) + len(BK), len(free),
                       Mt + [[col[f] for f in free] for col in BK], s * L)
-    return n + len(held), rank_and_zeros(R, vstar(R, len(free)))[1]
+    return n + len(held), rank_and_zeros(R, R.cols, vstar(R, R.cols))[1]
 
 
 @dataclass(frozen=True)
@@ -199,13 +200,12 @@ def strong_star_inclusion(S: IntegerMatrix, EF: IntegerMatrix, n: int) -> Inclus
     the target rows can see.  S = [A B; C D] has n states: S^T is the dual
     plant's system matrix, and S's rows after the n-th are [C D].
     """
-    m = S.cols - n
     dual = vstar(S.transpose(), n)
     # T* + 0 pivots in the state columns and 0 + Q^m, unit rows, in the
     # input columns: together they are canonical rows already
-    tail = (0,) * m
-    pairs = Subspace(n + m, [t + tail for t in dual.rows.ints]
-                     + IntegerMatrix.identity(n + m).data[n:])
+    tail = (0,) * (S.cols - n)
+    pairs = Subspace(S.cols, [t + tail for t in dual.rows.ints]
+                     + IntegerMatrix.identity(S.cols).data[n:])
     reach = pairs.intersect(kernel_basis(IntegerMatrix(S.rows - n, S.cols, S.data[n:], S.den)))
     violation = first_escape(reach, EF)
     return InclusionCertificate(holds=violation is None, reachable=reach,

@@ -537,7 +537,7 @@ class TestWorkCount:
 
         monkeypatch.setattr(exactlin, "kernel_basis", counted)
         monkeypatch.setattr(geometry, "kernel_basis", counted)
-        assert geometry.rank_and_zeros(S, v) == (want.normrank_p, want.zero_poly_p)
+        assert geometry.rank_and_zeros(S, sys.n, v) == (want.normrank_p, want.zero_poly_p)
         assert count == {}
 
     def test_rank_and_zeros_multiplies_no_fraction_matrices(self, built):
@@ -549,7 +549,7 @@ class TestWorkCount:
         v = geometry.vstar(S, sys.n)
         assert support.vstar_input_rows(v).dim < sys.m
         built.clear()
-        got = geometry.rank_and_zeros(S, v)
+        got = geometry.rank_and_zeros(S, sys.n, v)
         assert QMatrix not in built
         assert got == support.ref_rank_and_zeros(sys.A, sys.B, v)
 
@@ -750,7 +750,7 @@ class TestWorkCount:
         forms = decide.PlantForms(plant)
         v = forms.vstar
         reads.clear()
-        assert forms.rank_and_zero == geometry.rank_and_zeros(forms.system_matrix, v)
+        assert forms.rank_and_zero == geometry.rank_and_zeros(forms.system_matrix, plant.n, v)
         assert reads == []
 
     def test_decision_consistency_shares_p(self, calls, plant):

@@ -205,7 +205,7 @@ class TestRankAndZeros:
                  (S.transpose(), support.transpose(A), support.transpose(C),
                   vstar(S.transpose(), n))]
         for M, a, b, w in calls:
-            assert rank_and_zeros(M, w) == support.ref_rank_and_zeros(a, b, w)
+            assert rank_and_zeros(M, n, w) == support.ref_rank_and_zeros(a, b, w)
 
     @given(support.plants(4, 3))
     @example(_BRANCHES["n0"])
@@ -226,7 +226,7 @@ class TestRankAndZeros:
             assert through_r_star == name.startswith("r_star"), name
         sys = _BRANCHES["r_star_is_v_star"]
         S = system_matrix([sys.A, sys.B], [sys.C, sys.D])
-        assert rank_and_zeros(S, vstar(S, sys.n))[1] == Poly([1])
+        assert rank_and_zeros(S, sys.n, vstar(S, sys.n))[1] == Poly([1])
 
     def test_r_star_zeros_go_through_vstar(self, monkeypatch):
         # R*'s annihilator is one more vstar call, the unobservable subspace
@@ -241,7 +241,7 @@ class TestRankAndZeros:
             return vstar(*args)
 
         monkeypatch.setattr(geometry, "vstar", spy)
-        assert rank_and_zeros(S, v) == support.ref_rank_and_zeros(sys.A, sys.B, v)
+        assert rank_and_zeros(S, sys.n, v) == support.ref_rank_and_zeros(sys.A, sys.B, v)
         assert len(calls) == 1
 
     def test_r_star_route_stacks_and_transposes_nothing(self, monkeypatch):
@@ -265,7 +265,7 @@ class TestRankAndZeros:
                                 staticmethod(counted(name, getattr(IntegerMatrix, name))))
         monkeypatch.setattr(IntegerMatrix, "transpose",
                             counted("transpose", IntegerMatrix.transpose))
-        got = rank_and_zeros(forms.system_matrix, v)
+        got = rank_and_zeros(forms.system_matrix, sys.n, v)
         modes = forms.unobservable_modes
         assert made == {}
         assert got == support.ref_rank_and_zeros(sys.A, sys.B, v)

@@ -578,13 +578,12 @@ class TestStackedInvariants:
                 self._check(plant)
 
     def test_shape_mismatch(self):
-        # a V* read against the state matrix of a plant with another state
-        # dimension, so S's width is not V*'s n + m
+        # a V* read against a plant with another state dimension
         chain = decide.PlantForms(support.integrator_chain())
         gap = decide.PlantForms(support.feedthrough_gap())
         v = geometry.vstar(gap.system_matrix, gap.sys.n)
         with pytest.raises(ValueError):
-            geometry.rank_and_zeros(chain.A, v)
+            geometry.rank_and_zeros(chain.system_matrix, chain.sys.n, v)
 
 
 _square = st.integers(0, 6).flatmap(lambda n: st.lists(
