@@ -20,7 +20,9 @@ cross-validate against the general decision procedures.
 No decision builds a polynomial matrix: the normal ranks and zeros of P,
 P_e, the input-free pencils [sI - A; C] and [sI - A; C; E] and Darouach's
 pencil are read off the weakly unobservable subspaces (``geometry.vstar``)
-of their system matrices, stacked from the plant's integer blocks.
+of their system matrices.  The plant is read into integers once, into
+P_e's system matrix S_e = [A B; C D; E F] (``PlantForms``), and every
+matrix a decision hands on is a slice of S_e or written from its rows.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul
 
 from . import geometry
-from .exactlin import IntegerMatrix, QMatrix, Subspace, first_escape, kernel_basis
+from .exactlin import IntegerMatrix, QMatrix, Subspace, _scaled, first_escape, kernel_basis
 from .polymat import POLY_ONE, Poly, poly_gcd
 from .stability import AntistableComparison, HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
@@ -151,35 +154,72 @@ def _kernel_inclusion(lhs: IntegerMatrix, rhs: IntegerMatrix,
 class PlantForms:
     """What the decisions read off one plant, each computed on first use
     and kept by this object alone: a call with a bare plant does all of
-    its own work.  The blocks A, ..., F are read into ``IntegerMatrix``
-    forms once, on first use, and every V* call takes a system matrix
-    stacked from them; P's and P_e's calls share ``system_matrix``."""
+    its own work.  The plant is read into integers once, on first use,
+    into S_e = [A B; C D; E F] (``system_matrix_e``), and every matrix a
+    decision hands on is a slice of S_e or written from its rows; P's and
+    P_e's V* calls share its rows."""
 
     def __init__(self, sys: SystemSextuple):
         self.sys = sys
-
-    def __getattr__(self, name: str) -> IntegerMatrix:
-        # called only for a block that is not read yet
-        if name not in ("A", "B", "C", "D", "E", "F"):
-            raise AttributeError(name)
-        block = IntegerMatrix.of(getattr(self.sys, name))
-        setattr(self, name, block)
-        return block
 
     @staticmethod
     def of(plant: SystemSextuple | PlantForms) -> PlantForms:
         return plant if isinstance(plant, PlantForms) else PlantForms(plant)
 
     @cached_property
+    def system_matrix_e(self) -> IntegerMatrix:
+        """S_e = [A B; C D; E F], P_e's constant system matrix, states
+        first, over the lcm of every entry's denominator."""
+        s = self.sys
+        rows = (*map(add, s.A.data, s.B.data), *map(add, s.C.data, s.D.data),
+                *map(add, s.E.data, s.F.data))
+        return IntegerMatrix.of(QMatrix(len(rows), s.n + s.m, rows))
+
+    @cached_property
     def system_matrix(self) -> IntegerMatrix:
-        """S = [A B; C D], P's constant system matrix, states first."""
-        hstack = IntegerMatrix.hstack
-        return IntegerMatrix.vstack([hstack([self.A, self.B]), hstack([self.C, self.D])])
+        """S = [A B; C D], P's constant system matrix: S_e's first n + p rows."""
+        Se, k = self.system_matrix_e, self.sys.n + self.sys.p
+        return IntegerMatrix(k, Se.cols, Se.data[:k], Se.den)
 
     @cached_property
     def EF(self) -> IntegerMatrix:
-        """[E F], the target rows: P_e's last rows and the strong-star test's."""
-        return IntegerMatrix.hstack([self.E, self.F])
+        """[E F], the target rows: S_e's last q rows."""
+        Se, k = self.system_matrix_e, self.sys.n + self.sys.p
+        return IntegerMatrix(Se.rows - k, Se.cols, Se.data[k:], Se.den)
+
+    @cached_property
+    def ACE(self) -> IntegerMatrix:
+        """[A; C; E], S_e's state columns."""
+        Se, n = self.system_matrix_e, self.sys.n
+        return IntegerMatrix(Se.rows, n, [r[:n] for r in Se.data], Se.den)
+
+    @cached_property
+    def AC(self) -> IntegerMatrix:
+        """[A; C], the input-free plant's system matrix: [A; C; E]'s first
+        n + p rows."""
+        ACE, k = self.ACE, self.sys.n + self.sys.p
+        return IntegerMatrix(k, ACE.cols, ACE.data[:k], ACE.den)
+
+    @cached_property
+    def CAB(self) -> list[list[int]]:
+        """The rows of [CA CB] over S_e's denominator squared."""
+        n = self.sys.n
+        return self.times_ab(self.system_matrix.data[n:])
+
+    @cached_property
+    def ab_columns(self) -> list[tuple[int, ...]]:
+        """The columns of [A B], S_e's first n rows: the rows of [A B]^T,
+        the dual plant's system matrix.  With n = 0 they are m empty
+        columns."""
+        n = self.sys.n
+        return [*zip(*self.system_matrix_e.data[:n])] if n else [()] * self.sys.m
+
+    def times_ab(self, rows: list[list[int]]) -> list[list[int]]:
+        """X [A B] over S_e's denominator squared, for the rows of S_e
+        whose state columns are X's rows: a column of [A B] has n entries,
+        so each product reads a row's states only."""
+        cols = self.ab_columns
+        return [[sum(map(mul, r, col)) for col in cols] for r in rows]
 
     @cached_property
     def vstar(self) -> geometry.VStar:
@@ -194,8 +234,7 @@ class PlantForms:
     def detectability(self) -> DetectabilityCertificate:
         rp, zp = self.rank_and_zero
         # P_e's V* lies in P's: grow it from P's rows
-        n = self.sys.n
-        Se = IntegerMatrix.vstack([self.system_matrix, self.EF])
+        n, Se = self.sys.n, self.system_matrix_e
         rpe, zpe = geometry.rank_and_zeros(Se, n, geometry.vstar(Se, n, self.vstar.rows))
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
@@ -208,12 +247,12 @@ class PlantForms:
     @cached_property
     def unobservable(self) -> geometry.VStar:
         """The unobservable subspace of (A, C), the V* of [A; C]."""
-        return geometry.vstar(IntegerMatrix.vstack([self.A, self.C]), self.sys.n)
+        return geometry.vstar(self.AC, self.sys.n)
 
     @cached_property
     def unobservable_modes(self) -> Poly:
         """The zero polynomial of [sI - A; C]: the unobservable modes."""
-        return geometry.rank_and_zeros(self.A, self.sys.n, self.unobservable)[1]
+        return geometry.rank_and_zeros(self.AC, self.sys.n, self.unobservable)[1]
 
     @cached_property
     def functional(self) -> DetectabilityCertificate:
@@ -225,9 +264,8 @@ class PlantForms:
         if zp.degree > 0 and sys.q:
             # (A, [C; E])'s unobservable subspace lies in (A, C)'s: grow
             # it from (A, C)'s rows
-            ce = geometry.vstar(IntegerMatrix.vstack([self.A, self.C, self.E]), sys.n,
-                                self.unobservable.rows)
-            zpe = geometry.rank_and_zeros(self.A, sys.n, ce)[1]
+            ce = geometry.vstar(self.ACE, sys.n, self.unobservable.rows)
+            zpe = geometry.rank_and_zeros(self.AC, sys.n, ce)[1]
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(sys.n, sys.n, zp, zpe, cmp_, True, cmp_.equal)
 
@@ -259,29 +297,46 @@ def strong_star_functional_detectable(sys: SystemSextuple | PlantForms) -> Verdi
     return Verdict(STRONG_STAR, holds, StrongStarCertificate(strong, inclusion))
 
 
+def _input_columns(S: IntegerMatrix, n: int, first: int = 0) -> IntegerMatrix:
+    """The input columns of S's rows from ``first`` on: [B; D] from row
+    0, D from row n."""
+    rows = [r[n:] for r in S.data[first:]]
+    return IntegerMatrix(len(rows), S.cols - n, rows, S.den)
+
+
 def hautus_strong_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """State-reconstruction test (target z = x): normrank P = n + rank [-B; D]
     and all invariant zeros of P strictly stable.  Negating B keeps the
-    rank, so the rank is taken of [B; D], on the plant's integer rows."""
+    rank, so the rank is taken of [B; D], S's input columns."""
     forms = PlantForms.of(sys)
     rp, zp = forms.rank_and_zero
-    target = forms.sys.n + IntegerMatrix.vstack([forms.B, forms.D]).rank()
+    n = forms.sys.n
+    target = n + _input_columns(forms.system_matrix, n).rank()
     rep = is_hurwitz(zp)
     cert = HautusCertificate(rp, target, rp == target, zp, rep, rep.is_hurwitz)
     return Verdict(HAUTUS_STRONG, cert.rank_condition and cert.zero_condition, cert)
 
 
+def _hautus_star_stacks(forms: PlantForms) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """[D 0; CB D] and [0 0; B 0], written from S's rows and [CA CB]'s
+    over S's denominator squared."""
+    S, n, m = forms.system_matrix, forms.sys.n, forms.sys.m
+    d = S.den
+    B = _scaled([r[n:] for r in S.data[:n]], d)
+    D = _scaled([r[n:] for r in S.data[n:]], d)
+    zero = [0] * m
+    lhs = [r + zero for r in D] + [cab[n:] + r for cab, r in zip(forms.CAB, D)]
+    rhs = [[0] * (2 * m) for _ in B] + [r + zero for r in B]
+    return IntegerMatrix(len(lhs), 2 * m, lhs, d * d), IntegerMatrix(2 * n, 2 * m, rhs, d * d)
+
+
 def hautus_strong_star_detectable(sys: SystemSextuple | PlantForms) -> Verdict:
     """State reconstruction from a fading measurement: the strong test plus
     Ker [D 0; CB D] inside Ker [0 0; B 0], the first-order Toeplitz
-    matrices of (C, D) and (I, 0), on the plant's integer blocks."""
+    matrices of (C, D) and (I, 0), written from S's rows."""
     forms = PlantForms.of(sys)
-    n, m, p = forms.sys.n, forms.sys.m, forms.sys.p
     strong = hautus_strong_detectable(forms)
-    B, C, D = forms.B, forms.C, forms.D
-    hstack, vstack, zeros = IntegerMatrix.hstack, IntegerMatrix.vstack, IntegerMatrix.zeros
-    lhs = vstack([hstack([D, zeros(p, m)]), hstack([C @ B, D])])
-    rhs = vstack([zeros(n, 2 * m), hstack([B, zeros(n, m)])])
+    lhs, rhs = _hautus_star_stacks(forms)
     kernel = _kernel_inclusion(lhs, rhs, kernel_basis(lhs))
     cert = HautusStarCertificate(strong.certificate, kernel)
     return Verdict(HAUTUS_STRONG_STAR, strong.holds and kernel.holds, cert)
@@ -307,15 +362,38 @@ def asympt_strong_left_invertible(sys: SystemSextuple | PlantForms) -> Verdict:
 
 
 def asympt_strong_star_left_invertible(sys: SystemSextuple | PlantForms) -> Verdict:
-    """Input reconstruction from a fading measurement: adds rank D = m, on
-    the plant's integer rows."""
+    """Input reconstruction from a fading measurement: adds rank D = m, D
+    the input columns of S's rows below the n-th."""
     forms = PlantForms.of(sys)
-    m = forms.sys.m
+    n, m = forms.sys.n, forms.sys.m
     strong = _left_invertibility_certificate(forms)
-    rank_d = forms.D.rank()
+    rank_d = _input_columns(forms.system_matrix, n, n).rank()
     cert = LeftInvertibilityStarCertificate(strong, rank_d, m, rank_d == m)
     holds = strong.rank_condition and strong.zero_condition and cert.feedthrough_condition
     return Verdict(LEFT_INVERTIBLE_STAR, holds, cert)
+
+
+def _darouach_matrices(forms: PlantForms) -> tuple[IntegerMatrix, ...]:
+    """Darouach's constant stack [E F 0; C D 0; CA CB D], its target rows
+    [EA EB F] and its pencil's plant S = [A, B 0 I; 0, 0 0 E; C, D 0 0;
+    CA, CB D 0], written from S_e's rows and the products with [A B] over
+    S_e's denominator squared (I has that square on its diagonal), and
+    [A B]^T, the dual plant's system matrix, over S_e's denominator."""
+    n, m = forms.sys.n, forms.sys.m
+    Se = forms.system_matrix_e
+    d, k = Se.den, n + forms.sys.p
+    AB, CD, EF = (_scaled(rows, d) for rows in (Se.data[:n], Se.data[n:k], Se.data[k:]))
+    zero_m, zero_n = [0] * m, [0] * n
+    CABD = [cab + r[n:] for cab, r in zip(forms.CAB, CD)]
+    lhs = [r + zero_m for r in EF] + [r + zero_m for r in CD] + CABD
+    rhs = [eab + r[n:] for eab, r in zip(forms.times_ab(Se.data[k:]), EF)]
+    dd, width = d * d, n + 2 * m
+    S = ([r + zero_m + [dd if j == i else 0 for j in range(n)] for i, r in enumerate(AB)]
+         + [[0] * width + r[:n] for r in EF] + [r + zero_m + zero_n for r in CD]
+         + [r + zero_n for r in CABD])
+    return (IntegerMatrix(len(lhs), width, lhs, dd), IntegerMatrix(len(rhs), width, rhs, dd),
+            IntegerMatrix(len(S), width + n, S, dd),
+            IntegerMatrix(n + m, n, forms.ab_columns, d))
 
 
 def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
@@ -326,31 +404,20 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     latter universally quantified statement is decided exactly through
     normal ranks and antistable zero multisets, never by sampling.  A note
     records uncontrollability, since the fixed-order theory assumes a
-    controllable plant.  Its pencil is not P, so it reads only the
-    plant's integer blocks from the forms.
+    controllable plant.  Its pencil is not P, so its matrices are written
+    from S_e's rows.
     """
     forms = PlantForms.of(sys)
-    sys = forms.sys
-    n, m, p, q = sys.n, sys.m, sys.p, sys.q
-    A, B, C, D, E, F = forms.A, forms.B, forms.C, forms.D, forms.E, forms.F
-    CA, CB = C @ A, C @ B
-    hstack, vstack, zeros = IntegerMatrix.hstack, IntegerMatrix.vstack, IntegerMatrix.zeros
-    # the constant stack [E F 0; C D 0; CA CB D] and [EA EB F]
-    lhs = vstack([hstack([E, F, zeros(q, m)]), hstack([C, D, zeros(p, m)]),
-                  hstack([CA, CB, D])])
-    rhs = hstack([E @ A, E @ B, F])
+    n, m = forms.sys.n, forms.sys.m
+    lhs, rhs, S, dual = _darouach_matrices(forms)
     ker = kernel_basis(lhs)
     kernel = _kernel_inclusion(lhs, rhs, ker)
 
     # rank of [E(sI-A), -EB, 0; C, D, 0; CA, CB, D] versus the constant
     # stack, for every s with Re s >= 0; the stack has rank
     # n + 2m - dim Ker lhs everywhere and no finite zeros.  With the input
-    # v = (sI - A)x - Bu_1, the pencil is the system matrix of the plant
-    # S = [A, B 0 I; 0, 0 0 E; C, D 0 0; CA, CB D 0] with n unit
-    # invariants removed
-    S = vstack([hstack([A, B, zeros(n, m), IntegerMatrix.identity(n)]),
-                hstack([zeros(q, n + 2 * m), E]), hstack([C, D, zeros(p, m + n)]),
-                hstack([CA, CB, D, zeros(p, n)])])
+    # v = (sI - A)x - Bu_1, the pencil is the system matrix of the plant S
+    # with n unit invariants removed
     rl, zl = geometry.rank_and_zeros(S, n, geometry.vstar(S, n))
     rl -= n
     rr = n + 2 * m - ker.dim
@@ -358,7 +425,7 @@ def darouach_fixed_order(sys: SystemSextuple | PlantForms) -> Verdict:
     rank_eq = RankEqualityCertificate(rl, rr, zl, POLY_ONE, cmp_, rl == rr and cmp_.equal)
 
     # controllable: the dual pair (A^T, B^T) is observable
-    controllable = geometry.vstar(hstack([A, B]).transpose(), n).rows.dim == n
+    controllable = geometry.vstar(dual, n).rows.dim == n
     note = None if controllable else (
         "plant is not controllable; the fixed-order existence theory assumes "
         "controllability, so this verdict extrapolates outside its hypotheses")

@@ -327,7 +327,7 @@ class IntegerMatrix:
 
     @staticmethod
     def of(M: QMatrix) -> IntegerMatrix:
-        den = lcm(*(x.denominator for row in M.data for x in row))
+        den = lcm(*{x.denominator for row in M.data for x in row})
         if den == 1:
             return IntegerMatrix(M.rows, M.cols, [[x.numerator for x in row] for row in M.data], 1)
         return IntegerMatrix(M.rows, M.cols, [[x.numerator * (den // x.denominator) for x in row]
@@ -336,10 +336,6 @@ class IntegerMatrix:
     @staticmethod
     def zeros(rows: int, cols: int) -> IntegerMatrix:
         return IntegerMatrix(rows, cols, [[0] * cols for _ in range(rows)], 1)
-
-    @staticmethod
-    def identity(n: int) -> IntegerMatrix:
-        return IntegerMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def hstack(mats: Sequence[IntegerMatrix]) -> IntegerMatrix:

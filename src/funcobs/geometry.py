@@ -203,9 +203,10 @@ def strong_star_inclusion(S: IntegerMatrix, EF: IntegerMatrix, n: int) -> Inclus
     dual = vstar(S.transpose(), n)
     # T* + 0 pivots in the state columns and 0 + Q^m, unit rows, in the
     # input columns: together they are canonical rows already
-    tail = (0,) * (S.cols - n)
-    pairs = Subspace(S.cols, [t + tail for t in dual.rows.ints]
-                     + IntegerMatrix.identity(S.cols).data[n:])
+    d = S.cols
+    tail = (0,) * (d - n)
+    pairs = Subspace(d, [t + tail for t in dual.rows.ints]
+                     + [[int(j == i) for j in range(d)] for i in range(n, d)])
     reach = pairs.intersect(kernel_basis(IntegerMatrix(S.rows - n, S.cols, S.data[n:], S.den)))
     violation = first_escape(reach, EF)
     return InclusionCertificate(holds=violation is None, reachable=reach,

@@ -381,6 +381,45 @@ def ref_darouach_pencil(sys: SystemSextuple) -> PolyMatrix:
                              [ref_neg(ca), ref_neg(cb), ref_neg(sys.D)]]))
 
 
+def ref_plant_forms(sys: SystemSextuple) -> dict[str, QMatrix]:
+    """The matrices that ``decide.PlantForms`` keeps, stacked from the
+    plant's blocks: P's and P_e's system matrices, [E F], [A; C] and
+    [A; C; E]."""
+    A, B, C, D, E, F = sys.A, sys.B, sys.C, sys.D, sys.E, sys.F
+    return {"system_matrix": stack([[A, B], [C, D]]),
+            "system_matrix_e": stack([[A, B], [C, D], [E, F]]),
+            "EF": stack([[E, F]]), "AC": stack([[A], [C]]), "ACE": stack([[A], [C], [E]])}
+
+
+def ref_input_columns(sys: SystemSextuple) -> tuple[QMatrix, QMatrix]:
+    """[B; D], whose rank the Hautus test reads, and D."""
+    return stack([[sys.B], [sys.D]]), sys.D
+
+
+def ref_hautus_star_stacks(sys: SystemSextuple) -> tuple[QMatrix, QMatrix]:
+    """[D 0; CB D] and [0 0; B 0], stacked from the plant's blocks."""
+    n, m, p = sys.n, sys.m, sys.p
+    cb = ref_qmatmul(sys.C, sys.B)
+    return (stack([[sys.D, QMatrix.zeros(p, m)], [cb, sys.D]]),
+            stack([[QMatrix.zeros(n, m), QMatrix.zeros(n, m)], [sys.B, QMatrix.zeros(n, m)]]))
+
+
+def ref_darouach_matrices(sys: SystemSextuple) -> tuple[QMatrix, ...]:
+    """Darouach's [E F 0; C D 0; CA CB D], [EA EB F], the plant
+    S = [A, B 0 I; 0, 0 0 E; C, D 0 0; CA, CB D 0] and [A B]^T, stacked
+    from the plant's blocks."""
+    n, m, p, q = sys.n, sys.m, sys.p, sys.q
+    A, B, C, D, E, F = sys.A, sys.B, sys.C, sys.D, sys.E, sys.F
+    ca, cb = ref_qmatmul(C, A), ref_qmatmul(C, B)
+    ea, eb = ref_qmatmul(E, A), ref_qmatmul(E, B)
+    Z = QMatrix.zeros
+    lhs = stack([[E, F, Z(q, m)], [C, D, Z(p, m)], [ca, cb, D]])
+    rhs = stack([[ea, eb, F]])
+    S = stack([[A, B, Z(n, m), QMatrix.identity(n)], [Z(q, n), Z(q, m), Z(q, m), E],
+               [C, D, Z(p, m), Z(p, n)], [ca, cb, D, Z(p, n)]])
+    return lhs, rhs, S, transpose(stack([[A, B]]))
+
+
 def ref_row_op_sub(mat: list[list[Poly]], i: int, t: int, q: Poly) -> None:
     """Row i -= q * row t, building q * y and then subtracting it."""
     mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
@@ -651,6 +690,18 @@ def reanchor_plant(n: int) -> SystemSextuple:
               for name, rows, cols in (("A", n, n), ("B", n, 2), ("C", 2, n),
                                        ("D", 2, 2), ("E", 2, n), ("F", 2, 2))}
     return SystemSextuple.from_lists(**blocks, m=2)
+
+
+def rational_blocks_lists() -> dict:
+    """A plant document with n = 3, m = p = 2, q = 1 and a different
+    denominator in each block: (A, C) has the unobservable mode -5/2, and
+    strong-star, rank D = m and Darouach's kernel condition fail."""
+    return {"A": [["1/2", 1, 0], [0, "-3/2", 0], [1, 0, "-5/2"]],
+            "B": [["2/3", 0], [0, "1/3"], ["-1/3", 1]],
+            "C": [["1/5", 0, 0], [0, "3/5", 0]],
+            "D": [["1/7", 0], [0, 0]],
+            "E": [["3/4", "1/4", "1/6"]],
+            "F": [[0, "-1/9"]]}
 
 
 def seeded_n6_lists(p: int = 2) -> dict:

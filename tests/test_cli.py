@@ -15,6 +15,8 @@ from funcobs.fileio import (SystemFileError, dump_system_document, load_system_t
                             to_jsonable)
 from funcobs.system import SystemSextuple
 
+import support
+
 EXPECTED_CHECKS = {
     "functional": decide.functional_detectable,
     "strongly": decide.strongly_functional_detectable,
@@ -34,6 +36,9 @@ def zero_input_json(x0, horizon, xi0=()) -> str:
 
 
 GOLDEN_DIR = Path(__file__).parent / "data"
+
+# the one golden plant that is not bundled: support.rational_blocks_lists
+RATIONAL_GOLDEN = "rational_blocks"
 
 GOLDEN_COMMANDS = {
     "check": ["--all", "--specialize", "hautus", "--specialize", "leftinv",
@@ -61,8 +66,23 @@ class TestGoldenReports:
         golden = GOLDEN_DIR / f"{name}.{command}.json"
         assert json.dumps(doc, indent=2) + "\n" == golden.read_text(encoding="utf-8")
 
+    def test_rational_plant_report_matches_golden(self, tmp_path, capsys):
+        """A plant whose blocks have different denominators, so its
+        integer forms are read over their lcm; generated before the plant
+        was read in one piece."""
+        plant = tmp_path / f"{RATIONAL_GOLDEN}.json"
+        plant.write_text(json.dumps(support.rational_blocks_lists()))
+        out = tmp_path / "report.json"
+        main(["check", str(plant), *GOLDEN_COMMANDS["check"], "--out", str(out)])
+        capsys.readouterr()
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        del doc["timing"]
+        golden = GOLDEN_DIR / f"{RATIONAL_GOLDEN}.check.json"
+        assert json.dumps(doc, indent=2) + "\n" == golden.read_text(encoding="utf-8")
+
     def test_every_golden_file_is_checked(self):
         names = {f"{n}.{c}.json" for n in bundled_names() for c in GOLDEN_COMMANDS}
+        names.add(f"{RATIONAL_GOLDEN}.check.json")
         assert {p.name for p in GOLDEN_DIR.glob("*.json")} == names
 
 

@@ -577,7 +577,7 @@ class TestWorkCount:
             return {next(j for j, x in enumerate(y) if x) for y in Y.rows}
 
         handed.clear()
-        Se = IntegerMatrix.vstack([forms.system_matrix, IntegerMatrix.hstack([forms.E, forms.F])])
+        Se = forms.system_matrix_e
         ve = geometry.vstar(Se, plant.n, v.rows)
         # each row of [C D; E F] once, and one product for each seed row and
         # each new row of Y*
@@ -602,11 +602,11 @@ class TestWorkCount:
             return integer_row(row)
 
         sys = support.integrator_chain()
-        # the blocks are read and stacked before the count starts
+        # the plants are read before the count starts
         calls = []
         for p in (plant, plant.with_target(plant.C, plant.D), sys):
             forms = decide.PlantForms(p)
-            calls.append((forms.system_matrix, IntegerMatrix.hstack([forms.E, forms.F]), p.n))
+            calls.append((forms.system_matrix, forms.EF, p.n))
         V = Subspace.span(sys.n + sys.m, [[1, 2, 0], [0, 1, 1]])
         W = Subspace.span(sys.n + sys.m, [[1, 3, 1], [2, 0, 5]])
         M = IntegerMatrix.of(QMatrix.from_rows([[0, 1, -1]]))
@@ -722,10 +722,11 @@ class TestWorkCount:
         assert calls == []
         assert PolyMatrix not in built
 
-    def test_plant_blocks_are_read_into_integers_once(self, monkeypatch, plant, tmp_path):
+    def test_check_reads_the_plant_into_integers_once(self, monkeypatch, plant, tmp_path):
         """The eight decisions of one check share one PlantForms, which
-        reads each block of the plant into integers once; rank_and_zeros
-        reads V*'s echelon as it is and brings nothing to integers."""
+        reads each entry of the plant into integers once, in one read:
+        S_e = [A B; C D; E F].  rank_and_zeros reads V*'s echelon as it is
+        and brings nothing to integers."""
         reads = []
         of, integer_row = IntegerMatrix.of, exactlin._integer_row
 
@@ -743,15 +744,35 @@ class TestWorkCount:
         path.write_text(json.dumps(support.seeded_n6_lists()))
         main(["check", str(path), "--all", "--specialize", "hautus",
               "--specialize", "leftinv", "--specialize", "darouach"])
-        blocks = [getattr(plant, name).data for name in "ABCDEF"]
-        assert len(set(blocks)) == 6
-        assert [reads.count(("of", block)) for block in blocks] == [1] * 6
+        assert reads == [("of", support.ref_plant_forms(plant)["system_matrix_e"].data)]
 
         forms = decide.PlantForms(plant)
         v = forms.vstar
         reads.clear()
         assert forms.rank_and_zero == geometry.rank_and_zeros(forms.system_matrix, plant.n, v)
         assert reads == []
+
+    @pytest.mark.parametrize("lists", [support.seeded_n6_lists(), support.rational_blocks_lists()],
+                             ids=["seeded", "rational"])
+    def test_decisions_stack_nothing_past_the_read(self, monkeypatch, lists):
+        """Once the plant is read, the eight decisions hand on slices of
+        S_e and matrices written from its rows: no block is read on its
+        own, and no matrix is stacked or padded from blocks."""
+        forms = decide.PlantForms(SystemSextuple.from_lists(**lists))
+        forms.system_matrix, forms.EF  # the plant is read before the count starts
+        made = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                made[name] += 1
+                return fn(*args)
+            return staticmethod(wrapper)
+
+        for name in ("hstack", "vstack", "zeros", "of"):
+            monkeypatch.setattr(IntegerMatrix, name, counted(name, getattr(IntegerMatrix, name)))
+        for fn in _FORWARD:
+            fn(forms)
+        assert made == {}
 
     def test_decision_consistency_shares_p(self, calls, plant):
         # P is square and nonsingular: the witness solves at points, and
@@ -995,6 +1016,41 @@ class TestPlantForms:
         assert decide.PlantForms.of(forms) is forms
         fresh = decide.PlantForms.of(plant)
         assert fresh is not forms and fresh.sys is plant
+
+
+@st.composite
+def _mixed_denominator_plants(draw):
+    """Plants with n, m, p and q in 0..3, each block over a denominator of
+    its own, and about a quarter of the blocks zero."""
+    n, m, p, q = (draw(st.integers(0, 3)) for _ in range(4))
+
+    def block(rows, cols):
+        den = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 9]))
+        zero = draw(st.integers(0, 3)) == 0
+        return [[Fraction(0 if zero else draw(st.integers(-3, 3)), den) for _ in range(cols)]
+                for _ in range(rows)]
+
+    return SystemSextuple.from_lists(A=block(n, n), B=block(n, m), C=block(p, n),
+                                     D=block(p, m), E=block(q, n), F=block(q, m), m=m)
+
+
+class TestWrittenMatrices:
+    """Every matrix the decisions hand on, a slice of S_e or written from
+    its rows, has the entries of the one stacked from the plant's
+    blocks."""
+
+    @given(_mixed_denominator_plants())
+    def test_each_matrix_equals_its_stacked_oracle(self, sys):
+        forms = decide.PlantForms(sys)
+        ref = support.ref_plant_forms(sys)
+        assert {name: getattr(forms, name).fractions() for name in ref} == ref
+        S, n = forms.system_matrix, sys.n
+        got = decide._input_columns(S, n), decide._input_columns(S, n, n)
+        assert tuple(M.fractions() for M in got) == support.ref_input_columns(sys)
+        got = decide._hautus_star_stacks(forms)
+        assert tuple(M.fractions() for M in got) == support.ref_hautus_star_stacks(sys)
+        got = decide._darouach_matrices(forms)
+        assert tuple(M.fractions() for M in got) == support.ref_darouach_matrices(sys)
 
 
 @st.composite

@@ -127,7 +127,7 @@ class TestDenseMatrix:
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
-        assert kernel_basis(IntegerMatrix.identity(2)).dim == 0
+        assert kernel_basis(IntegerMatrix.of(QMatrix.identity(2))).dim == 0
 
     def test_one_equation_two_unknowns(self):
         K = kernel_basis(IntegerMatrix.of(QMatrix.from_rows([[1, 1]])))
@@ -572,7 +572,7 @@ class TestIntegerMatrix:
         assert (Ai @ Bi).fractions() == support.ref_qmatmul(A, B)
         # B^T has A's column count k, so it stacks under A
         Bt, k = support.transpose(B), A.cols
-        got = IntegerMatrix.vstack([Ai, IntegerMatrix.of(Bt), IntegerMatrix.identity(k)])
+        got = IntegerMatrix.vstack([Ai, IntegerMatrix.of(Bt), IntegerMatrix.of(QMatrix.identity(k))])
         assert got.fractions() == support.stack([[A], [Bt], [QMatrix.identity(k)]])
         got = IntegerMatrix.hstack([Ai, IntegerMatrix.zeros(A.rows, 2), Ai])
         assert got.fractions() == support.stack([[A, QMatrix.zeros(A.rows, 2), A]])

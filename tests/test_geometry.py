@@ -251,7 +251,7 @@ class TestRankAndZeros:
         sys = _BRANCHES["r_star"]
         forms = decide.PlantForms(sys)
         v = forms.vstar
-        forms.A, forms.C  # the blocks are read before the count starts
+        forms.AC  # the plant is read before the count starts
         made = Counter()
 
         def counted(name, fn):
