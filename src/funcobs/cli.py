@@ -23,7 +23,6 @@ import json
 import math
 import sys as _sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import decide, witness
@@ -311,7 +310,9 @@ def cmd_batch(args) -> int:
         return EXIT_ERROR
     results: list[tuple[str, int]] = []
     if args.jobs > 1:
-        # the fork start method launches every worker up front
+        # imported here: the pool's import costs more than all of funcobs.
+        # The fork start method launches every worker up front
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(files))) as pool:
             results = list(pool.map(_batch_one, files))
     else:

@@ -12,7 +12,6 @@ through ``read_text`` and ``load_json`` here and checks their keys with
 from __future__ import annotations
 
 import json
-from dataclasses import is_dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -140,7 +139,9 @@ def dump_system_document(sys: SystemSextuple, meta: dict | None = None) -> dict:
 
 def to_jsonable(obj) -> Any:
     """Recursively convert certificates to JSON-safe values; rationals
-    become strings, polynomials become coefficient lists plus display text."""
+    become strings, polynomials become coefficient lists plus display text.
+    A record (a ``NamedTuple``) becomes an object keyed by its fields in
+    declaration order, not the list its tuple base would give."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -159,8 +160,8 @@ def to_jsonable(obj) -> Any:
     if isinstance(obj, Subspace):
         return {"ambient_dim": obj.ambient_dim, "dim": obj.dim,
                 "basis_columns": [[str(x) for x in row] for row in obj.rows]}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if hasattr(obj, "_fields"):
+        return {name: to_jsonable(value) for name, value in zip(obj._fields, obj)}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):

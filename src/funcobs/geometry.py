@@ -50,7 +50,6 @@ not annihilate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -181,8 +180,7 @@ def rank_and_zeros(S: IntegerMatrix, n: int, v: VStar) -> tuple[int, Poly]:
     return n + len(held), rank_and_zeros(R, R.cols, vstar(R, R.cols))[1]
 
 
-@dataclass(frozen=True)
-class InclusionCertificate:
+class InclusionCertificate(NamedTuple):
     """Verdict plus what re-checks it: recompute ``reachable`` from the
     fixed point T*, then check it lies in Ker [E F], or that [E F] does not
     annihilate ``violation``."""

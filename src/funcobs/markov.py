@@ -14,8 +14,8 @@ and the escape test do not depend on a row's scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactlin import IntegerMatrix, first_escape, kernel_basis
 from .system import SystemSextuple
@@ -37,8 +37,7 @@ def toeplitz(A: IntegerMatrix, B: IntegerMatrix, C: IntegerMatrix, D: IntegerMat
         for i in range(k + 1)])
 
 
-@dataclass(frozen=True)
-class KernelInclusionReport:
+class KernelInclusionReport(NamedTuple):
     holds: bool
     failing_k: int | None
     witness: tuple[Fraction, ...] | None

@@ -19,11 +19,10 @@ heuristic gcd, is read off one integer value as its symmetric digits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactlin import DenseMatrix, as_fraction
 from .system import SystemSextuple
@@ -424,8 +423,7 @@ def build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
             PolyMatrix(sys.q, n + m, EF))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U @ P @ V == S with U, V unimodular and S the diagonal Smith form."""
     U: PolyMatrix
     S: PolyMatrix

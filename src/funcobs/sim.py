@@ -18,6 +18,11 @@ top level or in an entry of N, is rejected by ``fileio.check_keys``.  A
 table input holds its knots and rows as read-only float64 arrays,
 converted once when it is built, so sampling a long table does no
 per-call conversion.  Files are read through ``fileio.read_text``.
+
+Its five records stay dataclasses, where the exact path's are
+``NamedTuple``s: ``Scenario`` and ``InputSignal`` validate in
+``__post_init__`` and ``Trajectory`` derives ``e``, and the module is
+imported only on first use, at a cost that is mostly numpy's.
 """
 
 from __future__ import annotations

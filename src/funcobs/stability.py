@@ -15,8 +15,8 @@ factor contributes identically to both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polymat import Poly, poly_gcd
 
@@ -25,8 +25,7 @@ ROUTH_DEGENERACY = "routh_degeneracy"
 SIGN_CHANGE = "sign_change"
 
 
-@dataclass(frozen=True)
-class HurwitzReport:
+class HurwitzReport(NamedTuple):
     is_hurwitz: bool
     failure_reason: str | None
     routh_first_column: tuple[Fraction, ...]
@@ -73,8 +72,7 @@ def is_hurwitz(p: Poly) -> HurwitzReport:
     return HurwitzReport(True, None, tuple(first_col))
 
 
-@dataclass(frozen=True)
-class AntistableComparison:
+class AntistableComparison(NamedTuple):
     """Certificate for equality of closed-right-half-plane root multisets."""
     equal: bool
     shared: Poly

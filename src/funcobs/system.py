@@ -4,43 +4,46 @@ State dynamics ``x' = A x + B u`` with measured output ``y = C x + D u``
 and target output ``z = E x + F u``.  All blocks are exact rational
 matrices; any of the dimensions n, m, p, q may be zero.  The decisions
 read them into the ``IntegerMatrix`` form that the exact code computes on
-(``decide.PlantForms``).
+(``decide.PlantForms``).  Like every record of the exact path, the plant
+is a ``NamedTuple``; its shape checks run on each way of building one
+(the constructor, ``_make``, ``_replace``, unpickling).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlin import QMatrix
 
 
-@dataclass(frozen=True)
-class SystemSextuple:
-    A: QMatrix
-    B: QMatrix
-    C: QMatrix
-    D: QMatrix
-    E: QMatrix
-    F: QMatrix
+class SystemSextuple(NamedTuple("SystemSextuple", [(name, QMatrix) for name in "ABCDEF"])):
+    """The six blocks, checked for shape however the record is built."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, m, p, q = self.A.rows, self.B.cols, self.C.rows, self.E.rows
-        if self.A.cols != n:
+    def __new__(cls, A: QMatrix, B: QMatrix, C: QMatrix, D: QMatrix, E: QMatrix, F: QMatrix):
+        n, m, p, q = A.rows, B.cols, C.rows, E.rows
+        if A.cols != n:
             raise ValueError("field 'A' must be square")
-        if self.B.rows != n:
+        if B.rows != n:
             raise ValueError(f"field 'B' must have {n} rows")
-        if self.C.cols != n:
+        if C.cols != n:
             raise ValueError(f"field 'C' must have {n} columns")
-        if self.D.rows != p:
+        if D.rows != p:
             raise ValueError("fields 'C' and 'D' must have the same number of rows")
-        if self.D.cols != m:
+        if D.cols != m:
             raise ValueError(f"field 'D' must have {m} columns")
-        if self.E.cols != n:
+        if E.cols != n:
             raise ValueError(f"field 'E' must have {n} columns")
-        if self.F.rows != q:
+        if F.rows != q:
             raise ValueError("fields 'E' and 'F' must have the same number of rows")
-        if self.F.cols != m:
+        if F.cols != m:
             raise ValueError(f"field 'F' must have {m} columns")
+        return super().__new__(cls, A, B, C, D, E, F)
+
+    @classmethod
+    def _make(cls, iterable) -> "SystemSextuple":
+        # the tuple's own _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -103,7 +106,7 @@ class SystemSextuple:
     # no command retargets a plant; the benchmark's cross-checks do
     def with_target(self, E: QMatrix, F: QMatrix) -> "SystemSextuple":
         """Same plant with a different target output block [E F]."""
-        return SystemSextuple(self.A, self.B, self.C, self.D, E, F)
+        return self._replace(E=E, F=F)
 
 
 def _matrix(name: str, rows) -> QMatrix:

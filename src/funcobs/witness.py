@@ -30,10 +30,10 @@ decide module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import decide, polymat
 from .exactlin import DenseMatrix, adjugate_solve
@@ -120,8 +120,7 @@ def denominator_lcm(entries) -> Poly:
     return acc
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     proper: bool
     pole_polynomial: Poly
     stable: bool
@@ -137,8 +136,7 @@ def classify(MN: RationalFunctionMatrix) -> Classification:
     return Classification(all(e.is_proper() for e in entries), pole, rep.is_hurwitz, rep)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     solvable_over_field: bool
     MN: RationalFunctionMatrix | None
     residual_zero: bool | None

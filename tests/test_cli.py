@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from funcobs import cli, decide
+from funcobs import decide
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import QMatrix, as_fraction
@@ -743,7 +744,7 @@ class TestCmdBatch:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert main(["batch", str(tmp_path), "--jobs", str(jobs)]) == main(["batch", str(tmp_path)])
         assert requested == [workers]
 
@@ -937,16 +938,19 @@ class TestSerialization:
 
 
 class TestLazyNumpy:
-    """Only the float layer imports numpy, on the first use of one of its names."""
+    """Only the float layer imports numpy, on the first use of one of its
+    names.  The exact path imports neither ``dataclasses`` (its records are
+    NamedTuples) nor ``multiprocessing`` (only ``batch --jobs`` uses it)."""
 
     def test_exact_path_leaves_numpy_unloaded(self, tmp_path):
         code = "\n".join([
             "import sys, funcobs, funcobs.cli",
             "from funcobs.corpus import bundled_names",
-            "assert 'numpy' not in sys.modules, 'loaded by import'",
+            "def loaded(): return sorted({'numpy', 'dataclasses', 'multiprocessing'} & sys.modules.keys())",
+            "assert not loaded(), f'loaded by import: {loaded()}'",
             "for name in bundled_names():",
             "    funcobs.cli.main(['check', name, '--all', '--out', sys.argv[1]])",
-            "assert 'numpy' not in sys.modules, 'loaded by check'",
+            "assert not loaded(), f'loaded by check: {loaded()}'",
             "from funcobs import simulate, InputSignal",
             "assert 'numpy' in sys.modules and callable(simulate)",
             "assert InputSignal('zero').kind == 'zero'",

@@ -138,10 +138,44 @@ from funcobs import system as plant
     assert package_imports(source) == {"sim", "decide", "exactlin", "polymat", "system"}
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level name of every module that a module imports by an
+    absolute import, at any depth of its code."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_sim_imports_dataclasses(path):
+    # the exact path's records are NamedTuples, several times cheaper to
+    # create; sim, loaded on first use, keeps its validating dataclasses
+    assert path.stem == "sim" or "dataclasses" not in imported_modules(
+        path.read_text(encoding="utf-8"))
+
+
+def test_reader_finds_imported_modules():
+    source = '''
+import os.path, json
+from . import decide
+from .exactlin import QMatrix
+
+def f():
+    from dataclasses import replace
+'''
+    assert imported_modules(source) == {"os", "json", "dataclasses"}
+
+
 # Functions and methods that nothing outside the tests names, each with the
 # reason it stays.
 KEEP = {
     "_yddot": "the scalar reference that the tests hold scenarios._yddot_grid to",
+    "_make": "the NamedTuple hook that _replace and the tuple protocol call: "
+             "SystemSextuple sends it through its shape checks",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")

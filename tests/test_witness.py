@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -259,7 +258,7 @@ class TestDecisionConsistency:
 
 
 def _fields(rep) -> dict:
-    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    return rep._asdict()
 
 
 def _ref_adjugate_solve(rows):
