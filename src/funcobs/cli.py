@@ -5,7 +5,7 @@ Subcommands:
 * ``check``    -- run detectability decisions on a system file, print a
                   human-readable certificate summary, optionally write the
                   full structured report.  Exit 0 when every requested
-                  property holds, 1 when any fails, 2 on input errors.
+                  property holds, 1 when any fails, 2 on input errors or a closed stdout.
 * ``witness``  -- construct, verify and classify the canonical rational
                   solution of [M N] P = [E F], and report the strong-star
                   inclusion certificate that decides its properness side.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys as _sys
 import time
 from pathlib import Path
@@ -389,7 +390,13 @@ def entrypoint() -> None:
     # the certificates it prints may hold numbers of any size
     if hasattr(_sys, "set_int_max_str_digits"):
         _sys.set_int_max_str_digits(0)
-    raise SystemExit(main())
+    try:
+        code = main()
+        _sys.stdout.flush()  # a pipe holds what was printed until here
+    except BrokenPipeError:  # the reader is gone: an error, with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        code = EXIT_ERROR
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

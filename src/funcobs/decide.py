@@ -147,6 +147,14 @@ def _kernel_inclusion(lhs: IntegerMatrix, rhs: IntegerMatrix,
     return KernelInclusionCertificate(lhs.fractions(), rhs.fractions(), witness is None, witness)
 
 
+class _once(cached_property):
+    """A ``cached_property`` without the class-wide lock that Python 3.11
+    takes on every first read."""
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
 class PlantForms:
     """What the decisions read off one plant, each computed on first use
     and kept by this object alone: a call with a bare plant does all of
@@ -162,7 +170,7 @@ class PlantForms:
     def of(plant: SystemSextuple | PlantForms) -> PlantForms:
         return plant if isinstance(plant, PlantForms) else PlantForms(plant)
 
-    @cached_property
+    @_once
     def system_matrix_e(self) -> IntegerMatrix:
         """S_e = [A B; C D; E F], P_e's constant system matrix, states
         first, over the lcm of every entry's denominator."""
@@ -171,38 +179,38 @@ class PlantForms:
                 *map(add, s.E.data, s.F.data))
         return IntegerMatrix.of(QMatrix(len(rows), s.n + s.m, rows))
 
-    @cached_property
+    @_once
     def system_matrix(self) -> IntegerMatrix:
         """S = [A B; C D], P's constant system matrix: S_e's first n + p rows."""
         Se, k = self.system_matrix_e, self.sys.n + self.sys.p
         return IntegerMatrix(k, Se.cols, Se.data[:k], Se.den)
 
-    @cached_property
+    @_once
     def EF(self) -> IntegerMatrix:
         """[E F], the target rows: S_e's last q rows."""
         Se, k = self.system_matrix_e, self.sys.n + self.sys.p
         return IntegerMatrix(Se.rows - k, Se.cols, Se.data[k:], Se.den)
 
-    @cached_property
+    @_once
     def ACE(self) -> IntegerMatrix:
         """[A; C; E], S_e's state columns."""
         Se, n = self.system_matrix_e, self.sys.n
         return IntegerMatrix(Se.rows, n, [r[:n] for r in Se.data], Se.den)
 
-    @cached_property
+    @_once
     def AC(self) -> IntegerMatrix:
         """[A; C], the input-free plant's system matrix: [A; C; E]'s first
         n + p rows."""
         ACE, k = self.ACE, self.sys.n + self.sys.p
         return IntegerMatrix(k, ACE.cols, ACE.data[:k], ACE.den)
 
-    @cached_property
+    @_once
     def CAB(self) -> list[list[int]]:
         """The rows of [CA CB] over S_e's denominator squared."""
         n = self.sys.n
         return self.times_ab(self.system_matrix.data[n:])
 
-    @cached_property
+    @_once
     def ab_columns(self) -> list[tuple[int, ...]]:
         """The columns of [A B], S_e's first n rows: the rows of [A B]^T,
         the dual plant's system matrix.  With n = 0 they are m empty
@@ -217,16 +225,16 @@ class PlantForms:
         cols = self.ab_columns
         return [[sum(map(mul, r, col)) for col in cols] for r in rows]
 
-    @cached_property
+    @_once
     def vstar(self) -> geometry.VStar:
         return geometry.vstar(self.system_matrix, self.sys.n)
 
-    @cached_property
+    @_once
     def rank_and_zero(self) -> tuple[int, Poly]:
         """Normal rank and zero polynomial of P."""
         return geometry.rank_and_zeros(self.system_matrix, self.sys.n, self.vstar)
 
-    @cached_property
+    @_once
     def detectability(self) -> DetectabilityCertificate:
         rp, zp = self.rank_and_zero
         # P_e's V* lies in P's: grow it from P's rows
@@ -235,22 +243,22 @@ class PlantForms:
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
 
-    @cached_property
+    @_once
     def inclusion(self) -> geometry.InclusionCertificate:
         """The strong-star certificate: chain-reachable pairs in Ker [E F]."""
         return geometry.strong_star_inclusion(self.system_matrix, self.EF, self.sys.n)
 
-    @cached_property
+    @_once
     def unobservable(self) -> geometry.VStar:
         """The unobservable subspace of (A, C), the V* of [A; C]."""
         return geometry.vstar(self.AC, self.sys.n)
 
-    @cached_property
+    @_once
     def unobservable_modes(self) -> Poly:
         """The zero polynomial of [sI - A; C]: the unobservable modes."""
         return geometry.rank_and_zeros(self.AC, self.sys.n, self.unobservable)[1]
 
-    @cached_property
+    @_once
     def functional(self) -> DetectabilityCertificate:
         """The certificate of the input-free plant: [sI - A; C] and
         [sI - A; C; E] have normal rank n, and the zeros of the second lie

@@ -17,6 +17,11 @@ picks one:
   [E F] V S^+ leaves zero (the left-kernel rows of U), and K = 0 picks the
   canonical one, which depends on U.
 
+Every entry is a numerator over one shared denominator, det P or d_r.  At
+a point past twice its Cauchy bound a common factor of positive degree
+exceeds half the point and divides the gcd of the two values, so a gcd of
+at most half the point proves an entry coprime to it (``_over_shared``).
+
 The residual of the returned solution is re-verified exactly on every
 solve, by one integer evaluation per row past a bound on its
 coefficients; properness and pole locations of the constructed solution are
@@ -31,14 +36,14 @@ decide module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from . import decide, polymat
 from .exactlin import DenseMatrix, adjugate_solve
-from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix, _digits, _reduced, _value,
-                      build_system_matrices, poly_gcd, poly_lcm, smith_form)
+from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix, _candidate, _digits, _reduced,
+                      _times, _value, build_system_matrices, poly_gcd, poly_lcm, smith_form)
 from .stability import HurwitzReport, is_hurwitz
 from .system import SystemSextuple
 
@@ -57,12 +62,8 @@ class RationalFunction:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num.exact_div(g), den.exact_div(g)
-            lead = den.leading
-            if lead != 1:
-                inv = Fraction(1) / lead
-                num, den = num.scale(inv), den.scale(inv)
-        self.num = num
-        self.den = den
+            num, den = _over_lead(num, den), den.monic()
+        self.num, self.den = num, den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -98,6 +99,33 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
+
+
+def _over_lead(num: Poly, den: Poly) -> Poly:
+    """num over den's leading coefficient, on integers."""
+    return _reduced(_times(num._num, den._den), num._den * den._num[-1])
+
+
+def _over_shared(rows: list[list[Poly]], den: Poly) -> tuple[tuple[RationalFunction, ...], ...]:
+    """The rows of RationalFunction(x, den) for the numerators x of rows.
+    With a and D the primitive parts of x's and den's numerators, a
+    constant ``_candidate`` of gcd(a(xi), D(xi)) at xi = (2 ||D||_inf + 29)^2,
+    the square of ``polymat._heuristic_gcd``'s first point, proves x coprime
+    to den, and x is written straight into canonical storage over one
+    den.monic(); a zero entry or any other takes the constructor."""
+    c = gcd(*den._num)
+    D = [d // c for d in den._num]
+    xi = (2 * max(map(abs, D)) + 29) ** 2
+    dxi, monic = _value(D, xi), den.monic()
+
+    def entry(x: Poly) -> RationalFunction:
+        if x.is_zero() or len(_candidate(gcd(_value(x._num, xi) // gcd(*x._num), dxi), xi)) > 1:
+            return RationalFunction(x, den)
+        rf = object.__new__(RationalFunction)
+        rf.num, rf.den = _over_lead(x, den), monic
+        return rf
+
+    return tuple(tuple(map(entry, row)) for row in rows)
 
 
 class RationalFunctionMatrix(DenseMatrix):
@@ -248,10 +276,9 @@ def _unique_solution(P: PolyMatrix, EF: PolyMatrix) -> RationalFunctionMatrix | 
     if not det:
         return None
     den = _reduced(_digits(det, S), 1)
-    return RationalFunctionMatrix(EF.rows, P.rows, tuple(
-        tuple(RationalFunction(_reduced([r * c for c in _digits(sol[i][k], S)], e), den)
-              for i, (_, r) in enumerate(rows))
-        for k, (_, e) in enumerate(targets)))
+    return RationalFunctionMatrix(EF.rows, P.rows, _over_shared(
+        [[_reduced([r * c for c in _digits(sol[i][k], S)], e) for i, (_, r) in enumerate(rows)]
+         for k, (_, e) in enumerate(targets)], den))
 
 
 def _verified(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix,
@@ -299,9 +326,7 @@ def solve_over_field(sys: SystemSextuple) -> WitnessReport:
                                 for j in range(P.rows))
                           for i in range(W.rows)))
     num = WL @ dec.U
-    MN = RationalFunctionMatrix(num.rows, num.cols,
-                                tuple(tuple(RationalFunction(e, L) for e in row)
-                                      for row in num.data))
+    MN = RationalFunctionMatrix(num.rows, num.cols, _over_shared(num.data, L))
     return _verified(MN, P, EF, left_kernel_dim)
 
 

@@ -16,7 +16,9 @@ and builds no pencil, the canonical witness from
 the Smith form of P for every plant and, for a square P, from n + 1
 integer solves and a Lagrange interpolation (``ref_unique_solution``),
 the residual of a witness from a ``PolyMatrix`` product over each row's
-denominator lcm (``ref_residual_is_zero``), V* from its textbook
+denominator lcm (``ref_residual_is_zero``), a rational function's
+storage from ``poly_gcd`` and ``Fraction`` scaling
+(``ref_rational_function``), V* from its textbook
 recursion on Gauss-Jordan kernels and from ``vstar``'s loop re-run over
 the whole stack at every step, subspace inclusion from the rank of
 stacked rows,
@@ -49,7 +51,7 @@ from hypothesis import strategies as st
 
 from funcobs.exactlin import IntegerMatrix, QMatrix, Subspace, _common_den, adjugate_solve, \
     as_fraction, kernel_basis
-from funcobs.polymat import Poly, PolyMatrix, smith_form
+from funcobs.polymat import Poly, PolyMatrix, poly_gcd, smith_form
 from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, WitnessReport, classify,
                              denominator_lcm)
@@ -517,6 +519,19 @@ def ref_witness(sys: SystemSextuple) -> WitnessReport:
     cls = classify(MN)
     return WitnessReport(True, MN, ref_residual_is_zero(MN, P, EF), cls.proper,
                          cls.pole_polynomial, cls.pole_report, P.rows - r, None)
+
+
+def ref_rational_function(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The numerator and monic denominator of num / den (den != 0) in
+    lowest terms: both divided by ``poly_gcd``, then scaled by the
+    ``Fraction`` 1 / lead(den) through ``Poly.scale``."""
+    if num.is_zero():
+        return Poly(), Poly([1])
+    g = poly_gcd(num, den)
+    if g.degree > 0:
+        num, den = num.exact_div(g), den.exact_div(g)
+    inv = Fraction(1) / den.leading
+    return num.scale(inv), den.scale(inv)
 
 
 def ref_residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) -> bool:

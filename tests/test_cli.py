@@ -813,14 +813,37 @@ class TestUnreadableInput:
         assert "binary.json" in captured.err and "Traceback" not in captured.err
 
 
-def _cli(tmp_path, *argv, timeout=60):
+def _cli(tmp_path, *argv, timeout=60, stdout=subprocess.PIPE):
     """``funcobs`` in a fresh interpreter, so the int-string limit it lifts
     is the one Python starts with."""
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([_sys.executable, "-m", "funcobs.cli", *map(str, argv)], env=env,
-                          cwd=tmp_path, capture_output=True, text=True, timeout=timeout)
+                          cwd=tmp_path, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=timeout)
+
+
+class TestClosedStdout:
+    """A reader that goes away before the command prints, as in
+    ``funcobs check plant --all | head -1``: stdout is a pipe whose read
+    end is closed before the interpreter starts, so the first write or the
+    flush fails.  The command exits 2, the code of an error, with no
+    traceback and no message about the failed write."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "stable_pair", "--all"], ["witness", "stable_pair"], ["batch", "plants"],
+        ["--list-bundled"]], ids=lambda argv: argv[0].lstrip("-"))
+    def test_exits_2_without_a_traceback(self, tmp_path, argv):
+        (tmp_path / "plants").mkdir()
+        (tmp_path / "plants" / "stable_pair.json").write_text(bundled_text("stable_pair"))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _cli(tmp_path, *argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (2, "")
 
 
 class TestLiteralBound:

@@ -1010,6 +1010,32 @@ class TestPlantForms:
         assert forward == bare
         assert backward == bare
 
+    def test_each_form_is_computed_once(self, monkeypatch):
+        """The eight decisions on one PlantForms compute each of its
+        attributes at most once, and a second round computes none: every
+        decision that takes an attribute reads the one object kept in the
+        instance.  Over the bundled plants every attribute is computed."""
+        made = Counter()
+        forms_class = vars(decide.PlantForms)
+        names = [name for name, attr in forms_class.items() if isinstance(attr, decide._once)]
+        for name in names:
+            def counted(forms, name=name, compute=forms_class[name].func):
+                made[name] += 1
+                return compute(forms)
+            monkeypatch.setattr(forms_class[name], "func", counted)
+        computed = set()
+        for text in map(bundled_text, bundled_names()):
+            made.clear()
+            forms = decide.PlantForms(load_system_text(text)[0])
+            first = [to_jsonable(fn(forms)) for fn in _FORWARD]
+            kept = {name: forms.__dict__[name] for name in names if name in forms.__dict__}
+            assert made == dict.fromkeys(kept, 1)
+            assert [to_jsonable(fn(forms)) for fn in _FORWARD] == first
+            assert made == dict.fromkeys(kept, 1)
+            assert all(forms.__dict__[name] is value for name, value in kept.items())
+            computed.update(kept)
+        assert computed == set(names)
+
     def test_of_keeps_an_object_and_wraps_a_plant(self):
         plant = support.stable_pair()
         forms = decide.PlantForms(plant)

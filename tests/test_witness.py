@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -28,6 +29,93 @@ class TestRationalFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(Poly([1]), Poly())
+
+
+def _wide_polys(max_degree, nonzero=False):
+    coeffs = st.lists(st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6])),
+                      min_size=0, max_size=max_degree + 1).map(Poly)
+    return coeffs.filter(lambda p: not p.is_zero()) if nonzero else coeffs
+
+
+@st.composite
+def _numerators_and_dens(draw):
+    """A numerator, possibly zero, and a nonzero denominator, both of
+    degree <= 3 with coefficients in -9..9 over 1, 2, 3, 4 or 6, and in
+    some draws both times a common factor of degree <= 1."""
+    num = draw(_wide_polys(3))
+    den = draw(_wide_polys(3, nonzero=True))
+    if draw(st.booleans()):
+        f = draw(_wide_polys(1, nonzero=True))
+        num, den = num * f, den * f
+    return num, den
+
+
+@st.composite
+def _shared_rows(draw):
+    """Rows of numerators over one denominator f g, f and g of degree
+    <= 2 and possibly constant: each numerator is x c or x f c, with x of
+    degree <= 3, possibly zero or constant, and a content c."""
+    f, g = draw(_wide_polys(2, nonzero=True)), draw(_wide_polys(2, nonzero=True))
+
+    def numerator():
+        x = draw(_wide_polys(3)) * draw(st.sampled_from([POLY_ONE, f]))
+        return x.scale(draw(st.sampled_from([1, -1, 6, 12, Fraction(5, 7)])))
+
+    width = draw(st.integers(0, 3))
+    return [[numerator() for _ in range(width)] for _ in range(draw(st.integers(1, 3)))], f * g
+
+
+class TestSharedDenominator:
+    """``witness._over_shared`` against the constructor, and the
+    constructor against the ``Fraction`` normalization of
+    ``support.ref_rational_function``."""
+
+    @given(_numerators_and_dens())
+    @example((Poly(), Poly([-3])))
+    @example((Poly([4, 6]), Poly([6, 9])))
+    @example((Poly([Fraction(1, 2), 1]), Poly([Fraction(1, 6), Fraction(5, 6), 1])))
+    def test_constructor_matches_fraction_scaling(self, case):
+        e = RationalFunction(*case)
+        assert (e.num, e.den) == support.ref_rational_function(*case)
+
+    @given(_shared_rows())
+    # a constant denominator, with zero and constant numerators
+    @example(([[Poly(), Poly([2]), Poly([1, 1])]], Poly([Fraction(-3, 2)])))
+    # (s + 1)(3 - 2s): a negative leading coefficient, and numerators
+    # with content, one of them sharing the factor s + 1
+    @example(([[Poly([6, 6]), Poly([0, 12]), Poly([-5])], [Poly(), Poly([3, -2]), Poly([1])]],
+              Poly([3, 1, -2])))
+    # (s + 1/2)(s + 1/3) over 6, and a numerator sharing s + 1/2
+    @example(([[Poly([2, 4]), Poly([1, 0, 1])]], Poly([Fraction(1, 6), Fraction(5, 6), 1])))
+    def test_matches_the_constructor(self, case):
+        rows, den = case
+        want = tuple(tuple(RationalFunction(x, den) for x in row) for row in rows)
+        assert witness._over_shared(rows, den) == want
+
+    def test_only_entries_with_a_common_factor_take_the_gcd(self, monkeypatch):
+        # (s + 1)(s + 2): s + 1 and 4 s (s + 1) share a factor with it, and
+        # 1, s + 3 and 5 s^2 do not
+        den = Poly([2, 3, 1])
+        rows = [[Poly([1, 1]), Poly([1]), Poly([3, 1]), Poly()], [Poly([0, 4, 4]), Poly([0, 0, 5])]]
+        calls, gcd = [], witness.poly_gcd
+        monkeypatch.setattr(witness, "poly_gcd", lambda a, b: calls.append(a) or gcd(a, b))
+        got = witness._over_shared(rows, den)
+        assert calls == [Poly([1, 1]), Poly([0, 4, 4])]
+        assert got == tuple(tuple(RationalFunction(x, den) for x in row) for row in rows)
+        assert got[1][1].den is got[0][1].den
+
+    def test_ladder_entries_take_no_gcd(self, monkeypatch):
+        """No entry of a seed-1 ladder witness shares a factor with det P,
+        and each is written with no ``poly_gcd``."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import plants
+        calls, gcd = [], witness.poly_gcd
+        monkeypatch.setattr(witness, "poly_gcd", lambda a, b: calls.append(a) or gcd(a, b))
+        reports = [solve_over_field(SystemSextuple.from_lists(**doc))
+                   for _, doc in plants.ladder_plants(1)]
+        assert all(rep.residual_zero for rep in reports)
+        assert sum(not e.is_zero() for rep in reports for row in rep.MN.data for e in row) > 100
+        assert calls == []
 
 
 class TestClassify:
