@@ -17,8 +17,7 @@ from .decide import (PlantForms, Verdict, asympt_strong_left_invertible,
 from .exactlin import IntegerMatrix, QMatrix, Subspace, as_fraction, kernel_basis
 from .geometry import strong_star_inclusion
 from .markov import kernel_inclusion_upto, toeplitz
-from .polymat import (Poly, PolyMatrix, SmithDecomposition, build_system_matrices,
-                      poly_gcd, poly_lcm, smith_form)
+from .polymat import Poly, PolyMatrix, SmithDecomposition, pencil, poly_gcd, poly_lcm, smith_form
 from .stability import HurwitzReport, antistable_parts_equal, is_hurwitz
 from .system import SystemSextuple
 from .witness import (RationalFunction, RationalFunctionMatrix, WitnessReport,
@@ -41,7 +40,7 @@ def __getattr__(name: str):
 __all__ = [
     "IntegerMatrix", "QMatrix", "Subspace", "as_fraction", "kernel_basis",
     "Poly", "PolyMatrix", "SmithDecomposition", "poly_gcd", "poly_lcm",
-    "build_system_matrices", "smith_form",
+    "pencil", "smith_form",
     "HurwitzReport", "is_hurwitz", "antistable_parts_equal",
     "SystemSextuple", "strong_star_inclusion",
     "toeplitz", "kernel_inclusion_upto",

@@ -225,8 +225,9 @@ def cmd_check(args) -> int:
 
 def cmd_witness(args) -> int:
     system, meta = _read_system(args.system)
+    forms = decide.PlantForms(system)
     t0 = time.perf_counter()
-    report = witness.solve_over_field(system)
+    report = witness.solve_over_field(forms)
     solve_s = time.perf_counter() - t0
     name = meta.get("name", Path(args.system).stem)
     print(f"system: {name}")
@@ -242,7 +243,7 @@ def cmd_witness(args) -> int:
         print(f"  proper                : {report.is_proper}")
         print(f"  pole polynomial       : {report.pole_denominator}")
         print(f"  stable                : {report.denominator_hurwitz.is_hurwitz}")
-    inclusion = decide.PlantForms(system).inclusion
+    inclusion = forms.inclusion
     head, *rest = _inclusion_lines(inclusion)
     print(f"  strong-star inclusion : {head}")
     for line in rest:

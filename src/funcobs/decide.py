@@ -22,7 +22,8 @@ P_e, the input-free pencils [sI - A; C] and [sI - A; C; E] and Darouach's
 pencil are read off the weakly unobservable subspaces (``geometry.vstar``)
 of their system matrices.  The plant is read into integers once, into
 P_e's system matrix S_e = [A B; C D; E F] (``PlantForms``), and every
-matrix a decision hands on is a slice of S_e or written from its rows.
+matrix a decision hands on is a slice of S_e or written from its rows,
+as are the witness's P and [E F], so shared forms read the plant once.
 
 Every verdict and certificate is a ``typing.NamedTuple``, as are the
 records of the other exact modules: immutable, hashable and compared as
@@ -156,12 +157,12 @@ class _once(cached_property):
 
 
 class PlantForms:
-    """What the decisions read off one plant, each computed on first use
-    and kept by this object alone: a call with a bare plant does all of
-    its own work.  The plant is read into integers once, on first use,
-    into S_e = [A B; C D; E F] (``system_matrix_e``), and every matrix a
-    decision hands on is a slice of S_e or written from its rows; P's and
-    P_e's V* calls share its rows."""
+    """What the decisions and the witness read off one plant, each
+    computed on first use and kept by this object alone: a call with a
+    bare plant does all of its own work.  The plant is read into integers
+    once, on first use, into S_e = [A B; C D; E F] (``system_matrix_e``),
+    and every matrix a decision hands on is a slice of S_e or written from
+    its rows; P's and P_e's V* calls share its rows."""
 
     def __init__(self, sys: SystemSextuple):
         self.sys = sys

@@ -6,15 +6,15 @@ system pencils
     P(s)   = [ sI - A   -B ]        P_e(s) = [ P(s) ]
              [   C       D ]                 [ E  F ]
 
-Every pencil entry s e - a is written by ``pencil_entry`` straight from the
-constant entries.  No decision builds a polynomial matrix: they read
-normal ranks and zeros off ``geometry.vstar`` and ``berkowitz``, the
-characteristic polynomial of an integer matrix over a scale.  The system
-pencils and the Smith form (gcd-driven elementary row/column operations
-with both unimodular transformers tracked) serve the witness of a P that
-is not square and nonsingular; the witness of the other plants, like the
-heuristic gcd, is read off one integer value as its symmetric digits
-(``_digits``).
+``pencil`` writes P, or the constant rows [E F], from the integer rows of
+a system matrix over its one denominator, the matrix ``geometry.vstar``
+takes.  No decision builds a polynomial matrix: they read normal ranks
+and zeros off ``geometry.vstar`` and ``berkowitz``, the characteristic
+polynomial of an integer matrix over a scale.  The pencils serve the
+witness, with the Smith form (gcd-driven elementary row/column operations
+with both unimodular transformers tracked) where P is not square and
+nonsingular; the witness of the other plants, like the heuristic gcd, is
+read off one integer value as its symmetric digits (``_digits``).
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .exactlin import DenseMatrix, as_fraction
-from .system import SystemSextuple
+from .exactlin import DenseMatrix, IntegerMatrix, as_fraction
 
 
 class Poly:
@@ -387,40 +386,15 @@ class PolyMatrix(DenseMatrix):
         return PolyMatrix(self.rows, other.cols, tuple(data))
 
 
-def pencil_entry(e, a) -> Poly:
-    """The entry s e - a of a pencil, from two reduced fractions.
-
-    Written straight into canonical storage: the numerators over
-    lcm(den e, den a) share no factor with it (as in ``Poly.__init__``).
-    """
-    if not e:
-        return _raw([-a.numerator], a.denominator) if a else POLY_ZERO
-    de, da = e.denominator, a.denominator
-    if de == da:
-        return _raw([-a.numerator, e.numerator], de)
-    den = lcm(de, da)
-    return _raw([-a.numerator * (den // da), e.numerator * (den // de)], den)
-
-
-def constant_entry(c) -> Poly:
-    """The constant polynomial c, from a reduced fraction."""
-    return _raw([c.numerator], c.denominator) if c else POLY_ZERO
-
-
-def build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
-    """The system pencil P(s) = [sI-A, -B; C, D] and the constant rows
-    [E F] that extend it to P_e = [P; E F], read row by row from the
-    plant's entries."""
-    n, m = sys.n, sys.m
-    top = tuple(tuple([pencil_entry(1 if j == i else 0, a) for j, a in enumerate(row_a)]
-                      + [pencil_entry(0, b) for b in row_b])
-                for i, (row_a, row_b) in enumerate(zip(sys.A.data, sys.B.data)))
-    bottom = tuple(tuple(map(constant_entry, row_c + row_d))
-                   for row_c, row_d in zip(sys.C.data, sys.D.data))
-    EF = tuple(tuple(map(constant_entry, row_e + row_f))
-               for row_e, row_f in zip(sys.E.data, sys.F.data))
-    return (PolyMatrix(n + sys.p, n + m, top + bottom),
-            PolyMatrix(sys.q, n + m, EF))
+def pencil(S: IntegerMatrix, n: int) -> PolyMatrix:
+    """The pencil [sI - A, -B; C, D] of the plant with n states and system
+    matrix S = [A B; C D] (``geometry.vstar``'s arguments), each entry
+    reduced from S's integer rows over S.den; with n = 0, S as constants."""
+    d = S.den
+    return PolyMatrix(S.rows, S.cols, tuple(
+        tuple(_reduced([-x, d] if j == i else [-x], d) for j, x in enumerate(row)) if i < n
+        else tuple(_reduced([x], d) for x in row)
+        for i, row in enumerate(S.data)))
 
 
 class SmithDecomposition(NamedTuple):

@@ -1,8 +1,10 @@
 """Rational-function witnesses for [M N] P = [E F].
 
 Solvability over the field of rational functions needs only rank
-consistency.  Two routes build the canonical solution, and the data alone
-picks one:
+consistency.  P and [E F] are written by ``polymat.pencil`` from the rows
+of S_e = [A B; C D; E F] that the plant's ``decide.PlantForms`` reads, the
+same rows the decisions read.  Two routes build the canonical solution,
+and the data alone picks one:
 
 * P square with det P not identically zero: the solution [E F] P^-1 is
   unique, so its reduced entries do not depend on the route, and no
@@ -43,7 +45,7 @@ from typing import NamedTuple
 from . import decide, polymat
 from .exactlin import DenseMatrix, adjugate_solve
 from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix, _candidate, _digits, _reduced,
-                      _times, _value, build_system_matrices, poly_gcd, poly_lcm, smith_form)
+                      _times, _value, pencil, poly_gcd, poly_lcm, smith_form)
 from .stability import HurwitzReport, is_hurwitz
 from .system import SystemSextuple
 
@@ -291,7 +293,7 @@ def _verified(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix,
                          left_kernel_dim, None)
 
 
-def solve_over_field(sys: SystemSextuple) -> WitnessReport:
+def solve_over_field(sys: SystemSextuple | decide.PlantForms) -> WitnessReport:
     """Construct and verify the canonical field solution of [M N] P = [E F].
 
     A square P with det P not identically zero takes the unique solution
@@ -301,7 +303,8 @@ def solve_over_field(sys: SystemSextuple) -> WitnessReport:
     solution exists the residual is recomputed exactly and must be the zero
     matrix.
     """
-    P, EF = build_system_matrices(sys)
+    forms = decide.PlantForms.of(sys)
+    P, EF = pencil(forms.system_matrix, forms.sys.n), pencil(forms.EF, 0)
     if P.rows == P.cols > 0:
         MN = _unique_solution(P, EF)
         if MN is not None:
@@ -342,7 +345,7 @@ def decision_consistency(sys: SystemSextuple | decide.PlantForms) -> bool:
     properness that another member of the solution family achieves.
     """
     forms = decide.PlantForms.of(sys)
-    report = solve_over_field(forms.sys)
+    report = solve_over_field(forms)
     if report.solvable_over_field and not report.residual_zero:
         return False
     stable = report.solvable_over_field and report.denominator_hurwitz.is_hurwitz

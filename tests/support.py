@@ -49,9 +49,10 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
+from funcobs.decide import PlantForms
 from funcobs.exactlin import IntegerMatrix, QMatrix, Subspace, _common_den, adjugate_solve, \
     as_fraction, kernel_basis
-from funcobs.polymat import Poly, PolyMatrix, poly_gcd, smith_form
+from funcobs.polymat import Poly, PolyMatrix, pencil, poly_gcd, smith_form
 from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, WitnessReport, classify,
                              denominator_lcm)
@@ -358,6 +359,13 @@ def ref_pencil(E0: QMatrix, A0: QMatrix) -> PolyMatrix:
     return PolyMatrix(A0.rows, A0.cols,
                       tuple(tuple(Poly([-a, e]) for e, a in zip(row_e, row_a))
                             for row_e, row_a in zip(E0.data, A0.data)))
+
+
+def pencils(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
+    """P = [sI-A, -B; C, D] and [E F] as the witness writes them: with
+    ``polymat.pencil`` from the rows of the plant's forms."""
+    forms = PlantForms(sys)
+    return pencil(forms.system_matrix, sys.n), pencil(forms.EF, 0)
 
 
 def ref_build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:

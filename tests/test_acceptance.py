@@ -12,7 +12,7 @@ import pytest
 from funcobs import decide
 from funcobs.exactlin import QMatrix
 from funcobs.markov import kernel_inclusion_upto
-from funcobs.polymat import POLY_ONE, Poly, build_system_matrices, smith_form
+from funcobs.polymat import POLY_ONE, Poly, smith_form
 from funcobs.scenarios import fading_output_scenario
 from funcobs.sim import (Scenario, StateSpaceRealization, convergence_metric,
                          simulate)
@@ -51,7 +51,7 @@ def test_criterion_01_feedthrough_gap_verdicts():
 def test_criterion_02_integrator_chain_zero_polynomials():
     t0 = time.perf_counter()
     sys = support.integrator_chain()
-    P, EF = build_system_matrices(sys)
+    P, EF = support.pencils(sys)
     Pe = support.stack([[P], [EF]])
     (_, zp), (_, zpe) = (support.ref_rank_and_zero_polynomial(P),
                           support.ref_rank_and_zero_polynomial(Pe))
@@ -203,7 +203,7 @@ def test_criterion_10_witness_residuals(batch):
     solvable = bad = 0
     for sys in batch:
         rep = solve_over_field(sys)
-        P, EF = build_system_matrices(sys)
+        P, EF = support.pencils(sys)
         Pe = support.stack([[P], [EF]])
         if rep.solvable_over_field != (support.ref_normal_rank(P)
                                        == support.ref_normal_rank(Pe)):

@@ -13,8 +13,7 @@ from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import DenseMatrix, IntegerMatrix, QMatrix, Subspace, first_escape
 from funcobs.fileio import load_system_text, to_jsonable
-from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, build_system_matrices, poly_gcd,
-                             smith_form)
+from funcobs.polymat import POLY_ONE, Poly, PolyMatrix, pencil, poly_gcd, smith_form
 from funcobs.stability import antistable_parts_equal, is_hurwitz
 from funcobs.system import SystemSextuple
 
@@ -474,7 +473,7 @@ class TestSympySmithOracle:
                                 decide.strong_star_functional_detectable(plant).certificate.strong),
             }
             for name, (sys, cert) in certs.items():
-                Pe = support.stack([[M] for M in build_system_matrices(sys)])
+                Pe = support.stack([[M] for M in support.pencils(sys)])
                 got = (cert.normrank_pe, cert.zero_poly_pe)
                 assert got == support.ref_rank_and_zero_polynomial(Pe), name
                 assert got == self._rank_and_zeros(self._sympy_pencils(sys)[1]), name
@@ -664,8 +663,9 @@ class TestWorkCount:
              E=[["1/7", 2]], F=[["-1/2"]])],
         ids=["seeded", "rational"])
     def test_square_witness_reads_the_pencil(self, monkeypatch, lists):
-        """The square solve reads P and [E F] as build_system_matrices
-        wrote them: no plant row is brought over its common denominator."""
+        """The square solve reads P and [E F] as ``polymat.pencil`` wrote
+        them from S_e's integer rows: no plant row is brought over its
+        common denominator."""
         plant = SystemSextuple.from_lists(**lists)
         calls = []
         common_den = exactlin._common_den
@@ -791,7 +791,7 @@ class TestWorkCount:
         plant = SystemSextuple.from_lists(**lists)
         assert witness.decision_consistency(plant)
         assert len(calls) == 1
-        assert calls[0][0] == build_system_matrices(plant)[0]
+        assert calls[0][0] == support.pencils(plant)[0]
         witness.solve_over_field(plant)
         assert len(calls) == 2
 
@@ -839,17 +839,23 @@ class TestWorkCount:
         assert seeds[1].ints == ((0, 1, 0), (0, 0, 1))
 
     def test_system_matrices_assemble_no_blocks(self, monkeypatch, built):
-        """P and [E F] come straight from the plant's rows: no block
-        assembly, no intermediate QMatrix and no coerced Poly entry."""
+        """P and [E F] come straight from the rows of S_e, which the forms
+        read: no block assembly, no intermediate QMatrix and no coerced
+        Poly entry.  The plants have n = 0, m = 0, p = 0 or q = 0, or
+        entries over several denominators, one for each block."""
         rng = random.Random(4)
 
         def block(rows, cols):
             return [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
                      for _ in range(cols)] for _ in range(rows)]
 
-        plant = SystemSextuple.from_lists(A=block(4, 4), B=block(4, 2), C=block(2, 4),
-                                          D=block(2, 2), E=block(2, 4), F=block(2, 2))
-        want = support.ref_build_system_matrices(plant)
+        plants = [SystemSextuple.from_lists(A=block(4, 4), B=block(4, 2), C=block(2, 4),
+                                            D=block(2, 2), E=block(2, 4), F=block(2, 2)),
+                  SystemSextuple.from_lists(**support.rational_blocks_lists())]
+        for n, m, p, q in [(0, 2, 2, 1), (3, 0, 2, 1), (3, 2, 0, 1), (3, 2, 2, 0)]:
+            plants.append(SystemSextuple.from_lists(
+                A=block(n, n), B=block(n, m), C=block(p, n), D=block(p, m), E=block(q, n),
+                F=block(q, m), m=m))
         counts = Counter()
 
         def counted(name, fn):
@@ -859,10 +865,15 @@ class TestWorkCount:
             return wrapper
 
         monkeypatch.setattr(Poly, "__init__", counted("Poly.__init__", Poly.__init__))
-        built.clear()
-        got = build_system_matrices(plant)
-        assert counts == {} and QMatrix not in built
-        assert got == want
+        for plant in plants:
+            want = support.ref_build_system_matrices(plant)
+            forms = decide.PlantForms(plant)
+            S, EF = forms.system_matrix, forms.EF
+            counts.clear()
+            built.clear()
+            got = pencil(S, plant.n), pencil(EF, 0)
+            assert counts == {} and built == [PolyMatrix, PolyMatrix]
+            assert got == want
 
     def test_darouach_writes_its_matrices_from_the_plant_rows(self, monkeypatch, plant):
         """No negated copy; the constant stack is eliminated once, for its

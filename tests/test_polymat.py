@@ -9,18 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 from funcobs import decide, geometry, polymat
 from funcobs.exactlin import IntegerMatrix, QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub, berkowitz,
-                             build_system_matrices, poly_gcd, poly_lcm, smith_form)
+                             pencil, poly_gcd, poly_lcm, smith_form)
 from funcobs.system import SystemSextuple
 
 import support
 
 
 def P_of(sys):
-    return build_system_matrices(sys)[0]
+    return support.pencils(sys)[0]
 
 
 def Pe_of(sys):
-    return support.stack([[M] for M in build_system_matrices(sys)])
+    return support.stack([[M] for M in support.pencils(sys)])
 
 
 def characteristic_polynomial(A):
@@ -435,8 +435,20 @@ class TestSystemMatrices:
 
     @given(_sextuples())
     @example(SystemSextuple.from_lists(A=[], m=0))
+    @example(SystemSextuple.from_lists(A=[], D=[["1/2", 2], [0, "-1/3"]], F=[[1, "1/4"]]))
+    @example(SystemSextuple.from_lists(A=[[0, "1/2"], [-1, 0]], C=[["1/3", 0]], E=[[0, 1]], m=0))
+    @example(SystemSextuple.from_lists(A=[[1, 0], [1, -2]], B=[["1/5"], [0]], E=[[0, "1/6"]],
+                                       F=[[1]]))
+    @example(SystemSextuple.from_lists(A=[["1/2", 1], [0, 2]], B=[[0], ["1/3"]], C=[[1, 0]],
+                                       D=[["1/4"]]))
+    @example(SystemSextuple.from_lists(**support.rational_blocks_lists()))
     def test_build_matches_block_oracle(self, sys):
-        for got, want in zip(build_system_matrices(sys), support.ref_build_system_matrices(sys)):
+        # n = 0, m = 0, p = 0, q = 0 and one denominator per block among
+        # the examples: S and [E F] share S_e's denominator, and each entry
+        # is reduced from it
+        forms = decide.PlantForms(sys)
+        pencils = pencil(forms.system_matrix, sys.n), pencil(forms.EF, 0)
+        for got, want in zip(pencils, support.ref_build_system_matrices(sys)):
             _assert_same_storage(got, want)
 
     @given(_sextuples())

@@ -33,8 +33,9 @@ DECISIONS = [decide.functional_detectable, decide.strongly_functional_detectable
 def _outputs(name: str) -> list:
     """A freshly read bundled plant and everything the exact path reports on it."""
     plant = load_system_text(bundled_text(name))[0]
-    rep = witness.solve_over_field(plant)
-    P, _ = polymat.build_system_matrices(plant)
+    forms = decide.PlantForms(plant)
+    rep = witness.solve_over_field(forms)
+    P = polymat.pencil(forms.system_matrix, plant.n)
     return [plant, *(fn(plant) for fn in DECISIONS), rep,
             markov.kernel_inclusion_upto(plant, plant.n + plant.m),
             polymat.smith_form(P)] + ([witness.classify(rep.MN)] if rep.MN is not None else [])

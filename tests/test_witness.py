@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from funcobs import decide, witness
+from funcobs.cli import main
+from funcobs.corpus import bundled_names, bundled_text
 from funcobs.exactlin import QMatrix, adjugate_solve
-from funcobs.polymat import POLY_ONE, Poly, PolyMatrix, build_system_matrices, smith_form
+from funcobs.fileio import load_system_text, to_jsonable
+from funcobs.polymat import POLY_ONE, Poly, PolyMatrix, smith_form
 from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, classify,
                              decision_consistency, residual_is_zero, solve_over_field)
@@ -170,7 +174,7 @@ class TestSolveOverField:
     def test_solvability_equals_rank_equality(self, rng):
         for _ in range(80):
             sys = support.random_system(rng)
-            P, EF = build_system_matrices(sys)
+            P, EF = support.pencils(sys)
             Pe = support.stack([[P], [EF]])
             rep = solve_over_field(sys)
             assert rep.solvable_over_field == (support.ref_normal_rank(P)
@@ -181,7 +185,7 @@ class TestSolveOverField:
     def test_left_kernel_dimension(self):
         sys = support.integrator_chain()
         rep = solve_over_field(sys)
-        P, _ = build_system_matrices(sys)
+        P, _ = support.pencils(sys)
         assert rep.left_kernel_dim == P.rows - support.ref_normal_rank(P)
 
 
@@ -208,7 +212,7 @@ class TestWitnessOracle:
             if not rep.solvable_over_field:
                 continue
             solved += 1
-            P, _ = build_system_matrices(sys)
+            P, _ = support.pencils(sys)
             dec = smith_form(P)
             d = dec.invariant_polys
             r = len(d)
@@ -241,7 +245,7 @@ class TestWitnessOracle:
             rep = solve_over_field(sys)
             if not rep.solvable_over_field or sys.q == 0 or sys.n == 0:
                 continue
-            P, _ = build_system_matrices(sys)
+            P, _ = support.pencils(sys)
             EF = PolyMatrix.from_rows(support.stack([[sys.E, sys.F]]).data, cols=P.cols)
             assert residual_is_zero(rep.MN, P, EF)
             # column 0 of [M N] multiplies the row [s - a_11, ...] of P, never zero
@@ -345,6 +349,44 @@ class TestDecisionConsistency:
             assert decision_consistency(support.random_system(rng))
 
 
+class TestSharedForms:
+    """The witness reads the plant through ``decide.PlantForms``, as the
+    decisions do: forms passed in give the same witness as the bare plant,
+    and keep the S_e it read."""
+
+    @staticmethod
+    def _plants():
+        plants = [load_system_text(bundled_text(name))[0] for name in bundled_names()]
+        plants += [SystemSextuple.from_lists(**support.seeded_n6_lists(p))
+                   for p in (1, 2, 3)]
+        plants += [support.reanchor_plant(6),
+                   SystemSextuple.from_lists(**support.rational_blocks_lists())]
+        return plants
+
+    def test_forms_give_the_bare_plants_witness(self):
+        for plant in self._plants():
+            forms = decide.PlantForms(plant)
+            assert to_jsonable(solve_over_field(forms)) == to_jsonable(solve_over_field(plant))
+            assert "system_matrix_e" in forms.__dict__
+
+    def test_witness_command_reads_the_plant_once(self, monkeypatch, tmp_path, capsys):
+        read = decide.PlantForms.system_matrix_e.func
+        calls = []
+
+        def counted(forms):
+            calls.append(forms)
+            return read(forms)
+
+        monkeypatch.setattr(decide.PlantForms.system_matrix_e, "func", counted)
+        rational = tmp_path / "rational_blocks.json"
+        rational.write_text(json.dumps(support.rational_blocks_lists()))
+        for name in [*bundled_names(), str(rational)]:
+            calls.clear()
+            main(["witness", name, "--out", str(tmp_path / "out.json")])
+            assert len(calls) == 1, name
+        capsys.readouterr()
+
+
 def _fields(rep) -> dict:
     return rep._asdict()
 
@@ -426,7 +468,7 @@ def _wide_square_plants(draw):
 
 
 def _det_p(sys) -> Poly:
-    return support.ref_determinant(build_system_matrices(sys)[0])
+    return support.ref_determinant(support.pencils(sys)[0])
 
 
 _UNIQUE_CASES = {
@@ -504,7 +546,7 @@ class TestUniqueSolution:
     @example(_FALLBACK_CASES["square_singular_n_zero"])
     @example(SystemSextuple.from_lists(A=[], D=[[-10 ** 6]], F=[[10 ** 6 - 1]]))
     def test_matches_point_solves(self, sys):
-        assert (witness._unique_solution(*build_system_matrices(sys))
+        assert (witness._unique_solution(*support.pencils(sys))
                 == support.ref_unique_solution(sys))
 
     @given(_square_plants())
@@ -514,7 +556,7 @@ class TestUniqueSolution:
     @pytest.mark.parametrize("name", sorted(_UNIQUE_CASES))
     def test_unique_cases(self, name):
         sys = _UNIQUE_CASES[name]
-        assert witness._unique_solution(*build_system_matrices(sys)) is not None
+        assert witness._unique_solution(*support.pencils(sys)) is not None
         rep = solve_over_field(sys)
         assert rep.residual_zero
         assert _fields(rep) == _fields(support.ref_witness(sys))
@@ -528,12 +570,12 @@ class TestUniqueSolution:
         sys = _FALLBACK_CASES[name]
         if sys.p == sys.m and sys.n + sys.m:
             assert _det_p(sys).is_zero()
-            assert witness._unique_solution(*build_system_matrices(sys)) is None
+            assert witness._unique_solution(*support.pencils(sys)) is None
         assert _fields(solve_over_field(sys)) == _fields(support.ref_witness(sys))
 
     def test_reanchor_10_matches_smith_route(self):
         sys = support.reanchor_plant(10)
-        assert witness._unique_solution(*build_system_matrices(sys)) is not None
+        assert witness._unique_solution(*support.pencils(sys)) is not None
         assert _fields(solve_over_field(sys)) == _fields(support.ref_witness(sys))
 
     def test_reanchor_20(self):
