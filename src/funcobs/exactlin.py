@@ -96,14 +96,22 @@ def _echelon_add(echelon: dict[int, list[int]], row: list[int]) -> None:
     width = len(row)
     if len(echelon) == width:
         return
-    lead = next((j for j, x in enumerate(row) if x), width)
+    lead = 0
+    while lead < width and not row[lead]:
+        lead += 1
     while lead in echelon:
         prow = echelon[lead]
         p, f = prow[lead], row[lead]
         g = gcd(p, f)
         a, b = p // g, f // g
-        row = [a * x - b * y for x, y in zip(row, prow)]
-        lead = next((j for j in range(lead + 1, width) if row[j]), width)
+        # a = 1 when the kept lead divides f
+        if a == 1:
+            row = [x - b * y for x, y in zip(row, prow)]
+        else:
+            row = [a * x - b * y for x, y in zip(row, prow)]
+        lead += 1
+        while lead < width and not row[lead]:
+            lead += 1
     if lead < width:
         echelon[lead] = _primitive(row)
 

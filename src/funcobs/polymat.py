@@ -6,15 +6,17 @@ system pencils
     P(s)   = [ sI - A   -B ]        P_e(s) = [ P(s) ]
              [   C       D ]                 [ E  F ]
 
-``pencil`` writes P, or the constant rows [E F], from the integer rows of
-a system matrix over its one denominator, the matrix ``geometry.vstar``
-takes.  No decision builds a polynomial matrix: they read normal ranks
-and zeros off ``geometry.vstar`` and ``berkowitz``, the characteristic
-polynomial of an integer matrix over a scale.  The pencils serve the
-witness, with the Smith form (gcd-driven elementary row/column operations
-with both unimodular transformers tracked) where P is not square and
-nonsingular; the witness of the other plants, like the heuristic gcd, is
-read off one integer value as its symmetric digits (``_digits``).
+``pencil_rows`` writes the rows of P, or the constant rows [E F], from
+the integer rows of a system matrix, the matrix ``geometry.vstar`` takes:
+each row is integers over its own denominator.  No decision builds a
+polynomial matrix: they read normal ranks and zeros off
+``geometry.vstar`` and ``berkowitz``, the characteristic polynomial of an
+integer matrix over a scale.  The rows serve the witness: a square P's
+unique solution, like the heuristic gcd, is read off one integer value as
+its symmetric digits (``_digits``), and only the other plants build the
+pencil as a ``PolyMatrix`` (``pencil``) for the Smith form (gcd-driven
+elementary row/column operations with both unimodular transformers
+tracked).
 """
 
 from __future__ import annotations
@@ -386,15 +388,38 @@ class PolyMatrix(DenseMatrix):
         return PolyMatrix(self.rows, other.cols, tuple(data))
 
 
-def pencil(S: IntegerMatrix, n: int) -> PolyMatrix:
-    """The pencil [sI - A, -B; C, D] of the plant with n states and system
-    matrix S = [A B; C D] (``geometry.vstar``'s arguments), each entry
-    reduced from S's integer rows over S.den; with n = 0, S as constants."""
+class PencilRow(NamedTuple):
+    """Row i of a pencil, (e s u_i + k) / r with u_i the i-th unit row:
+    integer numerators k, the s-coefficient e on the diagonal and the lcm
+    r of the row's entries' denominators."""
+    k: list[int]
+    e: int
+    r: int
+
+
+def pencil_rows(S: IntegerMatrix, n: int) -> list[PencilRow]:
+    """The rows of the pencil [sI - A, -B; C, D] of the plant with n
+    states and system matrix S = [A B; C D] (``geometry.vstar``'s
+    arguments), each over its own denominator r = S.den / g, g = gcd(S.den,
+    row): row i < n is (r s u_i - row / g) / r, row i >= n is (row / g) / r.
+    With n = 0, S's rows as constants.  The only writer of P's layout."""
     d = S.den
+    out = []
+    for i, row in enumerate(S.data):
+        g = gcd(d, *row)
+        if i < n:
+            out.append(PencilRow([-x // g for x in row], d // g, d // g))
+        else:
+            out.append(PencilRow([x // g for x in row] if g > 1 else row, 0, d // g))
+    return out
+
+
+def pencil(S: IntegerMatrix, n: int) -> PolyMatrix:
+    """The pencil of ``pencil_rows(S, n)`` as a ``PolyMatrix``, each entry
+    reduced from its row's numerators over the row's denominator."""
     return PolyMatrix(S.rows, S.cols, tuple(
-        tuple(_reduced([-x, d] if j == i else [-x], d) for j, x in enumerate(row)) if i < n
-        else tuple(_reduced([x], d) for x in row)
-        for i, row in enumerate(S.data)))
+        tuple(_reduced([x, e] if j == i else [x], r) for j, x in enumerate(k))
+        for i, (k, e, r) in enumerate(pencil_rows(S, n))))
 
 
 class SmithDecomposition(NamedTuple):
@@ -554,5 +579,10 @@ def berkowitz(M: Sequence[Sequence[int]], d: int) -> Poly:
             col.append(-sum(map(mul, R, v)))
             if j < r - 1:
                 v = [sum(map(mul, row, v)) for row in top]
-        c = [sum(col[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+        out = [0] * (r + 2)
+        for j, x in enumerate(c):
+            if x:
+                for i, y in enumerate(col[:r + 2 - j], j):
+                    out[i] += x * y
+        c = out
     return _reduced([x * d ** j for j, x in enumerate(reversed(c))], d ** k)

@@ -1,16 +1,18 @@
 """Rational-function witnesses for [M N] P = [E F].
 
 Solvability over the field of rational functions needs only rank
-consistency.  P and [E F] are written by ``polymat.pencil`` from the rows
-of S_e = [A B; C D; E F] that the plant's ``decide.PlantForms`` reads, the
-same rows the decisions read.  Two routes build the canonical solution,
+consistency.  P's and [E F]'s rows are written by ``polymat.pencil_rows``
+from the rows of S_e = [A B; C D; E F] that the plant's
+``decide.PlantForms`` reads, the same rows the decisions read: integers
+over one denominator per row.  Two routes build the canonical solution,
 and the data alone picks one:
 
 * P square with det P not identically zero: the solution [E F] P^-1 is
   unique, so its reduced entries do not depend on the route, and no
   transformer is needed.  det P and the numerators [E F] adj P come from
   one fraction-free integer solve at one integer S past a bound on their
-  coefficients, which are read off the values as symmetric base-S digits.
+  coefficients, which are read off the values as symmetric base-S digits;
+  no polynomial matrix is built.
 * every other plant: the Smith decomposition U P V = S makes the canonical
   solution explicit, [M N] = [E F] V S^+ U where S^+ inverts the nonzero
   diagonal entries d_1 | ... | d_r, formed over the single denominator d_r
@@ -25,8 +27,8 @@ exceeds half the point and divides the gcd of the two values, so a gcd of
 at most half the point proves an entry coprime to it (``_over_shared``).
 
 The residual of the returned solution is re-verified exactly on every
-solve, by one integer evaluation per row past a bound on its
-coefficients; properness and pole locations of the constructed solution are
+solve, on the same rows, by one integer evaluation per row past a bound
+on its coefficients; properness and pole locations of the constructed solution are
 classified.  Stability is never missed: U is unimodular, so each solution
 has at least the poles of the canonical one; the canonical solution is
 stable exactly when some solution is.  Properness can be missed: the
@@ -42,10 +44,11 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from . import decide, polymat
+from . import decide
 from .exactlin import DenseMatrix, adjugate_solve
-from .polymat import (POLY_ONE, POLY_ZERO, Poly, PolyMatrix, _candidate, _digits, _reduced,
-                      _times, _value, pencil, poly_gcd, poly_lcm, smith_form)
+from .polymat import (POLY_ONE, POLY_ZERO, PencilRow, Poly, PolyMatrix, _candidate, _digits,
+                      _reduced, _times, _value, pencil, pencil_rows, poly_gcd, poly_lcm,
+                      smith_form)
 from .stability import HurwitzReport, is_hurwitz
 from .system import SystemSextuple
 
@@ -186,8 +189,27 @@ def _others(xs: list[int]) -> list[int]:
     return [prod(xs[:u] + xs[u + 1:]) for u in range(len(xs))]
 
 
-def residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) -> bool:
-    """Whether MN @ P == EF exactly, from one integer value per column.
+def _norms(row: PencilRow, i: int) -> list[int]:
+    """The 1-norms |k_j| + e [i = j] of the entries of pencil row i."""
+    norms = [abs(x) for x in row.k]
+    if row.e:
+        norms[i] += row.e
+    return norms
+
+
+def _values(row: PencilRow, i: int, x: int) -> list[int]:
+    """The numerators e x [i = j] + k_j of pencil row i at s = x."""
+    if not row.e:
+        return row.k
+    values = list(row.k)
+    values[i] += row.e * x
+    return values
+
+
+def residual_is_zero(MN: RationalFunctionMatrix, P: list[PencilRow],
+                     EF: list[PencilRow]) -> bool:
+    """Whether MN @ P == EF exactly, from one integer value per column,
+    for P's and EF's rows as ``polymat.pencil_rows`` writes them.
 
     Row k of MN holds a_r / b_r with a_r = A_r / dA_r and b_r = B_r / dB_r
     (A_r and B_r integer polynomials), row r of P is Prow_r / dP_r and row
@@ -205,85 +227,92 @@ def residual_is_zero(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix) 
             + w_T ||L||_1 max_j ||T_j||_1,
 
     with ||L||_1 and ||L / B_r||_1 bounded by the products of the 1-norms
-    of their factors.  At an integer S > H a nonzero integer polynomial of
-    degree d, whose coefficients are at most S - 1 in size, does not
-    vanish: its leading term is at least S^d in size, the others sum to at
-    most (S - 1)(S^(d-1) + ... + 1) = S^d - 1.  One S past every row's H
-    serves all rows: P's entries, the numerators and the distinct
-    denominators are evaluated there once, and Q_j(S) = 0 is one integer
-    dot product per column.
+    of their factors, and ||Prow_rj||_1 = |k_rj| + e_r [r = j].  At an
+    integer S > H a nonzero integer polynomial of degree d, whose
+    coefficients are at most S - 1 in size, does not vanish: its leading
+    term is at least S^d in size, the others sum to at most
+    (S - 1)(S^(d-1) + ... + 1) = S^d - 1.  One S past every row's H serves
+    all rows: P's rows, the numerators and the distinct denominators are
+    evaluated there once, and Q_j(S) = 0 is one integer dot product per
+    column.
     """
-    if MN.shape != (EF.rows, P.rows) or EF.cols != P.cols:
-        raise ValueError(f"residual shapes differ: {MN.shape} @ {P.shape} vs {EF.shape}")
-    prows = [polymat._common_den(row) for row in P.data]
-    pnorm = [max(map(_norm1, nums), default=0) for nums, _ in prows]
+    widths = {len(row.k) for row in P + EF}
+    if MN.shape != (len(EF), len(P)) or len(widths) > 1:
+        raise ValueError(f"residual shapes differ: {MN.shape} @ {len(P)} rows vs {len(EF)} rows"
+                         f" of widths {sorted(widths)}")
+    width = widths.pop() if widths else 0
+    pnorm = [max(_norms(row, r), default=0) for r, row in enumerate(P)]
     checks, bound = [], 0
-    for row, target in zip(MN.data, EF.data):
+    for k, (row, target) in enumerate(zip(MN.data, EF)):
         dens = list(dict.fromkeys(e.den for e in row))
         at = [dens.index(e.den) for e in row]
-        tnums, dt = polymat._common_den(target)
-        K = lcm(dt, *(e.num._den * dp for e, (_, dp) in zip(row, prows)))
-        w = [K * e.den._den // (e.num._den * dp) for e, (_, dp) in zip(row, prows)]
+        dt = target.r
+        K = lcm(dt, *(e.num._den * p.r for e, p in zip(row, P)))
+        w = [K * e.den._den // (e.num._den * p.r) for e, p in zip(row, P)]
         wt = K // dt
         bnorm = [_norm1(b._num) for b in dens]
         others = _others(bnorm)
         bound = max(bound, sum(wr * _norm1(e.num._num) * others[u] * pn
                                for wr, e, u, pn in zip(w, row, at, pnorm))
-                    + wt * prod(bnorm) * max(map(_norm1, tnums), default=0))
-        checks.append((row, dens, at, w, tnums, wt))
+                    + wt * prod(bnorm) * max(_norms(target, k), default=0))
+        checks.append((row, dens, at, w, k, target, wt))
     S = bound + 1
-    cols = [[_value(nums[j], S) for nums, _ in prows] for j in range(P.cols)]
-    for row, dens, at, w, tnums, wt in checks:
+    pvals = [_values(row, r, S) for r, row in enumerate(P)]
+    cols = [[vals[j] for vals in pvals] for j in range(width)]
+    for row, dens, at, w, k, target, wt in checks:
         beta = [_value(b._num, S) for b in dens]
         others = _others(beta)
         v = [wr * _value(e.num._num, S) * others[u] for wr, e, u in zip(w, row, at)]
         scale = wt * prod(beta)
-        if any(sum(map(mul, v, col)) != scale * _value(t, S) for col, t in zip(cols, tnums)):
+        if any(sum(map(mul, v, col)) != scale * t
+               for col, t in zip(cols, _values(target, k, S))):
             return False
     return True
 
 
-def _unique_solution(P: PolyMatrix, EF: PolyMatrix) -> RationalFunctionMatrix | None:
-    """X = EF P^-1, the solution of X P = EF for any square polynomial P
-    (N x N, N > 0), from one integer solve at s = S; None when det P
-    vanishes there, hence identically.
+def _unique_solution(P: list[PencilRow], EF: list[PencilRow]) -> RationalFunctionMatrix | None:
+    """X = EF P^-1, the solution of X P = EF for a square pencil P (N x N,
+    N > 0) given by its rows, as ``polymat.pencil_rows`` writes them, from
+    one integer solve at s = S; None when det P vanishes there, hence
+    identically.
 
-    Row i of P and row k of EF are read over the lcms r_i and e_k of their
-    denominators (``polymat._common_den``), so X' P' = EF' holds on integer
-    rows and X = X' with entry (k, i) times r_i / e_k.  One
-    ``adjugate_solve`` of G(S), G(s) = [P'(s)^T | EF'(s)^T], gives
+    Row i of P is P'_i / r_i and row k of EF is EF'_k / t_k on integer
+    rows, so X' P' = EF' and X = X' with entry (k, i) times r_i / t_k.
+    One ``adjugate_solve`` of G(S), G(s) = [P'(s)^T | EF'(s)^T], whose
+    entry G_ji = e_i s [i = j] + k_ij is entry j of row i of [P'; EF']
+    (EF's rows, from ``pencil_rows(EF, 0)``, are constants), gives
     det P'(S) and det P'(S) X'(S)^T, whose entries are, by Cramer's rule,
-    the determinants of N x N matrices D(s) whose row j is taken from row j
-    of G(s).  Whatever the degrees of the entries, their coefficients are
-    bounded by the Goldstein-Graham bound (SIAM Review 16, 1974)
+    the determinants of N x N matrices D(s) whose row j is taken from row
+    j of G(s).  Their coefficients are bounded by the
+    Goldstein-Graham bound (SIAM Review 16, 1974)
 
-        H = prod_j (sum_k ||G_jk||_1^2)^(1/2),
+        H = prod_j (sum_i ||G_ji||_1^2)^(1/2),  ||G_ji||_1 = |k_ij| + e_i [i = j]:
 
-    with ||.||_1 the sum of the absolute coefficients: by Parseval the
-    2-norm of det D's coefficients is the root mean square of |det D(z)|
-    on the unit circle, where Hadamard's inequality bounds it by
-    prod_j (sum_k |G_jk(z)|^2)^(1/2) and |G_jk(z)| <= ||G_jk||_1.  The
+    by Parseval the 2-norm of det D's coefficients is the root mean square
+    of |det D(z)| on the unit circle, where Hadamard's inequality bounds it
+    by prod_j (sum_i |G_ji(z)|^2)^(1/2) and |G_ji(z)| <= ||G_ji||_1.  The
     coefficients are integers, so they lie in [-isqrt(H^2), isqrt(H^2)],
     and at S = 2 isqrt(H^2) + 1 they are the symmetric base-S digits
     (``polymat._digits``) of the values: det P'(S) = 0 proves det P = 0.
     """
-    if not P.rows == P.cols == EF.cols:
-        raise ValueError(f"solve shapes differ: {EF.shape} P^-1 with P {P.shape}")
-    rows = [polymat._common_den(row) for row in P.data]
-    targets = [polymat._common_den(row) for row in EF.data]
+    N = len(P)
+    if any(len(row.k) != N for row in P + EF):
+        raise ValueError(f"solve shapes differ: P has {N} rows, rows of widths "
+                         f"{sorted({len(row.k) for row in P + EF})}")
     # row j of G is column j of [P'; EF']
-    G = list(zip(*(nums for nums, _ in rows + targets)))
-    S = 2 * isqrt(prod(sum(_norm1(g) ** 2 for g in row) for row in G)) + 1
-    det, sol = adjugate_solve([[_value(g, S) for g in row] for row in G])
+    rows = [*enumerate(P), *enumerate(EF)]
+    norms = [_norms(row, i) for i, row in rows]
+    S = 2 * isqrt(prod(sum(x * x for x in col) for col in zip(*norms))) + 1
+    det, sol = adjugate_solve([list(col) for col in zip(*(_values(row, i, S) for i, row in rows))])
     if not det:
         return None
     den = _reduced(_digits(det, S), 1)
-    return RationalFunctionMatrix(EF.rows, P.rows, _over_shared(
-        [[_reduced([r * c for c in _digits(sol[i][k], S)], e) for i, (_, r) in enumerate(rows)]
-         for k, (_, e) in enumerate(targets)], den))
+    return RationalFunctionMatrix(len(EF), N, _over_shared(
+        [[_reduced([p.r * c for c in _digits(sol[i][k], S)], t.r) for i, p in enumerate(P)]
+         for k, t in enumerate(EF)], den))
 
 
-def _verified(MN: RationalFunctionMatrix, P: PolyMatrix, EF: PolyMatrix,
+def _verified(MN: RationalFunctionMatrix, P: list[PencilRow], EF: list[PencilRow],
               left_kernel_dim: int) -> WitnessReport:
     """The report of a solution, with its residual recomputed exactly."""
     residual_zero = residual_is_zero(MN, P, EF)
@@ -297,22 +326,24 @@ def solve_over_field(sys: SystemSextuple | decide.PlantForms) -> WitnessReport:
     """Construct and verify the canonical field solution of [M N] P = [E F].
 
     A square P with det P not identically zero takes the unique solution
-    from ``_unique_solution``; every other plant reads it off the Smith
-    form of P.  Unsolvable is a report state, not an error; the report then
-    names the Smith column on which [E F] V fails to vanish.  When a
-    solution exists the residual is recomputed exactly and must be the zero
-    matrix.
+    from ``_unique_solution`` on P's and [E F]'s integer rows; every other
+    plant reads it off the Smith form of P, the one route that builds the
+    pencil as a ``PolyMatrix``.  Unsolvable is a report state, not an
+    error; the report then names the Smith column on which [E F] V fails
+    to vanish.  When a solution exists the residual is recomputed exactly
+    on the rows and must be the zero matrix.
     """
     forms = decide.PlantForms.of(sys)
-    P, EF = pencil(forms.system_matrix, forms.sys.n), pencil(forms.EF, 0)
-    if P.rows == P.cols > 0:
+    S, n = forms.system_matrix, forms.sys.n
+    P, EF = pencil_rows(S, n), pencil_rows(forms.EF, 0)
+    if S.rows == S.cols > 0:
         MN = _unique_solution(P, EF)
         if MN is not None:
             return _verified(MN, P, EF, 0)
-    dec = smith_form(P)
+    dec = smith_form(pencil(S, n))
     r = len(dec.invariant_polys)
-    W = EF @ dec.V
-    left_kernel_dim = P.rows - r
+    W = pencil(forms.EF, 0) @ dec.V
+    left_kernel_dim = S.rows - r
 
     for j in range(r, W.cols):
         if any(not W[i, j].is_zero() for i in range(W.rows)):
@@ -324,9 +355,9 @@ def solve_over_field(sys: SystemSextuple | decide.PlantForms) -> WitnessReport:
     # reduction per entry
     L = dec.invariant_polys[-1] if r else POLY_ONE
     scale = [L.exact_div(d) for d in dec.invariant_polys]
-    WL = PolyMatrix(W.rows, P.rows,
+    WL = PolyMatrix(W.rows, S.rows,
                     tuple(tuple(W[i, j] * scale[j] if j < r else POLY_ZERO
-                                for j in range(P.rows))
+                                for j in range(S.rows))
                           for i in range(W.rows)))
     num = WL @ dec.U
     MN = RationalFunctionMatrix(num.rows, num.cols, _over_shared(num.data, L))

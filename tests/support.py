@@ -52,7 +52,7 @@ from hypothesis import strategies as st
 from funcobs.decide import PlantForms
 from funcobs.exactlin import IntegerMatrix, QMatrix, Subspace, _common_den, adjugate_solve, \
     as_fraction, kernel_basis
-from funcobs.polymat import Poly, PolyMatrix, pencil, poly_gcd, smith_form
+from funcobs.polymat import PencilRow, Poly, PolyMatrix, pencil, pencil_rows, poly_gcd, smith_form
 from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, WitnessReport, classify,
                              denominator_lcm)
@@ -366,6 +366,13 @@ def pencils(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:
     ``polymat.pencil`` from the rows of the plant's forms."""
     forms = PlantForms(sys)
     return pencil(forms.system_matrix, sys.n), pencil(forms.EF, 0)
+
+
+def pencil_rows_of(sys: SystemSextuple) -> tuple[list[PencilRow], list[PencilRow]]:
+    """The rows of P = [sI-A, -B; C, D] and of [E F] as the witness reads
+    them: with ``polymat.pencil_rows`` from the rows of the plant's forms."""
+    forms = PlantForms(sys)
+    return pencil_rows(forms.system_matrix, sys.n), pencil_rows(forms.EF, 0)
 
 
 def ref_build_system_matrices(sys: SystemSextuple) -> tuple[PolyMatrix, PolyMatrix]:

@@ -657,29 +657,39 @@ class TestWorkCount:
         assert calls == {} and QMatrix not in built
         assert rep.holds == (rep.witness is None)
 
-    @pytest.mark.parametrize("lists", [
-        support.seeded_n6_lists(),
-        dict(A=[["1/2", 1], [0, "-1/3"]], B=[[1], ["2/3"]], C=[[1, "3/4"]], D=[["1/5"]],
-             E=[["1/7", 2]], F=[["-1/2"]])],
-        ids=["seeded", "rational"])
-    def test_square_witness_reads_the_pencil(self, monkeypatch, lists):
-        """The square solve reads P and [E F] as ``polymat.pencil`` wrote
-        them from S_e's integer rows: no plant row is brought over its
-        common denominator."""
+    @pytest.mark.parametrize("lists,smith", [
+        (support.seeded_n6_lists(), False),
+        (dict(A=[["1/2", 1], [0, "-1/3"]], B=[[1], ["2/3"]], C=[[1, "3/4"]], D=[["1/5"]],
+              E=[["1/7", 2]], F=[["-1/2"]]), False),
+        (support.seeded_n6_lists(p=3), True),
+        # B = 0, D = 0 and F = 0: P is square but singular, and solvable
+        (dict(support.seeded_n6_lists(), B=[[0, 0]] * 6, D=[[0, 0]] * 2, F=[[0, 0]] * 2), True)],
+        ids=["seeded", "rational", "p_ne_m", "square_singular"])
+    def test_witness_builds_a_pencil_only_for_the_smith_form(self, monkeypatch, built, lists,
+                                                             smith):
+        """The square solve and every residual check read P's and [E F]'s
+        rows as ``polymat.pencil_rows`` writes them from S_e's integer
+        rows: no plant row is brought over its common denominator, and
+        only the Smith route builds a ``PolyMatrix``, from one call of
+        ``pencil`` for P and one for [E F]."""
         plant = SystemSextuple.from_lists(**lists)
-        calls = []
-        common_den = exactlin._common_den
-
-        def spy(xs):
-            calls.append(xs)
-            return common_den(xs)
-
-        for name, module in list(_sys.modules.items()):
-            if name.startswith("funcobs.") and getattr(module, "_common_den", None) is common_den:
-                monkeypatch.setattr(module, "_common_den", spy)
-        rep = witness.solve_over_field(plant)
-        assert rep.residual_zero and rep.left_kernel_dim == 0
-        assert calls == []
+        forms = decide.PlantForms(plant)
+        S, EF = forms.system_matrix, forms.EF
+        rows, pencils = [], []
+        for module in (exactlin, polymat):
+            common_den = module._common_den
+            for name, mod in list(_sys.modules.items()):
+                if name.startswith("funcobs.") and getattr(mod, "_common_den", None) is common_den:
+                    monkeypatch.setattr(mod, "_common_den",
+                                        lambda xs, f=common_den, m=module: rows.append(m) or f(xs))
+        monkeypatch.setattr(witness, "pencil", lambda M, n: pencils.append((M, n)) or pencil(M, n))
+        built.clear()
+        rep = witness.solve_over_field(forms)
+        assert rep.residual_zero
+        assert pencils == ([(S, plant.n), (EF, 0)] if smith else [])
+        assert (PolyMatrix in built) == smith
+        # the Smith route's polynomial products read their own rows
+        assert set(rows) == ({polymat} if smith else set())
 
     def test_growing_an_echelon_rewrites_no_kept_row(self):
         """Each add leaves every kept row the same list with the same

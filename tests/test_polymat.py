@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from funcobs import decide, geometry, polymat
 from funcobs.exactlin import IntegerMatrix, QMatrix
 from funcobs.polymat import (POLY_ONE, Poly, PolyMatrix, _col_op_sub, _row_op_sub, berkowitz,
-                             pencil, poly_gcd, poly_lcm, smith_form)
+                             pencil, pencil_rows, poly_gcd, poly_lcm, smith_form)
 from funcobs.system import SystemSextuple
 
 import support
@@ -450,6 +450,25 @@ class TestSystemMatrices:
         pencils = pencil(forms.system_matrix, sys.n), pencil(forms.EF, 0)
         for got, want in zip(pencils, support.ref_build_system_matrices(sys)):
             _assert_same_storage(got, want)
+
+    @given(_sextuples())
+    @example(SystemSextuple.from_lists(A=[], m=0))
+    @example(SystemSextuple.from_lists(A=[], D=[["1/2", 2], [0, "-1/3"]], F=[[1, "1/4"]]))
+    @example(SystemSextuple.from_lists(A=[[0, "1/2"], [-1, 0]], C=[["1/3", 0]], E=[[0, 1]], m=0))
+    @example(SystemSextuple.from_lists(**support.rational_blocks_lists()))
+    def test_rows_are_the_pencils_rows_over_their_own_denominators(self, sys):
+        """Row i of ``pencil_rows`` is row i of ``pencil`` read over the lcm
+        r_i of its entries' denominators (``polymat._common_den``): the
+        polynomials e_i s [i = j] + k_ij over r_i, with e_i = 0 from row n
+        on, and [E F]'s rows constant."""
+        forms = decide.PlantForms(sys)
+        for M, n in ((forms.system_matrix, sys.n), (forms.EF, 0)):
+            rows = pencil_rows(M, n)
+            want = [([Poly(x) for x in nums], r)
+                    for nums, r in map(polymat._common_den, pencil(M, n).data)]
+            assert [([Poly([x, e] if j == i else [x]) for j, x in enumerate(k)], r)
+                    for i, (k, e, r) in enumerate(rows)] == want
+            assert all(e == 0 for _, e, _ in rows[n:])
 
     @given(_sextuples())
     @example(SystemSextuple.from_lists(A=[], m=0))

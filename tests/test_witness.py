@@ -9,9 +9,9 @@ from hypothesis import example, given, strategies as st
 from funcobs import decide, witness
 from funcobs.cli import main
 from funcobs.corpus import bundled_names, bundled_text
-from funcobs.exactlin import QMatrix, adjugate_solve
+from funcobs.exactlin import IntegerMatrix, QMatrix, adjugate_solve
 from funcobs.fileio import load_system_text, to_jsonable
-from funcobs.polymat import POLY_ONE, Poly, PolyMatrix, smith_form
+from funcobs.polymat import POLY_ONE, Poly, PolyMatrix, pencil_rows, smith_form
 from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, classify,
                              decision_consistency, residual_is_zero, solve_over_field)
@@ -245,8 +245,7 @@ class TestWitnessOracle:
             rep = solve_over_field(sys)
             if not rep.solvable_over_field or sys.q == 0 or sys.n == 0:
                 continue
-            P, _ = support.pencils(sys)
-            EF = PolyMatrix.from_rows(support.stack([[sys.E, sys.F]]).data, cols=P.cols)
+            P, EF = support.pencil_rows_of(sys)
             assert residual_is_zero(rep.MN, P, EF)
             # column 0 of [M N] multiplies the row [s - a_11, ...] of P, never zero
             e = rep.MN[0, 0]
@@ -260,75 +259,88 @@ class TestWitnessOracle:
         assert perturbed >= 5
 
 
-_coef = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
-
-
 @st.composite
 def _residual_cases(draw):
-    """(MN, P, EF), exact or with one entry of MN or EF moved.  Row r of P
-    is f_r P0_r, with f_r a nonzero constant or s + c and P0 of degree
-    <= 1, so P has degree 2; entry (k, r) of MN is x_kr / f_r, so a row
-    has several distinct denominators, and EF = X P0.  Rows of X may be
-    zero, and q may be 0."""
-    rows, cols, q = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    """(MN, plant, move): a plant with n, m, p, q in 0..4 and entries in
+    -3..3 over one denominator per block, its witness MN, and the plant
+    and MN as drawn or with one entry of MN or of [E F] moved.  A plant
+    with no witness takes the target Y [C D] for a drawn Y instead.  A
+    moved MN entry is in a column whose row of P is nonzero, so every
+    move leaves a nonzero residual."""
+    n, m, p, q = (draw(st.integers(0, 4)) for _ in range(4))
 
-    def poly(degree):
-        return Poly([draw(_coef) for _ in range(degree + 1)])
+    def block(rows, cols):
+        den = draw(st.sampled_from([1, 2, 3, 4, 6, 7]))
+        return QMatrix.from_rows([[Fraction(draw(st.integers(-3, 3)), den) for _ in range(cols)]
+                                  for _ in range(rows)], cols=cols)
 
-    f = [Poly([draw(_coef), 1]) if draw(st.booleans())
-         else Poly([draw(st.sampled_from([-2, 1, Fraction(1, 3)]))]) for _ in range(rows)]
-    P0 = PolyMatrix.from_rows([[poly(1) for _ in range(cols)] for _ in range(rows)], cols=cols)
-    X = PolyMatrix.from_rows([[Poly() if zero else poly(1) for _ in range(rows)]
-                              for zero in (draw(st.booleans()) for _ in range(q))], cols=rows)
-    P = PolyMatrix.from_rows([[f[r] * e for e in P0.data[r]] for r in range(rows)], cols=cols)
-    MN = [[RationalFunction(x, d) for x, d in zip(row, f)] for row in X.data]
-    EF = [list(row) for row in support.ref_polymatmul(X, P0).data]
-    move = draw(st.sampled_from(["none", "mn", "ef"])) if q else "none"
+    A, B, C, D, E, F = (block(n, n), block(n, m), block(p, n), block(p, m), block(q, n),
+                        block(q, m))
+    sys = SystemSextuple(A, B, C, D, E, F)
+    rep = solve_over_field(sys)
+    if not rep.solvable_over_field:
+        Y = block(q, p)
+        sys = sys.with_target(support.ref_qmatmul(Y, C), support.ref_qmatmul(Y, D))
+        rep = solve_over_field(sys)
+    MN = [list(row) for row in rep.MN.data]
+    live = [r for r, row in enumerate(support.pencils(sys)[0].data)
+            if any(not e.is_zero() for e in row)]
+    moves = ["none"] + ["mn"] * bool(q and live) + ["ef"] * bool(q and n + m)
+    move = draw(st.sampled_from(moves))
     if move == "mn":
-        k, r = draw(st.integers(0, q - 1)), draw(st.integers(0, rows - 1))
-        e, (num, den) = MN[k][r], (poly(1), Poly([draw(_coef), 1]))
+        k, r = draw(st.integers(0, q - 1)), draw(st.sampled_from(live))
+        num = Poly([draw(st.integers(-3, 3)), draw(st.integers(1, 3))])
+        den = Poly([draw(st.integers(-3, 3)), 1])
+        e = MN[k][r]
         MN[k][r] = RationalFunction(e.num * den + num * e.den, e.den * den)
     elif move == "ef":
-        k, j = draw(st.integers(0, q - 1)), draw(st.integers(0, cols - 1))
-        EF[k][j] = EF[k][j] + poly(2)
-    return (RationalFunctionMatrix.from_rows(MN, cols=rows), P,
-            PolyMatrix.from_rows(EF, cols=cols), move)
+        k, j = draw(st.integers(0, q - 1)), draw(st.integers(0, n + m - 1))
+        rows = [list(a) + list(b) for a, b in zip(sys.E.data, sys.F.data)]
+        rows[k][j] += Fraction(draw(st.sampled_from([-2, -1, 1, 3])), draw(st.integers(1, 7)))
+        sys = sys.with_target(QMatrix.from_rows([row[:n] for row in rows], cols=n),
+                              QMatrix.from_rows([row[n:] for row in rows], cols=m))
+    return RationalFunctionMatrix.from_rows(MN, cols=n + p), sys, move
 
 
 class TestResidual:
-    """The check at one point against ``support.ref_residual_is_zero``,
-    which multiplies each row's numerators over its denominator lcm."""
+    """The check at one point on ``polymat.pencil_rows``'s rows against
+    ``support.ref_residual_is_zero``, which multiplies each row's
+    numerators over its denominator lcm into the ``PolyMatrix`` pencils."""
 
     @given(_residual_cases())
+    # q = 0: MN has no rows
+    @example((RationalFunctionMatrix(0, 3, ()),
+              SystemSextuple.from_lists(A=[[1, 2], [0, 3]], C=[[1, 0]], m=0), "none"))
+    # P = [s] has k = 0, so its 1-norm is the s-coefficient alone: a bound
+    # without it picks S = 1, a root of the residual (s - 1) s
+    @example((RationalFunctionMatrix.from_rows([[rf((-1, 1))]]),
+              SystemSextuple.from_lists(A=[[0]], E=[[0]], m=0), "mn"))
     def test_matches_polymatrix_product(self, case):
-        MN, P, EF, move = case
-        got = residual_is_zero(MN, P, EF)
-        assert got == support.ref_residual_is_zero(MN, P, EF)
-        if move == "none":
-            assert got
+        MN, sys, move = case
+        got = residual_is_zero(MN, *support.pencil_rows_of(sys))
+        assert got == support.ref_residual_is_zero(MN, *support.pencils(sys))
+        assert got == (move == "none")
 
     @pytest.mark.parametrize("k", range(4))
     def test_integer_roots_are_no_zeros(self, k):
         # MN @ P - EF is s - k - c, the second time through a denominator:
         # its root k + c walks through every integer below the point that
         # a weaker bound would pick
-        s1 = Poly([1, 1])
         for c in range(12):
-            for MN, P in ((rf((1,)), Poly([-k, 1])), (rf((1,), (1, 1)), Poly([-k, 1]) * s1)):
-                assert not residual_is_zero(RationalFunctionMatrix.from_rows([[MN]]),
-                                            PolyMatrix.from_rows([[P]]),
-                                            PolyMatrix.from_rows([[c]]))
+            for MN, a in ((rf((1,)), k), (rf((-k, 1), (1, 1)), -1)):
+                P, EF = support.pencil_rows_of(SystemSextuple.from_lists(A=[[a]], E=[[c]], m=0))
+                assert not residual_is_zero(RationalFunctionMatrix.from_rows([[MN]]), P, EF)
 
     def test_zero_width_plant(self):
         # n + p = 0: MN has no columns, so the residual is -EF
-        P = PolyMatrix(0, 2, ())
         MN = RationalFunctionMatrix(1, 0, ((),))
-        assert residual_is_zero(MN, P, PolyMatrix.from_rows([[0, 0]], cols=2))
-        assert not residual_is_zero(MN, P, PolyMatrix.from_rows([[0, 1]], cols=2))
+        for F, want in (([[0, 0]], True), ([[0, 1]], False)):
+            sys = SystemSextuple.from_lists(A=[], F=F)
+            assert residual_is_zero(MN, *support.pencil_rows_of(sys)) == want
 
     def test_shape_mismatch_rejected(self):
-        P = PolyMatrix.from_rows([[1, 0], [0, 1]], cols=2)
-        with pytest.raises(ValueError):
+        P, _ = support.pencil_rows_of(SystemSextuple.from_lists(A=[[1, 0], [0, 1]], m=0))
+        with pytest.raises(ValueError, match="residual shapes differ"):
             residual_is_zero(RationalFunctionMatrix.from_rows([[rf((1,))]]), P, P)
 
 
@@ -482,6 +494,8 @@ _UNIQUE_CASES = {
         F=[[Fraction(-1, 2)]]),
     "n_zero": SystemSextuple.from_lists(A=[], D=[[1, 2], [3, 4]], F=[[1, 1]]),
     "q_zero": SystemSextuple.from_lists(A=[[-1]], B=[[1]], C=[[1]], D=[[0]]),
+    # n = 0 and q = 0: P = D, and the solution has no rows
+    "n_and_q_zero": SystemSextuple.from_lists(A=[], D=[["1/2", 2], [3, 4]]),
 }
 
 _FALLBACK_CASES = {
@@ -495,26 +509,28 @@ _FALLBACK_CASES = {
 }
 
 
-_RATIONALS = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
-
-
-def _polys(max_degree):
-    return st.lists(_RATIONALS, min_size=1, max_size=max_degree + 1).map(Poly)
-
-
 @st.composite
-def _square_pencils(draw):
-    """A square P of size 1..4 with entries of degree <= 2 and an EF of
-    0..3 rows with entries of degree <= 1, rational coefficients in -2..2
-    over 1, 2 or 3; a drawn flag makes P's last row a multiple of its
-    first, so singular P come up too."""
-    N, q = draw(st.integers(1, 4)), draw(st.integers(0, 3))
-    rows = [[draw(_polys(2)) for _ in range(N)] for _ in range(N)]
-    if N > 1 and draw(st.booleans()):
-        c = draw(_RATIONALS)
-        rows[-1] = [c * e for e in rows[0]]
-    EF = [[draw(_polys(1)) for _ in range(N)] for _ in range(q)]
-    return PolyMatrix.from_rows(rows), PolyMatrix(q, N, tuple(map(tuple, EF)))
+def _square_pencil_plants(draw):
+    """Plants with p = m, n in 0..4, m in 0..2 (n + m > 0), q in 0..3 and
+    entries in -2..2 over 1, 2 or 3; a drawn flag zeroes B's and D's first
+    column, or makes D's last row a multiple of its first, so singular P
+    come up too."""
+    m, q = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    n = draw(st.integers(0 if m else 1, 4))
+    entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+
+    def block(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    A, B, C, D, E, F = block(n, n), block(n, m), block(m, n), block(m, m), block(q, n), block(q, m)
+    singular = draw(st.sampled_from(["no", "input", "output"])) if m else "no"
+    if singular == "input":
+        for row in B + D:
+            row[0] = 0
+    elif singular == "output":
+        c = draw(entry)
+        C[-1], D[-1] = [c * x for x in C[0]], [c * x for x in D[0]]
+    return SystemSextuple.from_lists(A=A, B=B, C=C, D=D, E=E, F=F, m=m)
 
 
 class TestUniqueSolution:
@@ -523,13 +539,13 @@ class TestUniqueSolution:
     solves of ``support.ref_unique_solution``: in the unique case their
     reduced entries agree."""
 
-    @given(_square_pencils())
-    def test_solves_any_square_pencil(self, pencil):
-        """P of any degree: no solution exactly when P is singular, that is
-        when its Smith form has fewer than N invariants; else the solution
-        verifies against the oracle's residual."""
-        P, EF = pencil
-        MN = witness._unique_solution(P, EF)
+    @given(_square_pencil_plants())
+    def test_solves_any_square_pencil(self, sys):
+        """No solution exactly when P is singular, that is when its Smith
+        form has fewer than N invariants; else the solution verifies
+        against the oracle's residual on the ``PolyMatrix`` pencils."""
+        P, EF = support.pencils(sys)
+        MN = witness._unique_solution(*support.pencil_rows_of(sys))
         assert (MN is None) == (len(smith_form(P).invariant_polys) < P.rows)
         if MN is not None:
             assert support.ref_residual_is_zero(MN, P, EF)
@@ -537,7 +553,8 @@ class TestUniqueSolution:
     @pytest.mark.parametrize("p_shape", [(2, 2), (2, 3)], ids=["ef_wider", "p_not_square"])
     def test_shape_mismatch(self, p_shape):
         with pytest.raises(ValueError, match="solve shapes differ"):
-            witness._unique_solution(PolyMatrix.zeros(*p_shape), PolyMatrix.zeros(1, 3))
+            witness._unique_solution(pencil_rows(IntegerMatrix.zeros(*p_shape), 0),
+                                     pencil_rows(IntegerMatrix.zeros(1, 3), 0))
 
     @given(_wide_square_plants())
     @example(_UNIQUE_CASES["n_zero"])
@@ -546,7 +563,7 @@ class TestUniqueSolution:
     @example(_FALLBACK_CASES["square_singular_n_zero"])
     @example(SystemSextuple.from_lists(A=[], D=[[-10 ** 6]], F=[[10 ** 6 - 1]]))
     def test_matches_point_solves(self, sys):
-        assert (witness._unique_solution(*support.pencils(sys))
+        assert (witness._unique_solution(*support.pencil_rows_of(sys))
                 == support.ref_unique_solution(sys))
 
     @given(_square_plants())
@@ -556,7 +573,7 @@ class TestUniqueSolution:
     @pytest.mark.parametrize("name", sorted(_UNIQUE_CASES))
     def test_unique_cases(self, name):
         sys = _UNIQUE_CASES[name]
-        assert witness._unique_solution(*support.pencils(sys)) is not None
+        assert witness._unique_solution(*support.pencil_rows_of(sys)) is not None
         rep = solve_over_field(sys)
         assert rep.residual_zero
         assert _fields(rep) == _fields(support.ref_witness(sys))
@@ -570,12 +587,12 @@ class TestUniqueSolution:
         sys = _FALLBACK_CASES[name]
         if sys.p == sys.m and sys.n + sys.m:
             assert _det_p(sys).is_zero()
-            assert witness._unique_solution(*support.pencils(sys)) is None
+            assert witness._unique_solution(*support.pencil_rows_of(sys)) is None
         assert _fields(solve_over_field(sys)) == _fields(support.ref_witness(sys))
 
     def test_reanchor_10_matches_smith_route(self):
         sys = support.reanchor_plant(10)
-        assert witness._unique_solution(*support.pencils(sys)) is not None
+        assert witness._unique_solution(*support.pencil_rows_of(sys)) is not None
         assert _fields(solve_over_field(sys)) == _fields(support.ref_witness(sys))
 
     def test_reanchor_20(self):
