@@ -162,7 +162,7 @@ class PlantForms:
     bare plant does all of its own work.  The plant is read into integers
     once, on first use, into S_e = [A B; C D; E F] (``system_matrix_e``),
     and every matrix a decision hands on is a slice of S_e or written from
-    its rows; P's and P_e's V* calls share its rows."""
+    its rows; P_e's V* call goes on from P's echelon."""
 
     def __init__(self, sys: SystemSextuple):
         self.sys = sys
@@ -238,9 +238,9 @@ class PlantForms:
     @_once
     def detectability(self) -> DetectabilityCertificate:
         rp, zp = self.rank_and_zero
-        # P_e's V* lies in P's: grow it from P's rows
+        # S_e is S with [E F] below: grow P_e's V* from P's echelon
         n, Se = self.sys.n, self.system_matrix_e
-        rpe, zpe = geometry.rank_and_zeros(Se, n, geometry.vstar(Se, n, self.vstar.rows))
+        rpe, zpe = geometry.rank_and_zeros(Se, n, geometry.vstar(Se, n, self.vstar))
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(rp, rpe, zp, zpe, cmp_, rp == rpe, cmp_.equal)
 
@@ -267,9 +267,9 @@ class PlantForms:
         sys = self.sys
         zp = zpe = self.unobservable_modes
         if zp.degree > 0 and sys.q:
-            # (A, [C; E])'s unobservable subspace lies in (A, C)'s: grow
-            # it from (A, C)'s rows
-            ce = geometry.vstar(self.ACE, sys.n, self.unobservable.rows)
+            # [A; C; E] is [A; C] with E below: grow (A, [C; E])'s
+            # unobservable subspace from (A, C)'s echelon
+            ce = geometry.vstar(self.ACE, sys.n, self.unobservable)
             zpe = geometry.rank_and_zeros(self.AC, sys.n, ce)[1]
         cmp_ = antistable_parts_equal(zp, zpe)
         return DetectabilityCertificate(sys.n, sys.n, zp, zpe, cmp_, True, cmp_.equal)
@@ -352,7 +352,7 @@ def _left_invertibility_certificate(forms: PlantForms) -> LeftInvertibilityCerti
     rp, zp = forms.rank_and_zero
     od = forms.unobservable_modes
     g = poly_gcd(zp, od)
-    quotient = zp.exact_div(g).monic()
+    quotient = (zp.exact_div(g) if g.degree > 0 else zp).monic()
     rep = is_hurwitz(quotient)
     return LeftInvertibilityCertificate(rp, sys.n + sys.m, rp == sys.n + sys.m,
                                         zp, od, g, quotient, rep, rep.is_hurwitz)

@@ -432,6 +432,7 @@ class Subspace:
         self._check_ambient(other)
         return Subspace(self.ambient_dim, _integer_echelon(self.ints + other.ints))
 
+    # no caller in the package; the benchmark tracer wraps it by name
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the Zassenhaus block trick: the right halves of
         the rows of [v v; w 0]'s echelon that pivot there, the canonical

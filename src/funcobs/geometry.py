@@ -9,11 +9,11 @@ works on matrices, and ``decide.PlantForms`` reads the plant.  P =
 [sI - A, -B; C, D] has normal rank n + rank [Y*B; D] (V* = Ker Y*), and
 its zeros are those of A + BF on V*/R*, F a friend of V* and R* the span
 of A + BF on B Ker [Y*B; D].  P_e = [P; E F] is the same call on S with
-[E F] below it, grown from Y*.  With no input, S = [A; C] and V* is the
-unobservable subspace of (A, C).  The call keeps one fraction-free
+[E F] below it, grown from P's echelon.  With no input, S = [A; C] and V*
+is the unobservable subspace of (A, C).  The call keeps one fraction-free
 integer echelon across its steps, so each row is eliminated once, and
 returns it reduced (``VStar``): its rows at state pivots are Y*'s
-canonical integer rows, the ``Subspace`` that seeds a later call.
+canonical integer rows.
 
 ``rank_and_zeros`` runs on integers from V*'s echelon to the zero
 polynomial.  The bases of V* and Ker [Y*B; D] are integer columns, the
@@ -36,11 +36,13 @@ chains reach form the strongly reachable subspace T*, the limit of
     T_0 = 0,    T_{k+1} = [A B] ((T_k + Q^m)  ^  Ker [C D]),
 
 and T* is the annihilator of the V* of the dual plant, whose system
-matrix is S^T (ibid., ch. 8): its canonical rows are that ``vstar`` call's
-rows, and the call's step count is the first k with T_{k+1} = T_k.  The
-reachable pairs are (T* + Q^m) ^ Ker [C D], and the verdict is "reachable
-pairs contained in Ker [E F]", all on integer rows: the only Fraction
-made is a violating pair's.  That matches the block-Toeplitz kernel
+matrix is S^T (ibid., ch. 8): its canonical rows T are that ``vstar``
+call's rows, and the call's step count is the first k with T_{k+1} = T_k.
+The reachable pairs are (T* + Q^m) ^ Ker [C D], the image of
+Ker [C T^T, D] under the injective map (a, u) -> (T^T a, u): one kernel
+and one echelon of its image, with no intersection.  The verdict is
+"reachable pairs contained in Ker [E F]", all on integer rows: the only
+Fraction made is a violating pair's.  That matches the block-Toeplitz kernel
 inclusions of the markov module for every order, and it is what separates
 a merely stable estimate from a causally realizable one.  The certificate
 keeps only what decides the verdict and re-checks it: the reachable
@@ -55,8 +57,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exactlin import (IntegerMatrix, Subspace, _echelon_add, _integer_kernel, _primitive,
-                       _reduce, _scaled, first_escape, kernel_basis)
+from .exactlin import (IntegerMatrix, Subspace, _echelon_add, _integer_echelon, _integer_kernel,
+                       _primitive, _reduce, _scaled, first_escape, kernel_basis)
 from .polymat import POLY_ONE, Poly, berkowitz
 
 
@@ -64,49 +66,56 @@ class VStar(NamedTuple):
     """V* = Ker Y* as ``vstar`` grows it: the reduced fraction-free
     echelon of [Y*B, Y*A; D, C] (inputs first), {pivot column: canonical
     integer row}, the step count (at index 1, which a benchmark tracer
-    reads) and the input and state counts.  The rows that pivot in a state
-    column are zero in the input columns and give Y*'s ``rows``; those
-    that pivot in an input column read u_p + (free inputs) + f x = 0, so
-    they give a friend F (m x n, u_p = -f x), with (A + BF) V* in V* and
-    (C + DF) V* = 0, and the rows of [Y*B; D]."""
+    reads), the input and state counts and the count of S's rows read.
+    The rows that pivot in a state column are zero in the input columns
+    and give Y*'s ``rows``; those that pivot in an input column read
+    u_p + (free inputs) + f x = 0, so they give a friend F (m x n,
+    u_p = -f x), with (A + BF) V* in V* and (C + DF) V* = 0, and the rows
+    of [Y*B; D]."""
     echelon: dict[int, list[int]]
     steps: int
     m: int
     n: int
+    read: int
 
     @property
     def rows(self) -> Subspace:
-        """Y*'s integer ``Subspace``, the seed of a later ``vstar`` call."""
+        """Y*'s integer ``Subspace``."""
         m = self.m
         return Subspace(self.n, [r[m:] for p, r in sorted(self.echelon.items()) if p >= m])
 
 
-def vstar(S: IntegerMatrix, n: int, seed: Subspace | None = None) -> VStar:
+def vstar(S: IntegerMatrix, n: int, grown: VStar | None = None) -> VStar:
     """V* of the plant with n states whose system matrix is S = [A B; C D],
     m = S.cols - n.  S may have no input columns: V* of S = [A; C] is the
     unobservable subspace of (A, C).  The dual plant's matrix is S^T.
 
     Y_{k+1} are the rows of the RREF of [Y_k B, Y_k A; D, C] (inputs
-    first) that pivot in a state column, from Y_0 = ``seed`` (the ``rows``
-    of a call whose V* holds this one's, as P's does P_e's) or none.  One
-    fraction-free echelon, kept across the steps, holds integer multiples
-    of those RREF rows.  Y and its pivots only grow, and no kept row is
-    rewritten, so a step hands it only the products [y B, y A] of the rows
-    at new pivots.  A positive factor of a row leaves that echelon as it
-    is, so every row is taken over S's one denominator.  The echelon is
-    reduced only when the loop ends: a row echelon has the RREF's pivot
-    columns, and with the inputs first its rows at state pivots span Y at
-    every step, so the RREF loop's steps are kept.
+    first) that pivot in a state column, from Y_0 = none.  One fraction-free
+    echelon, kept across the steps, holds integer multiples of those RREF
+    rows.  Y and its pivots only grow, and no kept row is rewritten, so a
+    step hands it only the products [y B, y A] of the rows at new pivots.
+    A positive factor of a row leaves that echelon as it is, so every row
+    is taken over S's one denominator.  The echelon is reduced only when
+    the loop ends: a row echelon has the RREF's pivot columns, and with
+    the inputs first its rows at state pivots span Y at every step, so the
+    RREF loop's steps are kept.
+
+    ``grown``, the call of the plant whose system matrix is S's first
+    ``grown.read`` rows (P's for P_e's S), spans [D C] and [Y*B, Y*A] of
+    its Y*, what a loop from Y_0 = its Y* eliminates first: the call goes on
+    from a copy of its echelon with S's later rows and Y*'s pivots seen, and
+    the reduced echelon, which is canonical, and the steps are that loop's.
     """
     m = S.cols - n
     # the columns of [B A], and each later row of S as [D C]: inputs first
     cols = [*zip(*S.data[:n])]
     cols = cols[n:] + cols[:n]
-    echelon: dict[int, list[int]] = {}
-    for r in S.data[n:]:
+    echelon = dict(grown.echelon) if grown else {}
+    seen = {p for p in echelon if p >= m}
+    for r in S.data[grown.read if grown else n:]:
         _echelon_add(echelon, r[n:] + r[:n])
-    new = seed.ints if seed else ()
-    seen = {m + next(j for j, x in enumerate(y) if x) for y in new}
+    new: list[list[int]] = []
     # Y gains a row at every step but the last, and has n at most
     for step in range(n + 1):
         for y in new:
@@ -117,7 +126,7 @@ def vstar(S: IntegerMatrix, n: int, seed: Subspace | None = None) -> VStar:
         new = [echelon[p][m:] for p in state if p not in seen]
         seen.update(state)
     _reduce(echelon)
-    return VStar(echelon, step, m, n)
+    return VStar(echelon, step, m, n, S.rows)
 
 
 def _invariant(Y: list[list[int]], image: list[list[int]]) -> None:
@@ -199,13 +208,15 @@ def strong_star_inclusion(S: IntegerMatrix, EF: IntegerMatrix, n: int) -> Inclus
     plant's system matrix, and S's rows after the n-th are [C D].
     """
     dual = vstar(S.transpose(), n)
-    # T* + 0 pivots in the state columns and 0 + Q^m, unit rows, in the
-    # input columns: together they are canonical rows already
-    d = S.cols
-    tail = (0,) * (d - n)
-    pairs = Subspace(d, [t + tail for t in dual.rows.ints]
-                     + [[int(j == i) for j in range(d)] for i in range(n, d)])
-    reach = pairs.intersect(kernel_basis(IntegerMatrix(S.rows - n, S.cols, S.data[n:], S.den)))
+    # x in T* is T^T a for one a in Q^t, T the canonical rows of T*, so
+    # (x, u) lies in Ker [C D] iff (a, u) lies in Ker [C T^T, D]; the map
+    # (a, u) -> (T^T a, u) is injective, and the pairs are its image
+    T = dual.rows.ints
+    t, cols = len(T), [*zip(*T)] if T else [()] * n
+    CTD = [[sum(map(mul, r, y)) for y in T] + r[n:] for r in S.data[n:]]
+    ker = kernel_basis(IntegerMatrix(len(CTD), t + S.cols - n, CTD, S.den)).ints
+    reach = Subspace(S.cols, _integer_echelon([sum(map(mul, a, c)) for c in cols] + [*a[t:]]
+                                              for a in ker))
     violation = first_escape(reach, EF)
     return InclusionCertificate(holds=violation is None, reachable=reach,
                                 reachable_steps=dual.steps, violation=violation)

@@ -1,21 +1,25 @@
 """Exact right-half-plane root tests.
 
 ``is_hurwitz`` decides "all roots have strictly negative real part" for a
-rational-coefficient polynomial via the exact Routh array.  The closed
-right half plane (Re >= 0) counts as unstable territory, so imaginary-axis
-roots -- which surface as Routh degeneracies -- are failures; no epsilon
-perturbation is ever needed.
+rational-coefficient polynomial via the exact Routh array, run on integer
+numerators: each row is an integer list over one integer scale, and a
+``Fraction`` is made only for the first-column entries that the report
+carries.  The closed right half plane (Re >= 0) counts as unstable
+territory, so imaginary-axis roots -- which surface as Routh
+degeneracies -- are failures; no epsilon perturbation is ever needed.
 
 ``antistable_parts_equal`` compares the closed-right-half-plane root
-multisets of two polynomials without factoring them: strip the gcd, then
-both quotients must be Hurwitz.  The quotients are coprime, so their
-antistable root sets can only agree by both being empty, while the shared
-factor contributes identically to both sides.
+multisets of two polynomials without factoring them: strip the gcd (when
+it has positive degree), then both quotients must be Hurwitz.  The
+quotients are coprime, so their antistable root sets can only agree by
+both being empty, while the shared factor contributes identically to both
+sides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .polymat import Poly, poly_gcd
@@ -38,33 +42,31 @@ def is_hurwitz(p: Poly) -> HurwitzReport:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no root-location verdict")
-    if p.leading < 0:
-        p = -p
+    # Routh's rows 0 and 1 are p's numerators over its denominator, descending
+    num, den = p._num[::-1], p._den
+    if num[0] < 0:
+        num = [-x for x in num]
     deg = p.degree
     if deg == 0:
         return HurwitzReport(True, None, ())
-    coeffs = p.coeffs
-    if any(c <= 0 for c in coeffs):
+    if any(c <= 0 for c in num):
         return HurwitzReport(False, NONPOSITIVE_COEFFICIENT, ())
-
-    desc = list(reversed(coeffs))
-    width = (deg + 2) // 2
-    row0 = [desc[i] if i < len(desc) else Fraction(0) for i in range(0, deg + 1, 2)]
-    row1 = [desc[i] if i < len(desc) else Fraction(0) for i in range(1, deg + 1, 2)]
-    row0 += [Fraction(0)] * (width - len(row0))
-    row1 += [Fraction(0)] * (width - len(row1))
-    table = [row0, row1]
-    first_col = [row0[0], row1[0]]
+    b, a = num[::2], num[1::2]
+    a += [0] * (len(b) - len(a))
+    sb = sa = den
+    first_col = [Fraction(b[0], den), Fraction(a[0], den)]
+    # row k is a0 b_{j+1} - b0 a_{j+1} over sb a0, a = row k-1 and b = row
+    # k-2 over sb, less its gcd; only its first entry is made a Fraction
     for _ in range(2, deg + 1):
-        prev, prev2 = table[-1], table[-2]
-        if prev[0] == 0:
+        a0, b0 = a[0], b[0]
+        if not a0:
             return HurwitzReport(False, ROUTH_DEGENERACY, tuple(first_col))
-        new = []
-        for j in range(width - 1):
-            new.append((prev[0] * prev2[j + 1] - prev2[0] * prev[j + 1]) / prev[0])
-        new.append(Fraction(0))
-        table.append(new)
-        first_col.append(new[0])
+        new = [a0 * y - b0 * x for x, y in zip(a[1:], b[1:])] + [0]
+        s = sb * a0
+        g = gcd(s, *new)
+        new = [x // g for x in new]
+        b, sb, a, sa = a, sa, new, s // g
+        first_col.append(Fraction(new[0], sa))
     if any(x == 0 for x in first_col):
         return HurwitzReport(False, ROUTH_DEGENERACY, tuple(first_col))
     if any(x < 0 for x in first_col):
@@ -87,8 +89,9 @@ def antistable_parts_equal(p: Poly, q: Poly) -> AntistableComparison:
     if p.is_zero() or q.is_zero():
         raise ValueError("antistable comparison needs nonzero polynomials")
     g = poly_gcd(p, q)
-    lp = p.exact_div(g).monic()
-    rq = q.exact_div(g).monic()
+    if g.degree > 0:
+        p, q = p.exact_div(g), q.exact_div(g)
+    lp, rq = p.monic(), q.monic()
     lrep = is_hurwitz(lp)
     rrep = is_hurwitz(rq)
     return AntistableComparison(lrep.is_hurwitz and rrep.is_hurwitz,

@@ -25,7 +25,8 @@ stacked rows,
 matrix products and Smith row/column operations term by term
 (one sum of ``Fraction`` or ``Poly`` values per term), the block-Toeplitz
 matrices of Markov parameters from those products (``ref_toeplitz``),
-root locations from numpy's companion-matrix solver,
+root locations from numpy's companion-matrix solver, Routh columns from
+the table over ``Fraction`` (``ref_is_hurwitz``),
 trajectories from a stage-by-stage RK4 loop fed by scalar input
 evaluation, the affine RK4 recurrence from one matrix-vector product per
 step, trajectory CSV rows formatted value by value, the fading scenario's
@@ -53,6 +54,8 @@ from funcobs.decide import PlantForms
 from funcobs.exactlin import IntegerMatrix, QMatrix, Subspace, _common_den, adjugate_solve, \
     as_fraction, kernel_basis
 from funcobs.polymat import PencilRow, Poly, PolyMatrix, pencil, pencil_rows, poly_gcd, smith_form
+from funcobs.stability import (NONPOSITIVE_COEFFICIENT, ROUTH_DEGENERACY, SIGN_CHANGE,
+                               HurwitzReport)
 from funcobs.system import SystemSextuple
 from funcobs.witness import (RationalFunction, RationalFunctionMatrix, WitnessReport, classify,
                              denominator_lcm)
@@ -892,6 +895,50 @@ def ref_characteristic_polynomial(A: QMatrix) -> Poly:
 
 def numeric_roots(p: Poly) -> np.ndarray:
     return np.roots([float(c) for c in reversed(p.coeffs)])
+
+
+def ref_is_hurwitz(p: Poly) -> HurwitzReport:
+    """``stability.is_hurwitz`` by the Routh table over ``Fraction``: each
+    row's entries divided by the first entry of the row before.
+
+    True iff every root of p has strictly negative real part.
+
+    Nonzero constants pass (no roots).  The zero polynomial is rejected.
+    """
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no root-location verdict")
+    if p.leading < 0:
+        p = -p
+    deg = p.degree
+    if deg == 0:
+        return HurwitzReport(True, None, ())
+    coeffs = p.coeffs
+    if any(c <= 0 for c in coeffs):
+        return HurwitzReport(False, NONPOSITIVE_COEFFICIENT, ())
+
+    desc = list(reversed(coeffs))
+    width = (deg + 2) // 2
+    row0 = [desc[i] if i < len(desc) else Fraction(0) for i in range(0, deg + 1, 2)]
+    row1 = [desc[i] if i < len(desc) else Fraction(0) for i in range(1, deg + 1, 2)]
+    row0 += [Fraction(0)] * (width - len(row0))
+    row1 += [Fraction(0)] * (width - len(row1))
+    table = [row0, row1]
+    first_col = [row0[0], row1[0]]
+    for _ in range(2, deg + 1):
+        prev, prev2 = table[-1], table[-2]
+        if prev[0] == 0:
+            return HurwitzReport(False, ROUTH_DEGENERACY, tuple(first_col))
+        new = []
+        for j in range(width - 1):
+            new.append((prev[0] * prev2[j + 1] - prev2[0] * prev[j + 1]) / prev[0])
+        new.append(Fraction(0))
+        table.append(new)
+        first_col.append(new[0])
+    if any(x == 0 for x in first_col):
+        return HurwitzReport(False, ROUTH_DEGENERACY, tuple(first_col))
+    if any(x < 0 for x in first_col):
+        return HurwitzReport(False, SIGN_CHANGE, tuple(first_col))
+    return HurwitzReport(True, None, tuple(first_col))
 
 
 def pbh_unobservable(sys: SystemSextuple, lam: Fraction) -> bool:

@@ -325,12 +325,12 @@ class TestUnobservableSubspaceRoute:
     @staticmethod
     def _edit_echelon(monkeypatch, edit):
         """Make every vstar call return its echelon as ``edit(echelon, m)``
-        rewrites it: the integer rows that rank_and_zeros and the seeded
+        rewrites it: the integer rows that rank_and_zeros and the grown
         calls read."""
         vstar = geometry.vstar
 
-        def edited(S, n, seed=None):
-            v = vstar(S, n, seed)
+        def edited(S, n, grown=None):
+            v = vstar(S, n, grown)
             return v._replace(echelon=edit(v.echelon, v.m))
 
         monkeypatch.setattr(geometry, "vstar", edited)
@@ -577,11 +577,11 @@ class TestWorkCount:
 
         handed.clear()
         Se = forms.system_matrix_e
-        ve = geometry.vstar(Se, plant.n, v.rows)
-        # each row of [C D; E F] once, and one product for each seed row and
-        # each new row of Y*
+        ve = geometry.vstar(Se, plant.n, v)
+        # grown from P's echelon: each row of [E F] once, and one product
+        # for each new row of Y*; no row of P's call again
         new = len(pivots(ve.rows) - pivots(v.rows))
-        assert len(handed) == (Se.rows - plant.n) + v.rows.dim + new
+        assert len(handed) == plant.q + new
 
     def test_inclusion_makes_no_fraction_but_the_violation(self, monkeypatch, plant):
         """strong_star_inclusion, intersect and first_escape read canonical
@@ -817,9 +817,9 @@ class TestWorkCount:
         grown = []
         vstar = geometry.vstar
 
-        def spy(*args):
-            grown.append(args)
-            return vstar(*args)
+        def spy(S, n, grown_from=None):
+            grown.append((S, n, grown_from))
+            return vstar(S, n, grown_from)
 
         monkeypatch.setattr(geometry, "vstar", spy)
         fn(plant)
@@ -831,22 +831,30 @@ class TestWorkCount:
         assert [M for M, _ in calls[:count]] == [M for M, _ in calls[count:]]
 
     def test_functional_grows_from_the_observed_rows(self, monkeypatch):
-        """(A, [C; E])'s unobservable subspace is grown from the integer
-        rows of (A, C)'s echelon, which the forms keep."""
-        seeds = []
-        grow = geometry.vstar
+        """(A, [C; E])'s unobservable subspace is grown from (A, C)'s
+        ``VStar``, which the forms keep, and its call reads only E's rows."""
+        calls = []
+        grow, add = geometry.vstar, exactlin._echelon_add
 
-        def spy(S, n, seed=None):
-            seeds.append(seed)
-            return grow(S, n, seed)
+        def spy(S, n, grown=None):
+            calls.append((grown, []))
+            return grow(S, n, grown)
+
+        def handed(echelon, row):
+            calls[-1][1].append(row)
+            return add(echelon, row)
 
         monkeypatch.setattr(geometry, "vstar", spy)
+        monkeypatch.setattr(geometry, "_echelon_add", handed)
         # x1 is hidden from C = [0 1 0]; E reads it
         forms = decide.PlantForms(SystemSextuple.from_lists(
             A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], C=[[0, 1, 0]], E=[[1, 0, 0]], m=0))
         assert decide.functional_detectable(forms).certificate.reduced.zero_poly_pe == POLY_ONE
-        assert seeds == [None, forms.unobservable.rows]
-        assert seeds[1].ints == ((0, 1, 0), (0, 0, 1))
+        assert [g for g, _ in calls] == [None, forms.unobservable]
+        assert calls[1][0] is forms.unobservable
+        assert forms.unobservable.rows.ints == ((0, 1, 0), (0, 0, 1))
+        # E's row, then the product x1 A = x2 of its new pivot, and no row of C
+        assert calls[1][1] == [[1, 0, 0], [0, 1, 0]]
 
     def test_system_matrices_assemble_no_blocks(self, monkeypatch, built):
         """P and [E F] come straight from the rows of S_e, which the forms
@@ -980,23 +988,26 @@ class TestWorkCount:
         assert "strong-star inclusion" in capsys.readouterr().out
         assert searched == []
 
-    def test_strong_star_intersects_once(self, monkeypatch):
-        """The reachable pairs are (T* + Q^m) ^ Ker [C D], one intersection
-        however many steps T* takes: three on a shift chain read at its
-        head, where R grows for two."""
+    def test_strong_star_takes_one_kernel(self, monkeypatch):
+        """The reachable pairs are the image of Ker [C T^T, D], T the rows of
+        T*: one kernel and no intersection however many steps T* takes,
+        three on a shift chain read at its head, where R grows for two."""
         count = Counter()
-        intersect = Subspace.intersect
+        kernel, intersect = geometry.kernel_basis, Subspace.intersect
 
-        def counted(self, other):
-            count["intersect"] += 1
-            return intersect(self, other)
+        def counted(name, fn):
+            def wrapper(*args):
+                count[name] += 1
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(Subspace, "intersect", counted)
+        monkeypatch.setattr(geometry, "kernel_basis", counted("kernel_basis", kernel))
+        monkeypatch.setattr(Subspace, "intersect", counted("intersect", intersect))
         chain = SystemSextuple.from_lists(A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], B=[[0], [0], [1]],
                                           C=[[1, 0, 0]], D=[[0]], E=[[0, 1, 0]], F=[[0]])
         verdict = decide.strong_star_functional_detectable(chain)
         assert verdict.certificate.inclusion.reachable_steps == 3
-        assert count == {"intersect": 1}
+        assert count == {"kernel_basis": 1}
 
 
 def _equality_plants():

@@ -377,6 +377,27 @@ class TestForwardEchelon:
             assert [echelon[p] for p in pivots] == \
                 [[int(i == j) for j in range(width)] for i in range(width)]
 
+    @given(_integer_rows(), st.integers(0, 12))
+    # the reduced rows are not zero at the later pivot 1
+    @example((3, [[0, 0, 2], [1, 3, 1], [0, 3, 1]]), 2)
+    def test_growing_a_reduced_echelon(self, case, cut):
+        """Rows added to a ``_reduce``d echelon, reduced again, give the
+        rows that eliminating every row from nothing gives: the echelon a
+        grown ``vstar`` call goes on from is such an echelon."""
+        _, rows = case
+        echelon: dict[int, list[int]] = {}
+        for r in rows[:cut]:
+            _echelon_add(echelon, r)
+        _reduce(echelon)
+        for r in rows[cut:]:
+            _echelon_add(echelon, r)
+        _reduce(echelon)
+        fresh: dict[int, list[int]] = {}
+        for r in rows:
+            _echelon_add(fresh, r)
+        _reduce(fresh)
+        assert echelon == fresh
+
 
 class TestFirstEscape:
     """The escape search against a matrix product per basis column."""

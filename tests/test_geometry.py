@@ -1,4 +1,5 @@
 import ast
+import copy
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -82,14 +83,14 @@ class TestObservedRows:
         for _ in range(40):
             sys = support.random_system(rng)
             AC, ACE = system_matrix([sys.A], [sys.C]), system_matrix([sys.A], [sys.C], [sys.E])
-            seeded = vstar(ACE, sys.n, vstar(AC, sys.n).rows)
+            seeded = vstar(ACE, sys.n, vstar(AC, sys.n))
             assert seeded.rows == vstar(ACE, sys.n).rows
         # a shift chain read in the middle: E adds the head, one step on
         # from the seed and two from nothing
         A = QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         AC = system_matrix([A], [QMatrix.from_rows([[0, 1, 0]])])
         ACE = system_matrix([A], [QMatrix.from_rows([[0, 1, 0], [1, 0, 0]])])
-        seeded = vstar(ACE, 3, vstar(AC, 3).rows)
+        seeded = vstar(ACE, 3, vstar(AC, 3))
         assert (seeded.rows, seeded.steps) == (support.full_subspace(3), 1)
         assert vstar(ACE, 3).steps == 2
 
@@ -126,27 +127,34 @@ class TestVStar:
     @given(st.one_of(support.plants(4, 3), support.plants(4, 3, rational=True)))
     @example(SystemSextuple.from_lists(A=[], D=[[1, 0]], F=[[0, 1]]))
     @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[1], [0]], C=[[1, 0]], D=[[0]]))
+    # E adds the head of a shift chain that C reads in the middle
+    @example(SystemSextuple.from_lists(A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]], C=[[0, 1, 0]],
+                                       E=[[1, 0, 0]], m=0))
     def test_matches_whole_stack_loop(self, sys):
         """The kept echelon gives what re-eliminating the whole stack at
         every step gives: rows, steps, friend and input rows, for plain
         calls, for the dual plant's (whose system matrix is S^T), for P_e's
-        call seeded with P's rows and for an m = 0 call seeded with
-        (A, C)'s rows."""
+        call grown from P's and for an m = 0 call grown from (A, C)'s,
+        against the loop seeded with their rows.  A grown call reads S_e's
+        rows and leaves the ``VStar`` it grew from as it was."""
         n = sys.n
         S = system_matrix([sys.A, sys.B], [sys.C, sys.D])
-        seed = vstar(S, n)
-        assert fields(seed) == support.ref_vstar_restacked(sys.A, sys.B, sys.C, sys.D)
         dual = tuple(map(support.transpose, (sys.A, sys.C, sys.B, sys.D)))
         assert fields(vstar(S.transpose(), n)) == support.ref_vstar_restacked(*dual)
         CE, DF = support.stack([[sys.C], [sys.E]]), support.stack([[sys.D], [sys.F]])
-        Se = system_matrix([sys.A, sys.B], [sys.C, sys.D], [sys.E, sys.F])
-        assert (fields(vstar(Se, n, seed.rows))
-                == support.ref_vstar_restacked(sys.A, sys.B, CE, DF, seed.rows))
         none = QMatrix.zeros(n, 0)
-        seed = vstar(system_matrix([sys.A], [sys.C]), n)
-        assert (fields(vstar(system_matrix([sys.A], [sys.C], [sys.E]), n, seed.rows))
-                == support.ref_vstar_restacked(sys.A, none, CE, QMatrix.zeros(CE.rows, 0),
-                                               seed.rows))
+        for M, Me, B, D, tail in (
+                (S, system_matrix([sys.A, sys.B], [sys.C, sys.D], [sys.E, sys.F]), sys.B,
+                 sys.D, DF),
+                (system_matrix([sys.A], [sys.C]), system_matrix([sys.A], [sys.C], [sys.E]), none,
+                 QMatrix.zeros(sys.p, 0), QMatrix.zeros(CE.rows, 0))):
+            seed = vstar(M, n)
+            assert fields(seed) == support.ref_vstar_restacked(sys.A, B, sys.C, D)
+            before = (copy.deepcopy(seed.echelon), *seed[1:])
+            grown = vstar(Me, n, seed)
+            assert fields(grown) == support.ref_vstar_restacked(sys.A, B, CE, tail, seed.rows)
+            assert (seed.echelon, *seed[1:]) == before
+            assert (seed.read, grown.read) == (M.rows, Me.rows)
 
     @pytest.mark.parametrize("n", [6, 10, 14])
     def test_matches_whole_stack_loop_on_ladder_plants(self, n):
@@ -155,15 +163,15 @@ class TestVStar:
         plain = vstar(system_matrix([sys.A, sys.B], [sys.C, sys.D]), n)
         assert fields(plain) == support.ref_vstar_restacked(sys.A, sys.B, sys.C, sys.D)
         Se = system_matrix([sys.A, sys.B], [sys.C, sys.D], [sys.E, sys.F])
-        assert (fields(vstar(Se, n, plain.rows))
+        assert (fields(vstar(Se, n, plain))
                 == support.ref_vstar_restacked(sys.A, sys.B, CE, DF, plain.rows))
 
     def test_seed_is_grown_from(self):
-        # P_e's V* grown from P's rows equals the one grown from nothing
+        # P_e's V* grown from P's equals the one grown from nothing
         sys = support.integrator_chain()
         Se = system_matrix([sys.A, sys.B], [sys.C, sys.D], [sys.E, sys.F])
         v = vstar(system_matrix([sys.A, sys.B], [sys.C, sys.D]), sys.n)
-        seeded, fresh = vstar(Se, sys.n, v.rows), vstar(Se, sys.n)
+        seeded, fresh = vstar(Se, sys.n, v), vstar(Se, sys.n)
         assert seeded.rows == fresh.rows
         assert support.vstar_input_rows(seeded) == support.vstar_input_rows(fresh)
         assert seeded.steps < fresh.steps
@@ -190,7 +198,7 @@ _BRANCHES = {
 class TestRankAndZeros:
     """``rank_and_zeros`` on integer rows against its Fraction route,
     ``support.ref_rank_and_zeros``, on the calls the decisions make: P's
-    V*, P_e's grown from P's rows, the m = 0 unobservable subspace and
+    V*, P_e's grown from P's, the m = 0 unobservable subspace and
     the dual plant's V*."""
 
     @staticmethod
@@ -200,7 +208,7 @@ class TestRankAndZeros:
         Se = system_matrix([A, B], [C, D], [sys.E, sys.F])
         v = vstar(S, n)
         # the m = 0 call reads A alone, and the dual plant's matrix is S^T
-        calls = [(S, A, B, v), (Se, A, B, vstar(Se, n, v.rows)),
+        calls = [(S, A, B, v), (Se, A, B, vstar(Se, n, v)),
                  (IntegerMatrix.of(A), A, QMatrix.zeros(n, 0), vstar(system_matrix([A], [C]), n)),
                  (S.transpose(), support.transpose(A), support.transpose(C),
                   vstar(S.transpose(), n))]
@@ -323,6 +331,30 @@ class TestStrongStarInclusion:
         # rows bit for bit, and T*'s step count
         cert = inclusion(sys)
         assert (cert.reachable, cert.reachable_steps) == support.ref_reachable(sys)
+
+    # n in 0..4, m, p, q in 0..3
+    @given(support.plants(4, 3))
+    @example(SystemSextuple.from_lists(A=[], D=[[1, 0]], F=[[0, 1]]))  # n = 0
+    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], C=[[1, 0]], m=0))  # m = 0
+    @example(SystemSextuple.from_lists(A=[[0, 1], [0, 0]], B=[[0], [1]], E=[[1, 0]]))  # p = 0
+    # B = 0: T* = 0
+    @example(SystemSextuple.from_lists(A=[[1, 1], [0, 2]], B=[[0], [0]], C=[[1, 0]], D=[[1]]))
+    # x' = u, y = x: T* = Q^n
+    @example(SystemSextuple.from_lists(A=[[0]], B=[[1]], C=[[1]], D=[[0]]))
+    def test_reachable_pairs_are_an_intersection(self, sys):
+        """The image of Ker [C T^T, D] is (T* + Q^m) ^ Ker [C D], by the
+        Gauss-Jordan oracle's Zassenhaus from T*'s oracle rows."""
+        n, m = sys.n, sys.m
+        dual = tuple(map(support.transpose, (sys.A, sys.C, sys.B, sys.D)))
+        T = support.ref_vstar_restacked(*dual).rows
+        zero = [Fraction(0)] * m
+        pairs = support.ref_subspace(n + m, [list(t) + zero for t in T.rows]
+                                     + [[Fraction(int(j == n + i)) for j in range(n + m)]
+                                        for i in range(m)])
+        rows = [list(c) + list(d) for c, d in zip(sys.C.data, sys.D.data)]
+        reduced, pivots = support.ref_rref(support.ref_kernel(n + m, rows))
+        ker = support.ref_subspace(n + m, reduced[:len(pivots)])
+        assert inclusion(sys).reachable == support.ref_intersect(pairs, ker)
 
     def test_agrees_with_toeplitz_oracle(self, rng):
         for _ in range(80):

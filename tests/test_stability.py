@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from funcobs.polymat import POLY_ONE, Poly
 from funcobs.stability import (NONPOSITIVE_COEFFICIENT, ROUTH_DEGENERACY,
@@ -79,6 +82,51 @@ class TestIsHurwitz:
                 continue
             assert is_hurwitz(p * q).is_hurwitz == (
                 is_hurwitz(p).is_hurwitz and is_hurwitz(q).is_hurwitz)
+
+
+_COEFF = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+
+
+@st.composite
+def routh_polys(draw) -> Poly:
+    """Nonzero rational polynomials of degree 0 to 10: any coefficients,
+    or a product of stable factors s + a and s^2 + a s + b (a, b > 0),
+    of s^2 + b, whose roots lie on the imaginary axis, and, one time in
+    ten, of s - b; either with a sign of the whole."""
+    if draw(st.booleans()):
+        p = Poly(draw(st.lists(_COEFF, min_size=1, max_size=11)))
+        return p if not p.is_zero() else POLY_ONE
+    positive = st.builds(Fraction, st.integers(1, 9), st.sampled_from([1, 2, 3]))
+    p = POLY_ONE
+    for kind in draw(st.lists(st.sampled_from("lqa"), max_size=5)):
+        a, b = draw(positive), draw(positive)
+        p = p * Poly({"l": [a, 1], "q": [b, a, 1], "a": [b, 0, 1]}[kind])
+    if draw(st.integers(0, 9)) == 0:
+        p = p * Poly([-draw(positive), 1])
+    return -p if draw(st.booleans()) else p
+
+
+class TestRouthOnIntegers:
+    """``is_hurwitz`` runs Routh's recurrence on integer rows; the table
+    over ``Fraction`` (``support.ref_is_hurwitz``) gives the same report,
+    its first column included."""
+
+    @given(routh_polys())
+    @example(Poly([-1, -2, -1]))  # negative leading coefficient
+    @example(Poly([Fraction(-5, 3)]))  # degree 0
+    @example(Poly([Fraction(1, 3), 2]))  # degree 1
+    @example(Poly([3, 2, 2, 1, 1]))  # a zero in the first column, mid-table
+    @example(Poly([1, 1, 1, 1]))  # (s^2 + 1)(s + 1): a zero row
+    @example(Poly([12, 10, 10, 5, 2]))  # (s^2 + 2)(s^2 + 5/2 s + 3) times 2
+    def test_matches_the_fraction_table(self, p):
+        assert is_hurwitz(p) == support.ref_is_hurwitz(p)
+
+    def test_examples_reach_their_reasons(self):
+        reasons = {is_hurwitz(Poly(c)).failure_reason
+                   for c in ([3, 2, 2, 1, 1], [1, 1, 1, 1], [10, 11, 1, 1, 1], [1, 3, 3, 1])}
+        assert reasons == {ROUTH_DEGENERACY, SIGN_CHANGE, None}
+        # the zero lands mid-table: the report stops after it
+        assert is_hurwitz(Poly([3, 2, 2, 1, 1])).routh_first_column == (1, 1, 0)
 
 
 class TestAntistableComparison:

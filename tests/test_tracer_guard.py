@@ -28,6 +28,8 @@ def test_traced_decision_keeps_its_verdict(monkeypatch):
     try:
         assert not decide.strong_star_functional_detectable(support.integrator_chain()).holds
         assert decide.strong_star_functional_detectable(support.stable_pair()).holds
+        # no decision intersects subspaces; the method stays wrapped
+        assert Subspace.span(2, [[1, 0]]).intersect(Subspace.span(2, [[0, 1]])).dim == 0
     finally:
         t.uninstall()
     spans = t.summary()
